@@ -1,15 +1,15 @@
-"""CI guard: the no-fault fast path must not regress vs BENCH_core.json.
+"""CI guard: the no-fault fast path must match BENCH_core.json exactly.
 
 Re-runs the standard insert-burst in the pinned fast configuration
 (``repro bench``'s deterministic workload: semisync, accounting
 "aggregate", tracing off, leaf cache on, seed 0) and compares the two
 deterministic per-op metrics -- events/op and messages/op -- against
 the ``fast`` block of the committed ``BENCH_core.json``.  Both
-quantities are pure functions of the code and the seed, so any drift
-is a real change, not noise; the 15 % tolerance leaves room for
-deliberate small trade-offs while catching an accidentally disabled
-fast path (e.g. the reliable-delivery layer leaking work into
-``reliability="assumed"`` runs) immediately.
+quantities are pure functions of the code and the seed, so any
+difference, in either direction, is a real change and fails the
+guard: a refactor that claims to be byte-identical is, and a
+deliberate change re-pins the baseline via ``repro bench`` in the
+same commit.
 
 Wall-clock throughput is intentionally NOT compared: CI machines are
 noisy and the virtual-event counts already pin the work done.
@@ -28,8 +28,6 @@ import json
 import sys
 from pathlib import Path
 
-TOLERANCE = 0.15
-
 METRICS = ("events_per_op", "msgs_per_op")
 
 
@@ -46,12 +44,6 @@ def main() -> int:
         type=int,
         default=None,
         help="op count (default: the baseline's own; must match to compare)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=TOLERANCE,
-        help="allowed fractional regression per metric (default 0.15)",
     )
     args = parser.parse_args()
 
@@ -87,23 +79,19 @@ def main() -> int:
     for metric in METRICS:
         measured = result[metric]
         reference = pinned[metric]
-        ratio = measured / reference
         verdict = "ok"
-        if ratio > 1.0 + args.tolerance:
-            verdict = f"REGRESSION (> +{args.tolerance:.0%})"
+        if measured != reference:
+            verdict = "CHANGED"
             failed = True
-        print(
-            f"{metric}: measured {measured:.5f} vs pinned {reference:.5f} "
-            f"({ratio - 1.0:+.2%}) {verdict}"
-        )
+        print(f"{metric}: measured {measured!r} vs pinned {reference!r} {verdict}")
     print(
         f"throughput (informational, not guarded): "
         f"{result['ops_per_sec']:,.0f} ops/s over {num_ops:,} ops"
     )
     if failed:
         print(
-            "fast path regressed beyond tolerance; if the change is "
-            "intentional, re-pin BENCH_core.json via `repro bench`",
+            "fast path is not byte-identical to the pinned baseline; if the "
+            "change is intentional, re-pin BENCH_core.json via `repro bench`",
             file=sys.stderr,
         )
         return 1

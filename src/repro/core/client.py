@@ -38,7 +38,7 @@ from repro.sim.network import LatencyModel, UniformLatency
 from repro.sim.partition import PartitionPlan
 from repro.sim.permute import PermutePlan
 from repro.sim.reliable import ReliabilityConfig, ReliabilityError
-from repro.sim.simulator import Kernel
+from repro.sim.simulator import Kernel, check_layers
 from repro.sim.tracing import OperationRecord, Trace
 
 
@@ -183,17 +183,14 @@ class DBTreeCluster:
         the schedule permuter: seeded swaps of deliveries the
         commutativity registry (:mod:`repro.core.commutativity`)
         claims commute, used by the permutation-replay checker
-        (:mod:`repro.verify.permute`).  Incompatible with
-        ``fault_plan``, ``crash_plan``, ``relay_batch_window``, and
-        enforced reliability; ``None`` (default) keeps the delivery
-        fast path byte-identical.
+        (:mod:`repro.verify.permute`).  ``None`` (default) keeps the
+        delivery fast path byte-identical.
     partition_plan:
         Optional :class:`~repro.sim.partition.PartitionPlan` of
         network partitions: scheduled or stochastic link cuts (full
         splits, asymmetric one-way losses) and gray failures
-        (per-link latency inflation).  Composes with every other
-        fault layer; ``None`` (default) keeps the delivery fast path
-        byte-identical.  Incompatible with ``permute_plan``.
+        (per-link latency inflation).  ``None`` (default) keeps the
+        delivery fast path byte-identical.
     detector_plan:
         Optional :class:`~repro.sim.detector.DetectorPlan` replacing
         the crash layer's global detection oracle with *earned*
@@ -202,6 +199,10 @@ class DBTreeCluster:
         drive the engine.  Implies a crash-capable cluster even
         without a ``crash_plan``.  ``None`` (default) keeps oracle
         detection and the fast path byte-identical.
+
+    Every layer composes with every other except the pairs
+    :func:`repro.sim.simulator.check_layers` refuses; those raise
+    ``ValueError`` naming both layers.
     """
 
     def __init__(
@@ -243,13 +244,14 @@ class DBTreeCluster:
             self.protocol = protocol
         if replication is None:
             replication = self.protocol.default_policy(num_processors)
+        # The kernel checks the layers it assembles; relay batching is
+        # the one layer it cannot see.
+        check_layers(
+            relay_batch_window=relay_batch_window,
+            crash_plan=crash_plan,
+            permute_plan=permute_plan,
+        )
         if crash_plan is not None:
-            if relay_batch_window is not None:
-                raise ValueError(
-                    "crash_plan is incompatible with relay_batch_window: "
-                    "relays parked in the batcher would survive the crash "
-                    "of the processor that owes them"
-                )
             if detector_plan is None:
                 # Oracle detection's drained-dead-window assumption:
                 # a restart announcement must arrive after every
@@ -286,41 +288,6 @@ class DBTreeCluster:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-        if permute_plan is not None:
-            if fault_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with fault_plan: a "
-                    "fault verdict would confound which swaps caused a "
-                    "divergence"
-                )
-            if crash_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with crash_plan: "
-                    "dead-letter verdicts make permuted schedules "
-                    "incomparable"
-                )
-            if reliability != "assumed":
-                raise ValueError(
-                    "permute_plan requires reliability='assumed' (the "
-                    "reliable transport owns ordering in enforced mode)"
-                )
-            if relay_batch_window is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with relay_batch_window: "
-                    "the batcher already reorders relays at the sender"
-                )
-            if partition_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with partition_plan: a "
-                    "blocked link would confound which swaps caused a "
-                    "divergence"
-                )
-            if detector_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with detector_plan: "
-                    "detector_plan implies a crash-capable cluster and "
-                    "permuted schedules are incomparable under crashes"
-                )
         if repair_plan is None and repair_period is not None:
             from repro.repair import RepairPlan
 

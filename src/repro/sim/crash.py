@@ -17,8 +17,8 @@ kernel:
 * at ``crash_at`` the processor's queue and in-service action are
   lost (crash-stop: volatile state vanishes, nothing partial
   survives), the reliable-transport channels touching it are reset,
-  and the network starts discarding -- or bouncing, per
-  ``dead_peer_policy`` -- frames addressed to it;
+  and the network starts discarding whatever is addressed to it
+  (counted as ``dead_letters``);
 * ``detection_delay`` later, *if the processor is still down*, the
   failure is announced to the registered detection hooks (the engine
   uses this to force-unjoin the dead processor from replicated copy
@@ -49,12 +49,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from repro.sim.simulator import Kernel
 
-#: What the network does with a frame addressed to a dead processor.
-#: ``"drop"`` silently discards it (a real NIC with no host behind
-#: it); ``"bounce"`` still discards it but counts it separately so
-#: experiments can observe how much traffic a failure black-holed.
-DEAD_PEER_POLICIES = ("drop", "bounce")
-
 
 @dataclass(frozen=True)
 class CrashPlan:
@@ -80,8 +74,6 @@ class CrashPlan:
         How long a restarted processor stays in "recovering" mode,
         during which relayed updates addressed to copies it has not
         yet re-acquired are stashed for replay rather than healed.
-    ``dead_peer_policy``
-        See :data:`DEAD_PEER_POLICIES`.
     """
 
     schedule: tuple[tuple[int, float, float | None], ...] = ()
@@ -90,14 +82,8 @@ class CrashPlan:
     horizon: float = 0.0
     detection_delay: float = 50.0
     recovery_grace: float = 40.0
-    dead_peer_policy: str = "drop"
 
     def __post_init__(self) -> None:
-        if self.dead_peer_policy not in DEAD_PEER_POLICIES:
-            raise ValueError(
-                f"dead_peer_policy must be one of {DEAD_PEER_POLICIES}, "
-                f"got {self.dead_peer_policy!r}"
-            )
         if self.crash_rate < 0:
             raise ValueError(f"crash_rate must be >= 0, got {self.crash_rate}")
         if self.crash_rate > 0:

@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from repro.sim.events import EventQueue
 from repro.sim.reliable import (
@@ -149,7 +149,7 @@ class NetworkStats:
     dup_suppressed: int = 0
     resequenced: int = 0
     #: messages/frames that arrived at a crashed processor and were
-    #: discarded (or bounced) by the dead-peer policy.
+    #: discarded (datagrams to a dead host are not counted).
     dead_letters: int = 0
     #: messages/frames silently swallowed by an active partition cut
     #: (:mod:`repro.sim.partition`); indistinguishable from loss at
@@ -198,14 +198,53 @@ def message_kind(payload: Any) -> str:
     return type(payload).__name__
 
 
+class Traffic(NamedTuple):
+    """The three facts that tell one class of transmission from another.
+
+    Everything else about crossing the substrate -- the partition
+    judge, latency, gray inflation, scheduling -- is common to all
+    traffic and lives in :meth:`Network._transmit`.
+    """
+
+    #: Does the fault plan judge each transmission?
+    judged: bool
+    #: Is it held to per-channel FIFO order by the channel clock?
+    fifo: bool
+    #: Is one addressed to a crashed host counted as a dead letter?
+    dead_letter: bool
+
+
+#: Logical messages on the ``"assumed"`` substrate.  The fault plan,
+#: if any, punches straight through to the protocols (A2).
+LOGICAL = Traffic(judged=True, fifo=True, dead_letter=True)
+#: Reliable-transport frames (``"enforced"``).  Judged afresh per
+#: (re)transmission like real packets, and never clamped: ordering is
+#: the transport's job, via sequence numbers and resequencing, so
+#: frames race freely -- which is what makes the enforcement
+#: end-to-end rather than cosmetic.
+FRAME = Traffic(judged=True, fifo=False, dead_letter=True)
+#: Failure-detector heartbeats.  A lost heartbeat is *information*, so
+#: no fault plan; it must not queue behind the traffic whose absence
+#: it reveals, so no clamp; and a dead host reads nothing, not even a
+#: dead letter.
+DATAGRAM = Traffic(judged=False, fifo=False, dead_letter=False)
+
+#: The verdict of a substrate nobody is judging: one copy, on time.
+_UNJUDGED = ((False, 0.0),)
+
+
 class Network:
     """Reliable, exactly-once, per-channel FIFO message transport.
 
     Deliveries invoke the ``deliver(dst, payload)`` callback installed
-    by the kernel.  An optional :class:`~repro.sim.failure.FaultPlan`
-    may drop, duplicate, or reorder messages -- used *only* by the
-    ablation experiment that demonstrates the protocols rely on the
-    reliability assumption.
+    by the kernel.  Every layer that breaks or re-manufactures the
+    paper's reliability sentence does so at one point, a transmission
+    crossing the substrate (:meth:`_transmit`) and landing at its
+    host (:meth:`_arrive`); :meth:`send`, :meth:`send_datagram` and
+    the reliable transport's frames are the three kinds of
+    :class:`Traffic` that cross it.  Which layers may be installed
+    together is decided where they are assembled
+    (:func:`repro.sim.simulator.check_layers`), not here.
     """
 
     def __init__(
@@ -252,24 +291,19 @@ class Network:
             else None
         )
         # Constant transit time, when the latency model admits one;
-        # lets the no-fault fast path skip the strategy call entirely.
+        # lets a transmission skip the strategy call entirely.
         self._fixed_latency: float | None = getattr(
             self._latency_model, "fixed_latency", None
         )
         # Last *scheduled* delivery time per channel; FIFO enforcement.
         self._channel_clock: dict[tuple[int, int], float] = {}
-        # Crash-stop support: a liveness oracle (installed only when a
-        # crash plan is active, so the default path never pays for it)
-        # plus the dead-peer policy and optional bounce callback.
+        # Where a logical message lands: straight on the processor, or
+        # on the schedule permuter (repro.sim.permute) once installed.
+        self._receive: Callable[[int, Any], None] = self._hand_off
+        # Liveness oracle (repro.sim.crash) and partition controller
+        # (repro.sim.partition); None until a plan installs them, so
+        # the default path never pays for either.
         self._liveness: Callable[[int], bool] | None = None
-        self._dead_policy = "drop"
-        self._bounce: Callable[[int, int, Any], None] | None = None
-        # Schedule permuter (repro.sim.permute), installed only by the
-        # permutation-replay checker; None keeps the fast path intact.
-        self._permuter = None
-        # Partition controller (repro.sim.partition), installed only
-        # when a partition plan is active; None keeps the fast path
-        # byte-identical.
         self._partition = None
         self.stats = NetworkStats()
 
@@ -277,54 +311,23 @@ class Network:
         """Install the callback invoked on message arrival."""
         self._deliver = deliver
 
-    def install_liveness(
-        self,
-        liveness: Callable[[int], bool],
-        dead_peer_policy: str = "drop",
-        bounce: Callable[[int, int, Any], None] | None = None,
-    ) -> None:
+    def install_liveness(self, liveness: Callable[[int], bool]) -> None:
         """Teach the network which destinations are alive.
 
-        Arrivals at a dead processor become dead letters: discarded
-        under the ``"drop"`` policy, or handed to ``bounce(src, dst,
-        payload)`` under ``"bounce"`` (logical messages only; physical
-        frames are always discarded -- retransmission and suspicion
-        are the reliable layer's problem).
+        From now on every transmission lands via :meth:`_arrive`: one
+        addressed to a crashed processor is discarded (retransmission
+        and suspicion are the reliable layer's problem).
         """
-        if self._permuter is not None:
-            raise ValueError(
-                "crash liveness and the schedule permuter are mutually "
-                "exclusive: dead-letter verdicts would make permuted "
-                "schedules incomparable"
-            )
         self._liveness = liveness
-        self._dead_policy = dead_peer_policy
-        self._bounce = bounce
 
     def install_permuter(self, permuter: Any) -> None:
-        """Route deliveries through a schedule permuter.
+        """Land logical messages on a schedule permuter.
 
-        Only legal on the paper's reliable network: fault plans,
-        enforced reliability, crash liveness, and partitions each
-        already change delivery order or fate, which would confound
-        the permuter's claim that any state divergence is caused by
-        its swaps.
+        The permuter holds and swaps arrivals, then hands each to the
+        processor through the same :meth:`_hand_off` it displaced.
         """
-        if self.transport is not None:
-            raise ValueError(
-                "schedule permuter requires reliability='assumed' "
-                "(the reliable transport owns ordering in enforced mode)"
-            )
-        if self._fault_plan is not None:
-            raise ValueError("schedule permuter is incompatible with a fault plan")
-        if self._liveness is not None:
-            raise ValueError("schedule permuter is incompatible with a crash plan")
-        if self._partition is not None:
-            raise ValueError(
-                "schedule permuter is incompatible with a partition plan"
-            )
-        self._permuter = permuter
-        permuter.install_deliver(self._fire)
+        self._receive = permuter.on_arrival
+        permuter.install_deliver(self._hand_off)
 
     def install_partition(self, controller: Any) -> None:
         """Route every transmission past a partition controller.
@@ -335,16 +338,15 @@ class Network:
         like real packets): a cut link drops the transmission
         silently, a gray link multiplies its transit time.
         """
-        if self._permuter is not None:
-            raise ValueError(
-                "partition plan is incompatible with the schedule permuter"
-            )
         self._partition = controller
 
     def reset_stats(self) -> None:
         """Zero the accounting counters (e.g. after a warm-up phase)."""
         self.stats = NetworkStats()
 
+    # ------------------------------------------------------------------
+    # the three kinds of traffic
+    # ------------------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Send ``payload`` from processor ``src`` to processor ``dst``.
 
@@ -370,107 +372,14 @@ class Network:
 
         if self.transport is not None:
             # Enforced mode: the reliable layer frames the payload and
-            # owns ordering/dedup; the substrate (fault plan + latency
-            # + partition) is applied per physical frame in
-            # _transmit_frame.
+            # owns ordering/dedup; each physical frame crosses the
+            # substrate through _transmit_frame.
             self.transport.send(src, dst, payload)
-            return
-
-        latency_factor = 1.0
-        if self._partition is not None:
-            up, latency_factor = self._partition.judge(src, dst)
-            if not up:
-                if self._count_totals:
-                    self.stats.partition_blocked += 1
-                return
-
-        if self._fault_plan is None:
-            # No-fault fast path: the paper's reliable exactly-once
-            # FIFO network, with no verdict machinery.
-            transit = self._fixed_latency
-            if transit is None:
-                transit = self._latency_model.latency(src, dst, self._rng)
-            if latency_factor != 1.0:
-                transit *= latency_factor
-            events = self._events
-            arrival = events.now + transit
-            channel = (src, dst)
-            clock = self._channel_clock
-            floor = clock.get(channel)
-            if floor is not None and floor > arrival:
-                arrival = floor
-            clock[channel] = arrival
-            if self._liveness is None:
-                permuter = self._permuter
-                if permuter is None:
-                    events.push(arrival, partial(self._fire, dst, payload))
-                else:
-                    events.push(arrival, partial(permuter.on_arrival, dst, payload))
-            else:
-                events.push(arrival, partial(self._fire_checked, src, dst, payload))
-            return
-
-        verdicts = self._fault_plan.judge(src, dst, payload, self._rng)
-        count_totals = self._count_totals
-        for dropped, extra_delay in verdicts:
-            if dropped:
-                if count_totals:
-                    self.stats.dropped += 1
-                continue
-            if extra_delay > 0:
-                # A reorder/duplicate verdict bypasses the FIFO clamp;
-                # that is the point of the fault injection.
-                transit = (
-                    self._latency_model.latency(src, dst, self._rng)
-                    * latency_factor
-                    + extra_delay
-                )
-                arrival = self._events.now + transit
-            else:
-                transit = (
-                    self._latency_model.latency(src, dst, self._rng)
-                    * latency_factor
-                )
-                arrival = self._events.now + transit
-                channel = (src, dst)
-                floor = self._channel_clock.get(channel)
-                if floor is not None and floor > arrival:
-                    arrival = floor
-                self._channel_clock[channel] = arrival
-            self._schedule_delivery(arrival, src, dst, payload)
-        if count_totals and len(verdicts) > 1:
-            self.stats.duplicated += len(verdicts) - 1
-
-    def _fire(self, dst: int, payload: Any) -> None:
-        if self._count_totals:
-            self.stats.delivered += 1
-        self._deliver(dst, payload)  # type: ignore[misc]
-
-    def _fire_checked(self, src: int, dst: int, payload: Any) -> None:
-        """Liveness-aware delivery, used only when crashes are possible."""
-        if not self._liveness(dst):  # type: ignore[misc]
-            if self._count_totals:
-                self.stats.dead_letters += 1
-            if self._dead_policy == "bounce" and self._bounce is not None:
-                self._bounce(src, dst, payload)
-            return
-        if self._count_totals:
-            self.stats.delivered += 1
-        self._deliver(dst, payload)  # type: ignore[misc]
-
-    def _schedule_delivery(
-        self, arrival: float, src: int, dst: int, payload: Any
-    ) -> None:
-        if self._liveness is None:
-            self._events.push(arrival, partial(self._fire, dst, payload))
         else:
-            self._events.push(
-                arrival, partial(self._fire_checked, src, dst, payload)
+            self._transmit(
+                src, dst, payload, partial(self._receive, dst, payload), LOGICAL
             )
 
-    # ------------------------------------------------------------------
-    # datagrams (failure-detector heartbeats)
-    # ------------------------------------------------------------------
     def send_datagram(
         self,
         src: int,
@@ -482,104 +391,98 @@ class Network:
 
         Heartbeats must not queue behind the traffic whose absence
         they are supposed to reveal, so datagrams bypass the reliable
-        transport (no framing, no retransmission -- a lost heartbeat
-        is *information*, not an error), the per-channel FIFO clamp,
-        the fault plan, and the message accounting.  Partition cuts,
-        gray inflation, and crash-stop liveness still apply: a
-        datagram to an unreachable or dead destination vanishes.
+        transport (no framing, no retransmission) and the message
+        accounting, and cross the substrate as :data:`DATAGRAM`
+        traffic.  Partition cuts, gray inflation, and crash-stop
+        liveness still apply: a datagram to an unreachable or dead
+        destination vanishes.
 
         Delivery invokes ``deliver(dst, payload)`` directly rather
         than the processor queue: reading a heartbeat costs no
         service time and survives queue saturation, like a kernel
         timestamping a packet before the application gets scheduled.
         """
-        latency_factor = 1.0
-        if self._partition is not None:
-            up, latency_factor = self._partition.judge(src, dst)
-            if not up:
-                if self._count_totals:
-                    self.stats.partition_blocked += 1
-                return
-        transit = self._fixed_latency
-        if transit is None:
-            transit = self._latency_model.latency(src, dst, self._rng)
-        if latency_factor != 1.0:
-            transit *= latency_factor
-        self._events.push(
-            self._events.now + transit,
-            partial(self._datagram_arrival, dst, payload, deliver),
-        )
+        self._transmit(src, dst, payload, partial(deliver, dst, payload), DATAGRAM)
 
-    def _datagram_arrival(
-        self, dst: int, payload: Any, deliver: Callable[[int, Any], None]
-    ) -> None:
-        if self._liveness is not None and not self._liveness(dst):
-            return  # a dead host reads no datagrams; not even a dead letter
-        deliver(dst, payload)
-
-    # ------------------------------------------------------------------
-    # enforced-reliability plumbing (ReliableTransport calls back in)
-    # ------------------------------------------------------------------
     def _transmit_frame(self, src: int, dst: int, frame: Any) -> None:
-        """Put one physical frame on the lossy substrate.
+        """Put one physical frame of the reliable transport on the wire."""
+        on_frame = self.transport.on_frame  # type: ignore[union-attr]
+        self._transmit(src, dst, frame, partial(on_frame, src, dst, frame), FRAME)
 
-        Applies the fault plan per transmission (retransmissions are
-        judged afresh, like real packets) and the latency model, but
-        *not* the FIFO channel clamp: ordering is the reliable
-        layer's job, via sequence numbers and resequencing, so frames
-        race each other freely -- which is exactly what makes the
-        enforcement end-to-end rather than cosmetic.
+    # ------------------------------------------------------------------
+    # the wire: one crossing, one landing
+    # ------------------------------------------------------------------
+    def _transmit(
+        self,
+        src: int,
+        dst: int,
+        payload: Any,
+        land: Callable[[], None],
+        traffic: Traffic,
+    ) -> None:
+        """One transmission crosses the substrate; ``land()`` runs on arrival.
+
+        The order of judgement is fixed, and with it the order of rng
+        draws: the partition judge first (a cut link swallows the
+        transmission and draws nothing), then the fault plan's
+        verdicts (drop / duplicate / delay, all drawn before any
+        latency), then one latency draw per surviving verdict in
+        verdict order, inflated by the link's gray factor.  A
+        fixed-latency model on an unjudged substrate draws nothing.
         """
-        events = self._events
-        latency_factor = 1.0
+        judged, fifo, dead_letter = traffic
+        gray = 1.0
         if self._partition is not None:
-            # Judged per physical frame: retransmissions into a cut
-            # keep vanishing, and the sender's retry/suspicion logic
-            # reacts exactly as it would to sustained loss.
-            up, latency_factor = self._partition.judge(src, dst)
+            up, gray = self._partition.judge(src, dst)
             if not up:
                 if self._count_totals:
                     self.stats.partition_blocked += 1
                 return
-        if self._fault_plan is None:
+        if judged and self._fault_plan is not None:
+            verdicts = self._fault_plan.judge(src, dst, payload, self._rng)
+        else:
+            verdicts = _UNJUDGED
+        if self._liveness is not None:
+            land = partial(self._arrive, dst, dead_letter, land)
+        events = self._events
+        for dropped, extra_delay in verdicts:
+            if dropped:
+                if self._count_totals:
+                    self.stats.dropped += 1
+                continue
             transit = self._fixed_latency
             if transit is None:
                 transit = self._latency_model.latency(src, dst, self._rng)
-            if latency_factor != 1.0:
-                transit *= latency_factor
-            events.push(
-                events.now + transit, partial(self._frame_arrival, src, dst, frame)
-            )
-            return
-        verdicts = self._fault_plan.judge(src, dst, frame, self._rng)
-        count_totals = self._count_totals
-        for dropped, extra_delay in verdicts:
-            if dropped:
-                if count_totals:
-                    self.stats.dropped += 1
-                continue
-            transit = (
-                self._latency_model.latency(src, dst, self._rng) * latency_factor
-                + extra_delay
-            )
-            events.push(
-                events.now + transit, partial(self._frame_arrival, src, dst, frame)
-            )
-        if count_totals and len(verdicts) > 1:
+            arrival = events.now + (transit * gray + extra_delay)
+            if fifo and extra_delay <= 0:
+                # Never before the channel's previous delivery.  A
+                # delayed (reorder/duplicate) verdict neither obeys
+                # nor advances the channel clock; escaping FIFO is
+                # the point of that fault injection.
+                channel = (src, dst)
+                floor = self._channel_clock.get(channel)
+                if floor is not None and floor > arrival:
+                    arrival = floor
+                self._channel_clock[channel] = arrival
+            events.push(arrival, land)
+        if len(verdicts) > 1 and self._count_totals:
             self.stats.duplicated += len(verdicts) - 1
 
-    def _frame_arrival(self, src: int, dst: int, frame: Any) -> None:
-        if self._liveness is not None and not self._liveness(dst):
-            # Crash-stop: a frame addressed to a dead processor is
-            # lost on the floor; the sender's retransmission timer
-            # (and eventually its retry-cap suspicion) deals with it.
-            if self._count_totals:
-                self.stats.dead_letters += 1
-            return
-        self.transport.on_frame(src, dst, frame)  # type: ignore[union-attr]
+    def _arrive(self, dst: int, dead_letter: bool, land: Callable[[], None]) -> None:
+        """A transmission reaches ``dst``'s host, which may have crashed.
 
-    def _deliver_logical(self, dst: int, payload: Any) -> None:
-        """Hand an in-order, deduplicated payload to the processor."""
+        Crash-stop: whatever is addressed to a dead processor is lost
+        on the floor; the sender's retransmission timer (and
+        eventually its retry-cap suspicion) or the operation timeout
+        deals with it.
+        """
+        if self._liveness(dst):  # type: ignore[misc]
+            land()
+        elif dead_letter and self._count_totals:
+            self.stats.dead_letters += 1
+
+    def _hand_off(self, dst: int, payload: Any) -> None:
+        """Hand an in-order, exactly-once logical payload to its processor."""
         if self._count_totals:
             self.stats.delivered += 1
         self._deliver(dst, payload)  # type: ignore[misc]

@@ -454,7 +454,7 @@ class ReliableTransport:
             return
         # In order: deliver, then drain whatever the gap was hiding.
         receiver.cumulative = seq
-        network._deliver_logical(dst, frame.payload)
+        network._hand_off(dst, frame.payload)
         buffer = receiver.buffer
         while buffer:
             nxt = receiver.cumulative + 1
@@ -462,7 +462,7 @@ class ReliableTransport:
             if payload is _MISSING:
                 break
             receiver.cumulative = nxt
-            network._deliver_logical(dst, payload)
+            network._hand_off(dst, payload)
         self._schedule_ack(src, dst, receiver)
 
     def _apply_ack(

@@ -28,6 +28,65 @@ class QuiescenceError(RuntimeError):
     """Raised when a run exceeds its event budget (protocol livelock)."""
 
 
+#: The incompatible layer pairs, each with its reason stated once.
+#: This table is the only place a pair is refused: the kernel consults
+#: it for the layers it assembles, and ``DBTreeCluster`` for the one
+#: layer the kernel cannot see (``relay_batch_window``).  Layers are
+#: named by the keyword that switches them on (``reliability`` meaning
+#: ``reliability="enforced"``).
+INCOMPATIBLE_LAYERS: tuple[tuple[str, str, str], ...] = (
+    (
+        "permute_plan",
+        "fault_plan",
+        "a fault verdict would confound which swaps caused a divergence",
+    ),
+    (
+        "permute_plan",
+        "crash_plan",
+        "dead-letter verdicts make permuted schedules incomparable",
+    ),
+    (
+        "permute_plan",
+        "reliability",
+        "the reliable transport owns ordering in enforced mode",
+    ),
+    (
+        "permute_plan",
+        "relay_batch_window",
+        "the batcher already reorders relays at the sender",
+    ),
+    (
+        "permute_plan",
+        "partition_plan",
+        "a blocked link would confound which swaps caused a divergence",
+    ),
+    (
+        "permute_plan",
+        "detector_plan",
+        "a detector implies a crash-capable cluster, and permuted "
+        "schedules are incomparable under crashes",
+    ),
+    (
+        "crash_plan",
+        "relay_batch_window",
+        "relays parked in the batcher would survive the crash of the "
+        "processor that owes them",
+    ),
+)
+
+
+def check_layers(**layers: Any) -> None:
+    """Raise ``ValueError`` if two of ``layers`` refuse to compose.
+
+    ``layers`` maps a layer's keyword to its plan or setting; ``None``
+    means the layer is off.  The message names both layers and gives
+    the reason from :data:`INCOMPATIBLE_LAYERS`.
+    """
+    for first, second, reason in INCOMPATIBLE_LAYERS:
+        if layers.get(first) is not None and layers.get(second) is not None:
+            raise ValueError(f"{first} is incompatible with {second}: {reason}")
+
+
 class Kernel:
     """Wires processors, network, and clock into one simulation.
 
@@ -71,15 +130,13 @@ class Kernel:
         the schedule permuter on the network delivery path: seeded
         swaps of deliveries the commutativity registry claims
         commute, for the permutation-replay checker
-        (:mod:`repro.verify.permute`).  Incompatible with fault
-        plans, crash plans, and enforced reliability.  ``None``
-        (default) keeps the fast path byte-identical.
+        (:mod:`repro.verify.permute`).  ``None`` (default) keeps the
+        fast path byte-identical.
     partition_plan:
         Optional :class:`~repro.sim.partition.PartitionPlan` of link
         cuts (full splits, one-way outages) and gray failures
-        (latency inflation).  Composable with fault, crash, and
-        repair layers; incompatible with the permuter.  ``None``
-        (default) keeps the fast path byte-identical.
+        (latency inflation).  ``None`` (default) keeps the fast path
+        byte-identical.
     detector_plan:
         Optional :class:`~repro.sim.detector.DetectorPlan`.  Installs
         per-processor heartbeats and a local failure detector
@@ -88,6 +145,9 @@ class Kernel:
         suspicion becomes a per-observer, fallible opinion.  Implies
         a (possibly inert) crash controller.  ``None`` (default)
         keeps the oracle semantics.
+
+    Every layer composes with every other except the pairs
+    :func:`check_layers` refuses, which raise ``ValueError`` here.
     """
 
     #: Default guard on run length; large enough for every experiment
@@ -111,6 +171,14 @@ class Kernel:
     ) -> None:
         if num_processors < 1:
             raise ValueError("need at least one processor")
+        check_layers(
+            fault_plan=fault_plan,
+            crash_plan=crash_plan,
+            permute_plan=permute_plan,
+            partition_plan=partition_plan,
+            detector_plan=detector_plan,
+            reliability=None if reliability == "assumed" else reliability,
+        )
         if detector_plan is not None and crash_plan is None:
             # The detector drives suspicion *through* the crash
             # controller's machinery (liveness oracle for ground
@@ -172,10 +240,7 @@ class Kernel:
                 self, crash_plan, random.Random(self.seeds.register("crash", seed + 2))
             )
             self.crash_controller = controller
-            self.network.install_liveness(
-                controller.is_alive,
-                dead_peer_policy=crash_plan.dead_peer_policy,
-            )
+            self.network.install_liveness(controller.is_alive)
             transport = self.network.transport
             if transport is not None:
                 transport.install_peer_down(self._on_peer_down)

@@ -76,10 +76,6 @@ class TestCrashPlan:
         with pytest.raises(ValueError, match="horizon"):
             CrashPlan(crash_rate=0.001)
 
-    def test_bad_dead_peer_policy(self):
-        with pytest.raises(ValueError, match="dead_peer_policy"):
-            CrashPlan(dead_peer_policy="explode")
-
     def test_sample_events_deterministic(self):
         import random
 

@@ -155,21 +155,20 @@ class TestRetryBackoff:
 
 
 # ----------------------------------------------------------------------
-# dead_peer_policy="bounce" x reliability="enforced"
+# crash x reliability="enforced"
 # ----------------------------------------------------------------------
 class TestBouncePolicy:
     def test_bounce_with_enforced_reliability(self):
-        # Bounced frames are counted dead letters, not silent drops;
-        # the reliable transport keeps retransmitting into the dead
-        # window and delivery resumes after the restart.
+        # Frames addressed to the dead processor are counted dead
+        # letters, not silent drops; the reliable transport keeps
+        # retransmitting into the dead window and delivery resumes
+        # after the restart.
         cluster = DBTreeCluster(
             num_processors=4,
             protocol="variable",
             capacity=8,
             seed=3,
-            crash_plan=CrashPlan(
-                schedule=((1, 400.0, 600.0),), dead_peer_policy="bounce"
-            ),
+            crash_plan=CrashPlan(schedule=((1, 400.0, 600.0),)),
             reliability="enforced",
             op_timeout=300.0,
             op_retries=8,
@@ -182,10 +181,6 @@ class TestBouncePolicy:
         report = cluster.check(expected=expected)
         assert report.ok, report.problems
         assert cluster.kernel.network.stats.dead_letters > 0
-
-    def test_bounce_policy_validated(self):
-        with pytest.raises(ValueError, match="dead_peer_policy"):
-            CrashPlan(schedule=((1, 10.0, None),), dead_peer_policy="nack")
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,26 @@
 """The schedule permuter and the permutation-replay checker."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from repro import DBTreeCluster
 from repro.core.actions import InsertAction, Mode, RelayedSplit
 from repro.sim.crash import CrashPlan
+from repro.sim.detector import DetectorPlan
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
 from repro.sim.network import Network, UniformLatency
+from repro.sim.partition import PartitionPlan
 from repro.sim.permute import (
     PermutePlan,
     SchedulePermuter,
     describe_payload,
 )
 from repro.sim.rngs import SeedLedger, derive_seed
-from repro.sim.simulator import Kernel
+from repro.sim.simulator import INCOMPATIBLE_LAYERS, Kernel
 from repro.stats.metrics import permutation_summary
 from repro.verify.checker import leaf_contents
 from repro.verify.permute import (
@@ -24,6 +28,8 @@ from repro.verify.permute import (
     default_workload,
     permutation_audit,
 )
+
+SIMULATOR_MD = Path(__file__).resolve().parent.parent / "docs" / "SIMULATOR.md"
 
 
 def rins(key, node_id=1, action_id=None):
@@ -187,43 +193,48 @@ class TestPermuterMechanics:
         assert permuter.stats.held == 0
 
 
+#: One switched-on value per layer keyword of the compatibility table.
+LAYER_ON = {
+    "permute_plan": PermutePlan(),
+    "fault_plan": FaultPlan(drop_p=0.1),
+    "crash_plan": CrashPlan(schedule=((1, 50.0, 100.0),)),
+    "reliability": "enforced",
+    "relay_batch_window": 5.0,
+    "partition_plan": PartitionPlan(splits=((1.0, 2.0, (0,)),)),
+    "detector_plan": DetectorPlan(horizon=500.0),
+}
+
+
 class TestInstallGuards:
-    def test_permuter_rejected_with_fault_plan(self):
-        events = EventQueue()
-        net = Network(events, fault_plan=FaultPlan(drop_p=0.5))
-        with pytest.raises(ValueError):
-            net.install_permuter(
-                SchedulePermuter(PermutePlan(), events)
-            )
+    def test_table_states_each_pair_once_over_known_layers(self):
+        pairs = [frozenset(row[:2]) for row in INCOMPATIBLE_LAYERS]
+        assert len(pairs) == len(set(pairs))
+        assert set().union(*pairs) == set(LAYER_ON)
 
-    def test_permuter_rejected_with_enforced_reliability(self):
-        events = EventQueue()
-        net = Network(events, reliability="enforced")
-        with pytest.raises(ValueError):
-            net.install_permuter(
-                SchedulePermuter(PermutePlan(), events)
-            )
+    @pytest.mark.parametrize(
+        "first,second,reason",
+        INCOMPATIBLE_LAYERS,
+        ids=[f"{first}-{second}" for first, second, _why in INCOMPATIBLE_LAYERS],
+    )
+    def test_refused_pair(self, first, second, reason):
+        layers = {first: LAYER_ON[first], second: LAYER_ON[second]}
+        message = f"{first} is incompatible with {second}: "
+        with pytest.raises(ValueError) as refused:
+            DBTreeCluster(**layers)
+        assert str(refused.value) == message + reason
+        if "relay_batch_window" not in layers:  # the kernel cannot see it
+            with pytest.raises(ValueError) as refused:
+                Kernel(4, **layers)
+            assert str(refused.value) == message + reason
+        # docs/SIMULATOR.md renders the table; it must not drift.
+        manual = " ".join(SIMULATOR_MD.read_text(encoding="utf-8").split())
+        assert f"| `{first}` | `{second}` | {reason} |" in manual
 
-    def test_permuter_and_liveness_mutually_exclusive(self):
-        events = EventQueue()
-        net = Network(events)
-        net.install_permuter(SchedulePermuter(PermutePlan(), events))
-        with pytest.raises(ValueError):
-            net.install_liveness(lambda pid: True)
-
-    def test_cluster_rejects_conflicting_layers(self):
-        plan = PermutePlan()
-        with pytest.raises(ValueError):
-            DBTreeCluster(permute_plan=plan, fault_plan=FaultPlan(drop_p=0.1))
-        with pytest.raises(ValueError):
-            DBTreeCluster(
-                permute_plan=plan,
-                crash_plan=CrashPlan(schedule=((1, 50.0, 100.0),)),
-            )
-        with pytest.raises(ValueError):
-            DBTreeCluster(permute_plan=plan, reliability="enforced")
-        with pytest.raises(ValueError):
-            DBTreeCluster(permute_plan=plan, relay_batch_window=5.0)
+    def test_every_other_pair_composes(self):
+        refused = {frozenset(row[:2]) for row in INCOMPATIBLE_LAYERS}
+        for first, second in itertools.combinations(LAYER_ON, 2):
+            if frozenset((first, second)) not in refused:
+                DBTreeCluster(**{first: LAYER_ON[first], second: LAYER_ON[second]})
 
 
 class TestSeedPlumbing:
