@@ -209,145 +209,121 @@ def _build_any_cluster(args: argparse.Namespace, plans):
     )
 
 
-def _print_shard_summary(forest) -> None:
-    """The sharded demo's forest-shape and routing report."""
-    summary = forest.shard_summary()
-    print(
-        f"shards: {summary['live_shards']} live "
-        f"({summary['retired_shards']} retired), directory version "
-        f"{summary['directory_version']}, {summary['splits']} splits, "
-        f"{summary['merges']} merges, "
-        f"{summary['keys_migrated']} keys migrated"
-    )
-    for shard in forest.directory.live_shards():
-        entries = summary["entries_by_shard"][shard.shard_id]
-        print(f"  shard {shard.shard_id:<3} {str(shard.range):<40} "
-              f"{entries} entries")
-    print(
-        f"routing: {summary['direct_routes']} direct, "
-        f"{summary['stale_routes']} stale "
-        f"({summary['hint_hops']} hint hops, "
-        f"{summary['forwards']} forwards, "
-        f"{summary['refreshes']} view refreshes), "
-        f"scan fan-out {summary['scan_fanout']}"
-    )
+def _build_and_drive(args: argparse.Namespace, spacing: float):
+    """Build the cluster the flags ask for and run the demo workload.
 
-
-def _print_fault_summaries(cluster) -> None:
-    """One line per active opt-in fault/detection layer."""
-    from repro.stats import detector_summary, partition_summary
-
-    ps = partition_summary(cluster.kernel)
-    if ps.get("enabled"):
-        print(
-            f"partition: {ps['cuts_applied']} cuts "
-            f"({ps['heals']} healed, {ps['stochastic_cuts']} stochastic), "
-            f"{ps['gray_applied']} gray windows, "
-            f"{ps['messages_blocked']} messages swallowed; "
-            f"open at quiescence: {ps['open_cut_links']} cut, "
-            f"{ps['open_gray_links']} gray"
-        )
-    ds = detector_summary(cluster.kernel)
-    if ds.get("enabled"):
-        latency = ds["mean_detection_latency"]
-        print(
-            f"detector ({ds['mode']}, period {ds['period']:g}): "
-            f"{ds['heartbeats_sent']} heartbeats, "
-            f"{ds['suspicions']} suspicions "
-            f"({ds['false_suspicions']} false, "
-            f"{ds['rescinds']} rescinded), "
-            "mean detection latency "
-            + (f"{latency:.0f}" if latency is not None else "n/a")
-        )
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.stats import availability_summary
-    from repro.tools import cluster_summary, dump_tree
-
-    plans = _build_fault_plans(args)
-    fault_plan, crash_plan, partition_plan, detector_plan = plans
-    cluster = _build_any_cluster(args, plans)
-    sharded = _wants_sharding(args)
+    Inserts arrive ``spacing`` apart (so faults land mid-workload),
+    or all at once when it is 0.  Returns the cluster, its run
+    results and the expected contents.
+    """
+    cluster = _build_any_cluster(args, _build_fault_plans(args))
     expected = {}
-    faulty = crash_plan is not None or partition_plan is not None
-    spacing = args.op_spacing if faulty else 0.0
     for index in range(args.inserts):
         key = index * 37 % _DEMO_KEY_SPACE
         expected[key] = index
-        if spacing and not sharded:
-            cluster.schedule(
-                index * spacing, "insert", key, index,
-                client=index % args.processors,
-            )
+        client = index % args.processors
+        if spacing:
+            cluster.schedule(index * spacing, "insert", key, index, client=client)
         else:
-            cluster.insert(key, index, client=index % args.processors)
-    results = cluster.run()
+            cluster.insert(key, index, client=client)
+    return cluster, cluster.run(), expected
+
+
+#: One detail line per opt-in layer, filled from its entry in
+#: :func:`repro.stats.layer_report` (rendered by :func:`_show`).
+_LAYER_DETAIL = {
+    "reliability": (
+        "{logical_sent} logical msgs, {physical_sent} on the wire "
+        "({retransmits} retransmits, {acks} acks), {dropped} dropped, "
+        "{dup_suppressed} dups suppressed, {resequenced} resequenced"
+    ),
+    "crash": (
+        "{crashes} crashes ({restarts} restarted), {lost_actions} actions "
+        "lost, {dead_letters} dead letters"
+    ),
+    "partition": (
+        "{cuts_applied} cuts ({heals} healed, {stochastic_cuts} stochastic), "
+        "{gray_applied} gray windows, {messages_blocked} messages swallowed; "
+        "open at quiescence: {open_cut_links} cut, {open_gray_links} gray"
+    ),
+    "detector": (
+        "{mode}, period {period}: {heartbeats_sent} heartbeats, "
+        "{suspicions} suspicions ({false_suspicions} false, {rescinds} rescinded), "
+        "mean detection latency {mean_detection_latency}"
+    ),
+    "repair": (
+        "{placement} placement, period {period}, fanout {fanout}: "
+        "{rounds_started} rounds ({rounds_clean} clean, {rounds_diverged} "
+        "diverged, {rounds_aborted} aborted), {digests_exchanged} digests "
+        "({digest_bytes} bytes); repairs: {repairs_by_kind}; "
+        "converged {time_to_convergence} before quiescence"
+    ),
+    "sharding": (
+        "{live_shards} live shards ({retired_shards} retired), directory "
+        "v{directory_version}, {splits} splits, {merges} merges, "
+        "{keys_migrated} keys migrated; routing: {direct_routes} direct, "
+        "{stale_routes} stale ({hint_hops} hint hops, {forwards} forwards, "
+        "{refreshes} view refreshes), scan fan-out {scan_fanout}"
+    ),
+}
+
+
+def _show(value) -> str:
+    """A report value as text: a mean arrives one per shard from a
+    forest, a by-kind breakdown shows its non-zero kinds."""
+    if isinstance(value, tuple):
+        return "/".join(_show(item) for item in value)
+    if isinstance(value, dict):
+        shown = (f"{count} {kind}" for kind, count in value.items() if count)
+        return ", ".join(shown) or "none"
+    if isinstance(value, float):
+        return f"{value:g}"
+    return "n/a" if value is None else str(value)
+
+
+def _layer_lines(args: argparse.Namespace, cluster):
+    """``(name, on, detail)`` for every opt-in layer, on or off."""
+    from repro.stats import layer_report
+
+    yield (
+        "faults",
+        bool(args.drop_p or args.duplicate_p or args.reorder_p),
+        f"drop={args.drop_p:g} dup={args.duplicate_p:g} "
+        f"reorder={args.reorder_p:g}",
+    )
+    report = layer_report(cluster)
+    for name, template in _LAYER_DETAIL.items():
+        summary = report.get(name, {"enabled": False})
+        shown = {key: _show(value) for key, value in summary.items()}
+        on = summary["enabled"]
+        yield name, on, template.format_map(shown) if on else ""
+
+
+def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.tools import cluster_summary, dump_tree
+
+    faulty = any((args.crash, args.crash_rate, args.partition,
+                  args.partition_oneway, args.partition_gray))
+    cluster, results, expected = _build_and_drive(
+        args, args.op_spacing if faulty else 0.0
+    )
     report = cluster.check(expected=expected)
-    if sharded:
-        _print_shard_summary(cluster)
-        trees = [
-            (shard.shard_id, sub.kernel, sub.trace, sub.engine)
-            for shard in cluster.directory.live_shards()
-            for sub in (cluster.clusters[shard.shard_id],)
-        ]
+    if _wants_sharding(args):
+        for shard in cluster.directory.live_shards():
+            print(f"shard {shard.shard_id:<3} {str(shard.range):<40} "
+                  f"{cluster.entry_count(shard.shard_id)} entries")
     else:
         print(cluster_summary(cluster.engine))
         print()
         print(dump_tree(cluster.engine))
-        trees = [(None, cluster.kernel, cluster.trace, cluster.engine)]
     print()
-    if args.reliability == "enforced" or fault_plan is not None:
-        for label, kernel, _, _ in trees:
-            stats = kernel.network.stats
-            prefix = f"shard {label} " if label is not None else ""
-            print(
-                f"{prefix}network: {stats.sent} logical msgs, "
-                f"{stats.physical_sent} on the wire "
-                f"({stats.retransmits} retransmits, {stats.acks} acks), "
-                f"{stats.dropped} dropped, "
-                f"{stats.dup_suppressed} dups suppressed, "
-                f"{stats.resequenced} resequenced"
-            )
-    if crash_plan is not None:
-        crashes = restarts = lost = letters = 0
-        for _, kernel, trace, _ in trees:
-            avail = availability_summary(kernel, trace)
-            crashes += avail["crashes"]
-            restarts += avail["restarts"]
-            lost += avail["lost_actions"]
-            letters += avail["dead_letters"]
-        print(
-            f"availability: {crashes} crashes "
-            f"({restarts} restarted), "
-            f"{lost} actions lost, "
-            f"{letters} dead letters; "
-            f"ops: {len(results.completed)} completed, "
-            f"{len(results.failed)} failed, "
-            f"{len(results.timed_out)} timed out"
-        )
-    if args.repair_period is not None and not sharded:
-        from repro.stats import repair_summary
-
-        rs = repair_summary(cluster.kernel, cluster.trace)
-        by_kind = ", ".join(
-            f"{count} {kind}"
-            for kind, count in rs["repairs_by_kind"].items()
-            if count
-        )
-        print(
-            f"repair ({rs['placement']} placement, period "
-            f"{rs['period']:g}, fanout {rs['fanout']}): "
-            f"{rs['rounds_started']} rounds "
-            f"({rs['rounds_clean']} clean, {rs['rounds_diverged']} "
-            f"diverged, {rs['rounds_aborted']} aborted), "
-            f"{rs['digests_exchanged']} digests "
-            f"({rs['digest_bytes']} bytes); "
-            f"repairs: {by_kind or 'none'}; "
-            f"converged {rs['time_to_convergence']:.0f} before quiescence"
-        )
-    if not sharded:
-        _print_fault_summaries(cluster)
+    print(
+        f"ops: {len(results.completed)} completed, "
+        f"{len(results.failed)} failed, {len(results.timed_out)} timed out"
+    )
+    for name, on, detail in _layer_lines(args, cluster):
+        if on:
+            print(f"{name}: {detail}")
     print("audit:", report.summary())
     if not report.ok:
         for problem in report.problems[:10]:
@@ -356,125 +332,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.stats import (
-        availability_summary,
-        detector_summary,
-        partition_summary,
-        repair_summary,
-    )
-
-    plans = _build_fault_plans(args)
-    fault_plan, crash_plan, partition_plan, detector_plan = plans
-    cluster = _build_any_cluster(args, plans)
-    sharded = _wants_sharding(args)
-    for index in range(args.inserts):
-        key = index * 37 % _DEMO_KEY_SPACE
-        if sharded:
-            cluster.insert(key, index, client=index % args.processors)
-        else:
-            cluster.schedule(
-                index * args.op_spacing, "insert", key, index,
-                client=index % args.processors,
-            )
-    results = cluster.run()
-    if sharded:
-        trees = [
-            (sub.kernel, sub.trace)
-            for _, sub in sorted(cluster.clusters.items())
-        ]
-        now = max(kernel.now for kernel, _ in trees)
-    else:
-        trees = [(cluster.kernel, cluster.trace)]
-        now = cluster.now
+    cluster, results, _ = _build_and_drive(args, args.op_spacing)
     print(
-        f"fault layers @ t={now:.0f} "
+        f"fault layers @ t={results.elapsed:.0f} "
         f"({len(results.completed)}/{args.inserts} ops completed):"
     )
-
-    def line(name: str, on: bool, detail: str = "") -> None:
-        state = "on " if on else "off"
-        suffix = f"  {detail}" if on and detail else ""
-        print(f"  {name:<12}{state}{suffix}")
-
-    def total(summary_fn, field) -> int:
-        return sum(summary_fn(kernel, trace).get(field, 0)
-                   for kernel, trace in trees)
-
-    line(
-        "faults", fault_plan is not None,
-        fault_plan is not None and (
-            f"drop={fault_plan.drop_p:g} dup={fault_plan.duplicate_p:g} "
-            f"reorder={fault_plan.reorder_p:g}"
-        ) or "",
-    )
-    line(
-        "reliability", args.reliability == "enforced",
-        "retransmission + dedup + resequencing",
-    )
-    line(
-        "crash", crash_plan is not None,
-        f"{total(availability_summary, 'crashes')} crashes, "
-        f"{total(availability_summary, 'restarts')} restarts, "
-        f"{total(availability_summary, 'lost_actions')} actions lost",
-    )
-    partition_on = any(
-        partition_summary(kernel).get("enabled", False)
-        for kernel, _ in trees
-    )
-    line(
-        "partition", partition_on,
-        partition_on and (
-            f"{sum(partition_summary(k).get('cuts_applied', 0) for k, _ in trees)} cuts "
-            f"({sum(partition_summary(k).get('heals', 0) for k, _ in trees)} healed), "
-            f"{sum(partition_summary(k).get('gray_applied', 0) for k, _ in trees)} gray, "
-            f"{sum(partition_summary(k).get('messages_blocked', 0) for k, _ in trees)} "
-            "messages swallowed"
-        ) or "",
-    )
-    detector_on = any(
-        detector_summary(kernel).get("enabled", False)
-        for kernel, _ in trees
-    )
-    line(
-        "detector", detector_on,
-        detector_on and (
-            f"{detector_summary(trees[0][0])['mode']}, "
-            f"{sum(detector_summary(k).get('suspicions', 0) for k, _ in trees)} suspicions "
-            f"({sum(detector_summary(k).get('false_suspicions', 0) for k, _ in trees)} false, "
-            f"{sum(detector_summary(k).get('rescinds', 0) for k, _ in trees)} rescinded)"
-        ) or "",
-    )
-    repair_on = any(
-        repair_summary(kernel, trace).get("enabled", False)
-        for kernel, trace in trees
-    )
-    line(
-        "repair", repair_on,
-        repair_on and (
-            f"{total(repair_summary, 'rounds_started')} rounds, "
-            f"{total(repair_summary, 'repairs_total')} repairs"
-        ) or "",
-    )
-    if sharded:
-        summary = cluster.shard_summary()
-        line(
-            "sharding", True,
-            f"{summary['live_shards']} live shards "
-            f"({summary['retired_shards']} retired), "
-            f"v{summary['directory_version']}, "
-            f"{summary['splits']} splits, {summary['merges']} merges, "
-            f"{summary['stale_routes']} stale routes recovered",
-        )
-    else:
-        line("sharding", False)
+    for name, on, detail in _layer_lines(args, cluster):
+        print(f"  {name:<12}{'on   ' + detail if on else 'off'}")
     print("seeds:")
-    if sharded:
-        for label, streams in cluster.seed_summary().items():
-            for stream, value in sorted(streams.items()):
-                print(f"  {label}/{stream:<12}{value}")
-    else:
-        for stream, value in sorted(cluster.seed_summary().items()):
-            print(f"  {stream:<12}{value}")
+    ledgers = cluster.seed_summary()
+    if not _wants_sharding(args):
+        ledgers = {"": ledgers}  # a forest keeps one ledger per shard
+    for label, streams in ledgers.items():
+        for stream, value in sorted(streams.items()):
+            print(f"  {label and label + '/'}{stream:<12}{value}")
     return 0
 
 
@@ -571,13 +442,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf import write_bench_core
 
     num_ops = 2_000 if args.smoke else args.ops
-    report = write_bench_core(
-        args.output,
-        num_ops=num_ops,
-        seed=args.seed,
-        include_seed_settings=not args.smoke,
-    )
-    fast = report["fast"]
+    fast = write_bench_core(args.output, num_ops=num_ops, seed=args.seed)["fast"]
     print(
         f"standard insert-burst ({num_ops:,} ops): "
         f"{fast['ops_per_sec']:,.0f} ops/s, "
@@ -586,28 +451,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{fast['msgs_per_op']:.2f} msgs/op, "
         f"cache hit rate {fast['cache']['hit_rate']:.3f}"
     )
-    if "speedup_vs_seed_settings_live" in report:
-        live = report["seed_settings_live"]
-        print(
-            f"seed settings (trace full, accounting full, no cache): "
-            f"{live['ops_per_sec']:,.0f} ops/s "
-            f"({report['speedup_vs_seed_settings_live']:.1f}x slower "
-            f"than the fast configuration)"
-        )
-    speedup = report["speedup_vs_seed_reference"]
-    ref = report["seed_reference"]
-    if speedup is not None:
-        print(
-            f"speedup vs pinned seed reference "
-            f"({ref['ops_per_sec']:,.0f} ops/s at rev {ref['rev']}): "
-            f"{speedup:.1f}x"
-        )
-    else:
-        print(
-            f"(pinned seed reference is {ref['ops_per_sec']:,.0f} ops/s at "
-            f"{ref['num_ops']:,} ops; rerun with --ops {ref['num_ops']} "
-            f"for the comparable speedup)"
-        )
     print(f"wrote {args.output}")
     return 0
 
@@ -752,8 +595,8 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--op-spacing", type=float, default=8.0,
-        help="inter-arrival time between inserts when a crash or "
-        "partition plan is active (so faults land mid-workload)",
+        help="inter-arrival time between inserts (so faults land "
+        "mid-workload); demo paces only under a crash or partition plan",
     )
     parser.add_argument(
         "--shards", type=int, default=1,
@@ -857,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny run (2k ops, fast configuration only) for CI",
+        help="tiny run (2k ops) for CI",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -93,9 +93,152 @@ class RunResults:
         raise KeyError(f"operation {op_id} has no result: {state}")
 
 
+class ClientSurface:
+    """The client surface every search structure shares, written once.
+
+    A structure supplies two primitives and its client processor ids
+    -- ``_submit(kind, key, value, client) -> op id``,
+    ``run(max_events=None) -> RunResults`` and ``pids`` -- and
+    inherits asynchronous submission, the ``*_sync`` conveniences and
+    ``load``.  A structure that does not know an operation kind (a
+    hash table has no key order to ``scan``) refuses it in
+    ``_submit``.
+    """
+
+    def insert(self, key: Key, value: Any = None, client: int = 0) -> int:
+        """Submit an insert at the given client processor; returns op id."""
+        return self._submit("insert", key, value, client)
+
+    def search(self, key: Key, client: int = 0) -> int:
+        """Submit a search; returns op id (result available after run())."""
+        return self._submit("search", key, None, client)
+
+    def delete(self, key: Key, client: int = 0) -> int:
+        """Submit a delete; returns op id."""
+        return self._submit("delete", key, None, client)
+
+    def scan(
+        self,
+        low: Key,
+        high: Key,
+        limit: int | None = None,
+        client: int = 0,
+    ) -> int:
+        """Submit a range scan over ``[low, high)``; returns op id.
+
+        The result (after ``run()``) is a tuple of (key, value) pairs
+        in key order, truncated to ``limit`` when given.  Scans walk
+        the B-link leaf chain and, like any B-link traversal, are not
+        atomic with respect to concurrent updates.
+        """
+        return self._submit("scan", low, (high, limit), client)
+
+    def _await(self, op_id: int) -> Any:
+        """Run to quiescence and return the (already submitted) op's result."""
+        return self.run().result_of(op_id)
+
+    def insert_sync(self, key: Key, value: Any = None, client: int = 0) -> bool:
+        return self._await(self.insert(key, value, client))
+
+    def search_sync(self, key: Key, client: int = 0) -> Any:
+        return self._await(self.search(key, client))
+
+    def delete_sync(self, key: Key, client: int = 0) -> bool:
+        return self._await(self.delete(key, client))
+
+    def scan_sync(
+        self,
+        low: Key,
+        high: Key,
+        limit: int | None = None,
+        client: int = 0,
+    ) -> tuple:
+        return self._await(self.scan(low, high, limit, client))
+
+    def load(
+        self,
+        items: Mapping[Key, Any] | Iterable[tuple[Key, Any]],
+        spread_clients: bool = True,
+    ) -> RunResults:
+        """Bulk-insert items (spread across client processors) and run."""
+        if isinstance(items, Mapping):
+            items = items.items()
+        pids = self.pids
+        for index, (key, value) in enumerate(items):
+            client = pids[index % len(pids)] if spread_clients else pids[0]
+            self.insert(key, value, client=client)
+        return self.run()
 
 
-class DBTreeCluster:
+class KernelClient(ClientSurface):
+    """A structure that is one engine on one kernel (``self.engine``,
+    ``self.kernel``): submission, running and message statistics."""
+
+    @property
+    def trace(self) -> Trace:
+        return self.engine.trace
+
+    @property
+    def pids(self) -> list[int]:
+        return self.kernel.pids
+
+    @property
+    def now(self) -> float:
+        return self.kernel.now
+
+    def _submit(self, kind: str, key: Key, value: Any, client: int) -> int:
+        return self.engine.submit_operation(kind, key, value, home_pid=client)
+
+    def run(self, max_events: int | None = None) -> RunResults:
+        """Run to quiescence; partition every op by its outcome.
+
+        A :class:`~repro.sim.reliable.ReliabilityError` (a channel
+        exhausting its retransmission budget under ``"enforced"``
+        reliability) is caught at this boundary and reported in
+        ``RunResults.reliability_error`` -- the results built from
+        whatever completed before the failure -- rather than escaping
+        as a traceback from deep inside the event loop.
+        """
+        reliability_error = None
+        try:
+            executed = self.kernel.run_to_quiescence(max_events=max_events)
+        except ReliabilityError as exc:
+            executed = self.kernel.events.executed
+            op = getattr(exc.payload, "op", None)
+            reliability_error = {
+                "message": str(exc),
+                "src": exc.src,
+                "dst": exc.dst,
+                "seq": exc.seq,
+                "payload_kind": getattr(exc.payload, "kind", None),
+                "op_id": op.op_id if op is not None else None,
+            }
+        # Only the dB-tree engine disposes of operations it cannot
+        # finish (crashed home, exhausted retry budget).
+        verdicts = getattr(self.engine, "op_verdicts", {})
+        return RunResults(
+            events_executed=executed,
+            elapsed=self.kernel.now,
+            completed={
+                op.op_id: op.result
+                for op in self.trace.operations.values()
+                if op.completed_at is not None
+            },
+            incomplete=tuple(
+                op.op_id
+                for op in self.trace.incomplete_operations()
+                if op.op_id not in verdicts
+            ),
+            failed=tuple(o for o, v in verdicts.items() if v == "failed"),
+            timed_out=tuple(o for o, v in verdicts.items() if v == "timed_out"),
+            reliability_error=reliability_error,
+        )
+
+    def message_stats(self) -> dict[str, Any]:
+        return self.kernel.network.stats.snapshot()
+
+
+class DBTreeCluster(KernelClient):
     """A simulated cluster running one dB-tree.
 
     Parameters
@@ -124,8 +267,8 @@ class DBTreeCluster:
         ``"off"`` keeps counters only.  Non-full levels make
         ``check()`` raise :class:`~repro.sim.tracing.TraceLevelError`.
     accounting:
-        Network/processor statistics verbosity: ``"full"`` (default),
-        ``"aggregate"`` (scalar totals only), or ``"off"``.
+        Network/processor statistics verbosity: ``"full"`` (default)
+        or ``"aggregate"`` (scalar totals only).
     leaf_cache:
         Enable the per-processor leaf-location hint cache
         (:mod:`repro.core.leafcache`).  Correctness-neutral: stale
@@ -174,10 +317,6 @@ class DBTreeCluster:
         byte-identical.
     repair_fanout:
         Peers contacted per gossip round when repair is enabled.
-    repair_plan:
-        Full :class:`~repro.repair.RepairPlan` for fine tuning
-        (buckets, dormancy, log cap); overrides ``repair_period`` /
-        ``repair_fanout``.
     permute_plan:
         Optional :class:`~repro.sim.permute.PermutePlan` turning on
         the schedule permuter: seeded swaps of deliveries the
@@ -231,7 +370,6 @@ class DBTreeCluster:
         mirror_placement: str = "ring",
         repair_period: float | None = None,
         repair_fanout: int = 1,
-        repair_plan: Any | None = None,
         permute_plan: PermutePlan | None = None,
         partition_plan: PartitionPlan | None = None,
         detector_plan: DetectorPlan | None = None,
@@ -288,7 +426,8 @@ class DBTreeCluster:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-        if repair_plan is None and repair_period is not None:
+        repair_plan = None
+        if repair_period is not None:
             from repro.repair import RepairPlan
 
             repair_plan = RepairPlan(period=repair_period, fanout=repair_fanout)
@@ -327,152 +466,15 @@ class DBTreeCluster:
             repair_plan=repair_plan,
         )
 
-    # ------------------------------------------------------------------
-    # properties
-    # ------------------------------------------------------------------
-    @property
-    def trace(self):
-        return self.engine.trace
-
     @property
     def num_processors(self) -> int:
         return len(self.kernel.processors)
-
-    @property
-    def now(self) -> float:
-        return self.kernel.now
-
-    # ------------------------------------------------------------------
-    # asynchronous operation submission
-    # ------------------------------------------------------------------
-    def insert(self, key: Key, value: Any = None, client: int = 0) -> int:
-        """Submit an insert at the given client processor; returns op id."""
-        return self.engine.submit_operation("insert", key, value, home_pid=client)
-
-    def search(self, key: Key, client: int = 0) -> int:
-        """Submit a search; returns op id (result available after run())."""
-        return self.engine.submit_operation("search", key, home_pid=client)
-
-    def delete(self, key: Key, client: int = 0) -> int:
-        """Submit a leaf delete (never-merge extension); returns op id."""
-        return self.engine.submit_operation("delete", key, home_pid=client)
-
-    def scan(
-        self,
-        low: Key,
-        high: Key,
-        limit: int | None = None,
-        client: int = 0,
-    ) -> int:
-        """Submit a range scan over ``[low, high)``; returns op id.
-
-        The result (after ``run()``) is a tuple of (key, value) pairs
-        in key order, truncated to ``limit`` when given.  Scans walk
-        the B-link leaf chain and, like any B-link traversal, are not
-        atomic with respect to concurrent updates.
-        """
-        return self.engine.submit_operation(
-            "scan", low, value=(high, limit), home_pid=client
-        )
 
     def schedule(
         self, time: float, kind: str, key: Key, value: Any = None, client: int = 0
     ) -> None:
         """Schedule an operation submission at a future virtual time."""
         self.engine.schedule_operation(time, kind, key, value, home_pid=client)
-
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
-    def run(self, max_events: int | None = None) -> RunResults:
-        """Run to quiescence; partition every op by its outcome.
-
-        A :class:`~repro.sim.reliable.ReliabilityError` (a channel
-        exhausting its retransmission budget under ``"enforced"``
-        reliability) is caught at this boundary and reported in
-        ``RunResults.reliability_error`` -- the results built from
-        whatever completed before the failure -- rather than escaping
-        as a traceback from deep inside the event loop.
-        """
-        reliability_error = None
-        try:
-            executed = self.kernel.run_to_quiescence(max_events=max_events)
-        except ReliabilityError as exc:
-            executed = self.kernel.events.executed
-            op = getattr(exc.payload, "op", None)
-            reliability_error = {
-                "message": str(exc),
-                "src": exc.src,
-                "dst": exc.dst,
-                "seq": exc.seq,
-                "payload_kind": getattr(exc.payload, "kind", None),
-                "op_id": op.op_id if op is not None else None,
-            }
-        completed = {
-            op.op_id: op.result
-            for op in self.trace.operations.values()
-            if op.completed_at is not None
-        }
-        verdicts = self.engine.op_verdicts
-        failed = tuple(
-            op_id for op_id, verdict in verdicts.items() if verdict == "failed"
-        )
-        timed_out = tuple(
-            op_id for op_id, verdict in verdicts.items() if verdict == "timed_out"
-        )
-        incomplete = tuple(
-            op.op_id
-            for op in self.trace.incomplete_operations()
-            if op.op_id not in verdicts
-        )
-        return RunResults(
-            events_executed=executed,
-            elapsed=self.kernel.now,
-            completed=completed,
-            incomplete=incomplete,
-            failed=failed,
-            timed_out=timed_out,
-            reliability_error=reliability_error,
-        )
-
-    # ------------------------------------------------------------------
-    # synchronous conveniences
-    # ------------------------------------------------------------------
-    def insert_sync(self, key: Key, value: Any = None, client: int = 0) -> bool:
-        op_id = self.insert(key, value, client)
-        return self.run().result_of(op_id)
-
-    def search_sync(self, key: Key, client: int = 0) -> Any:
-        op_id = self.search(key, client)
-        return self.run().result_of(op_id)
-
-    def delete_sync(self, key: Key, client: int = 0) -> bool:
-        op_id = self.delete(key, client)
-        return self.run().result_of(op_id)
-
-    def scan_sync(
-        self,
-        low: Key,
-        high: Key,
-        limit: int | None = None,
-        client: int = 0,
-    ) -> tuple:
-        op_id = self.scan(low, high, limit, client)
-        return self.run().result_of(op_id)
-
-    def load(
-        self,
-        items: Mapping[Key, Any] | Iterable[tuple[Key, Any]],
-        spread_clients: bool = True,
-    ) -> RunResults:
-        """Bulk-insert items (spread across client processors) and run."""
-        if isinstance(items, Mapping):
-            items = items.items()
-        pids = self.kernel.pids
-        for index, (key, value) in enumerate(items):
-            client = pids[index % len(pids)] if spread_clients else pids[0]
-            self.insert(key, value, client=client)
-        return self.run()
 
     # ------------------------------------------------------------------
     # mobility
@@ -494,9 +496,6 @@ class DBTreeCluster:
 
     def operation_records(self) -> list[OperationRecord]:
         return list(self.trace.operations.values())
-
-    def message_stats(self) -> dict[str, Any]:
-        return self.kernel.network.stats.snapshot()
 
     def availability_summary(self) -> dict[str, Any]:
         """Crash/restart/recovery accounting; see repro.stats."""

@@ -50,6 +50,7 @@ from repro.core.node import NodeCopy, NodeSnapshot
 from repro.core.piggyback import BatchedRelays
 from repro.core.replication import Placement, ReplicationPolicy
 from repro.repair.placement import make_placement
+from repro.sim.crash import RECOVERY_GRACE
 from repro.sim.processor import Processor
 from repro.sim.simulator import Kernel
 from repro.sim.tracing import Trace
@@ -1203,7 +1204,7 @@ class DBTreeEngine:
         proc = self.kernel.processor(pid)
         state = proc.state
         state["recovery_stash"] = {}
-        deadline = self.now + self.kernel.crash_plan.recovery_grace
+        deadline = self.now + RECOVERY_GRACE
         state["recovering_until"] = deadline
         controller = self.kernel.crash_controller
         assert controller is not None

@@ -31,6 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Hashable
 
+from repro.core.client import KernelClient
 from repro.hash.bucket import Bucket, hash_key
 from repro.hash.directory import DirectoryReplica
 from repro.sim.simulator import Kernel
@@ -404,7 +405,7 @@ class LazyHashEngine:
         ]
 
 
-class LazyHashTable:
+class LazyHashTable(KernelClient):
     """Public facade: a lazily replicated distributed hash table.
 
     >>> table = LazyHashTable(num_processors=4, capacity=4, seed=1)
@@ -438,50 +439,7 @@ class LazyHashTable:
         )
         self.engine = LazyHashEngine(self.kernel, capacity=capacity, mode=mode)
 
-    @property
-    def trace(self) -> Trace:
-        return self.engine.trace
-
-    @property
-    def now(self) -> float:
-        return self.kernel.now
-
-    # ------------------------------------------------------------------
-    def insert(self, key: Hashable, value: Any = None, client: int = 0) -> int:
-        return self.engine.submit_operation("insert", key, value, home_pid=client)
-
-    def search(self, key: Hashable, client: int = 0) -> int:
-        return self.engine.submit_operation("search", key, home_pid=client)
-
-    def delete(self, key: Hashable, client: int = 0) -> int:
-        return self.engine.submit_operation("delete", key, home_pid=client)
-
-    def run(self, max_events: int | None = None) -> dict[int, Any]:
-        """Run to quiescence; returns op_id -> result for completed ops."""
-        self.kernel.run_to_quiescence(max_events=max_events)
-        return {
-            op.op_id: op.result
-            for op in self.trace.operations.values()
-            if op.completed_at is not None
-        }
-
-    def insert_sync(self, key: Hashable, value: Any = None, client: int = 0) -> bool:
-        op_id = self.insert(key, value, client)
-        return self.run()[op_id]
-
-    def search_sync(self, key: Hashable, client: int = 0) -> Any:
-        op_id = self.search(key, client)
-        return self.run()[op_id]
-
-    def delete_sync(self, key: Hashable, client: int = 0) -> bool:
-        op_id = self.delete(key, client)
-        return self.run()[op_id]
-
-    # ------------------------------------------------------------------
     def check(self, expected: dict | None = None):
         from repro.hash.verify import check_hash_table
 
         return check_hash_table(self.engine, expected=expected)
-
-    def message_stats(self) -> dict:
-        return self.kernel.network.stats.snapshot()

@@ -21,7 +21,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.hash.bucket import Bucket, hash_key
-from repro.verify.checker import CheckReport
+from repro.verify.checker import (
+    CheckReport,
+    check_complete_operations,
+    contents_problems,
+)
 
 if TYPE_CHECKING:
     from repro.hash.table import LazyHashEngine
@@ -126,34 +130,19 @@ def check_directory_convergence(engine: "LazyHashEngine") -> list[str]:
     return []
 
 
-def check_expected(engine: "LazyHashEngine", expected: Mapping[Any, Any]) -> list[str]:
-    problems = []
-    contents: dict[Any, Any] = {}
-    for bucket in engine.all_buckets():
-        contents.update(bucket.entries)
-    missing = [k for k in expected if k not in contents]
-    extra = [k for k in contents if k not in expected]
-    if missing:
-        problems.append(f"{len(missing)} expected key(s) missing")
-    if extra:
-        problems.append(f"{len(extra)} unexpected key(s) present")
-    return problems
-
-
 def check_hash_table(
     engine: "LazyHashEngine", expected: Mapping[Any, Any] | None = None
 ) -> CheckReport:
     report = CheckReport()
-    incomplete = [
-        f"operation {op.op_id} never completed"
-        for op in engine.trace.incomplete_operations()
-    ]
-    report.extend("complete-ops", incomplete)
+    report.extend("complete-ops", check_complete_operations(engine.trace))
     report.extend("bucket-soundness", check_bucket_soundness(engine))
     report.extend("partition", check_partition(engine))
     if engine.mode in ("lazy", "sync"):
         report.extend("directory-convergence", check_directory_convergence(engine))
     if expected is not None:
-        report.extend("expected-contents", check_expected(engine, expected))
+        contents: dict[Any, Any] = {}
+        for bucket in engine.all_buckets():
+            contents.update(bucket.entries)
+        report.extend("expected-contents", contents_problems(contents, expected))
         report.extend("resolvability", check_resolvability(engine, expected))
     return report

@@ -7,18 +7,11 @@ correct sustained-throughput shape -- submitting a million inserts at
 t=0 measures queueing pathology (every queued insert chases the
 splitting leaves rightward), not the structure.
 
-Two configurations are measured:
-
-* ``fast`` -- trace off, aggregate accounting, leaf cache on: the
-  configuration a million-op capacity study would use.
-* ``seed-settings`` -- trace full, full accounting, no cache: the
-  only configuration the pre-optimization tree supported.
-
-The emitted report also carries ``seed_reference``: the seed-commit
-throughput measured on the same machine *at the seed revision*, which
-is the honest denominator for the speedup claim (the seed-settings
-configuration also benefits from the kernel work, so comparing
-against its live number understates the win).
+The measured configuration is ``fast`` -- trace off, aggregate
+accounting, leaf cache on: what a million-op capacity study would
+use.  Its events/op and msgs/op are pure functions of the code and
+the seed; ``benchmarks/perf_guard.py`` pins them exactly.  What each
+layer costs on top is ``bench/``'s ledger, not this module's.
 """
 
 from __future__ import annotations
@@ -29,31 +22,6 @@ from typing import Any
 
 from repro.core.client import DBTreeCluster
 from repro.workloads.driver import ClosedLoopDriver, Workload
-
-#: Seed-commit baseline for the standard insert-burst, measured at
-#: rev 541940b in a git worktree on the development machine
-#: (2026-08-05): the identical closed-loop workload (100k distinct
-#: shuffled int inserts, 4 processors, capacity 8, depth 4, seed 0)
-#: run against the unmodified seed tree.  The seed suffers an O(n)
-#: pathology this PR fixes -- half-split parent inserts crawl
-#: rightward across the whole interior level because leaf parent
-#: hints are never refreshed -- so its events/op *grows* with the
-#: workload (23.7 at 5k ops, 45.0 at 20k, 156.9 at 100k).
-SEED_REFERENCE: dict[str, Any] = {
-    "rev": "541940b",
-    "measured": "2026-08-05",
-    "num_ops": 100_000,
-    "ops_per_sec": 388.1,
-    "events_per_op": 156.91,
-    "msgs_per_op": 4.97,
-    "wall_seconds": 257.6,
-    "note": (
-        "seed commit measured in a worktree on the identical "
-        "closed-loop workload; the live seed-settings run below also "
-        "includes this PR's kernel and routing fixes, so this pinned "
-        "number is the honest 10x denominator"
-    ),
-}
 
 
 def insert_burst_workload(
@@ -133,52 +101,15 @@ def run_insert_burst(
     }
 
 
-def bench_core(
-    num_ops: int = 100_000,
-    seed: int = 0,
-    include_seed_settings: bool = True,
+def write_bench_core(
+    path: str, num_ops: int = 100_000, seed: int = 0
 ) -> dict[str, Any]:
-    """The ``BENCH_core.json`` payload: fast vs seed-settings vs seed."""
-    fast = run_insert_burst(num_ops, seed=seed)
-    report: dict[str, Any] = {
+    """Run the burst and write the ``BENCH_core.json`` payload."""
+    report = {
         "benchmark": "standard-insert-burst (closed loop)",
         "ops": num_ops,
-        "fast": fast,
-        "seed_reference": dict(SEED_REFERENCE),
-        # The seed pathology makes its throughput depend strongly on
-        # the op count, so the pinned ratio is only honest at the
-        # same workload size.
-        "speedup_vs_seed_reference": (
-            fast["ops_per_sec"] / SEED_REFERENCE["ops_per_sec"]
-            if num_ops == SEED_REFERENCE["num_ops"]
-            else None
-        ),
+        "fast": run_insert_burst(num_ops, seed=seed),
     }
-    if include_seed_settings:
-        live = run_insert_burst(
-            num_ops,
-            seed=seed,
-            trace_level="full",
-            accounting="full",
-            leaf_cache=False,
-        )
-        report["seed_settings_live"] = live
-        if live["ops_per_sec"]:
-            report["speedup_vs_seed_settings_live"] = (
-                fast["ops_per_sec"] / live["ops_per_sec"]
-            )
-    return report
-
-
-def write_bench_core(
-    path: str,
-    num_ops: int = 100_000,
-    seed: int = 0,
-    include_seed_settings: bool = True,
-) -> dict[str, Any]:
-    report = bench_core(
-        num_ops, seed=seed, include_seed_settings=include_seed_settings
-    )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

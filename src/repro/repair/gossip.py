@@ -62,9 +62,6 @@ class RepairPlan:
         ``ceil((n - 1) / fanout)`` periods the rotation needs to
         visit every peer) before a processor's timer goes dormant;
         re-armed by any divergence signal.
-    log_cap:
-        Per-copy cap on the keyed-update repair log (oldest entries
-        are evicted; anything older is repaired by value re-join).
     horizon:
         Optional absolute virtual time after which no ticks fire.
     """
@@ -73,7 +70,6 @@ class RepairPlan:
     fanout: int = 1
     buckets: int = 8
     stop_after_clean: int = 2
-    log_cap: int = 512
     horizon: float | None = None
 
     def __post_init__(self) -> None:

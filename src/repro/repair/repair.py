@@ -61,6 +61,10 @@ if TYPE_CHECKING:
     from repro.core.node import NodeCopy
     from repro.sim.processor import Processor
 
+#: Per-copy cap on the keyed-update repair log (oldest entries are
+#: evicted; anything older is repaired by value re-join).
+LOG_CAP = 512
+
 
 # ----------------------------------------------------------------------
 # repair actions
@@ -229,7 +233,7 @@ class RepairService:
             else action.relayed(copy.version)
         )
         log[action.action_id] = stored
-        if len(log) > self.plan.log_cap:
+        if len(log) > LOG_CAP:
             del log[next(iter(log))]
 
     # ------------------------------------------------------------------

@@ -41,9 +41,9 @@ ordered result.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from repro.core.client import DBTreeCluster, RunResults
+from repro.core.client import ClientSurface, DBTreeCluster, RunResults
 from repro.core.keys import NEG_INF, POS_INF, Key, key_le, key_lt
 from repro.repair.digest import hash_parts
 from repro.shard.directory import (
@@ -56,12 +56,17 @@ from repro.verify.checker import leaf_contents
 from repro.verify.invariants import representative_nodes
 
 
+#: How a multi-part operation (a cross-shard scan) combines its
+#: parts' outcomes: the worst one wins.
+_SEVERITY = {"completed": 0, "timed_out": 1, "failed": 2, "incomplete": 3}
+
+
 def hash_point(key: Key) -> int:
     """Stable 64-bit routing point for hash partitioning."""
     return hash_parts(("shard-route", key))
 
 
-class ShardedCluster:
+class ShardedCluster(ClientSurface):
     """N independent dB-trees partitioned behind a shard directory.
 
     Parameters
@@ -166,8 +171,9 @@ class ShardedCluster:
             "scan_fanout": 0,
         }
         self._next_op = 0
-        #: facade op id -> ("op", shard_id, shard_op_id) or
-        #: ("scan", [(shard_id, shard_op_id), ...], limit)
+        #: facade op id -> (parts, scan): the (shard_id, shard_op_id)
+        #: pairs it waits on -- one for a keyed op, one per overlapping
+        #: shard for a scan -- and, for a scan, ``(limit,)``.
         self._pending: dict[int, tuple] = {}
         self._events_seen: dict[int, int] = {
             sid: 0 for sid in self.clusters
@@ -265,31 +271,17 @@ class ShardedCluster:
     # ------------------------------------------------------------------
     # asynchronous operation submission
     # ------------------------------------------------------------------
-    def _submit(self, kind: str, key: Key, value: Any, client: int) -> int:
-        shard_id = self._locate(client, key)
-        cluster = self.clusters[shard_id]
-        if kind == "insert":
-            shard_op = cluster.insert(key, value, client=client)
-        elif kind == "search":
-            shard_op = cluster.search(key, client=client)
-        else:
-            shard_op = cluster.delete(key, client=client)
+    def _record(self, parts: tuple, scan: tuple | None = None) -> int:
+        """Register a facade operation; ``run()`` settles it."""
         op_id = self._next_op
         self._next_op += 1
-        self._pending[op_id] = ("op", shard_id, shard_op)
+        self._pending[op_id] = (parts, scan)
         return op_id
 
-    def insert(self, key: Key, value: Any = None, client: int = 0) -> int:
-        """Submit an insert at the given client processor; returns op id."""
-        return self._submit("insert", key, value, client)
-
-    def search(self, key: Key, client: int = 0) -> int:
-        """Submit a search; returns op id (result available after run())."""
-        return self._submit("search", key, None, client)
-
-    def delete(self, key: Key, client: int = 0) -> int:
-        """Submit a leaf delete; returns op id."""
-        return self._submit("delete", key, None, client)
+    def _submit(self, kind: str, key: Key, value: Any, client: int) -> int:
+        shard_id = self._locate(client, key)
+        shard_op = self.clusters[shard_id]._submit(kind, key, value, client)
+        return self._record(((shard_id, shard_op),))
 
     def schedule(
         self, time: float, kind: str, key: Key, value: Any = None, client: int = 0
@@ -297,9 +289,11 @@ class ShardedCluster:
         """Schedule an operation submission at a future virtual time.
 
         The shard is chosen by the client's view *now* (submission
-        time), the operation executes inside the shard's tree at
-        ``time``.  Cross-shard scans need live directory consultation
-        and cannot be pre-scheduled; use :meth:`scan` instead.
+        time); at ``time`` on that shard's clock the operation is
+        submitted to its tree and registered with the facade, so it
+        lands in the next ``run()``'s results like any other.
+        Cross-shard scans need live directory consultation and cannot
+        be pre-scheduled; use :meth:`scan` instead.
         """
         if kind == "scan":
             raise ValueError(
@@ -307,7 +301,13 @@ class ShardedCluster:
                 "cluster; submit with scan()"
             )
         shard_id = self._locate(client, key)
-        self.clusters[shard_id].schedule(time, kind, key, value, client=client)
+        cluster = self.clusters[shard_id]
+        cluster.kernel.events.schedule(
+            time,
+            lambda: self._record(
+                ((shard_id, cluster._submit(kind, key, value, client)),)
+            ),
+        )
 
     def scan(
         self,
@@ -345,10 +345,7 @@ class ShardedCluster:
                 )
                 parts.append((shard.shard_id, shard_op))
         self.counters["scan_fanout"] += len(parts)
-        op_id = self._next_op
-        self._next_op += 1
-        self._pending[op_id] = ("scan", tuple(parts), limit)
-        return op_id
+        return self._record(tuple(parts), scan=(limit,))
 
     # ------------------------------------------------------------------
     # running
@@ -369,119 +366,68 @@ class ShardedCluster:
         return results
 
     def _settle(self, results: dict[int, RunResults]) -> RunResults:
-        """Translate per-shard outcomes into facade op outcomes."""
+        """Translate per-shard outcomes into facade op outcomes.
+
+        Each shard's ``RunResults`` already partitions that tree's
+        operations; a facade op takes its shard op's partition, a
+        scan the worst of its parts (and stays pending while any part
+        is incomplete).
+        """
+        verdicts = {
+            shard_id: {
+                **dict.fromkeys(res.failed, "failed"),
+                **dict.fromkeys(res.timed_out, "timed_out"),
+            }
+            for shard_id, res in results.items()
+        }
+        settled: dict[str, list[int]] = {
+            "incomplete": [], "failed": [], "timed_out": []
+        }
         completed: dict[int, Any] = {}
-        incomplete: list[int] = []
-        failed: list[int] = []
-        timed_out: list[int] = []
-        reliability_error = None
-        for res in results.values():
-            if res.reliability_error is not None and reliability_error is None:
-                reliability_error = res.reliability_error
-
-        def disposition(shard_id: int, shard_op: int) -> tuple[str, Any]:
-            cluster = self.clusters[shard_id]
-            record = cluster.trace.operations.get(shard_op)
-            if record is not None and record.completed_at is not None:
-                return "completed", record.result
-            verdict = cluster.engine.op_verdicts.get(shard_op)
-            if verdict == "failed":
-                return "failed", None
-            if verdict == "timed_out":
-                return "timed_out", None
-            return "incomplete", None
-
         for op_id in sorted(self._pending):
-            entry = self._pending[op_id]
-            if entry[0] == "op":
-                _, shard_id, shard_op = entry
-                state, result = disposition(shard_id, shard_op)
-                if state == "completed":
-                    completed[op_id] = result
-                elif state == "failed":
-                    failed.append(op_id)
-                elif state == "timed_out":
-                    timed_out.append(op_id)
-                else:
-                    incomplete.append(op_id)
+            parts, scan = self._pending[op_id]
+            state = "completed"
+            for sid, op in parts:
+                if op not in results[sid].completed:
+                    part = verdicts[sid].get(op, "incomplete")
+                    if _SEVERITY[part] > _SEVERITY[state]:
+                        state = part
+            if state != "completed":
+                settled[state].append(op_id)
+                if state == "incomplete":
                     continue
+            elif scan is None:
+                ((sid, op),) = parts
+                completed[op_id] = results[sid].completed[op]
             else:
-                _, parts, limit = entry
-                states = [disposition(sid, sop) for sid, sop in parts]
-                if any(state == "incomplete" for state, _ in states):
-                    incomplete.append(op_id)
-                    continue
-                if any(state == "failed" for state, _ in states):
-                    failed.append(op_id)
-                elif any(state == "timed_out" for state, _ in states):
-                    timed_out.append(op_id)
-                else:
-                    rows: list[tuple[Key, Any]] = []
-                    for _, result in states:
-                        rows.extend(result)
-                    if self.partitioning == "hash":
-                        rows.sort(key=lambda pair: pair[0])
-                    if limit is not None:
-                        rows = rows[:limit]
-                    completed[op_id] = tuple(rows)
+                rows = [
+                    row for sid, op in parts for row in results[sid].completed[op]
+                ]
+                if self.partitioning == "hash":
+                    rows.sort(key=lambda pair: pair[0])
+                completed[op_id] = tuple(rows[: scan[0]])
             del self._pending[op_id]
         executed = 0
         for shard_id, cluster in self.clusters.items():
             total = cluster.kernel.events.executed
             executed += total - self._events_seen.get(shard_id, 0)
             self._events_seen[shard_id] = total
-        elapsed = max(
-            (cluster.kernel.now for cluster in self.clusters.values()),
-            default=0.0,
-        )
         return RunResults(
             events_executed=executed,
-            elapsed=elapsed,
+            elapsed=max(res.elapsed for res in results.values()),
             completed=completed,
-            incomplete=tuple(incomplete),
-            failed=tuple(failed),
-            timed_out=tuple(timed_out),
-            reliability_error=reliability_error,
+            incomplete=tuple(settled["incomplete"]),
+            failed=tuple(settled["failed"]),
+            timed_out=tuple(settled["timed_out"]),
+            reliability_error=next(
+                (
+                    res.reliability_error
+                    for res in results.values()
+                    if res.reliability_error is not None
+                ),
+                None,
+            ),
         )
-
-    # ------------------------------------------------------------------
-    # synchronous conveniences
-    # ------------------------------------------------------------------
-    def insert_sync(self, key: Key, value: Any = None, client: int = 0) -> bool:
-        op_id = self.insert(key, value, client)
-        return self.run().result_of(op_id)
-
-    def search_sync(self, key: Key, client: int = 0) -> Any:
-        op_id = self.search(key, client)
-        return self.run().result_of(op_id)
-
-    def delete_sync(self, key: Key, client: int = 0) -> bool:
-        op_id = self.delete(key, client)
-        return self.run().result_of(op_id)
-
-    def scan_sync(
-        self,
-        low: Key,
-        high: Key,
-        limit: int | None = None,
-        client: int = 0,
-    ) -> tuple:
-        op_id = self.scan(low, high, limit, client)
-        return self.run().result_of(op_id)
-
-    def load(
-        self,
-        items: Mapping[Key, Any] | Iterable[tuple[Key, Any]],
-        spread_clients: bool = True,
-    ) -> RunResults:
-        """Bulk-insert items (spread across client processors) and run."""
-        if isinstance(items, Mapping):
-            items = items.items()
-        pids = self.pids
-        for index, (key, value) in enumerate(items):
-            client = pids[index % len(pids)] if spread_clients else pids[0]
-            self.insert(key, value, client=client)
-        return self.run()
 
     # ------------------------------------------------------------------
     # load measurement and shard reconfiguration

@@ -49,6 +49,11 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from repro.sim.simulator import Kernel
 
+#: How long a restarted processor stays in "recovering" mode, during
+#: which relayed updates addressed to copies it has not yet
+#: re-acquired are stashed for replay rather than healed.
+RECOVERY_GRACE = 40.0
+
 
 @dataclass(frozen=True)
 class CrashPlan:
@@ -70,10 +75,6 @@ class CrashPlan:
         Must exceed the network latency for the recovery protocol's
         in-flight-message arguments to hold (the controller cannot
         check this; :class:`repro.core.client.DBTreeCluster` does).
-    ``recovery_grace``
-        How long a restarted processor stays in "recovering" mode,
-        during which relayed updates addressed to copies it has not
-        yet re-acquired are stashed for replay rather than healed.
     """
 
     schedule: tuple[tuple[int, float, float | None], ...] = ()
@@ -81,7 +82,6 @@ class CrashPlan:
     mttr: float = 200.0
     horizon: float = 0.0
     detection_delay: float = 50.0
-    recovery_grace: float = 40.0
 
     def __post_init__(self) -> None:
         if self.crash_rate < 0:
@@ -97,10 +97,6 @@ class CrashPlan:
         if self.detection_delay <= 0:
             raise ValueError(
                 f"detection_delay must be > 0, got {self.detection_delay}"
-            )
-        if self.recovery_grace < 0:
-            raise ValueError(
-                f"recovery_grace must be >= 0, got {self.recovery_grace}"
             )
         intervals: dict[int, list[tuple[float, float]]] = {}
         for entry in self.schedule:

@@ -39,12 +39,12 @@ from repro.sim.reliable import (
     ReliableTransport,
 )
 
-#: Message-accounting modes, cheapest last: ``"full"`` keeps the
-#: per-kind and per-channel Counters, ``"aggregate"`` keeps only the
-#: scalar totals (sent/delivered/dropped/duplicated), ``"off"`` keeps
-#: nothing.  Large perf runs use aggregate or off; everything that
-#: audits message complexity needs full (the default).
-ACCOUNTING_MODES = ("full", "aggregate", "off")
+#: Message-accounting modes: ``"full"`` keeps the per-kind and
+#: per-channel Counters, ``"aggregate"`` only the scalar totals
+#: (sent/delivered/dropped/duplicated/...).  Large perf runs use
+#: aggregate; everything that audits message complexity needs full
+#: (the default).
+ACCOUNTING_MODES = ("full", "aggregate")
 
 
 class LatencyModel(Protocol):
@@ -283,7 +283,6 @@ class Network:
         self._deliver: Callable[[int, Any], None] | None = None
         self.accounting = accounting
         self._count_kinds = accounting == "full"
-        self._count_totals = accounting != "off"
         self.reliability = reliability
         self.transport: ReliableTransport | None = (
             ReliableTransport(self, reliability_config)
@@ -363,12 +362,11 @@ class Network:
                 "local actions must be enqueued locally"
             )
 
-        if self._count_totals:
-            stats = self.stats
-            stats.sent += 1
-            if self._count_kinds:
-                stats.by_kind[message_kind(payload)] += 1
-                stats.by_channel[(src, dst)] += 1
+        stats = self.stats
+        stats.sent += 1
+        if self._count_kinds:
+            stats.by_kind[message_kind(payload)] += 1
+            stats.by_channel[(src, dst)] += 1
 
         if self.transport is not None:
             # Enforced mode: the reliable layer frames the payload and
@@ -435,8 +433,7 @@ class Network:
         if self._partition is not None:
             up, gray = self._partition.judge(src, dst)
             if not up:
-                if self._count_totals:
-                    self.stats.partition_blocked += 1
+                self.stats.partition_blocked += 1
                 return
         if judged and self._fault_plan is not None:
             verdicts = self._fault_plan.judge(src, dst, payload, self._rng)
@@ -447,8 +444,7 @@ class Network:
         events = self._events
         for dropped, extra_delay in verdicts:
             if dropped:
-                if self._count_totals:
-                    self.stats.dropped += 1
+                self.stats.dropped += 1
                 continue
             transit = self._fixed_latency
             if transit is None:
@@ -465,7 +461,7 @@ class Network:
                     arrival = floor
                 self._channel_clock[channel] = arrival
             events.push(arrival, land)
-        if len(verdicts) > 1 and self._count_totals:
+        if len(verdicts) > 1:
             self.stats.duplicated += len(verdicts) - 1
 
     def _arrive(self, dst: int, dead_letter: bool, land: Callable[[], None]) -> None:
@@ -478,13 +474,12 @@ class Network:
         """
         if self._liveness(dst):  # type: ignore[misc]
             land()
-        elif dead_letter and self._count_totals:
+        elif dead_letter:
             self.stats.dead_letters += 1
 
     def _hand_off(self, dst: int, payload: Any) -> None:
         """Hand an in-order, exactly-once logical payload to its processor."""
-        if self._count_totals:
-            self.stats.delivered += 1
+        self.stats.delivered += 1
         self._deliver(dst, payload)  # type: ignore[misc]
 
 

@@ -122,7 +122,7 @@ class Processor:
             self._service_time = lambda _action: constant
             self._const_service = constant
         # "full" keeps the per-kind Counter plus queue-wait detail;
-        # "aggregate"/"off" keep only the scalars utilization() needs.
+        # "aggregate" keeps only the scalars utilization() needs.
         self._track_detail = accounting == "full"
         self._queue: deque[tuple[Any, float]] = deque()
         self._busy = False

@@ -362,8 +362,7 @@ class ReliableTransport:
                 seq=seq,
                 payload=entry[0],
             )
-        if network._count_totals:
-            network.stats.retransmits += 1
+        network.stats.retransmits += 1
         self._transmit_data(src, dst, sender, seq, entry[0])
 
     def _suspect(self, src: int, dst: int) -> None:
@@ -439,8 +438,7 @@ class ReliableTransport:
             # retransmission of something we already hold usually
             # means our previous ack was lost on the way back, so
             # "already acked that" must not stand down the ack timer.
-            if network._count_totals:
-                network.stats.dup_suppressed += 1
+            network.stats.dup_suppressed += 1
             receiver.ack_sent = -1
             self._schedule_ack(src, dst, receiver)
             return
@@ -448,8 +446,7 @@ class ReliableTransport:
             # Ahead of the gap: park it.  FIFO is restored when the
             # missing frames arrive (or are retransmitted).
             receiver.buffer[seq] = frame.payload
-            if network._count_totals:
-                network.stats.resequenced += 1
+            network.stats.resequenced += 1
             self._schedule_ack(src, dst, receiver)
             return
         # In order: deliver, then drain whatever the gap was hiding.
@@ -513,8 +510,7 @@ class ReliableTransport:
             return  # piggybacked in the meantime; nothing owed
         receiver.ack_sent = receiver.cumulative
         network = self._network
-        if network._count_totals:
-            network.stats.acks += 1
+        network.stats.acks += 1
         network._transmit_frame(
             local_dst,
             remote_src,

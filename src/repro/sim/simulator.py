@@ -10,7 +10,7 @@ enqueueing, remotely by a network message (Section 1.1).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.detector import DetectorPlan, FailureDetectorService
@@ -108,8 +108,7 @@ class Kernel:
     accounting:
         Statistics verbosity for the network and processors: ``"full"``
         (default) keeps per-kind/per-channel Counters, ``"aggregate"``
-        keeps only scalar totals, ``"off"`` drops even those where
-        nothing downstream needs them.  Perf runs use aggregate/off.
+        keeps only scalar totals.  Perf runs use aggregate.
     reliability:
         ``"assumed"`` (default) trusts the substrate to be the paper's
         reliable exactly-once FIFO network; ``"enforced"`` rebuilds
@@ -302,20 +301,6 @@ class Kernel:
             self.processors[dst_pid].submit(action)
         else:
             self.network.send(src_pid, dst_pid, action)
-
-    def broadcast(self, src_pid: int, dst_pids: Iterable[int], action_factory) -> int:
-        """Route one action (from ``action_factory()``) to each target.
-
-        Skips ``src_pid`` itself only if the caller excludes it from
-        ``dst_pids``; returns the number of actions routed.  A factory
-        is used (rather than a shared action object) so per-recipient
-        mutation bugs cannot arise.
-        """
-        count = 0
-        for dst in dst_pids:
-            self.route(src_pid, dst, action_factory())
-            count += 1
-        return count
 
     def _on_delivery(self, dst: int, payload: Any) -> None:
         proc = self.processors.get(dst)

@@ -11,6 +11,7 @@ from repro.stats.metrics import (
     availability_summary,
     detector_summary,
     latency_summary,
+    layer_report,
     load_balance,
     message_summary,
     occupancy_histogram,
@@ -40,6 +41,7 @@ __all__ = [
     "detector_summary",
     "partition_summary",
     "latency_summary",
+    "layer_report",
     "load_balance",
     "message_summary",
     "occupancy_histogram",

@@ -45,6 +45,7 @@ def reliability_summary(kernel: "Kernel") -> dict[str, Any]:
     stats = kernel.network.stats
     transport = kernel.network.transport
     return {
+        "enabled": transport is not None,
         "mode": kernel.network.reliability,
         "logical_sent": stats.sent,
         "physical_sent": stats.physical_sent,
@@ -74,11 +75,11 @@ def availability_summary(
     """
     controller = kernel.crash_controller
     summary: dict[str, Any] = {
-        "crash_plan": kernel.crash_plan is not None,
+        "enabled": controller is not None,
         "crashes": 0,
         "restarts": 0,
         "lost_actions": 0,
-        "dead_letters": getattr(kernel.network.stats, "dead_letters", 0),
+        "dead_letters": kernel.network.stats.dead_letters,
     }
     if controller is None:
         return summary
@@ -132,7 +133,7 @@ def repair_summary(
     diverged).  Returns ``{"enabled": False}`` when the subsystem is
     not installed, so callers can embed it unconditionally.
     """
-    service = getattr(kernel, "repair_service", None)
+    service = kernel.repair_service
     if service is None:
         return {"enabled": False}
     counters = service.counters
@@ -193,7 +194,7 @@ def permutation_summary(kernel: "Kernel") -> dict[str, Any]:
     run is replayable from the report alone.  Returns
     ``{"enabled": False}`` when no permuter is installed.
     """
-    permuter = getattr(kernel, "permuter", None)
+    permuter = kernel.permuter
     if permuter is None:
         return {"enabled": False}
     return {
@@ -214,10 +215,9 @@ def detector_summary(kernel: "Kernel") -> dict[str, Any]:
     Returns ``{"enabled": False}`` when no detector is installed, so
     callers can embed it unconditionally.
     """
-    detector = getattr(kernel, "detector", None)
-    if detector is None:
+    if kernel.detector is None:
         return {"enabled": False}
-    return detector.summary()
+    return kernel.detector.summary()
 
 
 def partition_summary(kernel: "Kernel") -> dict[str, Any]:
@@ -230,13 +230,10 @@ def partition_summary(kernel: "Kernel") -> dict[str, Any]:
     messages a cut swallowed.  Returns ``{"enabled": False}`` when no
     partition layer is installed.
     """
-    controller = getattr(kernel, "partition_controller", None)
-    if controller is None:
+    if kernel.partition_controller is None:
         return {"enabled": False}
-    summary = controller.summary()
-    summary["messages_blocked"] = getattr(
-        kernel.network.stats, "partition_blocked", 0
-    )
+    summary = kernel.partition_controller.summary()
+    summary["messages_blocked"] = kernel.network.stats.partition_blocked
     return summary
 
 
@@ -272,6 +269,77 @@ def shard_summary(sharded: "ShardedCluster") -> dict[str, Any]:
         "scan_fanout": counters["scan_fanout"],
         "migration_failures": counters.get("migration_failures", 0),
     }
+
+
+#: Configuration a summary echoes: taken once, and it must agree
+#: across a forest's trees (every shard is built from the same plans).
+_PLAN_KEYS = frozenset(
+    {"enabled", "mode", "period", "fanout", "buckets", "placement"}
+)
+#: Means and ratios.  Adding them is meaningless and their
+#: denominators are not in the summaries, so a forest reports one
+#: value per tree, in shard order.
+_MEAN_KEYS = frozenset(
+    {
+        "mean_downtime",
+        "mean_detection",
+        "mean_recovery",
+        "mean_detection_latency",
+        "amplification",
+        "time_to_convergence",
+    }
+)
+#: The opt-in layers and how each is summarised from one tree.
+_LAYER_SUMMARIES = {
+    "reliability": lambda tree: reliability_summary(tree.kernel),
+    "crash": lambda tree: availability_summary(tree.kernel, tree.trace),
+    "partition": lambda tree: partition_summary(tree.kernel),
+    "detector": lambda tree: detector_summary(tree.kernel),
+    "repair": lambda tree: repair_summary(tree.kernel, tree.trace),
+}
+
+
+def _merge_summaries(summaries: list[dict[str, Any]]) -> dict[str, Any]:
+    """One summary for a forest: counters summed, nothing else."""
+    first = summaries[0]
+    if len(summaries) == 1:
+        return first
+    merged: dict[str, Any] = {}
+    for key, value in first.items():
+        column = [summary[key] for summary in summaries]
+        if key in _PLAN_KEYS:
+            if any(other != value for other in column):
+                raise ValueError(f"trees disagree on {key!r}: {column}")
+            merged[key] = value
+        elif key in _MEAN_KEYS:
+            merged[key] = tuple(column)
+        elif isinstance(value, dict):
+            merged[key] = _merge_summaries(column)
+        else:
+            merged[key] = sum(column)
+    return merged
+
+
+def layer_report(cluster: Any) -> dict[str, dict[str, Any]]:
+    """Every opt-in layer's summary, for one tree or a whole forest.
+
+    For a :class:`~repro.core.client.DBTreeCluster` each entry is the
+    layer's ``*_summary`` unchanged.  For a
+    :class:`~repro.shard.cluster.ShardedCluster` each entry is merged
+    over the shard trees (retired shards' trees included: their work
+    was done) -- counters summed, plan values taken once, means kept
+    one per tree -- and ``"sharding"`` holds :func:`shard_summary`.
+    Every entry answers ``["enabled"]``.
+    """
+    forest = getattr(cluster, "clusters", None)
+    trees = [cluster] if forest is None else [forest[s] for s in sorted(forest)]
+    report = {
+        name: _merge_summaries([summarise(tree) for tree in trees])
+        for name, summarise in _LAYER_SUMMARIES.items()
+    }
+    if forest is not None:
+        report["sharding"] = shard_summary(cluster)
+    return report
 
 
 def split_message_cost(engine: "DBTreeEngine") -> dict[str, float]:

@@ -25,6 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.client import KernelClient
 from repro.sim.simulator import Kernel
 from repro.sim.tracing import Trace
 from repro.trie.node import Container, Interior
@@ -463,7 +464,7 @@ class LazyTrieEngine:
         ]
 
 
-class LazyTrie:
+class LazyTrie(KernelClient):
     """Public facade: a lazily replicated distributed burst trie.
 
     >>> trie = LazyTrie(num_processors=4, capacity=4, seed=1)
@@ -497,23 +498,6 @@ class LazyTrie:
             self.kernel, capacity=capacity, serialize_edges=serialize_edges
         )
 
-    @property
-    def trace(self) -> Trace:
-        return self.engine.trace
-
-    @property
-    def now(self) -> float:
-        return self.kernel.now
-
-    def insert(self, key: str, value: Any = None, client: int = 0) -> int:
-        return self.engine.submit_operation("insert", key, value, home_pid=client)
-
-    def search(self, key: str, client: int = 0) -> int:
-        return self.engine.submit_operation("search", key, home_pid=client)
-
-    def delete(self, key: str, client: int = 0) -> int:
-        return self.engine.submit_operation("delete", key, home_pid=client)
-
     def collect(self, prefix: str, client: int = 0) -> int:
         """Enumerate all (key, value) pairs under ``prefix``.
 
@@ -521,36 +505,12 @@ class LazyTrie:
         any traversal here it is not atomic with respect to
         concurrent updates.  Result: key-sorted tuple of pairs.
         """
-        return self.engine.submit_operation("collect", prefix, home_pid=client)
-
-    def run(self, max_events: int | None = None) -> dict[int, Any]:
-        self.kernel.run_to_quiescence(max_events=max_events)
-        return {
-            op.op_id: op.result
-            for op in self.trace.operations.values()
-            if op.completed_at is not None
-        }
-
-    def insert_sync(self, key: str, value: Any = None, client: int = 0) -> bool:
-        op_id = self.insert(key, value, client)
-        return self.run()[op_id]
-
-    def search_sync(self, key: str, client: int = 0) -> Any:
-        op_id = self.search(key, client)
-        return self.run()[op_id]
-
-    def delete_sync(self, key: str, client: int = 0) -> bool:
-        op_id = self.delete(key, client)
-        return self.run()[op_id]
+        return self._submit("collect", prefix, None, client)
 
     def collect_sync(self, prefix: str, client: int = 0) -> tuple:
-        op_id = self.collect(prefix, client)
-        return self.run()[op_id]
+        return self._await(self.collect(prefix, client))
 
     def check(self, expected: dict | None = None):
         from repro.trie.verify import check_trie
 
         return check_trie(self.engine, expected=expected)
-
-    def message_stats(self) -> dict:
-        return self.kernel.network.stats.snapshot()

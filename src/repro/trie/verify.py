@@ -5,7 +5,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.trie.node import Container, Interior
-from repro.verify.checker import CheckReport
+from repro.verify.checker import (
+    CheckReport,
+    check_complete_operations,
+    contents_problems,
+)
 
 if TYPE_CHECKING:
     from repro.trie.table import LazyTrieEngine
@@ -105,36 +109,19 @@ def check_replica_convergence(engine: "LazyTrieEngine") -> list[str]:
     return problems
 
 
-def check_expected(
-    engine: "LazyTrieEngine", expected: Mapping[str, Any]
-) -> list[str]:
-    contents: dict[str, Any] = {}
-    for node in engine.all_nodes():
-        if isinstance(node, Container):
-            contents.update(node.entries)
-    problems = []
-    missing = [k for k in expected if k not in contents]
-    extra = [k for k in contents if k not in expected]
-    if missing:
-        problems.append(f"{len(missing)} expected key(s) missing")
-    if extra:
-        problems.append(f"{len(extra)} unexpected key(s) present")
-    return problems
-
-
 def check_trie(
     engine: "LazyTrieEngine", expected: Mapping[str, Any] | None = None
 ) -> CheckReport:
     report = CheckReport()
-    incomplete = [
-        f"operation {op.op_id} never completed"
-        for op in engine.trace.incomplete_operations()
-    ]
-    report.extend("complete-ops", incomplete)
+    report.extend("complete-ops", check_complete_operations(engine.trace))
     report.extend("containers", check_containers(engine))
     report.extend("partition", check_partition(engine))
     report.extend("replica-convergence", check_replica_convergence(engine))
     if expected is not None:
-        report.extend("expected-contents", check_expected(engine, expected))
+        contents: dict[str, Any] = {}
+        for node in engine.all_nodes():
+            if isinstance(node, Container):
+                contents.update(node.entries)
+        report.extend("expected-contents", contents_problems(contents, expected))
         report.extend("resolvability", check_resolvability(engine, expected))
     return report

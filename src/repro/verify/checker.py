@@ -122,11 +122,20 @@ def check_expected_contents(
     single-copy behaviour for an unacknowledged operation, so those
     keys are excused from the exact-match requirement.
     """
-    problems = []
     actual = leaf_contents(engine)
     if uncertain:
         expected = {k: v for k, v in expected.items() if k not in uncertain}
         actual = {k: v for k, v in actual.items() if k not in uncertain}
+    return contents_problems(actual, expected)
+
+
+def contents_problems(
+    actual: Mapping[Any, Any], expected: Mapping[Any, Any]
+) -> list[str]:
+    """What a structure stores against the sequential oracle: every
+    expected key present with its value, nothing else.  Shared by the
+    dB-tree, hash table and trie audits."""
+    problems = []
     missing = [k for k in expected if k not in actual]
     extra = [k for k in actual if k not in expected]
     if missing:

@@ -68,8 +68,9 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "audit: CheckReport(OK" in out
-        assert "partition:" in out
-        assert "detector (" in out
+        assert "partition: 1 cuts (1 healed" in out
+        assert "detector: timeout, period 20:" in out
+        assert "repair: ring placement, period 100, fanout 1:" in out
 
     def test_faults_inventory(self, capsys):
         rc = main(
@@ -89,6 +90,42 @@ class TestCLI:
         assert "detector    on" in out
         assert "seeds:" in out
         assert "partition" in out.split("seeds:")[1]
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_demo_and_faults_report_every_layer_alike(self, capsys, shards):
+        """One layer report, one formatter: for the same flags ``demo``
+        prints ``name: detail`` and ``faults`` ``name  on  detail`` with
+        the same detail, whether one tree or a forest summed over its
+        shards."""
+        flags = [
+            "--protocol", "variable", "--inserts", "40", "--shards", shards,
+            "--crash", "2:150:600", "--partition", "0,1@400:900",
+            "--detector", "timeout", "--detector-horizon", "3000",
+            "--reliability", "enforced", "--drop-p", "0.05",
+            "--op-timeout", "300", "--replication-factor", "2",
+            "--repair-period", "100", "--repair-fanout", "2",
+        ]
+        assert main(["demo", *flags]) == 0
+        demo = dict(
+            line.split(": ", 1)
+            for line in capsys.readouterr().out.splitlines()
+            if ": " in line and not line.startswith((" ", "shard ", "dB-tree"))
+        )
+        assert main(["faults", *flags]) == 0
+        inventory, _, _ = capsys.readouterr().out.partition("seeds:")
+        faults = {}
+        for line in inventory.splitlines()[1:]:
+            name, state, *detail = line.split(None, 2)
+            faults[name] = (state, detail[0] if detail else "")
+        layers = ["faults", "reliability", "crash", "partition", "detector", "repair"]
+        if shards == "2":
+            layers.append("sharding")
+        else:
+            assert faults["sharding"] == ("off", "")
+        for name in layers:
+            assert faults[name] == ("on", demo[name]), name
+        assert "period 100, fanout 2" in demo["repair"]  # plan values are not summed
+        assert demo["ops"] == "40 completed, 0 failed, 0 timed out"
 
     def test_faults_all_layers_off(self, capsys):
         assert main(["faults", "--inserts", "10"]) == 0

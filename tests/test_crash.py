@@ -419,7 +419,7 @@ class TestAvailabilitySummary:
     def test_summary_without_crash_plan(self):
         cluster = DBTreeCluster(num_processors=2, protocol="semisync", capacity=4)
         summary = availability_summary(cluster.kernel)
-        assert summary["crash_plan"] is False
+        assert summary["enabled"] is False
         assert summary["crashes"] == 0
 
     def test_summary_with_crashes(self):

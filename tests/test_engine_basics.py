@@ -35,21 +35,10 @@ class TestBasicOperations:
     def test_search_on_empty_tree(self, small_cluster):
         assert small_cluster.search_sync(5) is None
 
-    def test_insert_then_search(self, small_cluster):
-        assert small_cluster.insert_sync(5, "five")
-        assert small_cluster.search_sync(5) == "five"
-        assert small_cluster.search_sync(6) is None
-
     def test_search_from_every_client(self, small_cluster):
         small_cluster.insert_sync(5, "five")
         for pid in small_cluster.kernel.pids:
             assert small_cluster.search_sync(5, client=pid) == "five"
-
-    def test_delete(self, small_cluster):
-        small_cluster.insert_sync(5, "five")
-        assert small_cluster.delete_sync(5)
-        assert small_cluster.search_sync(5) is None
-        assert not small_cluster.delete_sync(5)  # second delete finds nothing
 
     def test_string_keys(self):
         cluster = DBTreeCluster(num_processors=2, capacity=4, seed=1)

@@ -16,15 +16,6 @@ def load(table, count=300, prefix="key"):
 
 
 class TestBasics:
-    def test_insert_search_delete(self):
-        table = LazyHashTable(num_processors=4, capacity=4, seed=1)
-        assert table.insert_sync("alpha", 1)
-        assert table.search_sync("alpha") == 1
-        assert table.search_sync("beta") is None
-        assert table.delete_sync("alpha")
-        assert not table.delete_sync("alpha")
-        assert table.search_sync("alpha") is None
-
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             LazyHashTable(mode="eventually-maybe")

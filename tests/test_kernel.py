@@ -27,13 +27,6 @@ class TestRouting:
         assert received == [(2, "remote")]
         assert kernel.network.stats.sent == 1
 
-    def test_broadcast(self):
-        kernel, received = echo_kernel()
-        count = kernel.broadcast(0, [1, 2], lambda: "hi")
-        kernel.run_to_quiescence()
-        assert count == 2
-        assert sorted(received) == [(1, "hi"), (2, "hi")]
-
     def test_processor_lookup(self):
         kernel, _received = echo_kernel()
         assert kernel.processor(1).pid == 1

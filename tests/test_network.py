@@ -8,6 +8,7 @@ import pytest
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
 from repro.sim.network import (
+    ACCOUNTING_MODES,
     LogNormalLatency,
     Network,
     NetworkStats,
@@ -111,7 +112,7 @@ class TestDelivery:
         # The accounting mode changes bookkeeping only, never timing:
         # identical delivery schedule in every mode.
         schedules = []
-        for mode in ("full", "aggregate", "off"):
+        for mode in ACCOUNTING_MODES:
             events = EventQueue()
             net = Network(
                 events,
@@ -128,7 +129,7 @@ class TestDelivery:
             events.run()
             assert [p for _t, p in delivered] == list(range(40))
             schedules.append(delivered)
-        assert schedules[0] == schedules[1] == schedules[2]
+        assert all(schedule == schedules[0] for schedule in schedules)
 
 
 class TestAccounting:

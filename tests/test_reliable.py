@@ -212,20 +212,22 @@ class TestRetransmission:
 
 
 class TestAccountingInteraction:
-    def test_accounting_off_keeps_no_counters(self):
+    def test_aggregate_accounting_keeps_totals_not_kinds(self):
         events, net, delivered = make_net(
-            FaultPlan(drop_p=0.3, duplicate_p=0.3), accounting="off", seed=3
+            FaultPlan(drop_p=0.3, duplicate_p=0.3), accounting="aggregate", seed=3
         )
         for i in range(80):
             net.send(0, 1, i)
         events.run()
-        # Delivery is still exactly-once in-order; the books stay empty.
+        # Delivery is exactly-once in-order and the scalar books say
+        # how; only the per-kind / per-channel breakdown is skipped.
         assert payloads(delivered, 1) == list(range(80))
         snap = net.stats.snapshot()
-        assert snap["sent"] == snap["delivered"] == 0
-        assert snap["dropped"] == snap["duplicated"] == 0
-        assert snap["retransmits"] == snap["acks"] == 0
-        assert snap["dup_suppressed"] == snap["resequenced"] == 0
+        assert snap["sent"] == snap["delivered"] == 80
+        assert snap["dropped"] > 0 and snap["duplicated"] > 0
+        assert snap["retransmits"] > 0 and snap["dup_suppressed"] > 0
+        assert snap["physical_sent"] == 80 + snap["retransmits"] + snap["acks"]
+        assert snap["by_kind"] == {} and snap["by_channel"] == {}
 
     def test_by_kind_counts_logical_kinds_not_frames(self):
         class Tagged:

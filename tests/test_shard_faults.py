@@ -85,6 +85,7 @@ class TestShardingWithCrashes:
         expected = spread_workload(forest, 80, spacing=10.0)
         results = forest.run()
         assert results.ok, (results.failed, results.timed_out)
+        assert len(results.completed) == 80  # paced ops are accounted for
         assert forest.counters["shard_splits"] >= 1
         crashes = 0
         for cluster in forest.clusters.values():
@@ -106,7 +107,8 @@ class TestShardingWithCrashes:
             replication_factor=2,
         )
         expected = spread_workload(forest, 60, spacing=12.0)
-        assert forest.run().ok
+        results = forest.run()
+        assert results.ok and len(results.completed) == 60
         # Fresh spread traffic after the splits: every client's view
         # recovers (or was already fresh) and agreement holds.
         for index, key in enumerate(sorted(expected)):
@@ -139,6 +141,7 @@ class TestShardingWithPartitions:
         expected = spread_workload(forest, 80, spacing=10.0)
         results = forest.run()
         assert results.ok, (results.failed, results.timed_out)
+        assert len(results.completed) == 80
         assert forest.counters["shard_splits"] >= 1
         blocked = sum(
             cluster.partition_summary()["messages_blocked"]
@@ -147,6 +150,48 @@ class TestShardingWithPartitions:
         assert blocked > 0  # the cut really swallowed traffic
         assert check_shard_coverage(forest) == []
         assert_clean(forest, expected)
+
+
+class TestScheduledOpsReachResults:
+    """``schedule`` registers the op with the facade when it fires."""
+
+    def test_paced_insert_lands_in_completed(self):
+        forest = ShardedCluster(
+            num_processors=4, shards=2, initial_boundaries=(1000,), seed=3
+        )
+        forest.schedule(50.0, "insert", 7, "low", client=1)
+        forest.schedule(80.0, "insert", 1500, "high", client=2)
+        assert not forest._pending  # nothing is registered before it fires
+        results = forest.run()
+        assert results.ok
+        assert sorted(results.completed.values()) == [True, True]
+        assert forest.search_sync(7) == "low"
+        assert forest.search_sync(1500) == "high"
+
+    def test_home_down_past_retry_budget_is_timed_out(self):
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="variable",
+            shards=2,
+            initial_boundaries=(1000,),
+            seed=3,
+            crash_plan=CrashPlan(schedule=((1, 20.0, None),)),
+            op_timeout=100.0,
+            op_retries=1,
+        )
+        forest.schedule(60.0, "insert", 7, "lost", client=1)
+        forest.schedule(60.0, "insert", 1500, "kept", client=2)
+        results = forest.run()
+        assert not results.ok
+        assert len(results.timed_out) == 1
+        assert list(results.completed.values()) == [True]
+        with pytest.raises(KeyError, match="timed out"):
+            results.result_of(results.timed_out[0])
+
+    def test_scheduled_scans_are_refused(self):
+        forest = ShardedCluster(shards=2, initial_boundaries=(1000,))
+        with pytest.raises(ValueError, match="scan"):
+            forest.schedule(10.0, "scan", 0, (5, None))
 
 
 class TestFaultLayerPassThrough:

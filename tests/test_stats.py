@@ -3,12 +3,25 @@
 import pytest
 
 from tests.helpers import run_insert_workload
-from repro import DBTreeCluster
+from repro import (
+    CrashPlan,
+    DBTreeCluster,
+    DetectorPlan,
+    FaultPlan,
+    PartitionPlan,
+    ShardedCluster,
+)
 from repro.stats import (
+    availability_summary,
+    detector_summary,
     format_table,
     latency_summary,
+    layer_report,
     load_balance,
     message_summary,
+    partition_summary,
+    reliability_summary,
+    repair_summary,
     replication_profile,
     search_locality,
     space_utilization,
@@ -123,6 +136,87 @@ class TestExtendedMetrics:
         assert ratio["read_operations"] == 50
         assert ratio["update_actions"] > 100
         assert 0 < ratio["update_fraction"] < 1
+
+
+class TestLayerReport:
+    LAYERS = dict(
+        protocol="variable",
+        capacity=4,
+        fault_plan=FaultPlan(drop_p=0.05),
+        reliability="enforced",
+        crash_plan=CrashPlan(schedule=((2, 150.0, 600.0),)),
+        partition_plan=PartitionPlan(splits=((400.0, 900.0, (0, 1)),)),
+        detector_plan=DetectorPlan(mode="timeout", horizon=3000.0),
+        op_timeout=300.0,
+        replication_factor=2,
+        repair_period=100.0,
+        repair_fanout=2,
+    )
+
+    @staticmethod
+    def drive(cluster):
+        for index in range(40):
+            cluster.schedule(index * 8.0, "insert", index * 37 % 2003, index,
+                             client=index % 4)
+        assert cluster.run().ok
+
+    def test_plain_cluster_report_is_the_summaries_key_for_key(self):
+        cluster = DBTreeCluster(num_processors=4, seed=3, **self.LAYERS)
+        self.drive(cluster)
+        assert layer_report(cluster) == {
+            "reliability": reliability_summary(cluster.kernel),
+            "crash": availability_summary(cluster.kernel, cluster.trace),
+            "partition": partition_summary(cluster.kernel),
+            "detector": detector_summary(cluster.kernel),
+            "repair": repair_summary(cluster.kernel, cluster.trace),
+        }
+
+    def test_every_layer_answers_enabled_on_or_off(self):
+        bare = layer_report(DBTreeCluster(num_processors=2))
+        assert {name: entry["enabled"] for name, entry in bare.items()} == dict.fromkeys(
+            ("reliability", "crash", "partition", "detector", "repair"), False
+        )
+        full = DBTreeCluster(num_processors=4, seed=3, **self.LAYERS)
+        assert all(entry["enabled"] for entry in layer_report(full).values())
+
+    def test_forest_report_sums_counters_and_nothing_else(self):
+        forest = ShardedCluster(
+            num_processors=4, seed=3, shards=2, initial_boundaries=(1000,),
+            **self.LAYERS,
+        )
+        self.drive(forest)
+        report = layer_report(forest)
+        trees = [forest.clusters[sid] for sid in sorted(forest.clusters)]
+        per_shard = [layer_report(tree) for tree in trees]
+        # counters: the field-wise sum
+        for layer, field in [
+            ("reliability", "retransmits"), ("reliability", "physical_sent"),
+            ("crash", "crashes"), ("crash", "dead_letters"),
+            ("partition", "messages_blocked"), ("detector", "heartbeats_sent"),
+            ("repair", "rounds_started"), ("repair", "digest_bytes"),
+        ]:
+            assert report[layer][field] == sum(r[layer][field] for r in per_shard)
+            assert report[layer][field] > 0
+        assert report["repair"]["repairs_by_kind"] == {
+            kind: sum(r["repair"]["repairs_by_kind"][kind] for r in per_shard)
+            for kind in per_shard[0]["repair"]["repairs_by_kind"]
+        }
+        # plan values: taken once, equal to what was configured
+        assert report["repair"]["period"] == 100.0
+        assert report["repair"]["fanout"] == 2
+        assert report["repair"]["buckets"] == per_shard[0]["repair"]["buckets"]
+        assert report["detector"]["mode"] == "timeout"
+        assert report["reliability"]["mode"] == "enforced"
+        assert all(entry["enabled"] is True for entry in report.values())
+        # means and ratios: one per shard, never added
+        assert report["reliability"]["amplification"] == tuple(
+            r["reliability"]["amplification"] for r in per_shard
+        )
+        assert report["crash"]["mean_recovery"] == tuple(
+            r["crash"]["mean_recovery"] for r in per_shard
+        )
+        assert len(report["repair"]["time_to_convergence"]) == 2
+        assert report["sharding"] == forest.shard_summary()
 
 
 class TestFormatTable:

@@ -98,14 +98,20 @@ class TestAccountingModes:
         assert stats["sent"] > 0
         assert stats["by_kind"] == {}
 
-    def test_off_mode_runs(self):
-        cluster = DBTreeCluster(
-            num_processors=2, capacity=4, seed=0, accounting="off"
-        )
-        expected = run_small_workload(cluster)
-        for key in list(expected)[:10]:
-            assert cluster.search_sync(key, client=0) == expected[key]
+    def test_aggregate_mode_counts_what_full_counts(self):
+        totals = {}
+        for mode in ("full", "aggregate"):
+            cluster = DBTreeCluster(
+                num_processors=2, capacity=4, seed=0, accounting=mode
+            )
+            expected = run_small_workload(cluster)
+            for key in list(expected)[:10]:
+                assert cluster.search_sync(key, client=0) == expected[key]
+            stats = cluster.message_stats()
+            totals[mode] = (stats["sent"], stats["delivered"], cluster.now)
+        assert totals["aggregate"] == totals["full"]
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DBTreeCluster(num_processors=2, accounting="verbose")
+        for mode in ("verbose", "off"):  # the scalar totals are always kept
+            with pytest.raises(ValueError):
+                DBTreeCluster(num_processors=2, accounting=mode)

@@ -63,14 +63,6 @@ class TestNodes:
 
 
 class TestTrieEndToEnd:
-    def test_basic_operations(self):
-        trie = LazyTrie(num_processors=4, capacity=4, seed=1)
-        assert trie.insert_sync("hello", "world")
-        assert trie.search_sync("hello") == "world"
-        assert trie.search_sync("hell") is None
-        assert trie.delete_sync("hello")
-        assert not trie.delete_sync("hello")
-
     def test_empty_string_key(self):
         trie = LazyTrie(num_processors=2, capacity=4, seed=1)
         assert trie.insert_sync("", "root-value")
