@@ -1,24 +1,26 @@
-"""CI guard: the no-fault fast path must match BENCH_core.json exactly.
+"""CI guard: the pinned bursts must match BENCH_core.json exactly.
 
-Re-runs the standard insert-burst in the pinned fast configuration
-(``repro bench``'s deterministic workload: semisync, accounting
-"aggregate", tracing off, leaf cache on, seed 0) and compares the two
-deterministic per-op metrics -- events/op and messages/op -- against
-the ``fast`` block of the committed ``BENCH_core.json``.  Both
-quantities are pure functions of the code and the seed, so any
-difference, in either direction, is a real change and fails the
-guard: a refactor that claims to be byte-identical is, and a
-deliberate change re-pins the baseline via ``repro bench`` in the
-same commit.
+Re-runs the standard insert-burst in each pinned configuration and
+compares the deterministic per-op metrics -- events/op, messages/op
+and physical frames/op -- against the committed ``BENCH_core.json``:
+the ``fast`` block (``repro bench``'s workload: semisync, accounting
+"aggregate", tracing off, leaf cache on, seed 0, no faults) and the
+``enforced`` block (the same burst, shorter, over a substrate that
+drops one frame in ten with the reliable-delivery layer on, where a
+retransmit-timer flood would show as events/op).  The quantities are
+pure functions of the code and the seed, so any difference, in either
+direction, is a real change and fails the guard: a refactor that
+claims to be byte-identical is, and a deliberate change re-pins the
+baseline via ``repro bench`` in the same commit.
 
 Wall-clock throughput is intentionally NOT compared: CI machines are
 noisy and the virtual-event counts already pin the work done.
 
 Usage: PYTHONPATH=src python benchmarks/perf_guard.py [--ops N]
 
-``--ops`` must match the baseline's op count for the comparison to be
+``--ops`` must match a block's op count for the comparison to be
 meaningful (events/op shifts with amortization of tree growth), so
-the default is taken from BENCH_core.json itself.
+the default is taken from each block of BENCH_core.json itself.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import json
 import sys
 from pathlib import Path
 
-METRICS = ("events_per_op", "msgs_per_op")
+BLOCKS = ("fast", "enforced")
+METRICS = ("events_per_op", "msgs_per_op", "frames_per_op")
 
 
 def main() -> int:
@@ -52,45 +55,36 @@ def main() -> int:
 
     with open(args.baseline, encoding="utf-8") as fh:
         baseline = json.load(fh)
-    pinned = baseline["fast"]
-    num_ops = args.ops if args.ops is not None else baseline["ops"]
-    if num_ops != baseline["ops"]:
-        print(
-            f"warning: running {num_ops} ops against a baseline pinned at "
-            f"{baseline['ops']} ops; per-op metrics are not strictly "
-            "comparable",
-            file=sys.stderr,
-        )
-
-    config = pinned["config"]
-    result = run_insert_burst(
-        num_ops,
-        num_processors=config["num_processors"],
-        capacity=config["capacity"],
-        depth=config["depth"],
-        seed=config["seed"],
-        protocol=config["protocol"],
-        trace_level=config["trace_level"],
-        accounting=config["accounting"],
-        leaf_cache=config["leaf_cache"],
-    )
-
     failed = False
-    for metric in METRICS:
-        measured = result[metric]
-        reference = pinned[metric]
-        verdict = "ok"
-        if measured != reference:
-            verdict = "CHANGED"
-            failed = True
-        print(f"{metric}: measured {measured!r} vs pinned {reference!r} {verdict}")
-    print(
-        f"throughput (informational, not guarded): "
-        f"{result['ops_per_sec']:,.0f} ops/s over {num_ops:,} ops"
-    )
+    for block in BLOCKS:
+        pinned = baseline[block]
+        num_ops = args.ops if args.ops is not None else pinned["ops_completed"]
+        if num_ops != pinned["ops_completed"]:
+            print(
+                f"warning: running {num_ops} ops against a {block} block pinned "
+                f"at {pinned['ops_completed']} ops; per-op metrics are not "
+                "strictly comparable",
+                file=sys.stderr,
+            )
+        result = run_insert_burst(num_ops, **pinned["config"])
+        for metric in METRICS:
+            measured = result[metric]
+            reference = pinned[metric]
+            verdict = "ok"
+            if measured != reference:
+                verdict = "CHANGED"
+                failed = True
+            print(
+                f"{block} {metric}: measured {measured!r} "
+                f"vs pinned {reference!r} {verdict}"
+            )
+        print(
+            f"{block} throughput (informational, not guarded): "
+            f"{result['ops_per_sec']:,.0f} ops/s over {num_ops:,} ops"
+        )
     if failed:
         print(
-            "fast path is not byte-identical to the pinned baseline; if the "
+            "a pinned burst is not byte-identical to the baseline; if the "
             "change is intentional, re-pin BENCH_core.json via `repro bench`",
             file=sys.stderr,
         )

@@ -442,7 +442,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf import write_bench_core
 
     num_ops = 2_000 if args.smoke else args.ops
-    fast = write_bench_core(args.output, num_ops=num_ops, seed=args.seed)["fast"]
+    report = write_bench_core(args.output, num_ops=num_ops, seed=args.seed)
+    fast, enforced = report["fast"], report["enforced"]
     print(
         f"standard insert-burst ({num_ops:,} ops): "
         f"{fast['ops_per_sec']:,.0f} ops/s, "
@@ -450,6 +451,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{fast['events_per_op']:.2f} events/op, "
         f"{fast['msgs_per_op']:.2f} msgs/op, "
         f"cache hit rate {fast['cache']['hit_rate']:.3f}"
+    )
+    print(
+        f"same, 10% loss, reliability enforced "
+        f"({enforced['ops_completed']:,} ops): "
+        f"{enforced['events_per_op']:.2f} events/op, "
+        f"{enforced['frames_per_op']:.2f} frames/op"
     )
     print(f"wrote {args.output}")
     return 0

@@ -10,8 +10,12 @@ splitting leaves rightward), not the structure.
 The measured configuration is ``fast`` -- trace off, aggregate
 accounting, leaf cache on: what a million-op capacity study would
 use.  Its events/op and msgs/op are pure functions of the code and
-the seed; ``benchmarks/perf_guard.py`` pins them exactly.  What each
-layer costs on top is ``bench/``'s ledger, not this module's.
+the seed; ``benchmarks/perf_guard.py`` pins them exactly.  A second,
+shorter row, ``enforced``, runs the same burst over a substrate that
+loses one frame in ten with the reliable-delivery layer on, and pins
+events/op and physical frames/op the same way, so that a change to
+the transport's timers shows in CI.  What each layer costs on top is
+``bench/``'s ledger, not this module's.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import time
 from typing import Any
 
 from repro.core.client import DBTreeCluster
+from repro.sim.failure import FaultPlan
 from repro.workloads.driver import ClosedLoopDriver, Workload
 
 
@@ -50,8 +55,16 @@ def run_insert_burst(
     trace_level: str = "off",
     accounting: str = "aggregate",
     leaf_cache: bool = True,
+    drop_p: float = 0.0,
 ) -> dict[str, Any]:
-    """Run the standard insert-burst once; return its measurements."""
+    """Run the standard insert-burst once; return its measurements.
+
+    ``drop_p`` > 0 loses that share of physical frames and turns the
+    reliable-delivery layer on to make up for it.
+    """
+    lossy: dict[str, Any] = {}
+    if drop_p > 0:
+        lossy = {"fault_plan": FaultPlan(drop_p=drop_p), "reliability": "enforced"}
     cluster = DBTreeCluster(
         num_processors=num_processors,
         protocol=protocol,
@@ -60,6 +73,7 @@ def run_insert_burst(
         trace_level=trace_level,
         accounting=accounting,
         leaf_cache=leaf_cache,
+        **lossy,
     )
     workload = insert_burst_workload(num_ops, num_processors, seed=seed)
     completions = 0
@@ -75,7 +89,8 @@ def run_insert_burst(
     wall = time.perf_counter() - started
 
     events = cluster.kernel.events.executed
-    sent = cluster.kernel.network.stats.sent
+    stats = cluster.kernel.network.stats
+    sent = stats.sent
     cache = cluster.engine.leaf_cache_stats()
     return {
         "config": {
@@ -87,6 +102,7 @@ def run_insert_burst(
             "trace_level": trace_level,
             "accounting": accounting,
             "leaf_cache": leaf_cache,
+            "drop_p": drop_p,
         },
         "ops_completed": completions,
         "events_executed": events,
@@ -96,6 +112,7 @@ def run_insert_burst(
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "events_per_op": events / completions if completions else 0.0,
         "msgs_per_op": sent / completions if completions else 0.0,
+        "frames_per_op": stats.physical_sent / completions if completions else 0.0,
         "cache": cache,
         "final_virtual_time": cluster.now,
     }
@@ -104,11 +121,18 @@ def run_insert_burst(
 def write_bench_core(
     path: str, num_ops: int = 100_000, seed: int = 0
 ) -> dict[str, Any]:
-    """Run the burst and write the ``BENCH_core.json`` payload."""
+    """Run the burst and write the ``BENCH_core.json`` payload.
+
+    The ``enforced`` row runs a fifth of the ops: at 10 % loss the
+    closed loop saturates processor 0's channels (only the head of a
+    channel is resent, so holes are repaired one per round trip), and
+    the row is there for its counts, not for a throughput.
+    """
     report = {
         "benchmark": "standard-insert-burst (closed loop)",
         "ops": num_ops,
         "fast": run_insert_burst(num_ops, seed=seed),
+        "enforced": run_insert_burst(max(num_ops // 5, 1), seed=seed, drop_p=0.1),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

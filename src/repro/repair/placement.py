@@ -38,6 +38,9 @@ class MirrorPlacement:
     """Strategy: the ordered mirror targets of a home's leaf."""
 
     name = "abstract"
+    #: Whether ``targets`` depends on ``node_id``.  A policy that says
+    #: False lets a caller walking one home's leaves ask once.
+    per_leaf = True
 
     def targets(
         self,
@@ -59,6 +62,7 @@ class RingPlacement(MirrorPlacement):
     """
 
     name = "ring"
+    per_leaf = False
 
     def targets(
         self,

@@ -251,7 +251,16 @@ class RepairService:
         engine = self.engine
         index = self.index
         pid = proc.pid
-        mirror_enabled = engine._mirror_enabled
+        # Is an own single-copy leaf mirrored at the peer?  Never with
+        # mirroring off; one answer for the whole store when the policy
+        # gives every leaf of a home the same targets (ring); None
+        # means ask per leaf.
+        if not engine._mirror_enabled:
+            mirrored_at_peer: bool | None = False
+        elif engine.mirror_placement.per_leaf:
+            mirrored_at_peer = None
+        else:
+            mirrored_at_peer = peer in engine._mirror_targets(pid, -1)
         entries: dict[int, tuple[str, int, int, Any]] = {}
         for copy in proc.state["store"].values():
             if copy.retired:
@@ -265,10 +274,13 @@ class RepairService:
                     copy.range.low,
                 )
             elif (
-                mirror_enabled
-                and copy.is_leaf
+                copy.is_leaf
                 and len(members) == 1
-                and peer in engine._mirror_targets(pid, copy.node_id)
+                and (
+                    peer in engine._mirror_targets(pid, copy.node_id)
+                    if mirrored_at_peer is None
+                    else mirrored_at_peer
+                )
             ):
                 entries[copy.node_id] = (
                     "L",

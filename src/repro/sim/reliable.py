@@ -34,14 +34,28 @@ model); the layer then restores each half of the paper's assumption:
   :class:`AckFrame` go out (the same piggybacking economics the paper
   applies to lazy relays).
 
+Retransmission runs off **one timer per sender channel**, the way
+TCP keeps one retransmission timer per connection.  Every unacked
+frame records its own deadline, but only the head (the oldest unacked
+frame) can usefully be resent -- there is no selective ack, so the
+cumulative ack cannot pass it -- and the channel's timer is aimed at
+or before the head's deadline; frames behind the head arm nothing.  A
+cumulative ack that releases the head exposes a new one, which is
+serviced on the spot: if its deadline has already passed it left more
+than a timeout ago and the ack stopped one short of it, so it is lost
+rather than in flight and is resent at that instant (NewReno's
+partial-ack rule); otherwise the timer waits for its deadline.
+
 Everything is scheduled on the simulation's :class:`~repro.sim.events
-.EventQueue` via the no-handle ``push`` fast path: retransmit and ack
-timers are armed once and validate their own relevance when they
-fire, so no cancellation bookkeeping is needed.
+.EventQueue` via the no-handle ``push`` fast path, so nothing is ever
+cancelled: a timer that fires before the head is due re-aims itself,
+and one superseded by an earlier aim, or belonging to a channel that
+was reset, finds that out when it fires and does nothing.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -207,13 +221,17 @@ class AckFrame:
 class _SenderChannel:
     """Send-side state of one directed channel (one incarnation)."""
 
-    __slots__ = ("next_seq", "unacked", "epoch")
+    __slots__ = ("next_seq", "unacked", "epoch", "timer_at")
 
     def __init__(self, epoch: tuple[int, int] = (0, 0)) -> None:
         self.next_seq = 0
-        # seq -> [payload, retries]; insertion order is seq order.
-        self.unacked: dict[int, list] = {}
+        # [payload, retries, deadline] of frames next_seq - len ..
+        # next_seq - 1, oldest (the head) first.
+        self.unacked: deque[list] = deque()
         self.epoch = epoch
+        # When the channel's one live retransmit timer fires (never
+        # after the head's deadline); inf while none is armed.
+        self.timer_at = _NEVER
 
 
 class _ReceiverChannel:
@@ -237,6 +255,8 @@ class _ReceiverChannel:
 
 #: Sentinel distinguishing "no buffered frame" from a None payload.
 _MISSING = object()
+#: ``_SenderChannel.timer_at`` while no retransmit timer is armed.
+_NEVER = float("inf")
 
 
 class ReliableTransport:
@@ -292,55 +312,64 @@ class ReliableTransport:
             )
         seq = sender.next_seq
         sender.next_seq = seq + 1
-        sender.unacked[seq] = [payload, 0]
-        self._transmit_data(src, dst, sender, seq, payload)
+        entry = [payload, 0, 0.0]
+        sender.unacked.append(entry)
+        self._transmit_data(src, dst, sender, seq, entry)
+        if len(sender.unacked) == 1:  # frames behind the head arm nothing
+            self._aim_timer(src, dst, sender, entry[2])
 
     def _transmit_data(
-        self,
-        src: int,
-        dst: int,
-        sender: _SenderChannel,
-        seq: int,
-        payload: Any,
+        self, src: int, dst: int, sender: _SenderChannel, seq: int, entry: list
     ) -> None:
+        """Put ``entry`` on the wire and stamp its retransmit deadline."""
         ack, ack_epoch = self._piggyback_ack(dst, src)
-        frame = DataFrame(seq, payload, ack, sender.epoch, ack_epoch)
+        frame = DataFrame(seq, entry[0], ack, sender.epoch, ack_epoch)
         self._network._transmit_frame(src, dst, frame)
-        entry = sender.unacked.get(seq)
-        if entry is None:  # acked while transmitting (not possible today)
-            return
-        timeout = self.config.retransmit_timeout * (self.config.backoff ** entry[1])
-        self._events.push(
-            self._events.now + timeout,
-            _RetransmitTimer(self, src, dst, sender, seq),
-        )
+        config = self.config
+        timeout = config.retransmit_timeout * config.backoff ** entry[1]
+        entry[2] = self._events.now + timeout
 
-    def _retransmit_due(
-        self, src: int, dst: int, sender: _SenderChannel, seq: int
+    def _aim_timer(
+        self, src: int, dst: int, sender: _SenderChannel, deadline: float
     ) -> None:
-        """Retransmit timer body: still unacked -> resend with backoff."""
+        """Make sure the channel's timer fires no later than ``deadline``."""
+        if deadline < sender.timer_at:
+            sender.timer_at = deadline
+            self._events.push(deadline, _RetransmitTimer(self, src, dst, sender))
+
+    def _retransmit_due(self, src: int, dst: int, sender: _SenderChannel) -> None:
+        """Retransmit timer body: the channel's live timer services the head."""
         if self._senders.get((src, dst)) is not sender:
             return  # channel was reset (peer crash/suspicion); stale timer
+        if self._events.now != sender.timer_at:
+            return  # superseded by a timer aimed earlier
+        sender.timer_at = _NEVER
+        self._service_head(src, dst, sender)
+
+    def _service_head(self, src: int, dst: int, sender: _SenderChannel) -> None:
+        """Resend the oldest unacked frame if it is due, else wait for it.
+
+        The one place a frame is retransmitted, reached from the
+        channel timer and from an ack that exposed a new head.  Frames
+        behind the head are never resent: the cumulative ack cannot
+        cover them until the head recovers, and the receiver is
+        already holding them in its reorder buffer.
+        """
         unacked = sender.unacked
-        entry = unacked.get(seq)
-        if entry is None:
-            return  # acked in the meantime; timer is a no-op
-        if seq != next(iter(unacked)):
-            # Not the oldest unacked frame.  The cumulative ack cannot
-            # cover this frame until the head recovers, so resending
-            # it now is pure waste (the receiver is either holding it
-            # in the reorder buffer already, or will request nothing
-            # either way -- there is no selective ack).  Check again
-            # one timeout later; the attempt counter is not charged
-            # because nothing was transmitted.
-            self._events.push(
-                self._events.now + self.config.retransmit_timeout,
-                _RetransmitTimer(self, src, dst, sender, seq),
-            )
+        if not unacked:
+            return  # everything acked; the channel needs no timer
+        entry = unacked[0]
+        if entry[2] > self._events.now:
+            self._aim_timer(src, dst, sender, entry[2])
             return
-        entry[1] += 1
+        seq = sender.next_seq - len(unacked)
         network = self._network
         liveness = network._liveness
+        if liveness is not None and not liveness(src):
+            # A crashed host transmits nothing and spends no retry;
+            # its channels are reset when it restarts (forget_peer).
+            return
+        entry[1] += 1
         if (
             liveness is not None
             and not liveness(dst)
@@ -363,14 +392,15 @@ class ReliableTransport:
                 payload=entry[0],
             )
         network.stats.retransmits += 1
-        self._transmit_data(src, dst, sender, seq, entry[0])
+        self._transmit_data(src, dst, sender, seq, entry)
+        self._aim_timer(src, dst, sender, entry[2])
 
     def _suspect(self, src: int, dst: int) -> None:
         """Reset channel src->dst after giving up on a dead peer."""
         sender = self._senders.pop((src, dst), None)
         lost: list[Any] = []
         if sender is not None:
-            lost = [entry[0] for entry in sender.unacked.values()]
+            lost = [entry[0] for entry in sender.unacked]
             sender.unacked.clear()
         if self._peer_down is not None:
             self._peer_down(src, dst, lost)
@@ -482,10 +512,16 @@ class ReliableTransport:
         if sender is None or sender.epoch != epoch:
             return
         unacked = sender.unacked
-        if not unacked:
+        # Frames the ack covers: everything up to it, from the head on.
+        covered = min(ack - (sender.next_seq - len(unacked)) + 1, len(unacked))
+        if covered <= 0:
             return
-        for seq in [s for s in unacked if s <= ack]:
-            del unacked[seq]
+        for _ in range(covered):
+            unacked.popleft()
+        # The head moved.  If the frame now exposed is past its
+        # deadline the ack stopped one short of it more than a timeout
+        # after it left: lost, not in flight, so it goes out now.
+        self._service_head(local, remote, sender)
 
     def _schedule_ack(
         self, remote_src: int, local_dst: int, receiver: _ReceiverChannel
@@ -536,33 +572,25 @@ class ReliableTransport:
 
 
 class _RetransmitTimer:
-    """Retransmit-deadline callback without a per-arm closure.
+    """A channel's retransmit-timer callback without a per-arm closure.
 
-    A plain class with ``__slots__`` beats a lambda capturing five
+    A plain class with ``__slots__`` beats a lambda capturing four
     variables on the hot path, and makes the pending-event queue
     introspectable in a debugger.
     """
 
-    __slots__ = ("_transport", "_src", "_dst", "_sender", "_seq")
+    __slots__ = ("_transport", "_src", "_dst", "_sender")
 
     def __init__(
-        self,
-        transport: ReliableTransport,
-        src: int,
-        dst: int,
-        sender: _SenderChannel,
-        seq: int,
+        self, transport: ReliableTransport, src: int, dst: int, sender: _SenderChannel
     ) -> None:
         self._transport = transport
         self._src = src
         self._dst = dst
         self._sender = sender
-        self._seq = seq
 
     def __call__(self) -> None:
-        self._transport._retransmit_due(
-            self._src, self._dst, self._sender, self._seq
-        )
+        self._transport._retransmit_due(self._src, self._dst, self._sender)
 
 
 class _AckTimer:

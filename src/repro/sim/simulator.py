@@ -225,6 +225,9 @@ class Kernel:
             )
             for pid in range(num_processors)
         }
+        # Sorted once: the set of processors is fixed for a kernel's
+        # life, and ``pids`` is read on every mirror-placement lookup.
+        self._pids = sorted(self.processors)
         self.network.install_delivery(self._on_delivery)
         #: Callbacks ``handler(src, dst, lost_payloads)`` run when the
         #: reliable transport suspects a dead peer (PeerDown signal).
@@ -278,8 +281,8 @@ class Kernel:
 
     @property
     def pids(self) -> list[int]:
-        """All processor ids, ascending."""
-        return sorted(self.processors)
+        """All processor ids, ascending (a shared list: do not mutate)."""
+        return self._pids
 
     def processor(self, pid: int) -> Processor:
         """The processor with id ``pid`` (KeyError if absent)."""

@@ -13,10 +13,17 @@ import random
 import pytest
 
 from tests.helpers import run_insert_workload
-from repro import DBTreeCluster, FaultPlan, ReliabilityConfig, ReliabilityError
+from repro import (
+    CrashPlan,
+    DBTreeCluster,
+    FaultPlan,
+    ReliabilityConfig,
+    ReliabilityError,
+)
 from repro.sim.events import EventQueue
 from repro.sim.network import Network, UniformLatency
-from repro.sim.reliable import AckFrame, DataFrame
+from repro.sim.reliable import AckFrame, DataFrame, _RetransmitTimer
+from repro.sim.simulator import Kernel
 from repro.stats import reliability_summary
 
 
@@ -209,6 +216,260 @@ class TestRetransmission:
         assert payloads(delivered, 1) == ["head"] + list(range(30))
         assert net.stats.retransmits == 1
         assert net.stats.resequenced == 30
+
+
+class ScriptedWire:
+    """Fault plan and latency model in one: a wire with a script.
+
+    Drops the first ``drops[seq]`` transmissions of data frame ``seq``
+    on channel 0->1, gives ``slow[seq]`` as the transit time of that
+    frame's first transmission (10 otherwise), and logs every frame put
+    on the wire as ``(time, src, dst, frame)``.
+    """
+
+    def __init__(self, events, drops=(), slow=()):
+        self.events = events
+        self.drops = dict(drops)
+        self.slow = dict(slow)
+        self.log = []
+        self._transit = 10.0
+
+    def judge(self, src, dst, frame, rng):
+        self.log.append((self.events.now, src, dst, frame))
+        self._transit = 10.0
+        if type(frame) is DataFrame and (src, dst) == (0, 1):
+            if self.drops.get(frame.seq, 0) > 0:
+                self.drops[frame.seq] -= 1
+                return ((True, 0.0),)
+            self._transit = self.slow.pop(frame.seq, 10.0)
+        return ((False, 0.0),)
+
+    def latency(self, src, dst, rng):
+        return self._transit
+
+    def sent(self, seq):
+        """Times at which data frame ``seq`` of channel 0->1 went out."""
+        return [
+            t
+            for t, src, dst, frame in self.log
+            if type(frame) is DataFrame and (src, dst) == (0, 1) and frame.seq == seq
+        ]
+
+
+def make_scripted(config=None, **script):
+    events = EventQueue()
+    wire = ScriptedWire(events, **script)
+    net = Network(
+        events,
+        latency_model=wire,
+        fault_plan=wire,
+        reliability="enforced",
+        reliability_config=config,
+    )
+    delivered = []
+    net.install_delivery(
+        lambda dst, payload: delivered.append((events.now, dst, payload))
+    )
+    return events, net, wire, delivered
+
+
+class TestChannelTimer:
+    """One retransmit timer per channel; holes resent when an ack exposes them."""
+
+    def test_parked_frames_cost_no_events(self):
+        # A head dropped three times is resent at 80, 200 and 380; the
+        # 200 frames behind it sit in the reorder buffer from t=10 on.
+        # They cost their own arrival and nothing else: no timer of
+        # their own, no poll per timeout while the head recovers.
+        events, net, wire, delivered = make_scripted(drops={0: 3})
+        for i in range(201):
+            net.send(0, 1, i)
+        ran = events.run()
+        assert payloads(delivered, 1) == list(range(201))
+        assert wire.sent(0) == [0.0, 80.0, 200.0, 380.0]
+        assert net.stats.retransmits == 3
+        assert ran <= 2 * 201 + 20
+
+    def test_hole_is_resent_when_the_ack_exposes_it(self):
+        events, net, wire, delivered = make_scripted(drops={0: 1, 5: 1})
+        for i in range(10):
+            net.send(0, 1, i)
+        events.run()
+        # seq 0 goes again at its deadline and lands at 90, releasing
+        # 0..4; the ack for them goes out at 95 and lands at 105, which
+        # is when seq 5 -- due since 80 -- is sent again, not at some
+        # later poll.
+        [(ack_sent_at, *_)] = [
+            entry
+            for entry in wire.log
+            if type(entry[3]) is AckFrame and entry[3].ack == 4
+        ]
+        assert wire.sent(0) == [0.0, 80.0]
+        assert wire.sent(5) == [0.0, ack_sent_at + 10.0] == [0.0, 105.0]
+        assert delivered == [(90.0, 1, i) for i in range(5)] + [
+            (115.0, 1, i) for i in range(5, 10)
+        ]
+        assert net.stats.retransmits == 2
+        assert net.stats.dup_suppressed == 0
+
+    def test_exposed_head_not_yet_due_is_not_resent(self):
+        # seq 1 leaves at 70 on a slow path (lands at 130, due at 150).
+        # The ack for seq 0 exposes it at 105, inside its timeout: it
+        # is in flight, not lost, and must be left alone.
+        events, net, wire, delivered = make_scripted(drops={0: 1}, slow={1: 60.0})
+        net.send(0, 1, "head")
+        events.schedule(70.0, lambda: net.send(0, 1, "late"))
+        events.run()
+        assert wire.sent(0) == [0.0, 80.0]
+        assert wire.sent(1) == [70.0]
+        assert delivered == [(90.0, 1, "head"), (130.0, 1, "late")]
+        assert net.stats.retransmits == 1
+        assert net.stats.dup_suppressed == 0
+
+    def test_exposed_head_is_resent_at_its_own_deadline(self):
+        # Same, but seq 1 really is lost: exposed at 105 with 45 vt of
+        # its timeout left, it goes again at 150 -- the channel timer
+        # (then aimed at seq 0's second deadline, 200) is re-aimed.
+        events, net, wire, delivered = make_scripted(drops={0: 1, 1: 1})
+        net.send(0, 1, "head")
+        events.schedule(70.0, lambda: net.send(0, 1, "lost"))
+        events.run()
+        assert wire.sent(1) == [70.0, 150.0]
+        assert delivered == [(90.0, 1, "head"), (160.0, 1, "lost")]
+
+    def test_retry_cap_names_the_head_with_frames_parked_behind_it(self):
+        # The schedule test_backoff_spreads_retransmissions pins, with
+        # five frames behind the doomed head: same instant, same
+        # count, and the error carries the head.
+        events, net, _delivered = make_net(
+            FaultPlan(drop_p=1.0),
+            config=ReliabilityConfig(
+                retransmit_timeout=10.0, backoff=2.0, max_retries=4
+            ),
+        )
+        for i in range(6):
+            net.send(0, 1, ("p", i))
+        with pytest.raises(ReliabilityError) as caught:
+            events.run()
+        error = caught.value
+        assert (error.src, error.dst, error.seq) == (0, 1, 0)
+        assert error.payload == ("p", 0)
+        assert events.now == pytest.approx(310.0)
+        assert net.stats.retransmits == 4
+
+    def test_dead_peer_is_suspected_with_its_lost_payloads(self):
+        events, net, wire, delivered = make_scripted(
+            config=ReliabilityConfig(
+                retransmit_timeout=10.0, backoff=1.0, suspect_retries=2
+            )
+        )
+        net.install_liveness(lambda pid: pid != 1)
+        downs = []
+        net.transport.install_peer_down(
+            lambda src, dst, lost: downs.append((events.now, src, dst, lost))
+        )
+        for payload in "abc":
+            net.send(0, 1, payload)
+        events.run()
+        # Resent at 10 and 20; the third deadline finds the budget for
+        # a dead peer spent and gives the whole channel up.
+        assert wire.sent(0) == [0.0, 10.0, 20.0]
+        assert downs == [(30.0, 0, 1, ["a", "b", "c"])]
+        assert delivered == []
+        assert net.transport.in_flight() == 0
+
+    def test_timer_of_a_forgotten_channel_is_inert(self):
+        events, net, wire, delivered = make_scripted(drops={0: 99})
+        net.send(0, 1, "old")
+        events.schedule(5.0, lambda: net.transport.forget_peer(1))
+        events.run()
+        assert wire.sent(0) == [0.0]
+        assert net.stats.retransmits == 0
+
+    def test_ack_of_a_forgotten_channel_is_inert(self):
+        # "old" lands at 10 and its ack is on the wire from 15 to 25;
+        # processor 1 restarts at 12 and "new" goes out at 13 as seq 0
+        # of the fresh incarnation, dropped once.  The old ack also
+        # says 0 and must not release it.
+        events, net, wire, delivered = make_scripted()
+        net.send(0, 1, "old")
+        events.schedule(12.0, lambda: net.transport.forget_peer(1))
+
+        def send_new():
+            wire.drops[0] = 1
+            net.send(0, 1, "new")
+
+        events.schedule(13.0, send_new)
+        events.run()
+        assert wire.sent(0) == [0.0, 13.0, 93.0]
+        assert payloads(delivered, 1) == ["old", "new"]
+
+    def test_one_live_timer_per_channel(self):
+        events, net, _delivered = make_net(
+            FaultPlan(drop_p=0.3, reorder_p=0.2, reorder_delay=120.0), seed=4
+        )
+        for i in range(150):
+            events.schedule(float(i), lambda i=i: net.send(0, 1, i))
+            events.schedule(float(i), lambda i=i: net.send(1, 0, i))
+            events.schedule(float(i), lambda i=i: net.send(2, 1, i))
+        senders = net.transport._senders
+        most = 0
+        while events.step():
+            timers = [
+                (time, callback)
+                for time, _seq, callback in events._heap
+                if type(callback) is _RetransmitTimer
+            ]
+            most = max(most, len(timers))
+            for channel, sender in senders.items():
+                live = [
+                    time
+                    for time, callback in timers
+                    if callback._sender is sender and time == sender.timer_at
+                ]
+                # One timer will act, and unacked frames always have
+                # it; anything else in the heap for this channel is a
+                # superseded aim that finds that out when it fires.
+                assert len(live) <= 1, channel
+                assert live or not sender.unacked, channel
+        assert net.transport.in_flight() == 0
+        # Superseded aims are rare: the heap never holds a timer per
+        # frame (the parent held 150 per channel here).
+        assert most <= 3 * len(senders)
+
+
+class TestCrashedSender:
+    def test_crashed_host_transmits_nothing(self):
+        # Processor 0 crashes at 5 with an unacked head on 0->1 and
+        # restarts at 600.  A dead host has no timers: nothing leaves
+        # it while it is down, and no retry is charged.
+        kernel = Kernel(
+            2,
+            reliability="enforced",
+            crash_plan=CrashPlan(schedule=((0, 5.0, 600.0),)),
+        )
+        wire = ScriptedWire(kernel.events, drops={0: 99})
+        kernel.network._fault_plan = wire
+        received = []
+        kernel.install_handler(lambda proc, action: received.append(action))
+        network = kernel.network
+        network.send(0, 1, "before")
+        kernel.events.run_until(599.0)
+        assert network.stats.physical_sent == 1
+        assert network.stats.retransmits == 0
+        assert wire.sent(0) == [0.0]
+        kernel.events.run_until(601.0)  # restart: the channel is reset
+        wire.drops.clear()
+        network.send(0, 1, "after")
+        kernel.events.run()
+        [fresh] = [
+            frame
+            for t, src, dst, frame in wire.log
+            if t > 600.0 and type(frame) is DataFrame
+        ]
+        assert (fresh.seq, fresh.epoch) == (0, (1, 0))
+        assert received == ["after"]
+        assert network.stats.retransmits == 0
 
 
 class TestAccountingInteraction:
