@@ -37,7 +37,7 @@ class NoRerelayVariable(VariableCopiesProtocol):
 
     def _after_relayed_insert(self, proc, copy, action):
         # Deliberately skip the PC's re-relay to late joiners.
-        self._engine().trace.bump("rerelay_suppressed")
+        self.engine.trace.bump("rerelay_suppressed")
 
 
 def force_race(fixed: bool, seed: int, procs: int = 4) -> dict:

@@ -31,7 +31,7 @@ from repro.core.node import NodeCopy
 from repro.protocols.base import Protocol
 
 if TYPE_CHECKING:
-    from repro.sim.processor import Processor
+    from repro.sim.processor import ActionHandler, Processor
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class AvailableCopiesProtocol(Protocol):
         if not state["locked"]:
             return True
         state["blocked_searches"].append(action)
-        engine = self._engine()
+        engine = self.engine
         engine.trace.record_block(("search", action.op.op_id), engine.now)
         engine.trace.bump("blocked_searches")
         return False
@@ -123,7 +123,7 @@ class AvailableCopiesProtocol(Protocol):
     def admits_initial_update(
         self, proc: "Processor", copy: NodeCopy, action: Any
     ) -> bool:
-        engine = self._engine()
+        engine = self.engine
         if not copy.is_pc:
             # Single-writer: all updates serialize through the PC.
             engine.kernel.route(proc.pid, copy.pc_pid, action)
@@ -161,7 +161,7 @@ class AvailableCopiesProtocol(Protocol):
             state["queue"].append(("split", None))
             return
         copy.proto["split_scheduled"] = True
-        self._engine().schedule_split(proc, copy.node_id)
+        self.engine.schedule_split(proc, copy.node_id)
 
     def initiate_split(self, proc: "Processor", copy: NodeCopy) -> None:
         copy.proto["split_scheduled"] = False
@@ -179,7 +179,7 @@ class AvailableCopiesProtocol(Protocol):
     def _start_round(
         self, proc: "Processor", copy: NodeCopy, work: tuple[str, Any]
     ) -> None:
-        engine = self._engine()
+        engine = self.engine
         kind, action = work
         if kind == "update" and not copy.in_range(action.key):
             # A split round that ran while this update was queued
@@ -217,7 +217,7 @@ class AvailableCopiesProtocol(Protocol):
         self, proc: "Processor", copy: NodeCopy, work: tuple[str, Any]
     ) -> tuple[Any, Any]:
         """Apply the round's work locally; returns (peer payload, result)."""
-        engine = self._engine()
+        engine = self.engine
         kind, action = work
         if kind == "update":
             result = self._perform_initial_keyed(proc, copy, action)
@@ -240,14 +240,14 @@ class AvailableCopiesProtocol(Protocol):
     ) -> None:
         kind, action = work
         if kind == "update" and action.op is not None:
-            self._engine().complete_op(proc, action.op, result=result)
+            self.engine.complete_op(proc, action.op, result=result)
         self.maybe_split(proc, copy)
 
     def _drain_queue(self, proc: "Processor", copy: NodeCopy) -> None:
         state = self._state(copy)
         if state["round"] is not None or not state["queue"]:
             return
-        engine = self._engine()
+        engine = self.engine
         work = state["queue"].pop(0)
         if work[0] == "update":
             engine.trace.record_unblock(work[1].action_id, engine.now)
@@ -256,23 +256,17 @@ class AvailableCopiesProtocol(Protocol):
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, LockRequest):
-            self._on_lock_request(proc, action)
-            return True
-        if isinstance(action, LockGrant):
-            self._on_lock_grant(proc, action)
-            return True
-        if isinstance(action, ApplyUnlock):
-            self._on_apply_unlock(proc, action)
-            return True
-        if isinstance(action, UpdateAck):
-            self._on_update_ack(proc, action)
-            return True
-        return super().handle(proc, action)
+    def handlers(self) -> dict[type, "ActionHandler"]:
+        return {
+            **super().handlers(),
+            LockRequest: self.on_lock_request,
+            LockGrant: self.on_lock_grant,
+            ApplyUnlock: self.on_apply_unlock,
+            UpdateAck: self.on_update_ack,
+        }
 
-    def _on_lock_request(self, proc: "Processor", action: LockRequest) -> None:
-        engine = self._engine()
+    def on_lock_request(self, proc: "Processor", action: LockRequest) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("lock_on_missing_copy")
@@ -286,8 +280,8 @@ class AvailableCopiesProtocol(Protocol):
             ),
         )
 
-    def _on_lock_grant(self, proc: "Processor", action: LockGrant) -> None:
-        engine = self._engine()
+    def on_lock_grant(self, proc: "Processor", action: LockGrant) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             return
@@ -317,8 +311,8 @@ class AvailableCopiesProtocol(Protocol):
         if not round_state["awaiting"]:
             self._complete_round(proc, copy)
 
-    def _on_apply_unlock(self, proc: "Processor", action: ApplyUnlock) -> None:
-        engine = self._engine()
+    def on_apply_unlock(self, proc: "Processor", action: ApplyUnlock) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("apply_on_missing_copy")
@@ -353,8 +347,8 @@ class AvailableCopiesProtocol(Protocol):
             ),
         )
 
-    def _on_update_ack(self, proc: "Processor", action: UpdateAck) -> None:
-        engine = self._engine()
+    def on_update_ack(self, proc: "Processor", action: UpdateAck) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             return
@@ -377,7 +371,7 @@ class AvailableCopiesProtocol(Protocol):
         self._drain_queue(proc, copy)
 
     def _unlock(self, proc: "Processor", copy: NodeCopy) -> None:
-        engine = self._engine()
+        engine = self.engine
         state = self._state(copy)
         state["locked"] = state["round"] is not None
         if state["locked"]:

@@ -15,13 +15,13 @@ every location, no forwarding addresses are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.node import NodeCopy
 from repro.protocols.mobile import MobileProtocol
 
 if TYPE_CHECKING:
-    from repro.sim.processor import Processor
+    from repro.sim.processor import ActionHandler, Processor
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class EagerBroadcastProtocol(MobileProtocol):
     name = "eager_broadcast"
 
     def migrate(self, proc: "Processor", copy: NodeCopy, to_pid: int) -> None:
-        engine = self._engine()
+        engine = self.engine
         node_id = copy.node_id
         self.migrate_single_copy(engine, proc, copy, to_pid, leave_forwarding=False)
         version = copy.version  # migrate_single_copy incremented it
@@ -55,10 +55,15 @@ class EagerBroadcastProtocol(MobileProtocol):
             )
         engine.trace.bump("location_broadcasts")
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, LocationBroadcast):
-            self._engine().learn_location(
-                proc, action.node_id, (action.new_pid,), action.version
-            )
-            return True
-        return super().handle(proc, action)
+    def handlers(self) -> dict[type, "ActionHandler"]:
+        return {
+            **super().handlers(),
+            LocationBroadcast: self.on_location_broadcast,
+        }
+
+    def on_location_broadcast(
+        self, proc: "Processor", action: LocationBroadcast
+    ) -> None:
+        self.engine.learn_location(
+            proc, action.node_id, (action.new_pid,), action.version
+        )

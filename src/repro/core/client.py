@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Mapping
 
 from repro.core.actions import MigrateNode
-from repro.core.dbtree import DBTreeEngine
+from repro.core.dbtree import CrashRecovery, DBTreeEngine, LeafMirrors, OpTimers
 from repro.core.keys import Key
 from repro.core.replication import ReplicationPolicy
+from repro.repair.placement import make_placement
 from repro.sim.crash import CrashPlan
 from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
@@ -450,6 +452,36 @@ class DBTreeCluster(KernelClient):
             from repro.core.commutativity import claims_for
 
             self.kernel.permuter.bind_claims(claims_for(self.protocol.name))
+        if op_timeout is not None and op_timeout <= 0:
+            raise ValueError(f"op_timeout must be > 0, got {op_timeout}")
+        if op_retries < 0:
+            raise ValueError(f"op_retries must be >= 0, got {op_retries}")
+        if replication_factor < 1:
+            raise ValueError(
+                f"replication_factor must be >= 1, got {replication_factor}"
+            )
+        if recovery_mode not in ("lazy", "eager"):
+            raise ValueError(
+                f"recovery_mode must be 'lazy' or 'eager', got {recovery_mode!r}"
+            )
+        placement = make_placement(mirror_placement)
+        # The failure-only collaborators exist only when their plan
+        # does; a bare run constructs none and gains none of their rows.
+        collaborators: list = []
+        if self.kernel.crash_controller is not None:
+            collaborators.append(
+                partial(CrashRecovery, eager=recovery_mode == "eager")
+            )
+            if replication_factor >= 2 and num_processors > 1:
+                collaborators.append(
+                    partial(
+                        LeafMirrors, factor=replication_factor, placement=placement
+                    )
+                )
+        if op_timeout is not None:
+            collaborators.append(
+                partial(OpTimers, timeout=op_timeout, retries=op_retries)
+            )
         self.engine = DBTreeEngine(
             kernel=self.kernel,
             protocol=self.protocol,
@@ -458,12 +490,8 @@ class DBTreeCluster(KernelClient):
             trace=Trace(level=trace_level),
             relay_batch_window=relay_batch_window,
             leaf_cache=leaf_cache,
-            op_timeout=op_timeout,
-            op_retries=op_retries,
-            replication_factor=replication_factor,
-            recovery_mode=recovery_mode,
-            mirror_placement=mirror_placement,
             repair_plan=repair_plan,
+            collaborators=collaborators,
         )
 
     @property

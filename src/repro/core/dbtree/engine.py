@@ -18,44 +18,47 @@ strategy -- synchronous, semi-synchronous, naive, mobile, or
 variable-copies -- making the engine a faithful implementation of the
 paper's claim that the B-link actions stay fixed while only the copy
 coherence discipline changes.
+
+The processor model of Section 1.1 -- take an action from the queue,
+perform it on a node -- is one lookup: :meth:`DBTreeEngine.handle`
+finds the action's class in a table with one row per action type.
+The engine fills its own rows, the protocol contributes its rows
+through :meth:`~repro.protocols.base.Protocol.handlers`, and
+everything else (crash recovery, leaf mirrors, repair, the relay
+batcher, the load balancer) attaches its rows with
+:meth:`DBTreeEngine.on`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.actions import (
     CreateCopy,
     DeleteAction,
     InsertAction,
-    JoinRequest,
     LinkChange,
-    MirrorUpdate,
     Mode,
     OpContext,
-    PeerFailure,
-    PeerRescind,
-    RecoveryAnnounce,
     ReturnValue,
     ScanStep,
     SearchStep,
     SetRoot,
 )
-from repro.core.keys import NEG_INF, POS_INF, Key, KeyRange, key_lt
+from repro.core.keys import POS_INF, Key, KeyRange, key_lt
 from repro.core.leafcache import LeafHintCache
 from repro.core.node import NodeCopy, NodeSnapshot
-from repro.core.piggyback import BatchedRelays
 from repro.core.replication import Placement, ReplicationPolicy
-from repro.repair.placement import make_placement
-from repro.sim.crash import RECOVERY_GRACE
-from repro.sim.processor import Processor
+from repro.sim.processor import ActionHandler, Processor
 from repro.sim.simulator import Kernel
 from repro.sim.tracing import Trace
 
 if TYPE_CHECKING:
+    from repro.core.dbtree.crash import CrashRecovery
+    from repro.core.dbtree.mirrors import LeafMirrors
+    from repro.core.dbtree.timers import OpTimers
+    from repro.core.piggyback import RelayBatcher
     from repro.protocols.base import Protocol
     from repro.repair.gossip import RepairPlan
     from repro.repair.repair import RepairService
@@ -82,9 +85,6 @@ class SplitResult:
     sibling_version: int
 
 
-ExtraHandler = Callable[[Processor, Any], bool]
-
-
 class DBTreeEngine:
     """Protocol-parameterised distributed B-link tree.
 
@@ -103,108 +103,99 @@ class DBTreeEngine:
         trace: Trace | None = None,
         relay_batch_window: float | None = None,
         leaf_cache: bool = False,
-        op_timeout: float | None = None,
-        op_retries: int = 3,
-        replication_factor: int = 1,
-        recovery_mode: str = "lazy",
-        mirror_placement: str = "ring",
         repair_plan: "RepairPlan | None" = None,
+        collaborators: Iterable[Callable[["DBTreeEngine"], Any]] = (),
     ) -> None:
         self.kernel = kernel
         self.protocol = protocol
         self.policy = policy
         self.capacity = capacity
         self.trace = trace or Trace()
-        if op_timeout is not None and op_timeout <= 0:
-            raise ValueError(f"op_timeout must be > 0, got {op_timeout}")
-        if op_retries < 0:
-            raise ValueError(f"op_retries must be >= 0, got {op_retries}")
-        if replication_factor < 1:
-            raise ValueError(
-                f"replication_factor must be >= 1, got {replication_factor}"
-            )
-        if recovery_mode not in ("lazy", "eager"):
-            raise ValueError(
-                f"recovery_mode must be 'lazy' or 'eager', got {recovery_mode!r}"
-            )
-        self.op_timeout = op_timeout
-        self.op_retries = op_retries
-        self.replication_factor = replication_factor
-        self.recovery_mode = recovery_mode
-        # Failure-awareness flags, precomputed so the no-crash fast
-        # path pays exactly one attribute test per guarded site and
-        # never allocates, schedules, or sends anything extra.
-        controller = kernel.crash_controller
-        self._crash_enabled = controller is not None
-        self._mirror_enabled = (
-            self._crash_enabled
-            and replication_factor >= 2
-            and len(kernel.pids) > 1
-        )
-        self._dedup_returns = self._crash_enabled or op_timeout is not None
-        self.mirror_placement = make_placement(mirror_placement)
-        #: The anti-entropy service (repro.repair); None keeps every
-        #: repair hook a single attribute test on the fast path.
+        #: The failure-only collaborators, each None unless its plan is
+        #: on (so every hook is a single attribute test on the fast
+        #: path): crash awareness and recovery, leaf mirroring,
+        #: per-operation timers, anti-entropy repair.
+        self.crash: "CrashRecovery | None" = None
+        self.mirrors: "LeafMirrors | None" = None
+        self.timers: "OpTimers | None" = None
         self.repair: "RepairService | None" = None
         #: op_id -> "failed" | "timed_out" for operations that will
         #: never produce a return value (home crashed / retries spent).
         self.op_verdicts: dict[int, str] = {}
         self._completed_ops: set[int] = set()
-        # op_id -> [retries_left, timer EventHandle, last timer delay]
-        self._pending_ops: dict[int, list] = {}
-        if controller is not None:
-            controller.on_crash(self._on_processor_crash)
-            controller.on_detect(self._on_processor_detect)
-            controller.on_restart(self._on_processor_restart)
-        # Earned failure detection (repro.sim.detector): suspicion and
-        # rescission arrive per observer instead of the oracle's
-        # all-at-once announcement, and may be wrong.
-        detector = getattr(kernel, "detector", None)
-        self._detector = detector
-        if detector is not None:
-            detector.on_suspect(self._on_detector_suspect)
-            detector.on_rescind(self._on_detector_rescind)
-        # Decorrelated-jitter backoff state for op retries; the rng is
-        # derived lazily so runs that never retry register no stream.
-        self._op_backoff_rng: random.Random | None = None
         # Per-processor key -> leaf hints (None = feature off).  Stale
         # hints are safe by construction: a misdirected operation
         # recovers via B-link out-of-range forwarding, see
         # :mod:`repro.core.leafcache`.
         self._leaf_caches: dict[int, LeafHintCache] | None = (
-            {pid: LeafHintCache() for pid in kernel.processors}
-            if leaf_cache
-            else None
+            {} if leaf_cache else None
         )
-        if relay_batch_window is not None:
-            from repro.core.piggyback import RelayBatcher
-
-            self.relay_batcher: "RelayBatcher | None" = RelayBatcher(
-                self, relay_batch_window
-            )
-        else:
-            self.relay_batcher = None
         self._next_node_id = 0
         self._next_op_id = 0
-        self._extra_handlers: list[ExtraHandler] = []
         # Called as listener(op, result) when an operation completes;
         # closed-loop workload drivers hang their next submission here.
         self.op_completion_listeners: list[Callable[[OpContext, Any], None]] = []
         for proc in kernel.processors.values():
-            proc.state.update(
-                store={},  # node_id -> NodeCopy
-                locator={},  # node_id -> (version, (pids...))
-                forward={},  # node_id -> (pid, version, time)
-                root_id=None,
-                root_level=-1,
-            )
+            self.reset_processor(proc)
+        #: The action table: one row per action type.
+        self._handlers: dict[type, ActionHandler] = {
+            SearchStep: self._on_search,
+            InsertAction: self._on_keyed_update,
+            DeleteAction: self._on_keyed_update,
+            ReturnValue: self._on_return,
+            ScanStep: self._on_scan,
+            LinkChange: self._on_link_change,
+            CreateCopy: self._on_create_copy,
+            SetRoot: self._on_set_root,
+            InitiateSplit: self._on_initiate_split,
+        }
         protocol.bind(self)
+        for action_type, handler in protocol.handlers().items():
+            self.on(action_type, handler)
+        self.relay_batcher: "RelayBatcher | None" = None
+        if relay_batch_window is not None:
+            from repro.core.piggyback import RelayBatcher
+
+            self.relay_batcher = RelayBatcher(self, relay_batch_window)
+        # Collaborators attach before the bootstrap: the first leaf's
+        # mirror push at t = 0 is part of every rf-2 schedule.
+        for attach in collaborators:
+            attach(self)
+        self._dedup_returns = self.crash is not None or self.timers is not None
         kernel.install_handler(self.handle)
         self._bootstrap()
         if repair_plan is not None:
             from repro.repair.repair import RepairService
 
             self.repair = RepairService(self, repair_plan)
+
+    def reset_processor(self, proc: Processor) -> None:
+        """Give a processor the empty state a cluster starts from.
+
+        Also what a crash leaves behind: replacing the state wholesale
+        means no layer's key (the protocol's, a collaborator's) can
+        survive the processor that held it.
+        """
+        proc.state = dict(
+            store={},  # node_id -> NodeCopy
+            locator={},  # node_id -> (version, (pids...))
+            forward={},  # node_id -> (pid, version, time)
+            root_id=None,
+            root_level=-1,
+        )
+        if self._leaf_caches is not None:
+            self._leaf_caches[proc.pid] = LeafHintCache()
+
+    def on(self, action_type: type, handler: ActionHandler) -> None:
+        """Add the table row for an action type the engine does not
+        know (a collaborator's, the repair service's, a balancer's).
+        One row per type: a second registration is a wiring bug."""
+        if action_type in self._handlers:
+            raise ValueError(
+                f"{action_type.__name__} already has a handler: "
+                f"{self._handlers[action_type]!r}"
+            )
+        self._handlers[action_type] = handler
 
     # ------------------------------------------------------------------
     # small accessors
@@ -224,11 +215,6 @@ class DBTreeEngine:
         if root_id is None:
             raise RuntimeError(f"processor {proc.pid} has no root pointer")
         return root_id
-
-    def add_extra_handler(self, handler: ExtraHandler) -> None:
-        """Register a handler for actions the engine doesn't know
-        (balancer probes, baseline lock messages)."""
-        self._extra_handlers.append(handler)
 
     def _alloc_node_id(self) -> int:
         self._next_node_id += 1
@@ -278,7 +264,7 @@ class DBTreeEngine:
                 capacity=self.capacity,
                 parent_id=root_id,
             )
-            self._install_direct(self.kernel.processor(pid), leaf, frozenset(), "bootstrap")
+            self.install_copy(self.kernel.processor(pid), leaf, frozenset(), "bootstrap")
         for pid in root_place.member_pids:
             root = NodeCopy(
                 node_id=root_id,
@@ -289,7 +275,7 @@ class DBTreeEngine:
                 capacity=self.capacity,
             )
             root.insert_entry(KeyRange.full().low, leaf_id)
-            self._install_direct(self.kernel.processor(pid), root, frozenset(), "bootstrap")
+            self.install_copy(self.kernel.processor(pid), root, frozenset(), "bootstrap")
 
         for proc in self.kernel.processors.values():
             proc.state["root_id"] = root_id
@@ -324,42 +310,36 @@ class DBTreeEngine:
             home_pid=home_pid,
         )
         self.trace.record_op_submitted(op.op_id, kind, key, home_pid, self.now)
-        if self._crash_enabled and (
+        timers = self.timers
+        if self.crash is not None and (
             not proc.alive or proc.state["root_id"] is None
         ):
             # The client's home processor is down (or restarted and
-            # has not relearned the root yet).  With timeouts on, arm
-            # the timer and let the retry path reissue once the
-            # processor is usable again; without them, fail the
-            # operation now rather than hang or raise mid-simulation.
-            if self.op_timeout is not None:
-                self._arm_op_timer(op)
+            # has not relearned the root yet).  With timeouts on, the
+            # timer's retry path reissues once the processor is usable
+            # again; without them, fail the operation now rather than
+            # hang or raise mid-simulation.
+            if timers is None:
+                self.fail_op(op, "failed")
+        else:
+            leaf_id = None
+            caches = self._leaf_caches
+            if caches is not None and kind != "scan":
+                hint = caches[home_pid].lookup(key)
+                if hint is not None:
+                    self.trace.counters["leaf_cache_hit"] += 1
+                    leaf_id = hint[0]
+                else:
+                    self.trace.counters["leaf_cache_miss"] += 1
+            if leaf_id is not None:
+                step = SearchStep(node_id=leaf_id, op=op, cached=True)
+                self.route_to_node(proc, leaf_id, step, level=0, key=key)
             else:
-                self._fail_op(op, "failed")
-            return op.op_id
-        caches = self._leaf_caches
-        if caches is not None and kind != "scan":
-            hint = caches[home_pid].lookup(key)
-            if hint is not None:
-                self.trace.counters["leaf_cache_hit"] += 1
-                leaf_id = hint[0]
-                self.route_to_node(
-                    proc,
-                    leaf_id,
-                    SearchStep(node_id=leaf_id, op=op, cached=True),
-                    level=0,
-                    key=key,
-                )
-                if self.op_timeout is not None:
-                    self._arm_op_timer(op)
-                return op.op_id
-            self.trace.counters["leaf_cache_miss"] += 1
-        root_id = self.root_id_of(proc)
-        self.route_to_node(
-            proc, root_id, SearchStep(node_id=root_id, op=op), level=None, key=key
-        )
-        if self.op_timeout is not None:
-            self._arm_op_timer(op)
+                root_id = self.root_id_of(proc)
+                step = SearchStep(node_id=root_id, op=op)
+                self.route_to_node(proc, root_id, step, level=None, key=key)
+        if timers is not None:
+            timers.arm(op)
         return op.op_id
 
     def schedule_operation(
@@ -603,70 +583,48 @@ class DBTreeEngine:
     # central dispatch
     # ------------------------------------------------------------------
     def handle(self, proc: Processor, action: Any) -> None:
-        # Dispatch ordered by hot-path frequency: descents and keyed
-        # updates dominate every workload, then return values.
-        if isinstance(action, SearchStep):
-            self._on_search(proc, action)
-        elif isinstance(action, (InsertAction, DeleteAction)):
-            self._on_keyed_update(proc, action)
-        elif isinstance(action, ReturnValue):
-            op_id = action.op.op_id
-            if self._dedup_returns:
-                if op_id in self._completed_ops:
-                    # An idempotent retry raced the original: the op
-                    # already returned a value; keep the first.
-                    self.trace.bump("duplicate_return_ignored")
-                    return
-                if op_id in self.op_verdicts:
-                    # A late response after the client gave up: the
-                    # verdict (timed_out / failed) already stands, so
-                    # the partitions stay disjoint.
-                    self.trace.bump("late_return_ignored")
-                    return
-                self._completed_ops.add(op_id)
-                if self.op_timeout is not None:
-                    entry = self._pending_ops.pop(op_id, None)
-                    if entry is not None and entry[1] is not None:
-                        entry[1].cancel()
-            hint = action.leaf_hint
-            if hint is not None and self._leaf_caches is not None:
-                leaf_id, low, high, copy_pids = hint
-                self._leaf_caches[proc.pid].learn(low, high, leaf_id)
-                if copy_pids:
-                    self.learn_location(proc, leaf_id, copy_pids)
-            self.trace.record_op_completed(op_id, action.result, self.now)
-            for listener in self.op_completion_listeners:
-                listener(action.op, action.result)
-        elif isinstance(action, ScanStep):
-            self._on_scan(proc, action)
-        elif isinstance(action, LinkChange):
-            self._on_link_change(proc, action)
-        elif isinstance(action, CreateCopy):
-            self._on_create_copy(proc, action)
-        elif isinstance(action, SetRoot):
-            self._on_set_root(proc, action)
-        elif isinstance(action, InitiateSplit):
-            self._on_initiate_split(proc, action)
-        elif isinstance(action, BatchedRelays):
-            for inner in action.actions:
-                proc.submit(inner)
-        elif isinstance(action, MirrorUpdate):
-            self._on_mirror_update(proc, action)
-        elif isinstance(action, PeerFailure):
-            self._on_peer_failure(proc, action)
-        elif isinstance(action, PeerRescind):
-            self._on_peer_rescind(proc, action)
-        elif isinstance(action, RecoveryAnnounce):
-            self._on_recovery_announce(proc, action)
-        elif self.protocol.handle(proc, action):
-            pass
-        else:
-            for handler in self._extra_handlers:
-                if handler(proc, action):
-                    return
+        """Perform one action: its class's row in the action table."""
+        try:
+            handler = self._handlers[action.__class__]
+        except KeyError:
             raise RuntimeError(
                 f"processor {proc.pid} received unhandled action {action!r}"
-            )
+            ) from None
+        handler(proc, action)
+
+    def _on_return(self, proc: Processor, action: ReturnValue) -> None:
+        op_id = action.op.op_id
+        if self._dedup_returns:
+            if op_id in self._completed_ops:
+                # An idempotent retry raced the original: the op
+                # already returned a value; keep the first.
+                self.trace.bump("duplicate_return_ignored")
+                return
+            if op_id in self.op_verdicts:
+                # A late response after the client gave up: the
+                # verdict (timed_out / failed) already stands, so
+                # the partitions stay disjoint.
+                self.trace.bump("late_return_ignored")
+                return
+            self._completed_ops.add(op_id)
+            if self.timers is not None:
+                self.timers.cancel(op_id)
+        hint = action.leaf_hint
+        if hint is not None and self._leaf_caches is not None:
+            leaf_id, low, high, copy_pids = hint
+            self._leaf_caches[proc.pid].learn(low, high, leaf_id)
+            if copy_pids:
+                self.learn_location(proc, leaf_id, copy_pids)
+        self.trace.record_op_completed(op_id, action.result, self.now)
+        for listener in self.op_completion_listeners:
+            listener(action.op, action.result)
+
+    def fail_op(self, op: OpContext, verdict: str) -> None:
+        """Dispose of an operation that will never return a value."""
+        self.op_verdicts[op.op_id] = verdict
+        self.trace.bump(
+            "ops_timed_out" if verdict == "timed_out" else "ops_failed"
+        )
 
     # ------------------------------------------------------------------
     # searches
@@ -936,14 +894,14 @@ class DBTreeEngine:
             self.trace.bump("duplicate_copy_ignored")
             return
         copy = NodeCopy.from_snapshot(snap)
-        self._install_direct(proc, copy, snap.birth_set, action.reason)
+        self.install_copy(proc, copy, snap.birth_set, action.reason)
         for child_id, pids in snap.child_locations:
             self.learn_location(proc, child_id, pids)
         if action.reason == "root" and snap.level > proc.state["root_level"]:
             proc.state["root_id"] = snap.node_id
             proc.state["root_level"] = snap.level
 
-    def _install_direct(
+    def install_copy(
         self,
         proc: Processor,
         copy: NodeCopy,
@@ -960,18 +918,12 @@ class DBTreeEngine:
             self._leaf_caches[proc.pid].learn(
                 node_range.low, node_range.high, copy.node_id
             )
-        if self._crash_enabled:
-            state = proc.state
-            mirrors = state.get("mirror_store")
-            if mirrors is not None:
-                # Holding the real copy supersedes any passive mirror.
-                mirrors.pop(copy.node_id, None)
-            stash = state.get("recovery_stash")
-            if stash is not None:
-                for pending in stash.pop(copy.node_id, ()):
-                    proc.submit(pending)
-            if self._mirror_enabled and copy.is_leaf:
-                self.mirror_leaf(proc, copy)
+        if self.crash is not None:
+            self.crash.replay_stash(proc, copy.node_id)
+            # (mirrors exist only under the crash layer: nesting keeps
+            # the bare path at one test)
+            if self.mirrors is not None:
+                self.mirrors.copy_installed(proc, copy)
         self.protocol.after_copy_installed(proc, copy, reason)
         # A copy can be born overfull (a burst of inserts before the
         # split executes leaves the sibling with more than half of a
@@ -1017,7 +969,9 @@ class DBTreeEngine:
         """
         mode = getattr(action, "mode", None)
         if mode is Mode.RELAYED:
-            if self._crash_enabled and self.stash_if_recovering(proc, action):
+            if self.crash is not None and self.crash.stash_if_recovering(
+                proc, action
+            ):
                 # Restarted amnesiac processor: the copy may be about
                 # to arrive (donation / re-join); park the relay for
                 # replay instead of healing prematurely.
@@ -1113,69 +1067,8 @@ class DBTreeEngine:
         return collected
 
     # ------------------------------------------------------------------
-    # crash-stop failures: hooks, mirrors, recovery (repro.sim.crash)
+    # liveness and location announcements
     # ------------------------------------------------------------------
-    def _on_processor_crash(self, pid: int) -> None:
-        """Crash-stop: every copy this processor held is gone.
-
-        Volatile engine-side state (store, locator, forwarding
-        addresses, root pointer, protocol scratch, mirrors, caches)
-        dies with the processor; the trace records each lost copy so
-        the audit can tell crash losses from deliberate deletions.
-        """
-        proc = self.kernel.processor(pid)
-        state = proc.state
-        for node_id in state["store"]:
-            self.trace.record_copy_deleted(node_id, pid, self.now, reason="crash")
-        state["store"] = {}
-        state["locator"] = {}
-        state["forward"] = {}
-        state["root_id"] = None
-        state["root_level"] = -1
-        for key in (
-            "joining",
-            "unjoined",
-            "mirror_store",
-            "recovery_stash",
-            "recovering_until",
-            "pending_unjoins",
-        ):
-            state.pop(key, None)
-        if self._leaf_caches is not None:
-            self._leaf_caches[pid] = LeafHintCache()
-        self.trace.bump("processor_crashes")
-
-    def _on_processor_detect(self, pid: int) -> None:
-        """The failure of ``pid`` is announced: each live processor's
-        local failure detector fires.  Modeled as a locally enqueued
-        action (detectors are local observations, not messages).
-
-        Oracle mode only: with an earned detector installed the crash
-        controller never schedules this announcement, and suspicion
-        arrives through :meth:`_on_detector_suspect` instead."""
-        controller = self.kernel.crash_controller
-        assert controller is not None
-        for alive_pid in controller.alive_pids():
-            self.kernel.processor(alive_pid).submit(PeerFailure(pid))
-
-    def _on_detector_suspect(self, observer: int, peer: int) -> None:
-        """Observer's heartbeat monitor gave up on ``peer``.
-
-        A strictly local event: only the observer acts, by enqueueing
-        the same :class:`PeerFailure` the oracle would have broadcast
-        -- the downstream machinery (forced unjoins, mirror re-homes)
-        cannot tell earned suspicion from announced death, which is
-        what makes the detector swappable."""
-        proc = self.kernel.processors.get(observer)
-        if proc is not None and proc.alive:
-            proc.submit(PeerFailure(peer))
-
-    def _on_detector_rescind(self, observer: int, peer: int) -> None:
-        """A heartbeat from a suspected peer: the observer takes it back."""
-        proc = self.kernel.processors.get(observer)
-        if proc is not None and proc.alive:
-            proc.submit(PeerRescind(peer))
-
     def peer_up(self, observer_pid: int, pid: int) -> bool:
         """Whether ``observer_pid`` currently believes ``pid`` is up.
 
@@ -1183,441 +1076,47 @@ class DBTreeEngine:
         (fallible) opinion; otherwise it is the crash controller's
         ground truth, which the pre-detector layers used as a stand-in
         for a shared failure-detector verdict.  Every liveness consult
-        above the simulator layer (mirror re-homing, repair sweeps,
-        gossip peer choice) goes through here so no component quietly
-        keeps the oracle once detection is earned.
+        above the simulator layer (failure verdicts, mirror re-homing,
+        repair sweeps, gossip peer choice) goes through here so no
+        component quietly keeps the oracle once detection is earned.
         """
-        detector = self._detector
+        detector = self.kernel.detector
         if detector is not None:
             return not detector.is_suspected(observer_pid, pid)
         controller = self.kernel.crash_controller
         return controller is None or controller.is_alive(pid)
 
-    def _on_processor_restart(self, pid: int) -> None:
-        """Come back amnesiac: announce the restart and open the
-        recovery grace window (state itself was wiped at crash time).
-
-        During the window, actions addressed to copies this processor
-        no longer holds are stashed rather than healed -- the copies
-        are usually already in flight from the announce responses.
-        """
-        proc = self.kernel.processor(pid)
-        state = proc.state
-        state["recovery_stash"] = {}
-        deadline = self.now + RECOVERY_GRACE
-        state["recovering_until"] = deadline
-        controller = self.kernel.crash_controller
-        assert controller is not None
-        for other in controller.alive_pids():
-            if other != pid:
-                self.kernel.route(pid, other, RecoveryAnnounce(pid))
-        self.kernel.events.schedule(
-            deadline, partial(self._end_recovery, pid, deadline)
-        )
-        self.trace.bump("processor_restarts")
-
-    def _end_recovery(self, pid: int, deadline: float) -> None:
-        """Close the grace window: flush the stash, re-join the root."""
-        proc = self.kernel.processor(pid)
-        state = proc.state
-        if not proc.alive or state.get("recovering_until") != deadline:
-            return  # crashed again since this grace window was armed
-        state.pop("recovering_until", None)
-        stash = state.pop("recovery_stash", None)
-        if stash:
-            leftovers = [act for acts in stash.values() for act in acts]
-            self.trace.bump("recovery_stash_unclaimed", len(leftovers))
-            for act in leftovers:
-                if getattr(act, "mode", None) is Mode.RELAYED:
-                    # The copy never arrived; hand the stranded relay
-                    # to the heal path so it re-joins explicitly.
-                    self.protocol.on_relay_to_missing(proc, act)
-        root_id = state["root_id"]
-        if (
-            root_id is not None
-            and root_id not in state["store"]
-            and self.protocol.supports_join
-        ):
-            # The dB-tree policy wants the root everywhere: re-join
-            # its replication via the variable protocol's join path.
-            request = JoinRequest(
-                node_id=root_id,
-                level=state["root_level"],
-                key=NEG_INF,
-                requester_pid=pid,
-            )
-            self.route_to_node(
-                proc, root_id, request, level=state["root_level"], key=NEG_INF
-            )
-            self.trace.bump("recovery_root_joins")
-        controller = self.kernel.crash_controller
-        if controller is not None:
-            controller.note_recovered(pid, self.now)
-
-    def _on_peer_failure(self, proc: Processor, action: PeerFailure) -> None:
-        dead = action.pid
-        detector = self._detector
-        if detector is not None:
-            # Earned detection: act iff the observer *still* suspects
-            # the peer.  Note what this deliberately does not check --
-            # the oracle.  A false suspicion proceeds (forced unjoin,
-            # re-home and all); tolerating that, via idempotent
-            # re-joins and anti-entropy reconciliation, is the
-            # partition-tolerance contract the checker audits.
-            if not detector.is_suspected(proc.pid, dead):
-                self.trace.bump("peer_failure_stale")
-                return
-        else:
-            controller = self.kernel.crash_controller
-            if controller is None or controller.is_alive(dead):
-                # Raced a restart: the announce path owns recovery
-                # now, and acting on the stale verdict could fork the
-                # leaf.
-                self.trace.bump("peer_failure_stale")
-                return
-        joining = proc.state.get("joining")
-        if joining:
-            # Pending join requests may have been dead-lettered at the
-            # dead PC; clear the suppression so healing can re-issue.
-            joining.clear()
-        # Remember the verdict: copy sets chosen later (root growth)
-        # must not include a peer this processor knows is down.
-        proc.state.setdefault("dead_peers", set()).add(dead)
-        self.protocol.on_peer_failure(proc, dead)
-        if self._mirror_enabled:
-            self._rehome_mirrors(proc, dead)
-
-    def _on_peer_rescind(self, proc: Processor, action: PeerRescind) -> None:
-        """The observer's detector withdrew its suspicion of ``pid``.
-
-        Restores the peer to this processor's world view (future copy
-        sets, gossip partners, and mirror successors may include it
-        again) and nudges repair: if the false suspicion already
-        forced an unjoin or double-homed a leaf, the next gossip
-        exchange with the rescinded peer is what heals it, so waiting
-        out the dormancy window would just prolong the divergence.
-        """
-        pid = action.pid
-        dead_peers = proc.state.get("dead_peers")
-        if dead_peers is None or pid not in dead_peers:
-            self.trace.bump("peer_rescind_stale")
-            return
-        dead_peers.discard(pid)
-        self.trace.bump("peer_rescinds")
-        self.protocol.on_peer_rescind(proc, pid)
-        if self.repair is not None:
-            self.repair.scheduler.wake(proc.pid)
-
-    def _on_recovery_announce(
-        self, proc: Processor, action: RecoveryAnnounce
+    def announce_location(
+        self, proc: Processor, copy: NodeCopy, to_children: bool = False
     ) -> None:
-        """Answer a restarted peer with what it needs to rebuild."""
-        back = action.pid
-        state = proc.state
-        dead_peers = state.get("dead_peers")
-        if dead_peers is not None:
-            dead_peers.discard(back)
-        joining = state.get("joining")
-        if joining:
-            joining.clear()  # join requests to the dead peer never bounced
-        # 1. The root pointer (its SetRoot may have been dead-lettered).
-        root_id = state["root_id"]
-        if root_id is not None:
-            entry = state["locator"].get(root_id)
-            root_pids = tuple(entry[1]) if entry is not None else ()
-            self.kernel.route(
-                proc.pid,
-                back,
-                SetRoot(
-                    root_id=root_id,
-                    root_level=state["root_level"],
-                    root_pids=root_pids,
-                    version=state["root_level"],
-                ),
-            )
-        # 2. Snapshots of replicated nodes the peer is still declared
-        #    primary for (first donation wins; duplicates are ignored,
-        #    and FIFO queues mean any donor's snapshot covers every
-        #    initial action relayed during the dead window).
-        for copy in self.store(proc).values():
-            if copy.retired:
-                continue
-            if copy.pc_pid == back:
-                snapshot = self.make_snapshot(proc, copy)
-                self.kernel.route(
-                    proc.pid, back, CreateCopy(snapshot, "pc_recovery")
-                )
-                self.trace.bump("pc_donations")
-            elif (
-                self._mirror_enabled
-                and copy.is_leaf
-                and len(copy.copy_versions) == 1
-                and back in self._mirror_targets(proc.pid, copy.node_id)
-            ):
-                # 3. Refreshed mirrors of this processor's own leaves
-                #    (the peer's mirror store was wiped by the crash).
-                self.kernel.route(
-                    proc.pid,
-                    back,
-                    MirrorUpdate(proc.pid, copy.node_id, copy.snapshot()),
-                )
-        # 4. The peer's own mirrored leaves go home -- this is the
-        #    restart-before-detection case, where no re-homing ran.
-        mirrors = state.get("mirror_store")
-        if mirrors:
-            for node_id, (home, snap) in list(mirrors.items()):
-                if home == back:
-                    self.kernel.route(proc.pid, back, CreateCopy(snap, "rehome"))
-        self.protocol.on_peer_recovered(proc, back)
+        """Tell the nodes linking to ``copy`` where its copies live now.
 
-    def stash_if_recovering(self, proc: Processor, action: Any) -> bool:
-        """Park an action addressed to a copy a restarted processor has
-        not re-acquired yet.  Stashed actions are replayed when the
-        copy installs and flushed when the grace window closes.
-        Returns True if the action was stashed."""
-        stash = proc.state.get("recovery_stash")
-        if stash is None:
-            return False
-        node_id = getattr(action, "node_id", None)
-        if node_id is None:
-            return False
-        stash.setdefault(node_id, []).append(action)
-        self.trace.bump("recovery_stash_deposits")
-        return True
-
-    # -- leaf mirroring (replication_factor >= 2) ----------------------
-    def _mirror_targets(self, home_pid: int, node_id: int) -> tuple[int, ...]:
-        """Processors that passively mirror one of ``home_pid``'s
-        single-copy leaves (``replication_factor - 1`` of them, in
-        preference order), per the installed placement policy."""
-        return self.mirror_placement.targets(
-            home_pid, node_id, self.kernel.pids, self.replication_factor
-        )
-
-    def set_mirror_placement(self, name: str) -> None:
-        """Switch the placement policy at runtime and migrate mirrors.
-
-        Every single-copy leaf's snapshot is pushed to targets the new
-        policy adds and retracted from targets it drops; anything this
-        eager pass misses (in-flight updates, crashed holders) is
-        cleaned up by the anti-entropy rounds, which retract stray
-        mirrors and pull missing ones against the *current* policy.
+        Ordered location link-changes to the left and right neighbours
+        and the parent (and, for a migrating interior node, its
+        children): sent after a migration, a join or unjoin, and a
+        re-home.  Best effort -- a lost or undeliverable link-change
+        only means stale locators, which operations recover from.
         """
-        old = self.mirror_placement
-        new = make_placement(name)
-        self.mirror_placement = new
-        if not self._mirror_enabled or new.name == old.name:
-            return
-        pids = self.kernel.pids
-        factor = self.replication_factor
-        for proc in self.kernel.processors.values():
-            if not proc.alive:
-                continue
-            for copy in list(self.store(proc).values()):
-                if (
-                    not copy.is_leaf
-                    or copy.retired
-                    or len(copy.copy_versions) != 1
-                ):
-                    continue
-                old_targets = set(
-                    old.targets(proc.pid, copy.node_id, pids, factor)
-                )
-                new_targets = set(
-                    new.targets(proc.pid, copy.node_id, pids, factor)
-                )
-                snapshot = copy.snapshot()
-                for pid in new_targets - old_targets:
-                    self.kernel.route(
-                        proc.pid,
-                        pid,
-                        MirrorUpdate(proc.pid, copy.node_id, snapshot),
-                    )
-                for pid in old_targets - new_targets:
-                    self.kernel.route(
-                        proc.pid, pid, MirrorUpdate(proc.pid, copy.node_id, None)
-                    )
-                self.trace.bump("mirror_migrations")
-
-    def mirror_leaf(self, proc: Processor, copy: NodeCopy) -> None:
-        """Push the current state of a single-copy leaf to its mirrors.
-
-        Emitted in the same handler invocation that applied (and
-        acknowledged) a change, so every acknowledged update exists at
-        the mirror before the owner can crash; queue-lost actions were
-        never applied or acknowledged, so losing them too is
-        consistent.
-        """
-        if not copy.is_leaf or copy.retired or len(copy.copy_versions) != 1:
-            return
-        snapshot = copy.snapshot()
-        for pid in self._mirror_targets(proc.pid, copy.node_id):
-            self.kernel.route(
-                proc.pid, pid, MirrorUpdate(proc.pid, copy.node_id, snapshot)
-            )
-
-    def mirror_leaf_drop(self, proc: Processor, node_id: int) -> None:
-        """Retract a leaf's mirrors (it migrated away or retired), so
-        a later crash cannot resurrect a stale ghost of it."""
-        if not self._mirror_enabled:
-            return
-        for pid in self._mirror_targets(proc.pid, node_id):
-            self.kernel.route(proc.pid, pid, MirrorUpdate(proc.pid, node_id, None))
-
-    def _on_mirror_update(self, proc: Processor, action: MirrorUpdate) -> None:
-        mirrors = proc.state.setdefault("mirror_store", {})
-        if action.snapshot is None:
-            mirrors.pop(action.node_id, None)
-            return
-        if action.node_id in self.store(proc):
-            return  # the real copy lives here; a mirror would be stale
-        mirrors[action.node_id] = (action.home_pid, action.snapshot)
-
-    def _rehome_mirrors(self, proc: Processor, dead: int) -> None:
-        """Adopt the dead processor's mirrored leaves.
-
-        Every mirror holder drops its entries for the dead owner; the
-        first *alive* ring successor among the owner's mirror targets
-        installs them as real copies (new primary, version bumped so
-        the location change dominates stale hints) and announces the
-        move.  Consulting liveness here stands in for the shared
-        failure-detector verdict; see DESIGN for the near-simultaneous
-        failure caveat.
-        """
-        mirrors = proc.state.get("mirror_store")
-        if not mirrors:
-            return
-        doomed = [
-            (node_id, snap)
-            for node_id, (home, snap) in mirrors.items()
-            if home == dead
-        ]
-        if not doomed:
-            return
-        for node_id, snap in doomed:
-            del mirrors[node_id]
-            successor = None
-            for pid in self._mirror_targets(dead, node_id):
-                # The adopter's own belief, not the oracle's: under an
-                # earned detector two holders may pick different
-                # successors (or adopt a leaf whose home is merely
-                # partitioned).  The resulting double-home is expected
-                # and reconciled by the repair layer's home-resolve
-                # exchange.
-                if pid != dead and self.peer_up(proc.pid, pid):
-                    successor = pid
-                    break
-            if proc.pid != successor or node_id in self.store(proc):
-                continue
-            copy = NodeCopy.from_snapshot(snap)
-            copy.version += 1
-            copy.pc_pid = proc.pid
-            copy.copy_versions = {proc.pid: copy.version}
-            self._install_direct(proc, copy, snap.birth_set, "rehome")
-            self._announce_rehome(proc, copy)
-            self.trace.bump("leaves_rehomed")
-
-    def _announce_rehome(self, proc: Processor, copy: NodeCopy) -> None:
-        """Tell the re-homed leaf's neighbours and parent where it
-        lives now (ordered location link-changes, as after migration)."""
-        targets = (
-            (copy.left_id, copy.level),
-            (copy.right_id, copy.level),
-            (copy.parent_id, copy.level + 1),
-        )
-        for node_id, level in targets:
+        neighbours = [copy.left_id, copy.right_id, copy.parent_id]
+        if to_children and not copy.is_leaf:
+            neighbours.extend(child for _key, child in copy.entries())
+        for node_id in neighbours:
             if node_id is None:
                 continue
             self.route_link_change(
                 proc,
                 LinkChange(
                     node_id=node_id,
-                    level=level,
+                    level=-1,  # id-addressed; level unused for routing
                     key=copy.range.low,
                     slot="location",
                     target_id=copy.node_id,
-                    target_pids=(proc.pid,),
+                    target_pids=copy.copy_pids,
                     version=copy.version,
                     action_id=self.trace.new_action_id(),
                     mode=Mode.INITIAL,
                 ),
             )
-
-    # -- per-operation timeouts and idempotent retry -------------------
-    #: Retry delays are capped at this multiple of ``op_timeout``.
-    BACKOFF_CAP = 8.0
-
-    def _backoff_delay(self, prev_delay: float) -> float:
-        """Next retry delay: decorrelated jitter (capped).
-
-        ``min(cap, uniform(base, prev * 3))`` -- each delay is drawn
-        relative to the *previous* one rather than the attempt number,
-        which decorrelates retry storms across operations (the
-        AWS-architecture-blog variant of exponential backoff).  Seeded
-        via the kernel's ledger so runs replay exactly.
-        """
-        rng = self._op_backoff_rng
-        if rng is None:
-            rng = random.Random(self.kernel.seeds.derive("op-backoff"))
-            self._op_backoff_rng = rng
-        cap = self.op_timeout * self.BACKOFF_CAP
-        return min(cap, rng.uniform(self.op_timeout, prev_delay * 3.0))
-
-    def _arm_op_timer(self, op: OpContext) -> None:
-        entry = self._pending_ops.get(op.op_id)
-        if entry is None:
-            # First attempt: plain timeout, no jitter (the fast path's
-            # pinned traces depend on it).
-            delay = self.op_timeout
-            handle = self.kernel.events.schedule(
-                self.now + delay, partial(self._op_timer_fired, op)
-            )
-            self._pending_ops[op.op_id] = [self.op_retries, handle, delay]
-        else:
-            # Re-arm after a retry: back off with decorrelated jitter
-            # so a struggling home does not re-issue in lockstep.
-            delay = self._backoff_delay(entry[2])
-            entry[2] = delay
-            self.trace.bump("op_backoff_delay_total", delay - self.op_timeout)
-            entry[1] = self.kernel.events.schedule(
-                self.now + delay, partial(self._op_timer_fired, op)
-            )
-
-    def _op_timer_fired(self, op: OpContext) -> None:
-        entry = self._pending_ops.get(op.op_id)
-        if entry is None:
-            return  # completed (or verdicted) before the timer fired
-        if entry[0] <= 0:
-            del self._pending_ops[op.op_id]
-            self._fail_op(op, "timed_out")
-            return
-        entry[0] -= 1
-        proc = self.kernel.processor(op.home_pid)
-        if proc.alive and proc.state["root_id"] is not None:
-            self.trace.bump("op_retries")
-            self._reissue_operation(proc, op)
-        self._arm_op_timer(op)
-
-    def _reissue_operation(self, proc: Processor, op: OpContext) -> None:
-        """Idempotent retry: same op identity, fresh root descent.
-
-        The home-processor dedup (``_completed_ops`` / ``op_verdicts``)
-        keeps exactly one outcome per op id even when the original
-        response was merely slow rather than lost."""
-        root_id = proc.state["root_id"]
-        self.route_to_node(
-            proc,
-            root_id,
-            SearchStep(node_id=root_id, op=op),
-            level=None,
-            key=op.key,
-        )
-
-    def _fail_op(self, op: OpContext, verdict: str) -> None:
-        self.op_verdicts[op.op_id] = verdict
-        self.trace.bump(
-            "ops_timed_out" if verdict == "timed_out" else "ops_failed"
-        )
 
     # ------------------------------------------------------------------
     # split mechanics (Figure 1)
@@ -1675,10 +1174,10 @@ class DBTreeEngine:
             # immediately: the shrunk copy now, the sibling below.
             cache = self._leaf_caches[proc.pid]
             cache.learn(copy.range.low, separator, copy.node_id)
-        if self._mirror_enabled and copy.is_leaf:
+        if self.mirrors is not None and copy.is_leaf:
             # The left half's range shrank; refresh its mirrors (the
             # sibling mirrors itself when its copy installs).
-            self.mirror_leaf(proc, copy)
+            self.mirrors.push(proc, copy)
 
         if growing:
             parent_id = self._grow_root(
@@ -1708,7 +1207,7 @@ class DBTreeEngine:
 
         remote_members = [p for p in placement.member_pids if p != proc.pid]
         if proc.pid in placement.member_pids:
-            self._install_direct(proc, sibling, frozenset(), "sibling")
+            self.install_copy(proc, sibling, frozenset(), "sibling")
             snap_source = sibling
         else:
             snap_source = sibling
@@ -1771,11 +1270,11 @@ class DBTreeEngine:
         new_root_id = self._alloc_node_id()
         level = old_root.level + 1
         candidate_pids = self.kernel.pids
-        if self._crash_enabled:
+        if self.crash is not None:
             # Never seat the new root on a peer this processor knows
             # is down: the CreateCopy would dead-letter and leave the
             # declared member set permanently wider than the holders.
-            dead = proc.state.get("dead_peers")
+            dead = self.crash.dead_peers(proc)
             if dead:
                 candidate_pids = tuple(
                     pid for pid in candidate_pids if pid not in dead
@@ -1801,7 +1300,7 @@ class DBTreeEngine:
         local_root = build()
         self.learn_location(proc, new_root_id, members)
         if proc.pid in members:
-            self._install_direct(proc, local_root, frozenset(), "root")
+            self.install_copy(proc, local_root, frozenset(), "root")
         snapshot = self.make_snapshot(proc, local_root, birth_set=frozenset())
         # Make sure the snapshot carries both children's locations.
         child_locations = dict(snapshot.child_locations)

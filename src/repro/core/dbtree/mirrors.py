@@ -1,0 +1,135 @@
+"""Leaf mirroring for the dB-tree engine (replication_factor >= 2).
+
+Exists only on a crash-capable cluster of more than one processor
+built with ``replication_factor >= 2``.  Every single-copy leaf keeps
+``factor - 1`` passive mirrors at the processors the placement policy
+(:mod:`repro.repair.placement`) names; when the home is declared dead
+the first live target adopts the leaf.  The collaborator registers
+:class:`MirrorUpdate` and owns the per-processor ``mirror_store``
+(``node_id -> (home_pid, snapshot)``).
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.core.actions import MirrorUpdate
+from repro.core.node import NodeCopy, NodeSnapshot
+
+if TYPE_CHECKING:
+    from repro.core.dbtree.engine import DBTreeEngine
+    from repro.repair.placement import MirrorPlacement
+    from repro.sim.processor import Processor
+
+
+class LeafMirrors:
+    """Passive mirrors of single-copy leaves, and their re-homing."""
+
+    def __init__(
+        self, engine: "DBTreeEngine", factor: int, placement: "MirrorPlacement"
+    ) -> None:
+        self.engine = engine
+        self.factor = factor
+        self.placement = placement
+        engine.mirrors = self
+        engine.on(MirrorUpdate, self.on_mirror_update)
+
+    @staticmethod
+    def mirrored(copy: NodeCopy) -> bool:
+        """Whether ``copy`` is a live single-copy leaf -- the only kind
+        of node that is mirrored."""
+        return copy.is_leaf and not copy.retired and len(copy.copy_versions) == 1
+
+    @staticmethod
+    def held(proc: "Processor") -> dict[int, tuple[int, NodeSnapshot]]:
+        """The mirrors ``proc`` holds: node_id -> (home_pid, snapshot)."""
+        return proc.state.get("mirror_store") or {}
+
+    def targets(self, home_pid: int, node_id: int) -> tuple[int, ...]:
+        """Processors that passively mirror one of ``home_pid``'s
+        single-copy leaves (``factor - 1`` of them, in preference
+        order), per the placement policy."""
+        return self.placement.targets(
+            home_pid, node_id, self.engine.kernel.pids, self.factor
+        )
+
+    def push(self, proc: "Processor", copy: NodeCopy) -> None:
+        """Push the current state of a single-copy leaf to its mirrors.
+
+        Emitted in the same handler invocation that applied (and
+        acknowledged) a change, so every acknowledged update exists at
+        the mirror before the owner can crash; queue-lost actions were
+        never applied or acknowledged, so losing them too is
+        consistent.
+        """
+        if not self.mirrored(copy):
+            return
+        snapshot = copy.snapshot()
+        route = self.engine.kernel.route
+        for pid in self.targets(proc.pid, copy.node_id):
+            route(proc.pid, pid, MirrorUpdate(proc.pid, copy.node_id, snapshot))
+
+    def drop(self, proc: "Processor", node_id: int) -> None:
+        """Retract a leaf's mirrors (it migrated away or retired), so
+        a later crash cannot resurrect a stale ghost of it."""
+        route = self.engine.kernel.route
+        for pid in self.targets(proc.pid, node_id):
+            route(proc.pid, pid, MirrorUpdate(proc.pid, node_id, None))
+
+    def copy_installed(self, proc: "Processor", copy: NodeCopy) -> None:
+        """A real copy landed here: it supersedes any passive mirror of
+        the node, and a leaf starts mirroring itself."""
+        mirrors = proc.state.get("mirror_store")
+        if mirrors is not None:
+            mirrors.pop(copy.node_id, None)
+        self.push(proc, copy)
+
+    def on_mirror_update(self, proc: "Processor", action: MirrorUpdate) -> None:
+        mirrors = proc.state.setdefault("mirror_store", {})
+        if action.snapshot is None:
+            mirrors.pop(action.node_id, None)
+            return
+        if action.node_id in self.engine.store(proc):
+            return  # the real copy lives here; a mirror would be stale
+        mirrors[action.node_id] = (action.home_pid, action.snapshot)
+
+    def rehome(self, proc: "Processor", dead: int) -> None:
+        """Adopt the dead processor's mirrored leaves.
+
+        Every mirror holder drops its entries for the dead owner; the
+        first *alive* ring successor among the owner's mirror targets
+        installs them as real copies (new primary, version bumped so
+        the location change dominates stale hints) and announces the
+        move.  Consulting liveness here stands in for the shared
+        failure-detector verdict; see DESIGN for the near-simultaneous
+        failure caveat.
+        """
+        engine = self.engine
+        mirrors = self.held(proc)
+        doomed = [
+            (node_id, snap)
+            for node_id, (home, snap) in mirrors.items()
+            if home == dead
+        ]
+        for node_id, snap in doomed:
+            del mirrors[node_id]
+            successor = None
+            for pid in self.targets(dead, node_id):
+                # The adopter's own belief, not the oracle's: under an
+                # earned detector two holders may pick different
+                # successors (or adopt a leaf whose home is merely
+                # partitioned).  The resulting double-home is expected
+                # and reconciled by the repair layer's home-resolve
+                # exchange.
+                if pid != dead and engine.peer_up(proc.pid, pid):
+                    successor = pid
+                    break
+            if proc.pid != successor or node_id in engine.store(proc):
+                continue
+            copy = NodeCopy.from_snapshot(snap)
+            copy.version += 1
+            copy.pc_pid = proc.pid
+            copy.copy_versions = {proc.pid: copy.version}
+            engine.install_copy(proc, copy, snap.birth_set, "rehome")
+            engine.announce_location(proc, copy)
+            engine.trace.bump("leaves_rehomed")

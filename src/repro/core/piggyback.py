@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine
+    from repro.sim.processor import Processor
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ class RelayBatcher:
         self._flushers: dict[tuple[int, int], Callable[[], None]] = {}
         self.batches_sent = 0
         self.relays_batched = 0
+        engine.on(BatchedRelays, self.unpack)
 
     def enqueue(self, src_pid: int, dst_pid: int, action: Any) -> None:
         """Buffer a relayed update; arms a flush if the channel is idle."""
@@ -77,3 +79,9 @@ class RelayBatcher:
         self.batches_sent += 1
         self.relays_batched += len(buffer)
         self._engine.kernel.route(src, dst, BatchedRelays(actions=tuple(buffer)))
+
+    @staticmethod
+    def unpack(proc: "Processor", action: BatchedRelays) -> None:
+        """The batch arrived: its relays join the local queue in order."""
+        for inner in action.actions:
+            proc.submit(inner)

@@ -27,10 +27,6 @@ class DirectoryReplica:
     def __len__(self) -> int:
         return len(self._slots)
 
-    @property
-    def max_depth(self) -> int:
-        return self._max_depth
-
     def learn(self, depth: int, prefix: int, bucket_id: int, pid: int) -> bool:
         """Absorb a directory fact; returns True if it was new.
 

@@ -141,6 +141,15 @@ class LazyHashEngine:
                 frozen_buckets=set(),  # bucket ids blocked by a sync round
                 frozen_ops=defaultdict(list),
             )
+        #: The action table: one row per action type.
+        self._handlers = {
+            HashLookup: self._on_lookup,
+            HashStep: self._on_step,
+            HashReturn: self._on_return,
+            CreateBucket: self._on_create_bucket,
+            DirectoryUpdate: self._on_directory_update,
+            DirectoryAck: self._on_directory_ack,
+        }
         kernel.install_handler(self.handle)
         self._bootstrap()
 
@@ -195,22 +204,18 @@ class LazyHashEngine:
     # dispatch
     # ------------------------------------------------------------------
     def handle(self, proc, action: Any) -> None:
-        if isinstance(action, HashLookup):
-            self._on_lookup(proc, action)
-        elif isinstance(action, HashStep):
-            self._on_step(proc, action)
-        elif isinstance(action, HashReturn):
-            self.trace.record_op_completed(
-                action.op.op_id, action.result, self.kernel.now
-            )
-        elif isinstance(action, CreateBucket):
-            self._on_create_bucket(proc, action)
-        elif isinstance(action, DirectoryUpdate):
-            self._on_directory_update(proc, action)
-        elif isinstance(action, DirectoryAck):
-            self._on_directory_ack(proc, action)
-        else:
-            raise RuntimeError(f"unhandled hash action {action!r}")
+        try:
+            handler = self._handlers[action.__class__]
+        except KeyError:
+            raise RuntimeError(
+                f"processor {proc.pid} received unhandled action {action!r}"
+            ) from None
+        handler(proc, action)
+
+    def _on_return(self, proc, action: HashReturn) -> None:
+        self.trace.record_op_completed(
+            action.op.op_id, action.result, self.kernel.now
+        )
 
     # ------------------------------------------------------------------
     def _on_lookup(self, proc, action: HashLookup) -> None:

@@ -29,7 +29,7 @@ from repro.core.replication import Placement
 
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine, SplitResult
-    from repro.sim.processor import Processor
+    from repro.sim.processor import ActionHandler, Processor
 
 
 class Protocol:
@@ -52,14 +52,25 @@ class Protocol:
     #: joining; fixed-copies protocols cannot).
     supports_join = False
 
-    def __init__(self) -> None:
-        self.engine: "DBTreeEngine | None" = None
+    #: Set by :meth:`bind`; an unbound protocol fails with
+    #: ``AttributeError`` at first use.
+    engine: "DBTreeEngine"
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def bind(self, engine: "DBTreeEngine") -> None:
         self.engine = engine
+
+    def handlers(self) -> dict[type, "ActionHandler"]:
+        """This protocol's rows of the engine's action table.
+
+        One ``action type -> handler(proc, action)`` entry per message
+        the protocol exchanges (split control, join/unjoin, migration);
+        subclasses extend the dict.  The base understands only relayed
+        splits.  Row handlers are public methods.
+        """
+        return {RelayedSplit: self.on_relayed_split}
 
     def default_policy(self, num_processors: int):
         """The replication policy natural to this protocol family.
@@ -71,11 +82,6 @@ class Protocol:
         from repro.core.replication import FullReplication
 
         return FullReplication()
-
-    def _engine(self) -> "DBTreeEngine":
-        if self.engine is None:
-            raise RuntimeError(f"protocol {self.name} not bound to an engine")
-        return self.engine
 
     def commutativity(self):
         """This protocol's declared commutativity claims.
@@ -155,7 +161,7 @@ class Protocol:
         protocol): discard -- the key was re-homed by a half-split and
         the sibling's original value or its own relay covers it.
         """
-        self._engine().trace.bump(f"discarded_relay_{self.name}")
+        self.engine.trace.bump(f"discarded_relay_{self.name}")
 
     # ------------------------------------------------------------------
     # deletes (never-merge extension; same lazy shape as inserts)
@@ -191,7 +197,7 @@ class Protocol:
                 # every copy decides identically in any order -- it
                 # commutes.  The entry keeps pointing at a retired
                 # zombie, whose links forward to the absorber.
-                self._engine().trace.bump("immortal_entry_delete_skipped")
+                self.engine.trace.bump("immortal_entry_delete_skipped")
                 return False
             return copy.delete_entry(action.key)
         raise TypeError(f"not a keyed update: {action!r}")
@@ -199,7 +205,7 @@ class Protocol:
     def _perform_initial_keyed(
         self, proc: "Processor", copy: NodeCopy, action: Any
     ) -> Any:
-        engine = self._engine()
+        engine = self.engine
         result = self._apply_keyed(copy, action)
         copy.incorporated_ids.add(action.action_id)
         if engine.trace.record_updates:
@@ -214,15 +220,15 @@ class Protocol:
             )
         if isinstance(action, InsertAction) and action.payload_pids:
             engine.learn_location(proc, action.payload, action.payload_pids)
-        if engine._mirror_enabled and copy.is_leaf:
-            engine.mirror_leaf(proc, copy)
+        if engine.mirrors is not None and copy.is_leaf:
+            engine.mirrors.push(proc, copy)
         if engine.repair is not None:
             engine.repair.log_update(copy, action)
         return result
 
     def relay_keyed(self, proc: "Processor", copy: NodeCopy, action: Any) -> int:
         """Send the relayed form of an initial update to every peer."""
-        engine = self._engine()
+        engine = self.engine
         peers = copy.peers_of(proc.pid)
         if not peers:
             return 0
@@ -241,7 +247,7 @@ class Protocol:
         (PC forwarding updates to late joiners that may also have
         received them directly) harmless.
         """
-        engine = self._engine()
+        engine = self.engine
         if action.action_id in copy.incorporated_ids:
             engine.trace.bump("duplicate_relay_ignored")
             return False
@@ -266,7 +272,7 @@ class Protocol:
     def _finish_keyed(
         self, proc: "Processor", copy: NodeCopy, action: Any, result: Any = True
     ) -> None:
-        engine = self._engine()
+        engine = self.engine
         if action.op is not None:
             engine.complete_op(
                 proc,
@@ -290,7 +296,7 @@ class Protocol:
         if copy.proto.get("split_scheduled"):
             return
         copy.proto["split_scheduled"] = True
-        self._engine().schedule_split(proc, copy.node_id)
+        self.engine.schedule_split(proc, copy.node_id)
 
     def initiate_split(self, proc: "Processor", copy: NodeCopy) -> None:
         """Run the protocol's split discipline at the primary copy."""
@@ -309,7 +315,7 @@ class Protocol:
         self, proc: "Processor", copy: NodeCopy, split: "SplitResult"
     ) -> int:
         """Send relayed half-splits to the peer copies (lazy default)."""
-        engine = self._engine()
+        engine = self.engine
         peers = copy.peers_of(proc.pid)
         for pid in peers:
             engine.kernel.route(
@@ -331,7 +337,7 @@ class Protocol:
         self, proc: "Processor", copy: NodeCopy, action: RelayedSplit
     ) -> None:
         """Apply a relayed half-split at a non-PC copy."""
-        engine = self._engine()
+        engine = self.engine
         if action.action_id in copy.incorporated_ids:
             engine.trace.bump("duplicate_relay_ignored")
             return
@@ -361,24 +367,13 @@ class Protocol:
                 time=engine.now,
             )
 
-    # ------------------------------------------------------------------
-    # protocol-specific messages
-    # ------------------------------------------------------------------
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        """Handle a protocol-specific message; True if consumed.
-
-        The engine forwards split-control, join/unjoin, and migration
-        messages here.  The base understands only relayed splits.
-        """
-        if isinstance(action, RelayedSplit):
-            copy = self._engine().copy_at(proc, action.node_id)
-            if copy is None:
-                self._engine().trace.bump("relay_to_missing_copy")
-            else:
-                self.apply_relayed_split(proc, copy, action)
-                self.maybe_split(proc, copy)
-            return True
-        return False
+    def on_relayed_split(self, proc: "Processor", action: RelayedSplit) -> None:
+        copy = self.engine.copy_at(proc, action.node_id)
+        if copy is None:
+            self.engine.trace.bump("relay_to_missing_copy")
+        else:
+            self.apply_relayed_split(proc, copy, action)
+            self.maybe_split(proc, copy)
 
     # ------------------------------------------------------------------
     # mobility hooks (mobile / variable protocols only)

@@ -37,4 +37,4 @@ class NaiveProtocol(SemiSyncProtocol):
     ) -> None:
         # The bug the paper illustrates: the PC ignores the relayed
         # update instead of rewriting history, so the key vanishes.
-        self._engine().trace.bump("naive_dropped_updates")
+        self.engine.trace.bump("naive_dropped_updates")

@@ -43,7 +43,7 @@ class SemiSyncProtocol(Protocol):
         Loops while the copy remains overfull (a long run of inserts
         can leave the node more than one split over capacity).
         """
-        engine = self._engine()
+        engine = self.engine
         while copy.is_pc and copy.is_overfull and copy.num_entries >= 2:
             split = engine.perform_half_split(proc, copy)
             self.relay_split(proc, copy, split)
@@ -61,7 +61,7 @@ class SemiSyncProtocol(Protocol):
         simply discard (the key is covered by the sibling's original
         value or by the corrected insert's own relays).
         """
-        engine = self._engine()
+        engine = self.engine
         if not copy.is_pc:
             engine.trace.bump("discarded_relay")
             return

@@ -25,7 +25,7 @@ from repro.core.node import NodeCopy
 from repro.protocols.base import Protocol
 
 if TYPE_CHECKING:
-    from repro.sim.processor import Processor
+    from repro.sim.processor import ActionHandler, Processor
 
 
 class SyncProtocol(Protocol):
@@ -42,7 +42,7 @@ class SyncProtocol(Protocol):
         registry = copy.proto.get("aas")
         if registry is None or not registry.any_active:
             return True
-        engine = self._engine()
+        engine = self.engine
         registry.defer(action)
         engine.trace.record_block(action.action_id, engine.now)
         engine.trace.bump("blocked_initial_updates")
@@ -59,7 +59,7 @@ class SyncProtocol(Protocol):
     # split discipline
     # ------------------------------------------------------------------
     def initiate_split(self, proc: "Processor", copy: NodeCopy) -> None:
-        engine = self._engine()
+        engine = self.engine
         if not (copy.is_pc and copy.is_overfull and copy.num_entries >= 2):
             copy.proto["split_scheduled"] = False
             return
@@ -84,21 +84,17 @@ class SyncProtocol(Protocol):
                 SplitStart(node_id=copy.node_id, split_id=split_id, pc_pid=proc.pid),
             )
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, SplitStart):
-            self._on_split_start(proc, action)
-            return True
-        if isinstance(action, SplitAck):
-            self._on_split_ack(proc, action)
-            return True
-        if isinstance(action, SplitEnd):
-            self._on_split_end(proc, action)
-            return True
-        return super().handle(proc, action)
+    def handlers(self) -> dict[type, "ActionHandler"]:
+        return {
+            **super().handlers(),
+            SplitStart: self.on_split_start,
+            SplitAck: self.on_split_ack,
+            SplitEnd: self.on_split_end,
+        }
 
     # -- non-PC side ---------------------------------------------------
-    def _on_split_start(self, proc: "Processor", action: SplitStart) -> None:
-        engine = self._engine()
+    def on_split_start(self, proc: "Processor", action: SplitStart) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("split_control_on_missing_copy")
@@ -111,8 +107,8 @@ class SyncProtocol(Protocol):
             SplitAck(node_id=copy.node_id, split_id=action.split_id, from_pid=proc.pid),
         )
 
-    def _on_split_end(self, proc: "Processor", action: SplitEnd) -> None:
-        engine = self._engine()
+    def on_split_end(self, proc: "Processor", action: SplitEnd) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("split_control_on_missing_copy")
@@ -138,8 +134,8 @@ class SyncProtocol(Protocol):
         self._release(proc, copy, action.split_id)
 
     # -- PC side ---------------------------------------------------------
-    def _on_split_ack(self, proc: "Processor", action: SplitAck) -> None:
-        engine = self._engine()
+    def on_split_ack(self, proc: "Processor", action: SplitAck) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("split_control_on_missing_copy")
@@ -176,7 +172,7 @@ class SyncProtocol(Protocol):
     # -- shared ----------------------------------------------------------
     def _release(self, proc: "Processor", copy: NodeCopy, split_id: int) -> None:
         """Finish the AAS at this copy and resume blocked updates."""
-        engine = self._engine()
+        engine = self.engine
         released = self._registry(copy).finish(split_id)
         for blocked in released:
             engine.trace.record_unblock(blocked.action_id, engine.now)

@@ -25,16 +25,16 @@ ordered history requirements (paper, Theorem 3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.core.actions import CreateCopy, LinkChange, MigrateNode, Mode
+from repro.core.actions import CreateCopy, MigrateNode
 from repro.core.node import NodeCopy
 from repro.core.replication import Placement, SingleCopy
 from repro.protocols.base import Protocol
 
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine
-    from repro.sim.processor import Processor
+    from repro.sim.processor import ActionHandler, Processor
 
 
 class MigrationMixin:
@@ -68,45 +68,29 @@ class MigrationMixin:
         snapshot = engine.make_snapshot(proc, copy)
         engine.kernel.route(proc.pid, to_pid, CreateCopy(snapshot, "migrate"))
 
-        # Tell the neighbours where the node now lives.  Best effort:
-        # a lost/undeliverable link-change only means stale locators,
-        # which operations recover from.
-        for neighbour_id in self._neighbour_ids(copy):
-            engine.route_link_change(
-                proc,
-                LinkChange(
-                    node_id=neighbour_id,
-                    level=-1,  # id-addressed; level unused for routing
-                    key=copy.range.low,
-                    slot="location",
-                    target_id=copy.node_id,
-                    target_pids=(to_pid,),
-                    version=new_version,
-                    action_id=engine.trace.new_action_id(),
-                    mode=Mode.INITIAL,
-                ),
-            )
+        engine.announce_location(proc, copy, to_children=True)
 
         del engine.store(proc)[copy.node_id]
         engine.trace.record_copy_deleted(copy.node_id, proc.pid, engine.now)
-        if copy.is_leaf:
+        if copy.is_leaf and engine.mirrors is not None:
             # The old home's mirrors are stale; the destination emits
             # fresh ones when the copy installs.
-            engine.mirror_leaf_drop(proc, copy.node_id)
+            engine.mirrors.drop(proc, copy.node_id)
         if leave_forwarding:
             proc.state["forward"][copy.node_id] = (to_pid, new_version, engine.now)
         engine.learn_location(proc, copy.node_id, (to_pid,), new_version)
         engine.trace.bump("migrations")
 
-    @staticmethod
-    def _neighbour_ids(copy: NodeCopy) -> list[int]:
-        neighbours = []
-        for node_id in (copy.left_id, copy.right_id, copy.parent_id):
-            if node_id is not None:
-                neighbours.append(node_id)
-        if not copy.is_leaf:
-            neighbours.extend(child for _key, child in copy.entries())
-        return neighbours
+    def handlers(self) -> dict[type, "ActionHandler"]:
+        return {**super().handlers(), MigrateNode: self.on_migrate_node}
+
+    def on_migrate_node(self, proc: "Processor", action: MigrateNode) -> None:
+        engine = self.engine
+        copy = engine.copy_at(proc, action.node_id)
+        if copy is None:
+            engine.trace.bump("migrate_on_missing_copy")
+        else:
+            self.migrate(proc, copy, action.to_pid)
 
 
 class MobileProtocol(MigrationMixin, Protocol):
@@ -129,21 +113,10 @@ class MobileProtocol(MigrationMixin, Protocol):
         return Placement(pc_pid=proc.pid, member_pids=(proc.pid,))
 
     def initiate_split(self, proc: "Processor", copy: NodeCopy) -> None:
-        engine = self._engine()
+        engine = self.engine
         while copy.is_overfull and copy.num_entries >= 2:
             engine.perform_half_split(proc, copy)
         copy.proto["split_scheduled"] = False
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, MigrateNode):
-            engine = self._engine()
-            copy = engine.copy_at(proc, action.node_id)
-            if copy is None:
-                engine.trace.bump("migrate_on_missing_copy")
-            else:
-                self.migrate(proc, copy, action.to_pid)
-            return True
-        return super().handle(proc, action)
-
     def migrate(self, proc: "Processor", copy: NodeCopy, to_pid: int) -> None:
-        self.migrate_single_copy(self._engine(), proc, copy, to_pid)
+        self.migrate_single_copy(self.engine, proc, copy, to_pid)

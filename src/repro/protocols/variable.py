@@ -25,7 +25,7 @@ assumption for this algorithm).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.actions import (
     AbsorbRequest,
@@ -35,7 +35,6 @@ from repro.core.actions import (
     JoinRequest,
     JoinRetry,
     LinkChange,
-    MigrateNode,
     Mode,
     RelayedJoin,
     RelayedUnjoin,
@@ -49,7 +48,7 @@ from repro.protocols.fixed_semisync import SemiSyncProtocol
 from repro.protocols.mobile import MigrationMixin
 
 if TYPE_CHECKING:
-    from repro.sim.processor import Processor
+    from repro.sim.processor import ActionHandler, Processor
 
 
 class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
@@ -104,7 +103,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         """
         if not copy.is_pc:
             return
-        engine = self._engine()
+        engine = self.engine
         late_joiners = [
             pid
             for pid, join_version in copy.copy_versions.items()
@@ -116,9 +115,6 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             )
             engine.trace.bump("rerelayed_to_joiners")
 
-    # ------------------------------------------------------------------
-    # message handling
-    # ------------------------------------------------------------------
     # ------------------------------------------------------------------
     # free-at-empty (dE-tree direction)
     # ------------------------------------------------------------------
@@ -143,7 +139,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         FIFO on the leaf->left channel guarantees the absorb is
         applied before anything this leaf forwards left arrives.
         """
-        engine = self._engine()
+        engine = self.engine
         if copy.left_id is None:
             engine.trace.bump("retire_skipped_leftmost")
             return
@@ -155,7 +151,8 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         copy.retired = True
         copy.proto["retired_at"] = engine.now
         engine.trace.bump("leaves_retired")
-        engine.mirror_leaf_drop(proc, copy.node_id)
+        if engine.mirrors is not None:
+            engine.mirrors.drop(proc, copy.node_id)
 
         request = AbsorbRequest(
             node_id=copy.left_id,
@@ -185,7 +182,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
 
     def _route_absorb(self, proc: "Processor", request: AbsorbRequest) -> None:
         """Deliver an absorb request to a node, by id (best effort)."""
-        engine = self._engine()
+        engine = self.engine
         if request.node_id in engine.store(proc):
             proc.submit(request)
             return
@@ -197,8 +194,8 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         engine.kernel.route(proc.pid, pid, request)
 
-    def _on_absorb(self, proc: "Processor", action: AbsorbRequest) -> None:
-        engine = self._engine()
+    def on_absorb(self, proc: "Processor", action: AbsorbRequest) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             self._route_absorb(proc, action)
@@ -227,8 +224,8 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 time=engine.now,
             )
             engine.trace.bump("absorbs")
-            if engine._mirror_enabled and copy.is_leaf:
-                engine.mirror_leaf(proc, copy)
+            if engine.mirrors is not None and copy.is_leaf:
+                engine.mirrors.push(proc, copy)
             if action.right_id is not None:
                 engine.learn_location(proc, action.right_id, action.right_pids)
                 engine.route_link_change(
@@ -256,48 +253,34 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         self._route_absorb(proc, engine.retarget(action, copy.right_id))
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, AbsorbRequest):
-            self._on_absorb(proc, action)
-            return True
-        if isinstance(action, JoinRequest):
-            self._on_join_request(proc, action)
-            return True
-        if isinstance(action, RelayedJoin):
-            self._on_relayed_join(proc, action)
-            return True
-        if isinstance(action, UnjoinRequest):
-            self._on_unjoin_request(proc, action)
-            return True
-        if isinstance(action, RelayedUnjoin):
-            self._on_relayed_unjoin(proc, action)
-            return True
-        if isinstance(action, UnjoinAck):
-            pending = proc.state.get("pending_unjoins")
-            if pending is not None:
-                pending.pop(action.node_id, None)
-            self._engine().trace.bump("unjoin_acks")
-            return True
-        if isinstance(action, JoinRetry):
-            # An exact (healing) join bounced; clear the suppression
-            # so the next missing relay retries.
-            self._clear_pending_join(proc, action.node_id)
-            return True
-        if isinstance(action, MigrateNode):
-            engine = self._engine()
-            copy = engine.copy_at(proc, action.node_id)
-            if copy is None:
-                engine.trace.bump("migrate_on_missing_copy")
-            else:
-                self.migrate(proc, copy, action.to_pid)
-            return True
-        return super().handle(proc, action)
+    def handlers(self) -> dict[type, "ActionHandler"]:
+        return {
+            **super().handlers(),
+            AbsorbRequest: self.on_absorb,
+            JoinRequest: self.on_join_request,
+            RelayedJoin: self.on_relayed_join,
+            UnjoinRequest: self.on_unjoin_request,
+            RelayedUnjoin: self.on_relayed_unjoin,
+            UnjoinAck: self.on_unjoin_ack,
+            JoinRetry: self.on_join_retry,
+        }
+
+    def on_unjoin_ack(self, proc: "Processor", action: UnjoinAck) -> None:
+        pending = proc.state.get("pending_unjoins")
+        if pending is not None:
+            pending.pop(action.node_id, None)
+        self.engine.trace.bump("unjoin_acks")
+
+    def on_join_retry(self, proc: "Processor", action: JoinRetry) -> None:
+        # An exact (healing) join bounced; clear the suppression
+        # so the next missing relay retries.
+        self._clear_pending_join(proc, action.node_id)
 
     # ------------------------------------------------------------------
     # join
     # ------------------------------------------------------------------
-    def _on_join_request(self, proc: "Processor", action: JoinRequest) -> None:
-        engine = self._engine()
+    def on_join_request(self, proc: "Processor", action: JoinRequest) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             if action.exact:
@@ -329,7 +312,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
     def _register_join(
         self, proc: "Processor", copy: NodeCopy, requester_pid: int
     ) -> None:
-        engine = self._engine()
+        engine = self.engine
         if requester_pid == proc.pid:
             engine.trace.bump("join_already_member")
             return
@@ -374,11 +357,11 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                     join_version=join_version,
                 ),
             )
-        self._notify_neighbours_location(proc, copy)
+        engine.announce_location(proc, copy)
         engine.trace.bump("joins")
 
-    def _on_relayed_join(self, proc: "Processor", action: RelayedJoin) -> None:
-        engine = self._engine()
+    def on_relayed_join(self, proc: "Processor", action: RelayedJoin) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("relay_to_missing_copy")
@@ -410,7 +393,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         by the engine's missing-copy path).  The primary copy never
         unjoins.
         """
-        engine = self._engine()
+        engine = self.engine
         if copy.is_pc:
             raise ValueError(f"primary copy of node {copy.node_id} cannot unjoin")
         del engine.store(proc)[copy.node_id]
@@ -418,7 +401,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         # Tombstone: trailing relays from members that have not yet
         # processed the unjoin must not trigger copy-loss healing.
         proc.state.setdefault("unjoined", set()).add(copy.node_id)
-        if engine._crash_enabled:
+        if engine.crash is not None:
             # Remember the outstanding request: if the PC crashes
             # before registering it, we re-send once the PC recovers
             # (the crash wiped its queue).  Registered unjoins make
@@ -432,14 +415,14 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         )
         engine.trace.bump("unjoins_requested")
 
-    def _on_unjoin_request(self, proc: "Processor", action: UnjoinRequest) -> None:
-        engine = self._engine()
+    def on_unjoin_request(self, proc: "Processor", action: UnjoinRequest) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None or not copy.is_pc:
             if (
                 copy is None
-                and engine._crash_enabled
-                and engine.stash_if_recovering(proc, action)
+                and engine.crash is not None
+                and engine.crash.stash_if_recovering(proc, action)
             ):
                 # The PC lives here but its donated copy has not yet
                 # arrived; park the request until it installs.
@@ -447,7 +430,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             engine.trace.bump("unjoin_misrouted")
             return
         self._register_unjoin(proc, copy, action.leaver_pid)
-        if engine._crash_enabled and action.leaver_pid != proc.pid:
+        if engine.crash is not None and action.leaver_pid != proc.pid:
             # Retire the leaver's pending_unjoins entry -- both for a
             # fresh registration and for a re-send that just hit the
             # unknown-member guard (already registered before a crash).
@@ -459,7 +442,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         self, proc: "Processor", copy: NodeCopy, leaver_pid: int
     ) -> None:
         """Register a member's departure at the primary copy."""
-        engine = self._engine()
+        engine = self.engine
         if leaver_pid not in copy.copy_versions:
             engine.trace.bump("unjoin_unknown_member")
             return
@@ -487,11 +470,11 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                     new_version=copy.version,
                 ),
             )
-        self._notify_neighbours_location(proc, copy)
+        engine.announce_location(proc, copy)
         engine.trace.bump("unjoins")
 
-    def _on_relayed_unjoin(self, proc: "Processor", action: RelayedUnjoin) -> None:
-        engine = self._engine()
+    def on_relayed_unjoin(self, proc: "Processor", action: RelayedUnjoin) -> None:
+        engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             engine.trace.bump("relay_to_missing_copy")
@@ -528,8 +511,8 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         next leaf arrival re-joins the path), which is the paper's
         Section 5 direction and what the X6 experiment measures.
         """
-        engine = self._engine()
-        eager = engine.recovery_mode == "eager"
+        engine = self.engine
+        eager = engine.crash.eager
         controller = engine.kernel.crash_controller
         for copy in list(engine.store(proc).values()):
             if not copy.is_pc or copy.retired:
@@ -548,7 +531,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         self, proc: "Processor", copy: NodeCopy, controller
     ) -> int | None:
         """The lowest live pid not already in the copy set."""
-        for pid in self._engine().kernel.pids:
+        for pid in self.engine.kernel.pids:
             if pid == proc.pid or pid in copy.copy_versions:
                 continue
             if controller is not None and not controller.is_alive(pid):
@@ -567,7 +550,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         a re-send lost to a re-crash is re-sent again on the next
         recovery instead of silently forgotten.
         """
-        engine = self._engine()
+        engine = self.engine
         pending = proc.state.get("pending_unjoins")
         if not pending:
             return
@@ -581,27 +564,6 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             )
             engine.trace.bump("unjoin_resends")
 
-    def _notify_neighbours_location(self, proc: "Processor", copy: NodeCopy) -> None:
-        """Link-change to the neighbours: the copy set changed."""
-        engine = self._engine()
-        for neighbour_id in (copy.left_id, copy.right_id, copy.parent_id):
-            if neighbour_id is None:
-                continue
-            engine.route_link_change(
-                proc,
-                LinkChange(
-                    node_id=neighbour_id,
-                    level=-1,
-                    key=copy.range.low,
-                    slot="location",
-                    target_id=copy.node_id,
-                    target_pids=copy.copy_pids,
-                    version=copy.version,
-                    action_id=engine.trace.new_action_id(),
-                    mode=Mode.INITIAL,
-                ),
-            )
-
     # ------------------------------------------------------------------
     # leaf migration and lazy path-replication maintenance
     # ------------------------------------------------------------------
@@ -611,7 +573,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         After the leaf leaves, ancestors with no remaining local leaf
         descendants are unjoined (the paper: "applied recursively").
         """
-        engine = self._engine()
+        engine = self.engine
         if not copy.is_leaf:
             raise ValueError(
                 f"only leaves migrate in the variable-copies protocol; "
@@ -639,7 +601,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             unjoined.discard(copy.node_id)
         if reason not in ("migrate", "join", "rehome"):
             return
-        engine = self._engine()
+        engine = self.engine
         parent_id = copy.parent_id
         if parent_id is None or parent_id in engine.store(proc):
             return
@@ -676,7 +638,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         if action.node_id in proc.state.get("unjoined", set()):
             return  # we left on purpose; the relay is just a straggler
-        engine = self._engine()
+        engine = self.engine
         pending = proc.state.setdefault("joining", set())
         if action.node_id in pending:
             return
@@ -708,7 +670,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         at quiescence, and ancestor ranges contain descendant ranges).
         The primary copy and the root never unjoin.
         """
-        engine = self._engine()
+        engine = self.engine
         store = engine.store(proc)
         leaves = [c for c in store.values() if c.is_leaf]
         root_id = proc.state["root_id"]

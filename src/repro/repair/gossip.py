@@ -86,8 +86,8 @@ class RepairPlan:
 
 
 # ----------------------------------------------------------------------
-# gossip actions (handled via the engine's extra-handler fallthrough,
-# so the repair-off dispatch path gains no branches)
+# gossip actions (rows the repair service adds to the engine's action
+# table; a repair-off engine has none of them)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GossipTick:
@@ -254,7 +254,7 @@ class GossipScheduler:
     # ------------------------------------------------------------------
     # the exchange
     # ------------------------------------------------------------------
-    def on_tick(self, proc: "Processor") -> None:
+    def on_tick(self, proc: "Processor", _tick: GossipTick) -> None:
         service = self.service
         engine = service.engine
         service.sweep_orphans(proc)
@@ -378,10 +378,6 @@ class GossipScheduler:
         )
         service.count("digests_sent", len(payload))
         service.count_bytes(DIGEST_BYTES * max(len(payload), 1))
-
-    def on_nodes(self, proc: "Processor", action: DigestNodes) -> None:
-        # The drill-down terminus: hand each mismatch to the executor.
-        self.service.execute_repairs(proc, action)
 
 
 #: Comparison kind by role: a home's leaf entry ("L") and the holder's

@@ -19,8 +19,7 @@ copying:
 * **stale or missing mirrors** -- refreshed from the home with the
   ordinary :class:`~repro.core.actions.MirrorUpdate` push
   (:class:`MirrorPull`); mirrors no longer in the placement's target
-  set are retracted the same way, which is also the live migration
-  path from ring to rendezvous placement,
+  set are retracted the same way,
 * **orphaned leaves** -- a mirror whose home died re-enters through
   the crash layer's re-homing; a home that lost a leaf it still
   nominally owns asks a mirror to send it back as a ``CreateCopy
@@ -28,9 +27,10 @@ copying:
 
 :class:`RepairService` is the facade the engine constructs when a
 :class:`~repro.repair.gossip.RepairPlan` is given: it owns the digest
-index, the gossip scheduler, and the executor, and registers itself
-through the engine's *extra handler* fallthrough so the repair-off
-dispatch path is untouched.
+index, the gossip scheduler, and the executor, and adds one row per
+gossip and repair action to the engine's action table
+(:meth:`~repro.core.dbtree.DBTreeEngine.on`), so a repair-off engine
+has no such rows.
 """
 
 from __future__ import annotations
@@ -148,20 +148,6 @@ class HomeResolve:
     reply: bool = False
 
 
-_REPAIR_ACTIONS = (
-    GossipTick,
-    DigestOffer,
-    DigestMatch,
-    DigestDetail,
-    DigestNodes,
-    MirrorPull,
-    MirrorReturnRequest,
-    RepairPull,
-    RejoinAdvise,
-    HomeResolve,
-)
-
-
 class RepairService:
     """Background anti-entropy: digests + gossip + repair executor."""
 
@@ -175,13 +161,26 @@ class RepairService:
             self,
             seed=engine.kernel.seeds.register("gossip", engine.kernel.seed + 3),
         )
-        engine.add_extra_handler(self.handle)
+        scheduler = self.scheduler
+        for action_type, handler in (
+            (GossipTick, scheduler.on_tick),
+            (DigestOffer, scheduler.on_offer),
+            (DigestMatch, scheduler.on_match),
+            (DigestDetail, scheduler.on_detail),
+            (DigestNodes, self.execute_repairs),
+            (MirrorPull, self._on_mirror_pull),
+            (MirrorReturnRequest, self._on_mirror_return),
+            (RepairPull, self._on_repair_pull),
+            (RejoinAdvise, self._on_rejoin_advise),
+            (HomeResolve, self._on_home_resolve),
+        ):
+            engine.on(action_type, handler)
         controller = engine.kernel.crash_controller
         if controller is not None:
             controller.on_crash(self._on_peer_crash)
             controller.on_detect(lambda _pid: self.scheduler.wake_all())
             controller.on_restart(self._on_peer_restart)
-        detector = getattr(engine.kernel, "detector", None)
+        detector = engine.kernel.detector
         if detector is not None:
             # Earned detection never fires the controller's on_detect
             # hook; wake on local suspicion instead -- and on
@@ -255,12 +254,13 @@ class RepairService:
         # mirroring off; one answer for the whole store when the policy
         # gives every leaf of a home the same targets (ring); None
         # means ask per leaf.
-        if not engine._mirror_enabled:
+        mirrors = engine.mirrors
+        if mirrors is None:
             mirrored_at_peer: bool | None = False
-        elif engine.mirror_placement.per_leaf:
+        elif mirrors.placement.per_leaf:
             mirrored_at_peer = None
         else:
-            mirrored_at_peer = peer in engine._mirror_targets(pid, -1)
+            mirrored_at_peer = peer in mirrors.targets(pid, -1)
         entries: dict[int, tuple[str, int, int, Any]] = {}
         for copy in proc.state["store"].values():
             if copy.retired:
@@ -277,7 +277,7 @@ class RepairService:
                 copy.is_leaf
                 and len(members) == 1
                 and (
-                    peer in engine._mirror_targets(pid, copy.node_id)
+                    peer in mirrors.targets(pid, copy.node_id)
                     if mirrored_at_peer is None
                     else mirrored_at_peer
                 )
@@ -288,9 +288,8 @@ class RepairService:
                     0,
                     copy.range.low,
                 )
-        mirrors = proc.state.get("mirror_store")
-        if mirrors:
-            for node_id, (home, snap) in mirrors.items():
+        if mirrors is not None:
+            for node_id, (home, snap) in mirrors.held(proc).items():
                 if home == peer:
                     entries[node_id] = (
                         "M",
@@ -299,34 +298,6 @@ class RepairService:
                         snap.low,
                     )
         return entries
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if not isinstance(action, _REPAIR_ACTIONS):
-            return False
-        if isinstance(action, GossipTick):
-            self.scheduler.on_tick(proc)
-        elif isinstance(action, DigestOffer):
-            self.scheduler.on_offer(proc, action)
-        elif isinstance(action, DigestMatch):
-            self.scheduler.on_match(proc, action)
-        elif isinstance(action, DigestDetail):
-            self.scheduler.on_detail(proc, action)
-        elif isinstance(action, DigestNodes):
-            self.scheduler.on_nodes(proc, action)
-        elif isinstance(action, MirrorPull):
-            self._on_mirror_pull(proc, action)
-        elif isinstance(action, MirrorReturnRequest):
-            self._on_mirror_return(proc, action)
-        elif isinstance(action, RepairPull):
-            self._on_repair_pull(proc, action)
-        elif isinstance(action, HomeResolve):
-            self._on_home_resolve(proc, action)
-        else:
-            self._on_rejoin_advise(proc, action)
-        return True
 
     # ------------------------------------------------------------------
     # the executor: resolve a peer's divergent entries
@@ -422,7 +393,7 @@ class RepairService:
             and not copy.retired
             and len(copy.copy_versions) == 1
         ):
-            if peer in engine._mirror_targets(proc.pid, node_id):
+            if peer in engine.mirrors.targets(proc.pid, node_id):
                 engine.kernel.route(
                     proc.pid,
                     peer,
@@ -513,7 +484,7 @@ class RepairService:
             and not copy.retired
             and len(copy.copy_versions) == 1
         ):
-            if action.src_pid in engine._mirror_targets(proc.pid, node_id):
+            if action.src_pid in engine.mirrors.targets(proc.pid, node_id):
                 engine.kernel.route(
                     proc.pid,
                     action.src_pid,
@@ -546,8 +517,8 @@ class RepairService:
         self, proc: "Processor", action: MirrorReturnRequest
     ) -> None:
         engine = self.engine
-        mirrors = proc.state.get("mirror_store") or {}
-        entry = mirrors.get(action.node_id)
+        mirrors = engine.mirrors
+        entry = None if mirrors is None else mirrors.held(proc).get(action.node_id)
         if (
             entry is None
             or entry[0] != action.src_pid
@@ -685,8 +656,8 @@ class RepairService:
             # mirror, and parent link now resolves to us on version.
             copy.version = max(copy.version, action.version) + 1
             copy.copy_versions = {proc.pid: copy.version}
-            engine._announce_rehome(proc, copy)
-            engine.mirror_leaf(proc, copy)
+            engine.announce_location(proc, copy)
+            engine.mirrors.push(proc, copy)
             self.count("home_resolves_won")
             self.scheduler.mark_dirty()
             return
@@ -824,17 +795,17 @@ class RepairService:
         as orphans forever.
         """
         engine = self.engine
-        mirrors = proc.state.get("mirror_store")
-        if engine.kernel.crash_controller is None or not mirrors:
+        mirrors = engine.mirrors
+        if mirrors is None:
             return
         dead_homes = {
             home
-            for home, _snap in mirrors.values()
+            for home, _snap in mirrors.held(proc).values()
             if not engine.peer_up(proc.pid, home)
         }
         for dead in dead_homes:
             self.count("orphan_sweeps")
-            engine._rehome_mirrors(proc, dead)
+            mirrors.rehome(proc, dead)
 
     def sweep_dead_members(self, proc: "Processor") -> None:
         """Re-drive the forced unjoin of crashed members.
@@ -848,7 +819,7 @@ class RepairService:
         converges instead of lingering until the next demand touch.
         """
         engine = self.engine
-        if engine.kernel.crash_controller is None:
+        if engine.crash is None:
             return
         # Each processor sweeps by its *own* belief (detector opinion
         # when one is installed, oracle otherwise): under partitions
@@ -868,7 +839,7 @@ class RepairService:
             declared.update(pid for pid in dead if pid in copy.copy_versions)
         if not declared:
             return
-        proc.state.setdefault("dead_peers", set()).update(declared)
+        engine.crash.mark_dead(proc, declared)
         for pid in sorted(declared):
             self.count("membership_sweeps")
             engine.protocol.on_peer_failure(proc, pid)

@@ -30,7 +30,7 @@ monotone sequence number and all randomness flows through seeds.
 """
 
 from repro.sim.crash import CrashController, CrashPlan, CrashRecord
-from repro.sim.events import EventHandle, EventQueue, ScheduledEvent
+from repro.sim.events import EventHandle, EventQueue
 from repro.sim.failure import FaultPlan
 from repro.sim.processor import ProcessorDownError
 from repro.sim.network import (
@@ -60,7 +60,6 @@ __all__ = [
     "ReliableTransport",
     "EventHandle",
     "EventQueue",
-    "ScheduledEvent",
     "FaultPlan",
     "LatencyModel",
     "LogNormalLatency",

@@ -48,11 +48,6 @@ class EventHandle:
         self._queue._cancelled.add(self.seq)
 
 
-#: Backwards-compatible alias: the queue entry used to be a dataclass
-#: of this name; the handle is what external code actually held on to.
-ScheduledEvent = EventHandle
-
-
 class EventQueue:
     """A deterministic priority queue of scheduled events.
 

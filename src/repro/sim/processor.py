@@ -137,11 +137,6 @@ class Processor:
         return f"Processor(pid={self.pid}, queued={len(self._queue)})"
 
     @property
-    def queue_length(self) -> int:
-        """Number of actions waiting (not counting the one in service)."""
-        return len(self._queue)
-
-    @property
     def busy(self) -> bool:
         """Whether an action is currently in service."""
         return self._busy

@@ -137,6 +137,7 @@ def repair_summary(
     if service is None:
         return {"enabled": False}
     counters = service.counters
+    mirrors = service.engine.mirrors
     repairs_by_kind = {
         kind: counters.get(kind, 0)
         for kind in (
@@ -153,7 +154,7 @@ def repair_summary(
     last_dirty = service.last_divergence_time
     return {
         "enabled": True,
-        "placement": service.engine.mirror_placement.name,
+        "placement": mirrors.placement.name if mirrors is not None else "none",
         "period": service.plan.period,
         "fanout": service.plan.fanout,
         "buckets": service.plan.buckets,

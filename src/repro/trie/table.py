@@ -146,6 +146,15 @@ class LazyTrieEngine:
                 locator={},  # node_id -> pid
                 pending_node_ops=defaultdict(list),
             )
+        #: The action table: one row per action type.
+        self._handlers = {
+            CollectStep: self._on_collect,
+            TrieStep: self._on_step,
+            TrieReturn: self._on_return,
+            CreateTrieNode: self._on_create_node,
+            EdgeAdd: self._on_edge_add,
+            EdgeTeach: self._on_edge_add,
+        }
         kernel.install_handler(self.handle)
         self._bootstrap()
 
@@ -196,20 +205,21 @@ class LazyTrieEngine:
     # dispatch
     # ------------------------------------------------------------------
     def handle(self, proc, action: Any) -> None:
-        if isinstance(action, CollectStep):
-            self._on_collect(proc, action)
-        elif isinstance(action, TrieStep):
-            self._on_step(proc, action)
-        elif isinstance(action, TrieReturn):
-            self.trace.record_op_completed(
-                action.op.op_id, action.result, self.kernel.now
-            )
-        elif isinstance(action, CreateTrieNode):
-            self._install(proc, action.node)
-        elif isinstance(action, (EdgeAdd, EdgeTeach)):
-            self._on_edge_add(proc, action)
-        else:
-            raise RuntimeError(f"unhandled trie action {action!r}")
+        try:
+            handler = self._handlers[action.__class__]
+        except KeyError:
+            raise RuntimeError(
+                f"processor {proc.pid} received unhandled action {action!r}"
+            ) from None
+        handler(proc, action)
+
+    def _on_return(self, proc, action: TrieReturn) -> None:
+        self.trace.record_op_completed(
+            action.op.op_id, action.result, self.kernel.now
+        )
+
+    def _on_create_node(self, proc, action: CreateTrieNode) -> None:
+        self._install(proc, action.node)
 
     # ------------------------------------------------------------------
     def _route_to_node(self, proc, node_id: int, step: TrieStep) -> None:

@@ -381,13 +381,13 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
                 f"node {node_id}: replica digests diverge across "
                 f"pids {holders}"
             )
-    if not getattr(engine, "_mirror_enabled", False):
+    mirrors = engine.mirrors
+    if mirrors is None:
         return problems
     for proc in engine.kernel.processors.values():
         if not alive(proc.pid):
             continue
-        mirrors = proc.state.get("mirror_store") or {}
-        for node_id, (home, snap) in sorted(mirrors.items()):
+        for node_id, (home, snap) in sorted(mirrors.held(proc).items()):
             if not alive(home):
                 continue  # orphan awaiting the re-homing sweep
             home_copy = next(
@@ -406,7 +406,7 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
                     "live leaf)"
                 )
                 continue
-            if proc.pid not in engine._mirror_targets(home, node_id):
+            if proc.pid not in mirrors.targets(home, node_id):
                 problems.append(
                     f"pid {proc.pid}: mirror of node {node_id} held "
                     f"off-placement (home pid {home})"
@@ -427,14 +427,11 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
                 or len(copy.copy_versions) != 1
             ):
                 continue
-            for target in engine._mirror_targets(proc.pid, copy.node_id):
+            for target in mirrors.targets(proc.pid, copy.node_id):
                 if not alive(target):
                     continue
                 holder = engine.kernel.processor(target)
-                entry = (holder.state.get("mirror_store") or {}).get(
-                    copy.node_id
-                )
-                if entry is None:
+                if copy.node_id not in mirrors.held(holder):
                     problems.append(
                         f"node {copy.node_id}: single-copy leaf at pid "
                         f"{proc.pid} has no mirror at alive target "
@@ -444,24 +441,26 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# no false kill (earned-detection audit)
+# no false kill (crash-layer audit)
 # ----------------------------------------------------------------------
 def check_false_kill(engine: "DBTreeEngine") -> list[str]:
-    """With an earned failure detector, suspicion is a local opinion
-    and may be wrong -- but wrong opinions must not *stick*.
+    """A belief that a peer is down -- an earned detector's (possibly
+    wrong) suspicion, or an oracle verdict the peer has since
+    restarted past -- must not *stick*.
 
     At quiescence every pair of (oracle-)alive processors must have
     reconciled: neither still suspects the other at the detector
-    layer, and neither still lists the other in its engine-level
-    ``dead_peers`` set.  A violation means a live processor was
-    permanently written off on the word of a detector -- a "false
-    kill", the one failure mode an accrual detector plus rescission
-    plus anti-entropy is supposed to make impossible.
+    layer (when one is installed), and neither still lists the other
+    in its engine-level ``dead_peers`` set.  A violation means a live
+    processor stays written off -- a "false kill", the one failure
+    mode rescission, recovery announcements and anti-entropy are
+    supposed to make impossible.  Needs the crash layer
+    (``engine.crash``).
     """
     problems = []
     kernel = engine.kernel
     controller = kernel.crash_controller
-    detector = getattr(kernel, "detector", None)
+    detector = kernel.detector
 
     def alive(pid: int) -> bool:
         return controller is None or controller.is_alive(pid)
@@ -477,9 +476,7 @@ def check_false_kill(engine: "DBTreeEngine") -> list[str]:
                         f"pid {observer}: detector still suspects "
                         f"alive pid {peer} at quiescence"
                     )
-        proc = kernel.processor(observer)
-        dead_peers = proc.state.get("dead_peers") or ()
-        for peer in sorted(dead_peers):
+        for peer in sorted(engine.crash.dead_peers(kernel.processor(observer))):
             if alive(peer):
                 problems.append(
                     f"pid {observer}: alive pid {peer} still in "
@@ -529,13 +526,13 @@ def check_all(
     report.extend("compatible", check_compatible_histories(engine))
     report.extend("replication-metadata", check_replication_metadata(engine))
     report.extend("ordered", check_ordered_histories(trace))
-    if getattr(engine, "_crash_enabled", False):
+    if engine.crash is not None:
         report.extend("crash-losses", check_crash_losses(engine))
-    if getattr(engine, "repair", None) is not None:
+    if engine.repair is not None:
         report.extend(
             "digest-convergence", check_digest_convergence(engine)
         )
-    if getattr(engine.kernel, "detector", None) is not None:
+    if engine.crash is not None:
         report.extend("false-kill", check_false_kill(engine))
     if expected is not None:
         uncertain = {

@@ -75,7 +75,8 @@ class DiffusiveBalancer:
         self.threshold = threshold
         self._rng = random.Random(seed)
         self.migrated_leaves = 0
-        cluster.engine.add_extra_handler(self._handle)
+        cluster.engine.on(BalanceProbe, self._on_probe)
+        cluster.engine.on(BalancePull, self._on_pull)
 
     # ------------------------------------------------------------------
     def start(self, at: float | None = None) -> None:
@@ -112,20 +113,17 @@ class DiffusiveBalancer:
             if copy.is_leaf
         )
 
-    def _handle(self, proc: "Processor", action: object) -> bool:
-        if isinstance(action, BalanceProbe):
-            my_load = self._load(proc.pid)
-            if action.load > my_load + self.threshold:
-                self.cluster.kernel.route(
-                    proc.pid,
-                    action.from_pid,
-                    BalancePull(from_pid=proc.pid, load=my_load),
-                )
-            return True
-        if isinstance(action, BalancePull):
-            self._ship_leaves(proc, to_pid=action.from_pid, peer_load=action.load)
-            return True
-        return False
+    def _on_probe(self, proc: "Processor", action: BalanceProbe) -> None:
+        my_load = self._load(proc.pid)
+        if action.load > my_load + self.threshold:
+            self.cluster.kernel.route(
+                proc.pid,
+                action.from_pid,
+                BalancePull(from_pid=proc.pid, load=my_load),
+            )
+
+    def _on_pull(self, proc: "Processor", action: BalancePull) -> None:
+        self._ship_leaves(proc, to_pid=action.from_pid, peer_load=action.load)
 
     def _ship_leaves(self, proc: "Processor", to_pid: int, peer_load: int) -> None:
         """Migrate leaves covering about half the load surplus."""

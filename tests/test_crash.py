@@ -151,8 +151,8 @@ class TestCrashMechanics:
     def test_no_crash_plan_keeps_layer_uninstalled(self):
         cluster = DBTreeCluster(num_processors=2, protocol="variable", capacity=4)
         assert cluster.kernel.crash_controller is None
-        assert not cluster.engine._crash_enabled
-        assert not cluster.engine._mirror_enabled
+        assert cluster.engine.crash is None
+        assert cluster.engine.mirrors is None
 
 
 # ----------------------------------------------------------------------

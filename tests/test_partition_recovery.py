@@ -99,13 +99,13 @@ class TestRetryBackoff:
 
     def test_delay_bounds_and_cap(self):
         cluster = self.crashed_home_cluster()
-        engine = cluster.engine
-        base = engine.op_timeout
-        cap = base * engine.BACKOFF_CAP
+        timers = cluster.engine.timers
+        base = timers.timeout
+        cap = base * timers.BACKOFF_CAP
         delay = base
         seen_cap = False
         for _ in range(200):
-            delay = engine._backoff_delay(delay)
+            delay = timers._backoff_delay(delay)
             assert base <= delay <= cap
             seen_cap = seen_cap or delay == cap
         # the ladder actually climbs: with prev*3 growth the cap is

@@ -392,21 +392,6 @@ class TestRepairConvergence:
             + counters.get("rejoin_advises", 0)
         ) > 0
 
-    def test_runtime_placement_migration(self):
-        cluster = repair_cluster(schedule=((1, 9000.0, 9100.0),))
-        spaced_inserts(cluster, count=80)
-        cluster.kernel.events.schedule(
-            1500.0,
-            lambda: cluster.engine.set_mirror_placement("rendezvous"),
-        )
-        cluster.run()
-        assert cluster.engine.mirror_placement.name == "rendezvous"
-        assert cluster.trace.counters.get("mirror_migrations", 0) > 0
-        # The digest-convergence audit verifies mirrors now live at
-        # the *rendezvous* targets (off-placement mirrors would fail).
-        report = cluster.check()
-        assert report.ok, report.problems
-
 
 # ----------------------------------------------------------------------
 # UnjoinAck: the pending-unjoin stash drains at quiescence
