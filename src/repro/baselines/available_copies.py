@@ -26,7 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.core.actions import DeleteAction, InsertAction, Mode, SearchStep
+from repro.core.actions import (
+    DeleteAction,
+    HalfSplit,
+    InsertAction,
+    Mode,
+    SearchStep,
+)
 from repro.core.node import NodeCopy
 from repro.protocols.base import Protocol
 
@@ -60,7 +66,7 @@ class ApplyUnlock:
 
     node_id: int
     round_id: int
-    payload: Any  # the relayed keyed update, or a split description
+    payload: Any  # the relayed keyed update, or the HalfSplit
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,6 @@ class UpdateAck:
     node_id: int
     round_id: int
     from_pid: int
-
-
-@dataclass(frozen=True)
-class SplitDescription:
-    """What a peer applies when the locked round was a half-split."""
-
-    action_id: int
-    separator: Any
-    sibling_id: int
-    sibling_pids: tuple[int, ...]
-    parent_hint: int | None
 
 
 class AvailableCopiesProtocol(Protocol):
@@ -206,12 +201,12 @@ class AvailableCopiesProtocol(Protocol):
             "phase": "locking",
         }
         state["locked"] = True
-        for pid in peers:
-            engine.kernel.route(
-                proc.pid,
-                pid,
-                LockRequest(node_id=copy.node_id, round_id=round_id, pc_pid=proc.pid),
-            )
+        engine.relay(
+            proc,
+            copy,
+            LockRequest(node_id=copy.node_id, round_id=round_id, pc_pid=proc.pid),
+            peers,
+        )
 
     def _apply_work_at_pc(
         self, proc: "Processor", copy: NodeCopy, work: tuple[str, Any]
@@ -222,14 +217,7 @@ class AvailableCopiesProtocol(Protocol):
         if kind == "update":
             result = self._perform_initial_keyed(proc, copy, action)
             return replace(action, mode=Mode.RELAYED, op=None), result
-        split = engine.perform_half_split(proc, copy)
-        return SplitDescription(
-            action_id=split.action_id,
-            separator=split.separator,
-            sibling_id=split.sibling_id,
-            sibling_pids=split.sibling_pids,
-            parent_hint=copy.parent_id,
-        ), True
+        return engine.perform_half_split(proc, copy), True
 
     def _finish_round(
         self,
@@ -297,17 +285,15 @@ class AvailableCopiesProtocol(Protocol):
         payload, result = self._apply_work_at_pc(proc, copy, round_state["work"])
         round_state["phase"] = "applying"
         round_state["result"] = result
-        round_state["awaiting"] = set(copy.peers_of(proc.pid))
-        for pid in round_state["awaiting"]:
-            engine.kernel.route(
-                proc.pid,
-                pid,
+        round_state["awaiting"] = set(
+            engine.relay(
+                proc,
+                copy,
                 ApplyUnlock(
-                    node_id=copy.node_id,
-                    round_id=action.round_id,
-                    payload=payload,
+                    node_id=copy.node_id, round_id=action.round_id, payload=payload
                 ),
             )
+        )
         if not round_state["awaiting"]:
             self._complete_round(proc, copy)
 
@@ -318,24 +304,8 @@ class AvailableCopiesProtocol(Protocol):
             engine.trace.bump("apply_on_missing_copy")
             return
         payload = action.payload
-        if isinstance(payload, SplitDescription):
-            if payload.action_id not in copy.incorporated_ids and copy.range.contains(
-                payload.separator
-            ):
-                copy.apply_half_split(payload.separator, payload.sibling_id)
-                if payload.parent_hint is not None:
-                    copy.parent_id = payload.parent_hint
-                copy.incorporated_ids.add(payload.action_id)
-                engine.learn_location(proc, payload.sibling_id, payload.sibling_pids)
-                engine.trace.record_relayed(
-                    node_id=copy.node_id,
-                    pid=proc.pid,
-                    action_id=payload.action_id,
-                    kind="half_split",
-                    params=("half_split", payload.separator, payload.sibling_id),
-                    version=copy.version,
-                    time=engine.now,
-                )
+        if isinstance(payload, HalfSplit):
+            self.apply_relayed_split(proc, copy, payload)
         else:
             self.apply_relayed_keyed(proc, copy, payload)
         self._unlock(proc, copy)

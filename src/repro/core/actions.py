@@ -12,6 +12,11 @@ misdirected action -- stale parent hint, migrated node, unjoined copy
 -- can recover by re-navigating the tree, exactly the paper's
 out-of-range / missing-node rules (Sections 4.2-4.3).
 
+A half-split is described once, by :class:`HalfSplit`; the messages
+that take it to the other copies (:class:`RelayedSplit`,
+:class:`SplitEnd`, the vigorous baseline's ``ApplyUnlock``) carry that
+value and add only their own addressing.
+
 The ``kind`` class attribute is the accounting label used by the
 network statistics; the message-complexity benchmarks (experiment C4)
 count these labels.
@@ -198,6 +203,41 @@ class DeleteAction:
 
 
 # ----------------------------------------------------------------------
+# the half-split (Figure 1): one record, three wire forms
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class HalfSplit:
+    """One half-split of one node, as the primary copy performed it.
+
+    The only description of a half-split there is: what
+    :meth:`~repro.core.dbtree.DBTreeEngine.perform_half_split` returns
+    and what every wire form carries to the node's other copies --
+    :class:`RelayedSplit` (semi-synchronous and its descendants),
+    :class:`SplitEnd` (synchronous) and the vigorous baseline's
+    ``ApplyUnlock`` -- each of which applies it through
+    :meth:`~repro.protocols.base.Protocol.apply_relayed_split`.
+    ``parent_hint`` is the primary copy's parent link after the split
+    (the new root when the split grew the tree).
+    """
+
+    action_id: int
+    separator: Key
+    sibling_id: int
+    sibling_pids: tuple[int, ...]
+    parent_hint: int | None
+
+
+@dataclass(frozen=True)
+class RelayedSplit:
+    """Relayed half-split: shrink range, point right at the sibling."""
+
+    kind = "relayed_split"
+
+    node_id: int
+    split: HalfSplit
+
+
+# ----------------------------------------------------------------------
 # synchronous split protocol (Section 4.1.1): AAS control messages
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -230,30 +270,7 @@ class SplitEnd:
 
     node_id: int
     split_id: int
-    action_id: int
-    separator: Key
-    sibling_id: int
-    sibling_pids: tuple[int, ...]
-    new_version: int
-    parent_hint: int | None
-
-
-# ----------------------------------------------------------------------
-# semi-synchronous / variable protocols: one-shot relayed split
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RelayedSplit:
-    """Relayed half-split: shrink range, point right at the sibling."""
-
-    kind = "relayed_split"
-
-    node_id: int
-    action_id: int
-    separator: Key
-    sibling_id: int
-    sibling_pids: tuple[int, ...]
-    new_version: int
-    parent_hint: int | None
+    split: HalfSplit
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@
 """
 
 from repro.core.dbtree.crash import CrashRecovery
-from repro.core.dbtree.engine import DBTreeEngine, InitiateSplit, SplitResult
+from repro.core.dbtree.engine import DBTreeEngine, InitiateSplit
 from repro.core.dbtree.mirrors import LeafMirrors
 from repro.core.dbtree.timers import OpTimers
 
@@ -23,5 +23,4 @@ __all__ = [
     "InitiateSplit",
     "LeafMirrors",
     "OpTimers",
-    "SplitResult",
 ]

@@ -9,11 +9,15 @@ The engine owns everything the paper's Section 4 algorithms share:
   or the root),
 * **split mechanics** -- the half-split itself (Figure 1): sibling
   creation, link update, parent insert, and root growth,
-* **copy installation, locators, and trace recording**.
+* **the lazy update** (Sections 3, 4.1) -- one of each step, whatever
+  the update: :meth:`DBTreeEngine.incorporate` enters it in a copy's
+  history, :meth:`DBTreeEngine.duplicate_relay` is the test every
+  relayed application passes first, :meth:`DBTreeEngine.relay` sends
+  a message to the node's other copies,
+* **copy installation and locators**.
 
-What the engine does *not* decide is update ordering: how initial
-updates propagate to the other copies and how splits are ordered
-against inserts.  That is the :class:`~repro.protocols.base.Protocol`
+What the engine does *not* decide is update ordering: which updates a
+protocol relays when, and how splits are ordered against inserts.  That is the :class:`~repro.protocols.base.Protocol`
 strategy -- synchronous, semi-synchronous, naive, mobile, or
 variable-copies -- making the engine a faithful implementation of the
 paper's claim that the B-link actions stay fixed while only the copy
@@ -32,11 +36,12 @@ batcher, the load balancer) attaches its rows with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.actions import (
     CreateCopy,
     DeleteAction,
+    HalfSplit,
     InsertAction,
     LinkChange,
     Mode,
@@ -71,18 +76,6 @@ class InitiateSplit:
     kind = "initiate_split"
 
     node_id: int
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Outcome of the half-split mechanics at the primary copy."""
-
-    action_id: int
-    separator: Key
-    sibling_id: int
-    sibling_pids: tuple[int, ...]
-    parent_id: int | None
-    sibling_version: int
 
 
 class DBTreeEngine:
@@ -372,11 +365,9 @@ class DBTreeEngine:
         if leaf is not None and self._leaf_caches is not None:
             node_range = leaf.range
             hint = (leaf.node_id, node_range.low, node_range.high, leaf.copy_pids)
-        action = ReturnValue(op=op, result=result, leaf_hint=hint)
-        if op.home_pid == proc.pid:
-            proc.submit(action)
-        else:
-            self.kernel.route(proc.pid, op.home_pid, action)
+        self.kernel.route(
+            proc.pid, op.home_pid, ReturnValue(op=op, result=result, leaf_hint=hint)
+        )
 
     # ------------------------------------------------------------------
     # routing
@@ -396,18 +387,6 @@ class DBTreeEngine:
         if with_node is not None:
             return with_node(node_id)
         return replace(action, node_id=node_id)
-
-    def send_relay(self, src_pid: int, dst_pid: int, action: Any) -> None:
-        """Send a relayed keyed update, batching when piggybacking is on.
-
-        With no batch window configured this is a plain routed send;
-        with one, relays to the same destination within the window
-        ride a single message (the paper's piggybacking saving).
-        """
-        if self.relay_batcher is not None and src_pid != dst_pid:
-            self.relay_batcher.enqueue(src_pid, dst_pid, action)
-            return
-        self.kernel.route(src_pid, dst_pid, action)
 
     def learn_location(
         self,
@@ -578,6 +557,88 @@ class DBTreeEngine:
     def _route_via_root(self, proc: Processor, action: Any) -> None:
         root_id = proc.state["root_id"]
         self.route_to_node(proc, root_id, action, level=None, key=action.key)
+
+    # ------------------------------------------------------------------
+    # the lazy update (Sections 3, 4.1).  At the copy that performs it:
+    # apply, incorporate, relay.  At every other copy: duplicate test,
+    # apply, incorporate.  Whatever the update is -- keyed, half-split,
+    # link-change, join, unjoin, absorb -- these three are all of it.
+    # ------------------------------------------------------------------
+    def incorporate(
+        self,
+        proc: Processor,
+        copy: NodeCopy,
+        action_id: int,
+        mode: Mode,
+        params: tuple[Hashable, ...],
+        version: int | None = None,
+    ) -> None:
+        """Enter an update in a copy's history.
+
+        The only caller of the trace's ``record_initial`` /
+        ``record_relayed`` and the place action ids join
+        ``incorporated_ids``, so the id set a copy hands a new member
+        as its birth set and the history the checkers audit cannot
+        drift apart.  (One exception, for speed: with histories off,
+        ``Protocol._apply_keyed`` adds a keyed update's id itself
+        instead of paying this call.)  ``params[0]`` names the kind of
+        update; ``version`` is the node version the update carries
+        when that is not the copy's own (ordered link-changes, relayed
+        joins and unjoins).
+        """
+        copy.incorporated_ids.add(action_id)
+        trace = self.trace
+        if trace.record_updates:
+            record = (
+                trace.record_initial if mode is Mode.INITIAL else trace.record_relayed
+            )
+            record(
+                node_id=copy.node_id,
+                pid=proc.pid,
+                action_id=action_id,
+                kind=params[0],
+                params=params,
+                version=copy.version if version is None else version,
+                time=self.now,
+            )
+
+    def duplicate_relay(self, copy: NodeCopy, action_id: int) -> bool:
+        """Whether a relayed update is already in the copy's history.
+
+        Every relayed application asks first, which is what makes a
+        second delivery harmless: the variable-copies primary re-relays
+        to late joiners that may have been sent the update directly, a
+        repair replay resends from a log, a faulty network duplicates.
+        """
+        if action_id in copy.incorporated_ids:
+            self.trace.bump("duplicate_relay_ignored")
+            return True
+        return False
+
+    def relay(
+        self,
+        proc: Processor,
+        copy: NodeCopy,
+        message: Any,
+        to: Sequence[int] | None = None,
+    ) -> Sequence[int]:
+        """Send one message to the node's other copies; returns them.
+
+        ``to`` narrows the fan-out to some of them.  A relayed keyed
+        update rides the relay batcher when piggybacking is on (it
+        commutes, so nothing presses); everything else leaves now.
+        """
+        src = proc.pid
+        if to is None:
+            to = copy.peers_of(src)
+        send = self.kernel.route
+        if self.relay_batcher is not None and isinstance(
+            message, (InsertAction, DeleteAction)
+        ):
+            send = self.relay_batcher.enqueue
+        for pid in to:
+            send(src, pid, message)
+        return to
 
     # ------------------------------------------------------------------
     # central dispatch
@@ -829,30 +890,27 @@ class DBTreeEngine:
             self.handle_missing(proc, action)
             return
         if action.slot == "location":
-            self._apply_location_change(proc, copy, action)
+            # A neighbour's copies moved: refresh this processor's locator.
+            self.learn_location(
+                proc, action.target_id, action.target_pids, action.version
+            )
+        elif not self._apply_link_slot_change(proc, copy, action):
             return
-        self._apply_link_slot_change(proc, copy, action)
-
-    def _apply_location_change(
-        self, proc: Processor, copy: NodeCopy, action: LinkChange
-    ) -> None:
-        """A neighbour's copies moved: refresh this processor's locator."""
-        self.learn_location(proc, action.target_id, action.target_pids, action.version)
         if action.mode is Mode.INITIAL:
-            for pid in copy.peers_of(proc.pid):
-                self.kernel.route(
-                    proc.pid, pid, replace(action, mode=Mode.RELAYED)
-                )
+            peers = copy.peers_of(proc.pid)
+            if peers:
+                self.relay(proc, copy, replace(action, mode=Mode.RELAYED), peers)
 
     def _apply_link_slot_change(
         self, proc: Processor, copy: NodeCopy, action: LinkChange
-    ) -> None:
+    ) -> bool:
+        """Apply an ordered link-change; False if a newer one is in."""
         current = copy.link_versions.get(action.slot, -1)
         if action.version <= current:
             # Stale: the history is rewritten to insert the change in
             # its proper (superseded) place, i.e. it is discarded.
             self.trace.bump("stale_link_change")
-            return
+            return False
         if action.slot == "right":
             copy.right_id = action.target_id
         elif action.slot == "left":
@@ -864,26 +922,15 @@ class DBTreeEngine:
         copy.link_versions[action.slot] = action.version
         if action.target_id is not None:
             self.learn_location(proc, action.target_id, action.target_pids)
-        if self.trace.record_updates:
-            params = ("link_change", action.slot, action.target_id, action.version)
-            record = (
-                self.trace.record_initial
-                if action.mode is Mode.INITIAL
-                else self.trace.record_relayed
-            )
-            record(
-                node_id=copy.node_id,
-                pid=proc.pid,
-                action_id=action.action_id,
-                kind="link_change",
-                params=params,
-                version=action.version,
-                time=self.now,
-            )
-        copy.incorporated_ids.add(action.action_id)
-        if action.mode is Mode.INITIAL:
-            for pid in copy.peers_of(proc.pid):
-                self.kernel.route(proc.pid, pid, replace(action, mode=Mode.RELAYED))
+        self.incorporate(
+            proc,
+            copy,
+            action.action_id,
+            action.mode,
+            ("link_change", action.slot, action.target_id, action.version),
+            action.version,
+        )
+        return True
 
     # ------------------------------------------------------------------
     # copy installation
@@ -1137,7 +1184,7 @@ class DBTreeEngine:
         proc: Processor,
         copy: NodeCopy,
         placement: Placement | None = None,
-    ) -> SplitResult:
+    ) -> HalfSplit:
         """Execute the half-split at the primary copy.
 
         Creates the sibling (all its copies), re-links, issues the
@@ -1157,17 +1204,9 @@ class DBTreeEngine:
 
         upper = copy.apply_half_split(separator, sibling_id)
         action_id = self.trace.new_action_id()
-        copy.incorporated_ids.add(action_id)
-        if self.trace.record_updates:
-            self.trace.record_initial(
-                node_id=copy.node_id,
-                pid=proc.pid,
-                action_id=action_id,
-                kind="half_split",
-                params=("half_split", separator, sibling_id),
-                version=copy.version,
-                time=self.now,
-            )
+        self.incorporate(
+            proc, copy, action_id, Mode.INITIAL, ("half_split", separator, sibling_id)
+        )
         self.trace.bump("half_splits")
         if copy.is_leaf and self._leaf_caches is not None:
             # The splitting processor's own cache sees the new world
@@ -1208,11 +1247,8 @@ class DBTreeEngine:
         remote_members = [p for p in placement.member_pids if p != proc.pid]
         if proc.pid in placement.member_pids:
             self.install_copy(proc, sibling, frozenset(), "sibling")
-            snap_source = sibling
-        else:
-            snap_source = sibling
         if remote_members:
-            snapshot = self.make_snapshot(proc, snap_source, birth_set=frozenset())
+            snapshot = self.make_snapshot(proc, sibling, birth_set=frozenset())
             for pid in remote_members:
                 self.kernel.route(proc.pid, pid, CreateCopy(snapshot, "sibling"))
 
@@ -1249,13 +1285,12 @@ class DBTreeEngine:
             )
             self.route_link_change(proc, link)
 
-        return SplitResult(
+        return HalfSplit(
             action_id=action_id,
             separator=separator,
             sibling_id=sibling_id,
             sibling_pids=placement.member_pids,
-            parent_id=parent_id,
-            sibling_version=sibling.version,
+            parent_hint=parent_id,
         )
 
     def _grow_root(

@@ -225,11 +225,7 @@ class LazyHashEngine:
         if target is None:
             raise RuntimeError("directory replica lost the root fact")
         bucket_id, pid = target
-        step = HashStep(bucket_id=bucket_id, op=op)
-        if pid == proc.pid:
-            proc.submit(step)
-        else:
-            self.kernel.route(proc.pid, pid, step)
+        self.kernel.route(proc.pid, pid, HashStep(bucket_id=bucket_id, op=op))
 
     def _on_step(self, proc, action: HashStep) -> None:
         op = action.op
@@ -255,11 +251,9 @@ class LazyHashEngine:
                 proc.submit(HashLookup(op=op))
                 return
             self.trace.bump("hash_forwarded")
-            step = replace(action, bucket_id=link.buddy_id)
-            if link.buddy_pid == proc.pid:
-                proc.submit(step)
-            else:
-                self.kernel.route(proc.pid, link.buddy_pid, step)
+            self.kernel.route(
+                proc.pid, link.buddy_pid, replace(action, bucket_id=link.buddy_id)
+            )
             # Image adjustment: teach the misrouting replica the
             # deeper fact so it does not misroute again.
             if op.home_pid != proc.pid:
@@ -286,10 +280,7 @@ class LazyHashEngine:
             result = bucket.delete(op.key)
         else:
             result = bucket.lookup(op.key)
-        if op.home_pid == proc.pid:
-            proc.submit(HashReturn(op=op, result=result))
-        else:
-            self.kernel.route(proc.pid, op.home_pid, HashReturn(op=op, result=result))
+        self.kernel.route(proc.pid, op.home_pid, HashReturn(op=op, result=result))
         if op.kind == "insert" and bucket.is_overfull:
             self._split(proc, bucket)
 

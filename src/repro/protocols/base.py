@@ -7,19 +7,25 @@ ordered against inserts.  This split of responsibilities mirrors the
 paper: the B-link actions are fixed, only the copy-coherence
 discipline differs between Sections 4.1.1, 4.1.2, 4.2 and 4.3.
 
-:class:`Protocol` also provides the shared lazy-insert machinery
-(perform + relay, idempotent relayed application with action-id
-de-duplication) that the semi-synchronous, naive, synchronous, and
-variable-copies protocols all reuse.
+:class:`Protocol` also provides the lazy update for keyed updates
+and half-splits, which every protocol reuses: perform at one copy and
+relay (:meth:`Protocol.initial_insert`, :meth:`Protocol.relay_keyed`,
+:meth:`Protocol.relay_split`); at the other copies, duplicate test,
+apply, incorporate (:meth:`Protocol.apply_relayed_keyed`, and
+:meth:`Protocol.apply_relayed_split` -- the one application of a
+relayed half-split, whichever message carried it).  The steps
+themselves -- entering an update in a copy's history, the duplicate
+test, the fan-out to the other copies -- are the engine's
+``incorporate``, ``duplicate_relay`` and ``relay``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import (
     DeleteAction,
+    HalfSplit,
     InsertAction,
     Mode,
     RelayedSplit,
@@ -28,7 +34,7 @@ from repro.core.node import NodeCopy
 from repro.core.replication import Placement
 
 if TYPE_CHECKING:
-    from repro.core.dbtree import DBTreeEngine, SplitResult
+    from repro.core.dbtree import DBTreeEngine
     from repro.sim.processor import ActionHandler, Processor
 
 
@@ -184,90 +190,65 @@ class Protocol:
     # ------------------------------------------------------------------
     # shared mechanics for keyed updates
     # ------------------------------------------------------------------
-    def _apply_keyed(self, copy: NodeCopy, action: Any) -> Any:
-        """Mutate the copy's value; returns the op result."""
+    def _apply_keyed(self, proc: "Processor", copy: NodeCopy, action: Any) -> Any:
+        """Apply a keyed update, initial or relayed, to this copy.
+
+        Enters it in the copy's history, logs it for repair replay and
+        mutates the value; returns the op result.
+        """
+        engine = self.engine
+        if engine.trace.record_updates:
+            engine.incorporate(
+                proc, copy, action.action_id, action.mode, engine.update_params(action)
+            )
+        else:
+            # Histories off: the id set is all there is to keep, and
+            # this path is too hot for a call that would do only that.
+            copy.incorporated_ids.add(action.action_id)
+        if engine.repair is not None:
+            engine.repair.log_update(copy, action)
         if isinstance(action, InsertAction):
+            if action.payload_pids:
+                engine.learn_location(proc, action.payload, action.payload_pids)
             copy.insert_entry(action.key, action.payload)
             return True
-        if isinstance(action, DeleteAction):
-            if not copy.is_leaf and action.key == copy.range.low:
-                # The leftmost entry of an interior node is immortal:
-                # deleting it could empty the node and break routing.
-                # The rule is a pure function of (key, node low), so
-                # every copy decides identically in any order -- it
-                # commutes.  The entry keeps pointing at a retired
-                # zombie, whose links forward to the absorber.
-                self.engine.trace.bump("immortal_entry_delete_skipped")
-                return False
-            return copy.delete_entry(action.key)
-        raise TypeError(f"not a keyed update: {action!r}")
+        if not copy.is_leaf and action.key == copy.range.low:
+            # The leftmost entry of an interior node is immortal:
+            # deleting it could empty the node and break routing.
+            # The rule is a pure function of (key, node low), so
+            # every copy decides identically in any order -- it
+            # commutes.  The entry keeps pointing at a retired
+            # zombie, whose links forward to the absorber.
+            engine.trace.bump("immortal_entry_delete_skipped")
+            return False
+        return copy.delete_entry(action.key)
 
     def _perform_initial_keyed(
         self, proc: "Processor", copy: NodeCopy, action: Any
     ) -> Any:
-        engine = self.engine
-        result = self._apply_keyed(copy, action)
-        copy.incorporated_ids.add(action.action_id)
-        if engine.trace.record_updates:
-            engine.trace.record_initial(
-                node_id=copy.node_id,
-                pid=proc.pid,
-                action_id=action.action_id,
-                kind=action.kind.split("_")[0],
-                params=engine.update_params(action),
-                version=copy.version,
-                time=engine.now,
-            )
-        if isinstance(action, InsertAction) and action.payload_pids:
-            engine.learn_location(proc, action.payload, action.payload_pids)
-        if engine.mirrors is not None and copy.is_leaf:
-            engine.mirrors.push(proc, copy)
-        if engine.repair is not None:
-            engine.repair.log_update(copy, action)
+        result = self._apply_keyed(proc, copy, action)
+        mirrors = self.engine.mirrors
+        if mirrors is not None and copy.is_leaf:
+            mirrors.push(proc, copy)
         return result
 
-    def relay_keyed(self, proc: "Processor", copy: NodeCopy, action: Any) -> int:
+    def relay_keyed(self, proc: "Processor", copy: NodeCopy, action: Any) -> None:
         """Send the relayed form of an initial update to every peer."""
-        engine = self.engine
         peers = copy.peers_of(proc.pid)
-        if not peers:
-            return 0
-        relayed = action.relayed(copy.version)
-        src = proc.pid
-        for pid in peers:
-            engine.send_relay(src, pid, relayed)
-        return len(peers)
+        if peers:
+            self.engine.relay(proc, copy, action.relayed(copy.version), peers)
 
     def apply_relayed_keyed(
         self, proc: "Processor", copy: NodeCopy, action: Any
-    ) -> bool:
-        """Apply a relayed update idempotently; False if already known.
+    ) -> None:
+        """Apply a relayed update, once.
 
         De-duplication by action id makes the variable-copies re-relay
         (PC forwarding updates to late joiners that may also have
         received them directly) harmless.
         """
-        engine = self.engine
-        if action.action_id in copy.incorporated_ids:
-            engine.trace.bump("duplicate_relay_ignored")
-            return False
-        self._apply_keyed(copy, action)
-        copy.incorporated_ids.add(action.action_id)
-        if engine.trace.record_updates:
-            engine.trace.record_relayed(
-                node_id=copy.node_id,
-                pid=proc.pid,
-                action_id=action.action_id,
-                kind=action.kind.split("_")[0],
-                params=engine.update_params(action),
-                version=copy.version,
-                time=engine.now,
-            )
-        if isinstance(action, InsertAction) and action.payload_pids:
-            engine.learn_location(proc, action.payload, action.payload_pids)
-        if engine.repair is not None:
-            engine.repair.log_update(copy, action)
-        return True
+        if not self.engine.duplicate_relay(copy, action.action_id):
+            self._apply_keyed(proc, copy, action)
 
     def _finish_keyed(
         self, proc: "Processor", copy: NodeCopy, action: Any, result: Any = True
@@ -312,67 +293,51 @@ class Protocol:
         return Placement(pc_pid=copy.pc_pid, member_pids=copy.copy_pids)
 
     def relay_split(
-        self, proc: "Processor", copy: NodeCopy, split: "SplitResult"
-    ) -> int:
-        """Send relayed half-splits to the peer copies (lazy default)."""
-        engine = self.engine
-        peers = copy.peers_of(proc.pid)
-        for pid in peers:
-            engine.kernel.route(
-                proc.pid,
-                pid,
-                RelayedSplit(
-                    node_id=copy.node_id,
-                    action_id=split.action_id,
-                    separator=split.separator,
-                    sibling_id=split.sibling_id,
-                    sibling_pids=split.sibling_pids,
-                    new_version=copy.version,
-                    parent_hint=copy.parent_id,
-                ),
-            )
-        return len(peers)
+        self, proc: "Processor", copy: NodeCopy, split: HalfSplit
+    ) -> None:
+        """Send the half-split to the peer copies (lazy default)."""
+        self.engine.relay(proc, copy, RelayedSplit(copy.node_id, split))
 
     def apply_relayed_split(
-        self, proc: "Processor", copy: NodeCopy, action: RelayedSplit
+        self, proc: "Processor", copy: NodeCopy, split: HalfSplit
     ) -> None:
-        """Apply a relayed half-split at a non-PC copy."""
+        """Apply a relayed half-split at a non-PC copy.
+
+        The one application, whichever message carried the split here
+        (``RelayedSplit``, the synchronous ``SplitEnd``, the vigorous
+        baseline's ``ApplyUnlock``).
+        """
         engine = self.engine
-        if action.action_id in copy.incorporated_ids:
-            engine.trace.bump("duplicate_relay_ignored")
+        if engine.duplicate_relay(copy, split.action_id):
             return
-        if not copy.range.contains(action.separator):
+        if not copy.range.contains(split.separator):
             # Can only happen under fault injection (reordering); the
             # counter lets the A2 ablation observe it.
             engine.trace.bump("relayed_split_out_of_range")
             return
         old_high = copy.range.high
-        copy.apply_half_split(action.separator, action.sibling_id)
-        if action.parent_hint is not None:
-            copy.parent_id = action.parent_hint
-        copy.incorporated_ids.add(action.action_id)
-        engine.learn_location(proc, action.sibling_id, action.sibling_pids)
+        copy.apply_half_split(split.separator, split.sibling_id)
+        if split.parent_hint is not None:
+            copy.parent_id = split.parent_hint
+        engine.learn_location(proc, split.sibling_id, split.sibling_pids)
         if copy.is_leaf and engine._leaf_caches is not None:
             cache = engine._leaf_caches[proc.pid]
-            cache.learn(copy.range.low, action.separator, copy.node_id)
-            cache.learn(action.separator, old_high, action.sibling_id)
-        if engine.trace.record_updates:
-            engine.trace.record_relayed(
-                node_id=copy.node_id,
-                pid=proc.pid,
-                action_id=action.action_id,
-                kind="half_split",
-                params=("half_split", action.separator, action.sibling_id),
-                version=copy.version,
-                time=engine.now,
-            )
+            cache.learn(copy.range.low, split.separator, copy.node_id)
+            cache.learn(split.separator, old_high, split.sibling_id)
+        engine.incorporate(
+            proc,
+            copy,
+            split.action_id,
+            Mode.RELAYED,
+            ("half_split", split.separator, split.sibling_id),
+        )
 
     def on_relayed_split(self, proc: "Processor", action: RelayedSplit) -> None:
         copy = self.engine.copy_at(proc, action.node_id)
         if copy is None:
             self.engine.trace.bump("relay_to_missing_copy")
         else:
-            self.apply_relayed_split(proc, copy, action)
+            self.apply_relayed_split(proc, copy, action.split)
             self.maybe_split(proc, copy)
 
     # ------------------------------------------------------------------

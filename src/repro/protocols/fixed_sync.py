@@ -7,6 +7,10 @@ ordered the same way at the primary copy and at every other copy.
 Per split the PC pays three message rounds to the |copies| - 1 peers
 -- split_start, acknowledgement, split_end (~3|copies| messages) --
 and initial inserts are *blocked* at every copy for the duration.
+``split_end`` carries the same :class:`~repro.core.actions.HalfSplit`
+a lazy relayed split does, and a copy applies it the same way
+(:meth:`~repro.protocols.base.Protocol.apply_relayed_split`); what
+this protocol adds is only the AAS around it.
 Relayed inserts and searches are never blocked (the paper is explicit
 that even this protocol keeps reads wait-free).
 
@@ -77,12 +81,12 @@ class SyncProtocol(Protocol):
         registry.begin(AAS(aas_id=split_id, name="split", blocks=lambda _a: True))
         copy.proto["pending_split"] = {"split_id": split_id, "awaiting": set(peers)}
         engine.trace.bump("split_aas_started")
-        for pid in peers:
-            engine.kernel.route(
-                proc.pid,
-                pid,
-                SplitStart(node_id=copy.node_id, split_id=split_id, pc_pid=proc.pid),
-            )
+        engine.relay(
+            proc,
+            copy,
+            SplitStart(node_id=copy.node_id, split_id=split_id, pc_pid=proc.pid),
+            peers,
+        )
 
     def handlers(self) -> dict[type, "ActionHandler"]:
         return {
@@ -113,24 +117,7 @@ class SyncProtocol(Protocol):
         if copy is None:
             engine.trace.bump("split_control_on_missing_copy")
             return
-        if action.action_id not in copy.incorporated_ids:
-            if copy.range.contains(action.separator):
-                copy.apply_half_split(action.separator, action.sibling_id)
-                if action.parent_hint is not None:
-                    copy.parent_id = action.parent_hint
-                copy.incorporated_ids.add(action.action_id)
-                engine.learn_location(proc, action.sibling_id, action.sibling_pids)
-                engine.trace.record_relayed(
-                    node_id=copy.node_id,
-                    pid=proc.pid,
-                    action_id=action.action_id,
-                    kind="half_split",
-                    params=("half_split", action.separator, action.sibling_id),
-                    version=copy.version,
-                    time=engine.now,
-                )
-            else:
-                engine.trace.bump("relayed_split_out_of_range")
+        self.apply_relayed_split(proc, copy, action.split)
         self._release(proc, copy, action.split_id)
 
     # -- PC side ---------------------------------------------------------
@@ -149,21 +136,7 @@ class SyncProtocol(Protocol):
             return
         # All copies acknowledged: perform the half-split and finish.
         split = engine.perform_half_split(proc, copy)
-        for pid in copy.peers_of(proc.pid):
-            engine.kernel.route(
-                proc.pid,
-                pid,
-                SplitEnd(
-                    node_id=copy.node_id,
-                    split_id=action.split_id,
-                    action_id=split.action_id,
-                    separator=split.separator,
-                    sibling_id=split.sibling_id,
-                    sibling_pids=split.sibling_pids,
-                    new_version=copy.version,
-                    parent_hint=copy.parent_id,
-                ),
-            )
+        engine.relay(proc, copy, SplitEnd(copy.node_id, action.split_id, split))
         copy.proto["pending_split"] = None
         copy.proto["split_scheduled"] = False
         self._release(proc, copy, action.split_id)

@@ -212,16 +212,12 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         if copy.range.high == action.old_low:
             copy.range = KeyRange(copy.range.low, action.old_high)
             copy.right_id = action.right_id
-            action_id = engine.trace.new_action_id()
-            copy.incorporated_ids.add(action_id)
-            engine.trace.record_initial(
-                node_id=copy.node_id,
-                pid=proc.pid,
-                action_id=action_id,
-                kind="absorb",
-                params=("absorb", action.old_low, action.old_high),
-                version=copy.version,
-                time=engine.now,
+            engine.incorporate(
+                proc,
+                copy,
+                engine.trace.new_action_id(),
+                Mode.INITIAL,
+                ("absorb", action.old_low, action.old_high),
             )
             engine.trace.bump("absorbs")
             if engine.mirrors is not None and copy.is_leaf:
@@ -287,11 +283,9 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 # Id-addressed (healing): never re-home by key.  Tell
                 # the requester so it can retry on the next relay.
                 engine.trace.bump("exact_join_bounced")
-                retry = JoinRetry(node_id=action.node_id)
-                if action.requester_pid == proc.pid:
-                    proc.submit(retry)
-                else:
-                    engine.kernel.route(proc.pid, action.requester_pid, retry)
+                engine.kernel.route(
+                    proc.pid, action.requester_pid, JoinRetry(node_id=action.node_id)
+                )
                 return
             engine.handle_missing(proc, action)
             return
@@ -329,34 +323,25 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         join_version = copy.version
         copy.copy_versions[requester_pid] = join_version
         action_id = engine.trace.new_action_id()
-        copy.incorporated_ids.add(action_id)
-        engine.trace.record_initial(
-            node_id=copy.node_id,
-            pid=proc.pid,
-            action_id=action_id,
-            kind="join",
-            params=("join", requester_pid, join_version),
-            version=join_version,
-            time=engine.now,
+        engine.incorporate(
+            proc, copy, action_id, Mode.INITIAL, ("join", requester_pid, join_version)
         )
         # The joiner's original value is the PC's current value; its
         # birth set (backwards extension) is everything the PC has
         # incorporated, including this join.
         snapshot = engine.make_snapshot(proc, copy)
         engine.kernel.route(proc.pid, requester_pid, CreateCopy(snapshot, "join"))
-        for peer in copy.peers_of(proc.pid):
-            if peer == requester_pid:
-                continue
-            engine.kernel.route(
-                proc.pid,
-                peer,
-                RelayedJoin(
-                    node_id=copy.node_id,
-                    action_id=action_id,
-                    new_pid=requester_pid,
-                    join_version=join_version,
-                ),
-            )
+        engine.relay(
+            proc,
+            copy,
+            RelayedJoin(
+                node_id=copy.node_id,
+                action_id=action_id,
+                new_pid=requester_pid,
+                join_version=join_version,
+            ),
+            [pid for pid in copy.peers_of(proc.pid) if pid != requester_pid],
+        )
         engine.announce_location(proc, copy)
         engine.trace.bump("joins")
 
@@ -366,20 +351,17 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         if copy is None:
             engine.trace.bump("relay_to_missing_copy")
             return
-        if action.action_id in copy.incorporated_ids:
-            engine.trace.bump("duplicate_relay_ignored")
+        if engine.duplicate_relay(copy, action.action_id):
             return
         copy.copy_versions[action.new_pid] = action.join_version
         copy.version = max(copy.version, action.join_version)
-        copy.incorporated_ids.add(action.action_id)
-        engine.trace.record_relayed(
-            node_id=copy.node_id,
-            pid=proc.pid,
-            action_id=action.action_id,
-            kind="join",
-            params=("join", action.new_pid, action.join_version),
-            version=action.join_version,
-            time=engine.now,
+        engine.incorporate(
+            proc,
+            copy,
+            action.action_id,
+            Mode.RELAYED,
+            ("join", action.new_pid, action.join_version),
+            action.join_version,
         )
 
     # ------------------------------------------------------------------
@@ -449,27 +431,19 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         copy.version += 1
         del copy.copy_versions[leaver_pid]
         action_id = engine.trace.new_action_id()
-        copy.incorporated_ids.add(action_id)
-        engine.trace.record_initial(
-            node_id=copy.node_id,
-            pid=proc.pid,
-            action_id=action_id,
-            kind="unjoin",
-            params=("unjoin", leaver_pid, copy.version),
-            version=copy.version,
-            time=engine.now,
+        engine.incorporate(
+            proc, copy, action_id, Mode.INITIAL, ("unjoin", leaver_pid, copy.version)
         )
-        for peer in copy.peers_of(proc.pid):
-            engine.kernel.route(
-                proc.pid,
-                peer,
-                RelayedUnjoin(
-                    node_id=copy.node_id,
-                    action_id=action_id,
-                    leaver_pid=leaver_pid,
-                    new_version=copy.version,
-                ),
-            )
+        engine.relay(
+            proc,
+            copy,
+            RelayedUnjoin(
+                node_id=copy.node_id,
+                action_id=action_id,
+                leaver_pid=leaver_pid,
+                new_version=copy.version,
+            ),
+        )
         engine.announce_location(proc, copy)
         engine.trace.bump("unjoins")
 
@@ -479,20 +453,17 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         if copy is None:
             engine.trace.bump("relay_to_missing_copy")
             return
-        if action.action_id in copy.incorporated_ids:
-            engine.trace.bump("duplicate_relay_ignored")
+        if engine.duplicate_relay(copy, action.action_id):
             return
         copy.copy_versions.pop(action.leaver_pid, None)
         copy.version = max(copy.version, action.new_version)
-        copy.incorporated_ids.add(action.action_id)
-        engine.trace.record_relayed(
-            node_id=copy.node_id,
-            pid=proc.pid,
-            action_id=action.action_id,
-            kind="unjoin",
-            params=("unjoin", action.leaver_pid, action.new_version),
-            version=action.new_version,
-            time=engine.now,
+        engine.incorporate(
+            proc,
+            copy,
+            action.action_id,
+            Mode.RELAYED,
+            ("unjoin", action.leaver_pid, action.new_version),
+            action.new_version,
         )
 
     # ------------------------------------------------------------------

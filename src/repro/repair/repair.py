@@ -45,6 +45,7 @@ from repro.core.actions import (
     Mode,
     UnjoinRequest,
 )
+from repro.core.dbtree.mirrors import LeafMirrors
 from repro.repair.digest import DigestIndex
 from repro.repair.gossip import (
     DigestDetail,
@@ -337,16 +338,7 @@ class RepairService:
         if role == "C":
             copy = engine.copy_at(proc, node_id)
             if copy is not None:
-                engine.kernel.route(
-                    proc.pid,
-                    peer,
-                    RepairPull(
-                        src_pid=proc.pid,
-                        node_id=node_id,
-                        have=frozenset(copy.incorporated_ids),
-                        meta=self._meta(copy),
-                    ),
-                )
+                engine.kernel.route(proc.pid, peer, self._pull(proc, copy))
                 self.count("copy_pulls")
                 return True
             # We are a declared member holding nothing: the copy died
@@ -357,72 +349,22 @@ class RepairService:
             # (or is stale): pull a fresh push from the home.
             copy = engine.copy_at(proc, node_id)
             if copy is not None:
-                if (
-                    copy.is_leaf
-                    and not copy.retired
-                    and len(copy.copy_versions) == 1
-                ):
-                    # Double-home: the peer claims a leaf we also hold
-                    # as our own single-copy primary -- the signature
-                    # of a re-home raced against a live (partitioned
-                    # or falsely suspected) home.  Settle it.
-                    self.count("home_conflicts")
-                    engine.kernel.route(
-                        proc.pid,
-                        peer,
-                        HomeResolve(
-                            src_pid=proc.pid,
-                            node_id=node_id,
-                            version=copy.version,
-                            have=frozenset(copy.incorporated_ids),
-                        ),
-                    )
-                    return True
                 self.count("home_conflicts")
-                return False
+                if not LeafMirrors.mirrored(copy):
+                    return False
+                # Double-home: the peer claims a leaf we also hold as
+                # our own single-copy primary -- the signature of a
+                # re-home raced against a live (partitioned or falsely
+                # suspected) home.  Settle it.
+                engine.kernel.route(proc.pid, peer, self._home_claim(proc, copy))
+                return True
             engine.kernel.route(
                 proc.pid, peer, MirrorPull(src_pid=proc.pid, node_id=node_id)
             )
             self.count("mirror_pulls")
             return True
         # role == "M": the peer mirrors a leaf it thinks we own.
-        copy = engine.copy_at(proc, node_id)
-        if (
-            copy is not None
-            and copy.is_leaf
-            and not copy.retired
-            and len(copy.copy_versions) == 1
-        ):
-            if peer in engine.mirrors.targets(proc.pid, node_id):
-                engine.kernel.route(
-                    proc.pid,
-                    peer,
-                    MirrorUpdate(proc.pid, node_id, copy.snapshot()),
-                )
-                self.count("mirror_refreshes")
-            else:
-                # Stray under the current placement policy: retract.
-                engine.kernel.route(
-                    proc.pid, peer, MirrorUpdate(proc.pid, node_id, None)
-                )
-                self.count("mirror_drops")
-            return True
-        if copy is not None or node_id in proc.state["forward"]:
-            # Retired, replicated, or migrated away: the mirror is a
-            # stale ghost; retract it.
-            engine.kernel.route(
-                proc.pid, peer, MirrorUpdate(proc.pid, node_id, None)
-            )
-            self.count("mirror_drops")
-            return True
-        # We own nothing under that id: the leaf died with a crash and
-        # was never re-homed.  Ask for it back.
-        engine.kernel.route(
-            proc.pid,
-            peer,
-            MirrorReturnRequest(src_pid=proc.pid, node_id=node_id),
-        )
-        self.count("leaf_return_requests")
+        self._answer_mirror(proc, peer, node_id)
         return True
 
     def _repair_local_only(
@@ -451,12 +393,7 @@ class RepairService:
         if role == "L":
             # Our leaf has no mirror at a current target: push one.
             copy = engine.copy_at(proc, node_id)
-            if (
-                copy is None
-                or not copy.is_leaf
-                or copy.retired
-                or len(copy.copy_versions) != 1
-            ):
+            if copy is None or not LeafMirrors.mirrored(copy):
                 return False
             engine.kernel.route(
                 proc.pid, peer, MirrorUpdate(proc.pid, node_id, copy.snapshot())
@@ -475,43 +412,32 @@ class RepairService:
     # repair action handlers
     # ------------------------------------------------------------------
     def _on_mirror_pull(self, proc: "Processor", action: MirrorPull) -> None:
+        self._answer_mirror(proc, action.src_pid, action.node_id)
+
+    def _answer_mirror(self, proc: "Processor", peer: int, node_id: int) -> None:
+        """``peer`` mirrors (or asks to mirror) a leaf it thinks we
+        own: refresh the mirror, retract it, or ask for the leaf back."""
         engine = self.engine
-        node_id = action.node_id
         copy = engine.copy_at(proc, node_id)
-        if (
-            copy is not None
-            and copy.is_leaf
-            and not copy.retired
-            and len(copy.copy_versions) == 1
-        ):
-            if action.src_pid in engine.mirrors.targets(proc.pid, node_id):
-                engine.kernel.route(
-                    proc.pid,
-                    action.src_pid,
-                    MirrorUpdate(proc.pid, node_id, copy.snapshot()),
-                )
+        if copy is not None and LeafMirrors.mirrored(copy):
+            if peer in engine.mirrors.targets(proc.pid, node_id):
+                reply: Any = MirrorUpdate(proc.pid, node_id, copy.snapshot())
                 self.count("mirror_refreshes")
             else:
-                engine.kernel.route(
-                    proc.pid,
-                    action.src_pid,
-                    MirrorUpdate(proc.pid, node_id, None),
-                )
+                # Stray under the current placement policy: retract.
+                reply = MirrorUpdate(proc.pid, node_id, None)
                 self.count("mirror_drops")
-            return
-        if copy is not None or node_id in proc.state["forward"]:
-            engine.kernel.route(
-                proc.pid, action.src_pid, MirrorUpdate(proc.pid, node_id, None)
-            )
+        elif copy is not None or node_id in proc.state["forward"]:
+            # Retired, replicated, or migrated away: the mirror is a
+            # stale ghost; retract it.
+            reply = MirrorUpdate(proc.pid, node_id, None)
             self.count("mirror_drops")
-            return
-        # We lost the leaf entirely: ask the mirror to return it home.
-        engine.kernel.route(
-            proc.pid,
-            action.src_pid,
-            MirrorReturnRequest(src_pid=proc.pid, node_id=node_id),
-        )
-        self.count("leaf_return_requests")
+        else:
+            # We own nothing under that id: the leaf died with a crash
+            # and was never re-homed.  Ask the mirror to return it.
+            reply = MirrorReturnRequest(src_pid=proc.pid, node_id=node_id)
+            self.count("leaf_return_requests")
+        engine.kernel.route(proc.pid, peer, reply)
 
     def _on_mirror_return(
         self, proc: "Processor", action: MirrorReturnRequest
@@ -541,36 +467,57 @@ class RepairService:
             tuple(sorted(copy.copy_versions.items())),
         )
 
+    def _pull(
+        self, proc: "Processor", copy: "NodeCopy", reply: bool = False
+    ) -> RepairPull:
+        """Our side of a copy comparison: what we have, how we look."""
+        return RepairPull(
+            src_pid=proc.pid,
+            node_id=copy.node_id,
+            have=frozenset(copy.incorporated_ids),
+            meta=self._meta(copy),
+            reply=reply,
+        )
+
+    def _home_claim(
+        self, proc: "Processor", copy: "NodeCopy", reply: bool = False
+    ) -> HomeResolve:
+        """Our ``(version, pid)`` claim on a single-copy leaf."""
+        return HomeResolve(
+            src_pid=proc.pid,
+            node_id=copy.node_id,
+            version=copy.version,
+            have=frozenset(copy.incorporated_ids),
+            reply=reply,
+        )
+
+    def _replay_missing(
+        self, proc: "Processor", copy: "NodeCopy", peer: int, have: frozenset
+    ) -> None:
+        """Resend ``peer`` the logged keyed updates it lacks, as the
+        ordinary relayed actions they were."""
+        incorporated = copy.incorporated_ids
+        replayed = 0
+        for action_id, stored in copy.proto.get("repair_log", {}).items():
+            if action_id in have or action_id not in incorporated:
+                continue
+            self.engine.kernel.route(proc.pid, peer, stored)
+            replayed += 1
+        if replayed:
+            self.count("updates_replayed", replayed)
+
     def _on_repair_pull(self, proc: "Processor", action: RepairPull) -> None:
         engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
             self.count("pulls_on_missing")
             return
-        log = copy.proto.get("repair_log")
-        replayed = 0
-        if log:
-            incorporated = copy.incorporated_ids
-            for action_id, stored in log.items():
-                if action_id in action.have or action_id not in incorporated:
-                    continue
-                engine.kernel.route(proc.pid, action.src_pid, stored)
-                replayed += 1
-        if replayed:
-            self.count("updates_replayed", replayed)
+        self._replay_missing(proc, copy, action.src_pid, action.have)
         if not action.reply and not action.have <= copy.incorporated_ids:
             # The peer incorporated ids we lack: pull symmetrically
             # (marked as the reply leg so the exchange terminates).
             engine.kernel.route(
-                proc.pid,
-                action.src_pid,
-                RepairPull(
-                    src_pid=proc.pid,
-                    node_id=copy.node_id,
-                    have=frozenset(copy.incorporated_ids),
-                    meta=self._meta(copy),
-                    reply=True,
-                ),
+                proc.pid, action.src_pid, self._pull(proc, copy, reply=True)
             )
             self.count("copy_pulls")
         if action.meta is not None and action.meta != self._meta(copy):
@@ -596,15 +543,7 @@ class RepairService:
                 # Neither side is authoritative: escalate the same
                 # comparison to the primary copy.
                 engine.kernel.route(
-                    proc.pid,
-                    copy.pc_pid,
-                    RepairPull(
-                        src_pid=proc.pid,
-                        node_id=copy.node_id,
-                        have=frozenset(copy.incorporated_ids),
-                        meta=self._meta(copy),
-                        reply=True,
-                    ),
+                    proc.pid, copy.pc_pid, self._pull(proc, copy, reply=True)
                 )
                 self.count("pulls_escalated")
 
@@ -624,12 +563,7 @@ class RepairService:
         engine = self.engine
         node_id = action.node_id
         copy = engine.copy_at(proc, node_id)
-        if (
-            copy is None
-            or copy.retired
-            or not copy.is_leaf
-            or len(copy.copy_versions) != 1
-        ):
+        if copy is None or not LeafMirrors.mirrored(copy):
             # No live single-copy claim on this side (already ceded,
             # re-replicated, or retired): nothing left to settle.
             self.count("home_resolves_moot")
@@ -642,15 +576,7 @@ class RepairService:
             # before ceding.
             if not action.reply:
                 engine.kernel.route(
-                    proc.pid,
-                    action.src_pid,
-                    HomeResolve(
-                        src_pid=proc.pid,
-                        node_id=node_id,
-                        version=copy.version,
-                        have=frozenset(copy.incorporated_ids),
-                        reply=True,
-                    ),
+                    proc.pid, action.src_pid, self._home_claim(proc, copy, reply=True)
                 )
             # Dominate the loser's claim: every stale location hint,
             # mirror, and parent link now resolves to us on version.
@@ -662,30 +588,12 @@ class RepairService:
             self.scheduler.mark_dirty()
             return
         # We lose: replay the updates the winner lacks, then cede.
-        log = copy.proto.get("repair_log")
-        replayed = 0
-        if log:
-            incorporated = copy.incorporated_ids
-            for action_id, stored in log.items():
-                if action_id in action.have or action_id not in incorporated:
-                    continue
-                engine.kernel.route(proc.pid, action.src_pid, stored)
-                replayed += 1
-        if replayed:
-            self.count("updates_replayed", replayed)
+        self._replay_missing(proc, copy, action.src_pid, action.have)
         if not action.reply:
             # Settling leg: carry our claim back so the winner bumps
             # past it and re-announces.
             engine.kernel.route(
-                proc.pid,
-                action.src_pid,
-                HomeResolve(
-                    src_pid=proc.pid,
-                    node_id=node_id,
-                    version=copy.version,
-                    have=frozenset(copy.incorporated_ids),
-                    reply=True,
-                ),
+                proc.pid, action.src_pid, self._home_claim(proc, copy, reply=True)
             )
         del engine.store(proc)[node_id]
         engine.trace.record_copy_deleted(
@@ -726,41 +634,27 @@ class RepairService:
         the stale value), so the heal is a fresh original value --
         exactly a first-time join.
         """
+        node_id = copy.node_id
+        asked = self._request_rejoin(
+            proc, node_id, copy.level, copy.range.low, copy.pc_pid
+        )
+        if asked:
+            engine = self.engine
+            del engine.store(proc)[node_id]
+            engine.trace.record_copy_deleted(
+                node_id, proc.pid, engine.now, reason="repair"
+            )
+        return asked
+
+    def _request_rejoin(
+        self, proc: "Processor", node_id: int, level: int, key: Any, target: int
+    ) -> bool:
+        """Heal through the exact (id-addressed) join."""
         engine = self.engine
         if not engine.protocol.supports_join:
             # A fixed-membership protocol has no join path to heal
             # through; dropping the copy would just lose it.  Keep it
             # and report the divergence honestly.
-            self.count("unrepairable")
-            return False
-        node_id = copy.node_id
-        pending = proc.state.setdefault("joining", set())
-        if node_id in pending:
-            return False
-        del engine.store(proc)[node_id]
-        engine.trace.record_copy_deleted(
-            node_id, proc.pid, engine.now, reason="repair"
-        )
-        pending.add(node_id)
-        engine.kernel.route(
-            proc.pid,
-            copy.pc_pid,
-            JoinRequest(
-                node_id=node_id,
-                level=copy.level,
-                key=copy.range.low,
-                requester_pid=proc.pid,
-                exact=True,
-            ),
-        )
-        self.count("rejoins")
-        return True
-
-    def _request_rejoin(
-        self, proc: "Processor", node_id: int, level: int, key: Any, target: int
-    ) -> bool:
-        engine = self.engine
-        if not engine.protocol.supports_join:
             self.count("unrepairable")
             return False
         if node_id in proc.state.get("unjoined", set()):

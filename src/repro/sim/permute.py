@@ -62,11 +62,13 @@ class PermutePlan:
 
 def describe_payload(payload: Any) -> tuple:
     """Stable, report-friendly identity of a relayed action."""
+    # A relayed split's key and action id are its half-split's.
+    update = getattr(payload, "split", payload)
     return (
         getattr(payload, "kind", type(payload).__name__),
         getattr(payload, "node_id", None),
-        getattr(payload, "key", getattr(payload, "separator", None)),
-        getattr(payload, "action_id", None),
+        getattr(update, "key", getattr(update, "separator", None)),
+        getattr(update, "action_id", None),
     )
 
 

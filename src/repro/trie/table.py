@@ -359,11 +359,7 @@ class LazyTrieEngine:
             self._burst(proc, container)
 
     def _reply(self, proc, op: TrieOpContext, result: Any) -> None:
-        reply = TrieReturn(op=op, result=result)
-        if op.home_pid == proc.pid:
-            proc.submit(reply)
-        else:
-            self.kernel.route(proc.pid, op.home_pid, reply)
+        self.kernel.route(proc.pid, op.home_pid, TrieReturn(op=op, result=result))
 
     def _on_collect(self, proc, action: CollectStep) -> None:
         op = action.op
@@ -392,16 +388,16 @@ class LazyTrieEngine:
             self._reply(proc, op, tuple(sorted(collected)))
             return
         next_id, next_pid = stack.pop()
-        step = CollectStep(
-            node_id=next_id,
-            op=op,
-            stack=tuple(stack),
-            collected=collected,
+        self.kernel.route(
+            proc.pid,
+            next_pid,
+            CollectStep(
+                node_id=next_id,
+                op=op,
+                stack=tuple(stack),
+                collected=collected,
+            ),
         )
-        if next_pid == proc.pid:
-            proc.submit(step)
-        else:
-            self.kernel.route(proc.pid, next_pid, step)
 
     # ------------------------------------------------------------------
     def _burst(self, proc, container: Container) -> None:

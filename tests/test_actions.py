@@ -5,6 +5,7 @@ from dataclasses import replace
 from repro.core.actions import (
     CreateCopy,
     DeleteAction,
+    HalfSplit,
     InsertAction,
     JoinRequest,
     LinkChange,
@@ -64,8 +65,9 @@ class TestKinds:
     def test_static_kinds(self):
         op = OpContext(1, "search", 5, None, 0)
         assert SearchStep(node_id=1, op=op).kind == "search"
-        assert RelayedSplit(1, 2, 3, 4, (0,), 0, None).kind == "relayed_split"
-        assert SplitEnd(1, 2, 3, 4, 5, (0,), 0, None).kind == "split_end"
+        split = HalfSplit(2, 3, 4, (0,), None)
+        assert RelayedSplit(1, split).kind == "relayed_split"
+        assert SplitEnd(1, 2, split).kind == "split_end"
         assert JoinRequest(1, 1, 5, 2).kind == "join_request"
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.actions import (
     DeleteAction,
+    HalfSplit,
     InsertAction,
     Mode,
     RelayedSplit,
@@ -50,12 +51,13 @@ def relayed_delete(key, node_id=1, action_id=200):
 def relayed_split(separator, node_id=1, action_id=300):
     return RelayedSplit(
         node_id=node_id,
-        action_id=action_id,
-        separator=separator,
-        sibling_id=99,
-        sibling_pids=(0,),
-        new_version=2,
-        parent_hint=None,
+        split=HalfSplit(
+            action_id=action_id,
+            separator=separator,
+            sibling_id=99,
+            sibling_pids=(0,),
+            parent_hint=None,
+        ),
     )
 
 

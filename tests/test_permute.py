@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro import DBTreeCluster
-from repro.core.actions import InsertAction, Mode, RelayedSplit
+from repro.core.actions import HalfSplit, InsertAction, Mode, RelayedSplit
 from repro.sim.crash import CrashPlan
 from repro.sim.detector import DetectorPlan
 from repro.sim.events import EventQueue
@@ -47,12 +47,13 @@ def rins(key, node_id=1, action_id=None):
 def rsplit(separator, node_id=1, action_id=300):
     return RelayedSplit(
         node_id=node_id,
-        action_id=action_id,
-        separator=separator,
-        sibling_id=99,
-        sibling_pids=(0,),
-        new_version=2,
-        parent_hint=None,
+        split=HalfSplit(
+            action_id=action_id,
+            separator=separator,
+            sibling_id=99,
+            sibling_pids=(0,),
+            parent_hint=None,
+        ),
     )
 
 
