@@ -1,17 +1,23 @@
 """CI guard: the pinned bursts must match BENCH_core.json exactly.
 
 Re-runs the standard insert-burst in each pinned configuration and
-compares the deterministic per-op metrics -- events/op, messages/op
-and physical frames/op -- against the committed ``BENCH_core.json``:
+compares the deterministic metrics -- events/op, messages/op, physical
+frames/op and the virtual time at the end -- against the committed
+``BENCH_core.json``:
 the ``fast`` block (``repro bench``'s workload: semisync, accounting
 "aggregate", tracing off, leaf cache on, seed 0, no faults) and the
 ``enforced`` block (the same burst, shorter, over a substrate that
 drops one frame in ten with the reliable-delivery layer on, where a
-retransmit-timer flood would show as events/op).  The quantities are
-pure functions of the code and the seed, so any difference, in either
-direction, is a real change and fails the guard: a refactor that
-claims to be byte-identical is, and a deliberate change re-pins the
-baseline via ``repro bench`` in the same commit.
+retransmit-timer flood would show as events/op).  Each block's
+``final_virtual_time`` is compared as well: per-op counts do not show
+a channel that repairs its losses too slowly and falls behind (the
+``enforced`` burst once needed 133,231 vt for work that takes 43,680),
+the virtual time the closed loop needs to finish does.  The
+quantities are pure functions of the code and the seed, so any
+difference, in either direction, is a real change and fails the
+guard: a refactor that claims to be byte-identical is, and a
+deliberate change re-pins the baseline via ``repro bench`` in the same
+commit.
 
 Wall-clock throughput is intentionally NOT compared: CI machines are
 noisy and the virtual-event counts already pin the work done.
@@ -31,7 +37,7 @@ import sys
 from pathlib import Path
 
 BLOCKS = ("fast", "enforced")
-METRICS = ("events_per_op", "msgs_per_op", "frames_per_op")
+METRICS = ("events_per_op", "msgs_per_op", "frames_per_op", "final_virtual_time")
 
 
 def main() -> int:

@@ -234,12 +234,14 @@ def _build_and_drive(args: argparse.Namespace, spacing: float):
 _LAYER_DETAIL = {
     "reliability": (
         "{logical_sent} logical msgs, {physical_sent} on the wire "
-        "({retransmits} retransmits, {acks} acks), {dropped} dropped, "
+        "({retransmits} retransmits, {retransmits_on_ack} of them on an ack; "
+        "{acks} acks), {dropped} dropped, "
         "{dup_suppressed} dups suppressed, {resequenced} resequenced"
     ),
     "crash": (
         "{crashes} crashes ({restarts} restarted), {lost_actions} actions "
-        "lost, {dead_letters} dead letters"
+        "lost, {dead_letters} dead letters; ops re-issued: {op_retries} by "
+        "their timer, {op_reissued_on_recovery} by their recovered home"
     ),
     "partition": (
         "{cuts_applied} cuts ({heals} healed, {stochastic_cuts} stochastic), "

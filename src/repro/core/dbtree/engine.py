@@ -997,10 +997,17 @@ class DBTreeEngine:
         return replace(snap, child_locations=tuple(child_locations))
 
     def _on_set_root(self, proc: Processor, action: SetRoot) -> None:
-        if action.root_level > proc.state["root_level"]:
-            proc.state["root_id"] = action.root_id
-            proc.state["root_level"] = action.root_level
+        state = proc.state
+        relearned = state["root_id"] is None  # only a crash forgets it
+        if action.root_level > state["root_level"]:
+            state["root_id"] = action.root_id
+            state["root_level"] = action.root_level
         self.learn_location(proc, action.root_id, action.root_pids)
+        if relearned and self.timers is not None:
+            # A restarted home can issue operations again: those parked
+            # while it was down or rootless, or whose return died with
+            # it, need not wait for their timers.
+            self.timers.reissue_after_recovery(proc.pid)
 
     # ------------------------------------------------------------------
     # missing-node handling

@@ -7,6 +7,13 @@ processor's return de-duplication keeps exactly one outcome per op id
 even when the original response was merely slow rather than lost) up
 to ``retries`` times, with decorrelated-jitter back-off, and then
 recorded as ``timed_out``.
+
+The timer is the fallback, not the only signal: a restarted home that
+relearns the root knows that whatever it still has pending was never
+issued (submitted while it was down or rootless) or lost its return to
+the crash, and re-issues it then
+(:meth:`OpTimers.reissue_after_recovery`) instead of sitting out the
+rest of the timeout.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ class OpTimers:
         self.engine = engine
         self.timeout = timeout
         self.retries = retries
-        # op_id -> [retries_left, timer EventHandle, last timer delay]
+        # op_id -> [retries_left, timer EventHandle, last timer delay, op]
         self._pending: dict[int, list] = {}
         # Derived lazily so runs that never retry register no stream.
         self._backoff_rng: random.Random | None = None
@@ -60,7 +67,7 @@ class OpTimers:
             # First attempt: plain timeout, no jitter (the fast path's
             # pinned traces depend on it).
             delay = self.timeout
-            entry = self._pending[op.op_id] = [self.retries, None, delay]
+            entry = self._pending[op.op_id] = [self.retries, None, delay, op]
         else:
             # Re-arm after a retry: back off with decorrelated jitter
             # so a struggling home does not re-issue in lockstep.
@@ -86,12 +93,30 @@ class OpTimers:
             engine.fail_op(op, "timed_out")
             return
         entry[0] -= 1
+        self._issue_from_root(op, "op_retries")
+        self.arm(op)
+
+    def reissue_after_recovery(self, home_pid: int) -> None:
+        """``home_pid`` has restarted and relearned the root: issue what
+        it still has pending, without waiting for the timers.
+
+        Every such operation was submitted while the home was down or
+        rootless and never issued, or lost its return to the crash;
+        the same idempotent re-issue the timer makes serves both.  No
+        retry is spent and each timer stays armed as it was, as the
+        fallback.
+        """
+        for entry in list(self._pending.values()):
+            if entry[3].home_pid == home_pid:
+                self._issue_from_root(entry[3], "op_reissued_on_recovery")
+
+    def _issue_from_root(self, op: OpContext, counter: str) -> None:
+        """Idempotent re-issue: same op identity, fresh root descent."""
+        engine = self.engine
         proc = engine.kernel.processor(op.home_pid)
         root_id = proc.state["root_id"]
         if proc.alive and root_id is not None:
-            # Idempotent retry: same op identity, fresh root descent.
-            engine.trace.bump("op_retries")
+            engine.trace.bump(counter)
             engine.route_to_node(
                 proc, root_id, SearchStep(node_id=root_id, op=op), level=None, key=op.key
             )
-        self.arm(op)

@@ -13,9 +13,10 @@ use.  Its events/op and msgs/op are pure functions of the code and
 the seed; ``benchmarks/perf_guard.py`` pins them exactly.  A second,
 shorter row, ``enforced``, runs the same burst over a substrate that
 loses one frame in ten with the reliable-delivery layer on, and pins
-events/op and physical frames/op the same way, so that a change to
-the transport's timers shows in CI.  What each layer costs on top is
-``bench/``'s ledger, not this module's.
+events/op, physical frames/op and the virtual time at the end the
+same way, so that a change to the transport's timers or acks shows in
+CI.  What each layer costs on top is ``bench/``'s ledger, not this
+module's.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ def write_bench_core(
 ) -> dict[str, Any]:
     """Run the burst and write the ``BENCH_core.json`` payload.
 
-    The ``enforced`` row runs a fifth of the ops: at 10 % loss the
-    closed loop saturates processor 0's channels (only the head of a
-    channel is resent, so holes are repaired one per round trip), and
-    the row is there for its counts, not for a throughput.
+    The ``enforced`` row runs a fifth of the ops: it is there for its
+    counts and its ``final_virtual_time`` (every hole an ack reports
+    is resent at once, so no channel falls behind at 10 % loss and the
+    burst ends about as soon as its losses allow), not as a second
+    wall-clock throughput.
     """
     report = {
         "benchmark": "standard-insert-burst (closed loop)",

@@ -132,8 +132,10 @@ class NetworkStats:
     ``sent`` and ``delivered`` count *logical* messages (the payloads
     protocols exchange).  The reliable-delivery layer's extra wire
     traffic is broken out separately: ``retransmits`` (extra physical
-    transmissions of a data frame), ``acks`` (standalone ack frames;
-    piggybacked acks are free), ``dup_suppressed`` (arrivals the
+    transmissions of a data frame; ``retransmits_on_ack`` is how many
+    of them an ack asked for, the rest the channel timer), ``acks``
+    (standalone ack frames; piggybacked acks are free),
+    ``dup_suppressed`` (arrivals the
     receiver discarded as already-delivered), and ``resequenced``
     (arrivals parked in the reorder buffer until the gap filled).
     ``dropped``/``duplicated`` count substrate fault verdicts in both
@@ -145,6 +147,7 @@ class NetworkStats:
     dropped: int = 0
     duplicated: int = 0
     retransmits: int = 0
+    retransmits_on_ack: int = 0
     acks: int = 0
     dup_suppressed: int = 0
     resequenced: int = 0
@@ -175,6 +178,7 @@ class NetworkStats:
             "dropped": self.dropped,
             "duplicated": self.duplicated,
             "retransmits": self.retransmits,
+            "retransmits_on_ack": self.retransmits_on_ack,
             "acks": self.acks,
             "dup_suppressed": self.dup_suppressed,
             "resequenced": self.resequenced,

@@ -29,22 +29,31 @@ model); the layer then restores each half of the paper's assumption:
   number are buffered and released only when the gap fills, so
   per-channel FIFO holds even under ``FaultPlan.reorder_p > 0``;
 * **acks are cheap** -- a data frame travelling ``dst -> src``
-  piggybacks the cumulative ack for the reverse channel; only when no
-  reverse traffic appears within ``ack_delay`` does a standalone
+  piggybacks the ack for the reverse channel; only when no reverse
+  traffic appears within ``ack_delay`` does a standalone
   :class:`AckFrame` go out (the same piggybacking economics the paper
-  applies to lazy relays).
+  applies to lazy relays);
+* **acks are selective** -- every ack that goes out anyway, piggybacked
+  or standalone, carries next to the cumulative sequence number the
+  out-of-order frames the receiver's reorder buffer holds (TCP's SACK
+  option, at no frame of its own), so one ack names every hole in the
+  window instead of the first.
 
-Retransmission runs off **one timer per sender channel**, the way
-TCP keeps one retransmission timer per connection.  Every unacked
-frame records its own deadline, but only the head (the oldest unacked
-frame) can usefully be resent -- there is no selective ack, so the
-cumulative ack cannot pass it -- and the channel's timer is aimed at
-or before the head's deadline; frames behind the head arm nothing.  A
-cumulative ack that releases the head exposes a new one, which is
-serviced on the spot: if its deadline has already passed it left more
-than a timeout ago and the ack stopped one short of it, so it is lost
-rather than in flight and is resent at that instant (NewReno's
-partial-ack rule); otherwise the timer waits for its deadline.
+Retransmission has two triggers and **one timer per sender channel**,
+the way TCP keeps one retransmission timer per connection.  Every
+unacked frame records its own deadline.  The channel's timer is aimed
+at or before the deadline of the head (the oldest unacked frame) and
+resends only the head; frames behind it arm nothing.  An ack resends
+holes: the frame it stopped short of and every frame below the
+highest one it reports held that is not held itself -- each only if
+its own deadline has already passed, which says it left more than a
+timeout ago and is lost rather than in flight, and all of them at the
+instant the ack lands (NewReno's partial-ack rule, generalised from
+the head to every reported hole).  A hole still inside its deadline
+is left to arrive, so a frame merely reordered inside its timeout is
+never resent and no reorder-window constant exists.  Only the timer
+charges a retry, so backoff, suspicion of a dead peer and the retry
+cap are reached only by a frame no ack vouches for.
 
 Everything is scheduled on the simulation's :class:`~repro.sim.events
 .EventQueue` via the no-handle ``push`` fast path, so nothing is ever
@@ -154,6 +163,14 @@ class ReliabilityConfig:
             )
 
 
+#: Sentinel distinguishing "no buffered frame" from a None payload.
+_MISSING = object()
+#: ``_SenderChannel.timer_at`` while no retransmit timer is armed.
+_NEVER = float("inf")
+#: What an ack says of an empty reorder buffer (the usual case).
+_NOTHING_HELD: frozenset[int] = frozenset()
+
+
 class DataFrame:
     """One sequenced transmission of a logical payload.
 
@@ -170,7 +187,7 @@ class DataFrame:
     *reverse* channel's incarnation for the same reason.
     """
 
-    __slots__ = ("seq", "payload", "ack", "epoch", "ack_epoch")
+    __slots__ = ("seq", "payload", "ack", "epoch", "ack_epoch", "held")
 
     def __init__(
         self,
@@ -179,13 +196,16 @@ class DataFrame:
         ack: int,
         epoch: tuple[int, int] = (0, 0),
         ack_epoch: tuple[int, int] = (0, 0),
+        held: frozenset[int] = _NOTHING_HELD,
     ) -> None:
         self.seq = seq
         self.payload = payload
-        # Cumulative ack for the *reverse* channel, piggybacked.
+        # Ack for the *reverse* channel, piggybacked: the cumulative
+        # sequence number and what the reorder buffer holds beyond it.
         self.ack = ack
         self.epoch = epoch
         self.ack_epoch = ack_epoch
+        self.held = held
 
     @property
     def kind(self) -> str:
@@ -198,21 +218,30 @@ class DataFrame:
 
 
 class AckFrame:
-    """Standalone cumulative ack, sent when no reverse traffic appears.
+    """Standalone ack, sent when no reverse traffic appears.
 
     Carries no sequence number of its own: cumulative acks are
     monotone and idempotent, so loss, duplication, and reordering of
-    ack frames are all harmless (the receiver takes the max).
-    ``epoch`` tags the incarnation of the data channel being acked.
+    ack frames are all harmless (the receiver takes the max), and
+    ``held`` -- the out-of-order frames in the receiver's reorder
+    buffer when the ack left -- only ever causes a resend of a frame
+    already past its own deadline.  ``epoch`` tags the incarnation of
+    the data channel being acked.
     """
 
-    __slots__ = ("ack", "epoch")
+    __slots__ = ("ack", "epoch", "held")
 
     kind = "reliable_ack"
 
-    def __init__(self, ack: int, epoch: tuple[int, int] = (0, 0)) -> None:
+    def __init__(
+        self,
+        ack: int,
+        epoch: tuple[int, int] = (0, 0),
+        held: frozenset[int] = _NOTHING_HELD,
+    ) -> None:
         self.ack = ack
         self.epoch = epoch
+        self.held = held
 
     def __repr__(self) -> str:
         return f"AckFrame(ack={self.ack})"
@@ -252,11 +281,9 @@ class _ReceiverChannel:
         self.ack_sent = -1
         self.epoch = epoch
 
-
-#: Sentinel distinguishing "no buffered frame" from a None payload.
-_MISSING = object()
-#: ``_SenderChannel.timer_at`` while no retransmit timer is armed.
-_NEVER = float("inf")
+    def held(self) -> frozenset[int]:
+        """What an ack leaving now reports beyond ``cumulative``."""
+        return frozenset(self.buffer) if self.buffer else _NOTHING_HELD
 
 
 class ReliableTransport:
@@ -322,12 +349,20 @@ class ReliableTransport:
         self, src: int, dst: int, sender: _SenderChannel, seq: int, entry: list
     ) -> None:
         """Put ``entry`` on the wire and stamp its retransmit deadline."""
-        ack, ack_epoch = self._piggyback_ack(dst, src)
-        frame = DataFrame(seq, entry[0], ack, sender.epoch, ack_epoch)
+        ack, ack_epoch, held = self._piggyback_ack(dst, src)
+        frame = DataFrame(seq, entry[0], ack, sender.epoch, ack_epoch, held)
         self._network._transmit_frame(src, dst, frame)
         config = self.config
         timeout = config.retransmit_timeout * config.backoff ** entry[1]
         entry[2] = self._events.now + timeout
+
+    def _resend(
+        self, src: int, dst: int, sender: _SenderChannel, seq: int, entry: list
+    ) -> None:
+        """The one place a frame is put back on the wire: the channel
+        timer resends a head that is due, an ack the holes it reports."""
+        self._network.stats.retransmits += 1
+        self._transmit_data(src, dst, sender, seq, entry)
 
     def _aim_timer(
         self, src: int, dst: int, sender: _SenderChannel, deadline: float
@@ -338,23 +373,18 @@ class ReliableTransport:
             self._events.push(deadline, _RetransmitTimer(self, src, dst, sender))
 
     def _retransmit_due(self, src: int, dst: int, sender: _SenderChannel) -> None:
-        """Retransmit timer body: the channel's live timer services the head."""
+        """Retransmit timer body: the channel's live timer services the head.
+
+        Resends the oldest unacked frame if it is due, else waits for
+        it.  Only this path charges a retry, so only here does a frame
+        climb the backoff ladder, trip suspicion of a dead peer, or
+        exhaust the retry cap: an ack from the peer is proof of life.
+        """
         if self._senders.get((src, dst)) is not sender:
             return  # channel was reset (peer crash/suspicion); stale timer
         if self._events.now != sender.timer_at:
             return  # superseded by a timer aimed earlier
         sender.timer_at = _NEVER
-        self._service_head(src, dst, sender)
-
-    def _service_head(self, src: int, dst: int, sender: _SenderChannel) -> None:
-        """Resend the oldest unacked frame if it is due, else wait for it.
-
-        The one place a frame is retransmitted, reached from the
-        channel timer and from an ack that exposed a new head.  Frames
-        behind the head are never resent: the cumulative ack cannot
-        cover them until the head recovers, and the receiver is
-        already holding them in its reorder buffer.
-        """
         unacked = sender.unacked
         if not unacked:
             return  # everything acked; the channel needs no timer
@@ -363,8 +393,7 @@ class ReliableTransport:
             self._aim_timer(src, dst, sender, entry[2])
             return
         seq = sender.next_seq - len(unacked)
-        network = self._network
-        liveness = network._liveness
+        liveness = self._network._liveness
         if liveness is not None and not liveness(src):
             # A crashed host transmits nothing and spends no retry;
             # its channels are reset when it restarts (forget_peer).
@@ -391,8 +420,7 @@ class ReliableTransport:
                 seq=seq,
                 payload=entry[0],
             )
-        network.stats.retransmits += 1
-        self._transmit_data(src, dst, sender, seq, entry)
+        self._resend(src, dst, sender, seq, entry)
         self._aim_timer(src, dst, sender, entry[2])
 
     def _suspect(self, src: int, dst: int) -> None:
@@ -425,20 +453,21 @@ class ReliableTransport:
 
     def _piggyback_ack(
         self, remote_src: int, local_dst: int
-    ) -> tuple[int, tuple[int, int]]:
-        """Cumulative ack to ride on a frame we are about to send.
+    ) -> tuple[int, tuple[int, int], frozenset[int]]:
+        """The ack to ride on a frame we are about to send.
 
         Called with the channel *we receive on* (remote -> local);
         marks the value as transmitted so a pending standalone-ack
-        timer can stand down.  Returns the ack and the incarnation
-        epoch of the acked channel.
+        timer can stand down.  Returns the cumulative ack, the
+        incarnation epoch of the acked channel, and the out-of-order
+        frames held beyond the ack.
         """
         receiver = self._receivers.get((remote_src, local_dst))
         if receiver is None:
-            return -1, (0, 0)
+            return -1, (0, 0), _NOTHING_HELD
         if receiver.cumulative > receiver.ack_sent:
             receiver.ack_sent = receiver.cumulative
-        return receiver.ack_sent, receiver.epoch
+        return receiver.ack_sent, receiver.epoch, receiver.held()
 
     # ------------------------------------------------------------------
     # receive side
@@ -446,11 +475,11 @@ class ReliableTransport:
     def on_frame(self, src: int, dst: int, frame: Any) -> None:
         """A physical frame survived the substrate and arrived at dst."""
         if type(frame) is AckFrame:
-            self._apply_ack(dst, src, frame.ack, frame.epoch)
+            self._apply_ack(dst, src, frame.ack, frame.epoch, frame.held)
             return
         # Data frame: its piggybacked ack covers the reverse channel.
-        if frame.ack >= 0:
-            self._apply_ack(dst, src, frame.ack, frame.ack_epoch)
+        if frame.ack >= 0 or frame.held:
+            self._apply_ack(dst, src, frame.ack, frame.ack_epoch, frame.held)
         if frame.epoch != self._current_epoch(src, dst):
             # Straggler from a previous incarnation of the channel
             # (either endpoint crash-restarted since it was sent);
@@ -497,9 +526,10 @@ class ReliableTransport:
         local: int,
         remote: int,
         ack: int,
-        epoch: tuple[int, int] = (0, 0),
+        epoch: tuple[int, int],
+        held: frozenset[int],
     ) -> None:
-        """Process a cumulative ack ``local`` received from ``remote``.
+        """Process an ack ``local`` received from ``remote``.
 
         The ack covers frames ``local`` previously sent to ``remote``
         (the reverse of the channel the ack arrived on), so it
@@ -507,21 +537,45 @@ class ReliableTransport:
         ack tagged with a stale incarnation epoch is ignored: it
         describes a stream that died with a crash, and applying it
         would wrongly release frames of the fresh stream.
+
+        Besides releasing what it covers, the ack names holes: the
+        head it stopped short of, and every frame below the highest
+        one ``held`` that is not held itself.  A hole past its own
+        deadline left more than a timeout ago and has still not
+        arrived -- lost rather than in flight -- so all of them go out
+        again at this instant (NewReno's partial-ack rule, from the
+        head to every reported hole); one inside its deadline is left
+        to arrive.  No retry is charged: the backoff ladder, suspicion
+        and the retry cap belong to the timer, which a silent peer
+        still runs into.
         """
         sender = self._senders.get((local, remote))
         if sender is None or sender.epoch != epoch:
             return
         unacked = sender.unacked
-        # Frames the ack covers: everything up to it, from the head on.
-        covered = min(ack - (sender.next_seq - len(unacked)) + 1, len(unacked))
-        if covered <= 0:
+        head = sender.next_seq - len(unacked)
+        if ack >= head:
+            # Frames the ack covers: everything up to it, from the head on.
+            for _ in range(min(ack - head + 1, len(unacked))):
+                unacked.popleft()
+            head = ack + 1
+        elif not held:
+            return  # nothing released, no hole named
+        if not unacked:
             return
-        for _ in range(covered):
-            unacked.popleft()
-        # The head moved.  If the frame now exposed is past its
-        # deadline the ack stopped one short of it more than a timeout
-        # after it left: lost, not in flight, so it goes out now.
-        self._service_head(local, remote, sender)
+        now = self._events.now
+        if held or unacked[0][2] <= now:
+            liveness = self._network._liveness
+            if liveness is None or liveness(remote):
+                stats = self._network.stats
+                stop = max(held) if held else ack + 2
+                for seq, entry in zip(range(head, stop), unacked):
+                    if entry[2] <= now and seq not in held:
+                        stats.retransmits_on_ack += 1
+                        self._resend(local, remote, sender, seq, entry)
+        # A due head left alone (the peer crashed after acking) is the
+        # timer's: it fires now, charges the retry and may suspect.
+        self._aim_timer(local, remote, sender, max(unacked[0][2], now))
 
     def _schedule_ack(
         self, remote_src: int, local_dst: int, receiver: _ReceiverChannel
@@ -550,7 +604,7 @@ class ReliableTransport:
         network._transmit_frame(
             local_dst,
             remote_src,
-            AckFrame(receiver.ack_sent, receiver.epoch),
+            AckFrame(receiver.ack_sent, receiver.epoch, receiver.held()),
         )
 
     # ------------------------------------------------------------------

@@ -39,8 +39,11 @@ def reliability_summary(kernel: "Kernel") -> dict[str, Any]:
     ``amplification`` is physical frames on the wire per logical
     message -- 1.0 in ``"assumed"`` mode, > 1.0 under enforcement
     (retransmissions + standalone acks).  The remaining counters show
-    *why*: what the substrate did (dropped/duplicated) and what the
-    layer absorbed (dup_suppressed/resequenced).
+    *why*: what the substrate did (dropped/duplicated), what the
+    layer absorbed (dup_suppressed/resequenced), and which signal put
+    a frame back on the wire (``retransmits_on_ack`` of the
+    ``retransmits`` answered an ack that reported the hole; the rest
+    waited for the channel timer).
     """
     stats = kernel.network.stats
     transport = kernel.network.transport
@@ -51,6 +54,7 @@ def reliability_summary(kernel: "Kernel") -> dict[str, Any]:
         "physical_sent": stats.physical_sent,
         "amplification": stats.physical_sent / stats.sent if stats.sent else 1.0,
         "retransmits": stats.retransmits,
+        "retransmits_on_ack": stats.retransmits_on_ack,
         "acks": stats.acks,
         "dropped": stats.dropped,
         "duplicated": stats.duplicated,
@@ -71,7 +75,9 @@ def availability_summary(
     took, and what the network refused to deliver to dead processors
     (``dead_letters``).  When a trace is given, the engine-level
     repair counters (forced unjoins, leaf re-homes, PC donations,
-    op retries/timeouts) are included.
+    op retries/timeouts) are included; ``op_retries`` counts
+    re-issues an op timer made, ``op_reissued_on_recovery`` those a
+    restarted home made on relearning the root, without a timer.
     """
     controller = kernel.crash_controller
     summary: dict[str, Any] = {
@@ -110,6 +116,7 @@ def availability_summary(
             leaves_rehomed=counters.get("leaves_rehomed", 0),
             eager_rereplications=counters.get("eager_rereplications", 0),
             op_retries=counters.get("op_retries", 0),
+            op_reissued_on_recovery=counters.get("op_reissued_on_recovery", 0),
             op_backoff_delay_total=counters.get("op_backoff_delay_total", 0),
             ops_timed_out=counters.get("ops_timed_out", 0),
             ops_failed=counters.get("ops_failed", 0),

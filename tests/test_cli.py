@@ -125,6 +125,11 @@ class TestCLI:
         for name in layers:
             assert faults[name] == ("on", demo[name]), name
         assert "period 100, fanout 2" in demo["repair"]  # plan values are not summed
+        # timer or signal?  each layer says which one re-sent / re-issued
+        assert "retransmits, " in demo["reliability"]
+        assert " of them on an ack; " in demo["reliability"]
+        assert " by their timer, " in demo["crash"]
+        assert demo["crash"].endswith(" by their recovered home")
         assert demo["ops"] == "40 completed, 0 failed, 0 timed out"
 
     def test_faults_all_layers_off(self, capsys):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import CrashPlan, DBTreeCluster, FaultPlan, ReliabilityConfig
-from repro.sim.crash import CrashController
+from repro.sim.crash import RECOVERY_GRACE, CrashController
 from repro.sim.processor import ProcessorDownError
 from repro.stats import availability_summary
 
@@ -168,14 +168,91 @@ class TestSubmitRacesCrash:
         assert op_id not in results.completed
         assert cluster.check().ok  # verdict excuses the missing return
 
-    def test_submit_on_dead_home_retries_with_timeout(self):
+    def test_submit_on_dead_home_is_issued_when_the_home_recovers(self):
+        # The home is back at 300, long before the op's timer (550):
+        # the op goes out when the home has relearned the root (the
+        # first answer to its announcement, 12 vt after the restart),
+        # not when the timer fires.
         cluster = crash_cluster(((1, 10.0, 300.0),), op_timeout=500.0)
         cluster.kernel.run_until(50.0)
         op_id = cluster.insert(999, "x", client=1)
         results = cluster.run()
         assert results.completed[op_id] is True
-        assert cluster.trace.counters["op_retries"] >= 1
+        [record] = [r for r in cluster.operation_records() if r.op_id == op_id]
+        round_trip = 35.0  # root, leaf and back, with their service times
+        assert record.completed_at == 312.0 + round_trip
+        assert record.completed_at <= 300.0 + RECOVERY_GRACE + round_trip
+        summary = cluster.availability_summary()
+        assert summary["op_reissued_on_recovery"] == 1
+        assert summary["op_retries"] == 0
         assert cluster.check().ok
+
+    def test_submit_on_dead_home_outlives_timeouts_spent_while_it_is_down(self):
+        # The home is still down when the timer fires at 250 and after:
+        # each firing spends an attempt, finds nothing to issue from
+        # and backs off.  Once the home is back (900) and has the root
+        # again the op still completes, with attempts to spare.
+        cluster = crash_cluster(((1, 10.0, 900.0),), op_timeout=200.0, op_retries=8)
+        cluster.kernel.run_until(50.0)
+        op_id = cluster.insert(999, "x", client=1)
+        results = cluster.run()
+        assert results.completed[op_id] is True
+        assert not results.timed_out
+        assert cluster.trace.counters["op_backoff_delay_total"] > 0
+        assert cluster.check().ok
+
+    def test_verdict_reached_while_the_home_is_down_stands(self):
+        # Both attempts are spent before the home is back: the op is
+        # timed out, and recovery does not dig it up again.
+        cluster = crash_cluster(((1, 10.0, 2000.0),), op_timeout=200.0, op_retries=1)
+        cluster.kernel.run_until(50.0)
+        op_id = cluster.insert(999, "x", client=1)
+        results = cluster.run()
+        assert op_id in results.timed_out
+        assert op_id not in results.completed
+        assert cluster.trace.counters["op_reissued_on_recovery"] == 0
+        assert cluster.check().ok
+
+    def test_timer_is_still_the_fallback_after_a_recovery_reissue(self):
+        # The re-issue at 312 runs into the leaf's owner, down from 320
+        # to 360 (too briefly to be detected), and is dead-lettered.
+        # The op's timer was left armed for exactly this: its retry at
+        # 550 completes the op.
+        cluster = crash_cluster(
+            ((1, 10.0, 300.0), (0, 320.0, 360.0)), op_timeout=500.0
+        )
+        cluster.kernel.run_until(50.0)
+        op_id = cluster.insert(999, "x", client=1)
+        results = cluster.run()
+        assert results.completed[op_id] is True
+        summary = cluster.availability_summary()
+        assert summary["op_reissued_on_recovery"] == 1
+        assert summary["op_retries"] == 1
+        assert cluster.check().ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP's self-resubmit livelock, one insert under a 20k-event "
+            "budget: pid 1 adopts the only leaf when pid 0 is detected dead "
+            "(386) and announces its new location to a root copy picked at "
+            "random -- `locate` does not consult `dead_peers` and picks pid "
+            "0's, so the link-change is dead-lettered and pids 2 and 3 keep "
+            "the leaf at pid 0.  Once pid 0 is back with a root copy and no "
+            "leaf, a search sent there recovers to its own root copy, which "
+            "sends it to the leaf 'at pid 0', forever.  Which pid the "
+            "announcement draws is one rng draw: the re-issue at 312 moved "
+            "it onto pid 0 (at the parent commit it drew pid 3)."
+        ),
+    )
+    def test_rehome_announced_to_the_dead_owner_livelocks_recovery(self):
+        cluster = crash_cluster(
+            ((1, 10.0, 300.0), (0, 335.0, 500.0)), op_timeout=500.0
+        )
+        cluster.kernel.run_until(50.0)
+        op_id = cluster.insert(999, "x", client=1)
+        results = cluster.run(max_events=20_000)
+        assert results.completed[op_id] is True
 
     def test_queue_races_crash_then_completes_after_restart(self):
         # Ops queued on pid 1 die in the crash; the per-op timers

@@ -172,3 +172,50 @@ class TestSearchSemantics:
         for key, value in list(expected.items())[::17]:
             assert cluster.search_sync(key, client=key % 4) == value
         assert cluster.search_sync(10**9) is None
+
+
+class TestLayersTogether:
+    def test_tail_latency_with_every_fault_layer_on(self):
+        """``bench``'s ``layers_on`` stream at a fifth of its length.
+
+        Open loop, one insert per 12 vt, over a substrate that loses
+        one frame in ten (enforced reliability), one 800-vt crash and
+        restart, rf 2, op timeouts, repair.  The tail is the ROADMAP's
+        target: p99 within 20x the median.  Two waits-on-a-timer used
+        to put it at 50x -- holes behind a lost head resent one per
+        ack round trip, and operations submitted to a home that was
+        down sitting out the whole 3,000-vt op timer although the home
+        was back within 800.
+        """
+        import random
+
+        from repro import CrashPlan, FaultPlan
+        from repro.stats.metrics import percentile
+
+        keys = list(range(600))
+        random.Random(2).shuffle(keys)
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol="variable",
+            capacity=8,
+            seed=2,
+            leaf_cache=True,
+            fault_plan=FaultPlan(drop_p=0.1, reorder_p=0.05, reorder_delay=100),
+            reliability="enforced",
+            crash_plan=CrashPlan(schedule=((1, 2400.0, 3200.0),)),
+            replication_factor=2,
+            op_timeout=3000,
+            op_retries=12,
+            repair_period=150,
+        )
+        for index, key in enumerate(keys):
+            cluster.schedule(index * 12.0, "insert", key, key, client=index % 4)
+        results = cluster.run()
+        assert results.ok
+        assert not results.timed_out and not results.failed
+        assert len(results.completed) == 600
+        latencies = cluster.trace.latencies("insert")
+        p50, p99 = percentile(latencies, 0.50), percentile(latencies, 0.99)
+        assert p99 <= 20 * p50, (p50, p99)
+        assert cluster.availability_summary()["op_retries"] == 0
+        assert_clean(cluster, expected={key: key for key in keys})

@@ -84,13 +84,17 @@ class TestHomeResolve:
 # retry backoff with decorrelated jitter
 # ----------------------------------------------------------------------
 class TestRetryBackoff:
-    def crashed_home_cluster(self, seed=3):
+    def crashed_owner_cluster(self, seed=3):
+        # pid 0 owns every leaf when it crashes: the other three homes'
+        # inserts are dead-lettered there and only their timers notice.
+        # (Operations homed at the crashed processor itself are
+        # re-issued when it recovers and never retry.)
         return DBTreeCluster(
             num_processors=4,
             protocol="variable",
             capacity=8,
             seed=seed,
-            crash_plan=CrashPlan(schedule=((1, 300.0, 800.0),)),
+            crash_plan=CrashPlan(schedule=((0, 300.0, 800.0),)),
             op_timeout=100.0,
             op_retries=12,
             replication_factor=2,
@@ -98,7 +102,7 @@ class TestRetryBackoff:
         )
 
     def test_delay_bounds_and_cap(self):
-        cluster = self.crashed_home_cluster()
+        cluster = self.crashed_owner_cluster()
         timers = cluster.engine.timers
         base = timers.timeout
         cap = base * timers.BACKOFF_CAP
@@ -126,7 +130,7 @@ class TestRetryBackoff:
         assert "op-backoff" not in cluster.seed_summary()
 
     def test_retries_back_off_and_recover(self):
-        cluster = self.crashed_home_cluster()
+        cluster = self.crashed_owner_cluster()
         expected = spaced_inserts(cluster)
         results = cluster.run()
         assert results.ok
@@ -141,7 +145,7 @@ class TestRetryBackoff:
     def test_backoff_is_deterministic(self):
         outcomes = []
         for _ in range(2):
-            cluster = self.crashed_home_cluster(seed=3)
+            cluster = self.crashed_owner_cluster(seed=3)
             spaced_inserts(cluster)
             cluster.run()
             outcomes.append(

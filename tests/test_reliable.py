@@ -274,7 +274,7 @@ def make_scripted(config=None, **script):
 
 
 class TestChannelTimer:
-    """One retransmit timer per channel; holes resent when an ack exposes them."""
+    """One retransmit timer per channel, aimed at the head's deadline."""
 
     def test_parked_frames_cost_no_events(self):
         # A head dropped three times is resent at 80, 200 and 380; the
@@ -438,6 +438,149 @@ class TestChannelTimer:
         assert most <= 3 * len(senders)
 
 
+class TestSelectiveAck:
+    """Every ack names the holes in the window; the due ones go at once."""
+
+    def test_every_hole_goes_out_on_the_first_ack_that_reports_it(self):
+        events, net, wire, delivered = make_scripted(drops={0: 1, 2: 1, 4: 1, 6: 1})
+        for i in range(10):
+            net.send(0, 1, i)
+        events.run()
+        # seq 0 goes again at its deadline and lands at 90, releasing 0
+        # and 1.  The ack for them leaves at 95 saying what is held
+        # beyond -- 3, 5, 7, 8, 9 -- and lands at 105: 2, 4 and 6, all
+        # due since 80, are resent then and there, not one per ack
+        # round trip (105, 130, 155 at the parent).
+        [ack] = [f for _t, _s, _d, f in wire.log if type(f) is AckFrame and f.ack == 1]
+        assert ack.held == {3, 5, 7, 8, 9}
+        assert wire.sent(0) == [0.0, 80.0]
+        assert wire.sent(2) == wire.sent(4) == wire.sent(6) == [0.0, 105.0]
+        assert delivered == [(90.0, 1, 0), (90.0, 1, 1)] + [
+            (115.0, 1, i) for i in range(2, 10)
+        ]
+        assert net.stats.retransmits == 4
+        assert net.stats.retransmits_on_ack == 3
+        assert net.stats.dup_suppressed == 0
+
+    def test_hole_inside_its_deadline_is_left_to_arrive(self):
+        # seq 1 takes 60 vt; 0 and 2 land at 10 and the ack for 0,
+        # holding 2, is back at 25.  seq 1 is a hole, but 55 vt short
+        # of its deadline: reordered, not lost.
+        events, net, wire, delivered = make_scripted(slow={1: 60.0})
+        for payload in "abc":
+            net.send(0, 1, payload)
+        events.run()
+        assert [f.held for _t, _s, _d, f in wire.log if type(f) is AckFrame] == [
+            {2},
+            frozenset(),
+        ]
+        assert delivered == [(10.0, 1, "a"), (60.0, 1, "b"), (60.0, 1, "c")]
+        assert net.stats.retransmits == 0
+        assert net.stats.resequenced == 1
+
+    def test_piggybacked_ack_reports_holes_too(self):
+        # seq 0 goes again at 80 and lands at 90, releasing 0 and 1.
+        # Reverse data leaving at 91 carries (ack 1, holding 3 and 4)
+        # and lands at 101, which is when seq 2 goes again; the
+        # standalone ack due at 95 has nothing left to say.
+        events, net, wire, delivered = make_scripted(drops={0: 1, 2: 1})
+        for i in range(5):
+            net.send(0, 1, i)
+        events.schedule(91.0, lambda: net.send(1, 0, "reverse"))
+        events.run()
+        [reverse] = [f for _t, src, _d, f in wire.log if src == 1 and type(f) is DataFrame]
+        assert (reverse.ack, reverse.held) == (1, {3, 4})
+        assert wire.sent(2) == [0.0, 101.0]
+        assert payloads(delivered, 1) == list(range(5))
+        assert (net.stats.retransmits, net.stats.retransmits_on_ack) == (2, 1)
+        acks_from_1 = [
+            f.ack for _t, src, _d, f in wire.log if src == 1 and type(f) is AckFrame
+        ]
+        assert acks_from_1 == [4]
+
+    def test_costs_no_frame_the_parent_did_not_send(self):
+        # Every 5th of 300 frames is dropped once, every 15th twice,
+        # two frames offered per 4 vt with sparse reverse traffic.  The
+        # parent (head-only resend) put 470 frames on the wire, 60 of
+        # them standalone acks, and fell 3,000 vt behind (done at
+        # 4054): selective acks ride the acks that flow anyway, so the
+        # same 80 losses cost fewer frames, not more.
+        drops = {seq: 2 if seq % 15 == 0 else 1 for seq in range(0, 300, 5)}
+        events, net, wire, delivered = make_scripted(drops=drops)
+        for i in range(300):
+            events.schedule(i * 2.0, lambda i=i: net.send(0, 1, i))
+            if i % 10 == 0:
+                events.schedule(i * 2.0 + 1, lambda i=i: net.send(1, 0, ("r", i)))
+        events.run()
+        assert payloads(delivered, 1) == list(range(300))
+        stats = net.stats
+        assert stats.retransmits == 80  # one per loss, none spurious
+        assert stats.dup_suppressed == 0
+        assert stats.acks <= 60
+        assert stats.physical_sent <= 470
+        assert events.now <= 1000.0
+
+    def test_ack_from_a_peer_since_crashed_resends_nothing(self):
+        # Processor 1 acks at 95 and crashes at 100.  The ack lands at
+        # 105 and reports seq 2 missing and due, but a dead peer is the
+        # timer's business: it alone charges retries, and so suspects.
+        events, net, wire, delivered = make_scripted(
+            drops={0: 1, 2: 99}, config=ReliabilityConfig(suspect_retries=2)
+        )
+        net.install_liveness(lambda pid: pid != 1 or events.now < 100.0)
+        downs = []
+        net.transport.install_peer_down(
+            lambda src, dst, lost: downs.append((src, dst, lost))
+        )
+        for i in range(5):
+            net.send(0, 1, i)
+        events.run()
+        assert net.stats.retransmits_on_ack == 0
+        assert wire.sent(2) == [0.0, 105.0, 225.0]  # the timer's ladder
+        assert downs == [(0, 1, [2, 3, 4])]
+
+    def test_ack_for_a_crashed_sender_resends_nothing(self):
+        # The same ack, but it is processor 0 that is down when it
+        # lands: a dead host reads no ack and transmits nothing.
+        events, net, wire, delivered = make_scripted(drops={0: 1, 2: 1})
+        net.install_liveness(lambda pid: pid != 0 or events.now < 100.0)
+        for i in range(5):
+            net.send(0, 1, i)
+        events.run()
+        assert wire.sent(2) == [0.0]
+        assert net.stats.retransmits == 1  # seq 0, at 80
+        assert net.stats.dead_letters == 1  # the ack
+
+    def test_closed_loop_lossy_burst_does_not_fall_behind(self):
+        # BENCH_core.json's enforced burst at a tenth of its length.
+        # With head-only resend processor 0's channels fell behind
+        # without bound: 4,366 frames unacked when the 2,000th insert
+        # completed (22,601 after 10,000).
+        from repro.perf import insert_burst_workload
+        from repro.workloads.driver import ClosedLoopDriver
+
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol="semisync",
+            capacity=8,
+            seed=0,
+            trace_level="off",
+            accounting="aggregate",
+            leaf_cache=True,
+            fault_plan=FaultPlan(drop_p=0.1),
+            reliability="enforced",
+        )
+        transport = cluster.kernel.network.transport
+        in_flight = []
+        cluster.engine.op_completion_listeners.append(
+            lambda _op, _result: in_flight.append(transport.in_flight())
+        )
+        ClosedLoopDriver(cluster, insert_burst_workload(2000, 4), depth=4).run()
+        assert len(in_flight) == 2000
+        assert max(in_flight) < 1000
+        assert max(in_flight[1000:]) <= max(in_flight[:1000])  # no growth
+
+
 class TestCrashedSender:
     def test_crashed_host_transmits_nothing(self):
         # Processor 0 crashes at 5 with an unacked head on 0->1 and
@@ -524,7 +667,7 @@ class TestAccountingInteraction:
         summary = reliability_summary(cluster.kernel)
         assert summary["mode"] == "enforced"
         assert summary["amplification"] > 1.0
-        assert summary["retransmits"] > 0
+        assert summary["retransmits"] > summary["retransmits_on_ack"] > 0
         assert summary["in_flight"] == 0  # quiescent: everything acked
 
 
