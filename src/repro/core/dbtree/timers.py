@@ -106,9 +106,9 @@ class OpTimers:
         retry is spent and each timer stays armed as it was, as the
         fallback.
         """
-        for entry in list(self._pending.values()):
-            if entry[3].home_pid == home_pid:
-                self._issue_from_root(entry[3], "op_reissued_on_recovery")
+        for *_timer, op in self._pending.values():
+            if op.home_pid == home_pid:
+                self._issue_from_root(op, "op_reissued_on_recovery")
 
     def _issue_from_root(self, op: OpContext, counter: str) -> None:
         """Idempotent re-issue: same op identity, fresh root descent."""

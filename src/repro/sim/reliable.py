@@ -564,15 +564,14 @@ class ReliableTransport:
         if not unacked:
             return
         now = self._events.now
-        if held or unacked[0][2] <= now:
-            liveness = self._network._liveness
-            if liveness is None or liveness(remote):
-                stats = self._network.stats
-                stop = max(held) if held else ack + 2
-                for seq, entry in zip(range(head, stop), unacked):
-                    if entry[2] <= now and seq not in held:
-                        stats.retransmits_on_ack += 1
-                        self._resend(local, remote, sender, seq, entry)
+        liveness = self._network._liveness
+        if (held or unacked[0][2] <= now) and (liveness is None or liveness(remote)):
+            stats = self._network.stats
+            stop = max(held) if held else ack + 2
+            for seq, entry in zip(range(head, stop), unacked):
+                if entry[2] <= now and seq not in held:
+                    stats.retransmits_on_ack += 1
+                    self._resend(local, remote, sender, seq, entry)
         # A due head left alone (the peer crashed after acking) is the
         # timer's: it fires now, charges the retry and may suspect.
         self._aim_timer(local, remote, sender, max(unacked[0][2], now))
