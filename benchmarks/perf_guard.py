@@ -8,7 +8,10 @@ the ``fast`` block (``repro bench``'s workload: semisync, accounting
 "aggregate", tracing off, leaf cache on, seed 0, no faults) and the
 ``enforced`` block (the same burst, shorter, over a substrate that
 drops one frame in ten with the reliable-delivery layer on, where a
-retransmit-timer flood would show as events/op).  Each block's
+retransmit-timer flood would show as events/op) and the ``repair``
+block (the burst under ``variable`` with anti-entropy gossiping every
+150 vt, where the rounds started and the digest bytes sent pin the
+gossip schedule as well).  Each block's
 ``final_virtual_time`` is compared as well: per-op counts do not show
 a channel that repairs its losses too slowly and falls behind (the
 ``enforced`` burst once needed 133,231 vt for work that takes 43,680),
@@ -36,8 +39,13 @@ import json
 import sys
 from pathlib import Path
 
-BLOCKS = ("fast", "enforced")
 METRICS = ("events_per_op", "msgs_per_op", "frames_per_op", "final_virtual_time")
+#: block -> the quantities pinned for it
+BLOCKS = {
+    "fast": METRICS,
+    "enforced": METRICS,
+    "repair": METRICS + ("rounds_started", "digest_bytes"),
+}
 
 
 def main() -> int:
@@ -62,7 +70,7 @@ def main() -> int:
     with open(args.baseline, encoding="utf-8") as fh:
         baseline = json.load(fh)
     failed = False
-    for block in BLOCKS:
+    for block, metrics in BLOCKS.items():
         pinned = baseline[block]
         num_ops = args.ops if args.ops is not None else pinned["ops_completed"]
         if num_ops != pinned["ops_completed"]:
@@ -73,7 +81,7 @@ def main() -> int:
                 file=sys.stderr,
             )
         result = run_insert_burst(num_ops, **pinned["config"])
-        for metric in METRICS:
+        for metric in metrics:
             measured = result[metric]
             reference = pinned[metric]
             verdict = "ok"

@@ -460,6 +460,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{enforced['events_per_op']:.2f} events/op, "
         f"{enforced['frames_per_op']:.2f} frames/op"
     )
+    repair = report["repair"]
+    print(
+        f"same, variable, repair every 150 vt "
+        f"({repair['ops_completed']:,} ops): "
+        f"{repair['events_per_op']:.2f} events/op, "
+        f"{repair['rounds_started']:,} rounds, "
+        f"{repair['digest_bytes']:,} digest bytes"
+    )
     print(f"wrote {args.output}")
     return 0
 

@@ -15,8 +15,12 @@ shorter row, ``enforced``, runs the same burst over a substrate that
 loses one frame in ten with the reliable-delivery layer on, and pins
 events/op, physical frames/op and the virtual time at the end the
 same way, so that a change to the transport's timers or acks shows in
-CI.  What each layer costs on top is ``bench/``'s ledger, not this
-module's.
+CI.  A third, ``repair``, runs the burst under ``variable`` with
+anti-entropy gossiping throughout (an inert crash plan and two copies
+of every leaf, so the rounds have mirror rows to compare) and pins the
+gossip schedule -- rounds started, digest bytes -- beside the same four
+quantities.  What each layer costs on top is ``bench/``'s ledger, not
+this module's.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import time
 from typing import Any
 
 from repro.core.client import DBTreeCluster
+from repro.sim.crash import CrashPlan
 from repro.sim.failure import FaultPlan
 from repro.workloads.driver import ClosedLoopDriver, Workload
 
@@ -57,15 +62,25 @@ def run_insert_burst(
     accounting: str = "aggregate",
     leaf_cache: bool = True,
     drop_p: float = 0.0,
+    repair_period: float | None = None,
 ) -> dict[str, Any]:
     """Run the standard insert-burst once; return its measurements.
 
     ``drop_p`` > 0 loses that share of physical frames and turns the
-    reliable-delivery layer on to make up for it.
+    reliable-delivery layer on to make up for it.  ``repair_period``
+    turns anti-entropy on at that gossip period, over a crash-capable
+    cluster in which nothing crashes and every leaf has one mirror:
+    without mirrors a pair's view holds replicated copies only.
     """
-    lossy: dict[str, Any] = {}
+    layers: dict[str, Any] = {}
     if drop_p > 0:
-        lossy = {"fault_plan": FaultPlan(drop_p=drop_p), "reliability": "enforced"}
+        layers.update(fault_plan=FaultPlan(drop_p=drop_p), reliability="enforced")
+    if repair_period is not None:
+        layers.update(
+            repair_period=repair_period,
+            crash_plan=CrashPlan(),
+            replication_factor=2,
+        )
     cluster = DBTreeCluster(
         num_processors=num_processors,
         protocol=protocol,
@@ -74,7 +89,7 @@ def run_insert_burst(
         trace_level=trace_level,
         accounting=accounting,
         leaf_cache=leaf_cache,
-        **lossy,
+        **layers,
     )
     workload = insert_burst_workload(num_ops, num_processors, seed=seed)
     completions = 0
@@ -93,6 +108,15 @@ def run_insert_burst(
     stats = cluster.kernel.network.stats
     sent = stats.sent
     cache = cluster.engine.leaf_cache_stats()
+    repair = cluster.engine.repair
+    gossip = (
+        {}
+        if repair is None
+        else {
+            "rounds_started": repair.counters.get("rounds_started", 0),
+            "digest_bytes": repair.digest_bytes,
+        }
+    )
     return {
         "config": {
             "protocol": protocol,
@@ -104,6 +128,7 @@ def run_insert_burst(
             "accounting": accounting,
             "leaf_cache": leaf_cache,
             "drop_p": drop_p,
+            "repair_period": repair_period,
         },
         "ops_completed": completions,
         "events_executed": events,
@@ -116,6 +141,7 @@ def run_insert_burst(
         "frames_per_op": stats.physical_sent / completions if completions else 0.0,
         "cache": cache,
         "final_virtual_time": cluster.now,
+        **gossip,
     }
 
 
@@ -128,13 +154,17 @@ def write_bench_core(
     counts and its ``final_virtual_time`` (every hole an ack reports
     is resent at once, so no channel falls behind at 10 % loss and the
     burst ends about as soon as its losses allow), not as a second
-    wall-clock throughput.
+    wall-clock throughput.  The ``repair`` row runs a tenth, for its
+    counts and its gossip schedule.
     """
     report = {
         "benchmark": "standard-insert-burst (closed loop)",
         "ops": num_ops,
         "fast": run_insert_burst(num_ops, seed=seed),
         "enforced": run_insert_burst(max(num_ops // 5, 1), seed=seed, drop_p=0.1),
+        "repair": run_insert_burst(
+            max(num_ops // 10, 1), seed=seed, protocol="variable", repair_period=150
+        ),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

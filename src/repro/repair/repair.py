@@ -316,10 +316,13 @@ class RepairService:
                 proc, peer, node_id, role, level, low
             )
         buckets = set(action.buckets)
-        for node_id, (role, _digest, _level, _low) in mine.items():
+        # Ascending node id, not the view's own order: this sweep sends
+        # messages, so its order is part of the schedule, and the order
+        # a store happened to be filled in must not be.
+        for node_id in sorted(mine):
             if node_id % self.plan.buckets not in buckets or node_id in remote:
                 continue
-            repaired |= self._repair_local_only(proc, peer, node_id, role)
+            repaired |= self._repair_local_only(proc, peer, node_id, mine[node_id][0])
         if repaired:
             self.scheduler.mark_dirty()
 

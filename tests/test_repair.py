@@ -320,6 +320,37 @@ class TestGossipRounds:
         assert report.ok, report.problems
         assert not check_digest_convergence(cluster.engine)
 
+    def test_local_only_sweep_visits_node_ids_ascending(self, monkeypatch):
+        """The sweep sends messages, so its order is schedule: it must
+        not depend on the order the store was filled in."""
+        cluster = repair_cluster()
+        spaced_inserts(cluster, count=60)
+        cluster.run()
+        service = cluster.engine.repair
+        proc = cluster.kernel.processors[0]
+        store = cluster.engine.store(proc)
+        refilled = list(reversed(store.items()))
+        store.clear()
+        store.update(refilled)
+        service.kick()  # the store moved behind the hooks' back
+        visited = []
+        monkeypatch.setattr(
+            service,
+            "_repair_local_only",
+            lambda _proc, _peer, node_id, _role: visited.append(node_id) or False,
+        )
+        service.execute_repairs(
+            proc,
+            DigestNodes(
+                src_pid=1,
+                round_id=999_999,
+                buckets=tuple(range(service.plan.buckets)),
+                entries=(),
+            ),
+        )
+        assert len(visited) > 2
+        assert visited == sorted(visited)
+
 
 # ----------------------------------------------------------------------
 # repair executor: convergence after injected divergence
