@@ -584,9 +584,12 @@ class DBTreeEngine:
         instead of paying this call.)  ``params[0]`` names the kind of
         update; ``version`` is the node version the update carries
         when that is not the copy's own (ordered link-changes, relayed
-        joins and unjoins).
+        joins and unjoins).  With repair on, the node is reported
+        touched: an update is what changes a copy's digest.
         """
         copy.incorporated_ids.add(action_id)
+        if self.repair is not None:
+            self.repair.touch(proc.pid, copy.node_id)
         trace = self.trace
         if trace.record_updates:
             record = (
@@ -971,6 +974,8 @@ class DBTreeEngine:
             # the bare path at one test)
             if self.mirrors is not None:
                 self.mirrors.copy_installed(proc, copy)
+        if self.repair is not None:
+            self.repair.touch(proc.pid, copy.node_id)
         self.protocol.after_copy_installed(proc, copy, reason)
         # A copy can be born overfull (a burst of inserts before the
         # split executes leaves the sibling with more than half of a
@@ -1058,6 +1063,23 @@ class DBTreeEngine:
             return
         self.trace.bump("undeliverable_action")
 
+    def remove_copy(
+        self, proc: Processor, node_id: int, reason: str = "deleted"
+    ) -> NodeCopy:
+        """Take a copy out of a processor's store, on purpose.
+
+        The one way a copy leaves a store short of its processor
+        crashing (migration, unjoin, ceding a double-homed leaf, a
+        repair's drop-and-rejoin, zombie collection, injected amnesia):
+        the trace excuses the copy from the final-value audit under
+        ``reason`` and the repair layer forgets what it cached of it.
+        """
+        copy = proc.state["store"].pop(node_id)
+        self.trace.record_copy_deleted(node_id, proc.pid, self.now, reason=reason)
+        if self.repair is not None:
+            self.repair.copy_removed(proc.pid, node_id)
+        return copy
+
     def crash_copy(self, pid: int, node_id: int) -> None:
         """Fault injection: a processor loses one node copy (amnesia).
 
@@ -1067,10 +1089,9 @@ class DBTreeEngine:
         it).  Used by the fault-tolerance experiments.
         """
         proc = self.kernel.processor(pid)
-        copy = self.store(proc).pop(node_id, None)
-        if copy is None:
+        if node_id not in self.store(proc):
             raise ValueError(f"processor {pid} holds no copy of node {node_id}")
-        self.trace.record_copy_deleted(node_id, pid, self.now)
+        self.remove_copy(proc, node_id)
         self.trace.bump("crashed_copies")
 
     def gc_retired(self, older_than: float) -> int:
@@ -1099,9 +1120,8 @@ class DBTreeEngine:
                 and copy.proto.get("retired_at", 0.0) < older_than
             ]
             for node_id in stale:
-                del store[node_id]
-                self.trace.record_copy_deleted(node_id, proc.pid, self.now)
-                collected += 1
+                self.remove_copy(proc, node_id)
+            collected += len(stale)
         return collected
 
     def gc_forwarding(self, older_than: float) -> int:

@@ -78,20 +78,24 @@ class LeafMirrors:
 
     def copy_installed(self, proc: "Processor", copy: NodeCopy) -> None:
         """A real copy landed here: it supersedes any passive mirror of
-        the node, and a leaf starts mirroring itself."""
+        the node, and a leaf starts mirroring itself.  (``install_copy``
+        reports the node touched, which covers the mirror popped here.)"""
         mirrors = proc.state.get("mirror_store")
         if mirrors is not None:
             mirrors.pop(copy.node_id, None)
         self.push(proc, copy)
 
     def on_mirror_update(self, proc: "Processor", action: MirrorUpdate) -> None:
+        engine = self.engine
         mirrors = proc.state.setdefault("mirror_store", {})
         if action.snapshot is None:
             mirrors.pop(action.node_id, None)
-            return
-        if action.node_id in self.engine.store(proc):
+        elif action.node_id in engine.store(proc):
             return  # the real copy lives here; a mirror would be stale
-        mirrors[action.node_id] = (action.home_pid, action.snapshot)
+        else:
+            mirrors[action.node_id] = (action.home_pid, action.snapshot)
+        if engine.repair is not None:
+            engine.repair.touch(proc.pid, action.node_id)
 
     def rehome(self, proc: "Processor", dead: int) -> None:
         """Adopt the dead processor's mirrored leaves.
@@ -113,6 +117,8 @@ class LeafMirrors:
         ]
         for node_id, snap in doomed:
             del mirrors[node_id]
+            if engine.repair is not None:
+                engine.repair.touch(proc.pid, node_id)
             successor = None
             for pid in self.targets(dead, node_id):
                 # The adopter's own belief, not the oracle's: under an

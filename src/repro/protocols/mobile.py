@@ -70,8 +70,7 @@ class MigrationMixin:
 
         engine.announce_location(proc, copy, to_children=True)
 
-        del engine.store(proc)[copy.node_id]
-        engine.trace.record_copy_deleted(copy.node_id, proc.pid, engine.now)
+        engine.remove_copy(proc, copy.node_id)
         if copy.is_leaf and engine.mirrors is not None:
             # The old home's mirrors are stale; the destination emits
             # fresh ones when the copy installs.

@@ -378,8 +378,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         engine = self.engine
         if copy.is_pc:
             raise ValueError(f"primary copy of node {copy.node_id} cannot unjoin")
-        del engine.store(proc)[copy.node_id]
-        engine.trace.record_copy_deleted(copy.node_id, proc.pid, engine.now)
+        engine.remove_copy(proc, copy.node_id)
         # Tombstone: trailing relays from members that have not yet
         # processed the unjoin must not trigger copy-loss healing.
         proc.state.setdefault("unjoined", set()).add(copy.node_id)

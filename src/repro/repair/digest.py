@@ -13,11 +13,12 @@ fresh mirror hashes equal to its home leaf by construction.
 
 Incremental maintenance is O(changed), not O(tree): every entry
 mutation bumps the copy's ``mut`` counter (see ``NodeCopy``), and the
-:class:`DigestIndex` caches each node's digest keyed by the small
-tuple of fields that feed the hash -- ``(mut, version, range, right
-link, membership)``.  An unchanged node re-validates its cache entry
-with tuple comparison; only changed nodes re-hash.  Digest caches are
-volatile: they die with a crash, like everything else on a processor.
+:class:`DigestIndex` caches each node's digest beside the fields that
+feed the hash -- ``mut``, version, range, right link, membership.  An
+unchanged node re-validates its cache entry by comparing those fields
+in place; only changed nodes re-hash.  A row is dropped when its copy
+leaves the store, and digest caches are volatile: they die with a
+crash, like everything else on a processor.
 
 Hashes use :func:`hashlib.blake2b` over the ``repr`` of a canonical
 tuple -- process-stable and seed-independent, unlike Python's
@@ -80,59 +81,76 @@ class DigestIndex:
     """Per-processor digest caches with O(changed) revalidation."""
 
     def __init__(self) -> None:
-        # pid -> node_id -> (cache_key, digest, is_leaf, num_entries)
-        self._nodes: dict[int, dict[int, tuple[tuple, int, bool, int]]] = {}
+        # pid -> node_id -> (mut, version, range, right_id, members,
+        # digest, is_leaf, num_entries): the fields that feed the hash
+        # as they stood when it was taken, then the hash and the load
+        # measurement that rides with it.
+        self._nodes: dict[int, dict[int, tuple]] = {}
         # pid -> node_id -> (snapshot, digest); snapshots are immutable
         # so identity is a sound cache key.
         self._mirrors: dict[int, dict[int, tuple["NodeSnapshot", int]]] = {}
 
-    @staticmethod
-    def _cache_key(copy: "NodeCopy") -> tuple:
-        return (
+    def node_digest(self, pid: int, copy: "NodeCopy") -> int:
+        """The copy's digest, re-hashed only if a hashed field moved.
+
+        Revalidation compares the fields themselves and builds
+        nothing: a key range is immutable and replaced whole, so
+        identity decides it; the membership is compared with the
+        private copy taken at hashing time.
+        """
+        cache = self._nodes.get(pid)
+        if cache is None:
+            cache = self._nodes[pid] = {}
+        entry = cache.get(copy.node_id)
+        if (
+            entry is not None
+            and entry[0] == copy.mut
+            and entry[1] == copy.version
+            and entry[2] is copy.range
+            and entry[3] == copy.right_id
+            and entry[4] == copy.copy_versions
+        ):
+            return entry[5]
+        digest = copy_digest(copy)
+        cache[copy.node_id] = (
             copy.mut,
             copy.version,
-            copy.range.low,
-            copy.range.high,
+            copy.range,
             copy.right_id,
-            tuple(sorted(copy.copy_versions.items())),
+            dict(copy.copy_versions),
+            digest,
+            copy.is_leaf,
+            copy.num_entries,
         )
-
-    def node_digest(self, pid: int, copy: "NodeCopy") -> int:
-        cache = self._nodes.setdefault(pid, {})
-        key = self._cache_key(copy)
-        entry = cache.get(copy.node_id)
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        digest = copy_digest(copy)
-        cache[copy.node_id] = (key, digest, copy.is_leaf, copy.num_entries)
         return digest
 
-    def leaf_entry_estimate(self, live_ids: set[int] | None = None) -> int | None:
+    def forget(self, pid: int, node_id: int) -> None:
+        """Drop the row of a copy that left ``pid``'s store."""
+        cache = self._nodes.get(pid)
+        if cache is not None:
+            cache.pop(node_id, None)
+
+    def leaf_entry_estimate(self) -> int | None:
         """Total leaf entries per the digest caches; None if empty.
 
-        The anti-entropy rounds already walk every node to hash it, so
-        the caches double as a free load measurement (digest-driven
+        The anti-entropy rounds already hash every node they compare,
+        so the caches double as a free load measurement (digest-driven
         rebalancing): sum the per-leaf entry counts, deduplicating
-        node ids across processors.  ``live_ids`` restricts the sum to
-        the logical tree's current leaves -- the cache is grow-only,
-        so rows for since-retired leaves linger and must be filtered
-        by a caller that knows the live set.  Counts refresh at gossip
-        cadence (or on explicit :meth:`node_digest` revalidation), so
-        the estimate can lag live mutations by up to one repair
-        period, but it is exact at quiescence, which is when the
-        shard balancer reads it.
+        node ids across processors.  A row lives exactly as long as
+        its copy does -- :meth:`forget` drops it when the copy leaves
+        the store, :meth:`reset` when the processor crashes -- so the
+        sum ranges over current copies only.  Counts refresh when a
+        touched node's view row is re-derived (or on explicit
+        :meth:`node_digest` revalidation), so the estimate can lag
+        live mutations by up to one repair period, but it is exact at
+        quiescence, which is when the shard balancer reads it.
         """
         counts: dict[int, int] = {}
-        seen_leaf = False
         for cache in self._nodes.values():
             for node_id, entry in cache.items():
-                if not entry[2]:
-                    continue
-                if live_ids is not None and node_id not in live_ids:
-                    continue
-                seen_leaf = True
-                counts[node_id] = max(counts.get(node_id, 0), entry[3])
-        if not seen_leaf:
+                if entry[6]:
+                    counts[node_id] = max(counts.get(node_id, 0), entry[7])
+        if not counts:
             return None
         return sum(counts.values())
 

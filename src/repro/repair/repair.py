@@ -66,6 +66,10 @@ if TYPE_CHECKING:
 #: evicted; anything older is repaired by value re-join).
 LOG_CAP = 512
 
+#: What one processor replicates in common with one peer:
+#: node_id -> (role, digest, level, low).
+PairView = dict[int, tuple[str, int, int, Any]]
+
 
 # ----------------------------------------------------------------------
 # repair actions
@@ -158,6 +162,11 @@ class RepairService:
         self.index = DigestIndex()
         self.counters: dict[str, int] = {}
         self.digest_bytes = 0
+        #: pid -> (node ids touched since that processor's views were
+        #: last brought up to date, peer -> pair view).  A processor
+        #: has an entry from its first gossip round until it crashes or
+        #: :meth:`kick` says the hooks were bypassed.
+        self._views: dict[int, tuple[set[int], dict[int, PairView]]] = {}
         self.scheduler = GossipScheduler(
             self,
             seed=engine.kernel.seeds.register("gossip", engine.kernel.seed + 3),
@@ -208,11 +217,18 @@ class RepairService:
         return self.scheduler.last_dirty
 
     def kick(self) -> None:
-        """Externally signal divergence (tests, fault injection)."""
+        """Externally signal divergence (tests, fault injection).
+
+        An outside signal means state may have moved without passing
+        the hooks that report a node touched, so every pair view is
+        forgotten and the next rounds derive theirs from the stores.
+        """
+        self._views.clear()
         self.scheduler.mark_dirty()
 
     def _on_peer_crash(self, pid: int) -> None:
         self.index.reset(pid)
+        self._views.pop(pid, None)
         self.scheduler.on_processor_crash(pid)
 
     def _on_peer_restart(self, pid: int) -> None:
@@ -235,18 +251,100 @@ class RepairService:
         log[action.action_id] = stored
         if len(log) > LOG_CAP:
             del log[next(iter(log))]
+        self.touch(copy.home_pid, copy.node_id)
 
     # ------------------------------------------------------------------
     # shared view: what this processor replicates in common with a peer
     # ------------------------------------------------------------------
-    def shared_entries(
-        self, proc: "Processor", peer: int
-    ) -> dict[int, tuple[str, int, int, Any]]:
+    def touch(self, pid: int, node_id: int) -> None:
+        """``pid``'s copy or mirror of ``node_id`` may have changed.
+
+        Called where state changes already pass: the engine's
+        ``incorporate``, ``install_copy`` and ``remove_copy``,
+        :meth:`log_update`, the mirror collaborator's edits of a
+        mirror store, :meth:`_on_home_resolve`.  The node's rows are
+        re-derived when one of ``pid``'s views is next asked for.
+        """
+        state = self._views.get(pid)
+        if state is not None:
+            state[0].add(node_id)
+
+    def copy_removed(self, pid: int, node_id: int) -> None:
+        """``pid`` no longer stores ``node_id``: forget its digest."""
+        self.index.forget(pid, node_id)
+        self.touch(pid, node_id)
+
+    def shared_entries(self, proc: "Processor", peer: int) -> PairView:
         """node_id -> (role, digest, level, low) for the pair scope.
 
         Roles: ``"C"`` a replicated copy listing the peer as member,
         ``"L"`` an own single-copy leaf whose mirror targets include
         the peer, ``"M"`` a held mirror whose home is the peer.
+
+        The view is kept between rounds: a call costs the nodes
+        touched since the processor's views were last asked for, not
+        the store.  :meth:`derive_entries` builds a pair's first view
+        and says what every later one must equal.  Callers read the
+        returned dict and do not keep or change it.
+        """
+        pid = proc.pid
+        state = self._views.get(pid)
+        if state is None:
+            state = self._views[pid] = (set(), {})
+        touched, views = state
+        if touched:
+            for other, view in views.items():
+                for node_id in touched:
+                    row = self._row(proc, other, node_id)
+                    if row is None:
+                        view.pop(node_id, None)
+                    else:
+                        view[node_id] = row
+            touched.clear()
+        view = views.get(peer)
+        if view is None:
+            view = views[peer] = self.derive_entries(proc, peer)
+        return view
+
+    def _row(
+        self, proc: "Processor", peer: int, node_id: int
+    ) -> tuple[str, int, int, Any] | None:
+        """One node's row in the ``(proc, peer)`` view, None if the
+        pair does not share it (:meth:`derive_entries`, one node)."""
+        pid = proc.pid
+        mirrors = self.engine.mirrors
+        if mirrors is not None:
+            held = mirrors.held(proc).get(node_id)
+            if held is not None and held[0] == peer:
+                snap = held[1]
+                return (
+                    "M",
+                    self.index.mirror_digest(pid, node_id, snap),
+                    snap.level,
+                    snap.low,
+                )
+        copy = proc.state["store"].get(node_id)
+        if copy is None or copy.retired:
+            return None
+        members = copy.copy_versions
+        if peer in members and len(members) > 1:
+            return ("C", self.index.node_digest(pid, copy), copy.level, copy.range.low)
+        if (
+            mirrors is not None
+            and copy.is_leaf
+            and len(members) == 1
+            and peer in mirrors.targets(pid, node_id)
+        ):
+            return ("L", self.index.node_digest(pid, copy), 0, copy.range.low)
+        return None
+
+    def derive_entries(self, proc: "Processor", peer: int) -> PairView:
+        """The pair view from scratch: one pass over the whole store.
+
+        What :meth:`shared_entries` returned on every call before the
+        views were kept; now a pair's first view, the view after a
+        crash or a :meth:`kick`, and the reference the tests hold the
+        kept view to.
         """
         engine = self.engine
         index = self.index
@@ -262,7 +360,7 @@ class RepairService:
             mirrored_at_peer = None
         else:
             mirrored_at_peer = peer in mirrors.targets(pid, -1)
-        entries: dict[int, tuple[str, int, int, Any]] = {}
+        entries: PairView = {}
         for copy in proc.state["store"].values():
             if copy.retired:
                 continue
@@ -585,6 +683,7 @@ class RepairService:
             # mirror, and parent link now resolves to us on version.
             copy.version = max(copy.version, action.version) + 1
             copy.copy_versions = {proc.pid: copy.version}
+            self.touch(proc.pid, node_id)
             engine.announce_location(proc, copy)
             engine.mirrors.push(proc, copy)
             self.count("home_resolves_won")
@@ -598,10 +697,7 @@ class RepairService:
             engine.kernel.route(
                 proc.pid, action.src_pid, self._home_claim(proc, copy, reply=True)
             )
-        del engine.store(proc)[node_id]
-        engine.trace.record_copy_deleted(
-            node_id, proc.pid, engine.now, reason="home_resolve"
-        )
+        engine.remove_copy(proc, node_id, "home_resolve")
         self.count("home_resolves_ceded")
         self.scheduler.mark_dirty()
 
@@ -642,11 +738,7 @@ class RepairService:
             proc, node_id, copy.level, copy.range.low, copy.pc_pid
         )
         if asked:
-            engine = self.engine
-            del engine.store(proc)[node_id]
-            engine.trace.record_copy_deleted(
-                node_id, proc.pid, engine.now, reason="repair"
-            )
+            self.engine.remove_copy(proc, node_id, "repair")
         return asked
 
     def _request_rejoin(

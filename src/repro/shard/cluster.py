@@ -448,15 +448,10 @@ class ShardedCluster(ClientSurface):
         repair = cluster.engine.repair
         if repair is not None:
             index = repair.index
-            live: set[int] = set()
             for copy in representative_nodes(cluster.engine).values():
                 if copy.is_leaf:
                     index.node_digest(copy.home_pid, copy)
-                    live.add(copy.node_id)
-            cached = index.leaf_entry_estimate(live_ids=live)
-            if cached is not None:
-                return cached
-            return 0
+            return index.leaf_entry_estimate() or 0
         return len(leaf_contents(cluster.engine))
 
     def shard_contents(self, shard_id: int) -> dict[Key, Any]:

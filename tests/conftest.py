@@ -9,3 +9,35 @@ from repro import DBTreeCluster
 def small_cluster():
     """A 4-processor semisync cluster with tiny nodes (splits early)."""
     return DBTreeCluster(num_processors=4, protocol="semisync", capacity=4, seed=11)
+
+
+@pytest.fixture
+def checked_views(monkeypatch):
+    """Hold every pair view the repair layer keeps to the derivation.
+
+    Wraps ``RepairService.shared_entries`` so each call asserts the
+    incrementally kept view equals ``derive_entries`` -- the from-
+    scratch pass over the store.  A mutation site that forgets to
+    report its node touched then fails the test that drives it,
+    instead of silently missing a repair.  Yields the list of
+    ``(pid, peer)`` calls checked.
+    """
+    from repro.repair.repair import RepairService
+
+    kept = RepairService.shared_entries
+    calls = []
+
+    def checked(self, proc, peer):
+        view = kept(self, proc, peer)
+        # (through the class, so a test that counts one service's own
+        # derivations by patching the instance does not count these)
+        derived = RepairService.derive_entries(self, proc, peer)
+        assert view == derived, (
+            f"pair view ({proc.pid}, {peer}) drifted from the derivation: "
+            f"{sorted(set(view.items()) ^ set(derived.items()))}"
+        )
+        calls.append((proc.pid, peer))
+        return view
+
+    monkeypatch.setattr(RepairService, "shared_entries", checked)
+    return calls

@@ -18,6 +18,10 @@ from repro.sim.crash import RECOVERY_GRACE, CrashController
 from repro.sim.processor import ProcessorDownError
 from repro.stats import availability_summary
 
+# Every pair view the repair layer keeps is held to the from-scratch
+# derivation on every call (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_views")
+
 
 def crash_cluster(
     schedule,

@@ -16,6 +16,10 @@ import pytest
 from repro import CrashPlan, DBTreeCluster, DetectorPlan, PartitionPlan
 from repro.sim.network import UniformLatency
 
+# Every pair view the repair layer keeps is held to the from-scratch
+# derivation on every call (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_views")
+
 
 def spaced_inserts(cluster, count=40, spacing=10.0):
     expected = {}

@@ -26,8 +26,13 @@ from repro.repair import (
     rendezvous_weight,
     snapshot_digest,
 )
+from repro.protocols.variable import VariableCopiesProtocol
 from repro.repair.gossip import DigestNodes
-from repro.verify.checker import check_digest_convergence
+from repro.verify.checker import check_digest_convergence, leaf_contents
+
+# Every pair view the repair layer keeps is held to the from-scratch
+# derivation on every call (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_views")
 
 
 def repair_cluster(
@@ -422,6 +427,289 @@ class TestRepairConvergence:
             + counters.get("rejoins", 0)
             + counters.get("rejoin_advises", 0)
         ) > 0
+
+
+# ----------------------------------------------------------------------
+# pair views: kept between rounds, held to the derivation
+# ----------------------------------------------------------------------
+def mirrored_cluster(replication_factor=2, **kwargs):
+    """Repair on and every leaf mirrored, but nothing ever crashes."""
+    return DBTreeCluster(
+        num_processors=4,
+        protocol="variable",
+        capacity=4,
+        seed=3,
+        crash_plan=CrashPlan(),
+        replication_factor=replication_factor,
+        repair_period=150.0,
+        **kwargs,
+    )
+
+
+def muted(service, fn):
+    """``fn``, run with the repair layer's touch report switched off:
+    what the code would be had that seam forgotten its hook."""
+
+    def call(*args, **kwargs):
+        service.touch = lambda pid, node_id: None
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            del service.touch
+
+    return call
+
+
+def a_mirror(cluster):
+    """Some ``(holder processor, node_id, home_pid)`` among the mirrors."""
+    for proc in cluster.kernel.processors.values():
+        for node_id, (home, _snap) in (proc.state.get("mirror_store") or {}).items():
+            return proc, node_id, home
+    raise AssertionError("no mirror anywhere")
+
+
+class TestPairViews:
+    def test_a_round_re_derives_only_what_was_touched(self, monkeypatch):
+        cluster = mirrored_cluster()
+        spaced_inserts(cluster)
+        cluster.run()
+        service = cluster.engine.repair
+        proc = cluster.kernel.processors[0]
+        rows = []
+        real_row = service._row
+        monkeypatch.setattr(
+            service, "_row", lambda *args: rows.append(args[2]) or real_row(*args)
+        )
+        derivations = []
+        monkeypatch.setattr(service, "derive_entries", derivations.append)
+        service.shared_entries(proc, 1)
+        assert rows == []  # nothing touched since the last round
+        cluster.insert_sync(4, "again", client=0)
+        service.shared_entries(proc, 1)
+        assert rows and len(set(rows)) < len(cluster.engine.store(proc))
+        assert derivations == []
+
+    def test_kick_forgets_what_moved_behind_the_hooks(self):
+        cluster = mirrored_cluster()
+        spaced_inserts(cluster)
+        cluster.run()
+        service = cluster.engine.repair
+        holder, node_id, home = a_mirror(cluster)
+        fresh = service.shared_entries(holder, home)[node_id]
+        assert stale_all_mirrors(cluster) > 0
+        # The injection bypassed every seam, so a kept view is now
+        # wrong; kick() is the outside signal that says so.  (Without
+        # the forgetting, the cross-check fails the next line.)
+        service.kick()
+        staled = service.shared_entries(holder, home)[node_id]
+        _home, snap = holder.state["mirror_store"][node_id]
+        assert staled == ("M", snapshot_digest(snap), snap.level, snap.low)
+        assert staled != fresh
+
+    def test_unkicked_injection_is_what_the_cross_check_catches(self):
+        cluster = mirrored_cluster()
+        spaced_inserts(cluster)
+        cluster.run()
+        service = cluster.engine.repair
+        holder, _node_id, home = a_mirror(cluster)
+        assert stale_all_mirrors(cluster) > 0
+        with pytest.raises(AssertionError, match="drifted"):
+            service.shared_entries(holder, home)
+
+    def test_crash_drops_exactly_the_crashed_processors_views(self, monkeypatch):
+        cluster = repair_cluster(schedule=((1, 900.0, 1700.0),))
+        spaced_inserts(cluster)
+        service = cluster.engine.repair
+        derived = []
+        real_derive = service.derive_entries
+
+        def recording(proc, peer):
+            derived.append((proc.pid, peer, cluster.now))
+            return real_derive(proc, peer)
+
+        monkeypatch.setattr(service, "derive_entries", recording)
+        cluster.run()
+        assert cluster.check().ok
+        by_pair = {}
+        for pid, peer, at in derived:
+            by_pair.setdefault((pid, peer), []).append(at)
+        # The survivors never derive a view twice: pid 1's crash cost
+        # them nothing.
+        for (pid, peer), times in by_pair.items():
+            if pid != 1:
+                assert len(times) == 1, (pid, peer, times)
+        # pid 1 derives each of its views once before the crash and
+        # once more after the restart: its first rounds back start
+        # from the store, not from anything remembered.
+        for peer in (0, 2, 3):
+            times = by_pair[(1, peer)]
+            assert len(times) == 2 and times[0] < 900.0 and times[1] >= 1700.0
+
+
+class TestTouchSeams:
+    """One test per place that reports a node touched: take the hook
+    away and the cross-check fixture must catch the drift."""
+
+    def drifts(self, cluster):
+        with pytest.raises(AssertionError, match="drifted"):
+            cluster.run()
+
+    def test_incorporate(self, monkeypatch):
+        cluster = mirrored_cluster()
+        engine, service = cluster.engine, cluster.engine.repair
+        # Keyed updates still report through log_update; splits, joins
+        # and link-changes have only incorporate.
+        monkeypatch.setattr(engine, "incorporate", muted(service, engine.incorporate))
+        spaced_inserts(cluster)
+        self.drifts(cluster)
+
+    def test_log_update(self, monkeypatch):
+        # With histories off a keyed update does not pass incorporate.
+        cluster = mirrored_cluster(trace_level="off")
+        service = cluster.engine.repair
+        monkeypatch.setattr(service, "log_update", muted(service, service.log_update))
+        spaced_inserts(cluster)
+        self.drifts(cluster)
+
+    def test_install_copy(self, monkeypatch):
+        cluster = mirrored_cluster()
+        engine, service = cluster.engine, cluster.engine.repair
+        monkeypatch.setattr(engine, "install_copy", muted(service, engine.install_copy))
+        spaced_inserts(cluster)
+        self.drifts(cluster)
+
+    def test_remove_copy(self, monkeypatch):
+        cluster = mirrored_cluster()
+        spaced_inserts(cluster)
+        cluster.run()
+        engine, service = cluster.engine, cluster.engine.repair
+        proc = cluster.kernel.processors[2]
+        shared = service.shared_entries(proc, 0)
+        node_id = next(nid for nid, row in shared.items() if row[0] == "C")
+        monkeypatch.setattr(engine, "remove_copy", muted(service, engine.remove_copy))
+        engine.crash_copy(proc.pid, node_id)
+        with pytest.raises(AssertionError, match="drifted"):
+            service.shared_entries(proc, 0)
+
+    def test_mirror_update(self, monkeypatch):
+        from repro.core.actions import MirrorUpdate
+
+        cluster = mirrored_cluster()
+        engine, service = cluster.engine, cluster.engine.repair
+        monkeypatch.setitem(
+            engine._handlers,
+            MirrorUpdate,
+            muted(service, engine.mirrors.on_mirror_update),
+        )
+        spaced_inserts(cluster)
+        self.drifts(cluster)
+
+    def test_mirror_rehome(self, monkeypatch):
+        # Three copies of every leaf: the second mirror holder is not
+        # the successor, so re-homing only takes its mirror away.
+        cluster = mirrored_cluster(replication_factor=3)
+        spaced_inserts(cluster)
+        cluster.run()
+        engine, service = cluster.engine, cluster.engine.repair
+        mirrors = engine.mirrors
+        holder, home = next(
+            (proc, home)
+            for proc in cluster.kernel.processors.values()
+            for home, _snap in mirrors.held(proc).values()
+            if mirrors.targets(home, -1)[1] == proc.pid
+        )
+        assert any(row[0] == "M" for row in service.shared_entries(holder, home).values())
+        monkeypatch.setattr(mirrors, "rehome", muted(service, mirrors.rehome))
+        mirrors.rehome(holder, home)
+        with pytest.raises(AssertionError, match="drifted"):
+            service.shared_entries(holder, home)
+
+    def test_home_resolve(self, monkeypatch):
+        from repro.repair.repair import HomeResolve
+
+        cluster = mirrored_cluster()
+        spaced_inserts(cluster)
+        cluster.run()
+        engine, service = cluster.engine, cluster.engine.repair
+        proc = cluster.kernel.processors[0]
+        target = engine.mirrors.targets(proc.pid, -1)[0]
+        shared = service.shared_entries(proc, target)
+        node_id = next(nid for nid, row in shared.items() if row[0] == "L")
+        copy = engine.copy_at(proc, node_id)
+        monkeypatch.setattr(
+            service, "_on_home_resolve", muted(service, service._on_home_resolve)
+        )
+        # A losing claim from the mirror holder: we win, and the
+        # winner rewrites the leaf's membership in place.
+        service._on_home_resolve(
+            proc,
+            HomeResolve(
+                src_pid=target,
+                node_id=node_id,
+                version=copy.version - 1,
+                have=frozenset(),
+            ),
+        )
+        with pytest.raises(AssertionError, match="drifted"):
+            service.shared_entries(proc, target)
+
+
+class TestDigestIndexForgets:
+    """A digest row lives exactly as long as its copy."""
+
+    @staticmethod
+    def hash_everything(cluster):
+        index = cluster.engine.repair.index
+        for proc in cluster.kernel.processors.values():
+            for copy in cluster.engine.store(proc).values():
+                index.node_digest(proc.pid, copy)
+        return index
+
+    def assert_rows_are_copies(self, cluster):
+        index = cluster.engine.repair.index
+        for proc in cluster.kernel.processors.values():
+            rows = set(index._nodes.get(proc.pid, ()))
+            assert rows <= set(cluster.engine.store(proc)), proc.pid
+
+    def test_migrated_copies_leave_no_row(self):
+        cluster = DBTreeCluster(
+            num_processors=4, protocol="mobile", capacity=4, seed=5,
+            repair_period=150.0,
+        )
+        for index in range(120):
+            cluster.insert((index * 7) % 2003, index, client=index % 4)
+        cluster.run()
+        self.hash_everything(cluster)
+        movers = [c for c in cluster.engine.all_copies() if c.is_leaf][:6]
+        for copy in movers:
+            cluster.migrate_node(copy.node_id, copy.home_pid, (copy.home_pid + 1) % 4)
+        cluster.run()
+        assert cluster.trace.counters["migrations"] == len(movers)
+        self.assert_rows_are_copies(cluster)
+        index = self.hash_everything(cluster)
+        assert index.leaf_entry_estimate() == len(leaf_contents(cluster.engine)) == 120
+
+    def test_collected_zombies_leave_no_row(self):
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol=VariableCopiesProtocol(free_at_empty=True),
+            capacity=4,
+            seed=7,
+            repair_period=150.0,
+        )
+        keys = [(index * 7) % 2003 for index in range(200)]
+        for index, key in enumerate(keys):
+            cluster.insert(key, index, client=index % 4)
+        cluster.run()
+        for index, key in enumerate(k for k in keys if 500 <= k < 1800):
+            cluster.delete(key, client=index % 4)
+        cluster.run()
+        self.hash_everything(cluster)
+        assert cluster.engine.gc_retired(older_than=float("inf")) > 0
+        self.assert_rows_are_copies(cluster)
+        assert cluster.engine.repair.index.leaf_entry_estimate() == len(
+            leaf_contents(cluster.engine)
+        )
 
 
 # ----------------------------------------------------------------------

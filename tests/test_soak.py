@@ -12,6 +12,10 @@ from tests.helpers import assert_clean
 from repro import DBTreeCluster, ShardedCluster
 from repro.workloads import DiffusiveBalancer, uniform_keys
 
+# Every pair view the repair layer keeps is held to the from-scratch
+# derivation on every call (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_views")
+
 
 @pytest.mark.soak
 @pytest.mark.parametrize("seed", [3, 17])
