@@ -103,6 +103,11 @@ class ScanStep:
         """Re-addressed copy; faster than ``dataclasses.replace``."""
         return ScanStep(node_id, self.level, self.key, self.op, self.collected)
 
+    def advanced(self, key: Key, collected: tuple) -> "ScanStep":
+        """The next leaf visit: the cursor moved up to ``key`` with
+        ``collected`` in hand (direct construction, as ``with_node``)."""
+        return ScanStep(self.node_id, self.level, key, self.op, collected)
+
 
 @dataclass(frozen=True)
 class ReturnValue:

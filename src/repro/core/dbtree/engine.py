@@ -51,7 +51,7 @@ from repro.core.actions import (
     SearchStep,
     SetRoot,
 )
-from repro.core.keys import POS_INF, Key, KeyRange, key_lt
+from repro.core.keys import POS_INF, Key, KeyRange, key_le, key_lt
 from repro.core.leafcache import LeafHintCache
 from repro.core.node import NodeCopy, NodeSnapshot
 from repro.core.replication import Placement, ReplicationPolicy
@@ -195,7 +195,7 @@ class DBTreeEngine:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.kernel.now
+        return self.kernel.events.now
 
     def store(self, proc: Processor) -> dict[int, NodeCopy]:
         return proc.state["store"]
@@ -760,8 +760,6 @@ class DBTreeEngine:
     # range scans (B-link leaf-chain walk)
     # ------------------------------------------------------------------
     def _on_scan(self, proc: Processor, action: ScanStep) -> None:
-        from repro.core.keys import key_le, key_lt
-
         copy = self.copy_at(proc, action.node_id)
         if copy is None:
             self.handle_missing(proc, action)
@@ -775,12 +773,7 @@ class DBTreeEngine:
             self.forward_same_level(proc, copy, action, action.key)
             return
         high, limit = op.value
-        hits = tuple(
-            (key, value)
-            for key, value in copy.entries()
-            if key_le(action.key, key) and key_lt(key, high)
-        )
-        collected = action.collected + hits
+        collected = action.collected + copy.entries_between(action.key, high)
         done = (
             copy.right_id is None
             or key_le(high, copy.range.high)
@@ -791,13 +784,12 @@ class DBTreeEngine:
                 collected = collected[:limit]
             self.complete_op(proc, op, collected)
             return
-        next_step = replace(
-            action,
-            key=copy.range.high,
-            collected=collected,
-        )
         self.route_to_node(
-            proc, copy.right_id, next_step, level=0, key=copy.range.high
+            proc,
+            copy.right_id,
+            action.advanced(copy.range.high, collected),
+            level=0,
+            key=copy.range.high,
         )
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from repro.core.keys import Bound, Key, KeyRange, key_lt
+from repro.core.keys import NEG_INF, POS_INF, Bound, Key, KeyRange, key_lt
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,15 @@ class NodeSnapshot:
     birth_set: frozenset[int]
     link_versions: tuple[tuple[str, int], ...] = ()
     child_locations: tuple[tuple[int, tuple[int, ...]], ...] = ()
+
+
+def _first_at_or_above(keys: list[Key], bound: Bound) -> int:
+    """Index of the first of the sorted ``keys`` that is >= ``bound``."""
+    if bound is NEG_INF:
+        return 0
+    if bound is POS_INF:
+        return len(keys)
+    return bisect.bisect_left(keys, bound)
 
 
 class NodeCopy:
@@ -179,6 +188,19 @@ class NodeCopy:
         payloads = self._payloads
         for key in self._keys:
             yield key, payloads[key]
+
+    def entries_between(
+        self, low: Bound, high: Bound
+    ) -> tuple[tuple[Key, Any], ...]:
+        """The ``(key, payload)`` pairs with ``low <= key < high``, in
+        key order: two bisections, not a pass over the entries.  Either
+        bound may be a sentinel."""
+        keys = self._keys
+        payloads = self._payloads
+        return tuple(
+            (key, payloads[key])
+            for key in keys[_first_at_or_above(keys, low) : _first_at_or_above(keys, high)]
+        )
 
     def lookup(self, key: Key) -> Any:
         """The payload stored under ``key``; KeyError if absent."""
@@ -339,8 +361,10 @@ class NodeCopy:
             parent_id=snap.parent_id,
             version=snap.version,
         )
-        for key, payload in zip(snap.keys, snap.payloads):
-            copy.insert_entry(key, payload)
+        # A snapshot's keys are a copy's own, already sorted: adopt
+        # them whole instead of bisecting each into place.
+        copy._keys = list(snap.keys)
+        copy._payloads = dict(zip(snap.keys, snap.payloads))
         copy.incorporated_ids = set(snap.birth_set)
         copy.link_versions = dict(snap.link_versions)
         return copy

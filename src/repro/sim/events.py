@@ -65,13 +65,11 @@ class EventQueue:
         self._heap: list[tuple[float, int, Callable[[], Any]]] = []
         self._cancelled: set[int] = set()
         self._seq = 0
-        self._now = 0.0
+        #: Current virtual time (time of the last executed event).  A
+        #: plain attribute, read more often than once per event; only
+        #: the queue's own run loops assign it.
+        self.now = 0.0
         self._executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (time of the last executed event)."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -90,9 +88,9 @@ class EventQueue:
         deliveries, service completions) which never cancel: no
         :class:`EventHandle` is allocated.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
@@ -104,9 +102,9 @@ class EventQueue:
         moves forward.  Returns a handle whose ``cancel()`` marks the
         event as dead.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
         handle = EventHandle(self, self._seq, time)
         heapq.heappush(self._heap, (time, self._seq, callback))
@@ -117,7 +115,7 @@ class EventQueue:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, callback)
+        return self.schedule(self.now + delay, callback)
 
     def step(self) -> bool:
         """Execute the next non-cancelled event.
@@ -132,7 +130,7 @@ class EventQueue:
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            self._now = time
+            self.now = time
             self._executed += 1
             callback()
             return True
@@ -165,7 +163,7 @@ class EventQueue:
                     f"event cascade exceeded max_events={max_events}; "
                     "likely a protocol livelock"
                 )
-            self._now = event[0]
+            self.now = event[0]
             self._executed += 1
             ran += 1
             event[2]()
@@ -189,9 +187,9 @@ class EventQueue:
             if head[0] > deadline:
                 break
             heapq.heappop(heap)
-            self._now = head[0]
+            self.now = head[0]
             self._executed += 1
             ran += 1
             head[2]()
-        self._now = max(self._now, deadline)
+        self.now = max(self.now, deadline)
         return ran

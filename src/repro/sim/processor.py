@@ -160,19 +160,20 @@ class Processor:
             raise RuntimeError(f"processor {self.pid} has no handler installed")
         if not self._alive:
             raise ProcessorDownError(self.pid, action)
-        queue = self._queue
-        queue.append((action, self._events.now))
-        if self._track_detail and len(queue) > self.stats.max_queue_len:
-            self.stats.max_queue_len = len(queue)
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            queue = self._queue
+            queue.append((action, self._events.now))
+            if self._track_detail and len(queue) > self.stats.max_queue_len:
+                self.stats.max_queue_len = len(queue)
+            return
+        # Idle: the action would sit in the queue, alone, for no time.
+        if self._track_detail and self.stats.max_queue_len < 1:
+            self.stats.max_queue_len = 1
+        self._serve(action)
 
-    def _start_next(self) -> None:
-        action, enqueued_at = self._queue.popleft()
+    def _serve(self, action: Any) -> None:
+        """Take ``action`` into service; its completion is an event."""
         self._busy = True
-        events = self._events
-        if self._track_detail:
-            self.stats.wait_time += events.now - enqueued_at
         service = self._const_service
         if service is None:
             service = self._service_time(action)
@@ -182,6 +183,7 @@ class Processor:
         # No per-action closure: the single-server discipline means at
         # most one action is in service, so it rides an instance slot.
         self._in_service = action
+        events = self._events
         if self._crashable:
             events.push(
                 events.now + service,
@@ -201,7 +203,10 @@ class Processor:
         finally:
             self._busy = False
             if self._queue:
-                self._start_next()
+                action, enqueued_at = self._queue.popleft()
+                if self._track_detail:
+                    self.stats.wait_time += self._events.now - enqueued_at
+                self._serve(action)
 
     # ------------------------------------------------------------------
     # crash-stop semantics

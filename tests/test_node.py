@@ -59,6 +59,43 @@ class TestEntries:
             leaf.lookup(42)
         assert not leaf.has_key(42)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (NEG_INF, POS_INF),
+            (NEG_INF, 5),
+            (3, POS_INF),
+            (3, 7),
+            (4, 4),
+            (2, 3),
+            (8, 2),
+            (0, 100),
+            (POS_INF, POS_INF),
+            (NEG_INF, NEG_INF),
+        ],
+    )
+    def test_entries_between_is_the_filtered_entries(self, low, high):
+        from repro.core.keys import key_le, key_lt
+
+        leaf = make_leaf(capacity=16)
+        for key in (9, 1, 7, 3, 5):
+            leaf.insert_entry(key, f"v{key}")
+        assert leaf.entries_between(low, high) == tuple(
+            (key, value)
+            for key, value in leaf.entries()
+            if key_le(low, key) and key_lt(key, high)
+        )
+
+    def test_snapshot_round_trip_adopts_sorted_entries(self):
+        leaf = make_leaf(capacity=16)
+        for key in (9, 1, 7, 3, 5):
+            leaf.insert_entry(key, f"v{key}")
+        clone = NodeCopy.from_snapshot(leaf.snapshot())
+        assert clone.entries() == leaf.entries()
+        assert clone.insert_entry(4, "v4")  # still bisectable
+        assert clone.keys() == (1, 3, 4, 5, 7, 9)
+        assert leaf.keys() == (1, 3, 5, 7, 9)  # nothing shared
+
     def test_overfull(self):
         leaf = make_leaf(capacity=2)
         leaf.insert_entry(1, "a")

@@ -104,6 +104,15 @@ class TestStats:
         # peaks at 3 waiting actions.
         assert proc.stats.max_queue_len == 3
 
+    def test_lone_action_counts_as_a_queue_of_one(self):
+        # An idle processor takes the action straight into service;
+        # the accounting reads as if it had queued for no time.
+        events, proc, _executed = make_processor()
+        proc.submit("a")
+        events.run()
+        assert proc.stats.max_queue_len == 1
+        assert proc.stats.wait_time == 0.0
+
     def test_by_kind_counter(self):
         events, proc, _executed = make_processor()
         proc.submit("x")
