@@ -162,11 +162,11 @@ class RepairService:
         self.index = DigestIndex()
         self.counters: dict[str, int] = {}
         self.digest_bytes = 0
-        #: pid -> (node ids touched since that processor's views were
-        #: last brought up to date, peer -> pair view).  A processor
-        #: has an entry from its first gossip round until it crashes or
-        #: :meth:`kick` says the hooks were bypassed.
-        self._views: dict[int, tuple[set[int], dict[int, PairView]]] = {}
+        #: pid -> peer -> (node ids touched since the pair last asked,
+        #: the pair's view).  A pair has an entry from its first round
+        #: until ``pid`` crashes or :meth:`kick` says the hooks were
+        #: bypassed.
+        self._views: dict[int, dict[int, tuple[set[int], PairView]]] = {}
         self.scheduler = GossipScheduler(
             self,
             seed=engine.kernel.seeds.register("gossip", engine.kernel.seed + 3),
@@ -262,12 +262,14 @@ class RepairService:
         Called where state changes already pass: the engine's
         ``incorporate``, ``install_copy`` and ``remove_copy``,
         :meth:`log_update`, the mirror collaborator's edits of a
-        mirror store, :meth:`_on_home_resolve`.  The node's rows are
-        re-derived when one of ``pid``'s views is next asked for.
+        mirror store, :meth:`_on_home_resolve`.  The node's row in
+        each of ``pid``'s views is re-derived when that view is next
+        asked for.
         """
-        state = self._views.get(pid)
-        if state is not None:
-            state[0].add(node_id)
+        views = self._views.get(pid)
+        if views:
+            for touched, _view in views.values():
+                touched.add(node_id)
 
     def copy_removed(self, pid: int, node_id: int) -> None:
         """``pid`` no longer stores ``node_id``: forget its digest."""
@@ -282,28 +284,25 @@ class RepairService:
         the peer, ``"M"`` a held mirror whose home is the peer.
 
         The view is kept between rounds: a call costs the nodes
-        touched since the processor's views were last asked for, not
-        the store.  :meth:`derive_entries` builds a pair's first view
-        and says what every later one must equal.  Callers read the
-        returned dict and do not keep or change it.
+        touched since the pair last asked, not the store.
+        :meth:`derive_entries` builds a pair's first view and says
+        what every later one must equal.  Callers read the returned
+        dict and do not keep or change it.
         """
-        pid = proc.pid
-        state = self._views.get(pid)
+        views = self._views.setdefault(proc.pid, {})
+        state = views.get(peer)
         if state is None:
-            state = self._views[pid] = (set(), {})
-        touched, views = state
-        if touched:
-            for other, view in views.items():
-                for node_id in touched:
-                    row = self._row(proc, other, node_id)
-                    if row is None:
-                        view.pop(node_id, None)
-                    else:
-                        view[node_id] = row
-            touched.clear()
-        view = views.get(peer)
-        if view is None:
-            view = views[peer] = self.derive_entries(proc, peer)
+            view = self.derive_entries(proc, peer)
+            views[peer] = (set(), view)
+            return view
+        touched, view = state
+        for node_id in touched:
+            row = self._row(proc, peer, node_id)
+            if row is None:
+                view.pop(node_id, None)
+            else:
+                view[node_id] = row
+        touched.clear()
         return view
 
     def _row(
