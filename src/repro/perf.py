@@ -108,15 +108,10 @@ def run_insert_burst(
     stats = cluster.kernel.network.stats
     sent = stats.sent
     cache = cluster.engine.leaf_cache_stats()
-    repair = cluster.engine.repair
-    gossip = (
-        {}
-        if repair is None
-        else {
-            "rounds_started": repair.counters.get("rounds_started", 0),
-            "digest_bytes": repair.digest_bytes,
-        }
-    )
+    repair = cluster.repair_summary()
+    gossip = {
+        key: repair[key] for key in ("rounds_started", "digest_bytes") if key in repair
+    }
     return {
         "config": {
             "protocol": protocol,

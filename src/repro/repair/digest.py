@@ -130,8 +130,8 @@ class DigestIndex:
         if cache is not None:
             cache.pop(node_id, None)
 
-    def leaf_entry_estimate(self) -> int | None:
-        """Total leaf entries per the digest caches; None if empty.
+    def leaf_entry_estimate(self) -> int:
+        """Total leaf entries per the digest caches.
 
         The anti-entropy rounds already hash every node they compare,
         so the caches double as a free load measurement (digest-driven
@@ -150,8 +150,6 @@ class DigestIndex:
             for node_id, entry in cache.items():
                 if entry[6]:
                     counts[node_id] = max(counts.get(node_id, 0), entry[7])
-        if not counts:
-            return None
         return sum(counts.values())
 
     def mirror_digest(self, pid: int, node_id: int, snap: "NodeSnapshot") -> int:

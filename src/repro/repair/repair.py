@@ -327,23 +327,23 @@ class RepairService:
             return None
         members = copy.copy_versions
         if peer in members and len(members) > 1:
-            return ("C", self.index.node_digest(pid, copy), copy.level, copy.range.low)
-        if (
+            role = "C"
+        elif (
             mirrors is not None
-            and copy.is_leaf
-            and len(members) == 1
+            and mirrors.mirrored(copy)
             and peer in mirrors.targets(pid, node_id)
         ):
-            return ("L", self.index.node_digest(pid, copy), 0, copy.range.low)
-        return None
+            role = "L"
+        else:
+            return None
+        return (role, self.index.node_digest(pid, copy), copy.level, copy.range.low)
 
     def derive_entries(self, proc: "Processor", peer: int) -> PairView:
         """The pair view from scratch: one pass over the whole store.
 
-        What :meth:`shared_entries` returned on every call before the
-        views were kept; now a pair's first view, the view after a
-        crash or a :meth:`kick`, and the reference the tests hold the
-        kept view to.
+        A pair's first view, its view again after a crash or a
+        :meth:`kick`, and the reference the tests hold every kept
+        view to.
         """
         engine = self.engine
         index = self.index

@@ -451,7 +451,7 @@ class ShardedCluster(ClientSurface):
             for copy in representative_nodes(cluster.engine).values():
                 if copy.is_leaf:
                     index.node_digest(copy.home_pid, copy)
-            return index.leaf_entry_estimate() or 0
+            return index.leaf_entry_estimate()
         return len(leaf_contents(cluster.engine))
 
     def shard_contents(self, shard_id: int) -> dict[Key, Any]:
