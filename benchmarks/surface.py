@@ -1,0 +1,274 @@
+"""The surface ledger: who uses each public name, keyword and CLI flag.
+
+Usage: python benchmarks/surface.py   (any working directory)
+
+One row per name in a ``repro.*`` ``__all__``, per keyword of the four
+facades and ``Kernel``, and per CLI flag, with the number of files that
+reference it under ``src/``, ``benchmarks/``, ``bench/``, ``examples/``
+and ``tests/``; a flag also shows whether ``ci.yml`` or README spells
+it.  Under ``src/`` the file that defines the thing is left out, and an
+``__init__.py`` counts for its code, not for what it re-exports.
+
+A name or keyword stays public only while something other than its own
+test uses it: a row whose first four counts are all zero is deleted, or
+listed with its reason in :data:`TEST_ONLY`.  A flag stays while a test
+or a CI step runs it.  ``tests/test_surface.py`` holds the tree to
+both, and CI regenerates ``benchmarks/results/surface.txt`` from here.
+
+References are counted textually: a name by whole-word match; a keyword
+``k`` of facade ``F`` by ``k=`` in a file that calls ``F(`` or a
+constructor that forwards to it; a flag by its exact spelling.  That
+can flatter a row (``seed=`` handed to something else in a file that
+also builds a cluster) but never hides a reference.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TREES = ("src", "benchmarks", "bench", "examples", "tests")
+CLI = REPO / "src/repro/__main__.py"
+
+#: Facade -> (file holding its ``__init__``, constructors that take its
+#: keywords: itself plus whatever forwards ``**kwargs`` to it).
+FACADES = {
+    "DBTreeCluster": (
+        "src/repro/core/client.py",
+        ("DBTreeCluster", "ShardedCluster", "centralized_cluster"),
+    ),
+    "ShardedCluster": ("src/repro/shard/cluster.py", ("ShardedCluster",)),
+    "LazyHashTable": ("src/repro/hash/table.py", ("LazyHashTable",)),
+    "LazyTrie": ("src/repro/trie/table.py", ("LazyTrie",)),
+    "Kernel": ("src/repro/sim/simulator.py", ("Kernel",)),
+}
+
+#: Public names and keywords (``Facade.keyword``) that only ``tests/``
+#: reference, each with the reason it stays, stated once: tests use
+#: them as instruments on something else, not as their subject.
+TEST_ONLY: tuple[tuple[str, str], ...] = (
+    (
+        "LogNormalLatency",
+        "the heavy-tailed network the FIFO and rearrangement tests run "
+        "over; exported beside UniformLatency so latency_model= needs no "
+        "import from repro.sim.network",
+    ),
+    (
+        "OpenLoopDriver",
+        "timed arrivals for the integration and workload tests (the "
+        "experiments drive closed loops)",
+    ),
+    (
+        "OperationMix",
+        "the conflict-free insert/search/delete stream those tests drive",
+    ),
+    ("zipf_keys", "the skewed key stream those tests load"),
+    (
+        "stale_reads",
+        "how the freshness tests count reads that missed an acknowledged "
+        "write (ROADMAP: a read oracle)",
+    ),
+    (
+        "reliability_summary",
+        "the transport's counters as one dict: layer_report, in the same "
+        "module, builds its reliability row from it and the transport "
+        "tests read it directly",
+    ),
+    (
+        "DBTreeCluster.reliability_config",
+        "tests shorten the retransmit timer and retry budgets through it "
+        "to reach PeerDown and ReliabilityError in few events; every "
+        "other caller runs the defaults",
+    ),
+)
+
+
+def _is_reexport(node: ast.stmt) -> bool:
+    """A docstring, an import or the ``__all__`` assignment."""
+    return isinstance(node, (ast.Expr, ast.Import, ast.ImportFrom)) or (
+        isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "__all__"
+    )
+
+
+def _text(path: Path) -> str:
+    """What can reference something in ``path``: all of it, or for an
+    ``__init__.py`` whatever is not a re-export."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    return "\n".join(
+        ast.get_source_segment(text, node)
+        for node in ast.parse(text).body
+        if not _is_reexport(node)
+    )
+
+
+#: What one file can reference, taken from its text once: every word,
+#: every ``word=`` (a keyword passed), every ``word(`` (a call), every
+#: ``--flag``, and the words that start a line (``class`` / ``def`` /
+#: assignment at column 0: what the file defines).
+_SCANS = {
+    "words": r"[A-Za-z_]\w*",
+    "passed": r"\b(\w+)\s*=(?!=)",
+    "called": r"\b(\w+)\(",
+    "flags": r"(?<![\w-])--[a-z][a-z-]*",
+    "defined": r"(?m)^(?:class |def )?([A-Za-z_]\w*)",
+}
+
+
+def _scan(text: str) -> dict[str, set[str]]:
+    return {kind: set(re.findall(regex, text)) for kind, regex in _SCANS.items()}
+
+
+def _sources() -> dict[str, dict[Path, dict[str, set[str]]]]:
+    """Every ``*.py`` under each tree, scanned; this file left out (it
+    names the test-only entries, which must not count as their callers)."""
+    return {
+        tree: {
+            path: _scan(_text(path))
+            for path in sorted((REPO / tree).rglob("*.py"))
+            if path != Path(__file__).resolve()
+        }
+        for tree in TREES
+    }
+
+
+def _counts(sources: dict, kind: str, what: str, skip=(), calling=()) -> list[int]:
+    """Files per tree whose ``kind`` scan holds ``what``: the files in
+    ``skip`` (where the thing is defined) left out of ``src``, and, given
+    ``calling``, only files that call one of those constructors."""
+    return [
+        sum(
+            1
+            for path, scan in files.items()
+            if what in scan[kind]
+            and not (tree == "src" and path in skip)
+            and (not calling or scan["called"].intersection(calling))
+        )
+        for tree, files in sources.items()
+    ]
+
+
+def exported_names() -> dict[str, list[str]]:
+    """``name -> packages exporting it`` over every ``__all__`` in ``src``."""
+    names: dict[str, list[str]] = {}
+    for init in sorted((REPO / "src/repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(REPO / "src").parts)
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.Assign) and _is_reexport(node):
+                for name in ast.literal_eval(node.value):
+                    names.setdefault(name, []).append(package)
+    return names
+
+
+def facade_keywords(facade: str) -> list[str]:
+    """The keywords of ``facade.__init__``, in signature order."""
+    tree = ast.parse((REPO / FACADES[facade][0]).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == facade:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    args = item.args
+                    return [arg.arg for arg in (args.args + args.kwonlyargs)[1:]]
+    raise LookupError(f"no {facade}.__init__ in {FACADES[facade][0]}")
+
+
+def cli_flags() -> list[str]:
+    """Every distinct ``--flag`` an ``add_argument`` call declares."""
+    flags = set()
+    for node in ast.walk(ast.parse(CLI.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value.startswith("--")
+        ):
+            flags.add(node.args[0].value)
+    return sorted(flags)
+
+
+def ledger() -> dict[str, dict[str, list]]:
+    """``section -> row -> [src, benchmarks, bench, examples, tests]``;
+    a flag row goes on with ``yes`` / ``no`` for ``ci.yml`` and README."""
+    sources = _sources()
+    names = {}
+    for name in sorted(exported_names()):
+        defined_in = {
+            path for path, scan in sources["src"].items() if name in scan["defined"]
+        }
+        names[name] = _counts(sources, "words", name, defined_in)
+    keywords = {
+        f"{facade}.{keyword}": _counts(sources, "passed", keyword, {REPO / home}, callers)
+        for facade, (home, callers) in FACADES.items()
+        for keyword in facade_keywords(facade)
+    }
+    documents = [
+        _scan((REPO / document).read_text())["flags"]
+        for document in (".github/workflows/ci.yml", "README.md")
+    ]
+    flags = {
+        flag: _counts(sources, "flags", flag, {CLI})
+        + ["yes" if flag in spelled else "no" for spelled in documents]
+        for flag in cli_flags()
+    }
+    return {"names": names, "keywords": keywords, "flags": flags}
+
+
+def problems(rows: dict[str, dict[str, list]]) -> list[str]:
+    """What breaks the rule: a test-only name or keyword with no stated
+    reason, a stated reason that no longer applies, a flag nothing runs."""
+    allowed = dict(TEST_ONLY)
+    public = {**rows["names"], **rows["keywords"]}
+    found = [f"{name}: in TEST_ONLY but not public" for name in allowed.keys() - public.keys()]
+    for name, counts in public.items():
+        used = any(counts[:4])
+        if not used and name not in allowed:
+            found.append(f"{name}: no caller outside tests/, no reason in TEST_ONLY")
+        if used and name in allowed:
+            found.append(f"{name}: in TEST_ONLY but has callers outside tests/")
+    for flag, (*_, tests, ci, _readme) in rows["flags"].items():
+        if not tests and ci == "no":
+            found.append(f"{flag}: run by no test and no CI step")
+    return found
+
+
+def render(rows: dict[str, dict[str, list]]) -> str:
+    """The ledger as the text ``benchmarks/results/surface.txt`` pins."""
+    allowed = dict(TEST_ONLY)
+    exported = exported_names()
+    lines = []
+    for section, extra in (("names", ()), ("keywords", ()), ("flags", ("ci.yml", "README"))):
+        lines.append(f"{section:<36}" + "".join(f"{head:>11}" for head in TREES + extra))
+        for name, cells in rows[section].items():
+            row = f"{name:<36}" + "".join(f"{cell:>11}" for cell in cells)
+            if section == "names":
+                row += "  " + ", ".join(exported[name])
+            if name in allowed:
+                row += "  [tests only]"
+            lines.append(row)
+        lines.append("")
+    lines.append(
+        f"{len(rows['names'])} exported names, {len(rows['keywords'])} facade "
+        f"keywords, {len(rows['flags'])} CLI flags"
+    )
+    lines.append("")
+    lines.append("kept though only tests/ reference them:")
+    lines += [f"  {name}: {reason}" for name, reason in TEST_ONLY]
+    return "\n".join(lines)
+
+
+def main() -> int:
+    rows = ledger()
+    print(render(rows))
+    found = problems(rows)
+    for problem in found:
+        print(problem, file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

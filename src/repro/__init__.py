@@ -52,6 +52,7 @@ from repro.repair import RepairPlan
 from repro.sim.crash import CrashPlan
 from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
+from repro.sim.network import LogNormalLatency, TopologyLatency, UniformLatency
 from repro.sim.partition import PartitionPlan
 from repro.sim.reliable import ReliabilityConfig, ReliabilityError
 from repro.verify.checker import CheckReport, check_all
@@ -85,6 +86,9 @@ __all__ = [
     "FaultPlan",
     "ReliabilityConfig",
     "ReliabilityError",
+    "UniformLatency",
+    "LogNormalLatency",
+    "TopologyLatency",
     "CheckReport",
     "check_all",
     "OracleMap",

@@ -134,11 +134,9 @@ def _build_fault_plans(args: argparse.Namespace):
             reorder_p=args.reorder_p,
         )
     crash_plan = None
-    if args.crash or args.crash_rate:
+    if args.crash:
         crash_plan = CrashPlan(
             schedule=_parse_crash_schedule(args.crash),
-            crash_rate=args.crash_rate,
-            mttr=args.mttr,
             detection_delay=args.detection_delay,
         )
     partition_plan = _parse_partition_plans(args)
@@ -304,7 +302,7 @@ def _layer_lines(args: argparse.Namespace, cluster):
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.tools import cluster_summary, dump_tree
 
-    faulty = any((args.crash, args.crash_rate, args.partition,
+    faulty = any((args.crash, args.partition,
                   args.partition_oneway, args.partition_gray))
     cluster, results, expected = _build_and_drive(
         args, args.op_spacing if faulty else 0.0
@@ -532,14 +530,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         "--crash", action="append", default=[], metavar="PID:T0[:T1]",
         help="schedule a crash-stop: processor PID crashes at T0 and "
         "restarts at T1 (omit T1 for a permanent crash); repeatable",
-    )
-    parser.add_argument(
-        "--crash-rate", type=float, default=0.0,
-        help="per-processor stochastic crash rate (crashes per time unit)",
-    )
-    parser.add_argument(
-        "--mttr", type=float, default=200.0,
-        help="mean time to restart for stochastic crashes",
     )
     parser.add_argument(
         "--detection-delay", type=float, default=50.0,

@@ -547,7 +547,3 @@ class MirrorUpdate:
     @property
     def kind(self) -> str:
         return "mirror_update" if self.snapshot is not None else "mirror_drop"
-
-
-KEY_ROUTABLE = (InsertAction, DeleteAction, LinkChange, JoinRequest)
-"""Action types carrying (level, key) for missing-node recovery."""

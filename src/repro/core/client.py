@@ -255,10 +255,12 @@ class DBTreeCluster(KernelClient):
     replication:
         Replication policy; defaults per protocol (see
         :func:`default_policy_for`).
-    latency / latency_jitter:
-        Remote message transit time (virtual units); an action's
-        service time is 1 unit, so the default 10 makes a remote hop
-        10x a local action, a typical distributed-memory ratio.
+    latency_model:
+        Transit time of a remote message (virtual units), a
+        :class:`~repro.sim.network.LatencyModel`.  An action's service
+        time is 1 unit, so the default ``UniformLatency()`` (base 10,
+        no jitter) makes a remote hop 10x a local action, a typical
+        distributed-memory ratio.
     seed:
         Seed for all randomness.
     fault_plan:
@@ -352,12 +354,9 @@ class DBTreeCluster(KernelClient):
         protocol: str | Any = "semisync",
         capacity: int = 8,
         replication: ReplicationPolicy | None = None,
-        latency: float = 10.0,
-        latency_jitter: float = 0.0,
-        service_time: float = 1.0,
         seed: int = 0,
         fault_plan: FaultPlan | None = None,
-        latency_model: LatencyModel | None = None,
+        latency_model: LatencyModel = UniformLatency(),
         relay_batch_window: float | None = None,
         trace_level: str = "full",
         accounting: str = "full",
@@ -391,43 +390,41 @@ class DBTreeCluster(KernelClient):
             crash_plan=crash_plan,
             permute_plan=permute_plan,
         )
-        if crash_plan is not None:
-            if detector_plan is None:
-                # Oracle detection's drained-dead-window assumption:
-                # a restart announcement must arrive after every
-                # message the dead window could still deliver.  An
-                # earned detector (detector_plan) retires the oracle
-                # and this assumption with it.
-                if latency_model is None:
-                    if crash_plan.detection_delay <= latency:
-                        raise ValueError(
-                            f"detection_delay ({crash_plan.detection_delay}) "
-                            f"must exceed the message latency ({latency}): "
-                            "the recovery protocol relies on donors having "
-                            "drained the dead window's traffic before a "
-                            "restart is announced"
-                        )
-                    if crash_plan.detection_delay <= latency + latency_jitter:
-                        warnings.warn(
-                            f"detection_delay ({crash_plan.detection_delay}) "
-                            "may be exceeded by a jittered transit (up to "
-                            f"{latency + latency_jitter}); oracle detection "
-                            "assumes the dead window's traffic drains first. "
-                            "Raise detection_delay, or pass detector_plan to "
-                            "retire the oracle",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                else:
-                    warnings.warn(
-                        "cannot validate detection_delay "
-                        f"({crash_plan.detection_delay}) against a custom "
-                        "latency_model; a transit longer than the oracle "
-                        "delay violates the drained-dead-window assumption. "
-                        "Pass detector_plan to retire the oracle",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+        if crash_plan is not None and detector_plan is None:
+            # Oracle detection's drained-dead-window assumption: a
+            # restart announcement must arrive after every message the
+            # dead window could still deliver.  An earned detector
+            # (detector_plan) retires the oracle and this assumption
+            # with it.
+            delay = crash_plan.detection_delay
+            if not isinstance(latency_model, UniformLatency):
+                warnings.warn(
+                    f"cannot validate detection_delay ({delay}) against "
+                    f"{type(latency_model).__name__}, whose transit time has "
+                    "no stated bound; a transit longer than the oracle "
+                    "delay violates the drained-dead-window assumption. "
+                    "Pass detector_plan to retire the oracle",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            elif delay <= latency_model.base:
+                raise ValueError(
+                    f"detection_delay ({delay}) must exceed the message "
+                    f"latency ({latency_model.base}): the recovery protocol "
+                    "relies on donors having drained the dead window's "
+                    "traffic before a restart is announced"
+                )
+            elif delay <= latency_model.base + latency_model.jitter:
+                warnings.warn(
+                    f"detection_delay ({delay}) may be exceeded by a "
+                    "jittered transit (up to "
+                    f"{latency_model.base + latency_model.jitter}); oracle "
+                    "detection assumes the dead window's traffic drains "
+                    "first. Raise detection_delay, or pass detector_plan to "
+                    "retire the oracle",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         repair_plan = None
         if repair_period is not None:
             from repro.repair import RepairPlan
@@ -435,9 +432,7 @@ class DBTreeCluster(KernelClient):
             repair_plan = RepairPlan(period=repair_period, fanout=repair_fanout)
         self.kernel = Kernel(
             num_processors=num_processors,
-            latency_model=latency_model
-            or UniformLatency(base=latency, jitter=latency_jitter),
-            service_time=service_time,
+            latency_model=latency_model,
             seed=seed,
             fault_plan=fault_plan,
             accounting=accounting,

@@ -224,12 +224,6 @@ class ProtocolClaims:
     def swappable(self, payload: Any) -> bool:
         return getattr(payload, "kind", None) in SWAPPABLE_KINDS
 
-    def claim_for(self, kind_a: str, kind_b: str) -> PairClaim | None:
-        for claim in self.claims:
-            if claim.covers(kind_a, kind_b):
-                return claim
-        return None
-
     def commutes_wire(self, a: Any, b: Any) -> bool:
         kind_a = getattr(a, "kind", None)
         kind_b = getattr(b, "kind", None)

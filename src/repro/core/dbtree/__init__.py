@@ -13,14 +13,13 @@
 """
 
 from repro.core.dbtree.crash import CrashRecovery
-from repro.core.dbtree.engine import DBTreeEngine, InitiateSplit
+from repro.core.dbtree.engine import DBTreeEngine
 from repro.core.dbtree.mirrors import LeafMirrors
 from repro.core.dbtree.timers import OpTimers
 
 __all__ = [
     "CrashRecovery",
     "DBTreeEngine",
-    "InitiateSplit",
     "LeafMirrors",
     "OpTimers",
 ]

@@ -76,26 +76,30 @@ class LeafMirrors:
         for pid in self.targets(proc.pid, node_id):
             route(proc.pid, pid, MirrorUpdate(proc.pid, node_id, None))
 
+    def _discard(self, proc: "Processor", node_id: int) -> None:
+        """Take ``proc``'s mirror of ``node_id``, if it holds one, out
+        of its store: the one way a mirror leaves short of a crash, so
+        the repair layer forgets what it cached of it."""
+        repair = self.engine.repair
+        if self.held(proc).pop(node_id, None) is not None and repair is not None:
+            repair.copy_removed(proc.pid, node_id, mirror=True)
+
     def copy_installed(self, proc: "Processor", copy: NodeCopy) -> None:
         """A real copy landed here: it supersedes any passive mirror of
-        the node, and a leaf starts mirroring itself.  (``install_copy``
-        reports the node touched, which covers the mirror popped here.)"""
-        mirrors = proc.state.get("mirror_store")
-        if mirrors is not None:
-            mirrors.pop(copy.node_id, None)
+        the node, and a leaf starts mirroring itself."""
+        self._discard(proc, copy.node_id)
         self.push(proc, copy)
 
     def on_mirror_update(self, proc: "Processor", action: MirrorUpdate) -> None:
         engine = self.engine
-        mirrors = proc.state.setdefault("mirror_store", {})
         if action.snapshot is None:
-            mirrors.pop(action.node_id, None)
-        elif action.node_id in engine.store(proc):
-            return  # the real copy lives here; a mirror would be stale
-        else:
+            self._discard(proc, action.node_id)
+        elif action.node_id not in engine.store(proc):
+            # (where the real copy lives a mirror would be stale)
+            mirrors = proc.state.setdefault("mirror_store", {})
             mirrors[action.node_id] = (action.home_pid, action.snapshot)
-        if engine.repair is not None:
-            engine.repair.touch(proc.pid, action.node_id)
+            if engine.repair is not None:
+                engine.repair.touch(proc.pid, action.node_id)
 
     def rehome(self, proc: "Processor", dead: int) -> None:
         """Adopt the dead processor's mirrored leaves.
@@ -116,9 +120,7 @@ class LeafMirrors:
             if home == dead
         ]
         for node_id, snap in doomed:
-            del mirrors[node_id]
-            if engine.repair is not None:
-                engine.repair.touch(proc.pid, node_id)
+            self._discard(proc, node_id)
             successor = None
             for pid in self.targets(dead, node_id):
                 # The adopter's own belief, not the oracle's: under an

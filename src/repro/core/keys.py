@@ -135,12 +135,6 @@ class KeyRange:
             return self.contains(other.low) or other.low == self.low
         return key_le(self.low, other.low) and key_le(other.high, self.high)
 
-    def overlaps(self, other: "KeyRange") -> bool:
-        """Whether the two ranges share at least one key."""
-        if self.is_empty or other.is_empty:
-            return False
-        return key_lt(self.low, other.high) and key_lt(other.low, self.high)
-
     def split_at(self, separator: Key) -> tuple["KeyRange", "KeyRange"]:
         """Split into ``[low, separator)`` and ``[separator, high)``.
 

@@ -419,17 +419,11 @@ class LazyHashTable(KernelClient):
         num_processors: int = 4,
         capacity: int = 8,
         mode: str = "lazy",
-        latency: float = 10.0,
-        service_time: float = 1.0,
         seed: int = 0,
         fault_plan=None,
     ) -> None:
-        from repro.sim.network import UniformLatency
-
         self.kernel = Kernel(
             num_processors=num_processors,
-            latency_model=UniformLatency(base=latency),
-            service_time=service_time,
             seed=seed,
             fault_plan=fault_plan,
         )

@@ -24,14 +24,7 @@ from repro.repair.digest import (
     snapshot_digest,
 )
 from repro.repair.gossip import RepairPlan
-from repro.repair.placement import (
-    PLACEMENTS,
-    MirrorPlacement,
-    RendezvousPlacement,
-    RingPlacement,
-    make_placement,
-    rendezvous_weight,
-)
+from repro.repair.placement import MirrorPlacement, make_placement
 from repro.repair.repair import RepairService
 
 __all__ = [
@@ -42,9 +35,5 @@ __all__ = [
     "RepairPlan",
     "RepairService",
     "MirrorPlacement",
-    "RingPlacement",
-    "RendezvousPlacement",
-    "PLACEMENTS",
     "make_placement",
-    "rendezvous_weight",
 ]

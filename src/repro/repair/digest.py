@@ -17,8 +17,8 @@ mutation bumps the copy's ``mut`` counter (see ``NodeCopy``), and the
 feed the hash -- ``mut``, version, range, right link, membership.  An
 unchanged node re-validates its cache entry by comparing those fields
 in place; only changed nodes re-hash.  A row is dropped when its copy
-leaves the store, and digest caches are volatile: they die with a
-crash, like everything else on a processor.
+or mirror leaves the store, and digest caches are volatile: they die
+with a crash, like everything else on a processor.
 
 Hashes use :func:`hashlib.blake2b` over the ``repr`` of a canonical
 tuple -- process-stable and seed-independent, unlike Python's
@@ -124,9 +124,10 @@ class DigestIndex:
         )
         return digest
 
-    def forget(self, pid: int, node_id: int) -> None:
-        """Drop the row of a copy that left ``pid``'s store."""
-        cache = self._nodes.get(pid)
+    def forget(self, pid: int, node_id: int, mirror: bool = False) -> None:
+        """Drop the row of a copy (or, with ``mirror``, of a mirror)
+        that left ``pid``'s store."""
+        cache = (self._mirrors if mirror else self._nodes).get(pid)
         if cache is not None:
             cache.pop(node_id, None)
 

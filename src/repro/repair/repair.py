@@ -271,9 +271,10 @@ class RepairService:
             for touched, _view in views.values():
                 touched.add(node_id)
 
-    def copy_removed(self, pid: int, node_id: int) -> None:
-        """``pid`` no longer stores ``node_id``: forget its digest."""
-        self.index.forget(pid, node_id)
+    def copy_removed(self, pid: int, node_id: int, mirror: bool = False) -> None:
+        """``pid`` no longer stores (with ``mirror``: no longer
+        mirrors) ``node_id``: forget its digest."""
+        self.index.forget(pid, node_id, mirror)
         self.touch(pid, node_id)
 
     def shared_entries(self, proc: "Processor", peer: int) -> PairView:

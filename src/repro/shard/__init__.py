@@ -22,14 +22,13 @@ True
 """
 
 from repro.shard.cluster import ShardedCluster
-from repro.shard.directory import DirectoryView, ShardDirectory, ShardInfo
+from repro.shard.directory import DirectoryView, ShardDirectory
 from repro.shard.verify import check_shard_coverage, check_sharded
 
 __all__ = [
     "ShardedCluster",
     "ShardDirectory",
     "DirectoryView",
-    "ShardInfo",
     "check_shard_coverage",
     "check_sharded",
 ]

@@ -29,10 +29,9 @@ Everything is deterministic: ties in the event queue break on a
 monotone sequence number and all randomness flows through seeds.
 """
 
-from repro.sim.crash import CrashController, CrashPlan, CrashRecord
+from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.events import EventHandle, EventQueue
 from repro.sim.failure import FaultPlan
-from repro.sim.processor import ProcessorDownError
 from repro.sim.network import (
     LatencyModel,
     LogNormalLatency,
@@ -52,8 +51,6 @@ from repro.sim.simulator import Kernel, QuiescenceError
 __all__ = [
     "CrashController",
     "CrashPlan",
-    "CrashRecord",
-    "ProcessorDownError",
     "RELIABILITY_MODES",
     "ReliabilityConfig",
     "ReliabilityError",

@@ -25,7 +25,6 @@ from repro.sim.events import EventQueue
 from repro.sim.network import message_kind
 
 ActionHandler = Callable[["Processor", Any], None]
-ServiceTimeFn = Callable[[Any], float]
 
 
 class ProcessorDownError(RuntimeError):
@@ -96,7 +95,7 @@ class Processor:
         self,
         pid: int,
         events: EventQueue,
-        service_time: float | ServiceTimeFn = 1.0,
+        service_time: float = 1.0,
         accounting: str = "full",
         crashable: bool = False,
     ) -> None:
@@ -111,16 +110,9 @@ class Processor:
         # incarnation (e.g. repair gossip ticks) check it and die
         # instead of double-firing alongside the restart's fresh chain.
         self.incarnation = 0
-        self._const_service: float | None
-        if callable(service_time):
-            self._service_time: ServiceTimeFn = service_time
-            self._const_service = None
-        else:
-            constant = float(service_time)
-            if constant < 0:
-                raise ValueError(f"negative service time {constant}")
-            self._service_time = lambda _action: constant
-            self._const_service = constant
+        if service_time < 0:
+            raise ValueError(f"negative service time {service_time}")
+        self._service_time = float(service_time)
         # "full" keeps the per-kind Counter plus queue-wait detail;
         # "aggregate" keeps only the scalars utilization() needs.
         self._track_detail = accounting == "full"
@@ -174,11 +166,7 @@ class Processor:
     def _serve(self, action: Any) -> None:
         """Take ``action`` into service; its completion is an event."""
         self._busy = True
-        service = self._const_service
-        if service is None:
-            service = self._service_time(action)
-            if service < 0:
-                raise ValueError(f"negative service time {service} for {action!r}")
+        service = self._service_time
         self.stats.busy_time += service
         # No per-action closure: the single-server discipline means at
         # most one action is in service, so it rides an instance slot.

@@ -19,7 +19,7 @@ from repro.sim.failure import FaultPlan
 from repro.sim.network import LatencyModel, Network, UniformLatency
 from repro.sim.partition import PartitionController, PartitionPlan
 from repro.sim.permute import PermutePlan, SchedulePermuter
-from repro.sim.processor import Processor, ServiceTimeFn
+from repro.sim.processor import Processor
 from repro.sim.reliable import ReliabilityConfig, ReliabilityError
 from repro.sim.rngs import SeedLedger
 
@@ -97,9 +97,6 @@ class Kernel:
     latency_model:
         Transit-time strategy for remote messages (default: uniform
         10 time units -- remote hops cost 10x an action's service).
-    service_time:
-        Time the node manager spends per action (constant or callable
-        of the action).
     seed:
         Seed for all randomness (latency jitter, fault injection).
     fault_plan:
@@ -157,7 +154,6 @@ class Kernel:
         self,
         num_processors: int,
         latency_model: LatencyModel | None = None,
-        service_time: float | ServiceTimeFn = 1.0,
         seed: int = 0,
         fault_plan: FaultPlan | None = None,
         accounting: str = "full",
@@ -219,7 +215,6 @@ class Kernel:
             pid: Processor(
                 pid,
                 self.events,
-                service_time=service_time,
                 accounting=accounting,
                 crashable=crashable,
             )

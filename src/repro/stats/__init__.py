@@ -13,8 +13,6 @@ from repro.stats.metrics import (
     latency_summary,
     layer_report,
     load_balance,
-    message_summary,
-    occupancy_histogram,
     partition_summary,
     permutation_summary,
     reliability_summary,
@@ -26,15 +24,9 @@ from repro.stats.metrics import (
     split_message_cost,
     stale_reads,
     throughput,
-    update_read_ratio,
 )
 from repro.stats.report import format_table
-from repro.stats.timeseries import (
-    Window,
-    completion_series,
-    sparkline,
-    throughput_sparkline,
-)
+from repro.stats.timeseries import sparkline, throughput_sparkline
 
 __all__ = [
     "availability_summary",
@@ -43,13 +35,10 @@ __all__ = [
     "latency_summary",
     "layer_report",
     "load_balance",
-    "message_summary",
-    "occupancy_histogram",
     "permutation_summary",
     "reliability_summary",
     "repair_summary",
     "replication_profile",
-    "update_read_ratio",
     "search_locality",
     "shard_summary",
     "space_utilization",
@@ -57,8 +46,6 @@ __all__ = [
     "stale_reads",
     "throughput",
     "format_table",
-    "Window",
-    "completion_series",
     "sparkline",
     "throughput_sparkline",
 ]

@@ -27,12 +27,6 @@ SPLIT_COORDINATION_KINDS = (
 )
 
 
-def message_summary(kernel: "Kernel") -> dict[str, Any]:
-    """Total and per-kind network message counts."""
-    stats = kernel.network.stats
-    return {"total": stats.sent, "by_kind": dict(stats.by_kind)}
-
-
 def reliability_summary(kernel: "Kernel") -> dict[str, Any]:
     """Cost and work of the reliable-delivery layer (X5 quantities).
 
@@ -475,53 +469,6 @@ def space_utilization(engine: "DBTreeEngine") -> float:
     if total_capacity == 0:
         return 0.0
     return total_entries / total_capacity
-
-
-def occupancy_histogram(
-    engine: "DBTreeEngine", level: int = 0, buckets: int = 5
-) -> dict[str, int]:
-    """Histogram of node fill fractions at one level.
-
-    Buckets are equal fractions of capacity; e.g. with 5 buckets the
-    labels are 0-20%, 20-40%, ... .  One representative copy per node.
-    """
-    if buckets < 1:
-        raise ValueError("need at least one bucket")
-    seen: set[int] = set()
-    histogram = {
-        f"{100 * i // buckets}-{100 * (i + 1) // buckets}%": 0
-        for i in range(buckets)
-    }
-    labels = list(histogram)
-    for copy in engine.all_copies():
-        if copy.level != level or copy.retired or copy.node_id in seen:
-            continue
-        seen.add(copy.node_id)
-        fraction = copy.num_entries / copy.capacity
-        index = min(int(fraction * buckets), buckets - 1)
-        histogram[labels[index]] += 1
-    return histogram
-
-
-def update_read_ratio(trace: "Trace") -> dict[str, float]:
-    """Update vs read action counts over the run (copy-action level)."""
-    counters = trace.counters
-    updates = sum(
-        count
-        for name, count in counters.items()
-        if name.startswith(("initial_", "relayed_"))
-    )
-    reads = sum(
-        1
-        for op in trace.operations.values()
-        if op.kind in ("search", "scan")
-    )
-    total = updates + reads
-    return {
-        "update_actions": updates,
-        "read_operations": reads,
-        "update_fraction": updates / total if total else 0.0,
-    }
 
 
 def stale_reads(trace: "Trace") -> dict[str, Any]:

@@ -1,13 +1,9 @@
-"""Operator tooling: inspect and export a running dB-tree.
+"""Operator tooling: inspect a running dB-tree.
 
 * :mod:`repro.tools.dump` -- human-readable renderings of the tree
-  (per-level node maps, per-processor stores, whole-cluster summary).
-* :mod:`repro.tools.export` -- JSON export of the trace (operations,
-  per-copy histories, counters, message statistics) for offline
-  analysis.
+  (per-level node map, whole-cluster summary).
 """
 
-from repro.tools.dump import cluster_summary, dump_processor, dump_tree
-from repro.tools.export import export_trace
+from repro.tools.dump import cluster_summary, dump_tree
 
-__all__ = ["cluster_summary", "dump_processor", "dump_tree", "export_trace"]
+__all__ = ["cluster_summary", "dump_tree"]

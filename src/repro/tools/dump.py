@@ -60,27 +60,6 @@ def dump_tree(engine: "DBTreeEngine", show_entries: bool = False) -> str:
     return "\n".join(lines)
 
 
-def dump_processor(engine: "DBTreeEngine", pid: int) -> str:
-    """Render one processor's node store and routing state."""
-    proc = engine.kernel.processor(pid)
-    store = engine.store(proc)
-    lines = [
-        f"processor {pid}: {len(store)} copies, "
-        f"root={proc.state['root_id']} (level {proc.state['root_level']}), "
-        f"{len(proc.state['locator'])} locator entries, "
-        f"{len(proc.state['forward'])} forwarding addresses"
-    ]
-    for node_id in sorted(store):
-        copy = store[node_id]
-        role = "PC" if copy.is_pc else "copy"
-        lines.append(
-            f"  node {node_id:<5} level={copy.level} "
-            f"[{_bound(copy.range.low)}, {_bound(copy.range.high)}) "
-            f"n={copy.num_entries:<3} v={copy.version} {role}"
-        )
-    return "\n".join(lines)
-
-
 def cluster_summary(engine: "DBTreeEngine") -> str:
     """One-paragraph overview of the whole cluster."""
     nodes = representative_nodes(engine)

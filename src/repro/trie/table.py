@@ -487,17 +487,11 @@ class LazyTrie(KernelClient):
         self,
         num_processors: int = 4,
         capacity: int = 8,
-        latency: float = 10.0,
-        service_time: float = 1.0,
         seed: int = 0,
         serialize_edges: bool = True,
     ) -> None:
-        from repro.sim.network import UniformLatency
-
         self.kernel = Kernel(
             num_processors=num_processors,
-            latency_model=UniformLatency(base=latency),
-            service_time=service_time,
             seed=seed,
         )
         self.engine = LazyTrieEngine(

@@ -54,6 +54,3 @@ class OracleMap:
     def expected_items(self) -> dict[Key, Any]:
         """The final key -> value map the tree must contain."""
         return dict(self._data)
-
-    def expected_value(self, key: Key) -> Any:
-        return self._data.get(key)

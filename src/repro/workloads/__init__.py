@@ -1,7 +1,7 @@
 """Workload generation and driving.
 
 * :mod:`repro.workloads.generators` -- key distributions (uniform,
-  sequential, zipf-skewed, hotspot, string keys) and operation mixes,
+  zipf-skewed, hotspot, string keys) and operation mixes,
   all conflict-free so a sequential oracle is meaningful.
 * :mod:`repro.workloads.driver` -- open-loop (timed arrivals) and
   closed-loop (fixed concurrency per client) drivers.
@@ -10,23 +10,18 @@
 """
 
 from repro.workloads.generators import (
-    KeyStream,
     OperationMix,
     hotspot_keys,
-    sequential_keys,
     string_keys,
     uniform_keys,
     zipf_keys,
 )
 from repro.workloads.driver import ClosedLoopDriver, OpenLoopDriver, Workload
 from repro.workloads.balancer import DiffusiveBalancer
-from repro.workloads.traces import TraceOp, read_trace, replay_trace, write_trace
 
 __all__ = [
-    "KeyStream",
     "OperationMix",
     "hotspot_keys",
-    "sequential_keys",
     "string_keys",
     "uniform_keys",
     "zipf_keys",
@@ -34,8 +29,4 @@ __all__ = [
     "OpenLoopDriver",
     "Workload",
     "DiffusiveBalancer",
-    "TraceOp",
-    "read_trace",
-    "replay_trace",
-    "write_trace",
 ]

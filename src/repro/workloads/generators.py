@@ -13,12 +13,9 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from repro.core.keys import Key
-
-KeyStream = Sequence[Key]
-
 
 def uniform_keys(count: int, seed: int = 0, universe: int | None = None) -> list[int]:
     """``count`` distinct integer keys drawn uniformly at random.
@@ -33,11 +30,6 @@ def uniform_keys(count: int, seed: int = 0, universe: int | None = None) -> list
         raise ValueError(f"universe {universe} smaller than count {count}")
     rng = random.Random(seed)
     return rng.sample(range(universe), count)
-
-
-def sequential_keys(count: int, start: int = 0) -> list[int]:
-    """Monotone keys: the B-tree's worst case (every split rightmost)."""
-    return list(range(start, start + count))
 
 
 def zipf_keys(count: int, seed: int = 0, alpha: float = 1.2) -> list[int]:

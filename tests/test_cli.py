@@ -143,3 +143,104 @@ class TestCLI:
             main(["demo", "--partition", "0,1@"])
         with pytest.raises(SystemExit):
             main(["demo", "--partition-gray", "0>1@100:200"])  # no factor
+
+
+#: One run per flag that no other test and no CI step drives:
+#: ``argv`` (``{tmp}`` is a scratch directory), the exit status, text
+#: the flag puts in the output, text it keeps out of it.
+_FLAG_RUNS = {
+    "--duplicate-p": (
+        ["demo", "--inserts", "40", "--duplicate-p", "0.1",
+         "--reliability", "enforced"],
+        0, "faults: drop=0 dup=0.1 reorder=0", None,
+    ),
+    "--reorder-p": (
+        ["demo", "--inserts", "40", "--reorder-p", "0.2",
+         "--reliability", "enforced"],
+        0, "faults: drop=0 dup=0 reorder=0.2", None,
+    ),
+    "--detection-delay": (
+        ["demo", "--inserts", "40", "--protocol", "variable",
+         "--crash", "1:100:400", "--detection-delay", "30",
+         "--op-timeout", "300", "--replication-factor", "2"],
+        0, "crash: 1 crashes (1 restarted)", None,
+    ),
+    "--heartbeat-period": (
+        ["faults", "--inserts", "20", "--detector", "timeout",
+         "--heartbeat-period", "40", "--detector-horizon", "1500"],
+        0, "detector    on   timeout, period 40:", None,
+    ),
+    "--phi-threshold": (
+        ["faults", "--inserts", "20", "--detector", "phi",
+         "--phi-threshold", "4", "--detector-horizon", "1500"],
+        0, "detector    on   phi, period 20:", None,
+    ),
+    "--mirror-placement": (
+        ["demo", "--inserts", "40", "--protocol", "variable",
+         "--crash", "1:100:400", "--op-timeout", "300",
+         "--replication-factor", "2", "--repair-period", "100",
+         "--mirror-placement", "rendezvous"],
+        0, "repair: rendezvous placement, period 100, fanout 1:", None,
+    ),
+    "--partition-oneway": (
+        ["faults", "--inserts", "20", "--partition-oneway", "1>*@100:300",
+         "--op-timeout", "200"],
+        0, "partition   on   1 cuts (1 healed", None,
+    ),
+    "--shard-split-threshold": (
+        ["demo", "--inserts", "80", "--shard-split-threshold", "30"],
+        0, "directory v3, 3 splits, 0 merges", None,
+    ),
+    "--shard-merge-threshold": (
+        ["demo", "--inserts", "20", "--shards", "4",
+         "--shard-split-threshold", "100", "--shard-merge-threshold", "8"],
+        0, "2 live shards (2 retired), directory v2, 0 splits, 2 merges", None,
+    ),
+    "--rate": (
+        ["permute", "--permute-seeds", "0", "--permute-rounds", "2",
+         "--ops", "24", "--rate", "0.6"],
+        0, "semisync seed=0: converged (2 permuted schedules", None,
+    ),
+    "--window": (
+        ["permute", "--permute-seeds", "0", "--permute-rounds", "2",
+         "--ops", "24", "--window", "15"],
+        0, "semisync seed=0: converged (2 permuted schedules", None,
+    ),
+    "--no-minimize": (
+        ["permute", "--protocol", "naive", "--permute-seeds", "0",
+         "--permute-rounds", "2", "--no-minimize"],
+        1, "naive seed=0: DIVERGED", "minimized to",
+    ),
+    "--ops": (
+        ["bench", "--ops", "300", "--output", "{tmp}/bench.json"],
+        0, "standard insert-burst (300 ops)", None,
+    ),
+    "--sort": (
+        ["profile", "--ops", "300", "--sort", "tottime"],
+        0, "Ordered by: internal time", None,
+    ),
+    "--limit": (
+        ["profile", "--ops", "300", "--limit", "3"],
+        0, "due to restriction <3>", None,
+    ),
+}
+
+
+class TestEveryFlagRuns:
+    @pytest.mark.parametrize("flag", sorted(_FLAG_RUNS))
+    def test_flag_runs_and_shows(self, capsys, tmp_path, flag):
+        argv, status, shown, hidden = _FLAG_RUNS[flag]
+        assert flag in argv
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == status
+        out = capsys.readouterr().out
+        assert shown in out
+        assert hidden is None or hidden not in out
+
+    @pytest.mark.parametrize("flag", ["--crash-rate", "--mttr"])
+    def test_deleted_flag_is_a_usage_error(self, capsys, flag):
+        # Stochastic crashes stay a CrashPlan matter (they need a
+        # horizon the CLI never set); the flag is gone, not half-wired.
+        with pytest.raises(SystemExit) as usage:
+            main(["demo", flag, "0.001"])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

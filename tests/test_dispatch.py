@@ -55,7 +55,8 @@ from repro.core.actions import (
     UnjoinAck,
     UnjoinRequest,
 )
-from repro.core.dbtree import DBTreeEngine, InitiateSplit
+from repro.core.dbtree import DBTreeEngine
+from repro.core.dbtree.engine import InitiateSplit
 from repro.core.piggyback import BatchedRelays
 from repro.hash.table import LazyHashTable
 from repro.protocols import PROTOCOLS

@@ -3,7 +3,7 @@
 import pytest
 
 from tests.helpers import assert_clean, run_insert_workload
-from repro import DBTreeCluster, FixedFactor
+from repro import DBTreeCluster, FixedFactor, UniformLatency
 from repro.workloads import (
     OperationMix,
     OpenLoopDriver,
@@ -136,8 +136,7 @@ class TestScale:
             num_processors=4,
             protocol="semisync",
             capacity=4,
-            latency=5.0,
-            latency_jitter=50.0,
+            latency_model=UniformLatency(base=5.0, jitter=50.0),
             seed=13,
         )
         expected = run_insert_workload(cluster, count=300)

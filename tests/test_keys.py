@@ -113,12 +113,6 @@ class TestKeyRange:
         assert not outer.contains_range(KeyRange(0, 101))
         assert not KeyRange(10, 20).contains_range(outer)
 
-    def test_overlaps(self):
-        assert KeyRange(0, 10).overlaps(KeyRange(5, 15))
-        assert not KeyRange(0, 10).overlaps(KeyRange(10, 20))  # half-open
-        assert KeyRange(NEG_INF, POS_INF).overlaps(KeyRange(3, 4))
-        assert not KeyRange(5, 5).overlaps(KeyRange(0, 10))
-
     def test_string_keys(self):
         r = KeyRange("apple", "mango")
         assert r.contains("banana")

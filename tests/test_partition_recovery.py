@@ -13,8 +13,15 @@ import warnings
 
 import pytest
 
-from repro import CrashPlan, DBTreeCluster, DetectorPlan, PartitionPlan
-from repro.sim.network import UniformLatency
+from repro import (
+    CrashPlan,
+    DBTreeCluster,
+    DetectorPlan,
+    LogNormalLatency,
+    PartitionPlan,
+    TopologyLatency,
+    UniformLatency,
+)
 
 # Every pair view the repair layer keeps is held to the from-scratch
 # derivation on every call (tests/conftest.py).
@@ -199,7 +206,9 @@ class TestDetectionDelayValidation:
 
     def test_fixed_latency_violation_still_hard_errors(self):
         with pytest.raises(ValueError, match="detection_delay"):
-            DBTreeCluster(crash_plan=self.CRASH, latency=50.0)
+            DBTreeCluster(
+                crash_plan=self.CRASH, latency_model=UniformLatency(base=50.0)
+            )
 
     def test_jittered_latency_warns(self):
         # 50 > base 10 (no hard error) but 50 <= 10 + 45: a jittered
@@ -208,31 +217,57 @@ class TestDetectionDelayValidation:
         with pytest.warns(RuntimeWarning, match="detection_delay"):
             cluster = DBTreeCluster(
                 crash_plan=self.CRASH,
-                latency=10.0,
-                latency_jitter=45.0,
+                latency_model=UniformLatency(base=10.0, jitter=45.0),
                 op_timeout=300.0,
                 replication_factor=2,
             )
         assert cluster.kernel.crash_controller is not None
 
-    def test_custom_latency_model_warns(self):
-        with pytest.warns(RuntimeWarning, match="cannot validate"):
+    @pytest.mark.parametrize(
+        "model, warning",
+        [
+            # Behaviour change with the one spelling: a UniformLatency
+            # states its bound however it arrives, so the model that
+            # used to draw "cannot validate" (while latency=10.0, the
+            # same network, drew nothing) is checked and passes.
+            (UniformLatency(base=10.0), None),
+            (TopologyLatency(pairs={(0, 1): 40.0}), "cannot validate"),
+            (LogNormalLatency(median=10.0), "cannot validate"),
+        ],
+        ids=["uniform", "topology", "lognormal"],
+    )
+    def test_custom_latency_model_warns(self, model, warning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             DBTreeCluster(
                 crash_plan=self.CRASH,
-                latency_model=UniformLatency(base=10.0),
+                latency_model=model,
                 op_timeout=300.0,
                 replication_factor=2,
             )
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        if warning is None:
+            assert messages == []
+        else:
+            assert len(messages) == 1 and warning in messages[0]
 
-    def test_detector_retires_the_assumption(self):
+    @pytest.mark.parametrize(
+        "model",
+        [
+            UniformLatency(base=50.0),
+            UniformLatency(base=10.0, jitter=45.0),
+            LogNormalLatency(median=10.0),
+        ],
+        ids=["too-slow", "jittered", "unbounded"],
+    )
+    def test_detector_retires_the_assumption(self, model):
         # An earned detector replaces the oracle, so neither the hard
-        # error nor the warning applies -- even with a latency model
-        # the oracle could never have validated against.
+        # error nor either warning applies -- whatever the model.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cluster = DBTreeCluster(
                 crash_plan=self.CRASH,
-                latency_model=UniformLatency(base=10.0, jitter=45.0),
+                latency_model=model,
                 detector_plan=DetectorPlan(mode="timeout", horizon=2000.0),
                 op_timeout=300.0,
                 replication_factor=2,

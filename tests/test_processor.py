@@ -49,16 +49,6 @@ class TestExecution:
         events.run()
         assert executed == [(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 3)]
 
-    def test_per_action_service_time(self):
-        events = EventQueue()
-        proc = Processor(0, events, service_time=lambda a: float(a))
-        done = []
-        proc.install_handler(lambda p, a: done.append(events.now))
-        proc.submit(3)
-        proc.submit(2)
-        events.run()
-        assert done == [3.0, 5.0]
-
     def test_handler_exception_does_not_wedge_queue(self):
         events = EventQueue()
         proc = Processor(0, events)

@@ -16,15 +16,13 @@ import dataclasses
 import pytest
 
 from repro import CrashPlan, DBTreeCluster, RepairPlan
-from repro.repair import (
+from repro.core.dbtree import LeafMirrors
+from repro.repair import copy_digest, combine, make_placement, snapshot_digest
+from repro.repair.placement import (
     PLACEMENTS,
     RendezvousPlacement,
     RingPlacement,
-    copy_digest,
-    combine,
-    make_placement,
     rendezvous_weight,
-    snapshot_digest,
 )
 from repro.protocols.variable import VariableCopiesProtocol
 from repro.repair.gossip import DigestNodes
@@ -655,7 +653,7 @@ class TestTouchSeams:
 
 
 class TestDigestIndexForgets:
-    """A digest row lives exactly as long as its copy."""
+    """A digest row lives exactly as long as its copy or mirror."""
 
     @staticmethod
     def hash_everything(cluster):
@@ -670,6 +668,8 @@ class TestDigestIndexForgets:
         for proc in cluster.kernel.processors.values():
             rows = set(index._nodes.get(proc.pid, ()))
             assert rows <= set(cluster.engine.store(proc)), proc.pid
+            mirror_rows = set(index._mirrors.get(proc.pid, ()))
+            assert mirror_rows <= set(LeafMirrors.held(proc)), proc.pid
 
     def test_migrated_copies_leave_no_row(self):
         cluster = DBTreeCluster(
@@ -710,6 +710,15 @@ class TestDigestIndexForgets:
         assert cluster.engine.repair.index.leaf_entry_estimate() == len(
             leaf_contents(cluster.engine)
         )
+
+    def test_adopted_mirrors_leave_no_row(self):
+        # The home of the mirrored leaves crashes; their adopter turns
+        # its mirrors into copies and must drop the mirror rows too.
+        cluster = repair_cluster(schedule=((0, 400.0, 900.0),))
+        spaced_inserts(cluster, count=300)
+        assert cluster.run().ok
+        assert cluster.trace.counters["leaves_rehomed"] > 0
+        self.assert_rows_are_copies(cluster)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ These are the closest runs to 'production traffic' in the suite.
 import pytest
 
 from tests.helpers import assert_clean
-from repro import DBTreeCluster, ShardedCluster
+from repro import DBTreeCluster, ShardedCluster, UniformLatency
 from repro.workloads import DiffusiveBalancer, uniform_keys
 
 # Every pair view the repair layer keeps is held to the from-scratch
@@ -101,7 +101,7 @@ def test_semisync_batched_soak():
         capacity=6,
         seed=9,
         relay_batch_window=25.0,
-        latency_jitter=8.0,
+        latency_model=UniformLatency(jitter=8.0),
     )
     expected = {}
     keys = uniform_keys(900, seed=4)
@@ -124,7 +124,7 @@ def test_sync_protocol_soak_under_jitter():
         protocol="sync",
         capacity=4,
         seed=21,
-        latency_jitter=20.0,
+        latency_model=UniformLatency(jitter=20.0),
     )
     expected = {}
     keys = uniform_keys(600, seed=8)

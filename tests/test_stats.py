@@ -18,7 +18,6 @@ from repro.stats import (
     latency_summary,
     layer_report,
     load_balance,
-    message_summary,
     partition_summary,
     reliability_summary,
     repair_summary,
@@ -52,11 +51,6 @@ class TestClusterMetrics:
             cluster.search(key, client=index % 4)
         cluster.run()
         return cluster
-
-    def test_message_summary(self, loaded):
-        summary = message_summary(loaded.kernel)
-        assert summary["total"] > 0
-        assert summary["total"] == sum(summary["by_kind"].values())
 
     def test_split_message_cost(self, loaded):
         cost = split_message_cost(loaded.engine)
@@ -101,41 +95,6 @@ class TestClusterMetrics:
         locality = search_locality(loaded.trace, loaded.kernel)
         assert locality["ops"] == 50
         assert locality["locality"] == 1.0  # full replication: all local
-
-
-class TestExtendedMetrics:
-    def test_occupancy_histogram_counts_all_leaves(self):
-        cluster = DBTreeCluster(num_processors=4, capacity=4, seed=3)
-        run_insert_workload(cluster, count=150)
-        from repro.stats import occupancy_histogram
-        from repro.verify.invariants import representative_nodes
-
-        histogram = occupancy_histogram(cluster.engine, level=0, buckets=4)
-        num_leaves = sum(
-            1 for n in representative_nodes(cluster.engine).values() if n.is_leaf
-        )
-        assert sum(histogram.values()) == num_leaves
-        assert list(histogram) == ["0-25%", "25-50%", "50-75%", "75-100%"]
-
-    def test_occupancy_histogram_validates(self):
-        cluster = DBTreeCluster(num_processors=2, capacity=4, seed=1)
-        from repro.stats import occupancy_histogram
-
-        with pytest.raises(ValueError):
-            occupancy_histogram(cluster.engine, buckets=0)
-
-    def test_update_read_ratio(self):
-        cluster = DBTreeCluster(num_processors=4, capacity=4, seed=3)
-        expected = run_insert_workload(cluster, count=100)
-        for key in list(expected)[:50]:
-            cluster.search(key)
-        cluster.run()
-        from repro.stats import update_read_ratio
-
-        ratio = update_read_ratio(cluster.trace)
-        assert ratio["read_operations"] == 50
-        assert ratio["update_actions"] > 100
-        assert 0 < ratio["update_fraction"] < 1
 
 
 class TestLayerReport:

@@ -1,0 +1,47 @@
+"""The public surface carries only verified traffic.
+
+``benchmarks/surface.py`` counts who references each exported name,
+facade keyword and CLI flag (the flags are the ``add_argument`` calls
+of ``repro.__main__``); these tests hold the tree to its rule and the
+documents to the parser.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_ledger():
+    spec = importlib.util.spec_from_file_location(
+        "surface", REPO / "benchmarks/surface.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_public_name_keyword_and_flag_has_a_caller():
+    """An exported name or a facade keyword that nothing outside
+    ``tests/`` uses is deleted or carries its reason in ``TEST_ONLY``
+    (and a reason that stopped applying is struck); every CLI flag is
+    run by a test or a CI step."""
+    surface = load_ledger()
+    assert surface.problems(surface.ledger()) == []
+
+
+#: Flags of other programs that the same documents spell.
+FOREIGN_FLAGS = {
+    "--benchmark-disable": "pytest-benchmark",
+    "--benchmark-only": "pytest-benchmark",
+    "--timeout": "pytest-timeout",
+    "--exit-code": "git diff",
+}
+
+
+def test_every_documented_flag_exists():
+    known = set(load_ledger().cli_flags())
+    for document in ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"):
+        spelled = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", (REPO / document).read_text()))
+        assert spelled - FOREIGN_FLAGS.keys() <= known, document

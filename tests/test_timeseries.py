@@ -5,7 +5,8 @@ import pytest
 from tests.helpers import run_insert_workload
 from repro import DBTreeCluster
 from repro.sim.tracing import Trace
-from repro.stats import completion_series, sparkline, throughput_sparkline
+from repro.stats import sparkline, throughput_sparkline
+from repro.stats.timeseries import completion_series
 
 
 def synthetic_trace():

@@ -1,10 +1,8 @@
-"""Inspection tooling: dumps and trace export."""
-
-import json
+"""Inspection tooling: dumps."""
 
 from tests.helpers import run_insert_workload
 from repro import DBTreeCluster
-from repro.tools import cluster_summary, dump_processor, dump_tree, export_trace
+from repro.tools import cluster_summary, dump_tree
 
 
 def loaded_cluster():
@@ -36,13 +34,6 @@ class TestDumps:
         text = dump_tree(cluster.engine, show_entries=True)
         assert "'five'" in text
 
-    def test_dump_processor(self):
-        cluster = loaded_cluster()
-        text = dump_processor(cluster.engine, 2)
-        assert text.startswith("processor 2:")
-        assert "root=" in text
-        assert "level=0" in text  # full replication: leaves present
-
     def test_cluster_summary(self):
         cluster = loaded_cluster()
         summary = cluster_summary(cluster.engine)
@@ -50,42 +41,3 @@ class TestDumps:
         assert "messages sent" in summary
         assert "splits" in summary
 
-
-class TestExport:
-    def test_export_is_json_serialisable(self, tmp_path):
-        cluster = loaded_cluster()
-        path = tmp_path / "trace.json"
-        document = export_trace(cluster.engine, path=str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded["processors"] == 4
-        assert len(loaded["operations"]) == len(document["operations"]) == 100
-
-    def test_export_operations_complete(self):
-        cluster = loaded_cluster()
-        document = export_trace(cluster.engine)
-        assert all(op["completed_at"] is not None for op in document["operations"])
-        assert all(op["latency"] > 0 for op in document["operations"])
-
-    def test_export_histories_carry_updates(self):
-        cluster = loaded_cluster()
-        document = export_trace(cluster.engine)
-        applied = [u for copy in document["copies"] for u in copy["applied"]]
-        assert any(u["kind"] == "insert" and u["mode"] == "initial" for u in applied)
-        assert any(u["kind"] == "half_split" for u in applied)
-
-    def test_export_sentinels_rendered(self):
-        cluster = loaded_cluster()
-        from repro.core.keys import NEG_INF
-
-        scan_id = cluster.scan(NEG_INF, 50)
-        cluster.run()
-        document = export_trace(cluster.engine)
-        scan_ops = [op for op in document["operations"] if op["kind"] == "scan"]
-        assert scan_ops and scan_ops[0]["key"] == "-inf"
-        json.dumps(document)  # fully serialisable
-
-    def test_export_counters_and_network(self):
-        cluster = loaded_cluster()
-        document = export_trace(cluster.engine)
-        assert document["counters"]["half_splits"] > 0
-        assert document["network"]["sent"] > 0

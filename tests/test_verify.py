@@ -167,7 +167,6 @@ class TestOracle:
         assert oracle.expected_items() == {2: "b"}
         assert 2 in oracle
         assert len(oracle) == 1
-        assert oracle.expected_value(2) == "b"
 
     def test_search_is_a_noop(self):
         oracle = OracleMap()

@@ -10,7 +10,6 @@ from repro.workloads import (
     OperationMix,
     Workload,
     hotspot_keys,
-    sequential_keys,
     string_keys,
     uniform_keys,
     zipf_keys,
@@ -29,9 +28,6 @@ class TestGenerators:
             uniform_keys(-1)
         with pytest.raises(ValueError):
             uniform_keys(100, universe=50)
-
-    def test_sequential(self):
-        assert sequential_keys(5, start=10) == [10, 11, 12, 13, 14]
 
     def test_zipf_skewed_toward_small(self):
         keys = zipf_keys(2000, seed=5, alpha=1.5)
