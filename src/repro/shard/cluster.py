@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.core.client import ClientSurface, DBTreeCluster, RunResults
-from repro.core.keys import NEG_INF, POS_INF, Key, key_le, key_lt
+from repro.core.keys import POS_INF, Key, key_le, key_lt
 from repro.repair.digest import hash_parts
 from repro.shard.directory import (
     MAX_ROUTE_HOPS,
@@ -216,49 +216,23 @@ class ShardedCluster(ClientSurface):
         return key
 
     def _locate(self, client: int, key: Key) -> int:
-        """Route ``key`` from ``client``'s cached view, recovering
-        B-link-style from any staleness, and return the live shard id.
-        """
+        """Route ``key`` from ``client``'s cached view through the
+        directory's recovery walk and return the live shard id."""
         point = self._point(key)
         view = self.views[client]
-        shard_id = view.route(point)
-        hops = 0
-        while True:
-            info = self.directory.info(shard_id)
-            if info.retired:
-                # A retired shard's shed facts predate its retirement
-                # and stay valid; only keys in its *final* range follow
-                # the merge forward pointer.
-                target = info.shed_target(point)
-                if target is None:
-                    target = info.forward_to
-                shard_id = target
-                self.counters["shard_forwards"] += 1
-            elif not info.range.contains(point):
-                shard_id = info.shed_target(point)
-                self.counters["shard_hint_hops"] += 1
-                if shard_id is None:
-                    raise RuntimeError(
-                        f"directory corrupt: no shed hint for {point!r} "
-                        f"at shard {info.shard_id}"
-                    )
-            else:
-                break
-            hops += 1
-            if hops > MAX_ROUTE_HOPS:
-                raise RuntimeError(
-                    f"shard routing for {key!r} exceeded {MAX_ROUTE_HOPS} "
-                    "hops; directory forwarding chain is cyclic"
-                )
-        if hops:
+        shard_id, forwards, hint_hops = self.directory.resolve(view.route(point), point)
+        counters = self.counters
+        if forwards or hint_hops:
             # The reply that bounced us piggybacks the current
             # directory, so the client converges to the live version
             # (like a B-link traversal updating its parent hint).
-            self.counters["shard_stale_routes"] += 1
-            self.counters["directory_refreshes"] += 1
+            counters["shard_forwards"] += forwards
+            counters["shard_hint_hops"] += hint_hops
+            counters["shard_stale_routes"] += 1
+            counters["directory_refreshes"] += 1
             view.refresh(self.directory)
         else:
-            self.counters["shard_direct_routes"] += 1
+            counters["shard_direct_routes"] += 1
         return shard_id
 
     def sync_directories(self) -> None:

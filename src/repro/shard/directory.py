@@ -137,8 +137,8 @@ class ShardDirectory:
                 shard_id=self._next_id, range=KeyRange(low, high)
             )
             self._next_id += 1
-        #: The version-0 bounds, kept so the checker can replay
-        #: routing from the stalest view any client could ever hold.
+        #: The version-0 bounds, kept so the audit can route from the
+        #: stalest view any client could ever hold.
         self.genesis_bounds = self.snapshot()[1]
 
     # ------------------------------------------------------------------
@@ -146,6 +146,41 @@ class ShardDirectory:
     # ------------------------------------------------------------------
     def info(self, shard_id: int) -> ShardInfo:
         return self.shards[shard_id]
+
+    def resolve(self, shard_id: int, point: Key) -> tuple[int, int, int]:
+        """Walk from ``shard_id`` to the live shard covering ``point``.
+
+        The router's recovery walk, B-link-style: a live shard that no
+        longer covers the point follows its shed hint; a retired one
+        follows its shed facts (they predate its retirement and stay
+        valid) and otherwise its merge forward pointer.  Returns
+        ``(shard_id, forwards, hint_hops)``.  Raises ``RuntimeError``
+        on a dead end or on more than :data:`MAX_ROUTE_HOPS` hops (a
+        forwarding cycle): either means the directory is corrupt.
+        """
+        forwards = hint_hops = 0
+        while True:
+            info = self.shards[shard_id]
+            if info.retired:
+                shard_id = info.shed_target(point)
+                if shard_id is None:
+                    shard_id = info.forward_to
+                forwards += 1
+            elif info.range.contains(point):
+                return shard_id, forwards, hint_hops
+            else:
+                shard_id = info.shed_target(point)
+                hint_hops += 1
+            if shard_id is None:
+                raise RuntimeError(
+                    f"directory corrupt: no shed hint or forward pointer "
+                    f"for {point!r} at shard {info.shard_id}"
+                )
+            if forwards + hint_hops > MAX_ROUTE_HOPS:
+                raise RuntimeError(
+                    f"shard routing for {point!r} exceeded {MAX_ROUTE_HOPS} "
+                    "hops; directory forwarding chain is cyclic"
+                )
 
     def live_shards(self) -> list[ShardInfo]:
         """Live shards in key-range order."""

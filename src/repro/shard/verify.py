@@ -2,19 +2,19 @@
 
 The per-shard trees already have a full audit (``repro.verify``);
 what sharding adds is a routing layer that can be wrong in its own
-ways.  :func:`check_shard_coverage` audits exactly those:
+ways.  :func:`check_shard_coverage` audits exactly those, the first
+two as instances of the shared checks in :mod:`repro.verify.checker`:
 
 * **Partition soundness** -- the live shard ranges tile the key space
   ``[NEG_INF, POS_INF)`` with no gap and no overlap, and every
   retired shard carries a forward pointer to a known shard.
 * **Placement** -- every key stored in a shard's tree falls inside
-  that shard's directory range (a migration that lost or leaked a
-  key shows up here).
-* **Routability** -- replaying the router from a *copy* of every
-  client's cached view (however stale), every stored key and every
-  shard boundary reaches the unique live covering shard within the
-  hop bound.  This is the shard-level analogue of the hash layer's
-  ``check_resolvability``.
+  that shard's directory range, and retired shards hold nothing (a
+  migration that lost or leaked a key shows up here).
+* **Routability** -- the router's own walk (``directory.resolve``),
+  run from every client's cached view (however stale) and from the
+  genesis view, takes every stored key and every shard boundary to
+  the live shard ``directory.covering`` names, within the hop bound.
 * **Version convergence** -- no client view claims a version ahead of
   the authoritative directory, no view references an unknown shard,
   and a view that replays one recovery refresh lands exactly on the
@@ -30,65 +30,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.core.keys import NEG_INF, POS_INF, Key, key_lt
-from repro.shard.directory import MAX_ROUTE_HOPS, DirectoryView
+from repro.core.keys import NEG_INF, Key
+from repro.shard.directory import DirectoryView
 from repro.verify.checker import CheckReport, check_all
+from repro.verify.checker import placement_problems, tiling_problems
 
 if TYPE_CHECKING:
     from repro.shard.cluster import ShardedCluster
 
 
-def _replay_route(sharded: "ShardedCluster", view: DirectoryView, point) -> int:
-    """Pure replay of the router's recovery walk (no counters, no
-    view mutation); returns the shard id it terminates at, or -1."""
-    directory = sharded.directory
-    shard_id = view.route(point)
-    for _ in range(MAX_ROUTE_HOPS + 1):
-        info = directory.info(shard_id)
-        if info.retired:
-            target = info.shed_target(point)
-            shard_id = target if target is not None else info.forward_to
-        elif not info.range.contains(point):
-            next_id = info.shed_target(point)
-            if next_id is None:
-                return -1
-            shard_id = next_id
-        else:
-            return shard_id
-        if shard_id is None:
-            return -1
-    return -1
-
-
 def check_partition_soundness(sharded: "ShardedCluster") -> list[str]:
     """Live ranges tile the key space; retired shards forward."""
-    problems = []
-    live = sharded.directory.live_shards()
-    if not live:
-        return ["no live shards: the directory partitions nothing"]
-    if live[0].range.low is not NEG_INF:
-        problems.append(
-            f"coverage gap below first shard: shard {live[0].shard_id} "
-            f"starts at {live[0].range.low!r}, not NEG_INF"
-        )
-    if live[-1].range.high is not POS_INF:
-        problems.append(
-            f"coverage gap above last shard: shard {live[-1].shard_id} "
-            f"ends at {live[-1].range.high!r}, not POS_INF"
-        )
-    for left, right in zip(live, live[1:]):
-        if left.range.high != right.range.low:
-            kind = (
-                "overlap"
-                if key_lt(right.range.low, left.range.high)
-                else "gap"
-            )
-            problems.append(
-                f"partition {kind} between shard {left.shard_id} "
-                f"{left.range} and shard {right.shard_id} {right.range}"
-            )
-    for shard in sharded.directory.shards.values():
-        if shard.retired and shard.forward_to not in sharded.directory.shards:
+    directory = sharded.directory
+    spans = [
+        (f"shard {s.shard_id}", s.range.low, s.range.high)
+        for s in directory.live_shards()
+    ]
+    problems = tiling_problems(spans, "shard directory")
+    for shard in directory.shards.values():
+        if shard.retired and shard.forward_to not in directory.shards:
             problems.append(
                 f"retired shard {shard.shard_id} forwards to unknown "
                 f"shard {shard.forward_to!r}"
@@ -97,28 +57,17 @@ def check_partition_soundness(sharded: "ShardedCluster") -> list[str]:
 
 
 def check_placement(sharded: "ShardedCluster") -> list[str]:
-    """Every stored key sits in the shard the directory assigns it."""
-    problems = []
-    for shard in sharded.directory.live_shards():
-        for key in sharded.shard_contents(shard.shard_id):
-            point = sharded._point(key)
-            if not shard.range.contains(point):
-                problems.append(
-                    f"key {key!r} stored in shard {shard.shard_id} "
-                    f"{shard.range} but routes to point {point!r} "
-                    "outside it"
-                )
-    for shard in sharded.directory.shards.values():
-        if not shard.retired:
-            continue
-        leftovers = sharded.shard_contents(shard.shard_id)
-        if leftovers:
-            sample = sorted(leftovers)[:3]
-            problems.append(
-                f"retired shard {shard.shard_id} still holds "
-                f"{len(leftovers)} keys (e.g. {sample!r}); its drain "
-                "migration lost deletes"
-            )
+    """Every stored key sits in the shard the directory assigns it; a
+    retired shard's scope is empty (its drain migration moved all)."""
+    problems, _contents = placement_problems(
+        [
+            (s.shard_id, None, "retired" if s.retired else f"range {s.range}",
+             lambda key, s=s: s.covers(sharded._point(key)),
+             sharded.shard_contents(s.shard_id), None)
+            for s in sharded.directory.shards.values()
+        ],
+        "shard",
+    )
     return problems
 
 
@@ -133,23 +82,30 @@ def _probe_points(sharded: "ShardedCluster") -> list:
 
 
 def check_routability(sharded: "ShardedCluster") -> list[str]:
-    """Every point reaches its covering shard from every client view."""
+    """Every point reaches its covering shard from every client view.
+
+    Runs the router's own walk (``directory.resolve``), which
+    never mutates a view, from each client's view and from a view of
+    the very first directory version -- the stalest view any execution
+    could still harbour -- and compares where it lands with
+    ``directory.covering``.
+    """
     problems = []
     directory = sharded.directory
     points = _probe_points(sharded)
     views = list(sharded.views.items())
-    # Also probe from a view of the very first directory version, the
-    # stalest view any execution could still harbour.
     views.append(("genesis", DirectoryView(0, directory.genesis_bounds)))
     for origin, view in views:
         for point in points:
-            want = directory.covering(point)
-            got = _replay_route(sharded, view, point)
+            try:
+                got = f"shard {directory.resolve(view.route(point), point)[0]}"
+            except RuntimeError as dead_end:
+                got = f"a dead end ({dead_end})"
+            want = f"shard {directory.covering(point)}"
             if got != want:
                 problems.append(
-                    f"point {point!r} from view of client {origin!r} "
-                    f"(version {view.version}) routes to shard {got}, "
-                    f"but shard {want} covers it"
+                    f"point {point!r} from view of client {origin!r} (version "
+                    f"{view.version}) reaches {got}, but {want} covers it"
                 )
     return problems
 

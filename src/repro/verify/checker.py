@@ -27,12 +27,12 @@ joins/unjoins) was applied in version order at every copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.core.keys import Key
+from repro.core.keys import NEG_INF, POS_INF, Key, key_lt
 from repro.core.node import NodeCopy
 from repro.sim.tracing import TraceLevel, TraceLevelError
-from repro.verify.invariants import check_structure, representative_nodes
+from repro.verify.invariants import check_structure, group_copies, representative_nodes
 
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine
@@ -133,8 +133,8 @@ def contents_problems(
     actual: Mapping[Any, Any], expected: Mapping[Any, Any]
 ) -> list[str]:
     """What a structure stores against the sequential oracle: every
-    expected key present with its value, nothing else.  Shared by the
-    dB-tree, hash table and trie audits."""
+    expected key present with its value, nothing else.  Shared by
+    every audit and by the permutation replay."""
     problems = []
     missing = [k for k in expected if k not in actual]
     extra = [k for k in actual if k not in expected]
@@ -149,6 +149,101 @@ def contents_problems(
             problems.append(
                 f"key {key!r}: value {actual[key]!r} != expected {value!r}"
             )
+    return problems
+
+
+# ----------------------------------------------------------------------
+# the shared checks: each correctness property stated once, over plain
+# data; the tree, hash, trie and forest audits are instances of them
+# ----------------------------------------------------------------------
+def placement_problems(leaves: Iterable[tuple], noun: str) -> tuple[list[str], dict]:
+    """Every stored key sits in exactly one leaf, inside that leaf's
+    scope, and no leaf is overfull at quiescence.
+
+    ``leaves`` yields ``(leaf_id, pid, scope, in_scope, entries,
+    capacity)``: ``scope`` describes what ``in_scope(key)`` admits
+    (``"prefix 'ab'"``), and a ``capacity`` of ``None`` bounds nothing.
+    Returns the problems and the union of the leaves' contents (first
+    sighting wins), which is what :func:`contents_problems` compares
+    with the oracle.
+    """
+    problems: list[str] = []
+    contents: dict[Any, Any] = {}
+    holders: dict[Any, Any] = {}  # key -> the leaf it was first seen in
+    homes: dict[Any, Any] = {}  # leaf id -> the pid that stores it
+    for leaf, pid, scope, in_scope, entries, capacity in leaves:
+        if leaf in homes:
+            problems.append(f"{noun} {leaf} stored on pids {homes[leaf]} and {pid}")
+            continue
+        homes[leaf] = pid
+        for key, value in entries.items():
+            if not in_scope(key):
+                problems.append(f"{noun} {leaf} ({scope}): key {key!r} outside it")
+            if key in holders:
+                problems.append(f"key {key!r} in {noun}s {holders[key]} and {leaf}")
+            else:
+                holders[key] = leaf
+                contents[key] = value
+        if capacity is not None and len(entries) > capacity:
+            problems.append(
+                f"{noun} {leaf}: overfull at quiescence ({len(entries)} > {capacity})"
+            )
+    return problems, contents
+
+
+def tiling_problems(spans: list[tuple[str, Key, Key]], where: str) -> list[str]:
+    """Ranges ordered by low bound tile ``[NEG_INF, POS_INF)``: the
+    first starts at NEG_INF, each ends where the next starts, and the
+    last ends at POS_INF.  ``spans`` holds ``(name, low, high)``."""
+    if not spans:
+        return [f"{where}: no range covers the key space"]
+    problems = []
+    (first, low, _), (last, _, high) = spans[0], spans[-1]
+    if low is not NEG_INF:
+        problems.append(f"{where}: {first} starts at {low!r}, not NEG_INF")
+    if high is not POS_INF:
+        problems.append(f"{where}: {last} ends at {high!r}, not POS_INF")
+    for (left, _, high), (right, low, _) in zip(spans, spans[1:]):
+        if high != low:
+            kind = "overlap" if key_lt(low, high) else "gap"
+            problems.append(
+                f"{where}: {kind} between {left} (high={high!r}) and "
+                f"{right} (low={low!r})"
+            )
+    return problems
+
+
+def divergence_problems(groups: Mapping[str, Mapping], what: str) -> list[str]:
+    """Every replica group shares one fingerprint.  ``groups`` maps a
+    group's name to ``{pid: fingerprint}``; one problem per group whose
+    replicas disagree."""
+    problems = []
+    for name, replicas in groups.items():
+        if len(set(replicas.values())) > 1:
+            problems.append(f"{name}: {what} diverge across pids {sorted(replicas)}")
+    return problems
+
+
+def resolvability_problems(
+    origins: Mapping[str, Any], expected: Mapping[Any, Any], resolve: Callable
+) -> list[str]:
+    """From every origin, every expected key reaches a leaf that holds
+    it with its value.  ``origins`` maps a name to where a walk starts;
+    ``resolve(start, key)`` returns the entries of the leaf the walk
+    reaches, or ``None`` at a dead end."""
+    problems = []
+    for origin, start in origins.items():
+        for key, value in expected.items():
+            entries = resolve(start, key)
+            if entries is None:
+                problems.append(f"key {key!r} unresolvable from {origin}")
+            elif key not in entries:
+                problems.append(f"key {key!r} from {origin} reaches a leaf without it")
+            elif entries[key] != value:
+                problems.append(
+                    f"key {key!r} from {origin}: value {entries[key]!r} != "
+                    f"expected {value!r}"
+                )
     return problems
 
 
@@ -248,29 +343,30 @@ def check_compatible_histories(engine: "DBTreeEngine") -> list[str]:
 
 def check_replication_metadata(engine: "DBTreeEngine") -> list[str]:
     """Copy sets and versions must converge across a node's copies."""
-    problems = []
-    groups: dict[int, list[NodeCopy]] = {}
-    for copy in engine.all_copies():
-        groups.setdefault(copy.node_id, []).append(copy)
-    for node_id, copies in groups.items():
-        versions = {c.version for c in copies}
-        if len(versions) > 1:
-            problems.append(
-                f"node {node_id}: copy versions diverge: {sorted(versions)}"
-            )
-        member_views = {tuple(sorted(c.copy_versions.items())) for c in copies}
-        if len(member_views) > 1:
-            problems.append(
-                f"node {node_id}: copy-set views diverge across "
-                f"{len(copies)} copies"
-            )
-        holders = {c.home_pid for c in copies}
-        declared = {pid for c in copies for pid in c.copy_versions}
-        if holders != declared and len(member_views) == 1:
-            problems.append(
-                f"node {node_id}: declared members {sorted(declared)} != "
-                f"actual holders {sorted(holders)}"
-            )
+    groups = group_copies(engine)
+    views = {
+        f"node {node_id}": {
+            c.home_pid: tuple(sorted(c.copy_versions.items())) for c in copies
+        }
+        for node_id, copies in groups.items()
+    }
+    problems = divergence_problems(
+        {
+            f"node {node_id}": {c.home_pid: c.version for c in copies}
+            for node_id, copies in groups.items()
+        },
+        "copy versions",
+    )
+    problems.extend(divergence_problems(views, "copy-set views"))
+    for name, members in views.items():
+        distinct = set(members.values())
+        if len(distinct) == 1:
+            declared = {pid for pid, _version in distinct.pop()}
+            if declared != set(members):
+                problems.append(
+                    f"{name}: declared members {sorted(declared)} != "
+                    f"actual holders {sorted(members)}"
+                )
     return problems
 
 
@@ -349,6 +445,12 @@ def check_crash_losses(engine: "DBTreeEngine") -> list[str]:
 # ----------------------------------------------------------------------
 # digest convergence (anti-entropy audit)
 # ----------------------------------------------------------------------
+def _alive(kernel, pid: int) -> bool:
+    """Whether ``pid`` is up (always, without a crash plan)."""
+    controller = kernel.crash_controller
+    return controller is None or controller.is_alive(pid)
+
+
 def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
     """After a converged repair round, replicas must be digest-equal.
 
@@ -363,37 +465,30 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
     """
     from repro.repair.digest import copy_digest, snapshot_digest
 
-    problems = []
-    controller = engine.kernel.crash_controller
-
-    def alive(pid: int) -> bool:
-        return controller is None or controller.is_alive(pid)
-
-    groups: dict[int, list[NodeCopy]] = {}
+    kernel = engine.kernel
+    groups: dict[int, dict[int, NodeCopy]] = {}
     for copy in engine.all_copies():
-        if alive(copy.home_pid):
-            groups.setdefault(copy.node_id, []).append(copy)
-    for node_id, copies in sorted(groups.items()):
-        digests = {copy_digest(c) for c in copies}
-        if len(digests) > 1:
-            holders = sorted(c.home_pid for c in copies)
-            problems.append(
-                f"node {node_id}: replica digests diverge across "
-                f"pids {holders}"
-            )
+        if _alive(kernel, copy.home_pid):
+            groups.setdefault(copy.node_id, {})[copy.home_pid] = copy
+    problems = divergence_problems(
+        {
+            f"node {node_id}": {
+                pid: copy_digest(c) for pid, c in copies.items()
+            }
+            for node_id, copies in sorted(groups.items())
+        },
+        "replica digests",
+    )
     mirrors = engine.mirrors
     if mirrors is None:
         return problems
-    for proc in engine.kernel.processors.values():
-        if not alive(proc.pid):
+    for proc in kernel.processors.values():
+        if not _alive(kernel, proc.pid):
             continue
         for node_id, (home, snap) in sorted(mirrors.held(proc).items()):
-            if not alive(home):
+            if not _alive(kernel, home):
                 continue  # orphan awaiting the re-homing sweep
-            home_copy = next(
-                (c for c in groups.get(node_id, ()) if c.home_pid == home),
-                None,
-            )
+            home_copy = groups.get(node_id, {}).get(home)
             if (
                 home_copy is None
                 or home_copy.retired
@@ -417,8 +512,8 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
                     f"pid {proc.pid}: mirror of node {node_id} is stale "
                     f"(digest mismatch vs home pid {home})"
                 )
-    for proc in engine.kernel.processors.values():
-        if not alive(proc.pid):
+    for proc in kernel.processors.values():
+        if not _alive(kernel, proc.pid):
             continue
         for copy in engine.store(proc).values():
             if (
@@ -428,9 +523,9 @@ def check_digest_convergence(engine: "DBTreeEngine") -> list[str]:
             ):
                 continue
             for target in mirrors.targets(proc.pid, copy.node_id):
-                if not alive(target):
+                if not _alive(kernel, target):
                     continue
-                holder = engine.kernel.processor(target)
+                holder = kernel.processor(target)
                 if copy.node_id not in mirrors.held(holder):
                     problems.append(
                         f"node {copy.node_id}: single-copy leaf at pid "
@@ -459,25 +554,18 @@ def check_false_kill(engine: "DBTreeEngine") -> list[str]:
     """
     problems = []
     kernel = engine.kernel
-    controller = kernel.crash_controller
     detector = kernel.detector
-
-    def alive(pid: int) -> bool:
-        return controller is None or controller.is_alive(pid)
-
-    live = sorted(
-        pid for pid in kernel.processors if alive(pid)
-    )
+    live = sorted(pid for pid in kernel.processors if _alive(kernel, pid))
     for observer in live:
         if detector is not None:
             for peer in detector.suspected_by(observer):
-                if alive(peer):
+                if _alive(kernel, peer):
                     problems.append(
                         f"pid {observer}: detector still suspects "
                         f"alive pid {peer} at quiescence"
                     )
         for peer in sorted(engine.crash.dead_peers(kernel.processor(observer))):
-            if alive(peer):
+            if _alive(kernel, peer):
                 problems.append(
                     f"pid {observer}: alive pid {peer} still in "
                     "dead_peers at quiescence (false kill)"

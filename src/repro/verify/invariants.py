@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from repro.core.keys import NEG_INF, POS_INF
+from repro.core.keys import NEG_INF
 from repro.core.node import NodeCopy
 
 if TYPE_CHECKING:
@@ -53,43 +53,36 @@ def representative_nodes(engine: "DBTreeEngine") -> dict[int, NodeCopy]:
 
 def check_copy_convergence(engine: "DBTreeEngine") -> list[str]:
     """Every live copy of a node must hold the same final value."""
-    problems = []
-    for node_id, copies in group_copies(engine).items():
-        fingerprints = {c.value_fingerprint() for c in copies}
-        if len(fingerprints) > 1:
-            detail = "; ".join(
-                f"pid {c.home_pid}: range={c.range} n={c.num_entries} "
-                f"right={c.right_id}"
-                for c in sorted(copies, key=lambda c: c.home_pid)
-            )
-            problems.append(
-                f"node {node_id}: copies diverge ({len(fingerprints)} "
-                f"distinct values) [{detail}]"
-            )
-    return problems
+    from repro.verify.checker import divergence_problems
+
+    return divergence_problems(
+        {
+            f"node {node_id}": {c.home_pid: c.value_fingerprint() for c in copies}
+            for node_id, copies in group_copies(engine).items()
+        },
+        "copies",
+    )
 
 
 def check_level_chains(engine: "DBTreeEngine") -> list[str]:
     """Each level's nodes must partition (-inf, +inf) left to right."""
+    from repro.verify.checker import tiling_problems
+
     problems = []
     by_level: dict[int, list[NodeCopy]] = defaultdict(list)
     for node in representative_nodes(engine).values():
         by_level[node.level].append(node)
     for level, nodes in sorted(by_level.items()):
         ordered = sorted(nodes, key=lambda n: (n.range.low is not NEG_INF, n.range.low))
-        if ordered[0].range.low is not NEG_INF:
-            problems.append(f"level {level}: leftmost node low is not -inf")
-        if ordered[-1].range.high is not POS_INF:
-            problems.append(f"level {level}: rightmost node high is not +inf")
+        problems.extend(
+            tiling_problems(
+                [(f"node {n.node_id}", n.range.low, n.range.high) for n in ordered],
+                f"level {level}",
+            )
+        )
         if ordered[-1].right_id is not None:
             problems.append(f"level {level}: rightmost node has a right link")
         for left, right in zip(ordered, ordered[1:]):
-            if left.range.high != right.range.low:
-                problems.append(
-                    f"level {level}: gap/overlap between node "
-                    f"{left.node_id} (high={left.range.high!r}) and node "
-                    f"{right.node_id} (low={right.range.low!r})"
-                )
             if left.right_id != right.node_id:
                 problems.append(
                     f"level {level}: node {left.node_id} right link is "

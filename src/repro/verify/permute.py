@@ -46,7 +46,11 @@ from repro.core.client import DBTreeCluster
 from repro.repair.digest import hash_parts
 from repro.sim.permute import PermutePlan
 from repro.sim.rngs import derive_seed
-from repro.verify.checker import check_digest_convergence, leaf_contents
+from repro.verify.checker import (
+    check_digest_convergence,
+    contents_problems,
+    leaf_contents,
+)
 
 #: Default shape of the audit workload: small capacity forces many
 #: splits, clients spread over all processors race their relays, and
@@ -172,25 +176,6 @@ def _content_digest(cluster: DBTreeCluster) -> int:
     return hash_parts(tuple(sorted(leaf_contents(cluster.engine).items())))
 
 
-def _content_problems(
-    canonical: dict, permuted: dict
-) -> list[str]:
-    """Human-readable key-level difference between two content maps."""
-    missing = sorted(set(canonical) - set(permuted))
-    extra = sorted(set(permuted) - set(canonical))
-    changed = sorted(
-        k for k in set(canonical) & set(permuted) if canonical[k] != permuted[k]
-    )
-    problems = []
-    if missing:
-        problems.append(f"keys lost vs canonical run: {missing}")
-    if extra:
-        problems.append(f"keys gained vs canonical run: {extra}")
-    if changed:
-        problems.append(f"payloads changed vs canonical run: {changed}")
-    return problems
-
-
 def _ddmin(
     test: Callable[[frozenset[int]], bool],
     failing: tuple[int, ...],
@@ -288,7 +273,7 @@ def permutation_audit(
             )
             problems = [f"replica divergence: {p}" for p in problems]
             problems.extend(
-                _content_problems(canonical_map, leaf_contents(cluster.engine))
+                contents_problems(leaf_contents(cluster.engine), canonical_map)
             )
             return problems, cluster
 
