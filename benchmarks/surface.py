@@ -5,7 +5,7 @@ Usage: python benchmarks/surface.py   (any working directory)
 One row per name in a ``repro.*`` ``__all__``, per keyword of the four
 facades and ``Kernel``, and per CLI flag, with the number of files that
 reference it under ``src/``, ``benchmarks/``, ``bench/``, ``examples/``
-and ``tests/``; a flag also shows whether ``ci.yml`` or README spells
+and ``tests/``; a flag also shows which of :data:`DOCUMENTS` spell
 it.  Under ``src/`` the file that defines the thing is left out, and an
 ``__init__.py`` counts for its code, not for what it re-exports.
 
@@ -32,6 +32,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 TREES = ("src", "benchmarks", "bench", "examples", "tests")
 CLI = REPO / "src/repro/__main__.py"
+#: The documents that spell CLI flags: each is a column of the flag
+#: rows, and ``tests/test_surface.py`` holds every flag they spell to
+#: the parser.
+DOCUMENTS = (".github/workflows/ci.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 #: Facade -> (file holding its ``__init__``, constructors that take its
 #: keywords: itself plus whatever forwards ``**kwargs`` to it).
@@ -193,7 +197,7 @@ def cli_flags() -> list[str]:
 
 def ledger() -> dict[str, dict[str, list]]:
     """``section -> row -> [src, benchmarks, bench, examples, tests]``;
-    a flag row goes on with ``yes`` / ``no`` for ``ci.yml`` and README."""
+    a flag row goes on with ``yes`` / ``no`` per entry of :data:`DOCUMENTS`."""
     sources = _sources()
     names = {}
     for name in sorted(exported_names()):
@@ -206,10 +210,7 @@ def ledger() -> dict[str, dict[str, list]]:
         for facade, (home, callers) in FACADES.items()
         for keyword in facade_keywords(facade)
     }
-    documents = [
-        _scan((REPO / document).read_text())["flags"]
-        for document in (".github/workflows/ci.yml", "README.md")
-    ]
+    documents = [_scan((REPO / document).read_text())["flags"] for document in DOCUMENTS]
     flags = {
         flag: _counts(sources, "flags", flag, {CLI})
         + ["yes" if flag in spelled else "no" for spelled in documents]
@@ -230,7 +231,8 @@ def problems(rows: dict[str, dict[str, list]]) -> list[str]:
             found.append(f"{name}: no caller outside tests/, no reason in TEST_ONLY")
         if used and name in allowed:
             found.append(f"{name}: in TEST_ONLY but has callers outside tests/")
-    for flag, (*_, tests, ci, _readme) in rows["flags"].items():
+    for flag, cells in rows["flags"].items():
+        tests, ci = cells[len(TREES) - 1], cells[len(TREES)]
         if not tests and ci == "no":
             found.append(f"{flag}: run by no test and no CI step")
     return found
@@ -241,10 +243,11 @@ def render(rows: dict[str, dict[str, list]]) -> str:
     allowed = dict(TEST_ONLY)
     exported = exported_names()
     lines = []
-    for section, extra in (("names", ()), ("keywords", ()), ("flags", ("ci.yml", "README"))):
-        lines.append(f"{section:<36}" + "".join(f"{head:>11}" for head in TREES + extra))
+    columns = tuple(Path(document).name.removesuffix(".md") for document in DOCUMENTS)
+    for section, extra in (("names", ()), ("keywords", ()), ("flags", columns)):
+        lines.append(f"{section:<36}" + "".join(f"{head:>12}" for head in TREES + extra))
         for name, cells in rows[section].items():
-            row = f"{name:<36}" + "".join(f"{cell:>11}" for cell in cells)
+            row = f"{name:<36}" + "".join(f"{cell:>12}" for cell in cells)
             if section == "names":
                 row += "  " + ", ".join(exported[name])
             if name in allowed:

@@ -9,14 +9,14 @@ emptied leaves retire, their ranges are absorbed leftward, parent
 entries are lazily deleted, and the zombies are garbage-collected.
 
 The example runs the same retention churn with reclamation off and
-on, printing live leaves, utilization, and a throughput sparkline.
+on, printing live leaves and utilization.
 
 Run:  python examples/retention_store.py
 """
 
 from repro import DBTreeCluster
 from repro.protocols.variable import VariableCopiesProtocol
-from repro.stats import format_table, space_utilization, throughput_sparkline
+from repro.stats import format_table, space_utilization
 from repro.verify.invariants import representative_nodes
 
 WINDOWS = 8          # how many ingest/expire cycles
@@ -63,13 +63,11 @@ def run_store(free_at_empty: bool) -> dict:
         "leaves": len(leaves),
         "utilization": space_utilization(cluster.engine),
         "retired": cluster.trace.counters.get("leaves_retired", 0),
-        "spark": throughput_sparkline(cluster.trace, window=150.0, width=40),
     }
 
 
 def main() -> None:
     rows = []
-    sparks = {}
     for free_at_empty in (False, True):
         result = run_store(free_at_empty)
         rows.append(
@@ -81,7 +79,6 @@ def main() -> None:
                 result["retired"],
             ]
         )
-        sparks[result["mode"]] = result["spark"]
     print(
         format_table(
             ["mode", "live records", "live leaves", "utilization", "leaves retired"],
@@ -92,9 +89,6 @@ def main() -> None:
             ),
         )
     )
-    print("\ncompleted-ops timeline (throughput per window):")
-    for mode, spark in sparks.items():
-        print(f"  {mode:<14} {spark}")
     print(
         "\nnever-merge leaves grow with total history; free-at-empty"
         "\nleaves track the retained window -- the dE-tree payoff."

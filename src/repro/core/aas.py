@@ -8,47 +8,33 @@ we group some action sequences into atomic action sequences, or AAS.
 
 Only the synchronous split protocol (Section 4.1.1) needs an AAS; the
 lazy protocols exist precisely to avoid this machinery.  The registry
-is deliberately simple: each copy tracks its active AAS instances and
-queues the actions they block, releasing them when the AAS finishes.
+is deliberately simple: each copy tracks the ids of its active AAS
+instances and queues the actions they block; an action is blocked
+while any AAS is active, and the queue is released once none is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-BlockPredicate = Callable[[Any], bool]
-
-
-@dataclass
-class AAS:
-    """One executing atomic action sequence at one copy."""
-
-    aas_id: int
-    name: str
-    blocks: BlockPredicate
+from typing import Any
 
 
 @dataclass
 class AASRegistry:
-    """Per-copy AAS bookkeeping: active sequences + blocked actions."""
+    """Per-copy AAS bookkeeping: active sequence ids + blocked actions."""
 
-    active: dict[int, AAS] = field(default_factory=dict)
+    active: set[int] = field(default_factory=set)
     pending: list[Any] = field(default_factory=list)
 
     @property
     def any_active(self) -> bool:
         return bool(self.active)
 
-    def begin(self, aas: AAS) -> None:
+    def begin(self, aas_id: int) -> None:
         """Start an AAS at this copy (AASstart)."""
-        if aas.aas_id in self.active:
-            raise ValueError(f"AAS {aas.aas_id} already active")
-        self.active[aas.aas_id] = aas
-
-    def conflicts(self, action: Any) -> bool:
-        """Whether any active AAS blocks ``action``."""
-        return any(aas.blocks(action) for aas in self.active.values())
+        if aas_id in self.active:
+            raise ValueError(f"AAS {aas_id} already active")
+        self.active.add(aas_id)
 
     def defer(self, action: Any) -> None:
         """Queue an action blocked by an active AAS."""
@@ -57,17 +43,12 @@ class AASRegistry:
     def finish(self, aas_id: int) -> list[Any]:
         """End an AAS (AASfinish); return actions ready to resume.
 
-        Actions still blocked by another active AAS remain queued.
+        Nothing is released while another AAS is still active.
         """
         if aas_id not in self.active:
             raise ValueError(f"AAS {aas_id} not active")
-        del self.active[aas_id]
-        released: list[Any] = []
-        still_blocked: list[Any] = []
-        for action in self.pending:
-            if self.conflicts(action):
-                still_blocked.append(action)
-            else:
-                released.append(action)
-        self.pending = still_blocked
+        self.active.discard(aas_id)
+        if self.active:
+            return []
+        released, self.pending = self.pending, []
         return released

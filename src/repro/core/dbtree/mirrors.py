@@ -109,7 +109,7 @@ class LeafMirrors:
         installs them as real copies (new primary, version bumped so
         the location change dominates stale hints) and announces the
         move.  Consulting liveness here stands in for the shared
-        failure-detector verdict; see DESIGN for the near-simultaneous
+        failure-detector verdict; DESIGN §8 has the near-simultaneous
         failure caveat.
         """
         engine = self.engine

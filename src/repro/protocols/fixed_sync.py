@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.aas import AAS, AASRegistry
+from repro.core.aas import AASRegistry
 from repro.core.actions import SplitAck, SplitEnd, SplitStart
 from repro.core.node import NodeCopy
 from repro.protocols.base import Protocol
@@ -78,7 +78,7 @@ class SyncProtocol(Protocol):
             return
         split_id = engine.trace.new_action_id()
         registry = self._registry(copy)
-        registry.begin(AAS(aas_id=split_id, name="split", blocks=lambda _a: True))
+        registry.begin(split_id)
         copy.proto["pending_split"] = {"split_id": split_id, "awaiting": set(peers)}
         engine.trace.bump("split_aas_started")
         engine.relay(
@@ -104,7 +104,7 @@ class SyncProtocol(Protocol):
             engine.trace.bump("split_control_on_missing_copy")
             return
         registry = self._registry(copy)
-        registry.begin(AAS(aas_id=action.split_id, name="split", blocks=lambda _a: True))
+        registry.begin(action.split_id)
         engine.kernel.route(
             proc.pid,
             action.pc_pid,

@@ -23,6 +23,10 @@ import heapq
 from typing import Any, Callable
 
 
+class QuiescenceError(RuntimeError):
+    """Raised when a run exceeds its event budget (protocol livelock)."""
+
+
 class EventHandle:
     """Cancellation handle for one scheduled event.
 
@@ -140,7 +144,7 @@ class EventQueue:
         """Run until the queue drains; return the number of events run.
 
         ``max_events`` bounds the run as a runaway guard; the guard
-        raises ``RuntimeError`` *before* executing the event past the
+        raises :class:`QuiescenceError` *before* executing the event past the
         bound (exactly ``max_events`` events run, never more), because
         in this codebase an unbounded event cascade always indicates a
         protocol bug (e.g. a message ping-pong), never legitimate
@@ -159,7 +163,7 @@ class EventQueue:
                 continue
             if max_events is not None and ran >= max_events:
                 heapq.heappush(heap, event)
-                raise RuntimeError(
+                raise QuiescenceError(
                     f"event cascade exceeded max_events={max_events}; "
                     "likely a protocol livelock"
                 )

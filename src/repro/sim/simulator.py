@@ -14,18 +14,14 @@ from typing import Any, Callable
 
 from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.detector import DetectorPlan, FailureDetectorService
-from repro.sim.events import EventQueue
+from repro.sim.events import EventQueue, QuiescenceError
 from repro.sim.failure import FaultPlan
 from repro.sim.network import LatencyModel, Network, UniformLatency
 from repro.sim.partition import PartitionController, PartitionPlan
 from repro.sim.permute import PermutePlan, SchedulePermuter
 from repro.sim.processor import Processor
-from repro.sim.reliable import ReliabilityConfig, ReliabilityError
+from repro.sim.reliable import ReliabilityConfig
 from repro.sim.rngs import SeedLedger
-
-
-class QuiescenceError(RuntimeError):
-    """Raised when a run exceeds its event budget (protocol livelock)."""
 
 
 #: The incompatible layer pairs, each with its reason stated once.
@@ -328,18 +324,11 @@ class Kernel:
         """Run until no events remain; return the number executed.
 
         Raises :class:`QuiescenceError` when the budget is exceeded,
-        which in practice means a protocol is ping-ponging messages.
+        which in practice means a protocol is ping-ponging messages;
+        any other error a handler raises surfaces as itself.
         """
         budget = max_events if max_events is not None else self.DEFAULT_MAX_EVENTS
-        try:
-            return self.events.run(max_events=budget)
-        except ReliabilityError:
-            # A channel exhausted its retry budget: this is the
-            # transport's verdict, not an event-budget overrun, and
-            # callers (the cluster API) handle it specifically.
-            raise
-        except RuntimeError as exc:
-            raise QuiescenceError(str(exc)) from exc
+        return self.events.run(max_events=budget)
 
     def run_until(self, deadline: float) -> int:
         """Run events up to virtual time ``deadline``."""

@@ -26,7 +26,6 @@ from repro.stats.metrics import (
     throughput,
 )
 from repro.stats.report import format_table
-from repro.stats.timeseries import sparkline, throughput_sparkline
 
 __all__ = [
     "availability_summary",
@@ -46,6 +45,4 @@ __all__ = [
     "stale_reads",
     "throughput",
     "format_table",
-    "sparkline",
-    "throughput_sparkline",
 ]

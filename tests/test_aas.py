@@ -2,30 +2,25 @@
 
 import pytest
 
-from repro.core.aas import AAS, AASRegistry
-
-
-def blocks_ints(action):
-    return isinstance(action, int)
+from repro.core.aas import AASRegistry
 
 
 class TestAASRegistry:
-    def test_begin_and_conflict(self):
+    def test_begin_marks_active(self):
         reg = AASRegistry()
-        reg.begin(AAS(aas_id=1, name="split", blocks=blocks_ints))
+        assert not reg.any_active
+        reg.begin(1)
         assert reg.any_active
-        assert reg.conflicts(5)
-        assert not reg.conflicts("search")
 
     def test_double_begin_rejected(self):
         reg = AASRegistry()
-        reg.begin(AAS(aas_id=1, name="split", blocks=blocks_ints))
+        reg.begin(1)
         with pytest.raises(ValueError):
-            reg.begin(AAS(aas_id=1, name="split", blocks=blocks_ints))
+            reg.begin(1)
 
     def test_finish_releases_deferred(self):
         reg = AASRegistry()
-        reg.begin(AAS(aas_id=1, name="split", blocks=blocks_ints))
+        reg.begin(1)
         reg.defer(10)
         reg.defer(11)
         released = reg.finish(1)
@@ -39,12 +34,12 @@ class TestAASRegistry:
 
     def test_overlapping_aas_keep_blocking(self):
         reg = AASRegistry()
-        reg.begin(AAS(aas_id=1, name="a", blocks=blocks_ints))
-        reg.begin(AAS(aas_id=2, name="b", blocks=lambda a: a == 7))
+        reg.begin(1)
+        reg.begin(2)
         reg.defer(7)
         reg.defer(9)
-        released = reg.finish(1)
-        # 7 is still blocked by AAS 2; 9 is free.
-        assert released == [9]
-        assert reg.pending == [7]
-        assert reg.finish(2) == [7]
+        # AAS 2 is still active, so nothing is released yet.
+        assert reg.finish(1) == []
+        assert reg.pending == [7, 9]
+        assert reg.finish(2) == [7, 9]
+        assert not reg.pending

@@ -12,7 +12,6 @@ import repro.core.keys
 import repro.hash.table
 import repro.sim.events
 import repro.stats.report
-import repro.stats.timeseries
 import repro.trie.table
 
 MODULES = [
@@ -20,7 +19,6 @@ MODULES = [
     repro.hash.table,
     repro.sim.events,
     repro.stats.report,
-    repro.stats.timeseries,
     repro.trie.table,
 ]
 

@@ -54,6 +54,18 @@ class TestRunControl:
         with pytest.raises(QuiescenceError):
             kernel.run_to_quiescence(max_events=200)
 
+    def test_handler_error_surfaces_as_itself(self):
+        kernel = Kernel(num_processors=2)
+
+        def crash(proc, action):
+            raise RuntimeError("boom")
+
+        kernel.install_handler(crash)
+        kernel.route(0, 1, "ball")
+        with pytest.raises(RuntimeError, match="boom") as caught:
+            kernel.run_to_quiescence()
+        assert not isinstance(caught.value, QuiescenceError)
+
     def test_run_until(self):
         kernel, received = echo_kernel()
         kernel.route(0, 1, "early")  # delivered at t=10

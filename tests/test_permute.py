@@ -29,7 +29,7 @@ from repro.verify.permute import (
     permutation_audit,
 )
 
-SIMULATOR_MD = Path(__file__).resolve().parent.parent / "docs" / "SIMULATOR.md"
+DESIGN_MD = Path(__file__).resolve().parent.parent / "DESIGN.md"
 
 
 def rins(key, node_id=1, action_id=None):
@@ -227,8 +227,8 @@ class TestInstallGuards:
             with pytest.raises(ValueError) as refused:
                 Kernel(4, **layers)
             assert str(refused.value) == message + reason
-        # docs/SIMULATOR.md renders the table; it must not drift.
-        manual = " ".join(SIMULATOR_MD.read_text(encoding="utf-8").split())
+        # DESIGN §3 renders the table; it must not drift.
+        manual = " ".join(DESIGN_MD.read_text(encoding="utf-8").split())
         assert f"| `{first}` | `{second}` | {reason} |" in manual
 
     def test_every_other_pair_composes(self):
