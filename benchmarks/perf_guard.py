@@ -11,7 +11,10 @@ drops one frame in ten with the reliable-delivery layer on, where a
 retransmit-timer flood would show as events/op) and the ``repair``
 block (the burst under ``variable`` with anti-entropy gossiping every
 150 vt, where the rounds started and the digest bytes sent pin the
-gossip schedule as well).  Each block's
+gossip schedule as well) and the ``crash`` block (the ``variable``
+burst with op timers, two copies of every leaf and one 800-vt crash of
+a client's home mid-run: the path operations take when their home
+dies).  Each block's
 ``final_virtual_time`` is compared as well: per-op counts do not show
 a channel that repairs its losses too slowly and falls behind (the
 ``enforced`` burst once needed 133,231 vt for work that takes 43,680),
@@ -45,6 +48,7 @@ BLOCKS = {
     "fast": METRICS,
     "enforced": METRICS,
     "repair": METRICS + ("rounds_started", "digest_bytes"),
+    "crash": METRICS,
 }
 
 

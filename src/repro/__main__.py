@@ -466,6 +466,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{repair['rounds_started']:,} rounds, "
         f"{repair['digest_bytes']:,} digest bytes"
     )
+    crash = report["crash"]
+    print(
+        f"same, variable, rf 2, op timers, one 800-vt crash "
+        f"({crash['ops_completed']:,} ops): "
+        f"{crash['events_per_op']:.2f} events/op, "
+        f"virtual time {crash['final_virtual_time']:,.1f}"
+    )
     print(f"wrote {args.output}")
     return 0
 

@@ -19,8 +19,11 @@ CI.  A third, ``repair``, runs the burst under ``variable`` with
 anti-entropy gossiping throughout (an inert crash plan and two copies
 of every leaf, so the rounds have mirror rows to compare) and pins the
 gossip schedule -- rounds started, digest bytes -- beside the same four
-quantities.  What each layer costs on top is ``bench/``'s ledger, not
-this module's.
+quantities.  A fourth, ``crash``, runs the ``variable`` burst with op
+timers and takes one client's home down for 800 vt mid-run, and pins
+the same four quantities: the crash-and-timers path of the engine.
+What each layer costs on top is ``bench/``'s ledger, not this
+module's.
 """
 
 from __future__ import annotations
@@ -63,24 +66,30 @@ def run_insert_burst(
     leaf_cache: bool = True,
     drop_p: float = 0.0,
     repair_period: float | None = None,
+    crash_schedule: list | None = None,
+    op_timeout: float | None = None,
 ) -> dict[str, Any]:
     """Run the standard insert-burst once; return its measurements.
 
     ``drop_p`` > 0 loses that share of physical frames and turns the
     reliable-delivery layer on to make up for it.  ``repair_period``
     turns anti-entropy on at that gossip period, over a crash-capable
-    cluster in which nothing crashes and every leaf has one mirror:
-    without mirrors a pair's view holds replicated copies only.
+    cluster in which every leaf has one mirror: without mirrors a
+    pair's view holds replicated copies only.  ``crash_schedule`` (a
+    :class:`CrashPlan` timetable, ``(pid, crash_at, restart_at)`` rows)
+    builds the same crash-capable cluster with processors that do go
+    down; ``op_timeout`` arms per-operation timers.
     """
     layers: dict[str, Any] = {}
     if drop_p > 0:
         layers.update(fault_plan=FaultPlan(drop_p=drop_p), reliability="enforced")
+    if repair_period is not None or crash_schedule is not None:
+        schedule = tuple(tuple(row) for row in crash_schedule or ())
+        layers.update(crash_plan=CrashPlan(schedule=schedule), replication_factor=2)
     if repair_period is not None:
-        layers.update(
-            repair_period=repair_period,
-            crash_plan=CrashPlan(),
-            replication_factor=2,
-        )
+        layers.update(repair_period=repair_period)
+    if op_timeout is not None:
+        layers.update(op_timeout=op_timeout)
     cluster = DBTreeCluster(
         num_processors=num_processors,
         protocol=protocol,
@@ -124,6 +133,8 @@ def run_insert_burst(
             "leaf_cache": leaf_cache,
             "drop_p": drop_p,
             "repair_period": repair_period,
+            "crash_schedule": crash_schedule,
+            "op_timeout": op_timeout,
         },
         "ops_completed": completions,
         "events_executed": events,
@@ -150,8 +161,14 @@ def write_bench_core(
     is resent at once, so no channel falls behind at 10 % loss and the
     burst ends about as soon as its losses allow), not as a second
     wall-clock throughput.  The ``repair`` row runs a tenth, for its
-    counts and its gossip schedule.
+    counts and its gossip schedule.  The ``crash`` row runs a tenth
+    under ``variable`` with two copies of every leaf and op timers, and
+    takes client 1's home down for 800 vt about halfway through (the
+    burst completes about one insert per 3.4 vt): the one row whose
+    operations meet a dead home.
     """
+    crash_ops = max(num_ops // 10, 1)
+    crash_at = 1.5 * crash_ops
     report = {
         "benchmark": "standard-insert-burst (closed loop)",
         "ops": num_ops,
@@ -159,6 +176,13 @@ def write_bench_core(
         "enforced": run_insert_burst(max(num_ops // 5, 1), seed=seed, drop_p=0.1),
         "repair": run_insert_burst(
             max(num_ops // 10, 1), seed=seed, protocol="variable", repair_period=150
+        ),
+        "crash": run_insert_burst(
+            crash_ops,
+            seed=seed,
+            protocol="variable",
+            crash_schedule=[[1, crash_at, crash_at + 800.0]],
+            op_timeout=3000.0,
         ),
     }
     with open(path, "w", encoding="utf-8") as fh:
