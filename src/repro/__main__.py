@@ -239,7 +239,7 @@ _LAYER_DETAIL = {
     "crash": (
         "{crashes} crashes ({restarts} restarted), {lost_actions} actions "
         "lost, {dead_letters} dead letters; ops re-issued: {op_retries} by "
-        "their timer, {op_reissued_on_recovery} by their recovered home"
+        "their timer, {op_failed_over} failed over"
     ),
     "partition": (
         "{cuts_applied} cuts ({heals} healed, {stochastic_cuts} stochastic), "

@@ -13,6 +13,7 @@ flight are parked instead of healed).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
@@ -21,6 +22,7 @@ from repro.core.actions import (
     JoinRequest,
     MirrorUpdate,
     Mode,
+    OpContext,
     PeerFailure,
     PeerRescind,
     RecoveryAnnounce,
@@ -95,6 +97,35 @@ class CrashRecovery:
                 proc.submit(pending)
 
     # ------------------------------------------------------------------
+    # client fail-over
+    # ------------------------------------------------------------------
+    @staticmethod
+    def can_serve(proc: "Processor") -> bool:
+        """Whether ``proc`` can begin an operation: live and rooted."""
+        return proc.alive and proc.state["root_id"] is not None
+
+    def fail_over(self, op: OpContext) -> OpContext | None:
+        """The fail-over rule: who begins an op its home cannot serve.
+
+        Under path replication every processor that holds a leaf holds
+        the path from the root down to it, and an operation begins by
+        accessing the root, so any live, rooted processor can begin
+        it.  The op goes to its home's first such processor in ring
+        order -- the home itself, if it can serve again -- keeping its
+        op id; that processor becomes its home, where the return lands
+        and the completion fires (a late return to the old home is the
+        duplicate the return dedup swallows).  None when no processor
+        is live and rooted.
+        """
+        kernel = self.engine.kernel
+        pids = kernel.pids
+        at = pids.index(op.home_pid)
+        for pid in pids[at:] + pids[:at]:
+            if self.can_serve(kernel.processor(pid)):
+                return op if pid == op.home_pid else replace(op, home_pid=pid)
+        return None
+
+    # ------------------------------------------------------------------
     # controller and detector hooks
     # ------------------------------------------------------------------
     def _on_processor_crash(self, pid: int) -> None:
@@ -104,7 +135,8 @@ class CrashRecovery:
         hands it the same empty state a fresh cluster starts from, so
         no layer's key can outlive the crash; the trace records each
         lost copy so the audit can tell crash losses from deliberate
-        deletions.
+        deletions.  The operations it was home to lost their returns
+        with it and fail over now.
         """
         engine = self.engine
         proc = engine.kernel.processor(pid)
@@ -112,6 +144,8 @@ class CrashRecovery:
             engine.trace.record_copy_deleted(node_id, pid, engine.now, reason="crash")
         engine.reset_processor(proc)
         engine.trace.bump("processor_crashes")
+        if engine.timers is not None:
+            engine.timers.fail_over(pid)
 
     def _on_processor_detect(self, pid: int) -> None:
         """The failure of ``pid`` is announced: each live processor's

@@ -290,7 +290,10 @@ class DBTreeEngine:
 
         The operation begins, as in the paper, by accessing the root:
         locally when the home processor holds a root copy, otherwise
-        via a message to a root holder.
+        via a message to a root holder.  A home that cannot begin it
+        (down, or restarted and not rooted yet) hands it to another
+        processor by the fail-over rule (:meth:`CrashRecovery.fail_over
+        <repro.core.dbtree.crash.CrashRecovery.fail_over>`).
         """
         if kind not in ("search", "insert", "delete", "scan"):
             raise ValueError(f"unknown operation kind {kind!r}")
@@ -304,33 +307,38 @@ class DBTreeEngine:
         )
         self.trace.record_op_submitted(op.op_id, kind, key, home_pid, self.now)
         timers = self.timers
-        if self.crash is not None and (
-            not proc.alive or proc.state["root_id"] is None
-        ):
-            # The client's home processor is down (or restarted and
-            # has not relearned the root yet).  With timeouts on, the
-            # timer's retry path reissues once the processor is usable
-            # again; without them, fail the operation now rather than
-            # hang or raise mid-simulation.
-            if timers is None:
-                self.fail_op(op, "failed")
-        else:
-            leaf_id = None
-            caches = self._leaf_caches
-            if caches is not None and kind != "scan":
-                hint = caches[home_pid].lookup(key)
-                if hint is not None:
-                    self.trace.counters["leaf_cache_hit"] += 1
-                    leaf_id = hint[0]
+        crash = self.crash
+        if crash is not None and not crash.can_serve(proc):
+            moved = crash.fail_over(op)
+            if moved is None:
+                # No processor is live and rooted.  With timeouts on,
+                # the op waits for the first one to relearn the root
+                # (or for its timer); without them, fail it now rather
+                # than hang or raise mid-simulation.
+                if timers is None:
+                    self.fail_op(op, "failed")
                 else:
-                    self.trace.counters["leaf_cache_miss"] += 1
-            if leaf_id is not None:
-                step = SearchStep(node_id=leaf_id, op=op, cached=True)
-                self.route_to_node(proc, leaf_id, step, level=0, key=key)
+                    timers.arm(op)
+                return op.op_id
+            self.trace.bump("op_failed_over")
+            op = moved
+            proc = self.kernel.processor(op.home_pid)
+        leaf_id = None
+        caches = self._leaf_caches
+        if caches is not None and kind != "scan":
+            hint = caches[proc.pid].lookup(key)
+            if hint is not None:
+                self.trace.counters["leaf_cache_hit"] += 1
+                leaf_id = hint[0]
             else:
-                root_id = self.root_id_of(proc)
-                step = SearchStep(node_id=root_id, op=op)
-                self.route_to_node(proc, root_id, step, level=None, key=key)
+                self.trace.counters["leaf_cache_miss"] += 1
+        if leaf_id is not None:
+            step = SearchStep(node_id=leaf_id, op=op, cached=True)
+            self.route_to_node(proc, leaf_id, step, level=0, key=key)
+        else:
+            root_id = self.root_id_of(proc)
+            step = SearchStep(node_id=root_id, op=op)
+            self.route_to_node(proc, root_id, step, level=None, key=key)
         if timers is not None:
             timers.arm(op)
         return op.op_id
@@ -1000,11 +1008,20 @@ class DBTreeEngine:
             state["root_id"] = action.root_id
             state["root_level"] = action.root_level
         self.learn_location(proc, action.root_id, action.root_pids)
-        if relearned and self.timers is not None:
-            # A restarted home can issue operations again: those parked
-            # while it was down or rootless, or whose return died with
-            # it, need not wait for their timers.
-            self.timers.reissue_after_recovery(proc.pid)
+        if (
+            relearned
+            and self.timers is not None
+            and not any(
+                self.crash.can_serve(other)
+                for other in self.kernel.processors.values()
+                if other is not proc
+            )
+        ):
+            # The first processor rooted since none was: every pending
+            # op is stranded (submitted, or left by a crashed home,
+            # while no processor could begin it) and need not wait for
+            # its timer.
+            self.timers.fail_over()
 
     # ------------------------------------------------------------------
     # missing-node handling

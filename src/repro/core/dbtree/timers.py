@@ -8,12 +8,10 @@ even when the original response was merely slow rather than lost) up
 to ``retries`` times, with decorrelated-jitter back-off, and then
 recorded as ``timed_out``.
 
-The timer is the fallback, not the only signal: a restarted home that
-relearns the root knows that whatever it still has pending was never
-issued (submitted while it was down or rootless) or lost its return to
-the crash, and re-issues it then
-(:meth:`OpTimers.reissue_after_recovery`) instead of sitting out the
-rest of the timeout.
+The timer is the fallback, not the only signal: an operation whose
+home crashes, or that is pending when the first processor is rooted
+again after none was, fails over (:meth:`OpTimers.fail_over`) instead
+of sitting out the rest of its timeout.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class OpTimers:
             delay = entry[2] = self._backoff_delay(entry[2])
             engine.trace.bump("op_backoff_delay_total", delay - self.timeout)
         entry[1] = engine.kernel.events.schedule(
-            engine.now + delay, partial(self._op_timer_fired, op)
+            engine.now + delay, partial(self._op_timer_fired, op.op_id)
         )
 
     def cancel(self, op_id: int) -> None:
@@ -83,32 +81,39 @@ class OpTimers:
         if entry is not None:
             entry[1].cancel()
 
-    def _op_timer_fired(self, op: OpContext) -> None:
+    def _op_timer_fired(self, op_id: int) -> None:
         engine = self.engine
-        entry = self._pending.get(op.op_id)
+        entry = self._pending.get(op_id)
         if entry is None:
             return  # completed (or verdicted) before the timer fired
+        op = entry[3]
         if entry[0] <= 0:
-            del self._pending[op.op_id]
+            del self._pending[op_id]
             engine.fail_op(op, "timed_out")
             return
         entry[0] -= 1
         self._issue_from_root(op, "op_retries")
         self.arm(op)
 
-    def reissue_after_recovery(self, home_pid: int) -> None:
-        """``home_pid`` has restarted and relearned the root: issue what
-        it still has pending, without waiting for the timers.
+    def fail_over(self, home_pid: int | None = None) -> None:
+        """Issue the pending ops homed at ``home_pid`` (every pending op
+        when None) from wherever the fail-over rule puts them.
 
-        Every such operation was submitted while the home was down or
-        rootless and never issued, or lost its return to the crash;
-        the same idempotent re-issue the timer makes serves both.  No
-        retry is spent and each timer stays armed as it was, as the
-        fallback.
+        Called for a crashed home, whose pending ops lost their returns
+        with it, and when the first processor is rooted again after
+        none was, when every pending op is stranded.  An op no
+        processor can serve stays where it is.  The same idempotent
+        re-issue the timer makes; no retry is spent and each timer
+        stays armed as it was, as the fallback.
         """
-        for *_timer, op in self._pending.values():
-            if op.home_pid == home_pid:
-                self._issue_from_root(op, "op_reissued_on_recovery")
+        crash = self.engine.crash
+        for entry in self._pending.values():
+            op = entry[3]
+            if home_pid is None or op.home_pid == home_pid:
+                moved = crash.fail_over(op)
+                if moved is not None:
+                    entry[3] = moved
+                    self._issue_from_root(moved, "op_failed_over")
 
     def _issue_from_root(self, op: OpContext, counter: str) -> None:
         """Idempotent re-issue: same op identity, fresh root descent."""

@@ -70,8 +70,10 @@ def availability_summary(
     (``dead_letters``).  When a trace is given, the engine-level
     repair counters (forced unjoins, leaf re-homes, PC donations,
     op retries/timeouts) are included; ``op_retries`` counts
-    re-issues an op timer made, ``op_reissued_on_recovery`` those a
-    restarted home made on relearning the root, without a timer.
+    re-issues an op timer made, ``op_failed_over`` the ops issued by
+    the fail-over rule, without a timer: from a home that was down or
+    rootless at submission, from a home that crashed, or when the
+    first processor was rooted again after none was.
     """
     controller = kernel.crash_controller
     summary: dict[str, Any] = {
@@ -110,7 +112,7 @@ def availability_summary(
             leaves_rehomed=counters.get("leaves_rehomed", 0),
             eager_rereplications=counters.get("eager_rereplications", 0),
             op_retries=counters.get("op_retries", 0),
-            op_reissued_on_recovery=counters.get("op_reissued_on_recovery", 0),
+            op_failed_over=counters.get("op_failed_over", 0),
             op_backoff_delay_total=counters.get("op_backoff_delay_total", 0),
             ops_timed_out=counters.get("ops_timed_out", 0),
             ops_failed=counters.get("ops_failed", 0),

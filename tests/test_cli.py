@@ -129,7 +129,7 @@ class TestCLI:
         assert "retransmits, " in demo["reliability"]
         assert " of them on an ack; " in demo["reliability"]
         assert " by their timer, " in demo["crash"]
-        assert demo["crash"].endswith(" by their recovered home")
+        assert demo["crash"].endswith(" failed over")
         assert demo["ops"] == "40 completed, 0 failed, 0 timed out"
 
     def test_faults_all_layers_off(self, capsys):

@@ -186,107 +186,190 @@ class TestCrashMechanics:
 
 
 # ----------------------------------------------------------------------
-# submit racing a crash
+# submit racing a crash: fail-over
 # ----------------------------------------------------------------------
+def stranded_cluster(**kwargs):
+    """Two processors and a window in which neither can begin an op.
+
+    Pid 0 is down from 10 to 300.  Pid 1 answers its restart
+    announcement at 311 (root pointer, root copy, its leaves' mirrors)
+    and goes down for good at 313, before that answer lands at 322.
+    From 313 to 322 no processor is live and rooted: pid 1 is dead and
+    pid 0 alive but rootless.  At 322 pid 0 is rooted again, with the
+    root copy; its first op goes to the root 'at pid 1' and is
+    dead-lettered, and pid 1's leaves come back to pid 0 when pid 1's
+    crash is detected (363).
+    """
+    return crash_cluster(
+        ((0, 10.0, 300.0), (1, 313.0, None)), num_processors=2, **kwargs
+    )
+
+
+def completion_homes(cluster):
+    """op id -> the processor its completion fired at."""
+    homes = {}
+    cluster.engine.op_completion_listeners.append(
+        lambda op, _result: homes.__setitem__(op.op_id, op.home_pid)
+    )
+    return homes
+
+
+class TestFailOver:
+    @pytest.mark.parametrize(
+        "schedule, client, at, new_home",
+        [
+            (((1, 10.0, 2000.0),), 1, 50.0, 2),  # home down
+            (((1, 10.0, 2000.0), (2, 10.0, 2000.0)), 1, 50.0, 3),  # successor down too
+            (((3, 10.0, 2000.0),), 3, 50.0, 0),  # the ring wraps
+            (((1, 10.0, 300.0),), 1, 305.0, 2),  # home back but rootless until 312
+        ],
+        ids=["down", "skips-dead-successor", "wraps", "rootless"],
+    )
+    def test_submit_fails_over_to_first_live_rooted_successor(
+        self, schedule, client, at, new_home
+    ):
+        cluster = crash_cluster(schedule, op_timeout=500.0)
+        cluster.kernel.run_until(at)
+        homes = completion_homes(cluster)
+        op_id = cluster.insert(999, "x", client=client)
+        results = cluster.run()
+        assert results.completed[op_id] is True
+        assert homes == {op_id: new_home}
+        summary = cluster.availability_summary()
+        assert summary["op_failed_over"] == 1
+        assert summary["op_retries"] == 0  # no retry spent, no timer waited on
+        assert cluster.check().ok
+
+    def test_crash_fails_over_pending_ops_and_swallows_late_returns(self):
+        # Thirty inserts homed at pid 1, which is down from 40 to 45:
+        # every op still pending at the crash is re-issued from pid 2
+        # at once.  Originals whose returns land at the restarted pid 1
+        # after their re-issue completed are duplicates, swallowed.
+        cluster = crash_cluster(((1, 40.0, 45.0),))
+        homes = completion_homes(cluster)
+        for index in range(30):
+            cluster.insert((index * 11) % 509, index, client=1)
+        cluster.kernel.run_until(39.0)
+        pending_at_crash = 30 - len(homes)
+        results = cluster.run()
+        assert len(results.completed) == 30
+        counters = cluster.trace.counters
+        assert counters["op_failed_over"] == pending_at_crash > 0
+        assert counters["duplicate_return_ignored"] > 0
+        assert counters.get("op_retries", 0) == 0
+        assert 2 in homes.values()
+        assert cluster.check().ok
+
+
 class TestSubmitRacesCrash:
+    """No processor live and rooted: park, fail and time out."""
+
     def test_submit_on_dead_home_fails_without_timeout(self):
-        cluster = crash_cluster(((1, 10.0, 2000.0),), op_timeout=None)
-        cluster.kernel.run_until(50.0)
+        cluster = stranded_cluster(op_timeout=None)
+        cluster.kernel.run_until(316.0)
         op_id = cluster.insert(999, "x", client=1)
         results = cluster.run()
         assert op_id in results.failed
         assert op_id not in results.completed
         assert cluster.check().ok  # verdict excuses the missing return
 
-    def test_submit_on_dead_home_is_issued_when_the_home_recovers(self):
-        # The home is back at 300, long before the op's timer (550):
-        # the op goes out when the home has relearned the root (the
-        # first answer to its announcement, 12 vt after the restart),
-        # not when the timer fires.
-        cluster = crash_cluster(((1, 10.0, 300.0),), op_timeout=500.0)
-        cluster.kernel.run_until(50.0)
+    def test_submit_on_dead_home_is_issued_when_a_processor_is_rooted_again(self):
+        # The op waits for no timer (550): pid 0 issues it the moment
+        # it relearns the root, and becomes its home.
+        cluster = stranded_cluster(op_timeout=500.0)
+        cluster.kernel.run_until(316.0)
+        homes = completion_homes(cluster)
+        op_id = cluster.insert(999, "x", client=1)
+        cluster.kernel.run_until(321.0)
+        assert cluster.trace.counters.get("op_failed_over", 0) == 0
+        cluster.kernel.run_until(322.0)
+        assert cluster.trace.counters["op_failed_over"] == 1
+        assert cluster.trace.counters.get("op_retries", 0) == 0
+        results = cluster.run()
+        assert results.completed[op_id] is True
+        assert homes == {op_id: 0}
+        assert cluster.check().ok
+
+    def test_timer_is_still_the_fallback_after_a_recovery_reissue(self):
+        # The issue at 322 runs into the dead root holder and is
+        # dead-lettered.  The op's timer was left armed for exactly
+        # this: its retry at 816 completes the op.
+        cluster = stranded_cluster(op_timeout=500.0)
+        cluster.kernel.run_until(316.0)
         op_id = cluster.insert(999, "x", client=1)
         results = cluster.run()
         assert results.completed[op_id] is True
         [record] = [r for r in cluster.operation_records() if r.op_id == op_id]
-        round_trip = 35.0  # root, leaf and back, with their service times
-        assert record.completed_at == 312.0 + round_trip
-        assert record.completed_at <= 300.0 + RECOVERY_GRACE + round_trip
+        assert record.completed_at == 820.0
         summary = cluster.availability_summary()
-        assert summary["op_reissued_on_recovery"] == 1
-        assert summary["op_retries"] == 0
+        assert summary["op_failed_over"] == 1
+        assert summary["op_retries"] == 1
         assert cluster.check().ok
 
     def test_submit_on_dead_home_outlives_timeouts_spent_while_it_is_down(self):
-        # The home is still down when the timer fires at 250 and after:
-        # each firing spends an attempt, finds nothing to issue from
-        # and backs off.  Once the home is back (900) and has the root
-        # again the op still completes, with attempts to spare.
-        cluster = crash_cluster(((1, 10.0, 900.0),), op_timeout=200.0, op_retries=8)
-        cluster.kernel.run_until(50.0)
+        # The timer fires twice before 322: each firing spends an
+        # attempt, finds nothing to issue from and backs off.  Once pid
+        # 0 is rooted the op still completes, with attempts to spare.
+        cluster = stranded_cluster(op_timeout=2.0, op_retries=8)
+        cluster.kernel.run_until(314.0)
         op_id = cluster.insert(999, "x", client=1)
+        cluster.kernel.run_until(321.0)
+        counters = cluster.trace.counters
+        assert counters["op_backoff_delay_total"] > 0
+        assert counters.get("op_retries", 0) == 0
+        assert counters.get("op_failed_over", 0) == 0
         results = cluster.run()
         assert results.completed[op_id] is True
         assert not results.timed_out
-        assert cluster.trace.counters["op_backoff_delay_total"] > 0
         assert cluster.check().ok
 
     def test_verdict_reached_while_the_home_is_down_stands(self):
-        # Both attempts are spent before the home is back: the op is
-        # timed out, and recovery does not dig it up again.
-        cluster = crash_cluster(((1, 10.0, 2000.0),), op_timeout=200.0, op_retries=1)
-        cluster.kernel.run_until(50.0)
+        # Both attempts are spent before 322: the op is timed out, and
+        # the processor rooted again does not dig it up.
+        cluster = stranded_cluster(op_timeout=2.0, op_retries=1)
+        cluster.kernel.run_until(314.0)
         op_id = cluster.insert(999, "x", client=1)
         results = cluster.run()
         assert op_id in results.timed_out
         assert op_id not in results.completed
-        assert cluster.trace.counters["op_reissued_on_recovery"] == 0
+        assert cluster.trace.counters.get("op_failed_over", 0) == 0
         assert cluster.check().ok
 
-    def test_timer_is_still_the_fallback_after_a_recovery_reissue(self):
-        # The re-issue at 312 runs into the leaf's owner, down from 320
-        # to 360 (too briefly to be detected), and is dead-lettered.
-        # The op's timer was left armed for exactly this: its retry at
-        # 550 completes the op.
-        cluster = crash_cluster(
-            ((1, 10.0, 300.0), (0, 320.0, 360.0)), op_timeout=500.0
-        )
-        cluster.kernel.run_until(50.0)
-        op_id = cluster.insert(999, "x", client=1)
-        results = cluster.run()
-        assert results.completed[op_id] is True
-        summary = cluster.availability_summary()
-        assert summary["op_reissued_on_recovery"] == 1
-        assert summary["op_retries"] == 1
-        assert cluster.check().ok
-
+    # Search for a schedule that still announces a re-home to the dead
+    # owner: seeds 0-11, this schedule, one insert from each client at
+    # 50, 320, 340, 400 or 520 vt, 20k events.  Every failure was this
+    # livelock, with the announcement from pid 1 to pid 0 at 386; none
+    # at 50 vt, where the insert homed at pid 1 now fails over instead
+    # of waiting for pid 1's restart.  Seed 3 (the suite's default)
+    # livelocks with an insert from client 0 or 1 at 340.
     @pytest.mark.xfail(
         strict=True,
         reason=(
             "ROADMAP's self-resubmit livelock, one insert under a 20k-event "
-            "budget: pid 1 adopts the only leaf when pid 0 is detected dead "
-            "(386) and announces its new location to a root copy picked at "
-            "random -- `locate` does not consult `dead_peers` and picks pid "
-            "0's, so the link-change is dead-lettered and pids 2 and 3 keep "
-            "the leaf at pid 0.  Once pid 0 is back with a root copy and no "
-            "leaf, a search sent there recovers to its own root copy, which "
-            "sends it to the leaf 'at pid 0', forever.  Which pid the "
-            "announcement draws is one rng draw: the re-issue at 312 moved "
-            "it onto pid 0 (at the parent commit it drew pid 3)."
+            "budget: the insert pid 1 issues at 340 dies with pid 0, the "
+            "leaf's owner (335); pid 1 adopts the only leaf when pid 0 is "
+            "detected dead (386) and announces its new location to a root "
+            "copy picked at random -- `locate` does not consult "
+            "`dead_peers` and picks pid 0's, so the link-change is "
+            "dead-lettered and pids 2 and 3 keep the leaf at pid 0.  Once "
+            "pid 0 is back with a root copy and no leaf, a search sent "
+            "there recovers to its own root copy, which sends it to the "
+            "leaf 'at pid 0', forever.  Which pid the announcement draws "
+            "is one rng draw (the search above)."
         ),
     )
     def test_rehome_announced_to_the_dead_owner_livelocks_recovery(self):
         cluster = crash_cluster(
             ((1, 10.0, 300.0), (0, 335.0, 500.0)), op_timeout=500.0
         )
-        cluster.kernel.run_until(50.0)
+        cluster.kernel.run_until(340.0)
         op_id = cluster.insert(999, "x", client=1)
         results = cluster.run(max_events=20_000)
         assert results.completed[op_id] is True
 
-    def test_queue_races_crash_then_completes_after_restart(self):
-        # Ops queued on pid 1 die in the crash; the per-op timers
-        # re-issue them once the processor is back and re-rooted.
+    def test_queue_races_crash_then_completes_before_restart(self):
+        # Ops queued on pid 1 die in the crash; they fail over to pid 2
+        # at once, and their timers stay armed as the fallback.
         cluster = crash_cluster(((1, 40.0, 300.0),), op_timeout=800.0)
         for index in range(30):
             cluster.insert((index * 11) % 509, index, client=1)
@@ -360,8 +443,8 @@ class TestOpTimeouts:
 
 class TestRunResults:
     def test_result_of_names_state(self):
-        cluster = crash_cluster(((1, 10.0, 2000.0),), op_timeout=None)
-        cluster.kernel.run_until(50.0)
+        cluster = stranded_cluster(op_timeout=None)
+        cluster.kernel.run_until(316.0)
         op_id = cluster.insert(999, "x", client=1)
         results = cluster.run()
         with pytest.raises(KeyError, match=f"operation {op_id}.*failed"):

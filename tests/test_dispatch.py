@@ -346,8 +346,9 @@ def test_dead_peers_do_not_survive_the_believers_own_crash():
     assert report.ok, report.problems
     # the fix removes a stale belief, not an event (2067.72 until the
     # inserts homed at pids 1 and 2 while they were down were issued on
-    # their homes' recovery, not by their 400-vt timers' later retries)
-    assert cluster.now == pytest.approx(1628.0)
+    # their homes' recovery, not by their 400-vt timers' later retries;
+    # 1628.0 until they failed over to a live successor instead)
+    assert cluster.now == pytest.approx(1622.0)
 
 
 # ----------------------------------------------------------------------

@@ -179,17 +179,18 @@ class TestLayersTogether:
 
         Open loop, one insert per 12 vt, over a substrate that loses
         one frame in ten (enforced reliability), one 800-vt crash and
-        restart, rf 2, op timeouts, repair.  The tail is the ROADMAP's
-        target: p99 within 20x the median.  Two waits-on-a-timer used
-        to put it at 50x -- holes behind a lost head resent one per
-        ack round trip, and operations submitted to a home that was
-        down sitting out the whole 3,000-vt op timer although the home
-        was back within 800.
+        restart, rf 2, op timeouts, repair.  No insert waits out the
+        crash: one submitted to the dead home, or pending there when
+        it died, fails over to a live successor at once (max 556 vt,
+        p99 388).  Waits used to put the tail at 50x the median --
+        holes behind a lost head resent one per ack round trip,
+        operations sitting out the whole 3,000-vt op timer -- and then
+        at the 800-vt downtime (max 1,116, p99 839), while operations
+        waited for their home to come back.
         """
         import random
 
         from repro import CrashPlan, FaultPlan
-        from repro.stats.metrics import percentile
 
         keys = list(range(600))
         random.Random(2).shuffle(keys)
@@ -214,7 +215,7 @@ class TestLayersTogether:
         assert not results.timed_out and not results.failed
         assert len(results.completed) == 600
         latencies = cluster.trace.latencies("insert")
-        p50, p99 = percentile(latencies, 0.50), percentile(latencies, 0.99)
-        assert p99 <= 20 * p50, (p50, p99)
+        downtime = 800.0
+        assert max(latencies) < downtime, max(latencies)
         assert cluster.availability_summary()["op_retries"] == 0
         assert_clean(cluster, expected={key: key for key in keys})

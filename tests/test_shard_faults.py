@@ -169,18 +169,22 @@ class TestScheduledOpsReachResults:
         assert forest.search_sync(1500) == "high"
 
     def test_home_down_past_retry_budget_is_timed_out(self):
+        # Every processor is down for good from 100: no live processor
+        # can take over the later insert, which times out.
         forest = ShardedCluster(
             num_processors=4,
             protocol="variable",
             shards=2,
             initial_boundaries=(1000,),
             seed=3,
-            crash_plan=CrashPlan(schedule=((1, 20.0, None),)),
+            crash_plan=CrashPlan(
+                schedule=tuple((pid, 100.0, None) for pid in range(4))
+            ),
             op_timeout=100.0,
             op_retries=1,
         )
-        forest.schedule(60.0, "insert", 7, "lost", client=1)
-        forest.schedule(60.0, "insert", 1500, "kept", client=2)
+        forest.schedule(150.0, "insert", 7, "lost", client=1)
+        forest.schedule(10.0, "insert", 1500, "kept", client=2)
         results = forest.run()
         assert not results.ok
         assert len(results.timed_out) == 1
