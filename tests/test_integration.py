@@ -181,12 +181,8 @@ class TestLayersTogether:
         one frame in ten (enforced reliability), one 800-vt crash and
         restart, rf 2, op timeouts, repair.  No insert waits out the
         crash: one submitted to the dead home, or pending there when
-        it died, fails over to a live successor at once (max 556 vt,
-        p99 388).  Waits used to put the tail at 50x the median --
-        holes behind a lost head resent one per ack round trip,
-        operations sitting out the whole 3,000-vt op timer -- and then
-        at the 800-vt downtime (max 1,116, p99 839), while operations
-        waited for their home to come back.
+        it died, fails over to a live successor at once, so no latency
+        reaches the downtime (max 556 vt, p99 388).
         """
         import random
 
