@@ -133,7 +133,8 @@ class NetworkStats:
     protocols exchange).  The reliable-delivery layer's extra wire
     traffic is broken out separately: ``retransmits`` (extra physical
     transmissions of a data frame; ``retransmits_on_ack`` is how many
-    of them an ack asked for, the rest the channel timer), ``acks``
+    of them an ack asked for -- holes past their deadline and holes a
+    later frame overtook -- the rest the channel timer), ``acks``
     (standalone ack frames; piggybacked acks are free),
     ``dup_suppressed`` (arrivals the
     receiver discarded as already-delivered), and ``resequenced``

@@ -439,7 +439,8 @@ class TestChannelTimer:
 
 
 class TestSelectiveAck:
-    """Every ack names the holes in the window; the due ones go at once."""
+    """Every ack names the holes in the window; the due ones and the
+    overtaken ones go at once."""
 
     def test_every_hole_goes_out_on_the_first_ack_that_reports_it(self):
         events, net, wire, delivered = make_scripted(drops={0: 1, 2: 1, 4: 1, 6: 1})
@@ -462,21 +463,48 @@ class TestSelectiveAck:
         assert net.stats.retransmits_on_ack == 3
         assert net.stats.dup_suppressed == 0
 
-    def test_hole_inside_its_deadline_is_left_to_arrive(self):
+    def test_overtaken_hole_goes_out_when_the_ack_lands(self):
         # seq 1 takes 60 vt; 0 and 2 land at 10 and the ack for 0,
-        # holding 2, is back at 25.  seq 1 is a hole, but 55 vt short
-        # of its deadline: reordered, not lost.
+        # holding 2, is back at 25.  seq 1 is 55 vt short of its
+        # deadline, but a frame sent after it got through: it goes out
+        # again then and there and is delivered at 35, not at 60.  The
+        # original copy still lands at 60 and is suppressed.
         events, net, wire, delivered = make_scripted(slow={1: 60.0})
         for payload in "abc":
             net.send(0, 1, payload)
         events.run()
-        assert [f.held for _t, _s, _d, f in wire.log if type(f) is AckFrame] == [
-            {2},
-            frozenset(),
-        ]
-        assert delivered == [(10.0, 1, "a"), (60.0, 1, "b"), (60.0, 1, "c")]
-        assert net.stats.retransmits == 0
-        assert net.stats.resequenced == 1
+        acks = [f.held for _t, _s, _d, f in wire.log if type(f) is AckFrame]
+        assert acks[0] == {2}
+        assert wire.sent(1) == [0.0, 25.0]
+        assert delivered == [(10.0, 1, "a"), (35.0, 1, "b"), (35.0, 1, "c")]
+        stats = net.stats
+        assert (stats.retransmits, stats.retransmits_on_ack) == (1, 1)
+        assert stats.resequenced == stats.dup_suppressed == 1
+
+    def test_second_ack_naming_the_same_hole_resends_nothing(self):
+        # Reverse data leaving at 20 carries the same news as the ack
+        # that landed at 25 (ack 0, holding 2) and lands at 30, while
+        # the early resend of seq 1 is still on the wire.
+        events, net, wire, delivered = make_scripted(slow={1: 60.0})
+        for payload in "abc":
+            net.send(0, 1, payload)
+        events.schedule(20.0, lambda: net.send(1, 0, "reverse"))
+        events.run()
+        [reverse] = [f for _t, src, _d, f in wire.log if src == 1 and type(f) is DataFrame]
+        assert (reverse.ack, reverse.held) == (0, {2})
+        assert wire.sent(1) == [0.0, 25.0]
+        assert net.stats.retransmits == 1
+
+    def test_lost_early_resend_goes_again_at_its_deadline(self):
+        # seq 1 is dropped, and so is its resend at 25, which stamped
+        # a fresh deadline: the timer sends it once more at 105.
+        events, net, wire, delivered = make_scripted(drops={1: 2})
+        for payload in "abc":
+            net.send(0, 1, payload)
+        events.run()
+        assert wire.sent(1) == [0.0, 25.0, 105.0]
+        assert delivered == [(10.0, 1, "a"), (115.0, 1, "b"), (115.0, 1, "c")]
+        assert (net.stats.retransmits, net.stats.retransmits_on_ack) == (2, 1)
 
     def test_piggybacked_ack_reports_holes_too(self):
         # seq 0 goes again at 80 and lands at 90, releasing 0 and 1.
@@ -579,6 +607,36 @@ class TestSelectiveAck:
         assert len(in_flight) == 2000
         assert max(in_flight) < 1000
         assert max(in_flight[1000:]) <= max(in_flight[:1000])  # no growth
+
+    def test_paced_lossy_run_does_not_wait_out_deadlines(self):
+        # 600 inserts, one every 4 vt, over a substrate that drops one
+        # frame in ten and reorders one in twenty.  Resending a hole
+        # only at its 80-vt deadline held every frame behind it just
+        # as long: the median insert took 97 vt.  Resent when an ack
+        # shows a later frame got through, it takes 57.
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol="variable",
+            capacity=8,
+            seed=0,
+            trace_level="off",
+            accounting="aggregate",
+            leaf_cache=True,
+            fault_plan=FaultPlan(drop_p=0.1, reorder_p=0.05, reorder_delay=100.0),
+            reliability="enforced",
+        )
+        keys = list(range(600))
+        random.Random(0).shuffle(keys)
+        arrival = {key: index * 4.0 for index, key in enumerate(keys)}
+        latencies = []
+        cluster.engine.op_completion_listeners.append(
+            lambda op, _result: latencies.append(cluster.now - arrival[op.key])
+        )
+        for index, key in enumerate(keys):
+            cluster.schedule(arrival[key], "insert", key, key, client=index % 4)
+        cluster.run()
+        assert len(latencies) == 600
+        assert sorted(latencies)[300] <= 75.0
 
 
 class TestCrashedSender:
