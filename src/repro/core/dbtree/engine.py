@@ -947,9 +947,8 @@ class DBTreeEngine:
         self.install_copy(proc, copy, snap.birth_set, action.reason)
         for child_id, pids in snap.child_locations:
             self.learn_location(proc, child_id, pids)
-        if action.reason == "root" and snap.level > proc.state["root_level"]:
-            proc.state["root_id"] = snap.node_id
-            proc.state["root_level"] = snap.level
+        if action.reason == "root":
+            self._adopt_root(proc, snap.node_id, snap.level)
 
     def install_copy(
         self,
@@ -1002,12 +1001,20 @@ class DBTreeEngine:
         return replace(snap, child_locations=tuple(child_locations))
 
     def _on_set_root(self, proc: Processor, action: SetRoot) -> None:
-        state = proc.state
-        relearned = state["root_id"] is None  # only a crash forgets it
-        if action.root_level > state["root_level"]:
-            state["root_id"] = action.root_id
-            state["root_level"] = action.root_level
         self.learn_location(proc, action.root_id, action.root_pids)
+        self._adopt_root(proc, action.root_id, action.root_level)
+
+    def _adopt_root(self, proc: Processor, root_id: int, level: int) -> None:
+        """Make ``root_id`` the processor's root if it is higher than the
+        one it knows: the one way a processor becomes rooted, whether a
+        ``SetRoot``, a root ``CreateCopy`` or its own root growth says so.
+        """
+        state = proc.state
+        if level <= state["root_level"]:
+            return
+        relearned = state["root_id"] is None  # only a crash forgets it
+        state["root_id"] = root_id
+        state["root_level"] = level
         if (
             relearned
             and self.timers is not None
@@ -1392,11 +1399,7 @@ class DBTreeEngine:
         for pid in self.kernel.pids:
             if pid not in members and pid != proc.pid:
                 self.kernel.route(proc.pid, pid, announce)
-        if proc.pid in members:
-            proc.state["root_id"] = new_root_id
-            proc.state["root_level"] = level
-        else:
-            self._on_set_root(proc, announce)
+        self._adopt_root(proc, new_root_id, level)
         self.trace.bump("root_growths")
         return new_root_id
 

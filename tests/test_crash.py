@@ -262,7 +262,8 @@ class TestFailOver:
 
 
 class TestSubmitRacesCrash:
-    """No processor live and rooted: park, fail and time out."""
+    """No processor live and rooted: park, fail and time out, or fail
+    over once one is rooted again."""
 
     def test_submit_on_dead_home_fails_without_timeout(self):
         cluster = stranded_cluster(op_timeout=None)
@@ -289,6 +290,32 @@ class TestSubmitRacesCrash:
         assert results.completed[op_id] is True
         assert homes == {op_id: 0}
         assert cluster.check().ok
+
+    def test_root_copy_ends_a_window_with_no_rooted_processor(self):
+        # Pid 1 is down from 160 to 200, too briefly to be detected, so
+        # the root pid 0 grows at 208 is seated on pid 1 too.  Pid 0
+        # goes down for good at 209, before pid 1's restart announcement
+        # reaches it: no SetRoot answers pid 1, and the ops homed at
+        # pid 0 are stranded.  The root's CreateCopy lands at pid 1 at
+        # 219, and they are issued from pid 1 then and there.
+        cluster = crash_cluster(
+            ((1, 160.0, 200.0), (0, 209.0, None)),
+            num_processors=2,
+            seed=0,
+            op_timeout=500.0,
+        )
+        spaced_inserts(cluster, count=40, spacing=2.0)
+        cluster.kernel.run_until(218.0)
+        proc = cluster.kernel.processor(1)
+        assert proc.state["root_id"] is None
+        pending = cluster.engine.timers._pending
+        assert {entry[3].home_pid for entry in pending.values()} == {0}
+        before = cluster.trace.counters["op_failed_over"]
+        cluster.kernel.run_until(219.0)
+        assert proc.state["root_id"] in cluster.engine.store(proc)
+        assert {entry[3].home_pid for entry in pending.values()} == {1}
+        assert cluster.trace.counters["op_failed_over"] == before + len(pending) > before
+        assert cluster.trace.counters.get("op_retries", 0) == 0
 
     def test_timer_is_still_the_fallback_after_a_recovery_reissue(self):
         # The issue at 322 runs into the dead root holder and is
