@@ -378,11 +378,18 @@ class JoinRequest:
 
 @dataclass(frozen=True)
 class JoinRetry:
-    """An exact join request could not be delivered; requester may retry."""
+    """An exact join request reached a processor without the copy.
+
+    Carries what the requester needs to ask another holder: the
+    request's ``level`` and ``key`` and the ``bouncer_pid`` to skip.
+    """
 
     kind = "join_retry"
 
     node_id: int
+    level: int
+    key: Key
+    bouncer_pid: int
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,7 @@ class CrashRecovery:
             # Pending join requests may have been dead-lettered at the
             # dead PC; clear the suppression so healing can re-issue.
             joining.clear()
+            proc.state.pop("join_bounces", None)
         self.mark_dead(proc, (dead,))
         engine.protocol.on_peer_failure(proc, dead)
         if engine.mirrors is not None:
@@ -298,6 +299,7 @@ class CrashRecovery:
         joining = state.get("joining")
         if joining:
             joining.clear()  # join requests to the dead peer never bounced
+            state.pop("join_bounces", None)
         # 1. The root pointer (its SetRoot may have been dead-lettered).
         root_id = state["root_id"]
         if root_id is not None:

@@ -108,6 +108,45 @@ class TestCopyLossHealing:
             assert victim in holders
         assert_clean(cluster, expected=expected)
 
+    def test_bounced_heal_asks_the_next_holder(self):
+        # Two members lose the node; the first one's heal request lands
+        # at the other victim and bounces.  No relay follows, so the
+        # heal must go on by asking a holder that still has the copy.
+        from repro.core.actions import JoinRequest
+        from repro.core.keys import NEG_INF
+
+        cluster = DBTreeCluster(num_processors=4, protocol="variable", capacity=4, seed=11)
+        expected = run_insert_workload(cluster, count=200)
+        engine = cluster.engine
+        node = next(
+            c
+            for c in engine.all_copies()
+            if c.level == 1 and c.is_pc and c.range.low is NEG_INF
+        )
+        first, second = [p for p in node.copy_pids if p != node.pc_pid][:2]
+        for victim in (first, second):
+            engine.crash_copy(victim, node.node_id)
+        proc = cluster.kernel.processor(first)
+        proc.state.setdefault("joining", set()).add(node.node_id)
+        cluster.kernel.route(
+            first,
+            second,
+            JoinRequest(node.node_id, node.level, NEG_INF, first, exact=True),
+        )
+        cluster.run()
+        holders = {
+            c.home_pid for c in engine.all_copies() if c.node_id == node.node_id
+        }
+        assert first in holders, "the bounced heal should have re-joined"
+        assert second not in holders
+        counters = cluster.trace.counters
+        assert counters["exact_join_bounced"] == 1
+        assert counters["exact_join_retried"] == 1
+        assert node.node_id not in proc.state["joining"]
+        assert not proc.state["join_bounces"]
+        for key in list(expected)[:20]:
+            assert cluster.search_sync(key, client=first) == expected[key]
+
     def test_operations_never_fail_while_copy_is_lost(self):
         cluster, expected, node, victim = crashed_cluster(seed=5)
         # Searches from the victim processor work throughout (its
