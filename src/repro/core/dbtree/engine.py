@@ -726,6 +726,14 @@ class DBTreeEngine:
         self.route_to_node(proc, child, action, level=copy.level - 1, key=op.key)
 
     def _act_on_leaf(self, proc: Processor, copy: NodeCopy, op: OpContext) -> None:
+        """Do the op's work at the leaf its search action just found.
+
+        Inside that same action: a scan or update is handed straight to
+        its own row (``_on_scan`` / ``_on_keyed_update``), which admits,
+        relays and completes it as for any other arrival, so one leaf
+        visit is one action and the change is atomic with the check
+        that found the leaf.
+        """
         caches = self._leaf_caches
         if caches is not None:
             node_range = copy.range
@@ -735,8 +743,8 @@ class DBTreeEngine:
             self.complete_op(proc, op, result, leaf=copy)
             return
         if op.kind == "scan":
-            proc.submit(
-                ScanStep(node_id=copy.node_id, level=0, key=op.key, op=op)
+            self._on_scan(
+                proc, ScanStep(node_id=copy.node_id, level=0, key=op.key, op=op)
             )
             return
         action_id = self.trace.new_action_id()
@@ -760,9 +768,7 @@ class DBTreeEngine:
                 action_id=action_id,
                 op=op,
             )
-        # The update is its own action on the leaf (search action
-        # found the node; the insert action performs the change).
-        proc.submit(update)
+        self._on_keyed_update(proc, update)
 
     # ------------------------------------------------------------------
     # range scans (B-link leaf-chain walk)

@@ -292,26 +292,26 @@ class TestSubmitRacesCrash:
         assert cluster.check().ok
 
     def test_root_copy_ends_a_window_with_no_rooted_processor(self):
-        # Pid 1 is down from 160 to 200, too briefly to be detected, so
-        # the root pid 0 grows at 208 is seated on pid 1 too.  Pid 0
-        # goes down for good at 209, before pid 1's restart announcement
+        # Pid 1 is down from 84 to 124, too briefly to be detected, so
+        # the root pid 0 grows at 129 is seated on pid 1 too.  Pid 0
+        # goes down for good at 130, before pid 1's restart announcement
         # reaches it: no SetRoot answers pid 1, and the ops homed at
         # pid 0 are stranded.  The root's CreateCopy lands at pid 1 at
-        # 219, and they are issued from pid 1 then and there.
+        # 140, and they are issued from pid 1 then and there.
         cluster = crash_cluster(
-            ((1, 160.0, 200.0), (0, 209.0, None)),
+            ((1, 84.0, 124.0), (0, 130.0, None)),
             num_processors=2,
             seed=0,
             op_timeout=500.0,
         )
         spaced_inserts(cluster, count=40, spacing=2.0)
-        cluster.kernel.run_until(218.0)
+        cluster.kernel.run_until(139.0)
         proc = cluster.kernel.processor(1)
         assert proc.state["root_id"] is None
         pending = cluster.engine.timers._pending
         assert {entry[3].home_pid for entry in pending.values()} == {0}
         before = cluster.trace.counters["op_failed_over"]
-        cluster.kernel.run_until(219.0)
+        cluster.kernel.run_until(140.0)
         assert proc.state["root_id"] in cluster.engine.store(proc)
         assert {entry[3].home_pid for entry in pending.values()} == {1}
         assert cluster.trace.counters["op_failed_over"] == before + len(pending) > before
@@ -327,7 +327,7 @@ class TestSubmitRacesCrash:
         results = cluster.run()
         assert results.completed[op_id] is True
         [record] = [r for r in cluster.operation_records() if r.op_id == op_id]
-        assert record.completed_at == 820.0
+        assert record.completed_at == 819.0
         summary = cluster.availability_summary()
         assert summary["op_failed_over"] == 1
         assert summary["op_retries"] == 1

@@ -347,8 +347,9 @@ def test_dead_peers_do_not_survive_the_believers_own_crash():
     # the fix removes a stale belief, not an event (2067.72 until the
     # inserts homed at pids 1 and 2 while they were down were issued on
     # their homes' recovery, not by their 400-vt timers' later retries;
-    # 1628.0 until they failed over to a live successor instead)
-    assert cluster.now == pytest.approx(1622.0)
+    # 1628.0 until they failed over to a live successor instead; 1622.0
+    # until the search action that reaches a leaf did the op there)
+    assert cluster.now == pytest.approx(1620.0)
 
 
 # ----------------------------------------------------------------------
@@ -374,17 +375,17 @@ class TestAnnounceLocation:
             )
         cluster.run()
         assert cluster.trace.counters["leaves_rehomed"] == 19
-        assert cluster.now == 1323.0
+        assert cluster.now == 1326.0
         assert cluster.message_stats()["by_kind"] == {
             "create_copy_pc_recovery": 39,
             "create_copy_root": 9,
-            "create_copy_sibling": 72,
-            "insert_relayed": 210,
+            "create_copy_sibling": 75,
+            "insert_relayed": 216,
             "link_change_left": 18,
             "link_change_location": 75,
             "mirror_update": 240,
             "recovery_announce": 3,
-            "relayed_split": 72,
+            "relayed_split": 75,
             "return": 93,
             "search": 101,
             "set_root": 3,
@@ -409,7 +410,7 @@ class TestAnnounceLocation:
         cluster.run()
         assert cluster.trace.counters["joins"] == 1
         assert cluster.trace.counters["unjoins"] == 1
-        assert cluster.now == 978.0
+        assert cluster.now == 858.0
         assert cluster.message_stats()["by_kind"] == {
             "create_copy_join": 1,
             "create_copy_root": 6,
@@ -442,7 +443,7 @@ class TestAnnounceLocation:
         cluster.migrate_node(children[-1], interior.home_pid, 3)
         cluster.run()
         assert cluster.trace.counters["migrations"] == 4
-        assert cluster.now == 637.0
+        assert cluster.now == 557.0
         assert cluster.message_stats()["by_kind"] == {
             "create_copy_migrate": 4,
             "link_change_location": 7,

@@ -54,6 +54,58 @@ class TestBasicOperations:
             small_cluster.engine.submit_operation("upsert", 1)
 
 
+class TestLeafWork:
+    """An op's leaf work runs in the search action that finds its leaf."""
+
+    def test_updates_and_scans_cost_what_a_search_costs(self):
+        # One processor: the root, the leaf, the return -- three
+        # actions for every kind (a queued update made it four).
+        cluster = DBTreeCluster(num_processors=1, protocol="semisync", seed=0)
+        proc = cluster.kernel.processor(0)
+
+        def actions(submit):
+            before = proc.stats.actions_executed
+            submit()
+            cluster.run()
+            return proc.stats.actions_executed - before
+
+        assert actions(lambda: cluster.search(5)) == 3
+        assert actions(lambda: cluster.insert(5, "five")) == 3
+        assert actions(lambda: cluster.scan(0, 10)) == 3
+        assert actions(lambda: cluster.delete(5)) == 3
+        assert cluster.search_sync(5) is None
+
+    def test_an_insert_that_finds_its_leaf_mid_split_still_blocks(self):
+        # Sync protocol, both processors hold the leaf.  The fifth key
+        # starts a split AAS at the primary copy; the sixth insert
+        # reaches the leaf while it is active, is deferred, and runs
+        # once the split ends.
+        cluster = DBTreeCluster(num_processors=2, protocol="sync", capacity=4, seed=0)
+        for index in range(4):
+            cluster.insert(index * 10, index)
+        cluster.run()
+        start = cluster.now
+        cluster.insert(45, "a")
+        cluster.schedule(start + 10.0, "insert", 55, "b", client=0)
+        cluster.kernel.run_until(start + 20.0)
+        counters = cluster.trace.counters
+        assert counters["split_aas_started"] == 1
+        assert counters["blocked_initial_updates"] == 1
+        [blocked] = [
+            action
+            for copy in cluster.engine.all_copies()
+            if "aas" in copy.proto
+            for action in copy.proto["aas"].pending
+        ]
+        assert (blocked.key, blocked.payload) == (55, "b")
+        assert len(cluster.trace.incomplete_operations()) == 1
+        cluster.run()
+        assert not cluster.trace.incomplete_operations()
+        assert cluster.trace.blocked_time > 0
+        assert cluster.search_sync(55) == "b"
+        assert_clean(cluster, expected={0: 0, 10: 1, 20: 2, 30: 3, 45: "a", 55: "b"})
+
+
 class TestSplitsAndGrowth:
     def test_splits_create_leaf_chain(self, small_cluster):
         expected = run_insert_workload(small_cluster, count=60)
