@@ -163,8 +163,8 @@ def write_bench_core(
     wall-clock throughput.  The ``repair`` row runs a tenth, for its
     counts and its gossip schedule.  The ``crash`` row runs a tenth
     under ``variable`` with two copies of every leaf and op timers, and
-    takes client 1's home down for 800 vt about halfway through (the
-    burst completes about one insert per 3.4 vt): the one row whose
+    takes client 1's home down for 800 vt a little past halfway (the
+    burst completes about one insert per 2.8 vt): the one row whose
     operations meet a dead home.
     """
     crash_ops = max(num_ops // 10, 1)
