@@ -163,6 +163,7 @@ class ShardedCluster(ClientSurface):
             "shard_splits": 0,
             "shard_merges": 0,
             "keys_migrated": 0,
+            "migration_failures": 0,
             "shard_direct_routes": 0,
             "shard_stale_routes": 0,
             "shard_hint_hops": 0,
@@ -512,10 +513,12 @@ class ShardedCluster(ClientSurface):
             client = pids[index % len(pids)]
             target.insert(key, value, client=client)
             source.delete(key, client=client)
-        if not source.run().ok or not target.run().ok:
-            self.counters["migration_failures"] = (
-                self.counters.get("migration_failures", 0) + 1
-            )
+        # Run both trees, then judge: a failed source run must not
+        # leave the target's inserts pending.
+        source_ok = source.run().ok
+        target_ok = target.run().ok
+        if not (source_ok and target_ok):
+            self.counters["migration_failures"] += 1
         self.counters["keys_migrated"] += len(items)
 
     # ------------------------------------------------------------------

@@ -271,7 +271,7 @@ def shard_summary(sharded: "ShardedCluster") -> dict[str, Any]:
         "forwards": counters["shard_forwards"],
         "refreshes": counters["directory_refreshes"],
         "scan_fanout": counters["scan_fanout"],
-        "migration_failures": counters.get("migration_failures", 0),
+        "migration_failures": counters["migration_failures"],
     }
 
 

@@ -220,3 +220,37 @@ class TestFaultLayerPassThrough:
         with pytest.raises(ValueError):
             ShardedCluster(shards=2, partitioning="hash",
                            initial_boundaries=(5,))
+
+
+class TestMigrationFailures:
+    def test_counter_starts_at_zero(self):
+        assert ShardedCluster().counters["migration_failures"] == 0
+
+    def test_failed_source_run_still_runs_the_target(self, monkeypatch):
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="semisync",
+            capacity=4,
+            seed=29,
+            shards=2,
+            initial_boundaries=(1000,),
+        )
+        spread_workload(forest, 60)
+        assert forest.run().ok
+        source = forest.clusters[0]
+        real_run = source.run
+
+        def failing_run(*args, **kwargs):
+            results = real_run(*args, **kwargs)
+            results.incomplete = (-1,)
+            return results
+
+        monkeypatch.setattr(source, "run", failing_run)
+        before = set(forest.clusters)
+        assert forest._split_shard(0)
+        [target_id] = set(forest.clusters) - before
+        target = forest.clusters[target_id]
+        # The target's migration inserts ran inside the same _migrate.
+        assert target.trace.operations
+        assert list(target.trace.incomplete_operations()) == []
+        assert forest.counters["migration_failures"] == 1
