@@ -2,9 +2,8 @@
 
 Re-runs the standard insert-burst in each pinned configuration and
 compares the deterministic metrics -- events/op, messages/op, physical
-frames/op and the virtual time at the end -- against the committed
-``BENCH_core.json``:
-the ``fast`` block (``repro bench``'s workload: semisync, accounting
+frames/op, messages piggybacked/op and the virtual time at the end --
+against the committed ``BENCH_core.json``: the ``fast`` block (``repro bench``'s workload: semisync, accounting
 "aggregate", tracing off, leaf cache on, seed 0, no faults) and the
 ``enforced`` block (the same burst, shorter, over a substrate that
 drops one frame in ten with the reliable-delivery layer on, where a
@@ -42,7 +41,13 @@ import json
 import sys
 from pathlib import Path
 
-METRICS = ("events_per_op", "msgs_per_op", "frames_per_op", "final_virtual_time")
+METRICS = (
+    "events_per_op",
+    "msgs_per_op",
+    "frames_per_op",
+    "piggybacked_per_op",
+    "final_virtual_time",
+)
 #: block -> the quantities pinned for it
 BLOCKS = {
     "fast": METRICS,

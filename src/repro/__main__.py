@@ -231,7 +231,8 @@ def _build_and_drive(args: argparse.Namespace, spacing: float):
 #: :func:`repro.stats.layer_report` (rendered by :func:`_show`).
 _LAYER_DETAIL = {
     "reliability": (
-        "{logical_sent} logical msgs, {physical_sent} on the wire "
+        "{logical_sent} logical msgs (+{piggybacked} piggybacked), "
+        "{physical_sent} on the wire "
         "({retransmits} retransmits, {retransmits_on_ack} of them on an ack; "
         "{acks} acks), {dropped} dropped, "
         "{dup_suppressed} dups suppressed, {resequenced} resequenced"
@@ -449,7 +450,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{fast['ops_per_sec']:,.0f} ops/s, "
         f"{fast['events_per_sec']:,.0f} events/s, "
         f"{fast['events_per_op']:.2f} events/op, "
-        f"{fast['msgs_per_op']:.2f} msgs/op, "
+        f"{fast['msgs_per_op']:.2f} msgs/op "
+        f"(+{fast['piggybacked_per_op']:.2f} piggybacked), "
         f"cache hit rate {fast['cache']['hit_rate']:.3f}"
     )
     print(

@@ -1,4 +1,4 @@
-"""Relay batching: the paper's piggybacking optimization.
+"""Relay batching: piggybacking that waits for company.
 
 Paper, Section 1.1: *"Since the lazy update commutes with other
 updates, there is no pressing need to inform the other copies of the
@@ -6,33 +6,25 @@ update immediately.  Instead, the lazy update can be piggybacked onto
 messages used for other purposes, greatly reducing the cost of
 replication management."*
 
-The simulator has no independent message stream to piggyback on, so
-the same saving is modelled as *batching*: relayed keyed updates to
-the same destination within a time window travel as one message.
-Correctness is untouched -- per-channel FIFO still holds (the batch
-is sent on the same channel) and relays were already asynchronous.
+Every action already piggybacks with no delay: what it sends to one
+processor leaves as one :class:`~repro.sim.network.Bundle`
+(:mod:`repro.sim.processor`).  The batcher goes further, and holds
+relayed keyed updates for a time window, so those from many actions
+to one destination ride one bundle.  Correctness is untouched --
+per-channel FIFO still holds and relays were already asynchronous.
 
-Experiment A1 sweeps the window and reports messages per insert.
+Experiment A1 reports both: no delay, then the window sweep on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.sim.network import Bundle
+
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine
-    from repro.sim.processor import Processor
-
-
-@dataclass(frozen=True)
-class BatchedRelays:
-    """One network message carrying several relayed updates."""
-
-    kind = "batched_relays"
-
-    actions: tuple[Any, ...]
 
 
 class RelayBatcher:
@@ -40,7 +32,7 @@ class RelayBatcher:
 
     The first relay on an idle channel arms a flush ``window`` time
     units later; everything queued for that destination meanwhile
-    rides along in a single :class:`BatchedRelays` message.
+    rides along in a single :class:`~repro.sim.network.Bundle`.
     """
 
     def __init__(self, engine: "DBTreeEngine", window: float) -> None:
@@ -55,7 +47,6 @@ class RelayBatcher:
         self._flushers: dict[tuple[int, int], Callable[[], None]] = {}
         self.batches_sent = 0
         self.relays_batched = 0
-        engine.on(BatchedRelays, self.unpack)
 
     def enqueue(self, src_pid: int, dst_pid: int, action: Any) -> None:
         """Buffer a relayed update; arms a flush if the channel is idle."""
@@ -78,10 +69,4 @@ class RelayBatcher:
         src, dst = channel
         self.batches_sent += 1
         self.relays_batched += len(buffer)
-        self._engine.kernel.route(src, dst, BatchedRelays(actions=tuple(buffer)))
-
-    @staticmethod
-    def unpack(proc: "Processor", action: BatchedRelays) -> None:
-        """The batch arrived: its relays join the local queue in order."""
-        for inner in action.actions:
-            proc.submit(inner)
+        self._engine.kernel.route(src, dst, Bundle(buffer))

@@ -9,8 +9,10 @@ splitting leaves rightward), not the structure.
 
 The measured configuration is ``fast`` -- trace off, aggregate
 accounting, leaf cache on: what a million-op capacity study would
-use.  Its events/op and msgs/op are pure functions of the code and
-the seed; ``benchmarks/perf_guard.py`` pins them exactly.  A second,
+use.  Its events/op, msgs/op and piggybacked/op (the messages that
+rode on another's, :class:`~repro.sim.network.Bundle`) are pure
+functions of the code and the seed; ``benchmarks/perf_guard.py`` pins
+them exactly.  A second,
 shorter row, ``enforced``, runs the same burst over a substrate that
 loses one frame in ten with the reliable-delivery layer on, and pins
 events/op, physical frames/op and the virtual time at the end the
@@ -145,6 +147,9 @@ def run_insert_burst(
         "events_per_op": events / completions if completions else 0.0,
         "msgs_per_op": sent / completions if completions else 0.0,
         "frames_per_op": stats.physical_sent / completions if completions else 0.0,
+        "piggybacked_per_op": (
+            stats.piggybacked / completions if completions else 0.0
+        ),
         "cache": cache,
         "final_virtual_time": cluster.now,
         **gossip,

@@ -22,6 +22,12 @@ an explicit ``kind`` attribute), which is how the benchmarks measure
 the paper's message-complexity claims (e.g. the semi-synchronous split
 protocol using |copies| messages per split versus ~3|copies| for the
 synchronous protocol).
+
+Several logical messages to one processor may travel as one
+:class:`Bundle` (everything one action sends there, or a batch of
+relays): one wire message, one fault verdict, one reliable frame, one
+dead letter.  Where it lands it is unpacked, so the permuter and the
+processor queue see each item on its own.
 """
 
 from __future__ import annotations
@@ -125,13 +131,36 @@ class TopologyLatency:
         return self.pairs.get((src, dst), self.default)
 
 
+class Bundle:
+    """Logical messages for one processor that travel as one message.
+
+    The items are handed to the processor one by one, in order, each
+    its own action.  Paper, Section 1.1: the lazy update "can be
+    piggybacked onto messages used for other purposes".
+    """
+
+    __slots__ = ("items",)
+
+    kind = "bundle"
+
+    def __init__(self, items: list[Any]) -> None:
+        self.items = items
+
+    def __repr__(self) -> str:
+        return f"Bundle({self.items!r})"
+
+
 @dataclass
 class NetworkStats:
     """Aggregate message accounting, reset-able between phases.
 
-    ``sent`` and ``delivered`` count *logical* messages (the payloads
-    protocols exchange).  The reliable-delivery layer's extra wire
-    traffic is broken out separately: ``retransmits`` (extra physical
+    ``sent``, ``delivered`` and ``by_channel`` count messages put on
+    the wire; a :class:`Bundle` counts once.  ``by_kind`` counts the
+    *logical* messages (the payloads protocols exchange), a bundle's
+    items one by one, and ``piggybacked`` the items that rode on
+    another's message, so ``sum(by_kind.values()) == sent +
+    piggybacked``.  The reliable-delivery layer's extra wire traffic
+    is broken out separately: ``retransmits`` (extra physical
     transmissions of a data frame; ``retransmits_on_ack`` is how many
     of them an ack asked for -- holes past their deadline and holes a
     later frame overtook -- the rest the channel timer), ``acks``
@@ -159,6 +188,8 @@ class NetworkStats:
     #: (:mod:`repro.sim.partition`); indistinguishable from loss at
     #: the sender, which is the point.
     partition_blocked: int = 0
+    #: logical messages that travelled inside another's :class:`Bundle`.
+    piggybacked: int = 0
     by_kind: Counter = field(default_factory=Counter)
     by_channel: Counter = field(default_factory=Counter)
 
@@ -166,7 +197,7 @@ class NetworkStats:
     def physical_sent(self) -> int:
         """Frames actually put on the wire (the enforcement overhead).
 
-        Logical sends plus retransmissions plus standalone acks; in
+        Sends plus retransmissions plus standalone acks; in
         ``"assumed"`` mode this equals ``sent``.
         """
         return self.sent + self.retransmits + self.acks
@@ -185,6 +216,7 @@ class NetworkStats:
             "resequenced": self.resequenced,
             "dead_letters": self.dead_letters,
             "partition_blocked": self.partition_blocked,
+            "piggybacked": self.piggybacked,
             "physical_sent": self.physical_sent,
             "by_kind": dict(self.by_kind),
             "by_channel": dict(self.by_channel),
@@ -301,9 +333,14 @@ class Network:
         )
         # Last *scheduled* delivery time per channel; FIFO enforcement.
         self._channel_clock: dict[tuple[int, int], float] = {}
-        # Where a logical message lands: straight on the processor, or
-        # on the schedule permuter (repro.sim.permute) once installed.
-        self._receive: Callable[[int, Any], None] = self._hand_off
+        # Where each landed logical message goes: straight to the
+        # processor, or to the schedule permuter (repro.sim.permute)
+        # once installed.
+        self._receive: Callable[[int, Any], None] | None = None
+        #: A kind-restricted fault plan is an instrument on logical
+        #: messages: it judges each on its own, so a bundle is sent as
+        #: its items (see :meth:`send`).
+        self.judges_kinds = bool(getattr(fault_plan, "only_kinds", None))
         # Liveness oracle (repro.sim.crash) and partition controller
         # (repro.sim.partition); None until a plan installs them, so
         # the default path never pays for either.
@@ -314,6 +351,8 @@ class Network:
     def install_delivery(self, deliver: Callable[[int, Any], None]) -> None:
         """Install the callback invoked on message arrival."""
         self._deliver = deliver
+        if self._receive is None:
+            self._receive = deliver
 
     def install_liveness(self, liveness: Callable[[int], bool]) -> None:
         """Teach the network which destinations are alive.
@@ -327,11 +366,11 @@ class Network:
     def install_permuter(self, permuter: Any) -> None:
         """Land logical messages on a schedule permuter.
 
-        The permuter holds and swaps arrivals, then hands each to the
-        processor through the same :meth:`_hand_off` it displaced.
+        The permuter holds and swaps arrivals, a bundle's items one by
+        one, then hands each to the processor.
         """
         self._receive = permuter.on_arrival
-        permuter.install_deliver(self._hand_off)
+        permuter.install_deliver(lambda dst, payload: self._deliver(dst, payload))
 
     def install_partition(self, controller: Any) -> None:
         """Route every transmission past a partition controller.
@@ -357,7 +396,9 @@ class Network:
         Local sends (src == dst) are not network messages in the
         paper's cost model; callers should enqueue locally instead.
         Sending to self is treated as a bug to keep the accounting
-        honest.
+        honest.  A :class:`Bundle` is one message, unless a
+        kind-restricted fault plan is installed: that plan is an
+        instrument on logical messages, so each item then goes alone.
         """
         if self._deliver is None:
             raise RuntimeError("network has no delivery callback installed")
@@ -368,10 +409,21 @@ class Network:
             )
 
         stats = self.stats
-        stats.sent += 1
-        if self._count_kinds:
+        if payload.__class__ is Bundle:
+            items = payload.items
+            if self.judges_kinds:
+                for item in items:
+                    self.send(src, dst, item)
+                return
+            stats.piggybacked += len(items) - 1
+            if self._count_kinds:
+                for item in items:
+                    stats.by_kind[message_kind(item)] += 1
+                stats.by_channel[(src, dst)] += 1
+        elif self._count_kinds:
             stats.by_kind[message_kind(payload)] += 1
             stats.by_channel[(src, dst)] += 1
+        stats.sent += 1
 
         if self.transport is not None:
             # Enforced mode: the reliable layer frames the payload and
@@ -380,7 +432,7 @@ class Network:
             self.transport.send(src, dst, payload)
         else:
             self._transmit(
-                src, dst, payload, partial(self._receive, dst, payload), LOGICAL
+                src, dst, payload, partial(self._hand_off, dst, payload), LOGICAL
             )
 
     def send_datagram(
@@ -483,9 +535,13 @@ class Network:
             self.stats.dead_letters += 1
 
     def _hand_off(self, dst: int, payload: Any) -> None:
-        """Hand an in-order, exactly-once logical payload to its processor."""
+        """An in-order, exactly-once message lands; hand on its items."""
         self.stats.delivered += 1
-        self._deliver(dst, payload)  # type: ignore[misc]
+        if payload.__class__ is Bundle:
+            for item in payload.items:
+                self._receive(dst, item)  # type: ignore[misc]
+        else:
+            self._receive(dst, payload)  # type: ignore[misc]
 
 
 class FaultPlanLike(Protocol):

@@ -13,6 +13,12 @@ node is implicitly atomic."*
 single server that executes one action at a time, each taking a
 configurable service time.  The actual effect of an action (the
 protocol logic) lives in a handler installed by the dB-tree engine.
+
+The messages an action sends wait in the processor's outbox until the
+action ends, and then leave one per destination: everything bound for
+one processor rides one message (paper, Section 1.1: the lazy update
+"can be piggybacked onto messages used for other purposes").  Nothing
+waits longer than the action that sent it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.sim.events import EventQueue
 from repro.sim.network import message_kind
 
 ActionHandler = Callable[["Processor", Any], None]
+Sender = Callable[[int, int, Any], None]
 
 
 class ProcessorDownError(RuntimeError):
@@ -88,7 +95,10 @@ class Processor:
     The handler receives ``(processor, action)`` when the action's
     service completes; anything the handler does (enqueue local
     actions, send network messages) happens atomically at that instant
-    of virtual time.
+    of virtual time.  While it runs, :attr:`acting` is true and the
+    kernel holds its remote sends in :attr:`outbox` (destination ->
+    payload or :class:`~repro.sim.network.Bundle`); the handler's end
+    sends them, in the order the destinations were first named.
     """
 
     def __init__(
@@ -120,6 +130,9 @@ class Processor:
         self._busy = False
         self._in_service: Any = None
         self._handler: ActionHandler | None = None
+        self._send: Sender | None = None
+        self.acting = False
+        self.outbox: dict[int, Any] = {}
         self.stats = ProcessorStats()
         # Arbitrary per-processor state owned by the engine (node
         # store, locator, root id); the simulator core never reads it.
@@ -141,6 +154,10 @@ class Processor:
     def install_handler(self, handler: ActionHandler) -> None:
         """Install the engine callback that executes actions."""
         self._handler = handler
+
+    def install_sender(self, send: Sender) -> None:
+        """Install ``send(src, dst, payload)``, which empties the outbox."""
+        self._send = send
 
     def submit(self, action: Any) -> None:
         """Enqueue an action for execution on this processor.
@@ -186,15 +203,28 @@ class Processor:
         if self._track_detail:
             self.stats.by_kind[message_kind(action)] += 1
         assert self._handler is not None
+        self.acting = True
         try:
             self._handler(self, action)
         finally:
+            self.acting = False
+            if self.outbox:
+                self._send_outbox()
             self._busy = False
             if self._queue:
                 action, enqueued_at = self._queue.popleft()
                 if self._track_detail:
                     self.stats.wait_time += self._events.now - enqueued_at
                 self._serve(action)
+
+    def _send_outbox(self) -> None:
+        """The action is over: one message to each processor it named."""
+        outbox = self.outbox
+        send = self._send
+        pid = self.pid
+        for dst, payload in outbox.items():
+            send(pid, dst, payload)  # type: ignore[misc]
+        outbox.clear()
 
     # ------------------------------------------------------------------
     # crash-stop semantics

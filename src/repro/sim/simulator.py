@@ -16,7 +16,7 @@ from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.detector import DetectorPlan, FailureDetectorService
 from repro.sim.events import EventQueue, QuiescenceError
 from repro.sim.failure import FaultPlan
-from repro.sim.network import LatencyModel, Network, UniformLatency
+from repro.sim.network import Bundle, LatencyModel, Network, UniformLatency
 from repro.sim.partition import PartitionController, PartitionPlan
 from repro.sim.permute import PermutePlan, SchedulePermuter
 from repro.sim.processor import Processor
@@ -216,6 +216,11 @@ class Kernel:
             )
             for pid in range(num_processors)
         }
+        for proc in self.processors.values():
+            proc.install_sender(self.network.send)
+        # A kind-restricted fault plan judges each logical message on
+        # its own and in the order sent, so under one nothing is held.
+        self._hold = not self.network.judges_kinds
         # Sorted once: the set of processors is fixed for a kernel's
         # life, and ``pids`` is read on every mirror-placement lookup.
         self._pids = sorted(self.processors)
@@ -289,12 +294,27 @@ class Kernel:
 
         This is the paper's queue-manager dispatch: a subsequent
         action on a locally stored node enters the local queue for
-        free; a remote one costs a network message.
+        free; a remote one costs a network message.  A remote send
+        made while ``src_pid`` runs an action waits in its outbox
+        until the action ends, so everything the action sends to one
+        processor shares one message; any other send leaves at once,
+        as does every send under a kind-restricted fault plan.
         """
         if src_pid == dst_pid:
             self.processors[dst_pid].submit(action)
-        else:
+            return
+        src = self.processors[src_pid]
+        if not (src.acting and self._hold):
             self.network.send(src_pid, dst_pid, action)
+            return
+        outbox = src.outbox
+        held = outbox.get(dst_pid)
+        if held is None:
+            outbox[dst_pid] = action
+        elif held.__class__ is Bundle:
+            held.items.append(action)
+        else:
+            outbox[dst_pid] = Bundle([held, action])
 
     def _on_delivery(self, dst: int, payload: Any) -> None:
         proc = self.processors.get(dst)

@@ -32,10 +32,13 @@ def reliability_summary(kernel: "Kernel") -> dict[str, Any]:
 
     ``amplification`` is physical frames on the wire per logical
     message -- 1.0 in ``"assumed"`` mode, > 1.0 under enforcement
-    (retransmissions + standalone acks).  The remaining counters show
-    *why*: what the substrate did (dropped/duplicated), what the
-    layer absorbed (dup_suppressed/resequenced), and which signal put
-    a frame back on the wire (``retransmits_on_ack`` of the
+    (retransmissions + standalone acks).  A logical message may carry
+    several payloads (a :class:`~repro.sim.network.Bundle`);
+    ``piggybacked`` counts those that rode on another's.  The
+    remaining counters show *why*: what the substrate did
+    (dropped/duplicated), what the layer absorbed
+    (dup_suppressed/resequenced), and which signal put a frame back on
+    the wire (``retransmits_on_ack`` of the
     ``retransmits`` answered an ack that reported the hole; the rest
     waited for the channel timer).
     """
@@ -45,6 +48,7 @@ def reliability_summary(kernel: "Kernel") -> dict[str, Any]:
         "enabled": transport is not None,
         "mode": kernel.network.reliability,
         "logical_sent": stats.sent,
+        "piggybacked": stats.piggybacked,
         "physical_sent": stats.physical_sent,
         "amplification": stats.physical_sent / stats.sent if stats.sent else 1.0,
         "retransmits": stats.retransmits,

@@ -3,8 +3,7 @@
 Every action finds its code through ``engine._handlers[type(action)]``.
 The engine fills its own rows, the protocol contributes
 ``Protocol.handlers()``, and the failure-only collaborators, the repair
-service, the relay batcher and the load balancer attach theirs with
-``engine.on``.  These tests state, independently of the code that
+service and the load balancer attach theirs with ``engine.on``.  These tests state, independently of the code that
 builds the table, which rows each configuration must have -- a
 forgotten row fails here rather than as an unhandled action deep in a
 soak -- and pin the two facts the frozen span tracer relies on.
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -57,7 +57,6 @@ from repro.core.actions import (
 )
 from repro.core.dbtree import DBTreeEngine
 from repro.core.dbtree.engine import InitiateSplit
-from repro.core.piggyback import BatchedRelays
 from repro.hash.table import LazyHashTable
 from repro.protocols import PROTOCOLS
 from repro.repair.gossip import (
@@ -178,12 +177,26 @@ class TestTableRows:
             | {BalanceProbe, BalancePull}
         )
 
-    def test_relay_batcher_adds_its_row(self):
+    def test_relay_batcher_adds_no_row(self):
         # (refuses to compose with a crash plan, so on its own)
+        # A batch is unpacked where it lands, so no action unpacks it:
+        # its relays ride along, and each runs as itself.
         cluster = DBTreeCluster(
             num_processors=4, protocol="semisync", relay_batch_window=2.0
         )
-        assert rows(cluster) == ENGINE_ROWS | {RelayedSplit, BatchedRelays}
+        assert rows(cluster) == ENGINE_ROWS | {RelayedSplit}
+        for key in range(40):
+            cluster.insert(key, key, client=key % 4)
+        cluster.run()
+        batcher = cluster.engine.relay_batcher
+        assert batcher.relays_batched > batcher.batches_sent > 0
+        stats = cluster.kernel.network.stats
+        assert stats.piggybacked >= batcher.relays_batched - batcher.batches_sent
+        executed = Counter()
+        for proc in cluster.kernel.processors.values():
+            executed.update(proc.stats.by_kind)
+        assert "bundle" not in executed
+        assert executed["insert_relayed"] == batcher.relays_batched
 
     def test_every_core_action_is_a_row_somewhere(self):
         declared = {

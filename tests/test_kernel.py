@@ -102,3 +102,61 @@ class TestDeterminism:
         # Different seeds may differ in jitter-based setups; with
         # fixed latency the outcome matches regardless.
         assert run(7)[0] == run(8)[0]
+
+
+def sender_kernel(sends, num=3, **kwargs):
+    """A kernel whose pid 0, on "go", makes ``sends``; others record."""
+    kernel = Kernel(num_processors=num, **kwargs)
+    received = []
+
+    def handler(proc, action):
+        if action == "go":
+            for dst, payload in sends:
+                kernel.route(proc.pid, dst, payload)
+        else:
+            received.append((kernel.now, proc.pid, action))
+
+    kernel.install_handler(handler)
+    return kernel, received
+
+
+class TestOutbox:
+    """What one action sends to one processor leaves as one message."""
+
+    def test_one_message_per_destination_items_in_send_order(self):
+        kernel, received = sender_kernel([(1, "a"), (2, "x"), (1, "b"), (1, "c")])
+        kernel.route(0, 0, "go")
+        kernel.run_to_quiescence()
+        stats = kernel.network.stats
+        assert (stats.sent, stats.delivered, stats.piggybacked) == (2, 2, 2)
+        assert stats.by_kind == {"str": 4}
+        # "go" ends at 1, both messages land at 11, and each item is
+        # its own action with its own service time.
+        assert received == [(12.0, 1, "a"), (12.0, 2, "x"), (13.0, 1, "b"), (14.0, 1, "c")]
+        assert kernel.processor(1).stats.actions_executed == 3
+        assert all(not proc.outbox for proc in kernel.processors.values())
+
+    def test_a_lone_send_is_not_wrapped(self):
+        kernel, received = sender_kernel([(1, "a"), (2, "x")])
+        kernel.route(0, 0, "go")
+        kernel.run_to_quiescence()
+        assert kernel.network.stats.piggybacked == 0
+        assert [action for _t, _pid, action in received] == ["a", "x"]
+
+    def test_sends_outside_an_action_leave_at_once(self):
+        kernel, received = sender_kernel([])
+        stats = kernel.network.stats
+        sent_by_timer = []
+
+        def timer():
+            kernel.route(0, 1, "t1")
+            kernel.route(0, 1, "t2")
+            sent_by_timer.append(stats.sent)
+
+        kernel.events.schedule(5.0, timer)
+        kernel.route(0, 1, "submitted")  # a client submission
+        assert stats.sent == 1
+        kernel.run_to_quiescence()
+        assert sent_by_timer == [3]
+        assert stats.piggybacked == 0
+        assert [action for _t, _pid, action in received] == ["submitted", "t1", "t2"]

@@ -166,6 +166,22 @@ class TestEngineIntegration:
         report = cluster.check(expected=expected)
         assert report.ok, report.problems[:5]
 
+    def test_a_submission_to_a_remote_leaf_leaves_at_once(self):
+        # A client submission runs outside any action, so its message
+        # is not held for an action's end.
+        cluster = DBTreeCluster(
+            num_processors=4, protocol="variable", capacity=4, seed=3, leaf_cache=True
+        )
+        for key in range(30):
+            cluster.insert(key, key, client=2)
+        cluster.run()
+        stats = cluster.kernel.network.stats
+        before = stats.sent
+        cluster.search(5, client=2)
+        assert stats.sent == before + 1
+        assert all(not proc.outbox for proc in cluster.kernel.processors.values())
+        assert cluster.run().ok
+
     def test_fixed_seed_results_identical_with_cache(self):
         # Same seed, cache on: two runs produce identical answers and
         # identical virtual completion time (determinism guard).

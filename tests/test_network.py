@@ -9,6 +9,7 @@ from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
 from repro.sim.network import (
     ACCOUNTING_MODES,
+    Bundle,
     LogNormalLatency,
     Network,
     NetworkStats,
@@ -161,6 +162,60 @@ class TestAccounting:
         snap = NetworkStats().snapshot()
         assert snap["sent"] == 0
         assert isinstance(snap["by_kind"], dict)
+
+
+class TestBundles:
+    """A bundle is one wire message that lands as its items."""
+
+    def test_one_message_lands_as_its_items_in_order(self):
+        events, net, delivered = make_net()
+        tagged = Tagged()
+        net.send(0, 1, Bundle(["a", tagged, "b"]))
+        events.run()
+        assert delivered == [(10.0, 1, "a"), (10.0, 1, tagged), (10.0, 1, "b")]
+        stats = net.stats
+        assert (stats.sent, stats.delivered, stats.piggybacked) == (1, 1, 2)
+        assert stats.by_kind == {"str": 2, "tagged": 1}
+        assert sum(stats.by_kind.values()) == stats.sent + stats.piggybacked
+        assert stats.by_channel[(0, 1)] == 1
+        assert net.stats.snapshot()["piggybacked"] == 2
+
+    def test_one_verdict_for_the_whole_bundle(self):
+        events, net, delivered = make_net(fault_plan=FaultPlan(duplicate_p=1.0))
+        net.send(0, 1, Bundle(["a", "b"]))
+        events.run()
+        assert [p for _t, _d, p in delivered] == ["a", "b", "a", "b"]
+        assert (net.stats.duplicated, net.stats.delivered) == (1, 2)
+
+    def test_kind_restricted_plan_judges_each_item(self):
+        plan = FaultPlan(drop_p=1.0, only_kinds=frozenset({"tagged"}))
+        events, net, delivered = make_net(fault_plan=plan)
+        net.send(0, 1, Bundle([Tagged(), "kept", Tagged()]))
+        events.run()
+        assert [p for _t, _d, p in delivered] == ["kept"]
+        stats = net.stats
+        assert (stats.sent, stats.dropped, stats.piggybacked) == (3, 2, 0)
+
+    def test_the_permuter_sees_items(self):
+        class Recorder:
+            def __init__(self):
+                self.arrivals = []
+
+            def install_deliver(self, deliver):
+                self.deliver = deliver
+
+            def on_arrival(self, dst, payload):
+                self.arrivals.append(payload)
+                self.deliver(dst, payload)
+
+        events, net, delivered = make_net()
+        permuter = Recorder()
+        net.install_permuter(permuter)
+        net.send(0, 1, Bundle(["a", "b"]))
+        events.run()
+        assert permuter.arrivals == ["a", "b"]
+        assert [p for _t, _d, p in delivered] == ["a", "b"]
+        assert net.stats.delivered == 1
 
 
 class TestFaults:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from tests.helpers import run_insert_workload
+from tests.helpers import count_batch_flushes, run_insert_workload
 from repro import (
     CrashPlan,
     DBTreeCluster,
@@ -673,6 +673,67 @@ class TestCrashedSender:
         assert network.stats.retransmits == 0
 
 
+def bundling_kernel(items=("a", "b", "c"), **kwargs):
+    """Two processors: pid 0, on "go", sends ``items`` to pid 1."""
+    kernel = Kernel(2, **kwargs)
+    received = []
+
+    def handler(proc, action):
+        if action == "go":
+            for item in items:
+                kernel.route(0, 1, item)
+        else:
+            received.append(action)
+
+    kernel.install_handler(handler)
+    return kernel, received
+
+
+class TestBundles:
+    """What one action sends to one processor is one frame, one letter."""
+
+    def test_one_frame_and_its_resend_carries_every_item(self):
+        kernel, received = bundling_kernel(reliability="enforced")
+        wire = ScriptedWire(kernel.events, drops={0: 1})
+        kernel.network._fault_plan = wire
+        kernel.route(0, 0, "go")
+        kernel.run_to_quiescence()
+        assert received == ["a", "b", "c"]
+        assert wire.sent(0) == [1.0, 81.0]  # dropped once, resent once
+        frames = [
+            frame
+            for _t, src, dst, frame in wire.log
+            if type(frame) is DataFrame and (src, dst) == (0, 1)
+        ]
+        assert [frame.payload.items for frame in frames] == [["a", "b", "c"]] * 2
+        stats = kernel.network.stats
+        assert (stats.sent, stats.piggybacked, stats.retransmits) == (1, 2, 1)
+
+    def test_a_bundle_to_a_crashed_processor_is_one_dead_letter(self):
+        kernel, received = bundling_kernel(
+            crash_plan=CrashPlan(schedule=((1, 5.0, 600.0),))
+        )
+        kernel.events.schedule(10.0, lambda: kernel.route(0, 0, "go"))
+        kernel.run_to_quiescence()
+        assert received == []
+        stats = kernel.network.stats
+        assert (stats.sent, stats.piggybacked, stats.dead_letters) == (1, 2, 1)
+
+    def test_a_kind_restricted_plan_judges_each_send_alone(self):
+        class Tagged:
+            kind = "tagged"
+
+        kernel, received = bundling_kernel(
+            items=(Tagged(), "kept", Tagged()),
+            fault_plan=FaultPlan(drop_p=1.0, only_kinds=frozenset({"tagged"})),
+        )
+        kernel.route(0, 0, "go")
+        kernel.run_to_quiescence()
+        assert received == ["kept"]
+        stats = kernel.network.stats
+        assert (stats.sent, stats.dropped, stats.piggybacked) == (3, 2, 0)
+
+
 class TestAccountingInteraction:
     def test_aggregate_accounting_keeps_totals_not_kinds(self):
         events, net, delivered = make_net(
@@ -785,7 +846,7 @@ class TestClusterEnforcement:
 
     def test_enforced_with_batching_and_faults(self):
         # Piggyback batching rides inside reliable frames; the two
-        # layers compose (batch kinds still counted once per batch).
+        # layers compose (each batch is still one message).
         cluster = DBTreeCluster(
             num_processors=4,
             capacity=4,
@@ -794,11 +855,15 @@ class TestClusterEnforcement:
             fault_plan=FaultPlan(drop_p=0.15),
             reliability="enforced",
         )
+        batcher = cluster.engine.relay_batcher
+        stats = cluster.kernel.network.stats
+        flushed = count_batch_flushes(batcher, stats)
         expected = run_insert_workload(cluster, count=200)
         assert cluster.check(expected=expected).ok
-        batcher = cluster.engine.relay_batcher
-        by_kind = cluster.kernel.network.stats.by_kind
-        assert by_kind.get("batched_relays", 0) == batcher.batches_sent
+        assert sum(wire for wire, _ in flushed) == batcher.batches_sent
+        assert sum(rode for _, rode in flushed) == (
+            batcher.relays_batched - batcher.batches_sent
+        )
 
 
 class TestAssumedModeUnchanged:
