@@ -7,8 +7,9 @@ messages used for other purposes, greatly reducing the cost of
 replication management."*
 
 Every action already piggybacks with no delay: what it sends to one
-processor leaves as one :class:`~repro.sim.network.Bundle`
-(:mod:`repro.sim.processor`).  The batcher goes further, and holds
+processor leaves as one :class:`~repro.sim.network.Bundle` when the
+action ends (:attr:`~repro.sim.processor.Processor.outbox`).  The
+batcher goes further, and holds
 relayed keyed updates for a time window, so those from many actions
 to one destination ride one bundle.  Correctness is untouched --
 per-channel FIFO still holds and relays were already asynchronous.

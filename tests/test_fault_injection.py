@@ -46,6 +46,23 @@ class TestDrops:
         report = cluster.check(expected=expected)
         assert not report.ok
 
+    def test_a_kind_restricted_plan_judges_each_message_alone(self):
+        # A split's CreateCopy and RelayedSplit to one peer would share
+        # a message; under a plan on kinds each is its own, so every
+        # relayed split is dropped and every sibling copy arrives.
+        plan = FaultPlan(drop_p=1.0, only_kinds=frozenset({"relayed_split"}))
+        cluster = faulty_cluster(plan)
+        run_insert_workload(cluster, count=100)
+        stats = cluster.kernel.network.stats
+        assert stats.piggybacked == 0
+        assert stats.dropped == stats.by_kind["relayed_split"] > 0
+        assert sum(stats.by_kind.values()) == stats.sent
+        executed = sum(
+            proc.stats.by_kind["create_copy_sibling"]
+            for proc in cluster.kernel.processors.values()
+        )
+        assert executed == stats.by_kind["create_copy_sibling"] > 0
+
 
 class TestDuplicates:
     def test_duplicate_relays_are_absorbed(self):

@@ -673,14 +673,14 @@ class TestCrashedSender:
         assert network.stats.retransmits == 0
 
 
-def bundling_kernel(items=("a", "b", "c"), **kwargs):
-    """Two processors: pid 0, on "go", sends ``items`` to pid 1."""
+def bundling_kernel(**kwargs):
+    """Two processors: pid 0, on "go", sends "a", "b", "c" to pid 1."""
     kernel = Kernel(2, **kwargs)
     received = []
 
     def handler(proc, action):
         if action == "go":
-            for item in items:
+            for item in "abc":
                 kernel.route(0, 1, item)
         else:
             received.append(action)
@@ -718,20 +718,6 @@ class TestBundles:
         assert received == []
         stats = kernel.network.stats
         assert (stats.sent, stats.piggybacked, stats.dead_letters) == (1, 2, 1)
-
-    def test_a_kind_restricted_plan_judges_each_send_alone(self):
-        class Tagged:
-            kind = "tagged"
-
-        kernel, received = bundling_kernel(
-            items=(Tagged(), "kept", Tagged()),
-            fault_plan=FaultPlan(drop_p=1.0, only_kinds=frozenset({"tagged"})),
-        )
-        kernel.route(0, 0, "go")
-        kernel.run_to_quiescence()
-        assert received == ["kept"]
-        stats = kernel.network.stats
-        assert (stats.sent, stats.dropped, stats.piggybacked) == (3, 2, 0)
 
 
 class TestAccountingInteraction:
