@@ -146,6 +146,14 @@ class Bundle:
     def __init__(self, items: list[Any]) -> None:
         self.items = items
 
+    @staticmethod
+    def join(held: Any, payload: Any) -> "Bundle":
+        """``payload`` after ``held`` (a payload or a bundle), as one."""
+        if type(held) is Bundle:
+            held.items.append(payload)
+            return held
+        return Bundle([held, payload])
+
     def __repr__(self) -> str:
         return f"Bundle({self.items!r})"
 
@@ -337,6 +345,9 @@ class Network:
         # processor, or to the schedule permuter (repro.sim.permute)
         # once installed.
         self._receive: Callable[[int, Any], None] | None = None
+        # How a sent message lands, bound once (no bound method per send).
+        self._landing = self._hand_off
+        self._bundle_landing = self._unpack
         #: A kind-restricted fault plan is an instrument on logical
         #: messages: it judges each on its own, so a bundle is sent as
         #: its items (see :meth:`send`).
@@ -409,7 +420,8 @@ class Network:
             )
 
         stats = self.stats
-        if payload.__class__ is Bundle:
+        land = self._landing
+        if type(payload) is Bundle:
             items = payload.items
             if self.judges_kinds:
                 for item in items:
@@ -420,6 +432,7 @@ class Network:
                 for item in items:
                     stats.by_kind[message_kind(item)] += 1
                 stats.by_channel[(src, dst)] += 1
+            land = self._bundle_landing
         elif self._count_kinds:
             stats.by_kind[message_kind(payload)] += 1
             stats.by_channel[(src, dst)] += 1
@@ -431,9 +444,7 @@ class Network:
             # substrate through _transmit_frame.
             self.transport.send(src, dst, payload)
         else:
-            self._transmit(
-                src, dst, payload, partial(self._hand_off, dst, payload), LOGICAL
-            )
+            self._transmit(src, dst, payload, partial(land, dst, payload), LOGICAL)
 
     def send_datagram(
         self,
@@ -535,13 +546,23 @@ class Network:
             self.stats.dead_letters += 1
 
     def _hand_off(self, dst: int, payload: Any) -> None:
-        """An in-order, exactly-once message lands; hand on its items."""
+        """Hand an in-order, exactly-once logical payload to its processor."""
         self.stats.delivered += 1
-        if payload.__class__ is Bundle:
-            for item in payload.items:
-                self._receive(dst, item)  # type: ignore[misc]
+        self._receive(dst, payload)  # type: ignore[misc]
+
+    def _unpack(self, dst: int, bundle: Bundle) -> None:
+        """A bundle lands: one message, its items handed on in order."""
+        self.stats.delivered += 1
+        receive = self._receive
+        for item in bundle.items:
+            receive(dst, item)  # type: ignore[misc]
+
+    def _land(self, dst: int, payload: Any) -> None:
+        """Hand on what the reliable transport releases, in order."""
+        if type(payload) is Bundle:
+            self._unpack(dst, payload)
         else:
-            self._receive(dst, payload)  # type: ignore[misc]
+            self._hand_off(dst, payload)
 
 
 class FaultPlanLike(Protocol):

@@ -95,10 +95,10 @@ class Processor:
     The handler receives ``(processor, action)`` when the action's
     service completes; anything the handler does (enqueue local
     actions, send network messages) happens atomically at that instant
-    of virtual time.  While it runs, :attr:`acting` is true and the
-    kernel holds its remote sends in :attr:`outbox` (destination ->
-    payload or :class:`~repro.sim.network.Bundle`); the handler's end
-    sends them, in the order the destinations were first named.
+    of virtual time.  While it runs, the kernel holds its remote sends,
+    one payload or :class:`~repro.sim.network.Bundle` per destination
+    (:attr:`outbox`); the handler's end sends them, in the order the
+    destinations were first named.
     """
 
     def __init__(
@@ -131,8 +131,16 @@ class Processor:
         self._in_service: Any = None
         self._handler: ActionHandler | None = None
         self._send: Sender | None = None
-        self.acting = False
-        self.outbox: dict[int, Any] = {}
+        # The outbox every action of this processor reuses; None until
+        # a sender is installed, and then nothing is ever held.
+        self._outbox: dict[int, Any] | None = None
+        #: The running action's outbox, None between actions.  The
+        #: first destination it names is held in :attr:`first` /
+        #: :attr:`first_dst` instead (most actions that send, send to
+        #: one processor), and the outbox holds the others.
+        self.outbox: dict[int, Any] | None = None
+        self.first: Any = None
+        self.first_dst = -1
         self.stats = ProcessorStats()
         # Arbitrary per-processor state owned by the engine (node
         # store, locator, root id); the simulator core never reads it.
@@ -156,8 +164,10 @@ class Processor:
         self._handler = handler
 
     def install_sender(self, send: Sender) -> None:
-        """Install ``send(src, dst, payload)``, which empties the outbox."""
+        """Hold each action's remote sends; ``send(src, dst, payload)``
+        takes them when the action ends."""
         self._send = send
+        self._outbox = {}
 
     def submit(self, action: Any) -> None:
         """Enqueue an action for execution on this processor.
@@ -203,28 +213,29 @@ class Processor:
         if self._track_detail:
             self.stats.by_kind[message_kind(action)] += 1
         assert self._handler is not None
-        self.acting = True
+        outbox = self.outbox = self._outbox
         try:
             self._handler(self, action)
         finally:
-            self.acting = False
-            if self.outbox:
-                self._send_outbox()
+            self.outbox = None
+            first = self.first
+            if first is not None:
+                # The action is over: one message to each processor it
+                # named, in the order it named them.
+                self.first = None
+                send = self._send
+                pid = self.pid
+                send(pid, self.first_dst, first)  # type: ignore[misc]
+                if outbox:
+                    for dst in outbox:
+                        send(pid, dst, outbox[dst])  # type: ignore[misc]
+                    outbox.clear()
             self._busy = False
             if self._queue:
                 action, enqueued_at = self._queue.popleft()
                 if self._track_detail:
                     self.stats.wait_time += self._events.now - enqueued_at
                 self._serve(action)
-
-    def _send_outbox(self) -> None:
-        """The action is over: one message to each processor it named."""
-        outbox = self.outbox
-        send = self._send
-        pid = self.pid
-        for dst, payload in outbox.items():
-            send(pid, dst, payload)  # type: ignore[misc]
-        outbox.clear()
 
     # ------------------------------------------------------------------
     # crash-stop semantics

@@ -515,7 +515,7 @@ class ReliableTransport:
             return
         # In order: deliver, then drain whatever the gap was hiding.
         receiver.cumulative = seq
-        network._hand_off(dst, frame.payload)
+        network._land(dst, frame.payload)
         buffer = receiver.buffer
         while buffer:
             nxt = receiver.cumulative + 1
@@ -523,7 +523,7 @@ class ReliableTransport:
             if payload is _MISSING:
                 break
             receiver.cumulative = nxt
-            network._hand_off(dst, payload)
+            network._land(dst, payload)
         self._schedule_ack(src, dst, receiver)
 
     def _apply_ack(

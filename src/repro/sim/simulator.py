@@ -216,11 +216,11 @@ class Kernel:
             )
             for pid in range(num_processors)
         }
-        for proc in self.processors.values():
-            proc.install_sender(self.network.send)
         # A kind-restricted fault plan judges each logical message on
         # its own and in the order sent, so under one nothing is held.
-        self._hold = not self.network.judges_kinds
+        if not self.network.judges_kinds:
+            for proc in self.processors.values():
+                proc.install_sender(self.network.send)
         # Sorted once: the set of processors is fixed for a kernel's
         # life, and ``pids`` is read on every mirror-placement lookup.
         self._pids = sorted(self.processors)
@@ -304,17 +304,20 @@ class Kernel:
             self.processors[dst_pid].submit(action)
             return
         src = self.processors[src_pid]
-        if not (src.acting and self._hold):
+        outbox = src.outbox
+        if outbox is None:
             self.network.send(src_pid, dst_pid, action)
             return
-        outbox = src.outbox
-        held = outbox.get(dst_pid)
-        if held is None:
-            outbox[dst_pid] = action
-        elif held.__class__ is Bundle:
-            held.items.append(action)
+        first = src.first
+        if first is None:
+            src.first = action
+            src.first_dst = dst_pid
+        elif src.first_dst == dst_pid:
+            src.first = Bundle.join(first, action)
+        elif dst_pid in outbox:
+            outbox[dst_pid] = Bundle.join(outbox[dst_pid], action)
         else:
-            outbox[dst_pid] = Bundle([held, action])
+            outbox[dst_pid] = action
 
     def _on_delivery(self, dst: int, payload: Any) -> None:
         proc = self.processors.get(dst)
