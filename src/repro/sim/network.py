@@ -345,9 +345,6 @@ class Network:
         # processor, or to the schedule permuter (repro.sim.permute)
         # once installed.
         self._receive: Callable[[int, Any], None] | None = None
-        # How a sent message lands, bound once (no bound method per send).
-        self._landing = self._hand_off
-        self._bundle_landing = self._unpack
         #: A kind-restricted fault plan is an instrument on logical
         #: messages: it judges each on its own, so a bundle is sent as
         #: its items (see :meth:`send`).
@@ -420,7 +417,7 @@ class Network:
             )
 
         stats = self.stats
-        land = self._landing
+        land = self._hand_off
         if type(payload) is Bundle:
             items = payload.items
             if self.judges_kinds:
@@ -432,7 +429,7 @@ class Network:
                 for item in items:
                     stats.by_kind[message_kind(item)] += 1
                 stats.by_channel[(src, dst)] += 1
-            land = self._bundle_landing
+            land = self._unpack
         elif self._count_kinds:
             stats.by_kind[message_kind(payload)] += 1
             stats.by_channel[(src, dst)] += 1
