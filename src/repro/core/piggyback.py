@@ -8,7 +8,7 @@ replication management."*
 
 Every action already piggybacks with no delay: what it sends to one
 processor leaves as one :class:`~repro.sim.network.Bundle` when the
-action ends (:attr:`~repro.sim.processor.Processor.outbox`).  The
+action ends (:meth:`~repro.sim.processor.Processor.hold`).  The
 batcher goes further, and holds
 relayed keyed updates for a time window, so those from many actions
 to one destination ride one bundle.  Correctness is untouched --

@@ -14,7 +14,7 @@ single server that executes one action at a time, each taking a
 configurable service time.  The actual effect of an action (the
 protocol logic) lives in a handler installed by the dB-tree engine.
 
-The messages an action sends wait in the processor's outbox until the
+The messages an action sends are held by the processor until the
 action ends, and then leave one per destination: everything bound for
 one processor rides one message (paper, Section 1.1: the lazy update
 "can be piggybacked onto messages used for other purposes").  Nothing
@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.sim.events import EventQueue
-from repro.sim.network import message_kind
+from repro.sim.network import Bundle, message_kind
 
 ActionHandler = Callable[["Processor", Any], None]
-Sender = Callable[[int, int, Any], None]
 
 
 class ProcessorDownError(RuntimeError):
@@ -95,10 +94,11 @@ class Processor:
     The handler receives ``(processor, action)`` when the action's
     service completes; anything the handler does (enqueue local
     actions, send network messages) happens atomically at that instant
-    of virtual time.  While it runs, the kernel holds its remote sends,
-    one payload or :class:`~repro.sim.network.Bundle` per destination
-    (:attr:`outbox`); the handler's end sends them, in the order the
-    destinations were first named.
+    of virtual time.  Once :meth:`hold_sends` is called, the remote
+    sends a handler makes are held (:meth:`hold`), one payload or
+    :class:`~repro.sim.network.Bundle` per destination, and the
+    handler's end sends them, in the order the destinations were first
+    named.
     """
 
     def __init__(
@@ -130,17 +130,12 @@ class Processor:
         self._busy = False
         self._in_service: Any = None
         self._handler: ActionHandler | None = None
-        self._send: Sender | None = None
-        # The outbox every action of this processor reuses; None until
-        # a sender is installed, and then nothing is ever held.
-        self._outbox: dict[int, Any] | None = None
-        #: The running action's outbox, None between actions.  The
-        #: first destination it names is held in :attr:`first` /
-        #: :attr:`first_dst` instead (most actions that send, send to
-        #: one processor), and the outbox holds the others.
-        self.outbox: dict[int, Any] | None = None
-        self.first: Any = None
-        self.first_dst = -1
+        # The kernel this processor acts on while it holds its sends;
+        # None: nothing is held.
+        self._kernel: Any = None
+        # What the running action sends, by destination; every action
+        # reuses it, and it is empty between actions.
+        self._held: dict[int, Any] = {}
         self.stats = ProcessorStats()
         # Arbitrary per-processor state owned by the engine (node
         # store, locator, root id); the simulator core never reads it.
@@ -163,11 +158,23 @@ class Processor:
         """Install the engine callback that executes actions."""
         self._handler = handler
 
-    def install_sender(self, send: Sender) -> None:
-        """Hold each action's remote sends; ``send(src, dst, payload)``
-        takes them when the action ends."""
-        self._send = send
-        self._outbox = {}
+    def hold_sends(self, kernel: Any) -> None:
+        """Hold each action's remote sends until the action ends.
+
+        While an action runs, this processor is ``kernel.acting``, and
+        the kernel passes its remote sends to :meth:`hold`; the end of
+        the action puts them on ``kernel.network``.  ``None`` turns
+        holding off: every send then leaves at once.
+        """
+        self._kernel = kernel
+
+    def hold(self, dst: int, payload: Any) -> None:
+        """Keep ``payload`` for ``dst`` until the running action ends."""
+        held = self._held
+        if dst in held:
+            held[dst] = Bundle.join(held[dst], payload)
+        else:
+            held[dst] = payload
 
     def submit(self, action: Any) -> None:
         """Enqueue an action for execution on this processor.
@@ -213,23 +220,23 @@ class Processor:
         if self._track_detail:
             self.stats.by_kind[message_kind(action)] += 1
         assert self._handler is not None
-        outbox = self.outbox = self._outbox
+        kernel = self._kernel
+        if kernel is not None:
+            kernel.acting = self
         try:
             self._handler(self, action)
         finally:
-            self.outbox = None
-            first = self.first
-            if first is not None:
-                # The action is over: one message to each processor it
-                # named, in the order it named them.
-                self.first = None
-                send = self._send
-                pid = self.pid
-                send(pid, self.first_dst, first)  # type: ignore[misc]
-                if outbox:
-                    for dst in outbox:
-                        send(pid, dst, outbox[dst])  # type: ignore[misc]
-                    outbox.clear()
+            if kernel is not None:
+                kernel.acting = None
+                held = self._held
+                if held:
+                    # The action is over: one message to each processor
+                    # it named, in the order it named them.
+                    send = kernel.network.send
+                    pid = self.pid
+                    for dst in held:
+                        send(pid, dst, held[dst])
+                    held.clear()
             self._busy = False
             if self._queue:
                 action, enqueued_at = self._queue.popleft()

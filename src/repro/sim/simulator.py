@@ -16,7 +16,7 @@ from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.detector import DetectorPlan, FailureDetectorService
 from repro.sim.events import EventQueue, QuiescenceError
 from repro.sim.failure import FaultPlan
-from repro.sim.network import Bundle, LatencyModel, Network, UniformLatency
+from repro.sim.network import LatencyModel, Network, UniformLatency
 from repro.sim.partition import PartitionController, PartitionPlan
 from repro.sim.permute import PermutePlan, SchedulePermuter
 from repro.sim.processor import Processor
@@ -216,11 +216,14 @@ class Kernel:
             )
             for pid in range(num_processors)
         }
+        #: The processor whose action is running, while it holds its
+        #: sends (:meth:`Processor.hold_sends`); None otherwise.
+        self.acting: Processor | None = None
         # A kind-restricted fault plan judges each logical message on
         # its own and in the order sent, so under one nothing is held.
         if not self.network.judges_kinds:
             for proc in self.processors.values():
-                proc.install_sender(self.network.send)
+                proc.hold_sends(self)
         # Sorted once: the set of processors is fixed for a kernel's
         # life, and ``pids`` is read on every mirror-placement lookup.
         self._pids = sorted(self.processors)
@@ -295,29 +298,19 @@ class Kernel:
         This is the paper's queue-manager dispatch: a subsequent
         action on a locally stored node enters the local queue for
         free; a remote one costs a network message.  A remote send
-        made while ``src_pid`` runs an action waits in its outbox
-        until the action ends, so everything the action sends to one
-        processor shares one message; any other send leaves at once,
-        as does every send under a kind-restricted fault plan.
+        made by the acting processor waits until its action ends, so
+        everything the action sends to one processor shares one
+        message (:meth:`Processor.hold`); any other send leaves at
+        once, as does every send under a kind-restricted fault plan.
         """
         if src_pid == dst_pid:
             self.processors[dst_pid].submit(action)
             return
-        src = self.processors[src_pid]
-        outbox = src.outbox
-        if outbox is None:
-            self.network.send(src_pid, dst_pid, action)
-            return
-        first = src.first
-        if first is None:
-            src.first = action
-            src.first_dst = dst_pid
-        elif src.first_dst == dst_pid:
-            src.first = Bundle.join(first, action)
-        elif dst_pid in outbox:
-            outbox[dst_pid] = Bundle.join(outbox[dst_pid], action)
+        acting = self.acting
+        if acting is not None and acting.pid == src_pid:
+            acting.hold(dst_pid, action)
         else:
-            outbox[dst_pid] = action
+            self.network.send(src_pid, dst_pid, action)
 
     def _on_delivery(self, dst: int, payload: Any) -> None:
         proc = self.processors.get(dst)

@@ -134,7 +134,7 @@ class TestOutbox:
         # its own action with its own service time.
         assert received == [(12.0, 1, "a"), (12.0, 2, "x"), (13.0, 1, "b"), (14.0, 1, "c")]
         assert kernel.processor(1).stats.actions_executed == 3
-        assert all(proc.first is None for proc in kernel.processors.values())
+        assert kernel.acting is None
 
     def test_a_lone_send_is_not_wrapped(self):
         kernel, received = sender_kernel([(1, "a"), (2, "x")])

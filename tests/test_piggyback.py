@@ -13,16 +13,16 @@ def semisync_cluster():
 
 
 def spy_on_wire(cluster):
-    """Record every ``(time, src, dst, payload)`` an action's end sends."""
+    """Record every ``(time, src, dst, payload)`` put on the wire."""
     wire = []
-    for proc in cluster.kernel.processors.values():
-        send = proc._send
+    network = cluster.kernel.network
+    send = network.send
 
-        def spy(src, dst, payload, send=send):
-            wire.append((cluster.now, src, dst, payload))
-            send(src, dst, payload)
+    def spy(src, dst, payload):
+        wire.append((cluster.now, src, dst, payload))
+        send(src, dst, payload)
 
-        proc.install_sender(spy)
+    network.send = spy
     return wire
 
 
@@ -69,7 +69,7 @@ class TestActionBundles:
             cluster = semisync_cluster()
             if not hold:
                 for proc in cluster.kernel.processors.values():
-                    proc._outbox = None
+                    proc.hold_sends(None)
             for key in range(0, 200, 2):
                 cluster.insert(key, key, client=key % 4)
             cluster.run()
