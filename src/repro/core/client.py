@@ -36,7 +36,7 @@ from repro.repair.placement import make_placement
 from repro.sim.crash import CrashPlan
 from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
-from repro.sim.network import LatencyModel, UniformLatency
+from repro.sim.network import Bundle, LatencyModel, UniformLatency, message_kind
 from repro.sim.partition import PartitionPlan
 from repro.sim.permute import PermutePlan
 from repro.sim.reliable import ReliabilityConfig, ReliabilityError
@@ -65,6 +65,9 @@ class RunResults:
     #: Channel/frame details when the run was cut short by the
     #: reliable-delivery layer exhausting a retransmission budget
     #: (:class:`~repro.sim.reliable.ReliabilityError`); None normally.
+    #: ``payload_kind`` names the stuck frame's messages (a bundle's
+    #: item kinds joined by ``+``), ``op_id`` the first operation any
+    #: of them carries.
     reliability_error: dict[str, Any] | None = None
 
     @property
@@ -206,14 +209,16 @@ class KernelClient(ClientSurface):
             executed = self.kernel.run_to_quiescence(max_events=max_events)
         except ReliabilityError as exc:
             executed = self.kernel.events.executed
-            op = getattr(exc.payload, "op", None)
+            payload = exc.payload
+            items = payload.items if type(payload) is Bundle else [payload]
+            ops = [item.op for item in items if getattr(item, "op", None) is not None]
             reliability_error = {
                 "message": str(exc),
                 "src": exc.src,
                 "dst": exc.dst,
                 "seq": exc.seq,
-                "payload_kind": getattr(exc.payload, "kind", None),
-                "op_id": op.op_id if op is not None else None,
+                "payload_kind": "+".join(message_kind(item) for item in items),
+                "op_id": ops[0].op_id if ops else None,
             }
         # Only the dB-tree engine disposes of operations it cannot
         # finish (crashed home, exhausted retry budget).

@@ -11,11 +11,15 @@ idempotent retry), and the audit/stats surfaces
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import CrashPlan, DBTreeCluster, FaultPlan, ReliabilityConfig
 from repro.sim.crash import RECOVERY_GRACE, CrashController
+from repro.sim.network import Bundle
 from repro.sim.processor import ProcessorDownError
+from repro.sim.reliable import ReliabilityError
 from repro.stats import availability_summary
 
 # Every pair view the repair layer keeps is held to the from-scratch
@@ -626,7 +630,25 @@ class TestTransportSuspicion:
         assert error is not None
         assert error["src"] is not None and error["dst"] is not None
         assert "max_retries" in error["message"]
+        assert (error["payload_kind"], error["op_id"]) == ("insert_relayed", None)
         assert not results.ok
+
+    def test_a_stuck_bundle_names_its_items_and_first_op(self):
+        # A bundle is one frame: the report names every item it carried
+        # and the first operation among them.
+        cluster = DBTreeCluster(num_processors=2, protocol="semisync", capacity=4)
+        relay = SimpleNamespace(kind="insert_relayed")
+        step = SimpleNamespace(kind="search_step", op=SimpleNamespace(op_id=7))
+
+        def stuck():
+            raise ReliabilityError(
+                "stuck", src=0, dst=1, seq=4, payload=Bundle([relay, step])
+            )
+
+        cluster.kernel.events.schedule(1.0, stuck)
+        error = cluster.run().reliability_error
+        assert error["payload_kind"] == "insert_relayed+search_step"
+        assert error["op_id"] == 7
 
 
 # ----------------------------------------------------------------------
