@@ -339,6 +339,9 @@ class Network:
         self._fixed_latency: float | None = getattr(
             self._latency_model, "fixed_latency", None
         )
+        # A plain substrate: no fault plan, partition or liveness
+        # oracle, and one fixed transit time (see _transmit).
+        self._plain = fault_plan is None and self._fixed_latency is not None
         # Last *scheduled* delivery time per channel; FIFO enforcement.
         self._channel_clock: dict[tuple[int, int], float] = {}
         # Where each landed logical message goes: straight to the
@@ -370,6 +373,7 @@ class Network:
         and suspicion are the reliable layer's problem).
         """
         self._liveness = liveness
+        self._plain = False
 
     def install_permuter(self, permuter: Any) -> None:
         """Land logical messages on a schedule permuter.
@@ -390,6 +394,7 @@ class Network:
         silently, a gray link multiplies its transit time.
         """
         self._partition = controller
+        self._plain = False
 
     def reset_stats(self) -> None:
         """Zero the accounting counters (e.g. after a warm-up phase)."""
@@ -492,7 +497,15 @@ class Network:
         latency), then one latency draw per surviving verdict in
         verdict order, inflated by the link's gray factor.  A
         fixed-latency model on an unjudged substrate draws nothing.
+
+        On a plain substrate nothing is judged or drawn, and every
+        transmission lands the same time after it leaves, so channel
+        FIFO holds without the channel clock: the transmission is one
+        push.  This is the path every lone message of a bare run takes.
         """
+        if self._plain:
+            self._events.push(self._events.now + self._fixed_latency, land)
+            return
         judged, fifo, dead_letter = traffic
         gray = 1.0
         if self._partition is not None:

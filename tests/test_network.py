@@ -72,6 +72,26 @@ class TestDelivery:
         events.run()
         assert [p for _t, _d, p in delivered] == ["fast", "slow"]
 
+    def test_plain_substrate_lands_as_a_judged_one_does(self):
+        # No plan, one fixed latency: each transmission is one push, and
+        # it lands exactly when and in the order a judged but faultless
+        # network lands it.
+        def run(fault_plan):
+            events, net, delivered = make_net(fault_plan=fault_plan)
+            for index in range(12):
+                when = float(index // 3)
+                events.schedule(
+                    when, lambda i=index: net.send(i % 2, 2 + i % 3, i)
+                )
+            events.run()
+            return delivered, net._plain
+
+        plain, was_plain = run(None)
+        judged, was_judged_plain = run(FaultPlan())
+        assert (was_plain, was_judged_plain) == (True, False)
+        assert plain == judged
+        assert [t for t, _d, _p in plain] == sorted(t for t, _d, _p in plain)
+
     def test_later_send_not_delivered_before_earlier_same_channel(self):
         # Decreasing latency draws must not reorder a channel.
         events, net, delivered = make_net(

@@ -693,7 +693,11 @@ class TestBundles:
     """What one action sends to one processor is one frame, one letter."""
 
     def test_one_frame_and_its_resend_carries_every_item(self):
-        kernel, received = bundling_kernel(reliability="enforced")
+        # Built with a (faultless) plan, so every frame is judged, and
+        # then judged by the scripted wire.
+        kernel, received = bundling_kernel(
+            reliability="enforced", fault_plan=FaultPlan()
+        )
         wire = ScriptedWire(kernel.events, drops={0: 1})
         kernel.network._fault_plan = wire
         kernel.route(0, 0, "go")
