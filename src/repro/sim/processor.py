@@ -232,10 +232,9 @@ class Processor:
                 if held:
                     # The action is over: one message to each processor
                     # it named, in the order it named them.
-                    send = kernel.network.send
-                    pid = self.pid
+                    network = kernel.network
                     for dst in held:
-                        send(pid, dst, held[dst])
+                        network.send(self.pid, dst, held[dst])
                     held.clear()
             self._busy = False
             if self._queue:
