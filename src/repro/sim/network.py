@@ -501,7 +501,7 @@ class Network:
         On a plain substrate nothing is judged or drawn, and every
         transmission lands the same time after it leaves, so channel
         FIFO holds without the channel clock: the transmission is one
-        push.  This is the path every lone message of a bare run takes.
+        push.  This is the path every message of a bare run takes.
         """
         if self._plain:
             self._events.push(self._events.now + self._fixed_latency, land)
