@@ -6,86 +6,79 @@ Instead, the lazy update can be piggybacked onto messages used for
 other purposes, greatly reducing the cost of replication management."
 
 Every action piggybacks with no delay: what it sends to one processor
-leaves as one message, so window 0 already rides relays on the split
-traffic they travel with.  The experiment then sweeps the relay
-batching window on top, on a paced insert workload, and reports
-network messages per insert, the messages that rode on another's,
-and the relays-per-batch achieved, with the correctness audit run at
-every point (piggybacking must not affect the final state).
+leaves as one message.  The ablation turns that holding off
+(``Processor.hold_sends(None)``, so every send leaves at once) and
+runs each protocol on the same paced insert workload both ways,
+reporting network messages per insert, the messages that rode on
+another's, and the final virtual time, with the correctness audit
+run at every point.  ``naive`` is left out: it is incorrect by design.
 """
 
 from common import emit, paced_inserts
 from repro import DBTreeCluster
 from repro.stats import format_table
 
+CORRECT_PROTOCOLS = ("semisync", "sync", "variable", "mobile")
 
-def measure(window: float | None, count: int = 400, seed: int = 3) -> dict:
+
+def measure(protocol: str, hold: bool, count: int = 400, seed: int = 3) -> dict:
     cluster = DBTreeCluster(
-        num_processors=4,
-        protocol="semisync",
-        capacity=8,
-        seed=seed,
-        relay_batch_window=window,
+        num_processors=4, protocol=protocol, capacity=8, seed=seed
     )
+    if not hold:
+        for proc in cluster.kernel.processors.values():
+            proc.hold_sends(None)
     expected = paced_inserts(cluster, count=count, interarrival=1.0)
     report = cluster.check(expected=expected)
-    if not report.ok:
-        raise AssertionError(report.problems[0])
-    batcher = cluster.engine.relay_batcher
+    stats = cluster.kernel.network.stats
     return {
-        "window": 0.0 if window is None else window,
-        "messages_per_op": cluster.kernel.network.stats.sent / count,
-        "piggybacked_per_op": cluster.kernel.network.stats.piggybacked / count,
-        "relays_per_batch": (
-            batcher.relays_batched / batcher.batches_sent
-            if batcher is not None and batcher.batches_sent
-            else 1.0
-        ),
+        "messages_per_op": stats.sent / count,
+        "piggybacked_per_op": stats.piggybacked / count,
+        "final_vt": cluster.now,
         "audit_ok": report.ok,
     }
 
 
 def run_experiment() -> str:
     rows = []
-    baseline = measure(None)
-    rows.append(
-        [0, baseline["messages_per_op"], baseline["piggybacked_per_op"], 1.0, 1.0, "yes"]
-    )
-    for window in (5.0, 10.0, 25.0, 50.0, 100.0):
-        result = measure(window)
-        rows.append(
-            [
-                window,
-                result["messages_per_op"],
-                result["piggybacked_per_op"],
-                result["relays_per_batch"],
-                baseline["messages_per_op"] / result["messages_per_op"],
-                "yes" if result["audit_ok"] else "NO",
-            ]
-        )
+    for protocol in CORRECT_PROTOCOLS:
+        for hold in (False, True):
+            result = measure(protocol, hold)
+            rows.append(
+                [
+                    protocol,
+                    "on" if hold else "off",
+                    result["messages_per_op"],
+                    result["piggybacked_per_op"],
+                    result["final_vt"],
+                    "yes" if result["audit_ok"] else "NO",
+                ]
+            )
     table = format_table(
         [
-            "batch window",
+            "protocol",
+            "holding",
             "msgs/insert",
             "piggybacked/insert",
-            "relays/batch",
-            "saving x",
+            "final vt",
             "audit ok",
         ],
         rows,
-        title="A1: piggybacked relays -- per action (window 0), then batched",
+        title="A1: piggybacking -- each action's sends held, off vs on",
     )
     return emit("a1_piggyback", table)
 
 
 def test_a1_piggyback(benchmark):
-    baseline = benchmark.pedantic(lambda: measure(None), rounds=2, iterations=1)
-    batched = measure(50.0)
-    # Shape: batching cuts messages substantially and changes nothing
-    # about the final state.
-    assert batched["messages_per_op"] < 0.7 * baseline["messages_per_op"]
-    assert batched["relays_per_batch"] > 1.5
-    assert batched["audit_ok"]
+    benchmark.pedantic(lambda: measure("semisync", True), rounds=2, iterations=1)
+    for protocol in CORRECT_PROTOCOLS:
+        off, on = measure(protocol, hold=False), measure(protocol, hold=True)
+        # Shape: holding never delays anything and never breaks the
+        # audit; where an action messages one peer twice, it saves.
+        assert on["final_vt"] == off["final_vt"]
+        assert on["audit_ok"] and off["audit_ok"]
+        if protocol != "mobile":
+            assert on["messages_per_op"] < off["messages_per_op"]
     run_experiment()
 
 

@@ -136,11 +136,6 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
         "test sets it, every other caller runs 2",
     ),
     (
-        "RepairPlan.horizon",
-        "a time after which gossip timers stop; nothing sets it, since "
-        "dormancy already stops them. Held with the fields above",
-    ),
-    (
         "PermutePlan.max_holds",
         "caps the permuter's holds; the one-hold test sets it, the CLI "
         "and X8 run uncapped",

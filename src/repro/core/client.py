@@ -40,7 +40,7 @@ from repro.sim.network import Bundle, LatencyModel, UniformLatency, message_kind
 from repro.sim.partition import PartitionPlan
 from repro.sim.permute import PermutePlan
 from repro.sim.reliable import ReliabilityConfig, ReliabilityError
-from repro.sim.simulator import Kernel, check_layers
+from repro.sim.simulator import Kernel
 from repro.sim.tracing import OperationRecord, Trace
 
 
@@ -362,7 +362,6 @@ class DBTreeCluster(KernelClient):
         seed: int = 0,
         fault_plan: FaultPlan | None = None,
         latency_model: LatencyModel = UniformLatency(),
-        relay_batch_window: float | None = None,
         trace_level: str = "full",
         accounting: str = "full",
         leaf_cache: bool = False,
@@ -388,13 +387,6 @@ class DBTreeCluster(KernelClient):
             self.protocol = protocol
         if replication is None:
             replication = self.protocol.default_policy(num_processors)
-        # The kernel checks the layers it assembles; relay batching is
-        # the one layer it cannot see.
-        check_layers(
-            relay_batch_window=relay_batch_window,
-            crash_plan=crash_plan,
-            permute_plan=permute_plan,
-        )
         if crash_plan is not None and detector_plan is None:
             # Oracle detection's drained-dead-window assumption: a
             # restart announcement must arrive after every message the
@@ -488,7 +480,6 @@ class DBTreeCluster(KernelClient):
             policy=replication,
             capacity=capacity,
             trace=Trace(level=trace_level),
-            relay_batch_window=relay_batch_window,
             leaf_cache=leaf_cache,
             repair_plan=repair_plan,
             collaborators=collaborators,

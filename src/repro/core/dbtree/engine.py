@@ -28,9 +28,8 @@ perform it on a node -- is one lookup: :meth:`DBTreeEngine.handle`
 finds the action's class in a table with one row per action type.
 The engine fills its own rows, the protocol contributes its rows
 through :meth:`~repro.protocols.base.Protocol.handlers`, and
-everything else (crash recovery, leaf mirrors, repair, the relay
-batcher, the load balancer) attaches its rows with
-:meth:`DBTreeEngine.on`.
+everything else (crash recovery, leaf mirrors, repair, the load
+balancer) attaches its rows with :meth:`DBTreeEngine.on`.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ if TYPE_CHECKING:
     from repro.core.dbtree.crash import CrashRecovery
     from repro.core.dbtree.mirrors import LeafMirrors
     from repro.core.dbtree.timers import OpTimers
-    from repro.core.piggyback import RelayBatcher
     from repro.protocols.base import Protocol
     from repro.repair.gossip import RepairPlan
     from repro.repair.repair import RepairService
@@ -94,7 +92,6 @@ class DBTreeEngine:
         policy: ReplicationPolicy,
         capacity: int = 8,
         trace: Trace | None = None,
-        relay_batch_window: float | None = None,
         leaf_cache: bool = False,
         repair_plan: "RepairPlan | None" = None,
         collaborators: Iterable[Callable[["DBTreeEngine"], Any]] = (),
@@ -145,11 +142,6 @@ class DBTreeEngine:
         protocol.bind(self)
         for action_type, handler in protocol.handlers().items():
             self.on(action_type, handler)
-        self.relay_batcher: "RelayBatcher | None" = None
-        if relay_batch_window is not None:
-            from repro.core.piggyback import RelayBatcher
-
-            self.relay_batcher = RelayBatcher(self, relay_batch_window)
         # Collaborators attach before the bootstrap: the first leaf's
         # mirror push at t = 0 is part of every rf-2 schedule.
         for attach in collaborators:
@@ -635,18 +627,15 @@ class DBTreeEngine:
     ) -> Sequence[int]:
         """Send one message to the node's other copies; returns them.
 
-        ``to`` narrows the fan-out to some of them.  A relayed keyed
-        update rides the relay batcher when piggybacking is on (it
-        commutes, so nothing presses); everything else leaves now.
+        ``to`` narrows the fan-out to some of them.  Sent from an
+        action, the message shares one wire message with whatever else
+        that action sends to the same peer
+        (:meth:`~repro.sim.processor.Processor.hold`).
         """
         src = proc.pid
         if to is None:
             to = copy.peers_of(src)
         send = self.kernel.route
-        if self.relay_batcher is not None and isinstance(
-            message, (InsertAction, DeleteAction)
-        ):
-            send = self.relay_batcher.enqueue
         for pid in to:
             send(src, pid, message)
         return to

@@ -62,15 +62,12 @@ class RepairPlan:
         ``ceil((n - 1) / fanout)`` periods the rotation needs to
         visit every peer) before a processor's timer goes dormant;
         re-armed by any divergence signal.
-    horizon:
-        Optional absolute virtual time after which no ticks fire.
     """
 
     period: float = 50.0
     fanout: int = 1
     buckets: int = 8
     stop_after_clean: int = 2
-    horizon: float | None = None
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -195,10 +192,6 @@ class GossipScheduler:
         proc = kernel.processor(pid)
         if not proc.alive or proc.incarnation != incarnation:
             return  # stale chain; the restart hook owns re-arming
-        plan = self.plan
-        if plan.horizon is not None and kernel.now >= plan.horizon:
-            self._active[pid] = False
-            return
         quiet_since = max(self.last_dirty, self._last_wake.get(pid, 0.0))
         if kernel.now - quiet_since >= self._quiet_window():
             # Every recent round was clean: go dormant so the

@@ -24,10 +24,10 @@ protocol using |copies| messages per split versus ~3|copies| for the
 synchronous protocol).
 
 Several logical messages to one processor may travel as one
-:class:`Bundle` (everything one action sends there, or a batch of
-relays): one wire message, one fault verdict, one reliable frame, one
-dead letter.  Where it lands it is unpacked, so the permuter and the
-processor queue see each item on its own.
+:class:`Bundle` (everything one action sends there): one wire
+message, one fault verdict, one reliable frame, one dead letter.
+Where it lands it is unpacked, so the permuter and the processor
+queue see each item on its own.
 """
 
 from __future__ import annotations
@@ -348,10 +348,6 @@ class Network:
         # processor, or to the schedule permuter (repro.sim.permute)
         # once installed.
         self._receive: Callable[[int, Any], None] | None = None
-        #: A kind-restricted fault plan is an instrument on logical
-        #: messages: it judges each on its own, so a bundle is sent as
-        #: its items (see :meth:`send`).
-        self.judges_kinds = bool(getattr(fault_plan, "only_kinds", None))
         # Liveness oracle (repro.sim.crash) and partition controller
         # (repro.sim.partition); None until a plan installs them, so
         # the default path never pays for either.
@@ -409,9 +405,7 @@ class Network:
         Local sends (src == dst) are not network messages in the
         paper's cost model; callers should enqueue locally instead.
         Sending to self is treated as a bug to keep the accounting
-        honest.  A :class:`Bundle` is one message, unless a
-        kind-restricted fault plan is installed: that plan is an
-        instrument on logical messages, so each item then goes alone.
+        honest.  A :class:`Bundle` is one message.
         """
         if self._deliver is None:
             raise RuntimeError("network has no delivery callback installed")
@@ -425,10 +419,6 @@ class Network:
         land = self._hand_off
         if type(payload) is Bundle:
             items = payload.items
-            if self.judges_kinds:
-                for item in items:
-                    self.send(src, dst, item)
-                return
             stats.piggybacked += len(items) - 1
             if self._count_kinds:
                 for item in items:

@@ -25,11 +25,10 @@ from repro.sim.rngs import SeedLedger
 
 
 #: The incompatible layer pairs, each with its reason stated once.
-#: This table is the only place a pair is refused: the kernel consults
-#: it for the layers it assembles, and ``DBTreeCluster`` for the one
-#: layer the kernel cannot see (``relay_batch_window``).  Layers are
-#: named by the keyword that switches them on (``reliability`` meaning
-#: ``reliability="enforced"``).
+#: This table is the only place a pair is refused, and the kernel,
+#: which assembles every layer, the only place it is consulted.
+#: Layers are named by the keyword that switches them on
+#: (``reliability`` meaning ``reliability="enforced"``).
 INCOMPATIBLE_LAYERS: tuple[tuple[str, str, str], ...] = (
     (
         "permute_plan",
@@ -48,11 +47,6 @@ INCOMPATIBLE_LAYERS: tuple[tuple[str, str, str], ...] = (
     ),
     (
         "permute_plan",
-        "relay_batch_window",
-        "the batcher already reorders relays at the sender",
-    ),
-    (
-        "permute_plan",
         "partition_plan",
         "a blocked link would confound which swaps caused a divergence",
     ),
@@ -61,12 +55,6 @@ INCOMPATIBLE_LAYERS: tuple[tuple[str, str, str], ...] = (
         "detector_plan",
         "a detector implies a crash-capable cluster, and permuted "
         "schedules are incomparable under crashes",
-    ),
-    (
-        "crash_plan",
-        "relay_batch_window",
-        "relays parked in the batcher would survive the crash of the "
-        "processor that owes them",
     ),
 )
 
@@ -221,7 +209,7 @@ class Kernel:
         self.acting: Processor | None = None
         # A kind-restricted fault plan judges each logical message on
         # its own and in the order sent, so under one nothing is held.
-        if not self.network.judges_kinds:
+        if not getattr(fault_plan, "only_kinds", None):
             for proc in self.processors.values():
                 proc.hold_sends(self)
         # Sorted once: the set of processors is fixed for a kernel's

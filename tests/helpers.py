@@ -45,21 +45,3 @@ def assert_clean(cluster, expected=None):
     report = cluster.check(expected=expected)
     assert report.ok, "\n".join(report.problems[:20])
     return report
-
-
-def count_batch_flushes(batcher, stats) -> list[tuple[int, int]]:
-    """Record what each of ``batcher``'s flushes adds to ``stats``.
-
-    Install before the first relay; the returned list gains one
-    ``(wire messages, piggybacked items)`` pair per flush.
-    """
-    flushed: list[tuple[int, int]] = []
-    flush = batcher._flush
-
-    def counted(channel):
-        sent, piggybacked = stats.sent, stats.piggybacked
-        flush(channel)
-        flushed.append((stats.sent - sent, stats.piggybacked - piggybacked))
-
-    batcher._flush = counted
-    return flushed

@@ -200,7 +200,6 @@ LAYER_ON = {
     "fault_plan": FaultPlan(drop_p=0.1),
     "crash_plan": CrashPlan(schedule=((1, 50.0, 100.0),)),
     "reliability": "enforced",
-    "relay_batch_window": 5.0,
     "partition_plan": PartitionPlan(splits=((1.0, 2.0, (0,)),)),
     "detector_plan": DetectorPlan(horizon=500.0),
 }
@@ -223,10 +222,9 @@ class TestInstallGuards:
         with pytest.raises(ValueError) as refused:
             DBTreeCluster(**layers)
         assert str(refused.value) == message + reason
-        if "relay_batch_window" not in layers:  # the kernel cannot see it
-            with pytest.raises(ValueError) as refused:
-                Kernel(4, **layers)
-            assert str(refused.value) == message + reason
+        with pytest.raises(ValueError) as refused:
+            Kernel(4, **layers)
+        assert str(refused.value) == message + reason
         # DESIGN §3 renders the table; it must not drift.
         manual = " ".join(DESIGN_MD.read_text(encoding="utf-8").split())
         assert f"| `{first}` | `{second}` | {reason} |" in manual

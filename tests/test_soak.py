@@ -1,7 +1,7 @@
 """Soak tests: everything at once, for a long simulated time.
 
 One scenario per protocol family combining concurrent inserts and
-searches, deletes at quiescent points, relay batching, leaf
+searches, deletes at quiescent points, jittered links, leaf
 balancing/migrations, copy crashes, and scans -- then the full audit.
 These are the closest runs to 'production traffic' in the suite.
 """
@@ -25,7 +25,6 @@ def test_variable_protocol_full_stack_soak(seed):
         protocol="variable",
         capacity=8,
         seed=seed,
-        relay_batch_window=15.0,
     )
     expected = {}
 
@@ -94,13 +93,12 @@ def test_variable_protocol_full_stack_soak(seed):
 
 
 @pytest.mark.soak
-def test_semisync_batched_soak():
+def test_semisync_soak_under_jitter():
     cluster = DBTreeCluster(
         num_processors=6,
         protocol="semisync",
         capacity=6,
         seed=9,
-        relay_batch_window=25.0,
         latency_model=UniformLatency(jitter=8.0),
     )
     expected = {}
@@ -114,7 +112,7 @@ def test_semisync_batched_soak():
         del expected[key]
     cluster.run()
     assert_clean(cluster, expected=expected)
-    assert cluster.engine.relay_batcher.batches_sent > 50
+    assert cluster.kernel.network.stats.piggybacked > 50
 
 
 @pytest.mark.soak
