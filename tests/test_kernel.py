@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.failure import FaultPlan
 from repro.sim.simulator import Kernel, QuiescenceError
 
 
@@ -160,3 +161,25 @@ class TestOutbox:
         assert sent_by_timer == [3]
         assert stats.piggybacked == 0
         assert [action for _t, _pid, action in received] == ["submitted", "t1", "t2"]
+
+    def test_a_local_send_is_not_held(self):
+        kernel, received = sender_kernel([(0, "self"), (1, "a")])
+        kernel.route(0, 0, "go")
+        kernel.run_to_quiescence()
+        # "self" queues behind "go" at once and runs at 2; "a" leaves
+        # when "go" ends at 1 and lands at 11.
+        assert received == [(2.0, 0, "self"), (12.0, 1, "a")]
+        assert kernel.network.stats.sent == 1
+
+    def test_a_kind_restricted_fault_plan_holds_nothing(self):
+        # Such a plan judges each logical message alone, so each one
+        # must travel alone.
+        plan = FaultPlan(duplicate_p=1.0, only_kinds=frozenset({"tagged"}))
+        kernel, received = sender_kernel(
+            [(1, "a"), (1, "b"), (2, "x")], fault_plan=plan
+        )
+        kernel.route(0, 0, "go")
+        kernel.run_to_quiescence()
+        stats = kernel.network.stats
+        assert (stats.sent, stats.piggybacked, stats.duplicated) == (3, 0, 0)
+        assert received == [(12.0, 1, "a"), (12.0, 2, "x"), (13.0, 1, "b")]

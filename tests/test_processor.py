@@ -2,7 +2,10 @@
 
 import pytest
 
+from types import SimpleNamespace
+
 from repro.sim.events import EventQueue
+from repro.sim.network import Bundle
 from repro.sim.processor import Processor
 
 
@@ -109,3 +112,84 @@ class TestStats:
         proc.submit("y")
         events.run()
         assert proc.stats.by_kind["str"] == 2
+
+
+def holding_processor(handler):
+    """A processor holding its sends for a stand-in kernel.
+
+    The kernel's network records ``(time, src, dst, payload)``.
+    """
+    events = EventQueue()
+    wire = []
+    network = SimpleNamespace(
+        send=lambda src, dst, payload: wire.append((events.now, src, dst, payload))
+    )
+    kernel = SimpleNamespace(acting=None, network=network)
+    proc = Processor(0, events)
+    proc.install_handler(handler)
+    proc.hold_sends(kernel)
+    return events, proc, kernel, wire
+
+
+class TestHolding:
+    """What an action holds leaves when it ends, one message a peer."""
+
+    def test_held_sends_leave_when_the_action_ends(self):
+        during = []
+
+        def handler(p, action):
+            p.hold(1, "a")
+            p.hold(2, "x")
+            p.hold(1, "b")
+            during.append((kernel.acting, list(wire)))
+
+        events, proc, kernel, wire = holding_processor(handler)
+        proc.submit("go")
+        events.run()
+        # Nothing left while the action ran, and it was the actor.
+        assert during == [(proc, [])]
+        assert kernel.acting is None
+        # One message per destination, in the order first named.
+        assert [(t, src, dst) for t, src, dst, _p in wire] == [(1.0, 0, 1), (1.0, 0, 2)]
+        bundle, lone = wire[0][3], wire[1][3]
+        assert type(bundle) is Bundle and bundle.items == ["a", "b"]
+        assert lone == "x"
+
+    def test_each_action_starts_with_nothing_held(self):
+        events, proc, _kernel, wire = holding_processor(
+            lambda p, action: p.hold(1, action)
+        )
+        proc.submit("first")
+        proc.submit("second")
+        events.run()
+        assert [(t, payload) for t, _s, _d, payload in wire] == [
+            (1.0, "first"),
+            (2.0, "second"),
+        ]
+
+    def test_hold_sends_none_turns_holding_off(self):
+        seen = []
+        events, proc, kernel, wire = holding_processor(
+            lambda p, action: seen.append(kernel.acting)
+        )
+        proc.hold_sends(None)
+        proc.submit("go")
+        events.run()
+        # The kernel never learns of the action, so it holds nothing.
+        assert seen == [None]
+        assert wire == []
+
+    def test_a_failing_action_still_sends_what_it_held(self):
+        def handler(p, action):
+            p.hold(1, action)
+            if action == "boom":
+                raise ValueError("boom")
+
+        events, proc, kernel, wire = holding_processor(handler)
+        proc.submit("boom")
+        proc.submit("after")
+        with pytest.raises(ValueError):
+            events.run()
+        assert kernel.acting is None
+        events.run()
+        assert [payload for _t, _s, _d, payload in wire] == ["boom", "after"]
