@@ -222,7 +222,11 @@ class HalfSplit:
     ``ApplyUnlock`` -- each of which applies it through
     :meth:`~repro.protocols.base.Protocol.apply_relayed_split`.
     ``parent_hint`` is the primary copy's parent link after the split
-    (the new root when the split grew the tree).
+    (the new root when the split grew the tree).  ``sibling`` is the
+    new sibling's copy as the splitter built it: every other copy of
+    the node holds a sibling copy too, and it installs it from here
+    (paper, Section 4.1.2: the split costs |copies| - 1 messages).
+    It is ``None`` only when the splitter holds the sibling's one copy.
     """
 
     action_id: int
@@ -230,6 +234,7 @@ class HalfSplit:
     sibling_id: int
     sibling_pids: tuple[int, ...]
     parent_hint: int | None
+    sibling: NodeSnapshot | None = None
 
 
 @dataclass(frozen=True)
@@ -282,12 +287,14 @@ class SplitEnd:
 class CreateCopy:
     """Install a new node copy from a snapshot.
 
-    ``reason`` distinguishes sibling creation, join responses, root
-    growth, and migration in the message accounting.
+    ``reason`` distinguishes join responses, root growth, migration
+    and recovery in the message accounting.  A split's sibling needs
+    no message of its own: it rides on the half-split
+    (:attr:`HalfSplit.sibling`).
     """
 
     snapshot: NodeSnapshot
-    reason: str  # "sibling" | "join" | "root" | "migrate" | "bootstrap"
+    reason: str  # "join" | "root" | "migrate" | "pc_recovery" | "rehome"
 
     @property
     def kind(self) -> str:

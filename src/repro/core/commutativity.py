@@ -229,6 +229,12 @@ class ProtocolClaims:
         kind_b = getattr(b, "kind", None)
         if kind_a not in SWAPPABLE_KINDS or kind_b not in SWAPPABLE_KINDS:
             return False
+        if _creates(a, b) or _creates(b, a):
+            # A relayed split brings its sibling's copy: an update on
+            # the sibling presupposes the split that created it
+            # (Nair et al.: an operation's precondition includes the
+            # creation of the node it names).
+            return False
         if a.node_id != b.node_id:
             # Different logical nodes: the actions touch disjoint
             # copies, so their relative order at a shared processor
@@ -254,6 +260,16 @@ class ProtocolClaims:
         if claim.condition == "same-key":
             return key_a == key_b
         raise ValueError(f"unknown claim condition {claim.condition!r}")
+
+
+def _creates(a: Any, b: Any) -> bool:
+    """Whether ``a`` is a split carrying the sibling ``b`` is addressed to."""
+    split = getattr(a, "split", None)
+    return (
+        split is not None
+        and split.sibling is not None
+        and split.sibling_id == b.node_id
+    )
 
 
 #: Per-protocol registry.  The naive protocol *declares* the same

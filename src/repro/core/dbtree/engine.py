@@ -53,7 +53,7 @@ from repro.core.actions import (
 from repro.core.keys import POS_INF, Key, KeyRange, key_le, key_lt
 from repro.core.leafcache import LeafHintCache
 from repro.core.node import NodeCopy, NodeSnapshot
-from repro.core.replication import Placement, ReplicationPolicy
+from repro.core.replication import ReplicationPolicy
 from repro.sim.processor import ActionHandler, Processor
 from repro.sim.simulator import Kernel
 from repro.sim.tracing import Trace
@@ -938,12 +938,53 @@ class DBTreeEngine:
         if snap.node_id in self.store(proc):
             self.trace.bump("duplicate_copy_ignored")
             return
-        copy = NodeCopy.from_snapshot(snap)
-        self.install_copy(proc, copy, snap.birth_set, action.reason)
-        for child_id, pids in snap.child_locations:
-            self.learn_location(proc, child_id, pids)
+        self._install_snapshot(proc, snap, action.reason)
         if action.reason == "root":
             self._adopt_root(proc, snap.node_id, snap.level)
+
+    def install_sibling(self, proc: Processor, split: HalfSplit) -> None:
+        """Install the sibling copy a half-split carries, at most once.
+
+        Called wherever a split reaches one of the node's other copies,
+        before the split applies: the sibling's birth comes with the
+        split, so nothing addressed to the sibling can find this
+        processor without it.  A processor that already holds the
+        sibling (a duplicated split) installs nothing.
+        """
+        snap = split.sibling
+        if snap is not None and snap.node_id not in self.store(proc):
+            self._install_snapshot(proc, snap, "sibling")
+
+    def _install_snapshot(
+        self, proc: Processor, snap: NodeSnapshot, reason: str
+    ) -> None:
+        self.install_copy(proc, NodeCopy.from_snapshot(snap), snap.birth_set, reason)
+        for child_id, pids in snap.child_locations:
+            self.learn_location(proc, child_id, pids)
+
+    def repoint_children(
+        self,
+        proc: Processor,
+        level: int,
+        moved: list[tuple[Key, Any]],
+        sibling_id: int,
+    ) -> None:
+        """Point the local children an interior half-split moved at the
+        sibling that now holds them.
+
+        The same pure hint maintenance as :meth:`_refresh_parent_hints`:
+        without it each moved child's next parent insert goes to the
+        old parent and is forwarded right.  No messages, no trace; a
+        stale hint would still recover by forwarding.
+        """
+        if level == 0:
+            return
+        store = self.store(proc)
+        child_level = level - 1
+        for _key, child_id in moved:
+            child = store.get(child_id)
+            if child is not None and child.level == child_level:
+                child.parent_id = sibling_id
 
     def install_copy(
         self,
@@ -1217,23 +1258,28 @@ class DBTreeEngine:
             return
         self.protocol.initiate_split(proc, copy)
 
-    def perform_half_split(
-        self,
-        proc: Processor,
-        copy: NodeCopy,
-        placement: Placement | None = None,
-    ) -> HalfSplit:
+    def perform_half_split(self, proc: Processor, copy: NodeCopy) -> HalfSplit:
         """Execute the half-split at the primary copy.
 
-        Creates the sibling (all its copies), re-links, issues the
-        parent insert (or grows the root), and issues the left-link
-        change to the old right neighbour when the protocol maintains
-        left links.  Relaying the split to the node's own peer copies
-        is the *protocol's* job -- that is exactly where the
-        synchronous and semi-synchronous algorithms differ.
+        Creates the sibling, re-links, issues the parent insert (or
+        grows the root), and issues the left-link change to the old
+        right neighbour when the protocol maintains left links.  The
+        sibling's other copies live with the node's other copies, and
+        the returned record carries the sibling to them.  Relaying the
+        split to the node's own peer copies is the *protocol's* job --
+        that is exactly where the synchronous and semi-synchronous
+        algorithms differ.  An interior split also points the moved
+        children held here at the sibling (:meth:`repoint_children`).
         """
-        if placement is None:
-            placement = self.protocol.sibling_placement(proc, copy)
+        placement = self.protocol.sibling_placement(proc, copy)
+        remote_members = [p for p in placement.member_pids if p != proc.pid]
+        if not set(remote_members) <= set(copy.copy_versions):
+            # The split reaches the node's own copies only, and the
+            # sibling rides on it.
+            raise RuntimeError(
+                f"sibling of node {copy.node_id} placed on {placement.member_pids}, "
+                f"beyond the node's copies {copy.copy_pids}"
+            )
         separator = copy.choose_separator()
         sibling_id = self._alloc_node_id()
         old_high = copy.range.high
@@ -1241,6 +1287,7 @@ class DBTreeEngine:
         growing = copy.parent_id is None
 
         upper = copy.apply_half_split(separator, sibling_id)
+        self.repoint_children(proc, copy.level, upper, sibling_id)
         action_id = self.trace.new_action_id()
         self.incorporate(
             proc, copy, action_id, Mode.INITIAL, ("half_split", separator, sibling_id)
@@ -1282,13 +1329,14 @@ class DBTreeEngine:
         if sibling.is_leaf and self._leaf_caches is not None:
             self._leaf_caches[proc.pid].learn(separator, old_high, sibling_id)
 
-        remote_members = [p for p in placement.member_pids if p != proc.pid]
         if proc.pid in placement.member_pids:
             self.install_copy(proc, sibling, frozenset(), "sibling")
-        if remote_members:
-            snapshot = self.make_snapshot(proc, sibling, birth_set=frozenset())
-            for pid in remote_members:
-                self.kernel.route(proc.pid, pid, CreateCopy(snapshot, "sibling"))
+        # The other copies install the sibling from the split itself.
+        snapshot = (
+            self.make_snapshot(proc, sibling, birth_set=frozenset())
+            if remote_members
+            else None
+        )
 
         if not growing:
             parent_action_id = self.trace.new_action_id()
@@ -1329,6 +1377,7 @@ class DBTreeEngine:
             sibling_id=sibling_id,
             sibling_pids=placement.member_pids,
             parent_hint=parent_id,
+            sibling=snapshot,
         )
 
     def _grow_root(

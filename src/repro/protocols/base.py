@@ -305,9 +305,12 @@ class Protocol:
 
         The one application, whichever message carried the split here
         (``RelayedSplit``, the synchronous ``SplitEnd``, the vigorous
-        baseline's ``ApplyUnlock``).
+        baseline's ``ApplyUnlock``).  The sibling copy the split
+        carries is installed first, whatever the split then does here;
+        an interior split points the moved children held here at it.
         """
         engine = self.engine
+        engine.install_sibling(proc, split)
         if engine.duplicate_relay(copy, split.action_id):
             return
         if not copy.range.contains(split.separator):
@@ -316,7 +319,8 @@ class Protocol:
             engine.trace.bump("relayed_split_out_of_range")
             return
         old_high = copy.range.high
-        copy.apply_half_split(split.separator, split.sibling_id)
+        moved = copy.apply_half_split(split.separator, split.sibling_id)
+        engine.repoint_children(proc, copy.level, moved, split.sibling_id)
         if split.parent_hint is not None:
             copy.parent_id = split.parent_hint
         engine.learn_location(proc, split.sibling_id, split.sibling_pids)
@@ -335,6 +339,8 @@ class Protocol:
     def on_relayed_split(self, proc: "Processor", action: RelayedSplit) -> None:
         copy = self.engine.copy_at(proc, action.node_id)
         if copy is None:
+            # This processor is still one of the sibling's copies.
+            self.engine.install_sibling(proc, action.split)
             self.engine.trace.bump("relay_to_missing_copy")
         else:
             self.apply_relayed_split(proc, copy, action.split)

@@ -356,15 +356,14 @@ def split_message_cost(engine: "DBTreeEngine") -> dict[str, float]:
     ``coordination`` counts only the split-ordering messages
     (split_start/ack/end for the synchronous protocol, relayed splits
     for the lazy ones); ``inherent`` counts the work any protocol must
-    do (sibling copy creation, parent insert); ``total`` is their sum.
-    The paper's "3|copies| vs |copies|" claim is about coordination.
+    do besides (the parent insert -- the sibling's copies ride on the
+    split itself); ``total`` is their sum.  The paper's "3|copies| vs
+    |copies|" claim is about coordination.
     """
     splits = engine.trace.counters.get("half_splits", 0)
     by_kind = engine.kernel.network.stats.by_kind
     coordination = sum(by_kind.get(kind, 0) for kind in SPLIT_COORDINATION_KINDS)
-    inherent = by_kind.get("create_copy_sibling", 0) + by_kind.get(
-        "insert_initial", 0
-    )
+    inherent = by_kind.get("insert_initial", 0)
     if splits == 0:
         return {"splits": 0, "coordination": 0.0, "inherent": 0.0, "total": 0.0}
     return {

@@ -1,5 +1,7 @@
 """The commutativity registry: claims vs the Section 3 formalism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.actions import (
@@ -22,6 +24,8 @@ from repro.core.commutativity import (
     verify_claims,
 )
 from repro.core.history import HAction, SimpleNode, SimpleNodeSemantics, commutes
+from repro.core.keys import POS_INF, KeyRange
+from repro.core.node import NodeCopy
 from repro.protocols import PROTOCOLS, make_protocol
 
 
@@ -176,6 +180,29 @@ class TestWireGate:
         a = relayed_split(5, node_id=1)
         b = relayed_split(3, node_id=2)
         assert self.CLAIMS.commutes_wire(a, b)
+
+    def test_a_split_never_swaps_with_an_update_on_the_sibling_it_carries(self):
+        sibling = NodeCopy(
+            node_id=99,
+            level=0,
+            key_range=KeyRange(5, POS_INF),
+            pc_pid=0,
+            copy_versions={0: 0},
+            capacity=4,
+        ).snapshot(birth_set=frozenset())
+        plain = relayed_split(5, node_id=1)
+        carrying = RelayedSplit(1, replace(plain.split, sibling=sibling))
+        for update in (
+            relayed_insert(7, node_id=99),
+            relayed_delete(7, node_id=99),
+            relayed_split(8, node_id=99),
+        ):
+            assert not self.CLAIMS.commutes_wire(carrying, update)
+            assert not self.CLAIMS.commutes_wire(update, carrying)
+            # The same pair on a node the split did not create swaps.
+            unrelated = replace(update, node_id=42)
+            assert self.CLAIMS.commutes_wire(carrying, unrelated)
+            assert self.CLAIMS.commutes_wire(unrelated, carrying)
 
     def test_unknown_condition_rejected(self):
         claim = PairClaim(

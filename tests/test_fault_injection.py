@@ -47,9 +47,9 @@ class TestDrops:
         assert not report.ok
 
     def test_a_kind_restricted_plan_judges_each_message_alone(self):
-        # A split's CreateCopy and RelayedSplit to one peer would share
-        # a message; under a plan on kinds each is its own, so every
-        # relayed split is dropped and every sibling copy arrives.
+        # Under a plan on kinds every item is its own message, so every
+        # relayed split is dropped -- and with it the sibling copy it
+        # carries: each split's sibling lives only where it was made.
         plan = FaultPlan(drop_p=1.0, only_kinds=frozenset({"relayed_split"}))
         cluster = faulty_cluster(plan)
         run_insert_workload(cluster, count=100)
@@ -57,11 +57,10 @@ class TestDrops:
         assert stats.piggybacked == 0
         assert stats.dropped == stats.by_kind["relayed_split"] > 0
         assert sum(stats.by_kind.values()) == stats.sent
-        executed = sum(
-            proc.stats.by_kind["create_copy_sibling"]
-            for proc in cluster.kernel.processors.values()
-        )
-        assert executed == stats.by_kind["create_copy_sibling"] > 0
+        engine = cluster.engine
+        node_ids = {copy.node_id for copy in engine.all_copies()}
+        single = [n for n in node_ids if len(engine.copies_of(n)) == 1]
+        assert len(single) == cluster.trace.counters["half_splits"] > 0
 
 
 class TestDuplicates:

@@ -59,19 +59,20 @@ class TestActionBundles:
         # The first action whose messages carry a relayed split.
         first = min((t, src) for t, src, _d, p in wire if "relayed_split" in kinds(p))
         sent = [(dst, p) for t, src, dst, p in wire if (t, src) == first]
-        relayed = sent[0][1].items[1]
+        relayed = sent[0][1]
         proc = cluster.kernel.processor(first[1])
         assert cluster.engine.store(proc)[relayed.node_id].level == 0
-        # |copies| - 1 messages, one per peer, each carrying that
-        # peer's CreateCopy and RelayedSplit.
+        # |copies| - 1 messages, one per peer, each the RelayedSplit
+        # alone: the sibling's copy rides on the split.
         copies = relayed.split.sibling_pids
         assert sorted(dst for dst, _p in sent) == sorted(set(copies) - {first[1]})
         for _dst, payload in sent:
-            assert kinds(payload) == ("create_copy_sibling", "relayed_split")
-        # by_kind still counts every item of both kinds.
-        for kind in ("create_copy_sibling", "relayed_split"):
-            carried = sum(kinds(p).count(kind) for _t, _s, _d, p in wire)
-            assert stats.by_kind[kind] - before.get(kind, 0) == carried > 0
+            assert kinds(payload) == ("relayed_split",)
+            assert payload.split.sibling.node_id == payload.split.sibling_id
+        # by_kind counts every relayed split, and no sibling CreateCopy.
+        carried = sum(kinds(p).count("relayed_split") for _t, _s, _d, p in wire)
+        assert stats.by_kind["relayed_split"] - before.get("relayed_split", 0) == carried > 0
+        assert "create_copy_sibling" not in stats.by_kind
 
     def test_bundling_changes_messages_not_the_schedule(self):
         def run(hold):
