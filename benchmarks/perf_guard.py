@@ -2,8 +2,10 @@
 
 Re-runs the standard insert-burst in each pinned configuration and
 compares the deterministic metrics -- events/op, messages/op, physical
-frames/op, messages piggybacked/op and the virtual time at the end --
-against the committed ``BENCH_core.json``: the ``fast`` block (``repro bench``'s workload: semisync, accounting
+frames/op, messages piggybacked/op, actions/op, the busy spread (the
+busiest processor's busy time over the mean: work moved onto one
+processor slows a closed loop even when the totals fall) and the
+virtual time at the end -- against the committed ``BENCH_core.json``: the ``fast`` block (``repro bench``'s workload: semisync, accounting
 "aggregate", tracing off, leaf cache on, seed 0, no faults) and the
 ``enforced`` block (the same burst, shorter, over a substrate that
 drops one frame in ten with the reliable-delivery layer on, where a
@@ -46,6 +48,8 @@ METRICS = (
     "msgs_per_op",
     "frames_per_op",
     "piggybacked_per_op",
+    "actions_per_op",
+    "busy_spread",
     "final_virtual_time",
 )
 #: block -> the quantities pinned for it

@@ -11,8 +11,10 @@ The measured configuration is ``fast`` -- trace off, aggregate
 accounting, leaf cache on: what a million-op capacity study would
 use.  Its events/op, msgs/op and piggybacked/op (the messages that
 rode on another's, :class:`~repro.sim.network.Bundle`) are pure
-functions of the code and the seed; ``benchmarks/perf_guard.py`` pins
-them exactly.  A second,
+functions of the code and the seed; so are actions/op and
+``busy_spread``, the busiest processor's busy time over the mean (1.0
+when the work is even: under a closed loop the busiest processor sets
+the pace).  ``benchmarks/perf_guard.py`` pins them all exactly.  A second,
 shorter row, ``enforced``, runs the same burst over a substrate that
 loses one frame in ten with the reliable-delivery layer on, and pins
 events/op, physical frames/op and the virtual time at the end the
@@ -116,6 +118,9 @@ def run_insert_burst(
     wall = time.perf_counter() - started
 
     events = cluster.kernel.events.executed
+    processors = [proc.stats for proc in cluster.kernel.processors.values()]
+    busy = [proc.busy_time for proc in processors]
+    actions = sum(proc.actions_executed for proc in processors)
     stats = cluster.kernel.network.stats
     sent = stats.sent
     cache = cluster.engine.leaf_cache_stats()
@@ -150,6 +155,8 @@ def run_insert_burst(
         "piggybacked_per_op": (
             stats.piggybacked / completions if completions else 0.0
         ),
+        "actions_per_op": actions / completions if completions else 0.0,
+        "busy_spread": max(busy) * len(busy) / sum(busy) if sum(busy) else 0.0,
         "cache": cache,
         "final_virtual_time": cluster.now,
         **gossip,
