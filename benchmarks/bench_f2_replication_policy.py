@@ -39,7 +39,15 @@ def build_profile(procs: int = 8, count: int = 600, seed: int = 3) -> dict:
     cluster.run()
     profile = replication_profile(cluster.engine)
     locality = search_locality(cluster.trace, cluster.kernel)
-    return {"profile": profile, "locality": locality, "procs": procs}
+    longest = max(
+        op.hops for op in cluster.trace.operations.values() if op.kind == "search"
+    )
+    return {
+        "profile": profile,
+        "locality": locality,
+        "longest_search": longest,
+        "procs": procs,
+    }
 
 
 def run_experiment() -> str:
@@ -69,10 +77,11 @@ def run_experiment() -> str:
     strict=True,
     raises=AssertionError,
     reason=(
-        "search locality reads 0.415, not > 0.5: six of the 200 searches hit "
+        "three of the 200 searches take 111, 108 and 47 hops: they hit "
         "missing-node recovery, which ranks an out-of-range local leaf above "
-        "the covering interior copy, and crawl 538 forward_left hops between "
-        "them (EXPERIMENTS.md, F2).  Strict: the marker goes with the bug."
+        "the covering interior copy, and crawl 283 forward_left hops between "
+        "them (EXPERIMENTS.md, F2).  Locality still reads 0.506.  Strict: the "
+        "marker goes with the bug."
     ),
 )
 def test_f2_replication_policy(benchmark):
@@ -87,6 +96,8 @@ def test_f2_replication_policy(benchmark):
         assert 1.0 < profile[1]["avg_copies"] <= result["procs"]
     # Most searching is local (the figure's side effect).
     assert result["locality"]["locality"] > 0.5
+    # And no search crawls: a descent visits each level about once.
+    assert result["longest_search"] <= 2 * (root_level + 1)
     run_experiment()
 
 
