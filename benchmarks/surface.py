@@ -103,19 +103,6 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
         "other caller runs the defaults",
     ),
     (
-        "CrashPlan.crash_rate",
-        "stochastic crash arrivals, the crash mode no flag or experiment "
-        "drives; only its own tests do. Removing the mode is a change of "
-        "its own, naming the tests that go with it",
-    ),
-    ("CrashPlan.mttr", "the stochastic crash mode's mean repair time"),
-    (
-        "PartitionPlan.link_cut_rate",
-        "stochastic link cuts, the partition mode no flag or experiment "
-        "drives; held like CrashPlan.crash_rate",
-    ),
-    ("PartitionPlan.mean_cut", "the stochastic link cut's mean length"),
-    (
         "DetectorPlan.min_std",
         "the phi model's sigma floor; a test sets it to check the floor, "
         "every other caller runs the default (the heartbeat period)",

@@ -214,7 +214,10 @@ def _build_and_drive(args: argparse.Namespace, spacing: float):
     or all at once when it is 0.  Returns the cluster, its run
     results and the expected contents.
     """
-    cluster = _build_any_cluster(args, _build_fault_plans(args))
+    try:
+        cluster = _build_any_cluster(args, _build_fault_plans(args))
+    except ValueError as err:
+        raise SystemExit(f"repro {args.command}: {err}")
     expected = {}
     for index in range(args.inserts):
         key = index * 37 % _DEMO_KEY_SPACE
@@ -243,7 +246,7 @@ _LAYER_DETAIL = {
         "their timer, {op_failed_over} failed over"
     ),
     "partition": (
-        "{cuts_applied} cuts ({heals} healed, {stochastic_cuts} stochastic), "
+        "{cuts_applied} cuts ({heals} healed), "
         "{gray_applied} gray windows, {messages_blocked} messages swallowed; "
         "open at quiescence: {open_cut_links} cut, {open_gray_links} gray"
     ),

@@ -323,7 +323,7 @@ class LinkChange:
 
     ``slot`` names which piece of node state changes:
 
-    * ``"right"`` / ``"left"`` / ``"parent"`` -- neighbour links,
+    * ``"left"`` -- the node's left neighbour link,
     * ``"location"`` -- where the node's copies now live (migration or
       join/unjoin), updating the receiver's locator.
 

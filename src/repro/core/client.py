@@ -292,9 +292,8 @@ class DBTreeCluster(KernelClient):
         tuning retransmission and ack timing for ``"enforced"``.
     crash_plan:
         Optional :class:`~repro.sim.crash.CrashPlan` of crash-stop
-        failures (scheduled and/or stochastic).  Activates the whole
-        failure-aware layer; ``None`` (default) leaves the fast path
-        untouched.
+        failures, each scheduled.  Activates the whole failure-aware
+        layer; ``None`` (default) leaves the fast path untouched.
     op_timeout:
         Per-operation timeout (virtual time units).  A timed-out
         operation is re-issued from the root up to ``op_retries``
@@ -335,8 +334,8 @@ class DBTreeCluster(KernelClient):
         delivery fast path byte-identical.
     partition_plan:
         Optional :class:`~repro.sim.partition.PartitionPlan` of
-        network partitions: scheduled or stochastic link cuts (full
-        splits, asymmetric one-way losses) and gray failures
+        network partitions: scheduled link cuts (full splits,
+        asymmetric one-way losses) and gray failures
         (per-link latency inflation).  ``None`` (default) keeps the
         delivery fast path byte-identical.
     detector_plan:

@@ -909,14 +909,9 @@ class DBTreeEngine:
             # its proper (superseded) place, i.e. it is discarded.
             self.trace.bump("stale_link_change")
             return False
-        if action.slot == "right":
-            copy.right_id = action.target_id
-        elif action.slot == "left":
-            copy.left_id = action.target_id
-        elif action.slot == "parent":
-            copy.parent_id = action.target_id
-        else:
+        if action.slot != "left":
             raise ValueError(f"unknown link slot {action.slot!r}")
+        copy.left_id = action.target_id
         copy.link_versions[action.slot] = action.version
         if action.target_id is not None:
             self.learn_location(proc, action.target_id, action.target_pids)

@@ -21,9 +21,9 @@ that model:
   resequencing) that *manufactures* the paper's network assumption
   over a faulty substrate (``reliability="enforced"``).
 * :mod:`repro.sim.crash` -- optional crash-stop failures
-  (:class:`~repro.sim.crash.CrashPlan`): scheduled or stochastic
-  crash + restart per processor, a timeout-style failure detector,
-  and availability accounting, driving the engine's recovery layer.
+  (:class:`~repro.sim.crash.CrashPlan`): scheduled crash + restart
+  per processor, a timeout-style failure detector, and availability
+  accounting, driving the engine's recovery layer.
 
 Everything is deterministic: ties in the event queue break on a
 monotone sequence number and all randomness flows through seeds.

@@ -6,13 +6,9 @@ the network assumption: a declarative plan of faults, injected by the
 simulator, with the recovery machinery layered on top and audited at
 quiescence.
 
-A :class:`CrashPlan` names *when* processors crash and restart --
-either an explicit schedule of ``(pid, crash_at, restart_at)``
-entries, a stochastic model (per-processor exponential crash arrivals
-with mean repair time ``mttr``, pre-sampled over a finite ``horizon``
-so the event chain terminates and quiescence stays reachable), or
-both.  The :class:`CrashController` executes the plan against a
-kernel:
+A :class:`CrashPlan` names *when* processors crash and restart: an
+explicit schedule of ``(pid, crash_at, restart_at)`` entries.  The
+:class:`CrashController` executes the plan against a kernel:
 
 * at ``crash_at`` the processor's queue and in-service action are
   lost (crash-stop: volatile state vanishes, nothing partial
@@ -41,7 +37,6 @@ and recovery latencies) is collected here and surfaced through
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -64,12 +59,6 @@ class CrashPlan:
         ``restart_at`` may be ``None`` for a permanent failure (the
         audit then *reports* any single-copy leaves that died with it
         rather than silently passing).
-    ``crash_rate``
-        If > 0, each processor additionally suffers stochastic
-        crashes with exponential inter-arrival times at this rate.
-        Requires ``horizon`` > 0: arrivals are pre-sampled up to the
-        horizon so runs terminate.  Stochastic crashes always
-        restart, after an Exp(``mttr``) repair time.
     ``detection_delay``
         How long after a crash the failure is announced to peers.
         Must exceed the network latency for the recovery protocol's
@@ -78,22 +67,9 @@ class CrashPlan:
     """
 
     schedule: tuple[tuple[int, float, float | None], ...] = ()
-    crash_rate: float = 0.0
-    mttr: float = 200.0
-    horizon: float = 0.0
     detection_delay: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.crash_rate < 0:
-            raise ValueError(f"crash_rate must be >= 0, got {self.crash_rate}")
-        if self.crash_rate > 0:
-            if self.horizon <= 0:
-                raise ValueError(
-                    "stochastic crashes need a finite horizon > 0 "
-                    "(arrivals are pre-sampled so the run terminates)"
-                )
-            if self.mttr <= 0:
-                raise ValueError(f"mttr must be > 0, got {self.mttr}")
         if self.detection_delay <= 0:
             raise ValueError(
                 f"detection_delay must be > 0, got {self.detection_delay}"
@@ -116,34 +92,6 @@ class CrashPlan:
                     raise ValueError(
                         f"overlapping crash intervals for pid {pid}"
                     )
-
-    @property
-    def active(self) -> bool:
-        """Whether the plan can produce any crash at all."""
-        return bool(self.schedule) or self.crash_rate > 0
-
-    def sample_events(
-        self, pids: tuple[int, ...], rng: random.Random
-    ) -> list[tuple[int, float, float | None]]:
-        """The full crash/restart timetable: schedule + sampled arrivals.
-
-        Stochastic arrivals are drawn per processor from an
-        exponential renewal process (crash, repair, crash, ...) and
-        cut off at the horizon; the returned list is sorted by crash
-        time for deterministic installation order.
-        """
-        events: list[tuple[int, float, float | None]] = [
-            entry for entry in self.schedule if entry[0] in pids
-        ]
-        if self.crash_rate > 0:
-            for pid in pids:
-                t = rng.expovariate(self.crash_rate)
-                while t < self.horizon:
-                    repair = rng.expovariate(1.0 / self.mttr)
-                    events.append((pid, t, t + repair))
-                    t = t + repair + rng.expovariate(self.crash_rate)
-        events.sort(key=lambda e: (e[1], e[0]))
-        return events
 
 
 @dataclass
@@ -184,9 +132,13 @@ class CrashController:
     recovery protocol on top.
     """
 
-    def __init__(
-        self, kernel: "Kernel", plan: CrashPlan, rng: random.Random
-    ) -> None:
+    def __init__(self, kernel: "Kernel", plan: CrashPlan) -> None:
+        for pid, _, _ in plan.schedule:
+            if pid not in kernel.processors:
+                raise ValueError(
+                    f"crash plan names pid {pid}, but the cluster has "
+                    f"{len(kernel.processors)} processors"
+                )
         self.kernel = kernel
         self.plan = plan
         self.records: list[CrashRecord] = []
@@ -201,15 +153,20 @@ class CrashController:
         self._crash_hooks: list[Callable[[int], None]] = []
         self._detect_hooks: list[Callable[[int], None]] = []
         self._restart_hooks: list[Callable[[int], None]] = []
-        self._timetable = plan.sample_events(kernel.pids, rng)
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def install(self) -> None:
-        """Schedule every planned crash/restart on the event queue."""
+        """Schedule every planned crash/restart on the event queue.
+
+        Entries are queued by ``(crash_at, pid)``, so same-instant
+        crashes run in pid order whatever the schedule's order.
+        """
         events = self.kernel.events
-        for pid, crash_at, restart_at in self._timetable:
+        for pid, crash_at, restart_at in sorted(
+            self.plan.schedule, key=lambda e: (e[1], e[0])
+        ):
             events.schedule(crash_at, partial(self._crash, pid))
             if restart_at is not None:
                 events.schedule(restart_at, partial(self._restart, pid))
@@ -244,8 +201,6 @@ class CrashController:
     # transitions
     # ------------------------------------------------------------------
     def _crash(self, pid: int) -> None:
-        if not self._alive[pid]:
-            return  # already down (overlapping stochastic arrival)
         kernel = self.kernel
         proc = kernel.processor(pid)
         lost = proc.crash()
@@ -274,8 +229,6 @@ class CrashController:
             hook(pid)
 
     def _restart(self, pid: int) -> None:
-        if self._alive[pid]:
-            return  # never crashed (redundant stochastic restart)
         kernel = self.kernel
         kernel.processor(pid).restart()
         self._alive[pid] = True

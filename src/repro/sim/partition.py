@@ -25,9 +25,6 @@ same style as :class:`~repro.sim.failure.FaultPlan` and
   is inflated by a factor.  Nothing is lost; everything is late,
   which is exactly the case a fixed-timeout detector mistakes for a
   crash and an adaptive (phi-accrual) detector should absorb.
-* ``link_cut_rate`` -- stochastic cuts: each ordered link suffers
-  Poisson outage arrivals at this rate, lasting Exp(``mean_cut``),
-  pre-sampled over ``horizon`` so runs terminate.
 
 The :class:`PartitionController` executes the plan against the event
 queue and answers one question for the network --
@@ -44,7 +41,6 @@ the failure detector has to form an opinion from absence alone.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable
@@ -98,12 +94,6 @@ class PartitionPlan:
         src->dst transit time by ``factor`` (> 1 slows the link).
         ``None`` endpoints as above; overlapping entries compose
         multiplicatively.
-    ``link_cut_rate``
-        If > 0, every ordered link additionally suffers stochastic
-        cuts with exponential inter-arrival times at this rate, each
-        lasting Exp(``mean_cut``).  Requires ``horizon`` > 0;
-        arrivals are pre-sampled up to the horizon so the event chain
-        terminates (same discipline as stochastic crashes).
     """
 
     splits: tuple[tuple[float, float | None, tuple[int, ...]], ...] = ()
@@ -111,23 +101,8 @@ class PartitionPlan:
     gray: tuple[
         tuple[float, float | None, int | None, int | None, float], ...
     ] = ()
-    link_cut_rate: float = 0.0
-    mean_cut: float = 100.0
-    horizon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.link_cut_rate < 0:
-            raise ValueError(
-                f"link_cut_rate must be >= 0, got {self.link_cut_rate}"
-            )
-        if self.link_cut_rate > 0:
-            if self.horizon <= 0:
-                raise ValueError(
-                    "stochastic link cuts need a finite horizon > 0 "
-                    "(arrivals are pre-sampled so the run terminates)"
-                )
-            if self.mean_cut <= 0:
-                raise ValueError(f"mean_cut must be > 0, got {self.mean_cut}")
         for entry in self.splits:
             start, end, group = entry
             self._check_window(start, end, entry)
@@ -157,36 +132,6 @@ class PartitionPlan:
         if end is not None and end <= start:
             raise ValueError(f"end must follow start in {entry!r}")
 
-    @property
-    def active(self) -> bool:
-        """Whether the plan can affect any link at all."""
-        return bool(
-            self.splits or self.one_way or self.gray or self.link_cut_rate > 0
-        )
-
-    def sample_events(
-        self, pids: tuple[int, ...], rng: random.Random
-    ) -> list[tuple[float, float, int, int]]:
-        """Pre-sampled stochastic cuts: ``(start, end, src, dst)``.
-
-        Drawn per ordered link from an exponential renewal process
-        (cut, heal, cut, ...) and cut off at the horizon; sorted by
-        start time for deterministic installation order.
-        """
-        events: list[tuple[float, float, int, int]] = []
-        if self.link_cut_rate > 0:
-            for src in pids:
-                for dst in pids:
-                    if src == dst:
-                        continue
-                    t = rng.expovariate(self.link_cut_rate)
-                    while t < self.horizon:
-                        outage = rng.expovariate(1.0 / self.mean_cut)
-                        events.append((t, t + outage, src, dst))
-                        t = t + outage + rng.expovariate(self.link_cut_rate)
-        events.sort()
-        return events
-
 
 class PartitionController:
     """Executes a :class:`PartitionPlan` against a kernel's clock.
@@ -203,8 +148,16 @@ class PartitionController:
         events: Any,
         plan: PartitionPlan,
         pids: tuple[int, ...],
-        rng: random.Random,
     ) -> None:
+        named = [pid for _, _, group in plan.splits for pid in group] + [
+            pid for entry in plan.one_way + plan.gray for pid in entry[2:4]
+        ]
+        for pid in named:
+            if pid is not None and pid not in pids:
+                raise ValueError(
+                    f"partition plan names pid {pid}, but the cluster has "
+                    f"{len(pids)} processors"
+                )
         self.plan = plan
         self.pids = tuple(pids)
         self._events = events
@@ -219,7 +172,6 @@ class PartitionController:
         self.cuts_applied = 0
         self.heals = 0
         self.gray_applied = 0
-        self._timetable = plan.sample_events(self.pids, rng)
 
     # ------------------------------------------------------------------
     # wiring
@@ -242,10 +194,6 @@ class PartitionController:
             schedule(start, partial(self._apply_gray, pairs, factor))
             if end is not None:
                 schedule(end, partial(self._heal_gray, pairs, factor))
-        for start, end, src, dst in self._timetable:
-            pairs = ((src, dst),)
-            schedule(start, partial(self._apply_cut, pairs))
-            schedule(end, partial(self._heal_cut, pairs))
 
     def on_heal(self, hook: Callable[[tuple[Link, ...]], None]) -> None:
         """Run ``hook(healed_pairs)`` whenever a cut window ends."""
@@ -292,7 +240,6 @@ class PartitionController:
             "cuts_applied": self.cuts_applied,
             "heals": self.heals,
             "gray_applied": self.gray_applied,
-            "stochastic_cuts": len(self._timetable),
             "open_cut_links": len(self.cut_links()),
             "open_gray_links": len(self.gray_links()),
         }

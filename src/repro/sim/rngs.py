@@ -10,9 +10,9 @@ plumbing historically lacked:
   one), but the run must *record* it.
 
 :func:`derive_seed` gives new streams collision-free names (the
-legacy ``seed + 1`` / ``+ 2`` / ``+ 3`` offsets for the network,
-crash, and gossip streams are kept byte-identical for pinned traces,
-but they too are registered).  :class:`SeedLedger` is the record: the
+legacy ``seed + 1`` / ``+ 3`` offsets for the network and gossip
+streams are kept byte-identical for pinned traces, but they too are
+registered).  :class:`SeedLedger` is the record: the
 kernel owns one, every layer that builds an rng registers its stream
 name and seed there, and reports/audits snapshot it.
 """

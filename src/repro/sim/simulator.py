@@ -170,11 +170,11 @@ class Kernel:
         self.rng = random.Random(seed)
         self.seed = seed
         #: Record of every seeded stream this run uses.  The legacy
-        #: integer offsets (network = seed + 1, crash = seed + 2,
-        #: gossip = seed + 3) are kept byte-identical for the pinned
-        #: traces, but each is registered here so no stream is ever
-        #: seeded silently; new streams use :func:`~repro.sim.rngs
-        #: .derive_seed` names instead of collision-prone offsets.
+        #: integer offsets (network = seed + 1, gossip = seed + 3) are
+        #: kept byte-identical for the pinned traces, but each is
+        #: registered here so no stream is ever seeded silently; new
+        #: streams use :func:`~repro.sim.rngs.derive_seed` names
+        #: instead of collision-prone offsets.
         self.seeds = SeedLedger(root=seed)
         self.seeds.register("root", seed)
         self.accounting = accounting
@@ -225,9 +225,7 @@ class Kernel:
         #: anti-entropy subsystem is installed (metrics find it here).
         self.repair_service = None
         if crash_plan is not None:
-            controller = CrashController(
-                self, crash_plan, random.Random(self.seeds.register("crash", seed + 2))
-            )
+            controller = CrashController(self, crash_plan)
             self.crash_controller = controller
             self.network.install_liveness(controller.is_alive)
             transport = self.network.transport
@@ -240,10 +238,7 @@ class Kernel:
         self.partition_controller: PartitionController | None = None
         if partition_plan is not None:
             partition = PartitionController(
-                self.events,
-                partition_plan,
-                tuple(range(num_processors)),
-                random.Random(self.seeds.derive("partition")),
+                self.events, partition_plan, tuple(range(num_processors))
             )
             self.partition_controller = partition
             self.network.install_partition(partition)

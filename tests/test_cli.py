@@ -88,8 +88,9 @@ class TestCLI:
         assert "fault layers @" in out
         assert "partition   on" in out
         assert "detector    on" in out
+        # A partition plan is its schedule: it adds no seed stream.
         assert "seeds:" in out
-        assert "partition" in out.split("seeds:")[1]
+        assert "partition" not in out.split("seeds:")[1]
 
     @pytest.mark.parametrize("shards", ["1", "2"])
     def test_demo_and_faults_report_every_layer_alike(self, capsys, shards):
@@ -137,6 +138,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "partition   off" in out
         assert "detector    off" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--crash", "9:100:200"], ["--partition", "0,9@100:300"]]
+    )
+    def test_plan_naming_a_missing_pid_is_a_usage_error(self, flags):
+        with pytest.raises(SystemExit) as usage:
+            main(["faults", "--inserts", "20", *flags])
+        assert "names pid 9, but the cluster has 4 processors" in str(
+            usage.value.code
+        )
 
     def test_partition_spec_validation(self):
         with pytest.raises(SystemExit):
@@ -238,8 +249,8 @@ class TestEveryFlagRuns:
 
     @pytest.mark.parametrize("flag", ["--crash-rate", "--mttr"])
     def test_deleted_flag_is_a_usage_error(self, capsys, flag):
-        # Stochastic crashes stay a CrashPlan matter (they need a
-        # horizon the CLI never set); the flag is gone, not half-wired.
+        # A crash plan is an explicit schedule (--crash); the rate
+        # flags are gone, not half-wired.
         with pytest.raises(SystemExit) as usage:
             main(["demo", flag, "0.001"])
         assert usage.value.code == 2

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.sim.crash import CrashPlan
 from repro.sim.failure import FaultPlan
+from repro.sim.partition import PartitionPlan
 from repro.sim.simulator import Kernel, QuiescenceError
 
 
@@ -41,6 +43,21 @@ class TestRouting:
     def test_needs_a_processor(self):
         with pytest.raises(ValueError):
             Kernel(num_processors=0)
+
+    @pytest.mark.parametrize(
+        "plans",
+        [
+            {"crash_plan": CrashPlan(schedule=((9, 100.0, 200.0),))},
+            {"partition_plan": PartitionPlan(splits=((100.0, 300.0, (0, 9)),))},
+            {"partition_plan": PartitionPlan(one_way=((100.0, 300.0, 9, None),))},
+            {"partition_plan": PartitionPlan(gray=((0.0, None, None, 9, 2.0),))},
+        ],
+    )
+    def test_plan_naming_a_missing_pid_is_rejected(self, plans):
+        with pytest.raises(
+            ValueError, match="names pid 9, but the cluster has 4 processors"
+        ):
+            Kernel(num_processors=4, **plans)
 
 
 class TestRunControl:

@@ -2,15 +2,13 @@
 
 Covers the :mod:`repro.sim.partition` fault layer: the
 :class:`PartitionPlan` timetable (scheduled splits, one-way losses,
-gray latency inflation, stochastic cuts), the controller's judge and
+gray latency inflation), the controller's judge and
 heal mechanics, composition with the network send paths (fast,
 fault-plan, and framed), and the opt-in invariant -- no plan, no
 behaviour change.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -68,14 +66,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="factor"):
             PartitionPlan(gray=((100.0, 200.0, 0, 1, 0.0),))
 
-    def test_stochastic_needs_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            PartitionPlan(link_cut_rate=0.001)
-
-    def test_inactive_plan(self):
-        assert not PartitionPlan().active
-        assert PartitionPlan(splits=((1.0, 2.0, (0,)),)).active
-
     def test_wildcard_endpoint_expansion(self):
         pids = (0, 1, 2)
         assert _expand_endpoint(1, 2, pids) == ((1, 2),)
@@ -86,30 +76,16 @@ class TestPlanValidation:
         assert all(src != dst for src, dst in links)
         assert len(links) == 6
 
-    def test_sample_events_deterministic(self):
-        plan = PartitionPlan(
-            link_cut_rate=0.002, mean_cut=50.0, horizon=2000.0
-        )
-        first = plan.sample_events((0, 1, 2), random.Random(9))
-        second = plan.sample_events((0, 1, 2), random.Random(9))
-        assert first == second
-        assert first  # the rate is high enough to cut something
-        for start, end, src, dst in first:
-            assert end > start
-            assert src != dst
-
 
 # ----------------------------------------------------------------------
 # controller mechanics (no engine)
 # ----------------------------------------------------------------------
 class TestController:
-    def make(self, plan, seed=0):
+    def make(self, plan):
         from repro.sim.events import EventQueue
 
         events = EventQueue()
-        controller = PartitionController(
-            events, plan, (0, 1, 2, 3), random.Random(seed)
-        )
+        controller = PartitionController(events, plan, (0, 1, 2, 3))
         controller.install()
         return events, controller
 
@@ -276,10 +252,8 @@ class TestNetworkIntegration:
         cluster = split_cluster(None)
         assert partition_summary(cluster.kernel) == {"enabled": False}
 
-    def test_stochastic_cuts_reproducible(self):
-        plan = PartitionPlan(
-            link_cut_rate=0.0005, mean_cut=60.0, horizon=1500.0
-        )
+    def test_scheduled_split_reproducible(self):
+        plan = PartitionPlan(splits=((100.0, 250.0, (0, 1)),))
         runs = []
         for _ in range(2):
             cluster = split_cluster(
@@ -288,13 +262,6 @@ class TestNetworkIntegration:
             spaced_inserts(cluster, count=30)
             cluster.run()
             summary = partition_summary(cluster.kernel)
-            runs.append(
-                (
-                    cluster.kernel.now,
-                    summary["stochastic_cuts"],
-                    summary["messages_blocked"],
-                )
-            )
+            runs.append((cluster.kernel.now, summary["messages_blocked"]))
         assert runs[0] == runs[1]
-        assert runs[0][1] > 0  # the rate actually cut links
-        assert "partition" in cluster.seed_summary()
+        assert runs[0][1] > 0  # the split actually swallowed traffic

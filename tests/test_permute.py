@@ -257,7 +257,8 @@ class TestSeedPlumbing:
             seed=5,
             crash_plan=CrashPlan(schedule=((1, 50.0, 100.0),)),
         )
-        assert crashed.seeds.streams["crash"] == 7
+        # A crash schedule draws nothing, so it adds no stream.
+        assert crashed.seeds.snapshot() == {"root": 5, "network": 6}
 
     def test_cluster_records_gossip_and_permute_streams(self):
         cluster = DBTreeCluster(

@@ -71,6 +71,26 @@ class TestExecution:
         assert seen == ["after"]
 
 
+class TestCrashStop:
+    """A double transition raises: a crash schedule cannot ask for one."""
+
+    def test_crash_when_already_down(self):
+        proc = Processor(0, EventQueue(), crashable=True)
+        proc.crash()
+        with pytest.raises(RuntimeError, match="already down"):
+            proc.crash()
+
+    def test_restart_when_already_up(self):
+        proc = Processor(0, EventQueue(), crashable=True)
+        with pytest.raises(RuntimeError, match="already up"):
+            proc.restart()
+
+    def test_crash_needs_a_crashable_processor(self):
+        proc = Processor(0, EventQueue())
+        with pytest.raises(RuntimeError, match="not built crashable"):
+            proc.crash()
+
+
 class TestStats:
     def test_busy_time_and_counts(self):
         events, proc, _executed = make_processor(service_time=2.5)

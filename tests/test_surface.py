@@ -35,10 +35,10 @@ def test_plan_fields_are_held_to_the_rule():
     surface = load_ledger()
     rows = surface.ledger()
     rows["fields"]["CrashPlan.schedule"] = [0, 0, 0, 0, 3]
-    rows["fields"]["CrashPlan.crash_rate"] = [1, 0, 0, 0, 1]
+    rows["fields"]["DetectorPlan.min_std"] = [1, 0, 0, 0, 1]
     assert surface.problems(rows) == [
         "CrashPlan.schedule: no caller outside tests/, no reason in TEST_ONLY",
-        "CrashPlan.crash_rate: in TEST_ONLY but has callers outside tests/",
+        "DetectorPlan.min_std: in TEST_ONLY but has callers outside tests/",
     ]
 
 
