@@ -31,6 +31,9 @@ class LeafMirrors:
         self.engine = engine
         self.factor = factor
         self.placement = placement
+        #: home_pid -> targets, for a placement that gives every leaf
+        #: of a home the same ones (a kernel's pids are fixed).
+        self._home_targets: dict[int, tuple[int, ...]] = {}
         engine.mirrors = self
         engine.on(MirrorUpdate, self.on_mirror_update)
 
@@ -49,9 +52,17 @@ class LeafMirrors:
         """Processors that passively mirror one of ``home_pid``'s
         single-copy leaves (``factor - 1`` of them, in preference
         order), per the placement policy."""
-        return self.placement.targets(
-            home_pid, node_id, self.engine.kernel.pids, self.factor
-        )
+        placement = self.placement
+        if placement.per_leaf:
+            return placement.targets(
+                home_pid, node_id, self.engine.kernel.pids, self.factor
+            )
+        targets = self._home_targets.get(home_pid)
+        if targets is None:
+            targets = self._home_targets[home_pid] = placement.targets(
+                home_pid, node_id, self.engine.kernel.pids, self.factor
+            )
+        return targets
 
     def push(self, proc: "Processor", copy: NodeCopy) -> None:
         """Push the current state of a single-copy leaf to its mirrors.

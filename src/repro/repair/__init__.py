@@ -19,7 +19,6 @@ a repair executor resolves it using the paper's own update machinery.
 
 from repro.repair.digest import (
     DigestIndex,
-    combine,
     copy_digest,
     snapshot_digest,
 )
@@ -29,7 +28,6 @@ from repro.repair.repair import RepairService
 
 __all__ = [
     "DigestIndex",
-    "combine",
     "copy_digest",
     "snapshot_digest",
     "RepairPlan",

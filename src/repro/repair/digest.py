@@ -20,6 +20,14 @@ in place; only changed nodes re-hash.  A row is dropped when its copy
 or mirror leaves the store, and digest caches are volatile: they die
 with a crash, like everything else on a processor.
 
+A pair view's roll-up is kept the same way.  Each row hashes on its
+own (:func:`row_hash`) and a bucket's digest is the *sum* of its rows'
+hashes mod 2**64: addition commutes, so the sum needs no order, and a
+changed row moves it by subtracting the old term and adding the new
+one.  The repair service keeps the sums beside each view and updates
+them as touched rows are re-derived; :func:`bucket_sums` builds them
+from scratch.
+
 Hashes use :func:`hashlib.blake2b` over the ``repr`` of a canonical
 tuple -- process-stable and seed-independent, unlike Python's
 randomized ``hash()``.
@@ -28,13 +36,21 @@ randomized ``hash()``.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.node import NodeCopy, NodeSnapshot
 
 #: Wire-size estimate (bytes) of one digest, for the byte accounting.
 DIGEST_BYTES = 8
+
+#: The digest width: every bucket sum is kept masked with this.
+MASK = (1 << 64) - 1
+
+#: Comparison kind by role: a home's leaf entry ("L") and the holder's
+#: mirror entry ("M") describe the same replicated state, so they
+#: must hash into the same comparison class.
+_CMP = {"C": "C", "L": "M", "M": "M"}
 
 
 def hash_parts(parts: tuple) -> int:
@@ -72,9 +88,18 @@ def snapshot_digest(snap: "NodeSnapshot") -> int:
     )
 
 
-def combine(entries: Iterable[tuple]) -> int:
-    """Order-independent roll-up of ``(node_id, kind, digest)`` rows."""
-    return hash_parts(tuple(sorted(entries)))
+def row_hash(node_id: int, role: str, digest: int) -> int:
+    """One pair-view row's term in its bucket sum."""
+    return hash_parts((node_id, _CMP[role], digest))
+
+
+def bucket_sums(view: dict[int, tuple], buckets: int) -> list[int]:
+    """A view's per-bucket sums (``node_id % buckets``), from scratch."""
+    sums = [0] * buckets
+    for node_id, row in view.items():
+        index = node_id % buckets
+        sums[index] = (sums[index] + row_hash(node_id, row[0], row[1])) & MASK
+    return sums
 
 
 class DigestIndex:

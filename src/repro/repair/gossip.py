@@ -7,11 +7,13 @@ within ``ceil((n - 1) / fanout)`` periods, unlike uniform random
 choice which can starve a pair indefinitely -- and opens a round per
 peer:
 
-1. initiator -> peer: :class:`DigestOffer` (one roll-up hash over the
-   commonly-replicated ranges plus an entry count),
+1. initiator -> peer: :class:`DigestOffer` (the roll-up of the
+   commonly-replicated ranges -- the sum of the pair view's bucket
+   sums, which the repair service keeps as rows change -- plus an
+   entry count),
 2. peer -> initiator: :class:`DigestMatch` if its own roll-up agrees
-   (the round is *clean*), else :class:`DigestDetail` with per-bucket
-   hashes,
+   (the round is *clean*), else :class:`DigestDetail` with its bucket
+   sums,
 3. initiator -> peer: :class:`DigestNodes` carrying per-node digests
    for the mismatching buckets only -- the drill-down never ships
    more than the divergent subtrees,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
-from repro.repair.digest import DIGEST_BYTES, combine
+from repro.repair.digest import DIGEST_BYTES, MASK
 
 if TYPE_CHECKING:
     from repro.repair.repair import RepairService
@@ -55,7 +57,7 @@ class RepairPlan:
     fanout:
         Peers contacted per tick.
     buckets:
-        Fixed bucket count for the drill-down hashes (node ids are
+        Fixed bucket count for the drill-down sums (node ids are
         bucketed by ``node_id % buckets``).
     stop_after_clean:
         Consecutive quiet *sweeps* (a sweep is the
@@ -119,7 +121,7 @@ class DigestMatch:
 
 @dataclass(frozen=True)
 class DigestDetail:
-    """Mismatch reply: the peer's per-bucket hashes."""
+    """Mismatch reply: the peer's bucket sums."""
 
     kind = "digest_detail"
 
@@ -276,18 +278,18 @@ class GossipScheduler:
 
     def begin_round(self, proc: "Processor", peer: int) -> None:
         service = self.service
-        entries = service.shared_entries(proc, peer)
+        entries, sums = service.shared_entries(proc, peer)
         self._round_counter += 1
         round_id = self._round_counter
         self._open[round_id] = (proc.pid, peer, service.engine.now)
-        top = combine(
-            (nid, _CMP[row[0]], row[1]) for nid, row in entries.items()
-        )
         service.engine.kernel.route(
             proc.pid,
             peer,
             DigestOffer(
-                src_pid=proc.pid, round_id=round_id, count=len(entries), top=top
+                src_pid=proc.pid,
+                round_id=round_id,
+                count=len(entries),
+                top=sum(sums) & MASK,
             ),
         )
         service.count("rounds_started")
@@ -308,27 +310,17 @@ class GossipScheduler:
             del self._open[round_id]
             self.service.count("rounds_aborted")
 
-    def _bucket_hashes(self, entries: dict[int, tuple]) -> tuple[int, ...]:
-        plan = self.plan
-        rows: list[list[tuple]] = [[] for _ in range(plan.buckets)]
-        for nid, row in entries.items():
-            rows[nid % plan.buckets].append((nid, _CMP[row[0]], row[1]))
-        return tuple(combine(bucket) for bucket in rows)
-
     def on_offer(self, proc: "Processor", action: DigestOffer) -> None:
         service = self.service
-        entries = service.shared_entries(proc, action.src_pid)
-        top = combine(
-            (nid, _CMP[row[0]], row[1]) for nid, row in entries.items()
-        )
-        if top == action.top and len(entries) == action.count:
+        entries, sums = service.shared_entries(proc, action.src_pid)
+        if sum(sums) & MASK == action.top and len(entries) == action.count:
             reply: Any = DigestMatch(src_pid=proc.pid, round_id=action.round_id)
         else:
             self.mark_dirty()
             reply = DigestDetail(
                 src_pid=proc.pid,
                 round_id=action.round_id,
-                buckets=self._bucket_hashes(entries),
+                buckets=tuple(sums),
             )
             service.count("digests_sent", self.plan.buckets)
             service.count_bytes(DIGEST_BYTES * self.plan.buckets)
@@ -347,12 +339,11 @@ class GossipScheduler:
             return
         self.mark_dirty()
         service.count("rounds_diverged")
-        entries = service.shared_entries(proc, action.src_pid)
-        mine = self._bucket_hashes(entries)
+        entries, sums = service.shared_entries(proc, action.src_pid)
         mismatched = tuple(
             index
             for index in range(self.plan.buckets)
-            if index >= len(action.buckets) or mine[index] != action.buckets[index]
+            if index >= len(action.buckets) or sums[index] != action.buckets[index]
         )
         payload = tuple(
             (nid, row[0], row[1], row[2], row[3])
@@ -371,9 +362,3 @@ class GossipScheduler:
         )
         service.count("digests_sent", len(payload))
         service.count_bytes(DIGEST_BYTES * max(len(payload), 1))
-
-
-#: Comparison kind by role: a home's leaf entry ("L") and the holder's
-#: mirror entry ("M") describe the same replicated state, so they
-#: must hash into the same comparison class.
-_CMP = {"C": "C", "L": "M", "M": "M"}

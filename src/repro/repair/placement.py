@@ -38,8 +38,8 @@ class MirrorPlacement:
     """Strategy: the ordered mirror targets of a home's leaf."""
 
     name = "abstract"
-    #: Whether ``targets`` depends on ``node_id``.  A policy that says
-    #: False lets a caller walking one home's leaves ask once.
+    #: Whether ``targets`` depends on ``node_id``.  For a policy that
+    #: says False, ``LeafMirrors`` asks once per home.
     per_leaf = True
 
     def targets(

@@ -46,7 +46,7 @@ from repro.core.actions import (
     UnjoinRequest,
 )
 from repro.core.dbtree.mirrors import LeafMirrors
-from repro.repair.digest import DigestIndex
+from repro.repair.digest import MASK, DigestIndex, bucket_sums, row_hash
 from repro.repair.gossip import (
     DigestDetail,
     DigestMatch,
@@ -163,10 +163,12 @@ class RepairService:
         self.counters: dict[str, int] = {}
         self.digest_bytes = 0
         #: pid -> peer -> (node ids touched since the pair last asked,
-        #: the pair's view).  A pair has an entry from its first round
-        #: until ``pid`` crashes or :meth:`kick` says the hooks were
-        #: bypassed.
-        self._views: dict[int, dict[int, tuple[set[int], PairView]]] = {}
+        #: the pair's view, its bucket sums).  A pair has an entry from
+        #: its first round until ``pid`` crashes or :meth:`kick` says
+        #: the hooks were bypassed.
+        self._views: dict[
+            int, dict[int, tuple[set[int], PairView, list[int]]]
+        ] = {}
         self.scheduler = GossipScheduler(
             self,
             seed=engine.kernel.seeds.register("gossip", engine.kernel.seed + 3),
@@ -268,7 +270,7 @@ class RepairService:
         """
         views = self._views.get(pid)
         if views:
-            for touched, _view in views.values():
+            for touched, _view, _sums in views.values():
                 touched.add(node_id)
 
     def copy_removed(self, pid: int, node_id: int, mirror: bool = False) -> None:
@@ -277,34 +279,51 @@ class RepairService:
         self.index.forget(pid, node_id, mirror)
         self.touch(pid, node_id)
 
-    def shared_entries(self, proc: "Processor", peer: int) -> PairView:
-        """node_id -> (role, digest, level, low) for the pair scope.
+    def shared_entries(
+        self, proc: "Processor", peer: int
+    ) -> tuple[PairView, list[int]]:
+        """The pair scope's view and its bucket sums.
 
-        Roles: ``"C"`` a replicated copy listing the peer as member,
-        ``"L"`` an own single-copy leaf whose mirror targets include
-        the peer, ``"M"`` a held mirror whose home is the peer.
+        The view maps node_id -> (role, digest, level, low).  Roles:
+        ``"C"`` a replicated copy listing the peer as member, ``"L"``
+        an own single-copy leaf whose mirror targets include the peer,
+        ``"M"`` a held mirror whose home is the peer.  ``sums[b]`` is
+        the sum mod 2**64 of :func:`~repro.repair.digest.row_hash` over
+        the rows with ``node_id % buckets == b``.
 
-        The view is kept between rounds: a call costs the nodes
-        touched since the pair last asked, not the store.
-        :meth:`derive_entries` builds a pair's first view and says
-        what every later one must equal.  Callers read the returned
-        dict and do not keep or change it.
+        Both are kept between rounds: a call costs the nodes touched
+        since the pair last asked, not the store, and only a row that
+        changed moves its bucket's sum.  :meth:`derive_entries` builds
+        a pair's first view and says what every later one must equal.
+        Callers read what is returned and do not keep or change it.
         """
         views = self._views.setdefault(proc.pid, {})
         state = views.get(peer)
         if state is None:
             view = self.derive_entries(proc, peer)
-            views[peer] = (set(), view)
-            return view
-        touched, view = state
-        for node_id in touched:
-            row = self._row(proc, peer, node_id)
-            if row is None:
-                view.pop(node_id, None)
-            else:
-                view[node_id] = row
-        touched.clear()
-        return view
+            sums = bucket_sums(view, self.plan.buckets)
+            views[peer] = (set(), view, sums)
+            return view, sums
+        touched, view, sums = state
+        if touched:
+            buckets = self.plan.buckets
+            for node_id in touched:
+                row = self._row(proc, peer, node_id)
+                old = view.get(node_id)
+                if row == old:
+                    continue
+                index = node_id % buckets
+                term = sums[index]
+                if old is not None:
+                    term -= row_hash(node_id, old[0], old[1])
+                if row is None:
+                    del view[node_id]
+                else:
+                    view[node_id] = row
+                    term += row_hash(node_id, row[0], row[1])
+                sums[index] = term & MASK
+            touched.clear()
+        return view, sums
 
     def _row(
         self, proc: "Processor", peer: int, node_id: int
@@ -349,17 +368,7 @@ class RepairService:
         engine = self.engine
         index = self.index
         pid = proc.pid
-        # Is an own single-copy leaf mirrored at the peer?  Never with
-        # mirroring off; one answer for the whole store when the policy
-        # gives every leaf of a home the same targets (ring); None
-        # means ask per leaf.
         mirrors = engine.mirrors
-        if mirrors is None:
-            mirrored_at_peer: bool | None = False
-        elif mirrors.placement.per_leaf:
-            mirrored_at_peer = None
-        else:
-            mirrored_at_peer = peer in mirrors.targets(pid, -1)
         entries: PairView = {}
         for copy in proc.state["store"].values():
             if copy.retired:
@@ -373,13 +382,10 @@ class RepairService:
                     copy.range.low,
                 )
             elif (
-                copy.is_leaf
+                mirrors is not None
+                and copy.is_leaf
                 and len(members) == 1
-                and (
-                    peer in mirrors.targets(pid, copy.node_id)
-                    if mirrored_at_peer is None
-                    else mirrored_at_peer
-                )
+                and peer in mirrors.targets(pid, copy.node_id)
             ):
                 entries[copy.node_id] = (
                     "L",
@@ -403,7 +409,7 @@ class RepairService:
     # ------------------------------------------------------------------
     def execute_repairs(self, proc: "Processor", action: DigestNodes) -> None:
         peer = action.src_pid
-        mine = self.shared_entries(proc, peer)
+        mine, _sums = self.shared_entries(proc, peer)
         remote = {row[0]: row[1:] for row in action.entries}
         repaired = False
         for node_id, (role, digest, level, low) in remote.items():
@@ -787,11 +793,10 @@ class RepairService:
         mirrors = engine.mirrors
         if mirrors is None:
             return
-        dead_homes = {
-            home
-            for home, _snap in mirrors.held(proc).values()
-            if not engine.peer_up(proc.pid, home)
-        }
+        homes = {home for home, _snap in mirrors.held(proc).values()}
+        dead_homes = [
+            home for home in sorted(homes) if not engine.peer_up(proc.pid, home)
+        ]
         for dead in dead_homes:
             self.count("orphan_sweeps")
             mirrors.rehome(proc, dead)
