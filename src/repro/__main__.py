@@ -468,7 +468,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"same, variable, repair every 150 vt "
         f"({repair['ops_completed']:,} ops): "
         f"{repair['events_per_op']:.2f} events/op, "
-        f"{repair['rounds_started']:,} rounds, "
+        f"{repair['rounds_started']:,} rounds "
+        f"({repair['rounds_diverged']:,} diverged), "
         f"{repair['digest_bytes']:,} digest bytes"
     )
     crash = report["crash"]

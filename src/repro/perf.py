@@ -126,7 +126,9 @@ def run_insert_burst(
     cache = cluster.engine.leaf_cache_stats()
     repair = cluster.repair_summary()
     gossip = {
-        key: repair[key] for key in ("rounds_started", "digest_bytes") if key in repair
+        key: repair[key]
+        for key in ("rounds_started", "rounds_diverged", "digest_bytes")
+        if key in repair
     }
     return {
         "config": {
