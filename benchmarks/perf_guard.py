@@ -11,8 +11,8 @@ virtual time at the end -- against the committed ``BENCH_core.json``: the ``fast
 drops one frame in ten with the reliable-delivery layer on, where a
 retransmit-timer flood would show as events/op) and the ``repair``
 block (the burst under ``variable`` with anti-entropy gossiping every
-150 vt, where the rounds started and the digest bytes sent pin the
-gossip schedule as well) and the ``crash`` block (the ``variable``
+150 vt, where the rounds started, the rounds that diverged and the
+digest bytes sent pin the gossip schedule as well) and the ``crash`` block (the ``variable``
 burst with op timers, two copies of every leaf and one 800-vt crash of
 a client's home mid-run: the path operations take when their home
 dies).  Each block's
@@ -56,7 +56,7 @@ METRICS = (
 BLOCKS = {
     "fast": METRICS,
     "enforced": METRICS,
-    "repair": METRICS + ("rounds_started", "digest_bytes"),
+    "repair": METRICS + ("rounds_started", "rounds_diverged", "digest_bytes"),
     "crash": METRICS,
 }
 
