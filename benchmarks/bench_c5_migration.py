@@ -14,7 +14,6 @@ garbage-collects every forwarding address and re-runs a full search
 sweep to demonstrate correctness is preserved by recovery alone.
 """
 
-import pytest
 from common import emit, insert_burst
 from repro import DBTreeCluster
 from repro.baselines import EagerBroadcastProtocol
@@ -104,18 +103,6 @@ def run_experiment() -> str:
     return emit("c5_migration", table)
 
 
-@pytest.mark.xfail(
-    run=False,
-    reason=(
-        "the mobile half livelocks in the post-GC search sweep and burns the "
-        "50M-event budget: recovery re-picks an out-of-range local leaf, and "
-        "behind that loop a parent locator is stale because the migration's "
-        "link-change to it was dropped as unroutable (EXPERIMENTS.md, C5).  "
-        "tests/test_mobile.py::test_search_quiesces_after_forwarding_gc is "
-        "the same schedule under a 20k-event budget, strict: when it passes, "
-        "this marker goes too."
-    ),
-)
 def test_c5_migration(benchmark):
     lazy = benchmark.pedantic(
         lambda: measure("mobile", 8), rounds=2, iterations=1

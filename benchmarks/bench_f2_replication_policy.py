@@ -10,7 +10,6 @@ and reports copies-per-node by level plus search locality (fraction
 of descent steps that were processor-local).
 """
 
-import pytest
 from common import emit, insert_burst
 from repro import DBTreeCluster
 from repro.stats import format_table, replication_profile, search_locality
@@ -73,17 +72,6 @@ def run_experiment() -> str:
     return emit("f2_replication_policy", table)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "three of the 200 searches take 111, 108 and 47 hops: they hit "
-        "missing-node recovery, which ranks an out-of-range local leaf above "
-        "the covering interior copy, and crawl 283 forward_left hops between "
-        "them (EXPERIMENTS.md, F2).  Locality still reads 0.506.  Strict: the "
-        "marker goes with the bug."
-    ),
-)
 def test_f2_replication_policy(benchmark):
     result = benchmark.pedantic(build_profile, rounds=2, iterations=1)
     profile = result["profile"]

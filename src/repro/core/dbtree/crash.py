@@ -228,9 +228,7 @@ class CrashRecovery:
                 key=NEG_INF,
                 requester_pid=pid,
             )
-            engine.route_to_node(
-                proc, root_id, request, level=state["root_level"], key=NEG_INF
-            )
+            engine.route_to_node(proc, root_id, request)
             engine.trace.bump("recovery_root_joins")
         engine.kernel.crash_controller.note_recovered(pid, engine.now)
 

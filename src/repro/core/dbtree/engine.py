@@ -2,11 +2,17 @@
 
 The engine owns everything the paper's Section 4 algorithms share:
 
-* **navigation** -- B-link descent one node at a time, with the
-  out-of-range right-link recovery and the missing-node recovery of
-  Sections 4.2-4.3 (stale parent hints, migrated nodes, unjoined
-  copies are all recovered by re-navigating from a 'close' local node
-  or the root),
+* **navigation** -- B-link descent one node at a time, and one step
+  rule for every send to a node, :meth:`DBTreeEngine.next_hop`: the
+  local copy, else a live holder the locator names, else (for an
+  action with a key) a restart at the lowest local copy covering the
+  key whose walk leads on, else a root holder, else a dead end.  It is
+  the missing-node recovery of Sections 4.2-4.3 -- stale parent hints,
+  migrated nodes, unjoined or lost copies -- and, run across
+  processors, the routability audit (:meth:`DBTreeEngine.resolve`).
+  An action takes at most one detour (a miss or a restart) per
+  processor, so none recovers for ever; forwarding addresses only
+  shorten the way,
 * **split mechanics** -- the half-split itself (Figure 1): sibling
   creation, link update, parent insert, and root growth,
 * **the lazy update** (Sections 3, 4.1) -- one of each step, whatever
@@ -324,13 +330,9 @@ class DBTreeEngine:
                 leaf_id = hint[0]
             else:
                 self.trace.counters["leaf_cache_miss"] += 1
-        if leaf_id is not None:
-            step = SearchStep(node_id=leaf_id, op=op, cached=True)
-            self.route_to_node(proc, leaf_id, step, level=0, key=key)
-        else:
-            root_id = self.root_id_of(proc)
-            step = SearchStep(node_id=root_id, op=op)
-            self.route_to_node(proc, root_id, step, level=None, key=key)
+        cached = leaf_id is not None
+        node_id = leaf_id if cached else self.root_id_of(proc)
+        self.route_to_node(proc, node_id, SearchStep(node_id, op, cached))
         if timers is not None:
             timers.arm(op)
         return op.op_id
@@ -408,99 +410,198 @@ class DBTreeEngine:
         if stored is None or version >= stored[0]:
             locator[node_id] = (version, tuple(pids))
 
-    def locate(self, proc: Processor, node_id: int) -> int | None:
-        """A processor believed to hold a copy of ``node_id``."""
+    def locate(self, proc: Processor, node_id: int | None, skip: int = 0) -> Sequence[int]:
+        """The other processors ``proc`` believes hold ``node_id``, in
+        locator order, less those it believes are down and those in the
+        ``skip`` bitmask."""
         entry = proc.state["locator"].get(node_id)
         if entry is None:
+            return ()
+        pid = proc.pid
+        dead = proc.state.get("dead_peers")
+        if not (dead or skip):
+            return [p for p in entry[1] if p != pid]
+        dead = dead or ()
+        return [p for p in entry[1] if p != pid and p not in dead and not skip >> p & 1]
+
+    def next_hop(
+        self, proc: Processor, node_id: int | None, level: int, key: Key | None, skip: int = 0
+    ) -> tuple[int, Sequence[int]] | None:
+        """The step rule: where an action for ``node_id`` goes from ``proc``.
+
+        ``(level, key)`` is what the action acts on; ``key=None`` makes
+        it id-addressed, and ``node_id=None`` asks for a recovery (the
+        action climbs, or a lateral link is missing).  ``skip`` is the
+        bitmask of processors the action has detoured at.  A pure
+        function of ``proc``'s store, locator, root and dead peers,
+        returning ``(node, holders)``:
+
+        * the node's local copy, as ``(node_id, (proc.pid,))``;
+        * else the live holders its locator names;
+        * else (key-addressed only) a recovery: the lowest local copy
+          at ``level`` or above that covers the key and whose local
+          walk toward ``(level, key)`` ends at a local copy at
+          ``level`` or at a node with a live holder, so a restart never
+          leads back to what turned the action away; with none, a live
+          holder of the root when the root is not stored here;
+        * else ``None``, a dead end.
+
+        Between two detours (a miss, or a recovery) an action only
+        descends, or moves toward its key along immutable lows (paper,
+        Section 4.2), and it takes at most one detour per processor
+        (:meth:`route_to_node`), so no key-addressed action can cycle.
+        """
+        store = proc.state["store"]
+        if node_id in store:
+            return node_id, (proc.pid,)
+        holders = self.locate(proc, node_id, skip)
+        if holders:
+            return node_id, holders
+        if key is None:
             return None
-        _version, pids = entry
-        if proc.pid in pids and node_id in self.store(proc):
-            return proc.pid
-        candidates = [p for p in pids if p != proc.pid]
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        return self.kernel.rng.choice(candidates)
+        covering = sorted(
+            (c for c in store.values() if c.level >= level and c.in_range(key)),
+            key=lambda c: c.level,
+        )
+        for copy in covering:
+            if self._walk_ends(proc, copy, level, key, skip):
+                return copy.node_id, (proc.pid,)
+        root_id = proc.state["root_id"]
+        if root_id not in store:
+            holders = self.locate(proc, root_id, skip)
+            if holders:
+                return root_id, holders
+        return None
+
+    def _walk_ends(self, proc: Processor, copy: NodeCopy, level: int, key: Key, skip: int) -> bool:
+        """Whether the walk from a local copy toward ``(level, key)``
+        through ``proc``'s store ends at a local copy at ``level`` or
+        leaves the processor for a node with a live holder."""
+        store = proc.state["store"]
+        for _ in range(len(store)):
+            if copy.level <= level and copy.in_range(key):
+                return True
+            step = self._toward(copy, key)
+            if step not in store:
+                return step is not None and bool(self.locate(proc, step, skip))
+            copy = store[step]
+        return False
+
+    @staticmethod
+    def _toward(copy: NodeCopy, key: Key) -> int | None:
+        """The next node on a walk for ``key`` from an interior ``copy``,
+        or a lateral link when the key is out of its range."""
+        if copy.in_range(key):
+            return copy.child_for(key)
+        return copy.left_id if key_lt(key, copy.range.low) else copy.right_id
 
     def route_to_node(
-        self,
-        proc: Processor,
-        node_id: int,
-        action: Any,
-        level: int | None,
-        key: Key,
-    ) -> None:
-        """Deliver an action to some copy of ``node_id``.
+        self, proc: Processor, node_id: int | None, action: Any, missed: bool = False
+    ) -> bool:
+        """Send an action where the step rule (:meth:`next_hop`) says,
+        for the ``(level, key)`` it acts on (by id only without a key,
+        or for a healing join).
 
-        Local copy: enqueue for free.  Otherwise route to a processor
-        the locator names; with no location knowledge, fall back to
-        key-based recovery routing (``level``/``key`` identify the
-        target when the node id hint is useless).
+        Local copy: enqueue for free.  Live remote holders: one rng
+        draw among them.  A miss (``missed``: the action came here for
+        a node this processor lacks) or a recovery is a *detour*,
+        marked on the action; a miss redraws among the holders the
+        action has not detoured at, so it cannot bounce between stale
+        ones.  A second detour at one processor, or a dead end, drops
+        the action (:meth:`_dead_end`).  Returns whether it went
+        anywhere.
         """
-        action = self.retarget(action, node_id)
-        if node_id in self.store(proc):
+        if node_id in proc.state["store"]:
+            proc.submit(self.retarget(action, node_id))
+            return True
+        key = None if getattr(action, "exact", False) else getattr(action, "key", None)
+        skip = action.detoured if missed else 0
+        hop = self.next_hop(proc, node_id, getattr(action, "level", 0), key, skip)
+        if missed or hop is None or hop[0] != node_id:
+            if hop is None or action.detoured >> proc.pid & 1:
+                self._dead_end(action)
+                return False
+            self.trace.bump("missing_node_recovery")
+            action = replace(action, detoured=action.detoured | 1 << proc.pid)
+        target, holders = hop
+        action = self.retarget(action, target)
+        pid = holders[0] if len(holders) == 1 else self.kernel.rng.choice(holders)
+        if pid == proc.pid:
             proc.submit(action)
-            return
-        pid = self.locate(proc, node_id)
-        if pid is not None and pid != proc.pid:
-            self.kernel.route(proc.pid, pid, action)
-            return
-        self._recover_route(proc, action, level=level, key=key)
-
-    def _recover_route(
-        self, proc: Processor, action: Any, level: int | None, key: Key
-    ) -> None:
-        """Missing-node recovery (paper, Sections 4.2-4.3).
-
-        Find the 'closest' locally stored node -- lowest level >= the
-        target level, preferring copies whose range covers the key --
-        and restart navigation there; with no usable local node, send
-        the action to a root holder.
-        """
-        self.trace.bump("missing_node_recovery")
-        if isinstance(action, SearchStep):
-            target_level, target_key = 0, action.op.key
         else:
-            target_level = action.level if level is None else level
-            target_key = key
-        best: NodeCopy | None = None
-        best_rank: tuple[int, int] | None = None
-        for copy in self.store(proc).values():
-            if copy.level < (target_level if target_level is not None else 0):
-                continue
-            if copy.node_id == getattr(action, "node_id", None):
-                continue
-            rank = (copy.level, 0 if copy.in_range(target_key) else 1)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = copy, rank
-        if best is not None:
-            proc.submit(self.retarget(action, best.node_id))
+            self.kernel.route(proc.pid, pid, action)
+        return True
+
+    def _dead_end(self, action: Any) -> None:
+        """Drop an action the step rule has nowhere to send.
+
+        Its operation is left to its timer, or failed when timers are
+        off -- the same disposal :meth:`submit_operation` gives an op
+        no processor can begin.
+        """
+        self.trace.bump("dead_ends")
+        op = getattr(action, "op", None)
+        if op is None or self.timers is not None:
             return
-        root_id = proc.state["root_id"]
-        entry = proc.state["locator"].get(root_id)
-        pids = [p for p in entry[1] if p != proc.pid] if entry is not None else []
-        if not pids:
-            # This processor's knowledge is exhausted: it stores no
-            # nodes and its locator offers no other root holder (it
-            # may be arbitrarily stale or poisoned -- locators are
-            # hints, never ground truth).  Hand the action around the
-            # ring instead of failing; the first processor that
-            # actually stores anything restarts navigation, and the
-            # walk terminates because the root exists somewhere.
-            all_pids = self.kernel.pids
-            if len(all_pids) > 1:
-                self.trace.bump("recovery_ring_forward")
-                index = all_pids.index(proc.pid)
-                next_pid = all_pids[(index + 1) % len(all_pids)]
-                self.kernel.route(proc.pid, next_pid, action)
-                return
-            raise RuntimeError(
-                f"processor {proc.pid} cannot locate the root for recovery"
+        if op.op_id not in self.op_verdicts and op.op_id not in self._completed_ops:
+            self.fail_op(op, "failed")
+
+    def resolve(self, pid: int, key: Key) -> tuple[list[NodeCopy], int]:
+        """Every leaf a search for ``key`` begun at ``pid`` can reach,
+        and how many distinct nodes its walks visit.
+
+        Runs :meth:`next_hop` across processors from ``pid``'s root,
+        exploring every live holder the rule's draw could pick
+        (forwarding addresses and the leaf cache, both optional, are
+        not followed).  Like :meth:`ShardDirectory.resolve
+        <repro.shard.directory.ShardDirectory.resolve>` it raises
+        ``RuntimeError`` on a dead end any draw reaches, or on a cycle
+        no draw leaves: either means a search from ``pid`` can fail to
+        end.  A cycle some draw leaves (a stale locator naming a peer
+        that no longer holds the node) only costs detours.
+        """
+        processors = self.kernel.processors
+        root_id = processors[pid].state["root_id"]
+        if root_id is None:
+            raise RuntimeError(f"processor {pid} has no root")
+        steps: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        leaves: dict[tuple[int, int], NodeCopy] = {}
+        nodes: set[int] = set()
+        todo = [(pid, root_id)]
+        while todo:
+            at = todo.pop()
+            if at in steps:
+                continue
+            proc = processors[at[0]]
+            if not proc.alive:
+                raise RuntimeError(f"walk for {key!r} from {pid} reaches down {at}")
+            copy = proc.state["store"].get(at[1])
+            if copy is not None:
+                nodes.add(at[1])
+                if copy.is_leaf and copy.in_range(key):
+                    leaves[at] = copy
+                    steps[at] = []
+                    continue
+            hop = self.next_hop(
+                proc, at[1] if copy is None else self._toward(copy, key), 0, key
             )
-        self.kernel.route(
-            proc.pid, self.kernel.rng.choice(pids), self.retarget(action, root_id)
-        )
+            if hop is None:
+                raise RuntimeError(f"walk for {key!r} from {pid} dead-ends at {at}")
+            steps[at] = [(holder, hop[0]) for holder in hop[1]]
+            todo.extend(steps[at])
+        # The steps that can still reach a leaf, back from the leaves.
+        ending = set(leaves)
+        grew = True
+        while grew:
+            grew = False
+            for at, following in steps.items():
+                if at not in ending and not ending.isdisjoint(following):
+                    ending.add(at)
+                    grew = True
+        trapped = sorted(set(steps) - ending)
+        if trapped:
+            raise RuntimeError(f"walk for {key!r} from {pid} cycles among {trapped}")
+        return list(leaves.values()), len(nodes)
 
     def forward_same_level(self, proc: Processor, copy: NodeCopy, action: Any, key: Key) -> None:
         """B-link lateral forwarding for an out-of-range action.
@@ -510,7 +611,8 @@ class DBTreeEngine:
         cached leaf believed to cover the key.  The shortcut is taken
         only when the cached leaf's low bound is *strictly greater*
         than this copy's low -- leaf lows are immutable, so progress
-        stays monotone rightward and stale hints cannot cycle.
+        stays monotone rightward and stale hints cannot cycle.  With
+        no lateral link the step rule recovers from above.
         """
         if copy.range.contains(key):
             raise ValueError("forwarding an in-range action")
@@ -527,36 +629,19 @@ class DBTreeEngine:
                 if hint is not None and key_lt(copy.range.low, hint[1]):
                     self.trace.counters["leaf_cache_shortcut"] += 1
                     target = hint[0]
-        if target is None:
-            # No lateral link: recover by re-navigating from above.
-            self._recover_route(
-                proc,
-                action,
-                level=getattr(action, "level", copy.level),
-                key=key,
-            )
-            return
-        self.route_to_node(
-            proc, target, action, level=getattr(action, "level", copy.level), key=key
-        )
+        self.route_to_node(proc, target, action)
 
     def step_toward(self, proc: Processor, copy: NodeCopy, action: Any) -> None:
-        """Route a keyed action downward/laterally toward (level, key)."""
+        """Route a keyed action downward/laterally toward (level, key);
+        an action for a level above this node climbs by recovery."""
         key = action.key
         if copy.level < action.level:
-            # Action targets a level above this node; restart from root.
-            self.trace.bump("recovery_via_root")
-            self._route_via_root(proc, action)
+            self.route_to_node(proc, None, action)
             return
         if not copy.in_range(key):
             self.forward_same_level(proc, copy, action, key)
             return
-        child = copy.child_for(key)
-        self.route_to_node(proc, child, action, level=copy.level - 1, key=key)
-
-    def _route_via_root(self, proc: Processor, action: Any) -> None:
-        root_id = proc.state["root_id"]
-        self.route_to_node(proc, root_id, action, level=None, key=action.key)
+        self.route_to_node(proc, copy.child_for(key), action)
 
     # ------------------------------------------------------------------
     # the lazy update (Sections 3, 4.1).  At the copy that performs it:
@@ -711,8 +796,7 @@ class DBTreeEngine:
         if copy.is_leaf:
             self._act_on_leaf(proc, copy, op)
             return
-        child = copy.child_for(op.key)
-        self.route_to_node(proc, child, action, level=copy.level - 1, key=op.key)
+        self.route_to_node(proc, copy.child_for(op.key), action)
 
     def _act_on_leaf(self, proc: Processor, copy: NodeCopy, op: OpContext) -> None:
         """Do the op's work at the leaf its search action just found.
@@ -788,11 +872,7 @@ class DBTreeEngine:
             self.complete_op(proc, op, collected)
             return
         self.route_to_node(
-            proc,
-            copy.right_id,
-            action.advanced(copy.range.high, collected),
-            level=0,
-            key=copy.range.high,
+            proc, copy.right_id, action.advanced(copy.range.high, collected)
         )
 
     # ------------------------------------------------------------------
@@ -863,29 +943,22 @@ class DBTreeEngine:
     # ------------------------------------------------------------------
     # link changes (ordered actions; Sections 4.2-4.3)
     # ------------------------------------------------------------------
-    def route_link_change(self, proc: Processor, action: LinkChange) -> None:
-        """Route a link-change to its target node, best effort.
-
-        Link-changes are *id-addressed*: unlike keyed updates they are
-        never re-homed by key.  If the target cannot be located the
-        change is dropped -- a stale link is not a correctness problem
-        because operations recover from stale links themselves
-        (out-of-range forwarding / missing-node recovery); version
-        ordering merely stops old information overwriting new.
-        """
-        if action.node_id in self.store(proc):
-            proc.submit(action)
-            return
-        pid = self.locate(proc, action.node_id)
-        if pid is None or pid == proc.pid:
-            self.trace.bump("link_change_unroutable")
-            return
-        self.kernel.route(proc.pid, pid, action)
-
     def _on_link_change(self, proc: Processor, action: LinkChange) -> None:
+        """Apply an ordered link-change at the node it names.
+
+        A link-change is id-addressed and also carries its target's
+        ``(level, key)``, so one that cannot be located recovers like a
+        keyed update: re-addressed to a copy at a higher level, it
+        descends toward the key and applies at the copy it reaches at
+        its own level.  A left neighbour's location change carries no
+        key (the sender does not know its range) and goes by id only.
+        """
         copy = self.copy_at(proc, action.node_id)
         if copy is None:
             self.handle_missing(proc, action)
+            return
+        if copy.level != action.level:
+            self.step_toward(proc, copy, action)
             return
         if action.slot == "location":
             # A neighbour's copies moved: refresh this processor's locator.
@@ -1069,9 +1142,9 @@ class DBTreeEngine:
 
         Relayed actions are discarded (an unjoined or migrated-away
         copy ignores them, Section 4.3); initial actions follow the
-        forwarding address when one exists, then fall back to
-        key-based recovery.  Link-changes never re-route by key (see
-        :meth:`route_link_change`).
+        forwarding address when one exists, and otherwise take one
+        detour by the step rule (:meth:`next_hop`): by ``(level, key)``
+        when they have a key, by id when they have none.
         """
         mode = getattr(action, "mode", None)
         if mode is Mode.RELAYED:
@@ -1088,27 +1161,18 @@ class DBTreeEngine:
             # still in the sender's member list); protocols may heal.
             self.protocol.on_relay_to_missing(proc, action)
             return
-        forward = proc.state["forward"].get(getattr(action, "node_id", None))
+        forward = proc.state["forward"].get(action.node_id)
         if forward is not None:
             to_pid, _version, _since = forward
             self.trace.bump("forwarded_by_address")
             self.kernel.route(proc.pid, to_pid, action)
             return
-        if isinstance(action, LinkChange):
-            self.trace.bump("link_change_undeliverable")
-            return
-        if isinstance(action, SearchStep):
-            if action.cached:
-                # Cache pointed at a copy this processor no longer
-                # stores (migrated / crashed / collected).
-                self.trace.counters["leaf_cache_stale"] += 1
-                action = action.uncached()
-            self._recover_route(proc, action, level=0, key=action.op.key)
-            return
-        if hasattr(action, "level") and hasattr(action, "key"):
-            self._recover_route(proc, action, level=action.level, key=action.key)
-            return
-        self.trace.bump("undeliverable_action")
+        if isinstance(action, SearchStep) and action.cached:
+            # Cache pointed at a copy this processor no longer stores
+            # (migrated / crashed / collected).
+            self.trace.counters["leaf_cache_stale"] += 1
+            action = action.uncached()
+        self.route_to_node(proc, action.node_id, action, missed=True)
 
     def remove_copy(
         self, proc: Processor, node_id: int, reason: str = "deleted"
@@ -1215,29 +1279,39 @@ class DBTreeEngine:
         Ordered location link-changes to the left and right neighbours
         and the parent (and, for a migrating interior node, its
         children): sent after a migration, a join or unjoin, and a
-        re-home.  Best effort -- a lost or undeliverable link-change
-        only means stale locators, which operations recover from.
+        re-home.  Each carries its target's ``(level, key)``, so one
+        whose target cannot be located recovers by key; the left
+        neighbour's goes by id only.  A lost one only means stale
+        locators, which operations recover from.
         """
-        neighbours = [copy.left_id, copy.right_id, copy.parent_id]
+        level, low = copy.level, copy.range.low
+        neighbours = [
+            (copy.left_id, level, None),
+            (copy.right_id, level, copy.range.high),
+            (copy.parent_id, level + 1, low),
+        ]
         if to_children and not copy.is_leaf:
-            neighbours.extend(child for _key, child in copy.entries())
-        for node_id in neighbours:
-            if node_id is None:
-                continue
-            self.route_link_change(
-                proc,
-                LinkChange(
-                    node_id=node_id,
-                    level=-1,  # id-addressed; level unused for routing
-                    key=copy.range.low,
-                    slot="location",
-                    target_id=copy.node_id,
-                    target_pids=copy.copy_pids,
-                    version=copy.version,
-                    action_id=self.trace.new_action_id(),
-                    mode=Mode.INITIAL,
-                ),
+            neighbours.extend(
+                (child, level - 1, key) for key, child in copy.entries()
             )
+        for node_id, at_level, key in neighbours:
+            if node_id is not None:
+                self.send_link_change(
+                    proc, node_id, at_level, key, "location",
+                    copy.node_id, copy.copy_pids, copy.version,
+                )
+
+    def send_link_change(
+        self, proc: Processor, node_id: int, level: int, key: Key | None,
+        slot: str, target_id: int, target_pids: tuple[int, ...], version: int,
+    ) -> None:
+        """Issue an ordered link-change to ``node_id``, the node at
+        ``(level, key)`` (``key=None``: by id only)."""
+        change = LinkChange(
+            node_id, level, key, slot, target_id, target_pids, version,
+            self.trace.new_action_id(),
+        )
+        self.route_to_node(proc, node_id, change)
 
     # ------------------------------------------------------------------
     # split mechanics (Figure 1)
@@ -1344,27 +1418,17 @@ class DBTreeEngine:
                 action_id=parent_action_id,
                 payload_pids=placement.member_pids,
             )
-            self.route_to_node(
-                proc, parent_id, parent_insert, level=copy.level + 1, key=separator
-            )
+            self.route_to_node(proc, parent_id, parent_insert)
 
         if self.protocol.maintain_left_links and old_right is not None:
             if old_high is POS_INF:
                 raise RuntimeError(
                     f"node {copy.node_id} has a right sibling but high=+inf"
                 )
-            link = LinkChange(
-                node_id=old_right,
-                level=copy.level,
-                key=old_high,
-                slot="left",
-                target_id=sibling_id,
-                target_pids=placement.member_pids,
-                version=sibling.version,
-                action_id=self.trace.new_action_id(),
-                mode=Mode.INITIAL,
+            self.send_link_change(
+                proc, old_right, copy.level, old_high, "left",
+                sibling_id, placement.member_pids, sibling.version,
             )
-            self.route_link_change(proc, link)
 
         return HalfSplit(
             action_id=action_id,

@@ -122,6 +122,4 @@ class OpTimers:
         root_id = proc.state["root_id"]
         if proc.alive and root_id is not None:
             engine.trace.bump(counter)
-            engine.route_to_node(
-                proc, root_id, SearchStep(node_id=root_id, op=op), level=None, key=op.key
-            )
+            engine.route_to_node(proc, root_id, SearchStep(root_id, op))

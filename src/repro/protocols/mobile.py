@@ -16,7 +16,9 @@ Every node has exactly one copy, but nodes migrate between processors
   ordered histories are produced lazily (stale changes are discarded
   -- the history is rewritten);
 * **misnavigated messages** recover exactly like misnavigated B-link
-  operations: re-navigate from a close local node or from the root.
+  operations, by the engine's step rule: a holder the locator names,
+  else a restart from the closest local node covering the key, else
+  the root.
 
 Histories are vacuously compatible (one copy per node); the engine's
 recovery machinery plus the version ordering provide the complete and

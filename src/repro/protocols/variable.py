@@ -34,7 +34,6 @@ from repro.core.actions import (
     InsertAction,
     JoinRequest,
     JoinRetry,
-    LinkChange,
     Mode,
     RelayedJoin,
     RelayedUnjoin,
@@ -163,7 +162,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             retired_id=copy.node_id,
             retired_version=copy.version,
         )
-        self._route_absorb(proc, request)
+        engine.route_to_node(proc, request.node_id, request)
 
         parent_delete = DeleteAction(
             node_id=copy.parent_id if copy.parent_id is not None else 0,
@@ -172,42 +171,23 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             mode=Mode.INITIAL,
             action_id=engine.trace.new_action_id(),
         )
-        engine.route_to_node(
-            proc,
-            parent_delete.node_id,
-            parent_delete,
-            level=copy.level + 1,
-            key=old_low,
-        )
-
-    def _route_absorb(self, proc: "Processor", request: AbsorbRequest) -> None:
-        """Deliver an absorb request to a node, by id (best effort)."""
-        engine = self.engine
-        if request.node_id in engine.store(proc):
-            proc.submit(request)
-            return
-        pid = engine.locate(proc, request.node_id)
-        if pid is None or pid == proc.pid:
-            # Unroutable: the zombie stays; that is safe (never-merge
-            # behaviour for this one leaf).
-            engine.trace.bump("absorb_unroutable")
-            return
-        engine.kernel.route(proc.pid, pid, request)
+        engine.route_to_node(proc, parent_delete.node_id, parent_delete)
 
     def on_absorb(self, proc: "Processor", action: AbsorbRequest) -> None:
+        """Take over a retired right neighbour's range.
+
+        Id-addressed: the request goes where the engine's step rule
+        sends it by id, and is dropped at a dead end (the zombie stays;
+        that is safe -- never-merge behaviour for this one leaf).
+        """
         engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
-            self._route_absorb(proc, action)
+            engine.handle_missing(proc, action)
             return
         if copy.retired:
             # Cascaded retirement: pass the request further left.
-            if copy.left_id is None:
-                engine.trace.bump("absorb_unroutable")
-                return
-            self._route_absorb(
-                proc, engine.retarget(action, copy.left_id)
-            )
+            self._pass_absorb(proc, action, copy.left_id)
             return
         if copy.range.high == action.old_low:
             copy.range = KeyRange(copy.range.low, action.old_high)
@@ -224,19 +204,9 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 engine.mirrors.push(proc, copy)
             if action.right_id is not None:
                 engine.learn_location(proc, action.right_id, action.right_pids)
-                engine.route_link_change(
-                    proc,
-                    LinkChange(
-                        node_id=action.right_id,
-                        level=-1,
-                        key=action.old_high,
-                        slot="left",
-                        target_id=copy.node_id,
-                        target_pids=(proc.pid,),
-                        version=action.retired_version + 1,
-                        action_id=engine.trace.new_action_id(),
-                        mode=Mode.INITIAL,
-                    ),
+                engine.send_link_change(
+                    proc, action.right_id, copy.level, action.old_high, "left",
+                    copy.node_id, (proc.pid,), action.retired_version + 1,
                 )
             return
         if key_lt(action.old_low, copy.range.high):
@@ -244,10 +214,15 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         # This node split since the retiree recorded its left link;
         # the true neighbour is further right.
-        if copy.right_id is None:
-            engine.trace.bump("absorb_unroutable")
+        self._pass_absorb(proc, action, copy.right_id)
+
+    def _pass_absorb(
+        self, proc: "Processor", action: AbsorbRequest, node_id: int | None
+    ) -> None:
+        if node_id is None:
+            self.engine.trace.bump("absorb_unroutable")
             return
-        self._route_absorb(proc, engine.retarget(action, copy.right_id))
+        self.engine.route_to_node(proc, node_id, action)
 
     def handlers(self) -> dict[type, "ActionHandler"]:
         return {
@@ -598,16 +573,8 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         if parent_id in pending:
             return
         pending.add(parent_id)
-        key = copy.range.low
-        request = JoinRequest(
-            node_id=parent_id,
-            level=copy.level + 1,
-            key=key,
-            requester_pid=proc.pid,
-        )
-        engine.route_to_node(
-            proc, parent_id, request, level=copy.level + 1, key=key
-        )
+        request = JoinRequest(parent_id, copy.level + 1, copy.range.low, proc.pid)
+        engine.route_to_node(proc, parent_id, request)
 
     def on_relay_to_missing(self, proc: "Processor", action) -> None:
         """Heal a lost copy: re-join the node's replication.
@@ -631,19 +598,11 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         pending = proc.state.setdefault("joining", set())
         if action.node_id in pending:
             return
-        target = engine.locate(proc, action.node_id)
-        if target is None or target == proc.pid:
+        request = JoinRequest(action.node_id, action.level, action.key, proc.pid, exact=True)
+        if not engine.route_to_node(proc, action.node_id, request):
             engine.trace.bump("heal_unroutable")
             return  # retried on the next relay
         pending.add(action.node_id)
-        request = JoinRequest(
-            node_id=action.node_id,
-            level=action.level,
-            key=action.key,
-            requester_pid=proc.pid,
-            exact=True,
-        )
-        engine.kernel.route(proc.pid, target, request)
         engine.trace.bump("heal_rejoins_requested")
 
     def _clear_pending_join(self, proc: "Processor", node_id: int) -> None:

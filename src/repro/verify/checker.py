@@ -442,6 +442,28 @@ def check_crash_losses(engine: "DBTreeEngine") -> list[str]:
     return problems
 
 
+def check_routability(engine: "DBTreeEngine", expected: Mapping[Key, Any]) -> list[str]:
+    """From every live, rooted processor, every expected key resolves by
+    the engine's step rule (:meth:`~repro.core.dbtree.DBTreeEngine.resolve`)
+    to leaves that all hold it: a search begun anywhere ends, and finds it."""
+
+    def walk(pid: int, key: Key) -> dict | None:
+        try:
+            leaves = engine.resolve(pid, key)[0]
+        except RuntimeError:
+            return None
+        if not all(leaf.has_key(key) for leaf in leaves):
+            return {}
+        return {key: leaves[0].lookup(key)}
+
+    origins = {
+        f"pid {pid}": pid
+        for pid, proc in engine.kernel.processors.items()
+        if proc.alive and proc.state["root_id"] is not None
+    }
+    return resolvability_problems(origins, expected, walk)
+
+
 # ----------------------------------------------------------------------
 # digest convergence (anti-entropy audit)
 # ----------------------------------------------------------------------
@@ -633,4 +655,6 @@ def check_all(
             "expected-contents",
             check_expected_contents(engine, expected, uncertain or None),
         )
+        certain = {k: v for k, v in expected.items() if k not in uncertain}
+        report.extend("routability", check_routability(engine, certain))
     return report

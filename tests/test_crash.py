@@ -17,7 +17,6 @@ import pytest
 
 from repro import CrashPlan, DBTreeCluster, FaultPlan, ReliabilityConfig
 from repro.sim.crash import RECOVERY_GRACE, CrashController
-from repro.sim.events import QuiescenceError
 from repro.sim.network import Bundle
 from repro.sim.processor import ProcessorDownError
 from repro.sim.reliable import ReliabilityError
@@ -366,29 +365,13 @@ class TestSubmitRacesCrash:
         assert cluster.trace.counters.get("op_failed_over", 0) == 0
         assert cluster.check().ok
 
-    # Search for a schedule that still announces a re-home to the dead
-    # owner: seeds 0-11, this schedule, one insert from each client at
-    # 50, 320, 340, 400 or 520 vt, 20k events.  Every failure was this
-    # livelock, with the announcement from pid 1 to pid 0 at 386; none
-    # at 50 vt, where the insert homed at pid 1 now fails over instead
-    # of waiting for pid 1's restart.  Seed 3 (the suite's default)
-    # livelocks with an insert from client 0 or 1 at 340.
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "ROADMAP's self-resubmit livelock, one insert under a 20k-event "
-            "budget: the insert pid 1 issues at 340 dies with pid 0, the "
-            "leaf's owner (335); pid 1 adopts the only leaf when pid 0 is "
-            "detected dead (386) and announces its new location to a root "
-            "copy picked at random -- `locate` does not consult "
-            "`dead_peers` and picks pid 0's, so the link-change is "
-            "dead-lettered and pids 2 and 3 keep the leaf at pid 0.  Once "
-            "pid 0 is back with a root copy and no leaf, a search sent "
-            "there recovers to its own root copy, which sends it to the "
-            "leaf 'at pid 0', forever.  Which pid the announcement draws "
-            "is one rng draw (the search above)."
-        ),
-    )
+    # ROADMAP's self-resubmit livelock, one insert under a 20k-event
+    # budget: the insert pid 1 issues at 340 dies with pid 0, the leaf's
+    # owner (335); pid 1 adopts the only leaf when pid 0 is detected dead
+    # (386) and announces its new location.  The announcement must go to
+    # a live root holder, not to pid 0: a search that later reached pid
+    # 0's root copy would otherwise recover to the leaf "at pid 0" for
+    # ever.
     def test_rehome_announced_to_the_dead_owner_livelocks_recovery(self):
         cluster = crash_cluster(
             ((1, 10.0, 300.0), (0, 335.0, 500.0)), op_timeout=500.0
@@ -398,21 +381,10 @@ class TestSubmitRacesCrash:
         results = cluster.run(max_events=20_000)
         assert results.completed[op_id] is True
 
-    # Every restart time of pid 0 from 200 to 1000 (step 50) livelocks
-    # the same way; 400 is one of them.
-    @pytest.mark.xfail(
-        strict=True,
-        raises=QuiescenceError,
-        reason=(
-            "ROADMAP's recovery-walk livelock, second schedule: pid 1 is "
-            "down 84-124 and pid 0 from 130, and leaves 4 and 5 (keys "
-            "42-98) are then held by neither processor.  The inserts of "
-            "keys 77 and 91 time out, but their search steps stay at pid "
-            "0's copy of interior node 7, which still names the lost "
-            "leaves: each `missing_node_recovery` sends the step back to "
-            "node 7, for ever (~19,300 in 20k events)."
-        ),
-    )
+    # Pid 1 is down 84-124 and pid 0 from 130 to 400, and leaves 4 and
+    # 5 (keys 42-98) are then held by neither processor.  The inserts of
+    # keys 77 and 91 dead-end at interior node 7, which still names the
+    # lost leaves, and time out; nothing recovers back to node 7.
     def test_leaves_lost_with_both_processors_livelock_recovery(self):
         cluster = crash_cluster(
             ((1, 84.0, 124.0), (0, 130.0, 400.0)),
@@ -420,8 +392,15 @@ class TestSubmitRacesCrash:
             seed=0,
             op_timeout=500.0,
         )
-        spaced_inserts(cluster, count=40, spacing=2.0)
-        cluster.run(max_events=20_000)
+        expected = spaced_inserts(cluster, count=40, spacing=2.0)
+        results = cluster.run(max_events=20_000)
+        timed_out = sorted(cluster.trace.operations[op].key for op in results.timed_out)
+        assert timed_out == [77, 91]
+        # The audit walks every processor's knowledge: the lost leaves'
+        # keys resolve from neither processor.
+        problems = cluster.check(expected).problems
+        assert "[routability] key 42 unresolvable from pid 0" in problems
+        assert "[routability] key 42 unresolvable from pid 1" in problems
 
     def test_queue_races_crash_then_completes_before_restart(self):
         # Ops queued on pid 1 die in the crash; they fail over to pid 2
@@ -558,6 +537,28 @@ class TestRecovery:
         assert len(results.completed) == 200
         report = cluster.check(expected=expected)
         assert report.ok, report.problems[:5]
+
+    def test_search_for_a_lost_leaf_fails_and_quiesces(self):
+        # rf 1, no timers: the only holder of a leaf is gone for good.
+        # Every live processor still names it, so a search for one of
+        # its keys dead-ends and fails instead of circling the others.
+        cluster = crash_cluster(
+            ((0, 900.0, None),), replication_factor=1, op_timeout=None
+        )
+        expected = spaced_inserts(cluster, count=60, spacing=10.0)
+        cluster.kernel.run_until(800.0)
+        engine = cluster.engine
+        lost = next(
+            key
+            for key in expected
+            if any(leaf.home_pid == 0 and leaf.has_key(key) for leaf in engine.leaves())
+        )
+        cluster.kernel.run_until(1000.0)
+        op_id = cluster.search(lost, client=1)
+        results = cluster.run(max_events=20_000)
+        assert op_id in results.failed
+        assert engine.op_verdicts[op_id] == "failed"
+        assert cluster.trace.counters["dead_ends"] >= 1
 
     def test_single_copy_leaves_declared_lost(self):
         # replication_factor=1: a permanent crash of the leaf owner

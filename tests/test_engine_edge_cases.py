@@ -19,17 +19,26 @@ class TestLocatorRecovery:
             seed=3,
         )
         expected = run_insert_workload(cluster, count=100)
-        # Poison every locator entry on processor 3 to point at a
-        # processor that (mostly) does not hold the copy.
+        engine = cluster.engine
+        # Poison every locator entry on processor 3 to name one live
+        # processor that does not hold the node, so each search from 3
+        # that leaves it misses once.
         proc = cluster.kernel.processor(3)
         locator = proc.state["locator"]
+        poisoned = 0
         for node_id, (version, _pids) in list(locator.items()):
-            locator[node_id] = (version + 100, (int(node_id) % 4,))
+            holders = {copy.home_pid for copy in engine.copies_of(node_id)}
+            wrong = [pid for pid in (0, 1, 2) if pid not in holders]
+            if wrong:
+                locator[node_id] = (version + 100, (wrong[0],))
+                poisoned += 1
+        assert poisoned > 0
         before = cluster.trace.counters.get("missing_node_recovery", 0)
         for key in list(expected)[:30]:
             assert cluster.search_sync(key, client=3) == expected[key]
-        after = cluster.trace.counters.get("missing_node_recovery", 0)
-        assert after >= before  # recovery may or may not fire, ops never fail
+        assert cluster.trace.counters["missing_node_recovery"] > before
+        assert cluster.trace.counters.get("dead_ends", 0) == 0
+        assert_clean(cluster, expected=expected)
 
     def test_recovery_counter_fires_on_erased_locator(self):
         cluster = DBTreeCluster(

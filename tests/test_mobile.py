@@ -1,7 +1,5 @@
 """Mobile single-copy nodes: migration, forwarding, version ordering."""
 
-import pytest
-
 from tests.helpers import assert_clean, run_insert_workload
 from repro import DBTreeCluster
 
@@ -142,17 +140,6 @@ class TestForwardingGC:
             assert cluster.search_sync(k, client=3) == expected[k]
         assert_clean(cluster, expected=expected)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "C5's livelock, one search under a 20k-event budget: client 2 "
-            "holds only leaves, recovery re-picks out-of-range leaf 16, whose "
-            "left chain ends at a node client 2 cannot locate; behind that "
-            "loop the parent's locator still names the leaf's previous home "
-            "(EXPERIMENTS.md, C5).  Strict: passing here un-marks "
-            "benchmarks/bench_c5_migration.py::test_c5_migration as well."
-        ),
-    )
     def test_search_quiesces_after_forwarding_gc(self):
         # bench_c5_migration.measure("mobile", 4), up to the first
         # search of its post-GC sweep that never returns.

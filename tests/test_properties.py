@@ -252,3 +252,38 @@ class TestEndToEndProperties:
         cluster.run()
         report = cluster.check(expected=expected)
         assert report.ok, "\n".join(report.problems[:10])
+
+
+class TestResolveProperties:
+    """The engine's routability walk, held to the hop bound the shard
+    directory's walk has (``tests/test_shard_properties.py``)."""
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        protocol=st.sampled_from(["semisync", "variable", "mobile"]),
+        seed=st.integers(0, 10**6),
+        count=st.integers(1, 150),
+        probes=st.lists(keys_st, min_size=1, max_size=8),
+    )
+    def test_every_walk_reaches_the_covering_leaf_in_one_node_per_level(
+        self, protocol, seed, count, probes
+    ):
+        cluster = DBTreeCluster(
+            num_processors=4, protocol=protocol, capacity=4, seed=seed
+        )
+        for index in range(count):
+            cluster.insert((index * 37) % 2003 - 1000, index, client=index % 4)
+        cluster.run()
+        engine = cluster.engine
+        height = engine.current_root_level() + 1
+        for probe in probes:
+            covering = {leaf.node_id for leaf in engine.leaves() if leaf.in_range(probe)}
+            assert len(covering) == 1
+            for pid in cluster.kernel.pids:
+                leaves, nodes = engine.resolve(pid, probe)
+                assert {leaf.node_id for leaf in leaves} == covering
+                assert nodes == height

@@ -4,6 +4,8 @@ Each test plants a specific violation into an otherwise healthy
 cluster and asserts the corresponding check reports it.
 """
 
+import pytest
+
 from tests.helpers import assert_clean, run_insert_workload
 from repro import DBTreeCluster, OracleMap
 from repro.verify.checker import (
@@ -12,6 +14,7 @@ from repro.verify.checker import (
     check_expected_contents,
     check_ordered_histories,
     check_replication_metadata,
+    check_routability,
     check_trace_store_agreement,
 )
 from repro.verify.invariants import (
@@ -85,6 +88,30 @@ class TestPlantedViolations:
             copy.right_id = None
         problems = check_reachability(cluster.engine)
         assert problems == [] or any(str(target) in p for p in problems)
+
+    def test_erased_leaf_is_unroutable(self):
+        cluster, expected = healthy_cluster()
+        engine = cluster.engine
+        leaf = next(c for c in engine.leaves() if c.num_entries)
+        lost = leaf.keys()[0]
+        for proc in cluster.kernel.processors.values():
+            engine.remove_copy(proc, leaf.node_id)
+            del proc.state["locator"][leaf.node_id]
+        problems = check_routability(engine, expected)
+        assert f"key {lost!r} unresolvable from pid 0" in problems
+        with pytest.raises(RuntimeError, match="dead-ends"):
+            engine.resolve(0, lost)
+
+    def test_stale_locators_around_an_erased_leaf_are_a_cycle(self):
+        # The leaf is gone and every processor's locator still names
+        # the others: no draw leaves them, so the walk is a cycle.
+        cluster, _expected = healthy_cluster()
+        engine = cluster.engine
+        leaf = next(c for c in engine.leaves() if c.num_entries)
+        for proc in cluster.kernel.processors.values():
+            engine.remove_copy(proc, leaf.node_id)
+        with pytest.raises(RuntimeError, match="cycles among"):
+            engine.resolve(1, leaf.keys()[0])
 
     def test_incomplete_operation_detected(self):
         cluster, _expected = healthy_cluster()
