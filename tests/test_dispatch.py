@@ -387,17 +387,22 @@ class TestAnnounceLocation:
         cluster.run()
         assert cluster.trace.counters["leaves_rehomed"] == 19
         assert cluster.now == 1314.0
+        # 75 location changes and 101 searches until the step rule
+        # stopped drawing holders this processor believes are down: 18
+        # announcements and 2 search steps for nodes only the dead pid 0
+        # held now dead-end where they were dead-lettered.
+        assert cluster.trace.counters["dead_ends"] == 20
         assert cluster.message_stats()["by_kind"] == {
             "create_copy_pc_recovery": 39,
             "create_copy_root": 9,
             "insert_relayed": 216,
             "link_change_left": 18,
-            "link_change_location": 75,
+            "link_change_location": 57,
             "mirror_update": 240,
             "recovery_announce": 3,
             "relayed_split": 75,
             "return": 93,
-            "search": 101,
+            "search": 99,
             "set_root": 3,
         }
 
