@@ -45,8 +45,8 @@ from repro.sim.reliable import (
     ReliableTransport,
 )
 
-#: Message-accounting modes: ``"full"`` keeps the per-kind and
-#: per-channel Counters, ``"aggregate"`` only the scalar totals
+#: Message-accounting modes: ``"full"`` keeps the per-kind Counter,
+#: ``"aggregate"`` only the scalar totals
 #: (sent/delivered/dropped/duplicated/...).  Large perf runs use
 #: aggregate; everything that audits message complexity needs full
 #: (the default).
@@ -162,9 +162,9 @@ class Bundle:
 class NetworkStats:
     """Aggregate message accounting, reset-able between phases.
 
-    ``sent``, ``delivered`` and ``by_channel`` count messages put on
-    the wire; a :class:`Bundle` counts once.  ``by_kind`` counts the
-    *logical* messages (the payloads protocols exchange), a bundle's
+    ``sent`` and ``delivered`` count messages put on the wire; a
+    :class:`Bundle` counts once.  ``by_kind`` counts the *logical*
+    messages (the payloads protocols exchange), a bundle's
     items one by one, and ``piggybacked`` the items that rode on
     another's message, so ``sum(by_kind.values()) == sent +
     piggybacked``.  The reliable-delivery layer's extra wire traffic
@@ -199,7 +199,6 @@ class NetworkStats:
     #: logical messages that travelled inside another's :class:`Bundle`.
     piggybacked: int = 0
     by_kind: Counter = field(default_factory=Counter)
-    by_channel: Counter = field(default_factory=Counter)
 
     @property
     def physical_sent(self) -> int:
@@ -227,7 +226,6 @@ class NetworkStats:
             "piggybacked": self.piggybacked,
             "physical_sent": self.physical_sent,
             "by_kind": dict(self.by_kind),
-            "by_channel": dict(self.by_channel),
         }
 
 
@@ -423,11 +421,9 @@ class Network:
             if self._count_kinds:
                 for item in items:
                     stats.by_kind[message_kind(item)] += 1
-                stats.by_channel[(src, dst)] += 1
             land = self._unpack
         elif self._count_kinds:
             stats.by_kind[message_kind(payload)] += 1
-            stats.by_channel[(src, dst)] += 1
         stats.sent += 1
 
         if self.transport is not None:

@@ -74,18 +74,7 @@ class ProcessorStats:
 
     actions_executed: int = 0
     busy_time: float = 0.0
-    wait_time: float = 0.0
-    max_queue_len: int = 0
     by_kind: Counter = field(default_factory=Counter)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "actions_executed": self.actions_executed,
-            "busy_time": self.busy_time,
-            "wait_time": self.wait_time,
-            "max_queue_len": self.max_queue_len,
-            "by_kind": dict(self.by_kind),
-        }
 
 
 class Processor:
@@ -123,10 +112,10 @@ class Processor:
         if service_time < 0:
             raise ValueError(f"negative service time {service_time}")
         self._service_time = float(service_time)
-        # "full" keeps the per-kind Counter plus queue-wait detail;
-        # "aggregate" keeps only the scalars utilization() needs.
+        # "full" keeps the per-kind Counter; "aggregate" keeps only
+        # the scalars utilization() needs.
         self._track_detail = accounting == "full"
-        self._queue: deque[tuple[Any, float]] = deque()
+        self._queue: deque[Any] = deque()
         self._busy = False
         self._in_service: Any = None
         self._handler: ActionHandler | None = None
@@ -187,14 +176,8 @@ class Processor:
         if not self._alive:
             raise ProcessorDownError(self.pid, action)
         if self._busy:
-            queue = self._queue
-            queue.append((action, self._events.now))
-            if self._track_detail and len(queue) > self.stats.max_queue_len:
-                self.stats.max_queue_len = len(queue)
+            self._queue.append(action)
             return
-        # Idle: the action would sit in the queue, alone, for no time.
-        if self._track_detail and self.stats.max_queue_len < 1:
-            self.stats.max_queue_len = 1
         self._serve(action)
 
     def _serve(self, action: Any) -> None:
@@ -238,10 +221,7 @@ class Processor:
                     held.clear()
             self._busy = False
             if self._queue:
-                action, enqueued_at = self._queue.popleft()
-                if self._track_detail:
-                    self.stats.wait_time += self._events.now - enqueued_at
-                self._serve(action)
+                self._serve(self._queue.popleft())
 
     # ------------------------------------------------------------------
     # crash-stop semantics

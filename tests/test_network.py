@@ -154,7 +154,7 @@ class TestDelivery:
 
 
 class TestAccounting:
-    def test_counts_by_kind_and_channel(self):
+    def test_counts_by_kind(self):
         events, net, _delivered = make_net()
         net.send(0, 1, Tagged())
         net.send(0, 1, Tagged())
@@ -165,7 +165,6 @@ class TestAccounting:
         assert stats.delivered == 3
         assert stats.by_kind["tagged"] == 2
         assert stats.by_kind["str"] == 1
-        assert stats.by_channel[(0, 1)] == 2
 
     def test_message_kind_fallback(self):
         assert message_kind(Tagged()) == "tagged"
@@ -197,7 +196,6 @@ class TestBundles:
         assert (stats.sent, stats.delivered, stats.piggybacked) == (1, 1, 2)
         assert stats.by_kind == {"str": 2, "tagged": 1}
         assert sum(stats.by_kind.values()) == stats.sent + stats.piggybacked
-        assert stats.by_channel[(0, 1)] == 1
         assert net.stats.snapshot()["piggybacked"] == 2
 
     def test_one_verdict_for_the_whole_bundle(self):

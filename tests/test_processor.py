@@ -100,32 +100,6 @@ class TestStats:
         assert proc.stats.actions_executed == 2
         assert proc.stats.busy_time == 5.0
 
-    def test_wait_time_accumulates(self):
-        events, proc, _executed = make_processor(service_time=2.0)
-        proc.submit("a")  # waits 0
-        proc.submit("b")  # waits 2
-        proc.submit("c")  # waits 4
-        events.run()
-        assert proc.stats.wait_time == 6.0
-
-    def test_max_queue_len(self):
-        events, proc, _executed = make_processor()
-        for index in range(4):
-            proc.submit(index)
-        events.run()
-        # The first submit enters service immediately, so the queue
-        # peaks at 3 waiting actions.
-        assert proc.stats.max_queue_len == 3
-
-    def test_lone_action_counts_as_a_queue_of_one(self):
-        # An idle processor takes the action straight into service;
-        # the accounting reads as if it had queued for no time.
-        events, proc, _executed = make_processor()
-        proc.submit("a")
-        events.run()
-        assert proc.stats.max_queue_len == 1
-        assert proc.stats.wait_time == 0.0
-
     def test_by_kind_counter(self):
         events, proc, _executed = make_processor()
         proc.submit("x")

@@ -733,14 +733,14 @@ class TestAccountingInteraction:
             net.send(0, 1, i)
         events.run()
         # Delivery is exactly-once in-order and the scalar books say
-        # how; only the per-kind / per-channel breakdown is skipped.
+        # how; only the per-kind breakdown is skipped.
         assert payloads(delivered, 1) == list(range(80))
         snap = net.stats.snapshot()
         assert snap["sent"] == snap["delivered"] == 80
         assert snap["dropped"] > 0 and snap["duplicated"] > 0
         assert snap["retransmits"] > 0 and snap["dup_suppressed"] > 0
         assert snap["physical_sent"] == 80 + snap["retransmits"] + snap["acks"]
-        assert snap["by_kind"] == {} and snap["by_channel"] == {}
+        assert snap["by_kind"] == {}
 
     def test_by_kind_counts_logical_kinds_not_frames(self):
         class Tagged:
