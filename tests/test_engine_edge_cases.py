@@ -4,7 +4,7 @@ import pytest
 
 from tests.helpers import assert_clean, run_insert_workload
 from repro import DBTreeCluster, FixedFactor, SingleCopy
-from repro.core.actions import SearchStep
+from repro.core.actions import InsertAction, Mode, OpContext, ScanStep, SearchStep
 from repro.sim.network import TopologyLatency
 
 
@@ -62,6 +62,178 @@ class TestLocatorRecovery:
         cluster = DBTreeCluster(num_processors=2, seed=1)
         with pytest.raises(RuntimeError):
             cluster.kernel._on_delivery(99, object())
+
+
+def begin_op(cluster, kind, key, value=None, home=0):
+    """An op the engine tracks, as ``submit_operation`` makes one, whose
+    first action the test hand-delivers."""
+    op = OpContext(
+        op_id=cluster.engine._alloc_op_id(),
+        kind=kind,
+        key=key,
+        value=value,
+        home_pid=home,
+    )
+    cluster.trace.record_op_submitted(op.op_id, kind, key, home, cluster.now)
+    return op
+
+
+class TestStepRuleBranches:
+    """Actions that reach a copy at another level than their own, or a
+    copy that no longer covers their key, still finish where they act.
+
+    The variable protocol's default placement keeps every leaf of this
+    workload at pid 0 and every interior node at every processor, so
+    pid 2 holds the path to each leaf but no leaf.
+    """
+
+    @staticmethod
+    def build(**kwargs):
+        cluster = DBTreeCluster(
+            num_processors=4, protocol="variable", capacity=4, seed=3, **kwargs
+        )
+        expected = run_insert_workload(cluster, count=100)
+        return cluster, expected
+
+    @staticmethod
+    def level_one(cluster, pid):
+        store = cluster.kernel.processor(pid).state["store"]
+        return sorted(
+            (c for c in store.values() if c.level == 1), key=lambda c: c.range.low
+        )
+
+    @staticmethod
+    def insert_action(cluster, node_id, key, op):
+        return InsertAction(
+            node_id=node_id,
+            level=0,
+            key=key,
+            payload=op.value,
+            mode=Mode.INITIAL,
+            action_id=cluster.trace.new_action_id(),
+            op=op,
+        )
+
+    def applied_at_the_leaf(self, cluster, action):
+        [leaf] = [c for c in cluster.engine.leaves() if c.in_range(action.key)]
+        return action.action_id in leaf.incorporated_ids
+
+    def test_insert_restarted_at_an_interior_copy_descends(self):
+        # An id pid 2 never heard of: the step rule restarts the insert
+        # at pid 2's lowest copy covering the key, one level up.
+        cluster, expected = self.build()
+        key = 2 * max(expected) + 1
+        op = begin_op(cluster, "insert", key, "new", home=2)
+        action = self.insert_action(cluster, 10**6, key, op)
+        cluster.kernel.processor(2).submit(action)
+        results = cluster.run()
+        assert results.completed[op.op_id] is True
+        assert self.applied_at_the_leaf(cluster, action)
+        assert cluster.trace.counters["missing_node_recovery"] == 1
+        assert cluster.trace.counters.get("dead_ends", 0) == 0
+        expected[key] = "new"
+        assert_clean(cluster, expected=expected)
+
+    def test_insert_at_an_interior_copy_off_its_range_moves_right(self):
+        # As if the copy it was restarted at split before it ran.
+        cluster, expected = self.build()
+        first = self.level_one(cluster, 2)[0]
+        key = 2 * max(expected) + 1
+        assert not first.in_range(key)
+        op = begin_op(cluster, "insert", key, "new", home=2)
+        action = self.insert_action(cluster, first.node_id, key, op)
+        before = cluster.trace.counters["forward_right"]
+        cluster.kernel.processor(2).submit(action)
+        results = cluster.run()
+        assert results.completed[op.op_id] is True
+        assert self.applied_at_the_leaf(cluster, action)
+        assert cluster.trace.counters["forward_right"] > before
+        expected[key] = "new"
+        assert_clean(cluster, expected=expected)
+
+    def test_parent_insert_at_a_leaf_climbs_to_its_level(self):
+        # A parent insert addressed below its level re-inserts an
+        # existing separator: it must apply at every copy of the parent
+        # and at no leaf.
+        cluster, expected = self.build()
+        parent = self.level_one(cluster, 0)[0]
+        separator, child = list(parent.entries())[1]
+        leaf = min(cluster.engine.leaves(), key=lambda c: c.range.low)
+        action_id = cluster.trace.new_action_id()
+        cluster.kernel.processor(leaf.home_pid).submit(
+            InsertAction(
+                node_id=leaf.node_id,
+                level=1,
+                key=separator,
+                payload=child,
+                mode=Mode.INITIAL,
+                action_id=action_id,
+            )
+        )
+        cluster.run()
+        copies = cluster.engine.copies_of(parent.node_id)
+        assert all(action_id in c.incorporated_ids for c in copies)
+        assert not any(action_id in c.incorporated_ids for c in cluster.engine.leaves())
+        assert_clean(cluster, expected=expected)
+
+    def test_scan_step_at_an_interior_copy_descends(self):
+        cluster, expected = self.build()
+        keys = sorted(expected)
+        op = begin_op(cluster, "scan", keys[0], (keys[10], None), home=2)
+        first = self.level_one(cluster, 2)[0]
+        cluster.kernel.processor(2).submit(
+            ScanStep(node_id=first.node_id, level=0, key=keys[0], op=op)
+        )
+        results = cluster.run()
+        assert results.completed[op.op_id] == tuple(
+            (key, expected[key]) for key in keys[:10]
+        )
+
+    def test_scan_step_at_a_leaf_off_its_range_moves_right(self):
+        # As if the leaf split while the scan's first step was queued.
+        cluster, expected = self.build()
+        leaf = min(cluster.engine.leaves(), key=lambda c: c.range.low)
+        keys = sorted(expected)
+        start = next(i for i, key in enumerate(keys) if not leaf.in_range(key))
+        op = begin_op(
+            cluster, "scan", keys[start], (keys[start + 5], None), home=leaf.home_pid
+        )
+        cluster.kernel.processor(leaf.home_pid).submit(
+            ScanStep(node_id=leaf.node_id, level=0, key=keys[start], op=op)
+        )
+        results = cluster.run()
+        assert results.completed[op.op_id] == tuple(
+            (key, expected[key]) for key in keys[start : start + 5]
+        )
+
+    def test_cached_search_for_a_migrated_leaf_completes_after_gc(self):
+        # Every client caches where the leaves live; they all move, and
+        # their forwarding addresses are collected: each cached search
+        # that reaches the old holder is stale and recovers by key.
+        cluster = DBTreeCluster(
+            num_processors=4, protocol="mobile", capacity=4, seed=3, leaf_cache=True
+        )
+        expected = run_insert_workload(cluster, count=120)
+        keys = sorted(expected)[::4]
+        for key in keys:
+            for client in range(4):
+                cluster.search(key, client=client)
+        cluster.run()
+        for leaf in sorted(cluster.engine.leaves(), key=lambda c: c.node_id):
+            cluster.migrate_node(leaf.node_id, leaf.home_pid, (leaf.home_pid + 1) % 4)
+        cluster.run()
+        assert cluster.engine.gc_forwarding(older_than=float("inf")) > 0
+        ops = {
+            cluster.search(key, client=client): key
+            for key in keys
+            for client in range(4)
+        }
+        results = cluster.run()
+        assert {op: results.completed[op] for op in ops} == {
+            op: expected[key] for op, key in ops.items()
+        }
+        assert cluster.trace.counters["leaf_cache_stale"] > 0
+        assert_clean(cluster, expected=expected)
 
 
 class TestRootGrowth:
