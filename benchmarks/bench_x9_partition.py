@@ -1,10 +1,10 @@
 """Experiment X9 (extension) -- earned detection under partitions.
 
-Retires the crash layer's global detection oracle: processors now
-*earn* their suspicions from heartbeat arrivals, so a network
-partition makes correct processors suspect each other, act on the
-false verdict (forced unjoins, mirror re-homes), and must reconcile
-when the partition heals.  Two questions:
+Swaps the oracle detector (ground truth, ``timeout`` after a crash)
+for an earned one: processors *earn* their suspicions from heartbeat
+arrivals, so a network partition makes correct processors suspect
+each other, act on the false verdict (forced unjoins, mirror
+re-homes), and must reconcile when the partition heals.  Two questions:
 
 * **Partition tolerance.**  Under a healed 2-way split with
   ``replication_factor=2`` and anti-entropy repair on, does every

@@ -135,15 +135,12 @@ def _build_fault_plans(args: argparse.Namespace):
         )
     crash_plan = None
     if args.crash:
-        crash_plan = CrashPlan(
-            schedule=_parse_crash_schedule(args.crash),
-            detection_delay=args.detection_delay,
-        )
+        crash_plan = CrashPlan(schedule=_parse_crash_schedule(args.crash))
     partition_plan = _parse_partition_plans(args)
     detector_plan = None
-    if args.detector is not None:
+    if args.detector is not None or args.crash:
         detector_plan = DetectorPlan(
-            mode=args.detector,
+            mode=args.detector or "oracle",
             period=args.heartbeat_period,
             timeout=args.detection_delay,
             phi_threshold=args.phi_threshold,
@@ -546,9 +543,9 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--detection-delay", type=float, default=50.0,
-        help="oracle detection delay before peers learn of a crash "
-        "(must exceed the message latency); with --detector it is the "
-        "timeout-mode suspicion threshold instead",
+        help="the failure detector's timeout: without --detector, how "
+        "long after a crash peers learn of it (must exceed the message "
+        "latency); with --detector, the silence that raises suspicion",
     )
     parser.add_argument(
         "--partition", action="append", default=[],
@@ -572,8 +569,8 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--detector", default=None, choices=list_detector_modes(),
-        help="replace the crash layer's global detection oracle with "
-        "earned heartbeat-based detection ('timeout' or 'phi' accrual)",
+        help="replace the oracle failure detector with earned "
+        "heartbeat-based detection ('timeout' or 'phi' accrual)",
     )
     parser.add_argument(
         "--heartbeat-period", type=float, default=20.0,

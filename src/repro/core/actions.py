@@ -517,10 +517,11 @@ class MigrateNode:
 class PeerFailure:
     """Local failure-detector verdict: ``pid`` is crashed.
 
-    Under the oracle (``detection_delay``) model this is delivered to
-    every live processor at once; under an earned detector
-    (:mod:`repro.sim.detector`) it is enqueued per observer when that
-    observer's own monitor gives up on ``pid`` -- and may be *wrong*
+    Enqueued at an observer when its failure detector
+    (:mod:`repro.sim.detector`) suspects ``pid``: under the oracle at
+    every live processor at once, ``timeout`` after the crash; under an
+    earned detector when that observer's own monitor gives up on
+    ``pid`` -- and then it may be *wrong*
     (a partitioned or gray-slow peer is alive).  The receiver
     force-unjoins the suspect from replicated copy sets it is primary
     for and re-homes mirrored single-copy leaves the suspect owned;

@@ -339,13 +339,15 @@ class DBTreeCluster(KernelClient):
         (per-link latency inflation).  ``None`` (default) keeps the
         delivery fast path byte-identical.
     detector_plan:
-        Optional :class:`~repro.sim.detector.DetectorPlan` replacing
-        the crash layer's global detection oracle with *earned*
-        failure detection: per-processor heartbeats feeding a timeout
-        or phi-accrual detector whose (possibly wrong) suspicions
-        drive the engine.  Implies a crash-capable cluster even
-        without a ``crash_plan``.  ``None`` (default) keeps oracle
-        detection and the fast path byte-identical.
+        Optional :class:`~repro.sim.detector.DetectorPlan`: how
+        survivors learn of a crash.  An earned mode (``"timeout"`` or
+        ``"phi"``) runs per-processor heartbeats whose (possibly
+        wrong) suspicions drive the engine; ``"oracle"`` announces the
+        ground truth ``timeout`` after each crash.  Implies a
+        crash-capable cluster even without a ``crash_plan``.  ``None``
+        (default) is the oracle with its default timeout when there is
+        a crash plan, and leaves the fast path byte-identical
+        otherwise.
 
     Every layer composes with every other except the pairs
     :func:`repro.sim.simulator.check_layers` refuses; those raise
@@ -386,38 +388,38 @@ class DBTreeCluster(KernelClient):
             self.protocol = protocol
         if replication is None:
             replication = self.protocol.default_policy(num_processors)
-        if crash_plan is not None and detector_plan is None:
+        detection = detector_plan or DetectorPlan(mode="oracle")
+        if crash_plan is not None and detection.mode == "oracle":
             # Oracle detection's drained-dead-window assumption: a
             # restart announcement must arrive after every message the
             # dead window could still deliver.  An earned detector
-            # (detector_plan) retires the oracle and this assumption
-            # with it.
-            delay = crash_plan.detection_delay
+            # retires the oracle and this assumption with it.
+            delay = detection.timeout
             if not isinstance(latency_model, UniformLatency):
                 warnings.warn(
-                    f"cannot validate detection_delay ({delay}) against "
+                    f"cannot validate the oracle timeout ({delay}) against "
                     f"{type(latency_model).__name__}, whose transit time has "
                     "no stated bound; a transit longer than the oracle "
-                    "delay violates the drained-dead-window assumption. "
-                    "Pass detector_plan to retire the oracle",
+                    "timeout violates the drained-dead-window assumption. "
+                    "Pass an earned detector_plan to retire the oracle",
                     RuntimeWarning,
                     stacklevel=2,
                 )
             elif delay <= latency_model.base:
                 raise ValueError(
-                    f"detection_delay ({delay}) must exceed the message "
+                    f"the oracle timeout ({delay}) must exceed the message "
                     f"latency ({latency_model.base}): the recovery protocol "
                     "relies on donors having drained the dead window's "
                     "traffic before a restart is announced"
                 )
             elif delay <= latency_model.base + latency_model.jitter:
                 warnings.warn(
-                    f"detection_delay ({delay}) may be exceeded by a "
+                    f"the oracle timeout ({delay}) may be exceeded by a "
                     "jittered transit (up to "
                     f"{latency_model.base + latency_model.jitter}); oracle "
                     "detection assumes the dead window's traffic drains "
-                    "first. Raise detection_delay, or pass detector_plan to "
-                    "retire the oracle",
+                    "first. Raise the timeout, or pass an earned "
+                    "detector_plan to retire the oracle",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -525,7 +527,7 @@ class DBTreeCluster(KernelClient):
         """Anti-entropy repair accounting; see repro.stats."""
         from repro.stats.metrics import repair_summary
 
-        return repair_summary(self.kernel, self.trace)
+        return repair_summary(self.engine)
 
     def permutation_summary(self) -> dict[str, Any]:
         """Schedule-permuter accounting; see repro.stats."""

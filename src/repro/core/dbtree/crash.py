@@ -2,7 +2,8 @@
 
 Exists only on a cluster built with a crash plan (or a detector plan,
 which implies a crash-capable cluster).  The collaborator hooks the
-crash controller and the failure detector, registers the three
+crash controller (crash, restart) and the failure detector (suspicion,
+rescission -- its only source of either), registers the three
 actions they give rise to -- :class:`PeerFailure`,
 :class:`PeerRescind`, :class:`RecoveryAnnounce` -- and owns the
 per-processor state those need: ``dead_peers`` (who this processor
@@ -47,15 +48,9 @@ class CrashRecovery:
         engine.crash = self
         controller = engine.kernel.crash_controller
         controller.on_crash(self._on_processor_crash)
-        controller.on_detect(self._on_processor_detect)
         controller.on_restart(self._on_processor_restart)
-        # Earned failure detection (repro.sim.detector): suspicion and
-        # rescission arrive per observer instead of the oracle's
-        # all-at-once announcement, and may be wrong.
-        detector = engine.kernel.detector
-        if detector is not None:
-            detector.on_suspect(self._on_detector_suspect)
-            detector.on_rescind(self._on_detector_rescind)
+        engine.kernel.detector.on_suspect(self._on_detector_suspect)
+        engine.kernel.detector.on_rescind(self._on_detector_rescind)
         engine.on(PeerFailure, self.on_peer_failure)
         engine.on(PeerRescind, self.on_peer_rescind)
         engine.on(RecoveryAnnounce, self.on_recovery_announce)
@@ -147,26 +142,15 @@ class CrashRecovery:
         if engine.timers is not None:
             engine.timers.fail_over(pid)
 
-    def _on_processor_detect(self, pid: int) -> None:
-        """The failure of ``pid`` is announced: each live processor's
-        local failure detector fires.  Modeled as a locally enqueued
-        action (detectors are local observations, not messages).
-
-        Oracle mode only: with an earned detector installed the crash
-        controller never schedules this announcement, and suspicion
-        arrives through :meth:`_on_detector_suspect` instead."""
-        kernel = self.engine.kernel
-        for alive_pid in kernel.crash_controller.alive_pids():
-            kernel.processor(alive_pid).submit(PeerFailure(pid))
-
     def _on_detector_suspect(self, observer: int, peer: int) -> None:
-        """Observer's heartbeat monitor gave up on ``peer``.
+        """Observer's failure detector gave up on ``peer``.
 
-        A strictly local event: only the observer acts, by enqueueing
-        the same :class:`PeerFailure` the oracle would have broadcast
-        -- the downstream machinery (forced unjoins, mirror re-homes)
-        cannot tell earned suspicion from announced death, which is
-        what makes the detector swappable."""
+        A strictly local event, modelled as a locally enqueued action
+        (detectors are local observations, not messages): only the
+        observer acts, by enqueueing a :class:`PeerFailure`.  The
+        downstream machinery (forced unjoins, mirror re-homes) cannot
+        tell earned suspicion from the oracle's, which is what makes
+        the detector swappable."""
         proc = self.engine.kernel.processors.get(observer)
         if proc is not None and proc.alive:
             proc.submit(PeerFailure(peer))
@@ -243,7 +227,7 @@ class CrashRecovery:
             # verdict raced a restart: the announce path owns recovery
             # now, and acting on it could fork the leaf.  Note what an
             # earned detector deliberately does not consult -- the
-            # oracle.  A false suspicion proceeds (forced unjoin,
+            # ground truth.  A false suspicion proceeds (forced unjoin,
             # re-home and all); tolerating that, via idempotent
             # re-joins and anti-entropy reconciliation, is the
             # partition-tolerance contract the checker audits.

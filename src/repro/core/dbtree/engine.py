@@ -1257,19 +1257,16 @@ class DBTreeEngine:
     def peer_up(self, observer_pid: int, pid: int) -> bool:
         """Whether ``observer_pid`` currently believes ``pid`` is up.
 
-        With an earned detector installed this is the observer's own
-        (fallible) opinion; otherwise it is the crash controller's
-        ground truth, which the pre-detector layers used as a stand-in
-        for a shared failure-detector verdict.  Every liveness consult
-        above the simulator layer (failure verdicts, mirror re-homing,
-        repair sweeps, gossip peer choice) goes through here so no
-        component quietly keeps the oracle once detection is earned.
+        The failure detector's opinion: the observer's own, fallible
+        one under an earned detector, the crash controller's ground
+        truth under the oracle, and always up without a crash layer.
+        Every liveness consult above the simulator layer (failure
+        verdicts, mirror re-homing, repair sweeps, gossip peer choice)
+        goes through here so no component quietly keeps the ground
+        truth once detection is earned.
         """
         detector = self.kernel.detector
-        if detector is not None:
-            return not detector.is_suspected(observer_pid, pid)
-        controller = self.kernel.crash_controller
-        return controller is None or controller.is_alive(pid)
+        return detector is None or not detector.is_suspected(observer_pid, pid)
 
     def announce_location(
         self, proc: Processor, copy: NodeCopy, to_children: bool = False

@@ -256,7 +256,7 @@ class GossipScheduler:
         service.sweep_dead_members(proc)
         self._expire_rounds(engine.now)
         # Partner choice follows the *initiator's own* liveness belief
-        # (detector opinion when one is installed, oracle otherwise):
+        # (its detector's opinion, the ground truth under the oracle):
         # gossiping at a falsely suspected peer would be fine -- the
         # exchange is what heals the false unjoin -- but a suspected
         # peer is by definition one we are not hearing from, so rounds

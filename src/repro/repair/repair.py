@@ -187,20 +187,21 @@ class RepairService:
             (HomeResolve, self._on_home_resolve),
         ):
             engine.on(action_type, handler)
-        controller = engine.kernel.crash_controller
-        if controller is not None:
-            controller.on_crash(self._on_peer_crash)
-            controller.on_detect(lambda _pid: self.scheduler.wake_all())
-            controller.on_restart(self._on_peer_restart)
-        detector = engine.kernel.detector
-        if detector is not None:
-            # Earned detection never fires the controller's on_detect
-            # hook; wake on local suspicion instead -- and on
-            # rescission, because a withdrawn suspicion means the
-            # forced unjoins it caused are now divergence to repair.
-            detector.on_suspect(lambda _obs, _pid: self.scheduler.wake_all())
-            detector.on_rescind(lambda _obs, _pid: self.scheduler.wake_all())
-        engine.kernel.repair_service = self
+        kernel = engine.kernel
+        wake_all = self.scheduler.wake_all
+        if kernel.crash_controller is not None:
+            kernel.crash_controller.on_crash(self._on_peer_crash)
+            kernel.crash_controller.on_restart(self._on_peer_restart)
+            # Wake on suspicion -- and on rescission, because a
+            # withdrawn suspicion means the forced unjoins it caused
+            # are now divergence to repair.
+            kernel.detector.on_suspect(lambda _obs, _pid: wake_all())
+            kernel.detector.on_rescind(lambda _obs, _pid: wake_all())
+        if kernel.partition_controller is not None:
+            # A healed link is when divergent mirror sets and missed
+            # relays become reconcilable: no point waiting out the
+            # gossip dormancy window.
+            kernel.partition_controller.on_heal(lambda _pairs: wake_all())
         self.scheduler.start()
 
     # ------------------------------------------------------------------
@@ -815,8 +816,8 @@ class RepairService:
         engine = self.engine
         if engine.crash is None:
             return
-        # Each processor sweeps by its *own* belief (detector opinion
-        # when one is installed, oracle otherwise): under partitions
+        # Each processor sweeps by its *own* belief (its detector's
+        # opinion, the ground truth under the oracle): under partitions
         # the sweeps are exactly as fallible as detection itself, and
         # the same rescind/re-join machinery covers for them.
         dead = [

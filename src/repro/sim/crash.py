@@ -15,12 +15,10 @@ explicit schedule of ``(pid, crash_at, restart_at)`` entries.  The
   survives), the reliable-transport channels touching it are reset,
   and the network starts discarding whatever is addressed to it
   (counted as ``dead_letters``);
-* ``detection_delay`` later, *if the processor is still down*, the
-  failure is announced to the registered detection hooks (the engine
-  uses this to force-unjoin the dead processor from replicated copy
-  sets and to re-home mirrored single-copy leaves).  A processor that
-  restarts before the delay elapses is never suspected, mimicking a
-  timeout-based failure detector;
+* the failure detector (:mod:`repro.sim.detector`, the ``"oracle"``
+  mode unless the run names another) decides when each survivor
+  suspects it; the engine turns suspicion into forced unjoins from
+  replicated copy sets and re-homes of mirrored single-copy leaves;
 * at ``restart_at`` the processor comes back empty and the restart
   hooks run (the engine re-joins it to the tree via the variable
   protocol's join path).
@@ -59,21 +57,14 @@ class CrashPlan:
         ``restart_at`` may be ``None`` for a permanent failure (the
         audit then *reports* any single-copy leaves that died with it
         rather than silently passing).
-    ``detection_delay``
-        How long after a crash the failure is announced to peers.
-        Must exceed the network latency for the recovery protocol's
-        in-flight-message arguments to hold (the controller cannot
-        check this; :class:`repro.core.client.DBTreeCluster` does).
+
+    When survivors learn of a crash is the failure detector's to say
+    (:class:`repro.sim.detector.DetectorPlan`), not the plan's.
     """
 
     schedule: tuple[tuple[int, float, float | None], ...] = ()
-    detection_delay: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.detection_delay <= 0:
-            raise ValueError(
-                f"detection_delay must be > 0, got {self.detection_delay}"
-            )
         intervals: dict[int, list[tuple[float, float]]] = {}
         for entry in self.schedule:
             pid, crash_at, restart_at = entry
@@ -126,10 +117,10 @@ class CrashRecord:
 class CrashController:
     """Executes a :class:`CrashPlan` against a kernel.
 
-    The controller owns processor aliveness (the network and the
-    reliable transport query :meth:`is_alive`) and the per-crash
-    availability records; the engine registers hooks to layer the
-    recovery protocol on top.
+    The controller owns processor aliveness (the network, the
+    reliable transport and the oracle detector query :meth:`is_alive`)
+    and the per-crash availability records; the engine registers hooks
+    to layer the recovery protocol on top.
     """
 
     def __init__(self, kernel: "Kernel", plan: CrashPlan) -> None:
@@ -142,27 +133,27 @@ class CrashController:
         self.kernel = kernel
         self.plan = plan
         self.records: list[CrashRecord] = []
-        #: When True (default), a crash schedules the omniscient
-        #: ``detection_delay`` announcement.  The kernel flips this
-        #: off when a real failure detector (:mod:`repro.sim
-        #: .detector`) is installed: detection is then *earned* from
-        #: heartbeat silence, observer by observer, and may be wrong.
-        self.oracle_detection = True
         self._alive: dict[int, bool] = {pid: True for pid in kernel.pids}
         self._open: dict[int, CrashRecord] = {}
         self._crash_hooks: list[Callable[[int], None]] = []
-        self._detect_hooks: list[Callable[[int], None]] = []
         self._restart_hooks: list[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def install(self) -> None:
-        """Schedule every planned crash/restart on the event queue.
+        """Own liveness and schedule every planned crash/restart.
 
-        Entries are queued by ``(crash_at, pid)``, so same-instant
-        crashes run in pid order whatever the schedule's order.
+        The network learns who is down (dead destinations become dead
+        letters), the reliable transport reports a peer it gave up on
+        to :meth:`note_suspected`, and entries are queued by
+        ``(crash_at, pid)``, so same-instant crashes run in pid order
+        whatever the schedule's order.
         """
+        network = self.kernel.network
+        network.install_liveness(self.is_alive)
+        if network.transport is not None:
+            network.transport.install_peer_down(self.note_suspected)
         events = self.kernel.events
         for pid, crash_at, restart_at in sorted(
             self.plan.schedule, key=lambda e: (e[1], e[0])
@@ -175,11 +166,6 @@ class CrashController:
         """Run ``hook(pid)`` at the instant ``pid`` crashes (after its
         simulator-level state is wiped)."""
         self._crash_hooks.append(hook)
-
-    def on_detect(self, hook: Callable[[int], None]) -> None:
-        """Run ``hook(pid)`` when the failure of ``pid`` is announced
-        (``detection_delay`` after the crash, if still down)."""
-        self._detect_hooks.append(hook)
 
     def on_restart(self, hook: Callable[[int], None]) -> None:
         """Run ``hook(pid)`` at the instant ``pid`` restarts."""
@@ -213,19 +199,7 @@ class CrashController:
         )
         self.records.append(record)
         self._open[pid] = record
-        if self.oracle_detection:
-            kernel.events.schedule(
-                kernel.events.now + self.plan.detection_delay,
-                partial(self._detect, pid, record),
-            )
         for hook in self._crash_hooks:
-            hook(pid)
-
-    def _detect(self, pid: int, record: CrashRecord) -> None:
-        if record.restarted_at is not None:
-            return  # restarted before suspicion matured: never announced
-        record.detected_at = self.kernel.events.now
-        for hook in self._detect_hooks:
             hook(pid)
 
     def _restart(self, pid: int) -> None:
@@ -248,8 +222,9 @@ class CrashController:
     # ------------------------------------------------------------------
     # notes from the layers above
     # ------------------------------------------------------------------
-    def note_suspected(self, by_pid: int, dead_pid: int) -> None:
-        """The reliable transport gave up on ``dead_pid`` (retry cap)."""
+    def note_suspected(self, by_pid: int, dead_pid: int, _lost: list) -> None:
+        """The reliable transport gave up on ``dead_pid`` (retry cap);
+        the payloads its reset channel lost are not kept."""
         record = self._open.get(dead_pid)
         if record is not None and by_pid not in record.suspected_by:
             record.suspected_by.append(by_pid)

@@ -1,11 +1,21 @@
-"""Earned failure detection: heartbeats and a pluggable detector.
+"""Failure detection: the oracle, or heartbeats and a local monitor.
 
-The crash layer's ``detection_delay`` is an oracle: exactly
-``detection_delay`` after a crash, every surviving processor learns
-the truth, simultaneously and infallibly.  Real systems have no such
-channel -- failure is *inferred* from the absence of messages, and
-the inference is sometimes wrong.  This module replaces the oracle
-with the real thing:
+Every crash-capable kernel has exactly one detector (``kernel.detector``),
+and every consumer -- the engine's recovery, repair's gossip wake-ups,
+the "no false kill" audit -- hears suspicion and rescission from it
+alone.  Three modes (:class:`DetectorPlan.mode`):
+
+``"oracle"``
+    The kernel's choice when a crash plan comes without a detector
+    plan.  ``timeout`` after a crash, if the processor is still down,
+    every live processor suspects it at once; a processor back before
+    then is never suspected.  Its opinion at every instant is the crash
+    controller's ground truth, it never rescinds (a restarted processor
+    announces itself), and it sends nothing, so it needs no horizon.
+
+Real systems have no such channel -- failure is *inferred* from the
+absence of messages, and the inference is sometimes wrong.  The two
+earned modes do the real thing:
 
 * every processor emits a small :class:`Heartbeat` datagram to every
   peer each ``period`` (unordered, unacknowledged, outside the
@@ -14,8 +24,6 @@ with the real thing:
 * every processor runs a local monitor over the heartbeats it
   receives and forms a *local, possibly wrong* opinion about each
   peer.
-
-Two detector modes (:class:`DetectorPlan.mode`):
 
 ``"timeout"``
     Suspect a peer when no heartbeat arrived for ``timeout`` time
@@ -36,7 +44,7 @@ Two detector modes (:class:`DetectorPlan.mode`):
 
 Suspicion is delivered through observer-local hooks (``on_suspect`` /
 ``on_rescind``); the engine turns them into per-observer
-``PeerFailure`` / ``PeerRescind`` actions.  Nothing here is global:
+``PeerFailure`` / ``PeerRescind`` actions.  Nothing earned is global:
 two observers are free to disagree, and the recovery machinery above
 (idempotent re-joins, anti-entropy repair, the checker's "no false
 kill" audit) is what makes that safe.
@@ -56,11 +64,13 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
+    from repro.sim.crash import CrashRecord
     from repro.sim.simulator import Kernel
 
 __all__ = ["DetectorPlan", "Heartbeat", "FailureDetectorService"]
 
-#: Supported detector modes.
+#: The earned detector modes (the CLI's ``--detector`` choices); the
+#: oracle is spelled by a crash plan without a detector plan.
 DETECTOR_MODES = ("phi", "timeout")
 
 #: Floor on the tail probability so ``phi`` stays finite.
@@ -85,14 +95,17 @@ class DetectorPlan:
     """Configuration of the heartbeat failure detector.
 
     ``mode``
-        ``"phi"`` (adaptive, default) or ``"timeout"`` (fixed).
+        ``"phi"`` (adaptive, default), ``"timeout"`` (fixed) or
+        ``"oracle"`` (ground truth, ``timeout`` late; only ``timeout``
+        applies to it).
     ``period``
         Heartbeat emission interval; also the monitor evaluation
         interval.
     ``timeout``
         Silence tolerated in ``"timeout"`` mode before suspecting --
         and the bootstrap criterion in ``"phi"`` mode while a window
-        has fewer than ``min_samples`` observations.
+        has fewer than ``min_samples`` observations.  In ``"oracle"``
+        mode, how long after a crash survivors learn of it.
     ``phi_threshold``
         Suspicion threshold on phi.  8 (Cassandra's default) means
         "the chance a live peer is this silent is < 1e-8".
@@ -123,14 +136,15 @@ class DetectorPlan:
     horizon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in DETECTOR_MODES:
-            raise ValueError(
-                f"mode must be one of {DETECTOR_MODES}, got {self.mode!r}"
-            )
+        modes = ("oracle", *DETECTOR_MODES)
+        if self.mode not in modes:
+            raise ValueError(f"mode must be one of {modes}, got {self.mode!r}")
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.mode == "oracle":
+            return  # sends no heartbeats: nothing below applies
         if self.timeout <= self.period:
             raise ValueError(
                 f"timeout ({self.timeout}) must exceed the heartbeat "
@@ -167,10 +181,9 @@ class FailureDetectorService:
 
     One service instance covers the whole cluster, but all state is
     keyed by ``(observer, peer)`` -- there is no shared opinion.  The
-    kernel constructs it when a :class:`DetectorPlan` is supplied and
-    flips the crash controller's ``oracle_detection`` off, so the
-    only path from a crash to a forced unjoin runs through heartbeat
-    silence observed here.
+    kernel constructs it for an earned mode, so the only path from a
+    crash to a forced unjoin runs through heartbeat silence observed
+    here.
     """
 
     def __init__(self, kernel: "Kernel", plan: DetectorPlan) -> None:
@@ -410,3 +423,45 @@ class FailureDetectorService:
             now + self.plan.period,
             partial(self._monitor_tick, pid, proc.incarnation),
         )
+
+
+class OracleDetector(FailureDetectorService):
+    """Mode ``"oracle"``: the crash controller's ground truth, announced late.
+
+    ``timeout`` after a crash, if that incarnation is still down, the
+    crash record's ``detected_at`` is stamped and every suspect hook
+    runs for every live observer (hook by hook, observers in pid
+    order).  It keeps the service's hooks and overrides all that would
+    send or judge a heartbeat: it sends none, never rescinds, and
+    reports itself as no detector, having earned nothing to count.
+    """
+
+    def start(self) -> None:
+        self.kernel.crash_controller.on_crash(self._on_crash)
+
+    def is_suspected(self, observer: int, peer: int) -> bool:
+        return not self.kernel.crash_controller.is_alive(peer)
+
+    def suspected_by(self, observer: int) -> set[int]:
+        controller = self.kernel.crash_controller
+        return {pid for pid in self.kernel.pids if not controller.is_alive(pid)}
+
+    def summary(self) -> dict[str, Any]:
+        return {"enabled": False}
+
+    def _on_crash(self, pid: int) -> None:
+        events = self.kernel.events
+        record = self.kernel.crash_controller.records[-1]  # opened just now
+        events.schedule(
+            events.now + self.plan.timeout, partial(self._announce, record)
+        )
+
+    def _announce(self, record: "CrashRecord") -> None:
+        if record.restarted_at is not None:
+            return  # back before suspicion matured: never announced
+        controller = self.kernel.crash_controller
+        record.detected_at = self.kernel.events.now
+        observers = controller.alive_pids()
+        for hook in self._suspect_hooks:
+            for observer in observers:
+                hook(observer, record.pid)

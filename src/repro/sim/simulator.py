@@ -13,7 +13,7 @@ import random
 from typing import Any, Callable
 
 from repro.sim.crash import CrashController, CrashPlan
-from repro.sim.detector import DetectorPlan, FailureDetectorService
+from repro.sim.detector import DetectorPlan, FailureDetectorService, OracleDetector
 from repro.sim.events import EventQueue, QuiescenceError
 from repro.sim.failure import FaultPlan
 from repro.sim.network import LatencyModel, Network, UniformLatency
@@ -88,8 +88,8 @@ class Kernel:
         exactly-once FIFO network.
     accounting:
         Statistics verbosity for the network and processors: ``"full"``
-        (default) keeps per-kind/per-channel Counters, ``"aggregate"``
-        keeps only scalar totals.  Perf runs use aggregate.
+        (default) keeps per-kind Counters, ``"aggregate"`` keeps only
+        scalar totals.  Perf runs use aggregate.
     reliability:
         ``"assumed"`` (default) trusts the substrate to be the paper's
         reliable exactly-once FIFO network; ``"enforced"`` rebuilds
@@ -118,13 +118,13 @@ class Kernel:
         (latency inflation).  ``None`` (default) keeps the fast path
         byte-identical.
     detector_plan:
-        Optional :class:`~repro.sim.detector.DetectorPlan`.  Installs
-        per-processor heartbeats and a local failure detector
-        (timeout or phi-accrual) that *replaces* the crash
-        controller's omniscient ``detection_delay`` announcement:
-        suspicion becomes a per-observer, fallible opinion.  Implies
-        a (possibly inert) crash controller.  ``None`` (default)
-        keeps the oracle semantics.
+        Optional :class:`~repro.sim.detector.DetectorPlan`: how
+        survivors learn of a crash, as :attr:`detector`.  An earned
+        mode (timeout or phi-accrual) installs per-processor
+        heartbeats and makes suspicion a per-observer, fallible
+        opinion.  Implies a (possibly inert) crash controller.
+        ``None`` (default) means the ``"oracle"`` mode when there is a
+        crash plan, and no detector otherwise.
 
     Every layer composes with every other except the pairs
     :func:`check_layers` refuses, which raise ``ValueError`` here.
@@ -166,6 +166,8 @@ class Kernel:
             # crashes will fire, but partitions/gray links can still
             # provoke (false) suspicions worth studying.
             crash_plan = CrashPlan()
+        if crash_plan is not None and detector_plan is None:
+            detector_plan = DetectorPlan(mode="oracle")
         self.events = EventQueue()
         self.rng = random.Random(seed)
         self.seed = seed
@@ -216,22 +218,11 @@ class Kernel:
         # life, and ``pids`` is read on every mirror-placement lookup.
         self._pids = sorted(self.processors)
         self.network.install_delivery(self._on_delivery)
-        #: Callbacks ``handler(src, dst, lost_payloads)`` run when the
-        #: reliable transport suspects a dead peer (PeerDown signal).
-        self.peer_down_handlers: list[Callable[[int, int, list], None]] = []
         self.crash_plan = crash_plan
         self.crash_controller: CrashController | None = None
-        #: Set by :class:`repro.repair.repair.RepairService` when the
-        #: anti-entropy subsystem is installed (metrics find it here).
-        self.repair_service = None
         if crash_plan is not None:
-            controller = CrashController(self, crash_plan)
-            self.crash_controller = controller
-            self.network.install_liveness(controller.is_alive)
-            transport = self.network.transport
-            if transport is not None:
-                transport.install_peer_down(self._on_peer_down)
-            controller.install()
+            self.crash_controller = CrashController(self, crash_plan)
+            self.crash_controller.install()
         #: Partition controller; None keeps every link permanently up
         #: and the network fast path byte-identical.
         self.partition_plan = partition_plan
@@ -242,18 +233,15 @@ class Kernel:
             )
             self.partition_controller = partition
             self.network.install_partition(partition)
-            partition.on_heal(self._on_partition_heal)
             partition.install()
-        #: Failure detector service; None keeps detection with the
-        #: crash controller's detection_delay oracle.
+        #: The failure detector, the one source of suspicion; None
+        #: exactly when there is no crash controller.
         self.detector_plan = detector_plan
         self.detector: FailureDetectorService | None = None
         if detector_plan is not None:
-            self.detector = FailureDetectorService(self, detector_plan)
-            # Earned detection replaces the oracle announcement: the
-            # only path from a crash (or a partition) to suspicion now
-            # runs through heartbeat silence at each observer.
-            self.crash_controller.oracle_detection = False
+            oracle = detector_plan.mode == "oracle"
+            detector = OracleDetector if oracle else FailureDetectorService
+            self.detector = detector(self, detector_plan)
             self.detector.start()
 
     @property
@@ -300,24 +288,6 @@ class Kernel:
         if proc is None:
             raise RuntimeError(f"message delivered to unknown processor {dst}")
         proc.submit(payload)
-
-    def _on_peer_down(self, src: int, dst: int, lost: list) -> None:
-        controller = self.crash_controller
-        if controller is not None:
-            controller.note_suspected(src, dst)
-        for handler in self.peer_down_handlers:
-            handler(src, dst, lost)
-
-    def _on_partition_heal(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        """Connectivity returned on ``pairs``: kick repair awake.
-
-        A healed partition is precisely when divergent mirror sets
-        and missed relays become reconcilable; waiting out the gossip
-        dormancy window would just delay the inevitable audit.
-        """
-        service = self.repair_service
-        if service is not None:
-            service.scheduler.wake_all()
 
     def run_to_quiescence(self, max_events: int | None = None) -> int:
         """Run until no events remain; return the number executed.

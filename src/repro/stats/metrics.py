@@ -125,9 +125,7 @@ def availability_summary(
     return summary
 
 
-def repair_summary(
-    kernel: "Kernel", trace: "Trace | None" = None
-) -> dict[str, Any]:
+def repair_summary(engine: "DBTreeEngine") -> dict[str, Any]:
     """Anti-entropy repair accounting (X7 quantities).
 
     Summarises the :class:`~repro.repair.repair.RepairService`
@@ -140,11 +138,11 @@ def repair_summary(
     diverged).  Returns ``{"enabled": False}`` when the subsystem is
     not installed, so callers can embed it unconditionally.
     """
-    service = kernel.repair_service
+    service = engine.repair
     if service is None:
         return {"enabled": False}
     counters = service.counters
-    mirrors = service.engine.mirrors
+    mirrors = engine.mirrors
     repairs_by_kind = {
         kind: counters.get(kind, 0)
         for kind in (
@@ -187,7 +185,7 @@ def repair_summary(
         },
         "unrepairable": counters.get("unrepairable", 0),
         "time_to_convergence": (
-            max(0.0, kernel.now - last_dirty) if last_dirty > 0.0 else 0.0
+            max(0.0, engine.now - last_dirty) if last_dirty > 0.0 else 0.0
         ),
     }
 
@@ -219,9 +217,10 @@ def detector_summary(kernel: "Kernel") -> dict[str, Any]:
     :class:`~repro.sim.detector.FailureDetectorService` counters:
     heartbeats sent/received, suspicions raised and rescinded, how
     many suspicions were *false* (the suspected processor was alive
-    at the oracle), and the mean detection latency for real crashes.
-    Returns ``{"enabled": False}`` when no detector is installed, so
-    callers can embed it unconditionally.
+    in truth), and the mean detection latency for real crashes.
+    Returns ``{"enabled": False}`` when no detector is installed or
+    the detector is the oracle, so callers can embed it
+    unconditionally.
     """
     if kernel.detector is None:
         return {"enabled": False}
@@ -303,7 +302,7 @@ _LAYER_SUMMARIES = {
     "crash": lambda tree: availability_summary(tree.kernel, tree.trace),
     "partition": lambda tree: partition_summary(tree.kernel),
     "detector": lambda tree: detector_summary(tree.kernel),
-    "repair": lambda tree: repair_summary(tree.kernel, tree.trace),
+    "repair": lambda tree: repair_summary(tree.engine),
 }
 
 

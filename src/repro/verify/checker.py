@@ -565,27 +565,25 @@ def check_false_kill(engine: "DBTreeEngine") -> list[str]:
     wrong) suspicion, or an oracle verdict the peer has since
     restarted past -- must not *stick*.
 
-    At quiescence every pair of (oracle-)alive processors must have
-    reconciled: neither still suspects the other at the detector
-    layer (when one is installed), and neither still lists the other
-    in its engine-level ``dead_peers`` set.  A violation means a live
-    processor stays written off -- a "false kill", the one failure
-    mode rescission, recovery announcements and anti-entropy are
-    supposed to make impossible.  Needs the crash layer
-    (``engine.crash``).
+    At quiescence every pair of (ground-truth) alive processors must
+    have reconciled: neither still suspects the other at the detector
+    layer, and neither still lists the other in its engine-level
+    ``dead_peers`` set.  A violation means a live processor stays
+    written off -- a "false kill", the one failure mode rescission,
+    recovery announcements and anti-entropy are supposed to make
+    impossible.  Needs the crash layer (``engine.crash``), and with it
+    the detector.
     """
     problems = []
     kernel = engine.kernel
-    detector = kernel.detector
     live = sorted(pid for pid in kernel.processors if _alive(kernel, pid))
     for observer in live:
-        if detector is not None:
-            for peer in detector.suspected_by(observer):
-                if _alive(kernel, peer):
-                    problems.append(
-                        f"pid {observer}: detector still suspects "
-                        f"alive pid {peer} at quiescence"
-                    )
+        for peer in kernel.detector.suspected_by(observer):
+            if _alive(kernel, peer):
+                problems.append(
+                    f"pid {observer}: detector still suspects "
+                    f"alive pid {peer} at quiescence"
+                )
         for peer in sorted(engine.crash.dead_peers(kernel.processor(observer))):
             if _alive(kernel, peer):
                 problems.append(

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import CrashPlan, DBTreeCluster, FaultPlan, ReliabilityConfig
+from repro import CrashPlan, DBTreeCluster, DetectorPlan, FaultPlan, ReliabilityConfig
 from repro.sim.crash import RECOVERY_GRACE, CrashController
 from repro.sim.network import Bundle
 from repro.sim.processor import ProcessorDownError
@@ -149,7 +149,6 @@ class TestCrashMechanics:
         assert record.restarted_at is None
         assert record.downtime is None
         assert record.recovery_latency is None
-        assert record.detected_at == 50.0 + CrashPlan().detection_delay
         assert not cluster.kernel.processor(3).alive
         assert cluster.kernel.crash_controller.alive_pids() == [0, 1, 2]
 
@@ -170,16 +169,6 @@ class TestCrashMechanics:
         cluster.kernel.network.send(0, 1, object())
         cluster.kernel.run_until(200.0)
         assert cluster.kernel.network.stats.dead_letters == before + 1
-
-    def test_detection_skipped_when_restart_beats_delay(self):
-        # Down for 20 < detection_delay 50: peers never learn.
-        cluster = crash_cluster(((1, 100.0, 120.0),), replication_factor=1)
-        spaced_inserts(cluster, count=40)
-        cluster.run()
-        [record] = cluster.kernel.crash_controller.records
-        assert record.detected_at is None
-        assert cluster.trace.counters.get("peer_failure_stale", 0) == 0
-        assert cluster.check().ok
 
     def test_no_crash_plan_keeps_layer_uninstalled(self):
         cluster = DBTreeCluster(num_processors=2, protocol="variable", capacity=4)
@@ -714,11 +703,10 @@ class TestAvailabilitySummary:
         assert "ops_timed_out" in summary
 
     def test_detection_delay_must_exceed_latency(self):
-        with pytest.raises(ValueError, match="detection_delay"):
+        with pytest.raises(ValueError, match="oracle timeout"):
             DBTreeCluster(
                 num_processors=2,
                 protocol="variable",
-                crash_plan=CrashPlan(
-                    schedule=((1, 100.0, 200.0),), detection_delay=5.0
-                ),
+                crash_plan=CrashPlan(schedule=((1, 100.0, 200.0),)),
+                detector_plan=DetectorPlan(mode="oracle", timeout=5.0),
             )

@@ -1,8 +1,9 @@
-"""Earned failure detection: heartbeats, timeout and phi-accrual.
+"""Failure detection: the oracle, heartbeats, timeout and phi-accrual.
 
-Covers :mod:`repro.sim.detector`: plan validation, heartbeat
+Covers :mod:`repro.sim.detector`: plan validation, the oracle mode
+(ground truth, announced ``timeout`` after a crash), heartbeat
 emission/arrival over the datagram path, suspicion earned from
-silence (not from the crash layer's oracle), rescission when a
+silence (not from the ground truth), rescission when a
 suspected peer speaks again, the phi-accrual detector's adaptation to
 observed inter-arrival distributions (the gray-failure acceptance
 scenario), and the engine-level consequences -- false suspicion of a
@@ -66,7 +67,14 @@ def spaced_inserts(cluster, count=40, spacing=10.0):
 class TestPlanValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            DetectorPlan(mode="oracle", horizon=100.0)
+            DetectorPlan(mode="gossip", horizon=100.0)
+
+    def test_oracle_needs_no_horizon(self):
+        assert DetectorPlan(mode="oracle").horizon == 0.0
+        # ...nor a timeout above the (unused) heartbeat period
+        assert DetectorPlan(mode="oracle", timeout=5.0).timeout == 5.0
+        with pytest.raises(ValueError, match="timeout"):
+            DetectorPlan(mode="oracle", timeout=0.0)
 
     def test_horizon_required(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -86,6 +94,106 @@ class TestPlanValidation:
         assert DetectorPlan(
             period=25.0, min_std=4.0, horizon=100.0
         ).sigma_floor == 4.0
+
+
+# ----------------------------------------------------------------------
+# the oracle: ground truth, announced timeout after a crash
+# ----------------------------------------------------------------------
+def oracle_cluster(schedule, replication_factor=2, **kwargs):
+    """A crash plan without a detector plan: the kernel builds the
+    oracle (``detector_plan`` may name one with another timeout)."""
+    return DBTreeCluster(
+        num_processors=4,
+        protocol="variable",
+        capacity=4,
+        seed=3,
+        crash_plan=CrashPlan(schedule=schedule),
+        op_timeout=3000.0,
+        op_retries=5,
+        replication_factor=replication_factor,
+        **kwargs,
+    )
+
+
+def hook_log(detector):
+    """Every suspicion and rescission the detector delivers, timed."""
+    log = []
+    for verdict, register in (
+        ("suspect", detector.on_suspect),
+        ("rescind", detector.on_rescind),
+    ):
+        register(
+            lambda observer, peer, verdict=verdict: log.append(
+                (verdict, detector.kernel.now, observer, peer)
+            )
+        )
+    return log
+
+
+class TestOracle:
+    def test_crash_plan_alone_builds_the_oracle(self):
+        cluster = oracle_cluster(((3, 50.0, None),))
+        assert cluster.kernel.detector.plan == DetectorPlan(mode="oracle")
+        assert detector_summary(cluster.kernel) == {"enabled": False}
+
+    @pytest.mark.parametrize("timeout", [50.0, 70.0])
+    def test_suspects_at_crash_plus_timeout_at_every_live_processor(
+        self, timeout
+    ):
+        cluster = oracle_cluster(
+            ((3, 50.0, None),),
+            detector_plan=DetectorPlan(mode="oracle", timeout=timeout),
+        )
+        log = hook_log(cluster.kernel.detector)
+        spaced_inserts(cluster)
+        cluster.run()
+        at = 50.0 + timeout
+        assert log == [("suspect", at, observer, 3) for observer in (0, 1, 2)]
+        [record] = cluster.kernel.crash_controller.records
+        assert record.detected_at == at
+        assert record.suspected_by == []  # the oracle earns nothing
+
+    def test_no_suspicion_when_back_before_timeout(self):
+        # Down for 20 < timeout 50: peers never learn.
+        cluster = oracle_cluster(((1, 100.0, 120.0),), replication_factor=1)
+        log = hook_log(cluster.kernel.detector)
+        spaced_inserts(cluster)
+        cluster.run()
+        assert log == []
+        [record] = cluster.kernel.crash_controller.records
+        assert record.detected_at is None
+        assert cluster.trace.counters.get("peer_failure_stale", 0) == 0
+        assert cluster.check().ok
+
+    def test_opinion_is_ground_truth_throughout_a_crash_window(self):
+        cluster = oracle_cluster(((1, 100.0, 400.0),))
+        spaced_inserts(cluster)
+        kernel = cluster.kernel
+        controller, detector = kernel.crash_controller, kernel.detector
+        seen = set()
+        for step in range(0, 601, 5):
+            kernel.run_until(float(step))
+            down = {pid for pid in kernel.pids if not controller.is_alive(pid)}
+            seen.add(frozenset(down))
+            for observer in kernel.pids:
+                assert detector.suspected_by(observer) == down
+                for peer in kernel.pids:
+                    assert detector.is_suspected(observer, peer) == (
+                        peer in down
+                    )
+        assert seen == {frozenset(), frozenset({1})}
+        assert cluster.run().ok
+
+    def test_never_rescinds(self):
+        cluster = oracle_cluster(((1, 100.0, 400.0), (2, 600.0, 900.0)))
+        log = hook_log(cluster.kernel.detector)
+        expected = spaced_inserts(cluster, count=100)
+        cluster.run()
+        assert [(verdict, at, peer) for verdict, at, _, peer in log] == (
+            [("suspect", 150.0, 1)] * 3 + [("suspect", 650.0, 2)] * 3
+        )
+        assert cluster.trace.counters.get("peer_rescinds", 0) == 0
+        assert cluster.check(expected=expected).ok
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +251,8 @@ class TestHeartbeats:
         assert summary["mean_detection_latency"] >= 50.0
         # the oracle never ran: detection shows up in the crash
         # record via the detector's note_detected path
-        controller = cluster.kernel.crash_controller
-        assert controller.oracle_detection is False
-        record = controller.records[0]
+        assert cluster.kernel.detector.plan.mode == "timeout"
+        record = cluster.kernel.crash_controller.records[0]
         assert record.detected_at is not None
         assert sorted(record.suspected_by) == [0, 2, 3]  # deduplicated
 
@@ -169,7 +276,7 @@ class TestHeartbeats:
             DetectorPlan(mode="phi", horizon=1000.0)
         )
         assert cluster.kernel.crash_controller is not None
-        assert cluster.kernel.crash_controller.oracle_detection is False
+        assert cluster.kernel.detector.plan.mode == "phi"
         expected = spaced_inserts(cluster, count=20)
         cluster.run()
         assert cluster.check(expected=expected).ok

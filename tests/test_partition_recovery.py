@@ -4,7 +4,8 @@ The consequences of acting on earned (possibly false) suspicion:
 HomeResolve converging double-homed leaves after a one-way cut heals,
 the decorrelated-jitter retry backoff, the ``bounce`` dead-peer
 policy composed with enforced reliability, and the wiring-time
-validation of ``detection_delay`` against the latency model.
+validation of the oracle detector's timeout against the latency
+model.
 """
 
 from __future__ import annotations
@@ -199,24 +200,28 @@ class TestBouncePolicy:
 
 
 # ----------------------------------------------------------------------
-# detection_delay validation at cluster wiring
+# oracle timeout validation at cluster wiring
 # ----------------------------------------------------------------------
 class TestDetectionDelayValidation:
-    CRASH = CrashPlan(schedule=((1, 400.0, 600.0),), detection_delay=50.0)
+    CRASH = CrashPlan(schedule=((1, 400.0, 600.0),))
+    ORACLE = DetectorPlan(mode="oracle", timeout=50.0)
 
     def test_fixed_latency_violation_still_hard_errors(self):
-        with pytest.raises(ValueError, match="detection_delay"):
+        with pytest.raises(ValueError, match="oracle timeout"):
             DBTreeCluster(
-                crash_plan=self.CRASH, latency_model=UniformLatency(base=50.0)
+                crash_plan=self.CRASH,
+                detector_plan=self.ORACLE,
+                latency_model=UniformLatency(base=50.0),
             )
 
     def test_jittered_latency_warns(self):
         # 50 > base 10 (no hard error) but 50 <= 10 + 45: a jittered
         # transit can outlive the oracle's drained-dead-window
         # assumption, so the wiring warns.
-        with pytest.warns(RuntimeWarning, match="detection_delay"):
+        with pytest.warns(RuntimeWarning, match="oracle timeout"):
             cluster = DBTreeCluster(
                 crash_plan=self.CRASH,
+                detector_plan=self.ORACLE,
                 latency_model=UniformLatency(base=10.0, jitter=45.0),
                 op_timeout=300.0,
                 replication_factor=2,
@@ -241,6 +246,7 @@ class TestDetectionDelayValidation:
             warnings.simplefilter("always")
             DBTreeCluster(
                 crash_plan=self.CRASH,
+                detector_plan=self.ORACLE,
                 latency_model=model,
                 op_timeout=300.0,
                 replication_factor=2,
@@ -272,4 +278,4 @@ class TestDetectionDelayValidation:
                 op_timeout=300.0,
                 replication_factor=2,
             )
-        assert cluster.kernel.crash_controller.oracle_detection is False
+        assert cluster.kernel.detector.plan.mode == "timeout"

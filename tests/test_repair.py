@@ -1002,5 +1002,5 @@ class TestAdjacentCrashRegression:
         report = cluster.check(expected=expected)
         assert report.ok, report.problems
         assert cluster.trace.counters.get("leaves_rehomed", 0) > 0
-        service = cluster.kernel.repair_service
+        service = cluster.engine.repair
         assert service.counters.get("membership_sweeps", 0) > 0

@@ -127,7 +127,7 @@ class TestLayerReport:
             "crash": availability_summary(cluster.kernel, cluster.trace),
             "partition": partition_summary(cluster.kernel),
             "detector": detector_summary(cluster.kernel),
-            "repair": repair_summary(cluster.kernel, cluster.trace),
+            "repair": repair_summary(cluster.engine),
         }
 
     def test_every_layer_answers_enabled_on_or_off(self):
