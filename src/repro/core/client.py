@@ -48,12 +48,18 @@ from repro.sim.tracing import OperationRecord, Trace
 class RunResults:
     """Outcome of running the cluster to quiescence.
 
-    Every submitted operation lands in exactly one partition:
-    ``completed`` (produced a return value), ``failed`` (refused
-    because its home processor was down or uninitialised and no
-    timeout was configured to retry it), ``timed_out`` (exhausted its
-    per-operation retry budget), or ``incomplete`` (no verdict --
-    normally empty at quiescence unless the run died early).
+    At trace level ``"ops"`` or ``"full"`` every submitted operation
+    lands in exactly one partition: ``completed`` (produced a return
+    value), ``failed`` (refused because its home processor was down or
+    uninitialised and no timeout was configured to retry it),
+    ``timed_out`` (exhausted its per-operation retry budget), or
+    ``incomplete`` (no verdict -- normally empty at quiescence unless
+    the run died early).  At ``"off"`` no per-op records are kept, so
+    ``completed`` and ``incomplete`` are empty; ``failed`` and
+    ``timed_out`` still list the verdicts.
+
+    ``completed`` covers every run so far; it is a copy, so a later
+    run leaves an earlier result's partitions as they were.
     """
 
     events_executed: int
@@ -223,18 +229,13 @@ class KernelClient(ClientSurface):
         # Only the dB-tree engine disposes of operations it cannot
         # finish (crashed home, exhausted retry budget).
         verdicts = getattr(self.engine, "op_verdicts", {})
+        trace = self.trace
         return RunResults(
             events_executed=executed,
             elapsed=self.kernel.now,
-            completed={
-                op.op_id: op.result
-                for op in self.trace.operations.values()
-                if op.completed_at is not None
-            },
+            completed=dict(trace.results),
             incomplete=tuple(
-                op.op_id
-                for op in self.trace.incomplete_operations()
-                if op.op_id not in verdicts
+                op_id for op_id in trace.pending if op_id not in verdicts
             ),
             failed=tuple(o for o, v in verdicts.items() if v == "failed"),
             timed_out=tuple(o for o, v in verdicts.items() if v == "timed_out"),

@@ -118,7 +118,9 @@ class DBTreeEngine:
         #: op_id -> "failed" | "timed_out" for operations that will
         #: never produce a return value (home crashed / retries spent).
         self.op_verdicts: dict[int, str] = {}
-        self._completed_ops: set[int] = set()
+        #: Ids of the operations still owed a return value, where a
+        #: return can arrive twice (set after the collaborators attach).
+        self._in_flight: set[int] | None = None
         # Per-processor key -> leaf hints (None = feature off).  Stale
         # hints are safe by construction: a misdirected operation
         # recovers via B-link out-of-range forwarding, see
@@ -152,7 +154,16 @@ class DBTreeEngine:
         # mirror push at t = 0 is part of every rf-2 schedule.
         for attach in collaborators:
             attach(self)
-        self._dedup_returns = self.crash is not None or self.timers is not None
+        # A return arrives twice when a retry or a fail-over races the
+        # original, or when the substrate duplicates a message and no
+        # reliable transport suppresses the copy.  Only then is each
+        # op tracked in flight; the bare path pays nothing for it.
+        duplicates = (
+            getattr(kernel.fault_plan, "duplicate_p", 0.0) > 0.0
+            and kernel.network.transport is None
+        )
+        if self.crash is not None or self.timers is not None or duplicates:
+            self._in_flight = set()
         kernel.install_handler(self.handle)
         self._bootstrap()
         if repair_plan is not None:
@@ -304,6 +315,8 @@ class DBTreeEngine:
             home_pid=home_pid,
         )
         self.trace.record_op_submitted(op.op_id, kind, key, home_pid, self.now)
+        if self._in_flight is not None:
+            self._in_flight.add(op.op_id)
         timers = self.timers
         crash = self.crash
         if crash is not None and not crash.can_serve(proc):
@@ -543,7 +556,8 @@ class DBTreeEngine:
         op = getattr(action, "op", None)
         if op is None or self.timers is not None:
             return
-        if op.op_id not in self.op_verdicts and op.op_id not in self._completed_ops:
+        in_flight = self._in_flight
+        if in_flight is None or op.op_id in in_flight:
             self.fail_op(op, "failed")
 
     def resolve(self, pid: int, key: Key) -> tuple[list[NodeCopy], int]:
@@ -740,19 +754,21 @@ class DBTreeEngine:
 
     def _on_return(self, proc: Processor, action: ReturnValue) -> None:
         op_id = action.op.op_id
-        if self._dedup_returns:
-            if op_id in self._completed_ops:
-                # An idempotent retry raced the original: the op
-                # already returned a value; keep the first.
-                self.trace.bump("duplicate_return_ignored")
+        in_flight = self._in_flight
+        if in_flight is not None:
+            if op_id not in in_flight:
+                if op_id in self.op_verdicts:
+                    # A late response after the client gave up: the
+                    # verdict (timed_out / failed) already stands, so
+                    # the partitions stay disjoint.
+                    self.trace.bump("late_return_ignored")
+                else:
+                    # A retry raced the original, or the network
+                    # delivered the return twice: the op already
+                    # returned a value; keep the first.
+                    self.trace.bump("duplicate_return_ignored")
                 return
-            if op_id in self.op_verdicts:
-                # A late response after the client gave up: the
-                # verdict (timed_out / failed) already stands, so
-                # the partitions stay disjoint.
-                self.trace.bump("late_return_ignored")
-                return
-            self._completed_ops.add(op_id)
+            in_flight.remove(op_id)
             if self.timers is not None:
                 self.timers.cancel(op_id)
         hint = action.leaf_hint
@@ -768,6 +784,8 @@ class DBTreeEngine:
     def fail_op(self, op: OpContext, verdict: str) -> None:
         """Dispose of an operation that will never return a value."""
         self.op_verdicts[op.op_id] = verdict
+        if self._in_flight is not None:
+            self._in_flight.discard(op.op_id)
         self.trace.bump(
             "ops_timed_out" if verdict == "timed_out" else "ops_failed"
         )

@@ -30,7 +30,9 @@ splits the heaviest half at its median key, and drains underloaded
 shards into their left neighbours.  Entry counts come from the
 anti-entropy layer's digest caches when repair is enabled
 (digest-driven rebalancing: the gossip rounds double as load
-measurement) and from a direct leaf sweep otherwise.  Migration runs
+measurement) and from the leaves' entry counts otherwise, each shard
+counted once per quiescent point and again only after a migration
+moves its keys.  Migration runs
 at quiescence through the ordinary insert/delete paths, so every
 audited invariant keeps holding through a reconfiguration.
 
@@ -179,6 +181,10 @@ class ShardedCluster(ClientSurface):
         self._events_seen: dict[int, int] = {
             sid: 0 for sid in self.clusters
         }
+        #: shard id -> entry count while ``_maintain`` runs: each live
+        #: shard is counted once, and a migration drops its source's
+        #: and target's counts.
+        self._loads: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -416,18 +422,27 @@ class ShardedCluster(ClientSurface):
         live leaf through the cache -- O(changed) tuple comparisons,
         re-hashing only mutated leaves, exactly the gossip rounds'
         own discipline -- and sums the cached per-leaf entry counts.
-        Without repair it falls back to a direct leaf sweep.  Both
-        agree at quiescence.
+        Without repair it sums the live leaves' entry counts.  Both
+        agree with ``len(shard_contents(shard_id))`` at quiescence.
         """
-        cluster = self.clusters[shard_id]
-        repair = cluster.engine.repair
-        if repair is not None:
-            index = repair.index
-            for copy in representative_nodes(cluster.engine).values():
-                if copy.is_leaf:
-                    index.node_digest(copy.home_pid, copy)
-            return index.leaf_entry_estimate()
-        return len(leaf_contents(cluster.engine))
+        engine = self.clusters[shard_id].engine
+        leaves = [
+            copy for copy in representative_nodes(engine).values() if copy.is_leaf
+        ]
+        repair = engine.repair
+        if repair is None:
+            return sum(copy.num_entries for copy in leaves)
+        index = repair.index
+        for copy in leaves:
+            index.node_digest(copy.home_pid, copy)
+        return index.leaf_entry_estimate()
+
+    def _load(self, shard_id: int) -> int:
+        """``entry_count(shard_id)``, counted once per ``_maintain``."""
+        count = self._loads.get(shard_id)
+        if count is None:
+            count = self._loads[shard_id] = self.entry_count(shard_id)
+        return count
 
     def shard_contents(self, shard_id: int) -> dict[Key, Any]:
         """The shard tree's current leaf contents."""
@@ -444,17 +459,19 @@ class ShardedCluster(ClientSurface):
         """
         if self.split_threshold is None and self.merge_threshold is None:
             return
-        for _ in range(MAX_ROUTE_HOPS):
-            if self.split_threshold is not None and self._split_pass():
-                continue
-            if self.merge_threshold is not None and self._merge_pass():
-                continue
-            break
+        try:
+            for _ in range(MAX_ROUTE_HOPS):
+                if self.split_threshold is not None and self._split_pass():
+                    continue
+                if self.merge_threshold is not None and self._merge_pass():
+                    continue
+                break
+        finally:
+            self._loads.clear()
 
     def _split_pass(self) -> bool:
         for shard in self.directory.live_shards():
-            count = self.entry_count(shard.shard_id)
-            if count < self.split_threshold:
+            if self._load(shard.shard_id) < self.split_threshold:
                 continue
             if self._split_shard(shard.shard_id):
                 return True
@@ -463,9 +480,7 @@ class ShardedCluster(ClientSurface):
     def _merge_pass(self) -> bool:
         live = self.directory.live_shards()
         for left, right in zip(live, live[1:]):
-            combined = self.entry_count(left.shard_id) + self.entry_count(
-                right.shard_id
-            )
+            combined = self._load(left.shard_id) + self._load(right.shard_id)
             if combined <= self.merge_threshold:
                 self._merge_shards(left.shard_id, right.shard_id)
                 return True
@@ -506,6 +521,8 @@ class ShardedCluster(ClientSurface):
         """Move items between shard trees through the normal op paths."""
         if not items:
             return
+        self._loads.pop(source_id, None)
+        self._loads.pop(target_id, None)
         source = self.clusters[source_id]
         target = self.clusters[target_id]
         pids = self.pids

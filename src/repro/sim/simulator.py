@@ -180,6 +180,7 @@ class Kernel:
         self.seeds = SeedLedger(root=seed)
         self.seeds.register("root", seed)
         self.accounting = accounting
+        self.fault_plan = fault_plan
         self.network = Network(
             self.events,
             latency_model=latency_model or UniformLatency(),

@@ -398,9 +398,7 @@ def latency_summary(trace: "Trace", kind: str | None = None) -> dict[str, float]
 
 def throughput(trace: "Trace", kernel: "Kernel") -> float:
     """Completed operations per virtual time unit."""
-    completed = sum(
-        1 for op in trace.operations.values() if op.completed_at is not None
-    )
+    completed = len(trace.results)
     elapsed = kernel.now
     if elapsed <= 0:
         return 0.0

@@ -45,3 +45,34 @@ def assert_clean(cluster, expected=None):
     report = cluster.check(expected=expected)
     assert report.ok, "\n".join(report.problems[:20])
     return report
+
+
+def derive_run_results(cluster):
+    """What ``run()`` reports for a one-engine cluster, derived from
+    scratch by a pass over every operation record the trace kept: the
+    reference ``Trace.pending`` and ``Trace.results`` are held to.
+    Returns ``(completed, incomplete, failed, timed_out)``."""
+    verdicts = cluster.engine.op_verdicts
+    records = cluster.trace.operations.values()
+    completed = {
+        op.op_id: op.result for op in records if op.completed_at is not None
+    }
+    incomplete = tuple(
+        op.op_id
+        for op in records
+        if op.completed_at is None and op.op_id not in verdicts
+    )
+    failed = tuple(o for o, v in verdicts.items() if v == "failed")
+    timed_out = tuple(o for o, v in verdicts.items() if v == "timed_out")
+    return completed, incomplete, failed, timed_out
+
+
+def partitions_disjoint(results):
+    """No op sits in two of a ``RunResults``' four partitions."""
+    partitions = [
+        set(results.completed),
+        set(results.incomplete),
+        set(results.failed),
+        set(results.timed_out),
+    ]
+    return sum(map(len, partitions)) == len(set().union(*partitions))

@@ -9,7 +9,7 @@ but duplication is survivable thanks to action-id de-duplication).
 
 import random
 
-from tests.helpers import run_insert_workload
+from tests.helpers import partitions_disjoint, run_insert_workload
 from repro import DBTreeCluster, FaultPlan
 
 
@@ -146,3 +146,53 @@ class TestReordering:
         # fail the audit: the in-order assumption is load-bearing.
         assert not report.ok
         assert cluster.trace.counters.get("relayed_split_out_of_range", 0) > 0
+
+
+class TestDuplicatedReturns:
+    """A duplicated message can land a second return value at an op's
+    home (a duplicated ``ReturnValue``, or a duplicated ``SearchStep``
+    that finishes the op twice); the home keeps the first."""
+
+    @staticmethod
+    def run_duplicated(trace_level):
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol="variable",
+            capacity=4,
+            seed=3,
+            fault_plan=FaultPlan(duplicate_p=0.3),
+            trace_level=trace_level,
+        )
+        returns = []
+        cluster.engine.op_completion_listeners.append(
+            lambda op, _result: returns.append(op.op_id)
+        )
+        pids = cluster.pids
+        expected = {}
+        submitted = []
+        for index in range(100):
+            key = (index * 7) % 2003
+            expected[key] = index
+            submitted.append(cluster.insert(key, index, client=pids[index % 4]))
+        cluster.run()
+        for index, key in enumerate(expected):
+            submitted.append(cluster.search(key, client=pids[(index + 1) % 4]))
+        return cluster, cluster.run(), expected, submitted, returns
+
+    def test_every_op_completes_exactly_once(self):
+        cluster, results, expected, submitted, returns = self.run_duplicated("full")
+        assert sorted(returns) == sorted(submitted)
+        assert sorted(results.completed) == sorted(submitted)
+        assert results.ok and partitions_disjoint(results)
+        for value, search in zip(expected.values(), submitted[100:]):
+            assert results.completed[search] == value
+        assert cluster.trace.counters["duplicate_return_ignored"] > 0
+        assert cluster.kernel.network.stats.duplicated > 0
+        report = cluster.check(expected=expected)
+        assert report.ok, "\n".join(report.problems[:10])
+
+    def test_listeners_hear_each_op_once_without_records(self):
+        cluster, results, _expected, submitted, returns = self.run_duplicated("off")
+        assert sorted(returns) == sorted(submitted)
+        assert results.completed == {} and results.incomplete == ()
+        assert cluster.trace.counters["duplicate_return_ignored"] > 0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tests.helpers import assert_clean, run_insert_workload
 from repro import NEG_INF, POS_INF, ShardedCluster
 from repro.shard import DirectoryView, ShardDirectory
+from repro.verify.checker import leaf_contents
 from repro.shard.verify import (
     check_partition_soundness,
     check_routability,
@@ -311,3 +312,76 @@ class TestPlantedViolations:
             forest._locate(0, key)
         problems = check_routability(forest)
         assert any(str(dead_end.value) in p for p in problems), problems
+
+
+
+class TestShardLoad:
+    """The balancer's load is the shard's stored entries, counted
+    from the leaves' entry counts (or the digest caches) once per
+    ``_maintain`` and again only where a migration moved keys."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """Assert, at every quiescent point the balancer sees -- each
+        ``_maintain`` and each migration's end -- that every live
+        shard's count equals its stored entries.  Yields each split's
+        migration as ``(moved, before, after)``: the source's and the
+        new shard's counts around it."""
+        migrate = ShardedCluster._migrate
+        maintain = ShardedCluster._maintain
+        seen = []
+
+        def assert_loads(forest, kept=False):
+            for shard in forest.directory.live_shards():
+                sid = shard.shard_id
+                stored = len(leaf_contents(forest.clusters[sid].engine))
+                assert forest.entry_count(sid) == stored
+                if kept:
+                    assert forest._load(sid) == stored
+
+        def checked_maintain(self):
+            assert_loads(self)
+            maintain(self)
+            assert_loads(self)
+
+        def checked_migrate(self, source_id, target_id, items):
+            before = (self._load(source_id), self._load(target_id))
+            migrate(self, source_id, target_id, items)
+            assert_loads(self, kept=True)
+            live = {shard.shard_id for shard in self.directory.live_shards()}
+            if source_id in live:  # a merge's source is already retired
+                after = (self._load(source_id), self._load(target_id))
+                seen.append((len(items), before, after))
+
+        monkeypatch.setattr(ShardedCluster, "_maintain", checked_maintain)
+        monkeypatch.setattr(ShardedCluster, "_migrate", checked_migrate)
+        return seen
+
+    @pytest.mark.parametrize("repair_period", [None, 50.0])
+    def test_counts_match_contents_through_splits_and_merges(
+        self, splits, repair_period
+    ):
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="variable",
+            capacity=4,
+            seed=13,
+            shard_split_threshold=16,
+            shard_merge_threshold=6,
+            repair_period=repair_period,
+        )
+        expected = run_insert_workload(
+            forest, count=60, key_fn=lambda i: i * 17, spread_clients=True
+        )
+        for index, key in enumerate(sorted(expected)[8:]):
+            forest.delete(key, client=forest.pids[index % 4])
+            del expected[key]
+        assert forest.run().ok
+        assert forest.counters["shard_merges"] >= 1
+        assert len(splits) == forest.counters["shard_splits"] >= 1
+        for moved, (before, fresh), (after, landed) in splits:
+            # The source's count falls by exactly the keys moved: the
+            # count taken before the migration was not reused.
+            assert fresh == 0
+            assert after == before - moved and landed == moved
+        assert_clean(forest, expected)
