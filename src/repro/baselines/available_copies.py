@@ -23,7 +23,7 @@ the same lock round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import (
@@ -216,7 +216,7 @@ class AvailableCopiesProtocol(Protocol):
         kind, action = work
         if kind == "update":
             result = self._perform_initial_keyed(proc, copy, action)
-            return replace(action, mode=Mode.RELAYED, op=None), result
+            return action._replace(mode=Mode.RELAYED, op=None), result
         return engine.perform_half_split(proc, copy), True
 
     def _finish_round(

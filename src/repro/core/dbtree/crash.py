@@ -14,7 +14,6 @@ flight are parked instead of healed).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
@@ -117,7 +116,7 @@ class CrashRecovery:
         at = pids.index(op.home_pid)
         for pid in pids[at:] + pids[:at]:
             if self.can_serve(kernel.processor(pid)):
-                return op if pid == op.home_pid else replace(op, home_pid=pid)
+                return op if pid == op.home_pid else op._replace(home_pid=pid)
         return None
 
     # ------------------------------------------------------------------

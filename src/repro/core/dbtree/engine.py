@@ -40,8 +40,8 @@ balancer) attaches its rows with :meth:`DBTreeEngine.on`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from repro.core.actions import (
     CreateCopy,
@@ -55,6 +55,7 @@ from repro.core.actions import (
     ScanStep,
     SearchStep,
     SetRoot,
+    tuple_action,
 )
 from repro.core.keys import POS_INF, Key, KeyRange, key_le, key_lt
 from repro.core.leafcache import LeafHintCache
@@ -73,8 +74,8 @@ if TYPE_CHECKING:
     from repro.repair.repair import RepairService
 
 
-@dataclass(frozen=True)
-class InitiateSplit:
+@tuple_action
+class InitiateSplit(NamedTuple):
     """Internal action: the PC's node manager runs the split discipline."""
 
     kind = "initiate_split"
@@ -306,14 +307,8 @@ class DBTreeEngine:
         """
         if kind not in ("search", "insert", "delete", "scan"):
             raise ValueError(f"unknown operation kind {kind!r}")
-        proc = self.kernel.processor(home_pid)
-        op = OpContext(
-            op_id=self._alloc_op_id(),
-            kind=kind,
-            key=key,
-            value=value,
-            home_pid=home_pid,
-        )
+        proc = self.kernel.processors[home_pid]
+        op = OpContext(self._alloc_op_id(), kind, key, value, home_pid)
         self.trace.record_op_submitted(op.op_id, kind, key, home_pid, self.now)
         if self._in_flight is not None:
             self._in_flight.add(op.op_id)
@@ -380,9 +375,7 @@ class DBTreeEngine:
         if leaf is not None and self._leaf_caches is not None:
             node_range = leaf.range
             hint = (leaf.node_id, node_range.low, node_range.high, leaf.copy_pids)
-        self.kernel.route(
-            proc.pid, op.home_pid, ReturnValue(op=op, result=result, leaf_hint=hint)
-        )
+        self.kernel.route(proc.pid, op.home_pid, ReturnValue(op, result, hint))
 
     # ------------------------------------------------------------------
     # routing
@@ -393,15 +386,14 @@ class DBTreeEngine:
 
         Already-addressed actions pass through untouched; the common
         action types provide ``with_node`` (direct construction,
-        roughly an order of magnitude cheaper than
-        ``dataclasses.replace`` on this hot path).
+        cheaper than ``_replace`` on this hot path).
         """
         if action.node_id == node_id:
             return action
         with_node = getattr(action, "with_node", None)
         if with_node is not None:
             return with_node(node_id)
-        return replace(action, node_id=node_id)
+        return action._replace(node_id=node_id)
 
     def learn_location(
         self,
@@ -525,7 +517,9 @@ class DBTreeEngine:
         anywhere.
         """
         if node_id in proc.state["store"]:
-            proc.submit(self.retarget(action, node_id))
+            if action.node_id != node_id:
+                action = self.retarget(action, node_id)
+            proc.submit(action)
             return True
         key = None if getattr(action, "exact", False) else getattr(action, "key", None)
         skip = action.detoured if missed else 0
@@ -535,7 +529,7 @@ class DBTreeEngine:
                 self._dead_end(action)
                 return False
             self.trace.bump("missing_node_recovery")
-            action = replace(action, detoured=action.detoured | 1 << proc.pid)
+            action = action._replace(detoured=action.detoured | 1 << proc.pid)
         target, holders = hop
         action = self.retarget(action, target)
         pid = holders[0] if len(holders) == 1 else self.kernel.rng.choice(holders)
@@ -988,7 +982,7 @@ class DBTreeEngine:
         if action.mode is Mode.INITIAL:
             peers = copy.peers_of(proc.pid)
             if peers:
-                self.relay(proc, copy, replace(action, mode=Mode.RELAYED), peers)
+                self.relay(proc, copy, action._replace(mode=Mode.RELAYED), peers)
 
     def _apply_link_slot_change(
         self, proc: Processor, copy: NodeCopy, action: LinkChange

@@ -21,7 +21,6 @@ Consequences measured by the benchmarks (experiments F5, C3, C4):
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import InsertAction, Mode
@@ -68,15 +67,14 @@ class SemiSyncProtocol(Protocol):
         engine.trace.bump("history_rewrites")
         corrected_id = engine.trace.new_action_id()
         if isinstance(action, InsertAction):
-            corrected = replace(
-                action,
+            corrected = action._replace(
                 mode=Mode.INITIAL,
                 action_id=corrected_id,
                 origin_version=0,
                 op=None,
             )
         else:
-            corrected = replace(
-                action, mode=Mode.INITIAL, action_id=corrected_id, op=None
+            corrected = action._replace(
+                mode=Mode.INITIAL, action_id=corrected_id, op=None
             )
         engine.forward_same_level(proc, copy, corrected, action.key)

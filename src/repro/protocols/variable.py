@@ -24,7 +24,6 @@ assumption for this algorithm).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.core.actions import (
@@ -110,7 +109,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         ]
         for pid in late_joiners:
             engine.kernel.route(
-                proc.pid, pid, replace(action, origin_version=copy.version)
+                proc.pid, pid, action._replace(origin_version=copy.version)
             )
             engine.trace.bump("rerelayed_to_joiners")
 

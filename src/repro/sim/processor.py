@@ -19,6 +19,11 @@ action ends, and then leave one per destination: everything bound for
 one processor rides one message (paper, Section 1.1: the lazy update
 "can be piggybacked onto messages used for other purposes").  Nothing
 waits longer than the action that sent it.
+
+A message that lands reaches :meth:`Processor.submit` straight from
+the network's table of processors (:meth:`~repro.sim.network.Network
+.install_delivery`), and a service completion is one pre-bound method
+pushed on the event queue: neither builds anything per action.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class _ServiceCompletion:
     processor crashed (and possibly restarted) in between, the token
     no longer matches and the completion is a stale no-op -- the
     in-service action died with the crash.  Only the ``crashable=True``
-    path allocates these; the default path keeps pushing the bound
+    path allocates these; the default path pushes the one pre-bound
     method, so no-crash runs are event-for-event identical.
     """
 
@@ -118,6 +123,8 @@ class Processor:
         self._queue: deque[Any] = deque()
         self._busy = False
         self._in_service: Any = None
+        # Bound once: every service completion pushes this one object.
+        self._complete = self._complete_in_service
         self._handler: ActionHandler | None = None
         # The kernel this processor acts on while it holds its sends;
         # None: nothing is held.
@@ -195,14 +202,15 @@ class Processor:
                 _ServiceCompletion(self, self._service_token),
             )
         else:
-            events.push(events.now + service, self._complete_in_service)
+            events.push(events.now + service, self._complete)
 
     def _complete_in_service(self) -> None:
         action = self._in_service
-        self.stats.actions_executed += 1
+        stats = self.stats
+        stats.actions_executed += 1
         if self._track_detail:
-            self.stats.by_kind[message_kind(action)] += 1
-        assert self._handler is not None
+            stats.by_kind[message_kind(action)] += 1
+        # submit() refused every action while no handler was installed.
         kernel = self._kernel
         if kernel is not None:
             kernel.acting = self

@@ -195,7 +195,6 @@ class Kernel:
         self.permuter: SchedulePermuter | None = None
         if permute_plan is not None:
             self.permuter = SchedulePermuter(permute_plan, self.events)
-            self.network.install_permuter(self.permuter)
             self.seeds.register("permute", permute_plan.seed)
         crashable = crash_plan is not None
         self.processors: dict[int, Processor] = {
@@ -218,7 +217,12 @@ class Kernel:
         # Sorted once: the set of processors is fixed for a kernel's
         # life, and ``pids`` is read on every mirror-placement lookup.
         self._pids = sorted(self.processors)
-        self.network.install_delivery(self._on_delivery)
+        # A landed message goes straight to its processor's submit.
+        self.network.install_delivery(
+            {pid: proc.submit for pid, proc in self.processors.items()}
+        )
+        if self.permuter is not None:
+            self.network.install_permuter(self.permuter)
         self.crash_plan = crash_plan
         self.crash_controller: CrashController | None = None
         if crash_plan is not None:
@@ -283,12 +287,6 @@ class Kernel:
             acting.hold(dst_pid, action)
         else:
             self.network.send(src_pid, dst_pid, action)
-
-    def _on_delivery(self, dst: int, payload: Any) -> None:
-        proc = self.processors.get(dst)
-        if proc is None:
-            raise RuntimeError(f"message delivered to unknown processor {dst}")
-        proc.submit(payload)
 
     def run_to_quiescence(self, max_events: int | None = None) -> int:
         """Run until no events remain; return the number executed.

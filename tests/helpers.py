@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro import DBTreeCluster
+
+
+def landing(deliver, pids=range(8)) -> dict:
+    """A network delivery table (pid -> callable) for a bare network
+    whose landings all go to ``deliver(dst, payload)``."""
+    return {pid: partial(deliver, pid) for pid in pids}
 
 
 def run_insert_workload(

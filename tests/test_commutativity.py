@@ -1,7 +1,5 @@
 """The commutativity registry: claims vs the Section 3 formalism."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.actions import (
@@ -191,7 +189,7 @@ class TestWireGate:
             capacity=4,
         ).snapshot(birth_set=frozenset())
         plain = relayed_split(5, node_id=1)
-        carrying = RelayedSplit(1, replace(plain.split, sibling=sibling))
+        carrying = RelayedSplit(1, plain.split._replace(sibling=sibling))
         for update in (
             relayed_insert(7, node_id=99),
             relayed_delete(7, node_id=99),
@@ -200,7 +198,7 @@ class TestWireGate:
             assert not self.CLAIMS.commutes_wire(carrying, update)
             assert not self.CLAIMS.commutes_wire(update, carrying)
             # The same pair on a node the split did not create swaps.
-            unrelated = replace(update, node_id=42)
+            unrelated = update._replace(node_id=42)
             assert self.CLAIMS.commutes_wire(carrying, unrelated)
             assert self.CLAIMS.commutes_wire(unrelated, carrying)
 

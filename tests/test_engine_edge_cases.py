@@ -58,11 +58,6 @@ class TestLocatorRecovery:
         for key in list(expected)[:10]:
             assert cluster.search_sync(key, client=2) == expected[key]
 
-    def test_unknown_processor_message_rejected(self):
-        cluster = DBTreeCluster(num_processors=2, seed=1)
-        with pytest.raises(RuntimeError):
-            cluster.kernel._on_delivery(99, object())
-
 
 def begin_op(cluster, kind, key, value=None, home=0):
     """An op the engine tracks, as ``submit_operation`` makes one, whose

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tests.helpers import landing
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
 from repro.sim.network import (
@@ -32,7 +33,9 @@ def make_net(latency=None, fault_plan=None, seed=0):
         fault_plan=fault_plan,
     )
     delivered = []
-    net.install_delivery(lambda dst, payload: delivered.append((events.now, dst, payload)))
+    net.install_delivery(
+        landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
+    )
     return events, net, delivered
 
 
@@ -143,7 +146,7 @@ class TestDelivery:
             )
             delivered = []
             net.install_delivery(
-                lambda dst, payload: delivered.append((events.now, payload))
+                landing(lambda dst, payload: delivered.append((events.now, payload)))
             )
             for index in range(40):
                 net.send(0, 1, index)
@@ -338,7 +341,7 @@ def run_wire_case(reliability, plan, partition, liveness, kind):
     def deliver(dst, payload):
         trace.append(f"{events.now:.6f}:{dst}:{payload}")
 
-    net.install_delivery(deliver)
+    net.install_delivery(landing(deliver))
     if partition != "open":
         net.install_partition(LinkJudge(events, partition))
     if liveness == "dead":
@@ -696,7 +699,9 @@ class TestWireLattice:
             reliability="enforced",
         )
         delivered = []
-        net.install_delivery(lambda dst, p: delivered.append((events.now, dst, p)))
+        net.install_delivery(
+            landing(lambda dst, p: delivered.append((events.now, dst, p)))
+        )
         net.send(0, 1, "first")
         net.send(0, 1, "second")
         events.run()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tests.helpers import landing
 from repro import DBTreeCluster
 from repro.core.actions import HalfSplit, InsertAction, Mode, RelayedSplit
 from repro.sim.crash import CrashPlan
@@ -63,7 +64,9 @@ def make_permuted_net(plan, hold_filter=None):
         events, latency_model=UniformLatency(base=10.0), rng=random.Random(0)
     )
     delivered = []
-    net.install_delivery(lambda dst, p: delivered.append((events.now, dst, p)))
+    net.install_delivery(
+        landing(lambda dst, p: delivered.append((events.now, dst, p)))
+    )
     permuter = SchedulePermuter(plan, events, hold_filter=hold_filter)
     net.install_permuter(permuter)
     return events, net, permuter, delivered

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from tests.helpers import run_insert_workload
+from tests.helpers import landing, run_insert_workload
 from repro import (
     CrashPlan,
     DBTreeCluster,
@@ -47,7 +47,7 @@ def make_net(
     )
     delivered = []
     net.install_delivery(
-        lambda dst, payload: delivered.append((events.now, dst, payload))
+        landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
     )
     return events, net, delivered
 
@@ -268,7 +268,7 @@ def make_scripted(config=None, **script):
     )
     delivered = []
     net.install_delivery(
-        lambda dst, payload: delivered.append((events.now, dst, payload))
+        landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
     )
     return events, net, wire, delivered
 
