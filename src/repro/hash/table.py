@@ -130,6 +130,9 @@ class LazyHashEngine:
         self.mode = mode
         self.trace = Trace()  # operations + counters only
         self._next_op_id = 0
+        # Ops still owed a return: a duplicating substrate can land a
+        # return twice, and the first one stands.
+        self._in_flight: set[int] = set()
         self._next_bucket_id = 0
         self._next_home = 0  # round-robin buddy placement
         for proc in kernel.processors.values():
@@ -197,6 +200,7 @@ class LazyHashEngine:
         self.trace.record_op_submitted(
             op.op_id, kind, key, home_pid, self.kernel.now
         )
+        self._in_flight.add(op.op_id)
         self.kernel.processor(home_pid).submit(HashLookup(op=op))
         return op.op_id
 
@@ -213,9 +217,12 @@ class LazyHashEngine:
         handler(proc, action)
 
     def _on_return(self, proc, action: HashReturn) -> None:
-        self.trace.record_op_completed(
-            action.op.op_id, action.result, self.kernel.now
-        )
+        op_id = action.op.op_id
+        if op_id not in self._in_flight:
+            self.trace.bump("duplicate_return_ignored")
+            return
+        self._in_flight.remove(op_id)
+        self.trace.record_op_completed(op_id, action.result, self.kernel.now)
 
     # ------------------------------------------------------------------
     def _on_lookup(self, proc, action: HashLookup) -> None:

@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from repro.hash import LazyHashTable
+from repro.sim.failure import FaultPlan
 
 
 def load(table, count=300, prefix="key"):
@@ -103,6 +104,26 @@ class TestModes:
             for pid in table.kernel.pids
         }
         assert len(fingerprints) == 1
+
+
+class TestDuplicatingSubstrate:
+    """A substrate that duplicates messages (assumed reliability) can
+    land an op's return twice; the home keeps the first."""
+
+    def test_duplicated_returns_complete_each_op_once(self):
+        table = LazyHashTable(
+            num_processors=4, seed=1, fault_plan=FaultPlan(duplicate_p=0.3)
+        )
+        for key in range(60):
+            table.insert(key, key, client=key % 4)
+        results = table.run()
+        assert results.completed == {key + 1: True for key in range(60)}
+        assert not results.incomplete
+        assert table.trace.counters["duplicate_return_ignored"] > 0
+        report = table.check(expected={key: key for key in range(60)})
+        assert report.ok, "\n".join(report.problems[:10])
+        for key in (0, 17, 59):
+            assert table.search_sync(key, client=key % 4) == key
 
 
 class TestDistribution:
