@@ -485,6 +485,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{read['msgs_per_op']:.2f} msgs/op, "
         f"cache hit rate {read['cache']['hit_rate']:.3f}"
     )
+    opcodes = report["opcodes"]
+    print(
+        f"opcodes/op over {opcodes['fast']['ops']:,} ops ({opcodes['python']}): "
+        f"fast {opcodes['fast']['per_op']:,.1f}, read {opcodes['read']['per_op']:,.1f}"
+    )
     print(f"wrote {args.output}")
     return 0
 

@@ -32,6 +32,11 @@ rest fresh inserts) is measured, and the same quantities are pinned
 for that loop alone (the virtual time at the end includes the preload).
 What each layer costs on top is ``bench/``'s ledger, not this
 module's.
+
+Beside the rows sits the opcode ledger (:func:`count_opcodes`): the
+Python opcodes a 2,000-op slice of the ``fast`` and ``read`` rows
+executes, in total and per ``repro`` subpackage, under the interpreter
+named beside them.  It is the host cost with the noise taken out.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ from repro.workloads.driver import ClosedLoopDriver, Workload
 #: Share of the read mix's measured operations that are searches; the
 #: rest insert fresh keys (``bench/workloads.ReadHot`` has the same).
 READ_SEARCH_SHARE = 0.95
+
+#: Operations in the opcode ledger's slice of each row (fewer when the
+#: whole burst is shorter), and the rows it counts.
+OPCODE_OPS = 2_000
+OPCODE_ROWS = ("fast", "read")
 
 
 def insert_burst_workload(
@@ -127,26 +137,22 @@ def run_insert_burst(
     ``num_ops`` that follow; ``final_virtual_time`` is the clock at the
     end, so it includes the preload.
     """
-    layers: dict[str, Any] = {}
-    if drop_p > 0:
-        layers.update(fault_plan=FaultPlan(drop_p=drop_p), reliability="enforced")
-    if repair_period is not None or crash_schedule is not None:
-        schedule = tuple(tuple(row) for row in crash_schedule or ())
-        layers.update(crash_plan=CrashPlan(schedule=schedule), replication_factor=2)
-    if repair_period is not None:
-        layers.update(repair_period=repair_period)
-    if op_timeout is not None:
-        layers.update(op_timeout=op_timeout)
-    cluster = DBTreeCluster(
-        num_processors=num_processors,
-        protocol=protocol,
-        capacity=capacity,
-        seed=seed,
-        trace_level=trace_level,
-        accounting=accounting,
-        leaf_cache=leaf_cache,
-        **layers,
-    )
+    config = {
+        "protocol": protocol,
+        "num_processors": num_processors,
+        "capacity": capacity,
+        "depth": depth,
+        "seed": seed,
+        "trace_level": trace_level,
+        "accounting": accounting,
+        "leaf_cache": leaf_cache,
+        "drop_p": drop_p,
+        "repair_period": repair_period,
+        "crash_schedule": crash_schedule,
+        "op_timeout": op_timeout,
+        "preload": preload,
+    }
+    cluster, warm_up, measured = _burst(num_ops, config)
     kernel = cluster.kernel
     stats = kernel.network.stats
     processors = [proc.stats for proc in kernel.processors.values()]
@@ -164,15 +170,10 @@ def run_insert_burst(
     # Counts start from nothing, or from the end of the preload.
     before = (0, 0, 0, 0, 0, [0.0] * len(processors))
     cache_before: dict[str, Any] = {}
-    if preload > 0:
-        warm_up, workload = read_mix_workloads(
-            num_ops, num_processors, preload, seed=seed
-        )
-        ClosedLoopDriver(cluster, warm_up, depth=depth).run()
+    if warm_up is not None:
+        warm_up.run()
         before = tally()
         cache_before = cluster.engine.leaf_cache_stats()
-    else:
-        workload = insert_burst_workload(num_ops, num_processors, seed=seed)
     completions = 0
 
     def _count(_op: Any, _result: Any) -> None:
@@ -180,9 +181,8 @@ def run_insert_burst(
         completions += 1
 
     cluster.engine.op_completion_listeners.append(_count)
-    driver = ClosedLoopDriver(cluster, workload, depth=depth)
     started = time.perf_counter()
-    driver.run()
+    measured.run()
     wall = time.perf_counter() - started
 
     after = tally()
@@ -202,21 +202,7 @@ def run_insert_burst(
         if key in repair
     }
     return {
-        "config": {
-            "protocol": protocol,
-            "num_processors": num_processors,
-            "capacity": capacity,
-            "depth": depth,
-            "seed": seed,
-            "trace_level": trace_level,
-            "accounting": accounting,
-            "leaf_cache": leaf_cache,
-            "drop_p": drop_p,
-            "repair_period": repair_period,
-            "crash_schedule": crash_schedule,
-            "op_timeout": op_timeout,
-            "preload": preload,
-        },
+        "config": config,
         "ops_completed": completions,
         "events_executed": events,
         "messages_sent": sent,
@@ -235,6 +221,146 @@ def run_insert_burst(
     }
 
 
+def _burst(
+    num_ops: int, config: dict[str, Any]
+) -> tuple[DBTreeCluster, ClosedLoopDriver | None, ClosedLoopDriver]:
+    """The cluster a :func:`run_insert_burst` configuration names, with
+    the driver of its preload (None without one) and of the measured
+    loop; neither has run."""
+    layers: dict[str, Any] = {}
+    if config["drop_p"] > 0:
+        layers.update(fault_plan=FaultPlan(drop_p=config["drop_p"]), reliability="enforced")
+    crash_schedule = config["crash_schedule"]
+    if config["repair_period"] is not None or crash_schedule is not None:
+        schedule = tuple(tuple(row) for row in crash_schedule or ())
+        layers.update(crash_plan=CrashPlan(schedule=schedule), replication_factor=2)
+    if config["repair_period"] is not None:
+        layers.update(repair_period=config["repair_period"])
+    if config["op_timeout"] is not None:
+        layers.update(op_timeout=config["op_timeout"])
+    cluster = DBTreeCluster(
+        num_processors=config["num_processors"],
+        protocol=config["protocol"],
+        capacity=config["capacity"],
+        seed=config["seed"],
+        trace_level=config["trace_level"],
+        accounting=config["accounting"],
+        leaf_cache=config["leaf_cache"],
+        **layers,
+    )
+    depth = config["depth"]
+    warm_up = None
+    if config["preload"] > 0:
+        preload, workload = read_mix_workloads(
+            num_ops, config["num_processors"], config["preload"], seed=config["seed"]
+        )
+        warm_up = ClosedLoopDriver(cluster, preload, depth=depth)
+    else:
+        workload = insert_burst_workload(
+            num_ops, config["num_processors"], seed=config["seed"]
+        )
+    return cluster, warm_up, ClosedLoopDriver(cluster, workload, depth=depth)
+
+
+def _module_bucket(module: str | None) -> str:
+    """The ``repro`` subpackage (or top-level module) ``module`` is in;
+    ``"other"`` for the standard library and generated code."""
+    if module and module.startswith("repro."):
+        return module.split(".")[1]
+    return "other"
+
+
+def count_opcodes(num_ops: int, config: dict[str, Any]) -> dict[str, Any]:
+    """Python opcodes the measured loop of a burst executes, by subpackage.
+
+    ``sys.settrace`` with ``f_trace_opcodes`` counts every bytecode
+    instruction a Python frame runs; C code (``heapq``, dict and set
+    operations, blake2b) is the one opcode that calls it.  The count is
+    a pure function of the code, the seed and the interpreter, so it
+    resolves host-cost changes far below wall-clock noise.  The same
+    burst runs once untraced first, so that no lazy import or first-call
+    cache falls inside the count; the preload, when there is one, is not
+    counted.  Returns ``ops``, ``total``, ``per_op`` and ``by_subpackage``
+    (``core``, ``sim``, ``protocols``, ... and ``other``).
+    """
+    import gc
+    import sys
+
+    warm_up, measured = _burst(num_ops, config)[1:]
+    for driver in (warm_up, measured):
+        if driver is not None:
+            driver.run()
+    warm_up, measured = _burst(num_ops, config)[1:]
+    if warm_up is not None:
+        warm_up.run()
+
+    tallies: dict[str, list[int]] = {}
+    tracers: dict[Any, Any] = {}
+
+    def tracer_for(bucket: str) -> Any:
+        tally = tallies.setdefault(bucket, [0])
+
+        def on_event(frame: Any, event: str, arg: Any) -> Any:
+            if event == "opcode":
+                tally[0] += 1
+            return on_event
+
+        return on_event
+
+    def on_call(frame: Any, event: str, arg: Any) -> Any:
+        code = frame.f_code
+        tracer = tracers.get(code)
+        if tracer is None:
+            bucket = _module_bucket(frame.f_globals.get("__name__"))
+            tracer = tracers[code] = tracer_for(bucket)
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return tracer
+
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        measured.run()
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    by_subpackage = {bucket: tallies[bucket][0] for bucket in sorted(tallies)}
+    total = sum(by_subpackage.values())
+    return {
+        "ops": num_ops,
+        "total": total,
+        "per_op": total / num_ops,
+        "by_subpackage": by_subpackage,
+    }
+
+
+def python_version() -> str:
+    """The interpreter an opcode count belongs to (``"CPython 3.11.7"``):
+    bytecode differs between versions, so a count compares only with
+    one taken under the same one."""
+    import platform
+
+    return f"{platform.python_implementation()} {platform.python_version()}"
+
+
+def opcode_ledger(report: dict[str, Any], num_ops: int) -> dict[str, Any]:
+    """:func:`count_opcodes` for a slice of ``num_ops`` of the ``fast``
+    and ``read`` rows of ``report`` (the read row's preload scaled with
+    it), with the interpreter they were counted under."""
+    ledger: dict[str, Any] = {"python": python_version()}
+    for row in OPCODE_ROWS:
+        config = dict(report[row]["config"])
+        if config["preload"] > 0:
+            scale = num_ops / report[row]["ops_completed"]
+            config["preload"] = max(int(config["preload"] * scale), 1)
+        ledger[row] = {"config": config, **count_opcodes(num_ops, config)}
+    return ledger
+
+
 def write_bench_core(
     path: str, num_ops: int = 100_000, seed: int = 0
 ) -> dict[str, Any]:
@@ -251,7 +377,9 @@ def write_bench_core(
     burst completes about one insert per 2.8 vt): the one row whose
     operations meet a dead home.  The ``read`` row preloads a tenth
     of the ops under ``variable`` and then measures a quarter, 95 %
-    (:data:`READ_SEARCH_SHARE`) of them searches.
+    (:data:`READ_SEARCH_SHARE`) of them searches.  The ``opcodes``
+    block is :func:`opcode_ledger` over a slice of at most
+    :data:`OPCODE_OPS` operations of the ``fast`` and ``read`` rows.
     """
     crash_ops = max(num_ops // 10, 1)
     crash_at = 1.5 * crash_ops
@@ -277,6 +405,7 @@ def write_bench_core(
             preload=max(num_ops // 10, 1),
         ),
     }
+    report["opcodes"] = opcode_ledger(report, max(min(num_ops // 4, OPCODE_OPS), 1))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
