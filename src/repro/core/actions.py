@@ -39,42 +39,10 @@ account, ``repr`` reads as before, and a changed copy is
 from __future__ import annotations
 
 import enum
-import zlib
 from typing import Any, NamedTuple
 
-from repro.core.keys import Key
+from repro.core.keys import Key, tuple_action
 from repro.core.node import NodeSnapshot
-
-
-_tuple_eq = tuple.__eq__
-_tuple_hash = tuple.__hash__
-
-
-def tuple_action(cls: type) -> type:
-    """Make a ``NamedTuple`` action class a value of its own type.
-
-    A named tuple compares and hashes by its fields alone, so it would
-    equal a plain tuple, or an action of another type, with the same
-    fields.  This installs ``__eq__`` / ``__ne__`` / ``__hash__`` that
-    also take the type, as a frozen dataclass's equality does; the hash
-    is salted by a checksum of the class name, so it does not depend on
-    the process.
-    """
-    salt = zlib.crc32(cls.__name__.encode())
-
-    def __eq__(self: tuple, other: object) -> bool:
-        return self.__class__ is other.__class__ and _tuple_eq(self, other)
-
-    def __ne__(self: tuple, other: object) -> bool:
-        return not (self.__class__ is other.__class__ and _tuple_eq(self, other))
-
-    def __hash__(self: tuple) -> int:
-        return hash((salt, _tuple_hash(self)))
-
-    cls.__eq__ = __eq__  # type: ignore[method-assign,assignment]
-    cls.__ne__ = __ne__  # type: ignore[method-assign,assignment]
-    cls.__hash__ = __hash__  # type: ignore[method-assign,assignment]
-    return cls
 
 
 class Mode(enum.Enum):

@@ -7,18 +7,57 @@ provides two sentinels, :data:`NEG_INF` and :data:`POS_INF`, that
 compare below and above every ordinary key, and a :class:`KeyRange`
 value object implementing the half-open interval ``[low, high)`` used
 throughout the protocols.
+
+The sentinels carry the order themselves: each defines ``<``, ``<=``,
+``>`` and ``>=``, and an ordinary key compared with one reaches it by
+reflection (``5 < POS_INF`` asks ``POS_INF > 5``).  So every bound
+compares with the plain operators, and two ordinary keys never pay
+for the sentinels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import Any, Hashable
+import zlib
+from typing import Any, Hashable, NamedTuple
+
+_tuple_eq = tuple.__eq__
+_tuple_hash = tuple.__hash__
 
 
-@total_ordering
+def tuple_action(cls: type) -> type:
+    """Make a ``NamedTuple`` class a value of its own type.
+
+    A named tuple compares and hashes by its fields alone, so it would
+    equal a plain tuple, or a value of another type, with the same
+    fields.  This installs ``__eq__`` / ``__ne__`` / ``__hash__`` that
+    also take the type, as a frozen dataclass's equality does; the hash
+    is salted by a checksum of the class name, so it does not depend on
+    the process.  Every action (:mod:`repro.core.actions`) and
+    :class:`KeyRange` are such values.
+    """
+    salt = zlib.crc32(cls.__name__.encode())
+
+    def __eq__(self: tuple, other: object) -> bool:
+        return self.__class__ is other.__class__ and _tuple_eq(self, other)
+
+    def __ne__(self: tuple, other: object) -> bool:
+        return not (self.__class__ is other.__class__ and _tuple_eq(self, other))
+
+    def __hash__(self: tuple) -> int:
+        return hash((salt, _tuple_hash(self)))
+
+    cls.__eq__ = __eq__  # type: ignore[method-assign,assignment]
+    cls.__ne__ = __ne__  # type: ignore[method-assign,assignment]
+    cls.__hash__ = __hash__  # type: ignore[method-assign,assignment]
+    return cls
+
+
 class _Extreme:
-    """A point at one end of the key order; singleton per direction."""
+    """A point at one end of the key order; singleton per direction.
+
+    It decides every comparison it takes part in: ``-inf`` is below
+    everything but itself, ``+inf`` above everything but itself.
+    """
 
     __slots__ = ("_positive",)
 
@@ -35,10 +74,16 @@ class _Extreme:
         return hash(("repro.keys.extreme", self._positive))
 
     def __lt__(self, other: Any) -> bool:
-        if self == other:
-            return False
-        # +inf is less than nothing; -inf is less than everything else.
-        return not self._positive
+        return not self._positive and other is not self
+
+    def __le__(self, other: Any) -> bool:
+        return not self._positive or other is self
+
+    def __gt__(self, other: Any) -> bool:
+        return self._positive and other is not self
+
+    def __ge__(self, other: Any) -> bool:
+        return self._positive or other is self
 
     def __reduce__(self):
         # Preserve singleton identity across copy/pickle.
@@ -58,31 +103,17 @@ Key = Hashable  # any totally ordered hashable; sentinels included
 Bound = Key
 
 
-def key_le(a: Bound, b: Bound) -> bool:
-    """a <= b under the extended order (sentinels handled)."""
-    return not key_lt(b, a)
+class _Bounds(NamedTuple):
+    low: Bound
+    high: Bound
 
 
-def key_lt(a: Bound, b: Bound) -> bool:
-    """a < b under the extended order (sentinels handled).
-
-    Comparisons between an ordinary key and a sentinel are decided by
-    the sentinel; two ordinary keys use their native order.
-    """
-    a_ext = isinstance(a, _Extreme)
-    b_ext = isinstance(b, _Extreme)
-    if a_ext and b_ext:
-        return a < b
-    if a_ext:
-        return a is NEG_INF
-    if b_ext:
-        return b is POS_INF
-    return a < b  # type: ignore[operator]
-
-
-@dataclass(frozen=True)
-class KeyRange:
+@tuple_action
+class KeyRange(_Bounds):
     """The half-open interval ``[low, high)`` of keys a node covers.
+
+    An immutable pair: equal only to a ``KeyRange`` with the same
+    bounds, never to a plain ``(low, high)`` tuple.
 
     >>> r = KeyRange(NEG_INF, 10)
     >>> r.contains(5), r.contains(10)
@@ -92,12 +123,12 @@ class KeyRange:
     (KeyRange(low=-inf, high=4), KeyRange(low=4, high=10))
     """
 
-    low: Bound
-    high: Bound
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not key_lt(self.low, self.high) and self.low != self.high:
-            raise ValueError(f"invalid range: low={self.low!r} > high={self.high!r}")
+    def __new__(cls, low: Bound, high: Bound) -> "KeyRange":
+        if high < low:
+            raise ValueError(f"invalid range: low={low!r} > high={high!r}")
+        return tuple.__new__(cls, (low, high))
 
     @classmethod
     def full(cls) -> "KeyRange":
@@ -109,38 +140,21 @@ class KeyRange:
         return self.low == self.high
 
     def contains(self, key: Key) -> bool:
-        """Whether ``key`` falls in ``[low, high)``.
-
-        Hand-inlined sentinel handling: this is the single hottest
-        predicate in the simulator (every routing step calls it), and
-        going through ``key_le``/``key_lt`` costs two extra frames and
-        four ``isinstance`` checks per call.
-        """
-        if type(key) is not _Extreme:
-            low = self.low
-            if type(low) is _Extreme:
-                if low is POS_INF:
-                    return False
-            elif not (low <= key):  # type: ignore[operator]
-                return False
-            high = self.high
-            if type(high) is _Extreme:
-                return high is POS_INF
-            return key < high  # type: ignore[operator]
-        return key_le(self.low, key) and key_lt(key, self.high)
+        """Whether ``key`` falls in ``[low, high)``."""
+        return self.low <= key < self.high
 
     def contains_range(self, other: "KeyRange") -> bool:
         """Whether ``other`` is entirely within this range."""
         if other.is_empty:
             return self.contains(other.low) or other.low == self.low
-        return key_le(self.low, other.low) and key_le(other.high, self.high)
+        return self.low <= other.low and other.high <= self.high
 
     def split_at(self, separator: Key) -> tuple["KeyRange", "KeyRange"]:
         """Split into ``[low, separator)`` and ``[separator, high)``.
 
         The separator must fall strictly inside the range.
         """
-        if not (key_lt(self.low, separator) and key_lt(separator, self.high)):
+        if not self.low < separator < self.high:
             raise ValueError(
                 f"separator {separator!r} not strictly inside {self!r}"
             )
@@ -148,11 +162,8 @@ class KeyRange:
 
     def shrink_high(self, new_high: Bound) -> "KeyRange":
         """The same range with its upper bound lowered (half-split)."""
-        if key_lt(self.high, new_high):
+        if self.high < new_high:
             raise ValueError(
                 f"cannot raise high bound from {self.high!r} to {new_high!r}"
             )
         return KeyRange(self.low, new_high)
-
-    def __repr__(self) -> str:
-        return f"KeyRange(low={self.low!r}, high={self.high!r})"

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import Any
 
-from repro.core.keys import Key, key_lt
+from repro.core.keys import Key
 
 
 class LeafHintCache:
@@ -79,7 +79,7 @@ class LeafHintCache:
             return None
         low = lows[index]
         high, leaf_id = self._by_low[low]
-        if key_lt(key, high):
+        if key < high:
             return (leaf_id, low, high)
         return None
 

@@ -11,9 +11,15 @@ discipline differs between Sections 4.1.1, 4.1.2, 4.2 and 4.3.
 and half-splits, which every protocol reuses: perform at one copy and
 relay (:meth:`Protocol.initial_insert`, :meth:`Protocol.relay_keyed`,
 :meth:`Protocol.relay_split`); at the other copies, duplicate test,
-apply, incorporate (:meth:`Protocol.apply_relayed_keyed`, and
-:meth:`Protocol.apply_relayed_split` -- the one application of a
-relayed half-split, whichever message carried it).  The steps
+apply, incorporate.  A relayed keyed update arriving as itself is
+applied by the engine's keyed-update row, which runs the range and
+duplicate tests and calls :meth:`Protocol._apply_keyed` and the hooks
+(:meth:`Protocol._after_relayed_insert`,
+:meth:`Protocol.out_of_range_relay`, :meth:`Protocol.maybe_split`);
+one carried inside a protocol's own message goes through
+:meth:`Protocol.apply_relayed_keyed`, and a relayed half-split
+through :meth:`Protocol.apply_relayed_split` -- the one application
+of a relayed half-split, whichever message carried it.  The steps
 themselves -- entering an update in a copy's history, the duplicate
 test, the fan-out to the other copies -- are the engine's
 ``incorporate``, ``duplicate_relay`` and ``relay``.
@@ -136,27 +142,16 @@ class Protocol:
         self.relay_keyed(proc, copy, action)
         self._finish_keyed(proc, copy, action, result)
 
-    def relayed_insert(
-        self, proc: "Processor", copy: NodeCopy, action: InsertAction
-    ) -> None:
-        """Apply a relayed insert at this copy.
-
-        In-range: apply idempotently.  Out of range: resolved by
-        :meth:`out_of_range_relay` (protocol-specific -- this is where
-        the semi-synchronous history rewrite lives).
-        """
-        if copy.in_range(action.key):
-            self.apply_relayed_keyed(proc, copy, action)
-            self._after_relayed_insert(proc, copy, action)
-        else:
-            self.out_of_range_relay(proc, copy, action)
-        self.maybe_split(proc, copy)
-
     def _after_relayed_insert(
         self, proc: "Processor", copy: NodeCopy, action: InsertAction
     ) -> None:
-        """Hook after an in-range relayed insert applies (variable
-        protocol re-relays to late joiners here)."""
+        """Hook after an in-range relayed insert applies, or is found a
+        duplicate (variable protocol re-relays to late joiners here).
+
+        The engine's keyed-update row applies every relayed update: the
+        range test, the duplicate test and the apply are its own; this
+        hook, :meth:`out_of_range_relay` and :meth:`maybe_split` (for an
+        overfull primary copy) are where a protocol takes part."""
 
     def out_of_range_relay(
         self, proc: "Processor", copy: NodeCopy, action: InsertAction
@@ -179,14 +174,6 @@ class Protocol:
         self.relay_keyed(proc, copy, action)
         self._finish_keyed(proc, copy, action, result)
 
-    def relayed_delete(
-        self, proc: "Processor", copy: NodeCopy, action: DeleteAction
-    ) -> None:
-        if copy.in_range(action.key):
-            self.apply_relayed_keyed(proc, copy, action)
-        else:
-            self.out_of_range_relay(proc, copy, action)
-
     # ------------------------------------------------------------------
     # shared mechanics for keyed updates
     # ------------------------------------------------------------------
@@ -207,7 +194,7 @@ class Protocol:
             copy.incorporated_ids.add(action.action_id)
         if engine.repair is not None:
             engine.repair.log_update(copy, action)
-        if isinstance(action, InsertAction):
+        if type(action) is InsertAction:
             if action.payload_pids:
                 engine.learn_location(proc, action.payload, action.payload_pids)
             copy.insert_entry(action.key, action.payload)

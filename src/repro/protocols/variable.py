@@ -39,7 +39,7 @@ from repro.core.actions import (
     UnjoinAck,
     UnjoinRequest,
 )
-from repro.core.keys import NEG_INF, KeyRange, key_lt
+from repro.core.keys import NEG_INF, KeyRange
 from repro.core.node import NodeCopy
 from repro.core.replication import Placement
 from repro.protocols.fixed_semisync import SemiSyncProtocol
@@ -208,7 +208,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                     copy.node_id, (proc.pid,), action.retired_version + 1,
                 )
             return
-        if key_lt(action.old_low, copy.range.high):
+        if action.old_low < copy.range.high:
             engine.trace.bump("absorb_duplicate_discarded")
             return
         # This node split since the retiree recorded its left link;

@@ -9,7 +9,7 @@ copying:
   relayed form of the keyed updates it incorporated; a
   :class:`RepairPull` replays the ones the other side lacks as
   ordinary relayed actions (original action ids, so the receiving
-  copy's idempotent `apply_relayed_keyed` dedups and the audit trail
+  copy's duplicate test drops what it has and the audit trail
   stays a compatible history),
 * **structural divergence** (range / right link / membership) -- the
   primary copy is authoritative because it serializes splits, joins

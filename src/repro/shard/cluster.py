@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.core.client import ClientSurface, DBTreeCluster, RunResults
-from repro.core.keys import POS_INF, Key, key_le, key_lt
+from repro.core.keys import POS_INF, Key
 from repro.repair.digest import hash_parts
 from repro.shard.directory import (
     MAX_ROUTE_HOPS,
@@ -309,12 +309,12 @@ class ShardedCluster(ClientSurface):
         if self.partitioning == "range":
             for shard in self.directory.live_shards():
                 r = shard.range
-                if not key_lt(low, high):
+                if not low < high:
                     break
-                if key_le(r.high, low) or key_le(high, r.low):
+                if r.high <= low or high <= r.low:
                     continue
-                sub_low = low if key_le(r.low, low) else r.low
-                sub_high = high if key_le(high, r.high) else r.high
+                sub_low = low if r.low <= low else r.low
+                sub_high = high if high <= r.high else r.high
                 shard_op = self.clusters[shard.shard_id].scan(
                     sub_low, sub_high, limit, client=client
                 )
@@ -502,7 +502,7 @@ class ShardedCluster(ClientSurface):
         moved = {
             key: value
             for key, value in contents.items()
-            if key_le(separator, self._point(key))
+            if separator <= self._point(key)
         }
         self._migrate(shard_id, new_id, moved)
         self.counters["shard_splits"] += 1

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.keys import NEG_INF, POS_INF, Key, KeyRange, key_le, key_lt
+from repro.core.keys import NEG_INF, POS_INF, Key, KeyRange
 
 #: Upper bound on recovery hops before the router declares the
 #: directory corrupt.  Each hop consumes one historical split or
@@ -77,7 +77,7 @@ class ShardInfo:
         match wins.  Returns ``None`` when the key was never shed.
         """
         for separator, target in self.shed:
-            if key_le(separator, key):
+            if separator <= key:
                 return target
         return None
 
@@ -101,7 +101,7 @@ class DirectoryView:
         """The shard this view believes covers ``key``."""
         chosen = self.bounds[0][1]
         for low, shard_id in self.bounds:
-            if key_le(low, key):
+            if low <= key:
                 chosen = shard_id
             else:
                 break
@@ -128,7 +128,7 @@ class ShardDirectory:
         lows: list[Key] = [NEG_INF, *boundaries]
         for index, low in enumerate(lows):
             high = lows[index + 1] if index + 1 < len(lows) else POS_INF
-            if not key_lt(low, high):
+            if not low < high:
                 raise ValueError(
                     f"initial shard boundaries must be strictly increasing: "
                     f"{boundaries!r}"
@@ -271,7 +271,7 @@ class ShardDirectory:
         kept = {
             sep: target
             for sep, target in left.shed
-            if key_le(left.range.high, sep)
+            if left.range.high <= sep
         }
         kept.update(dict(right.shed))
         left.shed = sorted(

@@ -26,6 +26,9 @@ import itertools
 from typing import Any, Callable
 
 
+_heappush = heapq.heappush
+
+
 class QuiescenceError(RuntimeError):
     """Raised when a run exceeds its event budget (protocol livelock)."""
 
@@ -71,7 +74,7 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], Any]]] = []
         self._cancelled: set[int] = set()
-        self._seq = itertools.count()
+        self._next_seq = itertools.count().__next__
         #: Current virtual time (time of the last executed event).  A
         #: plain attribute, read more often than once per event; only
         #: the queue's own run loops assign it.
@@ -99,7 +102,7 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
-        heapq.heappush(self._heap, (time, next(self._seq), callback))
+        _heappush(self._heap, (time, self._next_seq(), callback))
 
     def schedule(self, time: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run at virtual ``time``.
@@ -112,8 +115,8 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
-        seq = next(self._seq)
-        heapq.heappush(self._heap, (time, seq, callback))
+        seq = self._next_seq()
+        _heappush(self._heap, (time, seq, callback))
         return EventHandle(self, seq, time)
 
     def schedule_after(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
@@ -150,28 +153,33 @@ class EventQueue:
         in this codebase an unbounded event cascade always indicates a
         protocol bug (e.g. a message ping-pong), never legitimate
         work.  The offending event stays queued so the caller can
-        still inspect the stalled state.
+        still inspect the stalled state.  :attr:`executed` is brought
+        up to date when the run ends, however it ends.
         """
         heap = self._heap
         cancelled = self._cancelled
         pop = heapq.heappop
+        # -1 is never reached: one comparison per event either way.
+        budget = -1 if max_events is None else max(max_events, 0)
         ran = 0
-        while heap:
-            event = pop(heap)
-            seq = event[1]
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            if max_events is not None and ran >= max_events:
-                heapq.heappush(heap, event)
-                raise QuiescenceError(
-                    f"event cascade exceeded max_events={max_events}; "
-                    "likely a protocol livelock"
-                )
-            self.now = event[0]
-            self._executed += 1
-            ran += 1
-            event[2]()
+        try:
+            while heap:
+                event = pop(heap)
+                if cancelled and event[1] in cancelled:
+                    cancelled.discard(event[1])
+                    continue
+                if ran == budget:
+                    heapq.heappush(heap, event)
+                    raise QuiescenceError(
+                        f"event cascade exceeded max_events={max_events}; "
+                        "likely a protocol livelock"
+                    )
+                self.now = event[0]
+                ran += 1
+                event[2]()
+        finally:
+            # Counted once per run; an event whose callback raised ran.
+            self._executed += ran
         return ran
 
     def run_until(self, deadline: float) -> int:

@@ -23,7 +23,8 @@ waits longer than the action that sent it.
 A message that lands reaches :meth:`Processor.submit` straight from
 the network's table of processors (:meth:`~repro.sim.network.Network
 .install_delivery`), and a service completion is one pre-bound method
-pushed on the event queue: neither builds anything per action.
+pushed on the event queue: neither builds anything per action.  A
+completion takes the next queued action into service itself.
 """
 
 from __future__ import annotations
@@ -227,9 +228,23 @@ class Processor:
                     for dst in held:
                         network.send(self.pid, dst, held[dst])
                     held.clear()
-            self._busy = False
-            if self._queue:
-                self._serve(self._queue.popleft())
+            queue = self._queue
+            if queue:
+                # The next queued action goes into service here, as
+                # _serve would take it: the processor stays busy.
+                self._in_service = queue.popleft()
+                service = self._service_time
+                stats.busy_time += service
+                events = self._events
+                if self._crashable:
+                    events.push(
+                        events.now + service,
+                        _ServiceCompletion(self, self._service_token),
+                    )
+                else:
+                    events.push(events.now + service, self._complete)
+            else:
+                self._busy = False
 
     # ------------------------------------------------------------------
     # crash-stop semantics

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.core.keys import NEG_INF, POS_INF, Key, key_lt
+from repro.core.keys import NEG_INF, POS_INF, Key
 from repro.core.node import NodeCopy
 from repro.sim.tracing import TraceLevel, TraceLevelError
 from repro.verify.invariants import check_structure, group_copies, representative_nodes
@@ -205,7 +205,7 @@ def tiling_problems(spans: list[tuple[str, Key, Key]], where: str) -> list[str]:
         problems.append(f"{where}: {last} ends at {high!r}, not POS_INF")
     for (left, _, high), (right, low, _) in zip(spans, spans[1:]):
         if high != low:
-            kind = "overlap" if key_lt(low, high) else "gap"
+            kind = "overlap" if low < high else "gap"
             problems.append(
                 f"{where}: {kind} between {left} (high={high!r}) and "
                 f"{right} (low={low!r})"

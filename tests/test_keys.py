@@ -4,7 +4,8 @@ import pickle
 
 import pytest
 
-from repro.core.keys import NEG_INF, POS_INF, KeyRange, key_le, key_lt
+from repro.core.keys import NEG_INF, POS_INF, KeyRange
+from tests.test_properties import key_le, key_lt
 
 
 class TestSentinels:
@@ -45,6 +46,8 @@ class TestSentinels:
 
 
 class TestKeyHelpers:
+    """The reference order the sentinels' operators are held to."""
+
     def test_key_lt_ordinary(self):
         assert key_lt(1, 2)
         assert not key_lt(2, 1)

@@ -75,15 +75,13 @@ class TestEntries:
         ],
     )
     def test_entries_between_is_the_filtered_entries(self, low, high):
-        from repro.core.keys import key_le, key_lt
-
         leaf = make_leaf(capacity=16)
         for key in (9, 1, 7, 3, 5):
             leaf.insert_entry(key, f"v{key}")
         assert leaf.entries_between(low, high) == tuple(
             (key, value)
             for key, value in leaf.entries()
-            if key_le(low, key) and key_lt(key, high)
+            if low <= key < high
         )
 
     def test_snapshot_round_trip_adopts_sorted_entries(self):
