@@ -11,8 +11,6 @@ regression that motivates rendezvous placement.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro import CrashPlan, DBTreeCluster, RepairPlan
@@ -81,8 +79,7 @@ def stale_all_mirrors(cluster):
             if len(snap.keys) > 1:
                 mirrors[node_id] = (
                     home,
-                    dataclasses.replace(
-                        snap,
+                    snap._replace(
                         keys=snap.keys[:-1],
                         payloads=snap.payloads[:-1],
                     ),
