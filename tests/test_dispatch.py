@@ -38,6 +38,7 @@ from repro.core.actions import (
     LinkChange,
     MigrateNode,
     MirrorUpdate,
+    Mode,
     OpContext,
     PeerFailure,
     PeerRescind,
@@ -57,6 +58,7 @@ from repro.core.actions import (
 )
 from repro.core.dbtree import DBTreeEngine
 from repro.core.dbtree.engine import InitiateSplit
+from repro.core.keys import NEG_INF, KeyRange
 from repro.hash.table import LazyHashTable
 from repro.protocols import PROTOCOLS
 from repro.repair.gossip import (
@@ -467,3 +469,91 @@ class TestAnnounceLocation:
             "set_root": 6,
         }
         assert cluster.check().ok
+
+
+# ----------------------------------------------------------------------
+# (g) one relay row serves every protocol
+# ----------------------------------------------------------------------
+LEAF = 1  # the bootstrap leaf: node ids are allocated leaf first
+
+
+class Spy:
+    """Counts the calls it passes on to ``fn``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def relay_target(name, monkeypatch, hook, *, primary=False):
+    """The bootstrap leaf's copy a relayed insert will land at -- a
+    non-primary copy when the protocol keeps one, unless ``primary``
+    -- with ``hook`` (a name on the protocol or the engine) spied on."""
+    cluster = DBTreeCluster(
+        num_processors=2, protocol=make_protocol(name), capacity=4, seed=1
+    )
+    engine = cluster.engine
+    copies = {
+        copy.home_pid: copy for copy in engine.all_copies() if copy.node_id == LEAF
+    }
+    (pc_pid,) = {copy.pc_pid for copy in copies.values()}
+    others = sorted(set(copies) - {pc_pid})
+    pid = pc_pid if primary or not others else others[0]
+    owner = engine if hasattr(engine, hook) else cluster.protocol
+    spy = Spy(getattr(owner, hook))
+    monkeypatch.setattr(owner, hook, spy)
+    return cluster, cluster.kernel.processor(pid), copies[pid], spy
+
+
+def relayed_insert(key, action_id=9100):
+    return InsertAction(LEAF, 0, key, f"v{key}", Mode.RELAYED, action_id)
+
+
+class TestOneRelayRow:
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_ROWS))
+    def test_in_range_runs_the_protocols_after_hook_once(self, name, monkeypatch):
+        cluster, proc, copy, spy = relay_target(
+            name, monkeypatch, "_after_relayed_insert"
+        )
+        cluster.engine.handle(proc, relayed_insert(5))
+        assert spy.calls == 1
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_ROWS))
+    def test_out_of_range_runs_the_protocols_out_of_range_relay_once(
+        self, name, monkeypatch
+    ):
+        cluster, proc, copy, spy = relay_target(name, monkeypatch, "out_of_range_relay")
+        copy.range = KeyRange(NEG_INF, 5)
+        cluster.engine.handle(proc, relayed_insert(5))
+        assert spy.calls == 1
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_ROWS))
+    def test_duplicate_is_applied_once_and_counted(self, name, monkeypatch):
+        cluster, proc, copy, spy = relay_target(name, monkeypatch, "_apply_keyed")
+        cluster.engine.handle(proc, relayed_insert(5))
+        cluster.engine.handle(proc, relayed_insert(5))
+        assert (spy.calls, cluster.trace.counters["duplicate_relay_ignored"]) == (1, 1)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_ROWS))
+    def test_overfull_primary_schedules_exactly_one_split(self, name, monkeypatch):
+        cluster, proc, copy, spy = relay_target(
+            name, monkeypatch, "schedule_split", primary=True
+        )
+        protocol = cluster.protocol
+        vigorous = isinstance(protocol, AvailableCopiesProtocol)
+        if vigorous:
+            # A lock round is running: the split waits behind it.
+            protocol._state(copy)["round"] = {"work": ("update", None)}
+        for key in range(copy.capacity):
+            copy.insert_entry(key, key)
+        cluster.engine.handle(proc, relayed_insert(100, 9100))
+        cluster.engine.handle(proc, relayed_insert(101, 9101))
+        if vigorous:
+            scheduled = [kind for kind, _ in protocol._state(copy)["queue"]]
+            assert (spy.calls, scheduled) == (0, ["split"])
+        else:
+            assert spy.calls == 1
