@@ -26,8 +26,6 @@ diverged, mirror refreshes executed, digest bytes shipped, and the
 mean time from last divergence to quiescence.
 """
 
-import dataclasses
-
 from common import emit
 from repro import CrashPlan, DBTreeCluster
 from repro.stats import format_table
@@ -58,8 +56,7 @@ def stale_all_mirrors(cluster):
             if len(snap.keys) > 1:
                 mirrors[node_id] = (
                     home,
-                    dataclasses.replace(
-                        snap,
+                    snap._replace(
                         keys=snap.keys[:-1],
                         payloads=snap.payloads[:-1],
                     ),
