@@ -31,8 +31,8 @@ commit.
 Wall-clock throughput is intentionally NOT compared: CI machines are
 noisy and the virtual-event counts already pin the work done.  The
 host work is pinned another way: the ``opcodes`` block holds the Python
-opcodes a 2,000-op slice of the ``fast`` and ``read`` rows executes, in
-total and per ``repro`` subpackage (``repro.perf.count_opcodes``).
+opcodes a 2,000-op slice of each of the five rows executes, in total
+and per ``repro`` subpackage (``repro.perf.count_opcodes``).
 Bytecode differs between interpreters, so those counts are compared,
 exactly, only under the interpreter that pinned them; under any other
 the guard says it skipped them.

@@ -440,7 +440,7 @@ def _cmd_protocols(_args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import READ_SEARCH_SHARE, write_bench_core
+    from repro.perf import OPCODE_ROWS, READ_SEARCH_SHARE, write_bench_core
 
     num_ops = 2_000 if args.smoke else args.ops
     report = write_bench_core(args.output, num_ops=num_ops, seed=args.seed)
@@ -488,7 +488,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     opcodes = report["opcodes"]
     print(
         f"opcodes/op over {opcodes['fast']['ops']:,} ops ({opcodes['python']}): "
-        f"fast {opcodes['fast']['per_op']:,.1f}, read {opcodes['read']['per_op']:,.1f}"
+        + ", ".join(f"{row} {opcodes[row]['per_op']:,.1f}" for row in OPCODE_ROWS)
     )
     print(f"wrote {args.output}")
     return 0

@@ -34,9 +34,9 @@ What each layer costs on top is ``bench/``'s ledger, not this
 module's.
 
 Beside the rows sits the opcode ledger (:func:`count_opcodes`): the
-Python opcodes a 2,000-op slice of the ``fast`` and ``read`` rows
-executes, in total and per ``repro`` subpackage, under the interpreter
-named beside them.  It is the host cost with the noise taken out.
+Python opcodes a 2,000-op slice of every row executes, in total and per
+``repro`` subpackage, under the interpreter named beside them.  It is
+the host cost with the noise taken out.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ READ_SEARCH_SHARE = 0.95
 #: Operations in the opcode ledger's slice of each row (fewer when the
 #: whole burst is shorter), and the rows it counts.
 OPCODE_OPS = 2_000
-OPCODE_ROWS = ("fast", "read")
+OPCODE_ROWS = ("fast", "enforced", "repair", "crash", "read")
 
 
 def insert_burst_workload(
@@ -348,8 +348,8 @@ def python_version() -> str:
 
 
 def opcode_ledger(report: dict[str, Any], num_ops: int) -> dict[str, Any]:
-    """:func:`count_opcodes` for a slice of ``num_ops`` of the ``fast``
-    and ``read`` rows of ``report`` (the read row's preload scaled with
+    """:func:`count_opcodes` for a slice of ``num_ops`` of each of the
+    :data:`OPCODE_ROWS` of ``report`` (the read row's preload scaled with
     it), with the interpreter they were counted under."""
     ledger: dict[str, Any] = {"python": python_version()}
     for row in OPCODE_ROWS:
@@ -379,7 +379,7 @@ def write_bench_core(
     of the ops under ``variable`` and then measures a quarter, 95 %
     (:data:`READ_SEARCH_SHARE`) of them searches.  The ``opcodes``
     block is :func:`opcode_ledger` over a slice of at most
-    :data:`OPCODE_OPS` operations of the ``fast`` and ``read`` rows.
+    :data:`OPCODE_OPS` operations of every row.
     """
     crash_ops = max(num_ops // 10, 1)
     crash_at = 1.5 * crash_ops
