@@ -26,6 +26,26 @@ from dataclasses import dataclass
 from typing import Any
 
 
+#: The verdicts of one attempt that arrives on time, and of one that is
+#: lost: shared, never built per message.
+ON_TIME: tuple[tuple[bool, float]] = ((False, 0.0),)
+DROPPED: tuple[tuple[bool, float]] = ((True, 0.0),)
+
+
+def message_kind(payload: Any) -> str:
+    """The accounting label of a message payload.
+
+    Payloads may expose an explicit ``kind`` attribute (the action
+    classes do); otherwise the class name is used.  ``only_kinds``
+    selects by this label, so a fault plan targets what the accounting
+    counts.
+    """
+    kind = getattr(payload, "kind", None)
+    if isinstance(kind, str):
+        return kind
+    return type(payload).__name__
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Probabilities of per-message faults.
@@ -46,7 +66,8 @@ class FaultPlan:
         the transport's resequencing then closes.
     ``only_kinds``
         If non-empty, faults apply only to messages whose accounting
-        kind is in this set (e.g. target only relayed inserts).
+        kind (:func:`message_kind`) is in this set (e.g. target only
+        relayed inserts).
     """
 
     drop_p: float = 0.0
@@ -61,12 +82,6 @@ class FaultPlan:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
 
-    def _applies(self, payload: Any) -> bool:
-        if not self.only_kinds:
-            return True
-        kind = getattr(payload, "kind", type(payload).__name__)
-        return kind in self.only_kinds
-
     def judge(
         self, src: int, dst: int, payload: Any, rng: random.Random
     ) -> tuple[tuple[bool, float], ...]:
@@ -79,16 +94,17 @@ class FaultPlan:
         and have one copy lost, matching how independent per-packet
         faults behave on a real channel.
         """
-        if not self._applies(payload):
-            return ((False, 0.0),)
-        attempts = 2 if self.duplicate_p and rng.random() < self.duplicate_p else 1
-        verdicts = []
-        for _ in range(attempts):
-            if self.drop_p and rng.random() < self.drop_p:
-                verdicts.append((True, 0.0))
-                continue
-            extra = 0.0
-            if self.reorder_p and rng.random() < self.reorder_p:
-                extra = rng.uniform(0.0, self.reorder_delay)
-            verdicts.append((False, extra))
-        return tuple(verdicts)
+        if self.only_kinds and message_kind(payload) not in self.only_kinds:
+            return ON_TIME
+        if self.duplicate_p and rng.random() < self.duplicate_p:
+            return self._attempt(rng) + self._attempt(rng)
+        return self._attempt(rng)
+
+    def _attempt(self, rng: random.Random) -> tuple[tuple[bool, float]]:
+        """One delivery attempt judged, as a one-verdict tuple: shared
+        unless the attempt is delayed."""
+        if self.drop_p and rng.random() < self.drop_p:
+            return DROPPED
+        if self.reorder_p and rng.random() < self.reorder_p:
+            return ((False, rng.uniform(0.0, self.reorder_delay)),)
+        return ON_TIME

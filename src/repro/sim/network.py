@@ -45,6 +45,7 @@ from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from repro.sim.events import EventQueue
+from repro.sim.failure import ON_TIME, message_kind
 from repro.sim.reliable import (
     RELIABILITY_MODES,
     ReliabilityConfig,
@@ -235,18 +236,6 @@ class NetworkStats:
         }
 
 
-def message_kind(payload: Any) -> str:
-    """The accounting label of a message payload.
-
-    Payloads may expose an explicit ``kind`` attribute (the action
-    classes do); otherwise the class name is used.
-    """
-    kind = getattr(payload, "kind", None)
-    if isinstance(kind, str):
-        return kind
-    return type(payload).__name__
-
-
 class Traffic(NamedTuple):
     """The three facts that tell one class of transmission from another.
 
@@ -277,9 +266,6 @@ FRAME = Traffic(judged=True, fifo=False, dead_letter=True)
 #: it reveals, so no clamp; and a dead host reads nothing, not even a
 #: dead letter.
 DATAGRAM = Traffic(judged=False, fifo=False, dead_letter=False)
-
-#: The verdict of a substrate nobody is judging: one copy, on time.
-_UNJUDGED = ((False, 0.0),)
 
 
 class _Landing(dict):
@@ -454,10 +440,10 @@ class Network:
         if self.transport is not None:
             # Enforced mode: the reliable layer frames the payload and
             # owns ordering/dedup; each physical frame crosses the
-            # substrate through _transmit_frame.
+            # substrate through _transmit as FRAME traffic.
             self.transport.send(src, dst, payload)
         else:
-            self._transmit(src, dst, payload, partial(land, dst, payload), LOGICAL)
+            self._transmit(LOGICAL, src, dst, payload, partial(land, dst, payload))
 
     def send_datagram(
         self,
@@ -481,23 +467,23 @@ class Network:
         service time and survives queue saturation, like a kernel
         timestamping a packet before the application gets scheduled.
         """
-        self._transmit(src, dst, payload, partial(deliver, dst, payload), DATAGRAM)
+        self._transmit(DATAGRAM, src, dst, payload, partial(deliver, dst, payload))
 
-    def _transmit_frame(self, src: int, dst: int, frame: Any) -> None:
-        """Put one physical frame of the reliable transport on the wire."""
-        on_frame = self.transport.on_frame  # type: ignore[union-attr]
-        self._transmit(src, dst, frame, partial(on_frame, src, dst, frame), FRAME)
+    def _frame_wire(self, src: int, dst: int) -> Callable[[Any, Callable[[], None]], None]:
+        """The reliable transport's wire from ``src`` to ``dst``: called as
+        ``wire(frame, land)``, it puts one physical frame on the substrate."""
+        return partial(self._transmit, FRAME, src, dst)
 
     # ------------------------------------------------------------------
     # the wire: one crossing, one landing
     # ------------------------------------------------------------------
     def _transmit(
         self,
+        traffic: Traffic,
         src: int,
         dst: int,
         payload: Any,
         land: Callable[[], None],
-        traffic: Traffic,
     ) -> None:
         """One transmission crosses the substrate; ``land()`` runs on arrival.
 
@@ -527,7 +513,7 @@ class Network:
         if judged and self._fault_plan is not None:
             verdicts = self._fault_plan.judge(src, dst, payload, self._rng)
         else:
-            verdicts = _UNJUDGED
+            verdicts = ON_TIME
         if self._liveness is not None:
             land = partial(self._arrive, dst, dead_letter, land)
         events = self._events
@@ -583,7 +569,8 @@ class Network:
         if type(payload) is Bundle:
             self._unpack(dst, payload)
         else:
-            self._hand_off(dst, payload)
+            self.stats.delivered += 1
+            self._landing[dst](payload)  # type: ignore[index]
 
 
 class FaultPlanLike(Protocol):

@@ -39,6 +39,13 @@ model); the layer then restores each half of the paper's assumption:
   option, at no frame of its own), so one ack names every hole in the
   window instead of the first.
 
+The state lives in one :class:`_Link` per ordered processor pair
+``(local, remote)``: the send half of ``local -> remote``, the receive
+half of ``remote -> local`` and the incarnation both ends were in when
+the link opened.  A send and an arrival each find their link with one
+lookup, and the ack a frame carries out, or brings in, is read off the
+same object.
+
 Retransmission has two triggers and **one timer per sender channel**,
 the way TCP keeps one retransmission timer per connection.  Every
 unacked frame records its own deadline.  The channel's timer is aimed
@@ -59,18 +66,23 @@ one is sent twice and suppressed once.  Only the timer charges
 a retry, so backoff, suspicion of a dead peer and the retry cap are
 reached only by a frame no ack vouches for.
 
-Everything is scheduled on the simulation's :class:`~repro.sim.events
-.EventQueue` via the no-handle ``push`` fast path, so nothing is ever
-cancelled: a timer that fires before the head is due re-aims itself,
-and one superseded by an earlier aim, or belonging to a channel that
-was reset, finds that out when it fires and does nothing.
+A link's two timers -- the retransmit timer and the standalone-ack
+fallback -- are callbacks bound when the link opens and pushed on the
+simulation's :class:`~repro.sim.events.EventQueue` via the no-handle
+``push`` fast path, so nothing is ever cancelled: a retransmit timer
+that fires before the head is due re-aims itself, and one superseded
+by an earlier aim, or left over from a send half that was reset or a
+link that was forgotten, finds that out when it fires and does nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import TYPE_CHECKING, Any, NamedTuple
+
+from repro.sim.failure import message_kind
 
 if TYPE_CHECKING:
     from repro.sim.network import Network
@@ -167,15 +179,13 @@ class ReliabilityConfig:
             )
 
 
-#: Sentinel distinguishing "no buffered frame" from a None payload.
-_MISSING = object()
-#: ``_SenderChannel.timer_at`` while no retransmit timer is armed.
+#: ``_Link.timer_at`` while no retransmit timer is armed.
 _NEVER = float("inf")
 #: What an ack says of an empty reorder buffer (the usual case).
 _NOTHING_HELD: frozenset[int] = frozenset()
 
 
-class DataFrame:
+class DataFrame(NamedTuple):
     """One sequenced transmission of a logical payload.
 
     ``kind`` delegates to the wrapped payload so that per-kind fault
@@ -183,45 +193,32 @@ class DataFrame:
     logical message, not the framing -- ``by_kind`` counts stay
     comparable between the assumed and enforced modes.
 
-    ``epoch`` is the channel's incarnation tag (see
-    :meth:`ReliableTransport._current_epoch`): a crash-restart of
-    either endpoint changes it, so stragglers from a previous
-    incarnation cannot be confused with the fresh stream that also
-    starts at seq 0.  ``ack_epoch`` tags the piggybacked ack with the
-    *reverse* channel's incarnation for the same reason.
+    ``epoch`` is the incarnation pair ``(src, dst)`` of the link that
+    sent it: a crash-restart of either endpoint changes it, so
+    stragglers from a previous incarnation cannot be confused with the
+    fresh stream that also starts at seq 0.  The piggybacked ack
+    (``ack`` and ``held``, for the reverse channel) belongs to the same
+    link, so the same tag vouches for it.  A frame is a named tuple,
+    built in one C call.
     """
 
-    __slots__ = ("seq", "payload", "ack", "epoch", "ack_epoch", "held")
-
-    def __init__(
-        self,
-        seq: int,
-        payload: Any,
-        ack: int,
-        epoch: tuple[int, int] = (0, 0),
-        ack_epoch: tuple[int, int] = (0, 0),
-        held: frozenset[int] = _NOTHING_HELD,
-    ) -> None:
-        self.seq = seq
-        self.payload = payload
-        # Ack for the *reverse* channel, piggybacked: the cumulative
-        # sequence number and what the reorder buffer holds beyond it.
-        self.ack = ack
-        self.epoch = epoch
-        self.ack_epoch = ack_epoch
-        self.held = held
+    seq: int
+    payload: Any
+    # Ack for the *reverse* channel, piggybacked: the cumulative
+    # sequence number and what the reorder buffer holds beyond it.
+    ack: int
+    epoch: tuple[int, int] = (0, 0)
+    held: frozenset[int] = _NOTHING_HELD
 
     @property
     def kind(self) -> str:
-        from repro.sim.network import message_kind
-
         return message_kind(self.payload)
 
     def __repr__(self) -> str:
         return f"DataFrame(seq={self.seq}, ack={self.ack}, payload={self.payload!r})"
 
 
-class AckFrame:
+class AckFrame(NamedTuple):
     """Standalone ack, sent when no reverse traffic appears.
 
     Carries no sequence number of its own: cumulative acks are
@@ -229,65 +226,230 @@ class AckFrame:
     ack frames are all harmless (the receiver takes the max), and
     ``held`` -- the out-of-order frames in the receiver's reorder
     buffer when the ack left -- causes at most one early resend of
-    each hole it reveals.  ``epoch`` tags the incarnation of the data
-    channel being acked.
+    each hole it reveals.  ``epoch`` tags it like a data frame: the
+    incarnation pair of the link that sent it.
     """
 
-    __slots__ = ("ack", "epoch", "held")
+    ack: int
+    epoch: tuple[int, int] = (0, 0)
+    held: frozenset[int] = _NOTHING_HELD
 
     kind = "reliable_ack"
-
-    def __init__(
-        self,
-        ack: int,
-        epoch: tuple[int, int] = (0, 0),
-        held: frozenset[int] = _NOTHING_HELD,
-    ) -> None:
-        self.ack = ack
-        self.epoch = epoch
-        self.held = held
 
     def __repr__(self) -> str:
         return f"AckFrame(ack={self.ack})"
 
 
-class _SenderChannel:
-    """Send-side state of one directed channel (one incarnation)."""
+class _Link:
+    """The pair of processors ``(local, remote)`` as ``local`` sees it,
+    for one incarnation of both ends: the send half of ``local ->
+    remote`` and the receive half of ``remote -> local``.
 
-    __slots__ = ("next_seq", "unacked", "epoch", "timer_at")
+    ``epoch`` tags every frame the link sends; an arriving frame is
+    current only if it carries ``peer_epoch``, the same pair seen from
+    the other end.  A forgotten link is closed: its timers, bound once
+    here, find nothing to do when they fire.
+    """
 
-    def __init__(self, epoch: tuple[int, int] = (0, 0)) -> None:
-        self.next_seq = 0
-        # [payload, retries, deadline, resent] of frames next_seq - len
-        # .. next_seq - 1, oldest (the head) first.
-        self.unacked: deque[list] = deque()
+    __slots__ = (
+        "transport", "network", "events", "local", "remote", "epoch",
+        "peer_epoch", "wire", "land",
+        # send half: next seq, the unacked window and its one timer
+        "next_seq", "head", "unacked", "timer_at", "retransmit",
+        # receive half: cumulative seq, the reorder buffer and its keys
+        # as an ack reports them, and the standalone-ack fallback
+        "cumulative", "buffer", "held", "ack_pending", "ack_sent", "ack_timer",
+    )
+
+    def __init__(
+        self, transport: "ReliableTransport", local: int, remote: int,
+        epoch: tuple[int, int],
+    ) -> None:
+        self.transport = transport
+        network = self.network = transport._network
+        self.events = transport._events
+        self.local = local
+        self.remote = remote
         self.epoch = epoch
-        # When the channel's one live retransmit timer fires (never
-        # after the head's deadline); inf while none is armed.
-        self.timer_at = _NEVER
-
-
-class _ReceiverChannel:
-    """Receive-side state of one directed channel (one incarnation)."""
-
-    __slots__ = ("cumulative", "buffer", "ack_pending", "ack_sent", "epoch")
-
-    def __init__(self, epoch: tuple[int, int] = (0, 0)) -> None:
+        self.peer_epoch = (epoch[1], epoch[0])
+        # Called as wire(frame, land): one crossing of the substrate.
+        self.wire = network._frame_wire(local, remote)
+        self.land = partial(transport.on_frame, local, remote)
+        self._restart_send()
         # Highest seq s such that all frames <= s were delivered.
         self.cumulative = -1
-        # Out-of-order frames awaiting the gap to fill: seq -> payload.
+        # Out-of-order frames awaiting the gap to fill: seq -> payload;
+        # ``held`` is its keys, rebuilt whenever it changes.
         self.buffer: dict[int, Any] = {}
-        # A standalone-ack timer is armed and has not fired/been
-        # satisfied by piggybacking yet.
+        self.held = _NOTHING_HELD
+        # A standalone-ack timer is armed and has not fired yet.
         self.ack_pending = False
         # Last cumulative value actually transmitted (piggybacked or
-        # standalone); a fired timer re-acks only when behind this.
+        # standalone; never above ``cumulative``); a fired ack timer
+        # sends only when behind it.
         self.ack_sent = -1
-        self.epoch = epoch
+        self.ack_timer = self._ack_due
 
-    def held(self) -> frozenset[int]:
-        """What an ack leaving now reports beyond ``cumulative``."""
-        return frozenset(self.buffer) if self.buffer else _NOTHING_HELD
+    def _restart_send(self) -> None:
+        """A fresh send half at seq 0, whose timer ignores the old one's."""
+        self.next_seq = 0
+        # [payload, retries, deadline, resent] of frames head ..
+        # next_seq - 1, oldest (the head) first.
+        self.head = 0
+        self.unacked: deque[list] = deque()
+        # When the one live retransmit timer fires (never after the
+        # head's deadline); inf while none is armed.
+        self.timer_at = _NEVER
+        self.retransmit = partial(self._retransmit_due, self.unacked)
+
+    def close(self) -> None:
+        """Forget the link (crash-stop amnesia): nothing it sent is
+        retransmitted and nothing it owes is acked."""
+        self.unacked.clear()
+        self.timer_at = _NEVER
+        self.ack_sent = _NEVER  # type: ignore[assignment]
+
+    # ------------------------------------------------------------------
+    # send half
+    # ------------------------------------------------------------------
+    def put(self, seq: int, payload: Any) -> None:
+        """Put data frame ``seq`` on the wire with the reverse half's ack."""
+        ack = self.ack_sent = self.cumulative
+        frame = DataFrame(seq, payload, ack, self.epoch, self.held)
+        self.wire(frame, partial(self.land, frame))
+
+    def _resend(self, seq: int, entry: list) -> None:
+        """The one place a frame is put back on the wire: the channel
+        timer resends a head that is due, an ack the holes it reports."""
+        self.network.stats.retransmits += 1
+        entry[3] = True
+        config = self.transport.config
+        entry[2] = self.events.now + config.retransmit_timeout * config.backoff ** entry[1]
+        self.put(seq, entry[0])
+
+    def aim(self, deadline: float) -> None:
+        """Make sure the channel's timer fires no later than ``deadline``."""
+        if deadline < self.timer_at:
+            self.timer_at = deadline
+            self.events.push(deadline, self.retransmit)
+
+    def _retransmit_due(self, unacked: deque) -> None:
+        """Retransmit timer body: the channel's live timer services the head.
+
+        Resends the oldest unacked frame if it is due, else waits for
+        it.  Only this path charges a retry, so only here does a frame
+        climb the backoff ladder, trip suspicion of a dead peer, or
+        exhaust the retry cap: an ack from the peer is proof of life.
+        """
+        now = self.events.now
+        if unacked is not self.unacked or now != self.timer_at:
+            return  # a reset send half, a closed link or a superseded aim
+        self.timer_at = _NEVER
+        if not unacked:
+            return  # everything acked; the channel needs no timer
+        entry = unacked[0]
+        if entry[2] > now:
+            self.aim(entry[2])
+            return
+        src, dst = self.local, self.remote
+        liveness = self.network._liveness
+        if liveness is not None and not liveness(src):
+            # A crashed host transmits nothing and spends no retry;
+            # its links are forgotten when it restarts (forget_peer).
+            return
+        entry[1] += 1
+        config = self.transport.config
+        if liveness is not None and not liveness(dst) and entry[1] > config.suspect_retries:
+            # The peer is crash-stopped: give up on the whole channel
+            # (a fresh send half starts at seq 0) and surface a
+            # PeerDown signal instead of spinning up the backoff ladder
+            # or dying with ReliabilityError.
+            lost = [entry[0] for entry in unacked]
+            self._restart_send()
+            peer_down = self.transport._peer_down
+            if peer_down is not None:
+                peer_down(src, dst, lost)
+            return
+        seq = self.head
+        if entry[1] > config.max_retries:
+            raise ReliabilityError(
+                f"channel {src}->{dst} seq {seq} exceeded "
+                f"max_retries={config.max_retries}; the "
+                "retransmit timeout/backoff cannot overcome the fault plan",
+                src=src,
+                dst=dst,
+                seq=seq,
+                payload=entry[0],
+            )
+        self._resend(seq, entry)
+        self.aim(entry[2])
+
+    def apply_ack(self, ack: int, held: frozenset[int]) -> None:
+        """Process an ack ``remote`` sent for this link's send half.
+
+        Besides releasing what it covers, the ack names holes: the
+        head it stopped short of, and every frame below the highest
+        one ``held`` that is not held itself.  They go out again at
+        this instant if past their own deadline -- left more than a
+        timeout ago and still not arrived (NewReno's partial-ack rule,
+        from the head to every reported hole) -- or if a later frame
+        overtook them and they were never resent (RACK's rule).  A
+        head with nothing held beyond it waits for its deadline.  No
+        retry is charged: the backoff ladder, suspicion and the retry
+        cap belong to the timer, which a silent peer still runs into.
+        """
+        unacked = self.unacked
+        head = self.head
+        if ack >= head:
+            # Frames the ack covers: everything up to it, from the head on.
+            if ack >= self.next_seq - 1:
+                unacked.clear()
+                self.head = self.next_seq
+                return
+            for _ in range(ack - head + 1):
+                unacked.popleft()
+            head = self.head = ack + 1
+        elif not held or not unacked:
+            return  # nothing released, no hole named
+        now = self.events.now
+        deadline = unacked[0][2]
+        if not held and deadline > now:
+            # The head is in flight: at most the timer needs aiming.
+            if deadline < self.timer_at:
+                self.aim(deadline)
+            return
+        network = self.network
+        liveness = network._liveness
+        if liveness is None or liveness(self.remote):
+            stats = network.stats
+            if not held:
+                stats.retransmits_on_ack += 1
+                self._resend(head, unacked[0])
+            else:
+                # The holes: unacked seqs below the highest held, not held.
+                top = min(max(held), self.next_seq)
+                for seq in sorted(set(range(head, top)) - held):
+                    entry = unacked[seq - head]
+                    if entry[2] <= now or not entry[3]:
+                        stats.retransmits_on_ack += 1
+                        self._resend(seq, entry)
+        # A due head left alone (the peer crashed after acking) is the
+        # timer's: it fires now, charges the retry and may suspect.
+        self.aim(max(unacked[0][2], now))
+
+    # ------------------------------------------------------------------
+    # receive half
+    # ------------------------------------------------------------------
+    def _ack_due(self) -> None:
+        """Standalone-ack timer body: still owed -> send an AckFrame."""
+        self.ack_pending = False
+        cumulative = self.cumulative
+        if cumulative <= self.ack_sent:
+            return  # piggybacked in the meantime, or the link was closed
+        self.ack_sent = cumulative
+        self.network.stats.acks += 1
+        frame = AckFrame(cumulative, self.epoch, self.held)
+        self.wire(frame, partial(self.land, frame))
 
 
 class ReliableTransport:
@@ -295,8 +457,9 @@ class ReliableTransport:
 
     Owned by a :class:`~repro.sim.network.Network` in ``"enforced"``
     mode; the network remains the only thing that touches the wire
-    (latency sampling, fault verdicts, accounting) through the two
-    callbacks handed in here.
+    (latency sampling, fault verdicts, accounting): every frame
+    crosses it through ``Network._transmit`` and lands on
+    :meth:`on_frame`.
     """
 
     def __init__(
@@ -307,10 +470,9 @@ class ReliableTransport:
         self._network = network
         self._events = network._events
         self.config = config or ReliabilityConfig()
-        self._senders: dict[tuple[int, int], _SenderChannel] = {}
-        self._receivers: dict[tuple[int, int], _ReceiverChannel] = {}
-        # Crash-restart incarnation per processor; a channel's epoch
-        # is the incarnation pair of its endpoints at creation time.
+        self._links: dict[tuple[int, int], _Link] = {}
+        # Crash-restart incarnation per processor; a link's epoch is
+        # the incarnation pair of its endpoints when it opened.
         self._incarnation: dict[int, int] = {}
         # Called as handler(src, dst, lost_payloads) when a sender
         # gives up on a dead peer (PeerDown signal).
@@ -326,347 +488,88 @@ class ReliableTransport:
         """
         self._peer_down = handler
 
-    def _current_epoch(self, src: int, dst: int) -> tuple[int, int]:
+    def _open(self, a: int, b: int) -> _Link:
+        """Open both links of the pair ``a``, ``b``; return ``(a, b)``'s."""
         inc = self._incarnation
-        return (inc.get(src, 0), inc.get(dst, 0))
+        epoch = (inc.get(a, 0), inc.get(b, 0))
+        self._links[(b, a)] = _Link(self, b, a, (epoch[1], epoch[0]))
+        link = self._links[(a, b)] = _Link(self, a, b, epoch)
+        return link
 
-    # ------------------------------------------------------------------
-    # send side
-    # ------------------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Frame and transmit one logical message on channel src->dst."""
-        channel = (src, dst)
-        sender = self._senders.get(channel)
-        if sender is None:
-            sender = self._senders[channel] = _SenderChannel(
-                self._current_epoch(src, dst)
-            )
-        seq = sender.next_seq
-        sender.next_seq = seq + 1
-        entry = [payload, 0, 0.0, False]
-        sender.unacked.append(entry)
-        self._transmit_data(src, dst, sender, seq, entry)
-        if len(sender.unacked) == 1:  # frames behind the head arm nothing
-            self._aim_timer(src, dst, sender, entry[2])
+        link = self._links.get((src, dst)) or self._open(src, dst)
+        seq = link.next_seq
+        link.next_seq = seq + 1
+        deadline = self._events.now + self.config.retransmit_timeout
+        link.unacked.append([payload, 0, deadline, False])
+        link.put(seq, payload)
+        if seq == link.head:  # frames behind the head arm nothing
+            link.aim(deadline)
 
-    def _transmit_data(
-        self, src: int, dst: int, sender: _SenderChannel, seq: int, entry: list
-    ) -> None:
-        """Put ``entry`` on the wire and stamp its retransmit deadline."""
-        ack, ack_epoch, held = self._piggyback_ack(dst, src)
-        frame = DataFrame(seq, entry[0], ack, sender.epoch, ack_epoch, held)
-        self._network._transmit_frame(src, dst, frame)
-        config = self.config
-        timeout = config.retransmit_timeout * config.backoff ** entry[1]
-        entry[2] = self._events.now + timeout
-
-    def _resend(
-        self, src: int, dst: int, sender: _SenderChannel, seq: int, entry: list
-    ) -> None:
-        """The one place a frame is put back on the wire: the channel
-        timer resends a head that is due, an ack the holes it reports."""
-        self._network.stats.retransmits += 1
-        entry[3] = True
-        self._transmit_data(src, dst, sender, seq, entry)
-
-    def _aim_timer(
-        self, src: int, dst: int, sender: _SenderChannel, deadline: float
-    ) -> None:
-        """Make sure the channel's timer fires no later than ``deadline``."""
-        if deadline < sender.timer_at:
-            sender.timer_at = deadline
-            self._events.push(deadline, _RetransmitTimer(self, src, dst, sender))
-
-    def _retransmit_due(self, src: int, dst: int, sender: _SenderChannel) -> None:
-        """Retransmit timer body: the channel's live timer services the head.
-
-        Resends the oldest unacked frame if it is due, else waits for
-        it.  Only this path charges a retry, so only here does a frame
-        climb the backoff ladder, trip suspicion of a dead peer, or
-        exhaust the retry cap: an ack from the peer is proof of life.
-        """
-        if self._senders.get((src, dst)) is not sender:
-            return  # channel was reset (peer crash/suspicion); stale timer
-        if self._events.now != sender.timer_at:
-            return  # superseded by a timer aimed earlier
-        sender.timer_at = _NEVER
-        unacked = sender.unacked
-        if not unacked:
-            return  # everything acked; the channel needs no timer
-        entry = unacked[0]
-        if entry[2] > self._events.now:
-            self._aim_timer(src, dst, sender, entry[2])
-            return
-        seq = sender.next_seq - len(unacked)
-        liveness = self._network._liveness
-        if liveness is not None and not liveness(src):
-            # A crashed host transmits nothing and spends no retry;
-            # its channels are reset when it restarts (forget_peer).
-            return
-        entry[1] += 1
-        if (
-            liveness is not None
-            and not liveness(dst)
-            and entry[1] > self.config.suspect_retries
-        ):
-            # The peer is crash-stopped: give up on the whole channel
-            # (a fresh incarnation starts at seq 0 after the restart)
-            # and surface a PeerDown signal instead of spinning up
-            # the backoff ladder or dying with ReliabilityError.
-            self._suspect(src, dst)
-            return
-        if entry[1] > self.config.max_retries:
-            raise ReliabilityError(
-                f"channel {src}->{dst} seq {seq} exceeded "
-                f"max_retries={self.config.max_retries}; the "
-                "retransmit timeout/backoff cannot overcome the fault plan",
-                src=src,
-                dst=dst,
-                seq=seq,
-                payload=entry[0],
-            )
-        self._resend(src, dst, sender, seq, entry)
-        self._aim_timer(src, dst, sender, entry[2])
-
-    def _suspect(self, src: int, dst: int) -> None:
-        """Reset channel src->dst after giving up on a dead peer."""
-        sender = self._senders.pop((src, dst), None)
-        lost: list[Any] = []
-        if sender is not None:
-            lost = [entry[0] for entry in sender.unacked]
-            sender.unacked.clear()
-        if self._peer_down is not None:
-            self._peer_down(src, dst, lost)
-
-    def forget_peer(self, pid: int) -> None:
-        """Reset every channel touching ``pid``: crash-stop amnesia.
-
-        Called when ``pid`` *restarts*: its own send/receive state
-        died with the crash, and the surviving peers' state about it
-        describes streams the fresh incarnation knows nothing about.
-        Bumping the incarnation retags all future channels so
-        straggler frames (or retransmissions) from the previous
-        incarnation are discarded by the epoch check rather than
-        colliding with new streams that also start at seq 0.
-        """
-        self._incarnation[pid] = self._incarnation.get(pid, 0) + 1
-        for channel in [c for c in self._senders if pid in c]:
-            self._senders[channel].unacked.clear()
-            del self._senders[channel]
-        for channel in [c for c in self._receivers if pid in c]:
-            del self._receivers[channel]
-
-    def _piggyback_ack(
-        self, remote_src: int, local_dst: int
-    ) -> tuple[int, tuple[int, int], frozenset[int]]:
-        """The ack to ride on a frame we are about to send.
-
-        Called with the channel *we receive on* (remote -> local);
-        marks the value as transmitted so a pending standalone-ack
-        timer can stand down.  Returns the cumulative ack, the
-        incarnation epoch of the acked channel, and the out-of-order
-        frames held beyond the ack.
-        """
-        receiver = self._receivers.get((remote_src, local_dst))
-        if receiver is None:
-            return -1, (0, 0), _NOTHING_HELD
-        if receiver.cumulative > receiver.ack_sent:
-            receiver.ack_sent = receiver.cumulative
-        return receiver.ack_sent, receiver.epoch, receiver.held()
-
-    # ------------------------------------------------------------------
-    # receive side
-    # ------------------------------------------------------------------
     def on_frame(self, src: int, dst: int, frame: Any) -> None:
         """A physical frame survived the substrate and arrived at dst."""
+        link = self._links.get((dst, src))
+        if link is None or frame.epoch != link.peer_epoch:
+            # Straggler from a previous incarnation of the pair (either
+            # endpoint crash-restarted since it was sent): its sequence
+            # numbers and its ack mean nothing to the fresh streams.
+            return
+        # A standalone ack, or one riding on a data frame for the reverse
+        # channel: only one that releases a frame or names a hole acts.
+        ack, held = frame.ack, frame.held
+        if held or ack >= link.head:
+            link.apply_ack(ack, held)
         if type(frame) is AckFrame:
-            self._apply_ack(dst, src, frame.ack, frame.epoch, frame.held)
             return
-        # Data frame: its piggybacked ack covers the reverse channel.
-        if frame.ack >= 0 or frame.held:
-            self._apply_ack(dst, src, frame.ack, frame.ack_epoch, frame.held)
-        if frame.epoch != self._current_epoch(src, dst):
-            # Straggler from a previous incarnation of the channel
-            # (either endpoint crash-restarted since it was sent);
-            # its sequence numbers mean nothing to the fresh stream.
-            return
-        channel = (src, dst)
-        receiver = self._receivers.get(channel)
-        if receiver is None or receiver.epoch != frame.epoch:
-            receiver = self._receivers[channel] = _ReceiverChannel(frame.epoch)
         network = self._network
         seq = frame.seq
-        if seq <= receiver.cumulative or seq in receiver.buffer:
+        buffer = link.buffer
+        if seq == link.cumulative + 1:
+            # In order: deliver, then drain whatever the gap was hiding.
+            link.cumulative = seq
+            network._land(dst, frame.payload)
+            if seq + 1 in buffer:
+                while seq + 1 in buffer:
+                    seq += 1
+                    link.cumulative = seq
+                    network._land(dst, buffer.pop(seq))
+                link.held = frozenset(buffer) if buffer else _NOTHING_HELD
+        elif seq <= link.cumulative or seq in buffer:
             # Duplicate (fault duplication or a retransmission racing
             # its own ack): suppress, and *force* a re-ack -- a
             # retransmission of something we already hold usually
             # means our previous ack was lost on the way back, so
             # "already acked that" must not stand down the ack timer.
             network.stats.dup_suppressed += 1
-            receiver.ack_sent = -1
-            self._schedule_ack(src, dst, receiver)
-            return
-        if seq > receiver.cumulative + 1:
+            link.ack_sent = -1
+        else:
             # Ahead of the gap: park it.  FIFO is restored when the
             # missing frames arrive (or are retransmitted).
-            receiver.buffer[seq] = frame.payload
+            buffer[seq] = frame.payload
+            link.held = frozenset(buffer)
             network.stats.resequenced += 1
-            self._schedule_ack(src, dst, receiver)
-            return
-        # In order: deliver, then drain whatever the gap was hiding.
-        receiver.cumulative = seq
-        network._land(dst, frame.payload)
-        buffer = receiver.buffer
-        while buffer:
-            nxt = receiver.cumulative + 1
-            payload = buffer.pop(nxt, _MISSING)
-            if payload is _MISSING:
-                break
-            receiver.cumulative = nxt
-            network._land(dst, payload)
-        self._schedule_ack(src, dst, receiver)
+        if not link.ack_pending:
+            # Arm the standalone-ack fallback.
+            link.ack_pending = True
+            events = self._events
+            events.push(events.now + self.config.ack_delay, link.ack_timer)
 
-    def _apply_ack(
-        self,
-        local: int,
-        remote: int,
-        ack: int,
-        epoch: tuple[int, int],
-        held: frozenset[int],
-    ) -> None:
-        """Process an ack ``local`` received from ``remote``.
+    def forget_peer(self, pid: int) -> None:
+        """Forget every link touching ``pid``: crash-stop amnesia.
 
-        The ack covers frames ``local`` previously sent to ``remote``
-        (the reverse of the channel the ack arrived on), so it
-        releases send-side state of channel ``(local, remote)``.  An
-        ack tagged with a stale incarnation epoch is ignored: it
-        describes a stream that died with a crash, and applying it
-        would wrongly release frames of the fresh stream.
-
-        Besides releasing what it covers, the ack names holes: the
-        head it stopped short of, and every frame below the highest
-        one ``held`` that is not held itself.  They go out again at
-        this instant if past their own deadline -- left more than a
-        timeout ago and still not arrived (NewReno's partial-ack rule,
-        from the head to every reported hole) -- or if a later frame
-        overtook them and they were never resent (RACK's rule).  A
-        head with nothing held beyond it waits for its deadline.  No
-        retry is charged: the backoff ladder, suspicion and the retry
-        cap belong to the timer, which a silent peer still runs into.
+        Called when ``pid`` *restarts*: its own send/receive state
+        died with the crash, and the surviving peers' state about it
+        describes streams the fresh incarnation knows nothing about.
+        Bumping the incarnation retags all future links so straggler
+        frames (or retransmissions) from the previous incarnation are
+        discarded by the epoch check rather than colliding with new
+        streams that also start at seq 0.
         """
-        sender = self._senders.get((local, remote))
-        if sender is None or sender.epoch != epoch:
-            return
-        unacked = sender.unacked
-        head = sender.next_seq - len(unacked)
-        if ack >= head:
-            # Frames the ack covers: everything up to it, from the head on.
-            for _ in range(min(ack - head + 1, len(unacked))):
-                unacked.popleft()
-            head = ack + 1
-        elif not held:
-            return  # nothing released, no hole named
-        if not unacked:
-            return
-        now = self._events.now
-        liveness = self._network._liveness
-        if (held or unacked[0][2] <= now) and (liveness is None or liveness(remote)):
-            stats = self._network.stats
-            stop = max(held) if held else ack + 2
-            for seq, entry in zip(range(head, stop), unacked):
-                if seq not in held and (entry[2] <= now or (held and not entry[3])):
-                    stats.retransmits_on_ack += 1
-                    self._resend(local, remote, sender, seq, entry)
-        # A due head left alone (the peer crashed after acking) is the
-        # timer's: it fires now, charges the retry and may suspect.
-        self._aim_timer(local, remote, sender, max(unacked[0][2], now))
+        self._incarnation[pid] = self._incarnation.get(pid, 0) + 1
+        for pair in [pair for pair in self._links if pid in pair]:
+            self._links.pop(pair).close()
 
-    def _schedule_ack(
-        self, remote_src: int, local_dst: int, receiver: _ReceiverChannel
-    ) -> None:
-        """Arm the standalone-ack fallback for channel remote->local."""
-        if receiver.ack_pending:
-            return
-        receiver.ack_pending = True
-        self._events.push(
-            self._events.now + self.config.ack_delay,
-            _AckTimer(self, remote_src, local_dst, receiver),
-        )
-
-    def _ack_due(
-        self, remote_src: int, local_dst: int, receiver: _ReceiverChannel
-    ) -> None:
-        """Standalone-ack timer body: still owed -> send an AckFrame."""
-        receiver.ack_pending = False
-        if self._receivers.get((remote_src, local_dst)) is not receiver:
-            return  # channel was reset (crash incarnation); stale timer
-        if receiver.cumulative <= receiver.ack_sent:
-            return  # piggybacked in the meantime; nothing owed
-        receiver.ack_sent = receiver.cumulative
-        network = self._network
-        network.stats.acks += 1
-        network._transmit_frame(
-            local_dst,
-            remote_src,
-            AckFrame(receiver.ack_sent, receiver.epoch, receiver.held()),
-        )
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def in_flight(self) -> int:
         """Frames sent but not yet covered by a cumulative ack."""
-        return sum(len(s.unacked) for s in self._senders.values())
-
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-dict state summary for reports and debugging."""
-        return {
-            "channels": len(self._senders),
-            "in_flight": self.in_flight(),
-            "reorder_buffered": sum(
-                len(r.buffer) for r in self._receivers.values()
-            ),
-        }
-
-
-class _RetransmitTimer:
-    """A channel's retransmit-timer callback without a per-arm closure.
-
-    A plain class with ``__slots__`` beats a lambda capturing four
-    variables on the hot path, and makes the pending-event queue
-    introspectable in a debugger.
-    """
-
-    __slots__ = ("_transport", "_src", "_dst", "_sender")
-
-    def __init__(
-        self, transport: ReliableTransport, src: int, dst: int, sender: _SenderChannel
-    ) -> None:
-        self._transport = transport
-        self._src = src
-        self._dst = dst
-        self._sender = sender
-
-    def __call__(self) -> None:
-        self._transport._retransmit_due(self._src, self._dst, self._sender)
-
-
-class _AckTimer:
-    """Standalone-ack fallback callback; see :class:`_RetransmitTimer`."""
-
-    __slots__ = ("_transport", "_remote", "_local", "_receiver")
-
-    def __init__(
-        self,
-        transport: ReliableTransport,
-        remote_src: int,
-        local_dst: int,
-        receiver: _ReceiverChannel,
-    ) -> None:
-        self._transport = transport
-        self._remote = remote_src
-        self._local = local_dst
-        self._receiver = receiver
-
-    def __call__(self) -> None:
-        self._transport._ack_due(self._remote, self._local, self._receiver)
+        return sum(len(link.unacked) for link in self._links.values())

@@ -270,6 +270,22 @@ class TestFaults:
         events.run()
         assert [p for _t, _d, p in delivered] == ["kept"]
 
+    def test_fault_kind_filter_selects_by_the_accounting_label(self):
+        # A ``kind`` that is not a str is no label: the accounting
+        # counts such a payload by its class name, and so must a plan
+        # that targets kinds.
+        class Numbered:
+            kind = 7
+
+        plan = FaultPlan(drop_p=1.0, only_kinds=frozenset({"Numbered"}))
+        events, net, delivered = make_net(fault_plan=plan)
+        net.send(0, 1, Numbered())
+        net.send(0, 1, "kept")
+        events.run()
+        assert [p for _t, _d, p in delivered] == ["kept"]
+        assert net.stats.by_kind["Numbered"] == 1
+        assert message_kind(Numbered()) == "Numbered"
+
     def test_reorder_can_break_fifo(self):
         plan = FaultPlan(reorder_p=1.0, reorder_delay=100.0)
         events, net, delivered = make_net(fault_plan=plan, seed=1)

@@ -9,8 +9,11 @@ pin the default mode to the old behaviour byte-for-byte.
 """
 
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import landing, run_insert_workload
 from repro import (
@@ -22,7 +25,7 @@ from repro import (
 )
 from repro.sim.events import EventQueue
 from repro.sim.network import Network, UniformLatency
-from repro.sim.reliable import AckFrame, DataFrame, _RetransmitTimer
+from repro.sim.reliable import AckFrame, DataFrame, _Link
 from repro.sim.simulator import Kernel
 from repro.stats import reliability_summary
 
@@ -412,29 +415,35 @@ class TestChannelTimer:
             events.schedule(float(i), lambda i=i: net.send(0, 1, i))
             events.schedule(float(i), lambda i=i: net.send(1, 0, i))
             events.schedule(float(i), lambda i=i: net.send(2, 1, i))
-        senders = net.transport._senders
+        links = net.transport._links
         most = 0
         while events.step():
+            # A link's retransmit timer is the callback it bound once:
+            # its timer body, with the send half it serves.
             timers = [
                 (time, callback)
                 for time, _seq, callback in events._heap
-                if type(callback) is _RetransmitTimer
+                if type(callback) is partial
+                and getattr(callback.func, "__func__", None) is _Link._retransmit_due
             ]
             most = max(most, len(timers))
-            for channel, sender in senders.items():
+            for channel, link in links.items():
                 live = [
                     time
                     for time, callback in timers
-                    if callback._sender is sender and time == sender.timer_at
+                    if callback.func.__self__ is link
+                    and callback.args[0] is link.unacked
+                    and time == link.timer_at
                 ]
                 # One timer will act, and unacked frames always have
                 # it; anything else in the heap for this channel is a
                 # superseded aim that finds that out when it fires.
                 assert len(live) <= 1, channel
-                assert live or not sender.unacked, channel
+                assert live or not link.unacked, channel
         assert net.transport.in_flight() == 0
         # Superseded aims are rare: the heap never holds a timer per
         # frame (the parent held 150 per channel here).
+        senders = [link for link in links.values() if link.next_seq]
         assert most <= 3 * len(senders)
 
 
@@ -639,6 +648,135 @@ class TestSelectiveAck:
         assert sorted(latencies)[300] <= 75.0
 
 
+def window_walk(head, entries, ack, held, now):
+    """The seqs an ack resends, by the O(window) walk the transport used
+    before it scanned only the holes: release what the ack covers, then
+    walk the window up to the highest held seq, resending each seq not
+    held that is past its deadline or, with something held, was never
+    resent.  ``entries`` are ``[payload, retries, deadline, resent]``
+    of seqs ``head`` on."""
+    unacked = list(entries)
+    if ack >= head:
+        del unacked[: ack - head + 1]
+        head = ack + 1
+    elif not held:
+        return []
+    if not unacked or not (held or unacked[0][2] <= now):
+        return []
+    stop = max(held) if held else ack + 2
+    return [
+        seq
+        for seq, entry in zip(range(head, stop), unacked)
+        if seq not in held and (entry[2] <= now or (held and not entry[3]))
+    ]
+
+
+class RecordingWire:
+    """A fault plan that loses every frame and logs each one it judges."""
+
+    def __init__(self):
+        self.log = []
+
+    def judge(self, src, dst, frame, rng):
+        self.log.append((src, dst, frame))
+        return ((True, 0.0),)
+
+
+@st.composite
+def ack_cases(draw):
+    """A sender's window, and an ack for it that may be stale, may
+    report held frames below the head, and may reach past the window."""
+    head = draw(st.integers(0, 30))
+    size = draw(st.integers(0, 16))
+    entries = [
+        [
+            f"p{head + offset}",
+            draw(st.integers(0, 2)),
+            float(draw(st.integers(0, 12)) * 10),
+            draw(st.booleans()),
+        ]
+        for offset in range(size)
+    ]
+    seqs = st.integers(max(head - 4, 0), head + size + 3)
+    ack = draw(st.one_of(st.just(-1), seqs))
+    held = frozenset(draw(st.sets(seqs, max_size=8)))
+    now = float(draw(st.integers(0, 12)) * 10)
+    return head, entries, ack, held, now
+
+
+class TestHoleSelection:
+    """An ack resends exactly what the window walk resent, in order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=ack_cases())
+    def test_same_seqs_in_the_same_order_as_the_window_walk(self, case):
+        head, entries, ack, held, now = case
+        expected = window_walk(head, [list(e) for e in entries], ack, held, now)
+        wire = RecordingWire()
+        events, net, _delivered = make_net(wire)
+        link = net.transport._open(0, 1)
+        link.head = head
+        link.next_seq = head + len(entries)
+        link.unacked.extend([list(e) for e in entries])
+        events.now = now
+        net.transport.on_frame(1, 0, AckFrame(ack, (0, 0), held))
+        assert [f.seq for _s, _d, f in wire.log] == expected
+        assert [f.payload for _s, _d, f in wire.log] == [f"p{seq}" for seq in expected]
+        released = min(max(ack - head + 1, 0), len(entries))
+        assert len(link.unacked) == len(entries) - released
+        assert link.head == head + released
+
+    def test_stale_ack_reaching_past_the_window(self):
+        # A held set from before the send half restarted can name seqs
+        # the fresh window never sent: they bound nothing.
+        wire = RecordingWire()
+        events, net, _delivered = make_net(wire)
+        link = net.transport._open(0, 1)
+        link.head, link.next_seq = 2, 5
+        link.unacked.extend([[f"p{seq}", 0, 50.0, False] for seq in (2, 3, 4)])
+        events.now = 10.0
+        net.transport.on_frame(1, 0, AckFrame(0, (0, 0), frozenset({3, 9})))
+        assert [f.seq for _s, _d, f in wire.log] == [2, 4]
+        assert window_walk(2, [[0, 0, 50.0, False]] * 3, 0, {3, 9}, 10.0) == [2, 4]
+
+
+class HeldChecker:
+    """A fault plan that checks, as each frame leaves, that the held set
+    it carries is the sending link's reorder buffer at that instant."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.net = None
+        self.checked = []
+
+    def judge(self, src, dst, frame, rng):
+        link = self.net.transport._links[(src, dst)]
+        self.checked.append((type(frame).__name__, frame.held, frozenset(link.buffer)))
+        return self.plan.judge(src, dst, frame, rng)
+
+
+class TestHeldOnTheWire:
+    def test_every_frame_carries_the_buffer_it_left_with(self):
+        # Both directions of 0<->1 lose, duplicate and reorder frames,
+        # so buffers park, drain and see duplicates; processor 1
+        # restarts at 300, resetting both links mid-stream.
+        checker = HeldChecker(
+            FaultPlan(drop_p=0.2, duplicate_p=0.1, reorder_p=0.2, reorder_delay=60.0)
+        )
+        events, net, delivered = make_net(checker, seed=6)
+        checker.net = net
+        for i in range(120):
+            events.schedule(float(i * 5), lambda i=i: net.send(0, 1, i))
+            events.schedule(float(i * 5 + 2), lambda i=i: net.send(1, 0, i))
+        events.schedule(300.0, lambda: net.transport.forget_peer(1))
+        events.run()
+        assert all(sent == buffered for _kind, sent, buffered in checker.checked)
+        kinds = {kind for kind, sent, _buffered in checker.checked if sent}
+        assert kinds == {"DataFrame", "AckFrame"}
+        assert net.stats.resequenced > 0 and net.stats.dup_suppressed > 0
+        assert net.transport.in_flight() == 0
+
+
 class TestCrashedSender:
     def test_crashed_host_transmits_nothing(self):
         # Processor 0 crashes at 5 with an unacked head on 0->1 and
@@ -760,8 +898,12 @@ class TestAccountingInteraction:
         class Tagged:
             kind = "tagged"
 
+        class Numbered:
+            kind = 7
+
         frame = DataFrame(0, Tagged(), -1)
         assert frame.kind == "tagged"
+        assert DataFrame(0, Numbered(), -1).kind == "Numbered"
         assert AckFrame(3).kind == "reliable_ack"
 
     def test_reliability_summary(self):
