@@ -25,7 +25,7 @@ detector mode for the gray-failure scenario.
 
 from common import emit
 from repro import DBTreeCluster, DetectorPlan, PartitionPlan
-from repro.stats import format_table
+from repro.stats import format_table, layer_report
 
 SEEDS = (3, 5, 7)
 
@@ -66,10 +66,9 @@ def measure_partition(protocol, seed):
         )
     results = cluster.run()
     report = cluster.check(expected=expected)
-    detector = cluster.detector_summary()
-    partition = cluster.partition_summary()
-    avail = cluster.availability_summary()
-    repair = cluster.repair_summary()
+    layers = layer_report(cluster)
+    detector, partition = layers["detector"], layers["partition"]
+    avail, repair = layers["crash"], layers["repair"]
     return {
         "audit_ok": report.ok,
         "ops_ok": results.ok,
@@ -104,7 +103,7 @@ def measure_gray(mode, seed):
         )
     results = cluster.run()
     report = cluster.check(expected=expected)
-    detector = cluster.detector_summary()
+    detector = layer_report(cluster)["detector"]
     return {
         "audit_ok": report.ok,
         "completed": len(results.completed),

@@ -53,11 +53,10 @@ FACADES = {
     "Kernel": ("src/repro/sim/simulator.py", ("Kernel",)),
 }
 
-#: Layer plan -> file holding its dataclass.  ``ReliabilityConfig`` is
-#: left out: it reaches a cluster only through ``reliability_config``,
-#: whose row in :data:`TEST_ONLY` already says why only tests tune it.
+#: Layer plan -> file holding its dataclass.
 PLANS = {
     "FaultPlan": "src/repro/sim/failure.py",
+    "ReliabilityConfig": "src/repro/sim/reliable.py",
     "CrashPlan": "src/repro/sim/crash.py",
     "PartitionPlan": "src/repro/sim/partition.py",
     "DetectorPlan": "src/repro/sim/detector.py",
@@ -91,16 +90,35 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
         "write (ROADMAP: a read oracle)",
     ),
     (
-        "reliability_summary",
-        "the transport's counters as one dict: layer_report, in the same "
-        "module, builds its reliability row from it and the transport "
-        "tests read it directly",
-    ),
-    (
         "DBTreeCluster.reliability_config",
         "tests shorten the retransmit timer and retry budgets through it "
         "to reach PeerDown and ReliabilityError in few events; every "
         "other caller runs the defaults",
+    ),
+    (
+        "ReliabilityConfig.retransmit_timeout",
+        "tests shorten it so a retransmit, a PeerDown or the retry cap "
+        "comes within a few events; every other caller runs 80",
+    ),
+    (
+        "ReliabilityConfig.backoff",
+        "tests set it to 1 or 2 to put retransmissions at predictable "
+        "times; every other caller runs 1.5",
+    ),
+    (
+        "ReliabilityConfig.max_retries",
+        "tests lower it to reach ReliabilityError; every other caller "
+        "runs 20, which no configured loss rate exhausts",
+    ),
+    (
+        "ReliabilityConfig.ack_delay",
+        "a test raises it to show acks riding reverse data frames; "
+        "every other caller runs 5",
+    ),
+    (
+        "ReliabilityConfig.suspect_retries",
+        "tests lower it to reach PeerDown in few events; every other "
+        "caller runs 3",
     ),
     (
         "DetectorPlan.min_std",

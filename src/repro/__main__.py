@@ -227,15 +227,21 @@ def _build_and_drive(args: argparse.Namespace, spacing: float):
     return cluster, cluster.run(), expected
 
 
-#: One detail line per opt-in layer, filled from its entry in
+#: One detail line per layer, filled from its entry in
 #: :func:`repro.stats.layer_report` (rendered by :func:`_show`).
 _LAYER_DETAIL = {
+    "faults": "drop={drop_p} dup={duplicate_p} reorder={reorder_p}",
     "reliability": (
         "{logical_sent} logical msgs (+{piggybacked} piggybacked), "
         "{physical_sent} on the wire "
         "({retransmits} retransmits, {retransmits_on_ack} of them on an ack; "
         "{acks} acks), {dropped} dropped, "
         "{dup_suppressed} dups suppressed, {resequenced} resequenced"
+    ),
+    "permute": (
+        "{considered} swappable arrivals, {held} held, {swaps} swaps, "
+        "{ordered_flushes} ordered flushes, {timeout_releases} released "
+        "at their deadline"
     ),
     "crash": (
         "{crashes} crashes ({restarts} restarted), {lost_actions} actions "
@@ -282,22 +288,14 @@ def _show(value) -> str:
     return "n/a" if value is None else str(value)
 
 
-def _layer_lines(args: argparse.Namespace, cluster):
-    """``(name, on, detail)`` for every opt-in layer, on or off."""
+def _layer_lines(cluster):
+    """``(name, on, detail)`` for every layer, on or off."""
     from repro.stats import layer_report
 
-    yield (
-        "faults",
-        bool(args.drop_p or args.duplicate_p or args.reorder_p),
-        f"drop={args.drop_p:g} dup={args.duplicate_p:g} "
-        f"reorder={args.reorder_p:g}",
-    )
-    report = layer_report(cluster)
-    for name, template in _LAYER_DETAIL.items():
-        summary = report.get(name, {"enabled": False})
+    for name, summary in layer_report(cluster).items():
         shown = {key: _show(value) for key, value in summary.items()}
         on = summary["enabled"]
-        yield name, on, template.format_map(shown) if on else ""
+        yield name, on, _LAYER_DETAIL[name].format_map(shown) if on else ""
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -322,7 +320,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"ops: {len(results.completed)} completed, "
         f"{len(results.failed)} failed, {len(results.timed_out)} timed out"
     )
-    for name, on, detail in _layer_lines(args, cluster):
+    for name, on, detail in _layer_lines(cluster):
         if on:
             print(f"{name}: {detail}")
     print("audit:", report.summary())
@@ -338,7 +336,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         f"fault layers @ t={results.elapsed:.0f} "
         f"({len(results.completed)}/{args.inserts} ops completed):"
     )
-    for name, on, detail in _layer_lines(args, cluster):
+    for name, on, detail in _layer_lines(cluster):
         print(f"  {name:<12}{'on   ' + detail if on else 'off'}")
     print("seeds:")
     ledgers = cluster.seed_summary()

@@ -60,6 +60,7 @@ from repro.core.keys import POS_INF, Key, KeyRange
 from repro.core.leafcache import LeafHintCache
 from repro.core.node import NodeCopy, NodeSnapshot
 from repro.core.replication import ReplicationPolicy
+from repro.sim.failure import FaultPlan
 from repro.sim.processor import ActionHandler, Processor
 from repro.sim.simulator import Kernel
 from repro.sim.tracing import Trace
@@ -159,7 +160,7 @@ class DBTreeEngine:
         # reliable transport suppresses the copy.  Only then is each
         # op tracked in flight; the bare path pays nothing for it.
         duplicates = (
-            getattr(kernel.fault_plan, "duplicate_p", 0.0) > 0.0
+            getattr(kernel.layers.get(FaultPlan), "duplicate_p", 0.0) > 0.0
             and kernel.network.transport is None
         )
         if self.crash is not None or self.timers is not None or duplicates:

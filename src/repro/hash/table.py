@@ -432,7 +432,7 @@ class LazyHashTable(KernelClient):
         self.kernel = Kernel(
             num_processors=num_processors,
             seed=seed,
-            fault_plan=fault_plan,
+            layers=() if fault_plan is None else (fault_plan,),
         )
         self.engine = LazyHashEngine(self.kernel, capacity=capacity, mode=mode)
 

@@ -12,14 +12,15 @@ that model:
   *node manager* of the paper's Section 1.1: pending actions queue at
   a processor and are executed one at a time (action atomicity).
 * :mod:`repro.sim.simulator` -- the :class:`Kernel` facade wiring the
-  above together and running a computation to quiescence.
+  above together and running a computation to quiescence; each opt-in
+  layer below is a plan (:mod:`repro.sim.layer`) it takes in ``layers``.
 * :mod:`repro.sim.failure` -- optional fault injection (drop,
   duplicate, reorder) used by the ablation experiments to show that
   the reliability assumption is load-bearing.
 * :mod:`repro.sim.reliable` -- the opt-in reliable-delivery layer
   (sequence numbers, dedup, cumulative acks, retransmission,
   resequencing) that *manufactures* the paper's network assumption
-  over a faulty substrate (``reliability="enforced"``).
+  over a faulty substrate (a :class:`ReliabilityConfig` layer).
 * :mod:`repro.sim.crash` -- optional crash-stop failures
   (:class:`~repro.sim.crash.CrashPlan`): scheduled crash + restart
   per processor, a timeout-style failure detector, and availability
@@ -40,18 +41,12 @@ from repro.sim.network import (
     UniformLatency,
 )
 from repro.sim.processor import Processor
-from repro.sim.reliable import (
-    RELIABILITY_MODES,
-    ReliabilityConfig,
-    ReliabilityError,
-    ReliableTransport,
-)
+from repro.sim.reliable import ReliabilityConfig, ReliabilityError, ReliableTransport
 from repro.sim.simulator import Kernel, QuiescenceError
 
 __all__ = [
     "CrashController",
     "CrashPlan",
-    "RELIABILITY_MODES",
     "ReliabilityConfig",
     "ReliabilityError",
     "ReliableTransport",

@@ -32,14 +32,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.commutativity import ProtocolClaims, claims_for
 from repro.sim.events import EventHandle, EventQueue
+from repro.sim.layer import Layer
+
+if TYPE_CHECKING:
+    from repro.sim.simulator import Kernel
+    from repro.sim.tracing import Trace
 
 
 @dataclass(frozen=True)
-class PermutePlan:
+class PermutePlan(Layer):
     """Parameters of one permutation run.
 
     ``seed`` drives the hash-gated hold decisions; ``rate`` is the
@@ -58,6 +63,26 @@ class PermutePlan:
             raise ValueError(f"rate must be a probability, got {self.rate}")
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window}")
+
+    layer = "permute"
+
+    def install(self, kernel: "Kernel") -> None:
+        """Put the permuter on the delivery path (it swaps by the base
+        claims until the engine binds its protocol's)."""
+        kernel.permuter = SchedulePermuter(self, kernel.events)
+        kernel.seeds.register("permute", self.seed)
+        kernel.network.install_permuter(kernel.permuter)
+
+    def summary(self, kernel: "Kernel", trace: "Trace | None") -> dict[str, Any]:
+        """The permuter's counters -- swappable arrivals considered,
+        holds, swaps, order-preserving flushes, deadline releases --
+        plus the plan and the seed ledger, so a diverging run replays
+        from the report alone."""
+        return {
+            "enabled": True,
+            **kernel.permuter.snapshot(),
+            "seeds": kernel.seeds.snapshot(),
+        }
 
 
 def describe_payload(payload: Any) -> tuple:

@@ -56,7 +56,7 @@ class _ServiceCompletion:
     Captures the processor's service token at scheduling time; if the
     processor crashed (and possibly restarted) in between, the token
     no longer matches and the completion is a stale no-op -- the
-    in-service action died with the crash.  Only the ``crashable=True``
+    in-service action died with the crash.  Only a crashable processor's
     path allocates these; the default path pushes the one pre-bound
     method, so no-crash runs are event-for-event identical.
     """
@@ -102,13 +102,12 @@ class Processor:
         events: EventQueue,
         service_time: float = 1.0,
         accounting: str = "full",
-        crashable: bool = False,
     ) -> None:
         self.pid = pid
         self._events = events
-        # Crash-stop support is opt-in: only a kernel built with a
-        # crash plan pays for the token-checked completion events.
-        self._crashable = crashable
+        # Crash-stop support is opt-in (make_crashable): only a kernel
+        # with a crash plan pays for the token-checked completion events.
+        self._crashable = False
         self._alive = True
         self._service_token = 0
         # Bumped on every restart; timer chains armed for a previous
@@ -249,6 +248,11 @@ class Processor:
     # ------------------------------------------------------------------
     # crash-stop semantics
     # ------------------------------------------------------------------
+    def make_crashable(self) -> None:
+        """Let this processor crash: from now on every completion event
+        is token-checked (done before any action is served)."""
+        self._crashable = True
+
     def crash(self) -> int:
         """Crash-stop: lose the queue and the in-service action.
 

@@ -8,14 +8,9 @@
 """
 
 from repro.stats.metrics import (
-    availability_summary,
-    detector_summary,
     latency_summary,
     layer_report,
     load_balance,
-    partition_summary,
-    permutation_summary,
-    reliability_summary,
     repair_summary,
     replication_profile,
     search_locality,
@@ -28,14 +23,9 @@ from repro.stats.metrics import (
 from repro.stats.report import format_table
 
 __all__ = [
-    "availability_summary",
-    "detector_summary",
-    "partition_summary",
     "latency_summary",
     "layer_report",
     "load_balance",
-    "permutation_summary",
-    "reliability_summary",
     "repair_summary",
     "replication_profile",
     "search_locality",

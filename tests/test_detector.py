@@ -23,7 +23,7 @@ from repro import (
     DetectorPlan,
     PartitionPlan,
 )
-from repro.stats import availability_summary, detector_summary
+from repro.stats import layer_report
 
 
 def detector_cluster(
@@ -134,7 +134,7 @@ class TestOracle:
     def test_crash_plan_alone_builds_the_oracle(self):
         cluster = oracle_cluster(((3, 50.0, None),))
         assert cluster.kernel.detector.plan == DetectorPlan(mode="oracle")
-        assert detector_summary(cluster.kernel) == {"enabled": False}
+        assert layer_report(cluster)["detector"] == {"enabled": False}
 
     @pytest.mark.parametrize("timeout", [50.0, 70.0])
     def test_suspects_at_crash_plus_timeout_at_every_live_processor(
@@ -206,7 +206,7 @@ class TestHeartbeats:
         )
         expected = spaced_inserts(cluster, count=20)
         cluster.run()
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         assert summary["enabled"]
         assert summary["heartbeats_sent"] > 0
         assert summary["heartbeats_received"] == summary["heartbeats_sent"]
@@ -243,7 +243,7 @@ class TestHeartbeats:
         results = cluster.run()
         assert results.ok
         assert cluster.check(expected=expected).ok
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         # all three survivors earn the suspicion themselves
         assert summary["suspicions"] == 3
         assert summary["false_suspicions"] == 0
@@ -264,7 +264,7 @@ class TestHeartbeats:
         )
         expected = spaced_inserts(cluster)
         cluster.run()
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         assert summary["rescinds"] == summary["suspicions"] > 0
         detector = cluster.kernel.detector
         for observer in (0, 2, 3):
@@ -293,7 +293,7 @@ class TestHeartbeats:
         )
         spaced_inserts(cluster, count=20)
         cluster.run()
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         assert summary["suspicions"] == 3
         assert summary["false_suspicions"] == 0
 
@@ -363,7 +363,7 @@ class TestGrayFailure:
 
     def test_timeout_detector_false_suspects_then_rescinds(self):
         cluster, expected, results = self.run_mode("timeout")
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         assert summary["false_suspicions"] > 0
         assert summary["rescinds"] == summary["suspicions"]
         assert results.ok
@@ -371,7 +371,7 @@ class TestGrayFailure:
 
     def test_phi_detector_adapts_and_never_suspects(self):
         cluster, expected, results = self.run_mode("phi")
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         assert summary["suspicions"] == 0
         assert summary["false_suspicions"] == 0
         assert results.ok
@@ -403,10 +403,10 @@ class TestFalseSuspicionHeals:
         assert results.ok
         report = cluster.check(expected=expected)
         assert report.ok, report.problems
-        summary = detector_summary(cluster.kernel)
+        summary = layer_report(cluster)["detector"]
         assert summary["false_suspicions"] > 0
         assert summary["rescinds"] == summary["suspicions"]
-        avail = availability_summary(cluster.kernel, cluster.trace)
+        avail = cluster.availability_summary()
         assert avail["crashes"] == 0
         assert avail["peer_rescinds"] > 0
         # suspicion state fully cleared at quiescence

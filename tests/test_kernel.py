@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.crash import CrashPlan
+from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
 from repro.sim.partition import PartitionPlan
 from repro.sim.simulator import Kernel, QuiescenceError
@@ -45,19 +46,31 @@ class TestRouting:
             Kernel(num_processors=0)
 
     @pytest.mark.parametrize(
-        "plans",
+        "plan",
         [
-            {"crash_plan": CrashPlan(schedule=((9, 100.0, 200.0),))},
-            {"partition_plan": PartitionPlan(splits=((100.0, 300.0, (0, 9)),))},
-            {"partition_plan": PartitionPlan(one_way=((100.0, 300.0, 9, None),))},
-            {"partition_plan": PartitionPlan(gray=((0.0, None, None, 9, 2.0),))},
+            CrashPlan(schedule=((9, 100.0, 200.0),)),
+            PartitionPlan(splits=((100.0, 300.0, (0, 9)),)),
+            PartitionPlan(one_way=((100.0, 300.0, 9, None),)),
+            PartitionPlan(gray=((0.0, None, None, 9, 2.0),)),
         ],
     )
-    def test_plan_naming_a_missing_pid_is_rejected(self, plans):
+    def test_plan_naming_a_missing_pid_is_rejected(self, plan):
         with pytest.raises(
             ValueError, match="names pid 9, but the cluster has 4 processors"
         ):
-            Kernel(num_processors=4, **plans)
+            Kernel(num_processors=4, layers=(plan,))
+
+    def test_layers_are_plans_one_of_each_type(self):
+        with pytest.raises(TypeError, match="str is not a layer plan"):
+            Kernel(num_processors=2, layers=("enforced",))
+        with pytest.raises(ValueError, match="two FaultPlan layers"):
+            Kernel(num_processors=2, layers=(FaultPlan(), FaultPlan(drop_p=0.1)))
+
+    def test_layers_install_in_registry_order_whatever_the_callers(self):
+        plans = (DetectorPlan(horizon=100.0), FaultPlan(), CrashPlan())
+        kernel = Kernel(num_processors=2, layers=plans)
+        assert list(kernel.layers) == [FaultPlan, CrashPlan, DetectorPlan]
+        assert Kernel(num_processors=2, layers=plans[::-1]).layers == kernel.layers
 
 
 class TestRunControl:
@@ -193,7 +206,7 @@ class TestOutbox:
         # must travel alone.
         plan = FaultPlan(duplicate_p=1.0, only_kinds=frozenset({"tagged"}))
         kernel, received = sender_kernel(
-            [(1, "a"), (1, "b"), (2, "x")], fault_plan=plan
+            [(1, "a"), (1, "b"), (2, "x")], layers=(plan,)
         )
         kernel.route(0, 0, "go")
         kernel.run_to_quiescence()

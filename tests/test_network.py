@@ -8,6 +8,7 @@ import pytest
 from tests.helpers import landing
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
+from repro.sim.reliable import ReliabilityConfig
 from repro.sim.network import (
     ACCOUNTING_MODES,
     Bundle,
@@ -30,8 +31,9 @@ def make_net(latency=None, fault_plan=None, seed=0):
         events,
         latency_model=latency or UniformLatency(base=10.0),
         rng=random.Random(seed),
-        fault_plan=fault_plan,
     )
+    if fault_plan is not None:
+        net.install_faults(fault_plan)
     delivered = []
     net.install_delivery(
         landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
@@ -345,13 +347,13 @@ def run_wire_case(reliability, plan, partition, liveness, kind):
         events,
         latency_model=UniformLatency(base=10.0, jitter=4.0),
         rng=random.Random(7),
-        fault_plan=(
-            FaultPlan(drop_p=0.25, duplicate_p=0.25, reorder_p=0.25, reorder_delay=40.0)
-            if plan == "plan"
-            else None
-        ),
-        reliability=reliability,
     )
+    if plan == "plan":
+        net.install_faults(
+            FaultPlan(drop_p=0.25, duplicate_p=0.25, reorder_p=0.25, reorder_delay=40.0)
+        )
+    if reliability == "enforced":
+        net.install_transport(ReliabilityConfig())
     trace = []
 
     def deliver(dst, payload):
@@ -709,11 +711,8 @@ class TestWireLattice:
 
     def test_frames_are_never_clamped(self):
         events = EventQueue()
-        net = Network(
-            events,
-            latency_model=ScriptedLatency(40.0, 10.0),
-            reliability="enforced",
-        )
+        net = Network(events, latency_model=ScriptedLatency(40.0, 10.0))
+        net.install_transport(ReliabilityConfig())
         delivered = []
         net.install_delivery(
             landing(lambda dst, p: delivered.append((events.now, dst, p)))

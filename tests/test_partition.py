@@ -15,7 +15,7 @@ import pytest
 from repro import DBTreeCluster, PartitionPlan
 from repro.sim.partition import PartitionController, _expand_endpoint
 from repro.sim.permute import PermutePlan
-from repro.stats import partition_summary
+from repro.stats import layer_report
 
 
 def split_cluster(plan, protocol="semisync", seed=5, **kwargs):
@@ -184,7 +184,7 @@ class TestNetworkIntegration:
         results = cluster.run()
         assert results.ok
         assert cluster.check(expected=expected).ok
-        summary = partition_summary(cluster.kernel)
+        summary = layer_report(cluster)["partition"]
         assert summary["enabled"]
         assert summary["cuts_applied"] == 1
         assert summary["heals"] == 1
@@ -217,7 +217,7 @@ class TestNetworkIntegration:
         )
         spaced_inserts(cluster, count=20, spacing=5.0)
         results = cluster.run()
-        summary = partition_summary(cluster.kernel)
+        summary = layer_report(cluster)["partition"]
         assert summary["open_cut_links"] == 1
         assert summary["messages_blocked"] > 0
         # some operations may have died with the link; every one has
@@ -240,7 +240,8 @@ class TestNetworkIntegration:
         assert layered.check(expected=expected).ok
 
     def test_permuter_incompatible(self):
-        with pytest.raises(ValueError, match="permute_plan is incompatible"):
+        refused = "PermutePlan is incompatible with PartitionPlan"
+        with pytest.raises(ValueError, match=refused):
             DBTreeCluster(
                 permute_plan=PermutePlan(rate=0.1, window=10.0),
                 partition_plan=PartitionPlan(
@@ -250,7 +251,7 @@ class TestNetworkIntegration:
 
     def test_summary_without_plan(self):
         cluster = split_cluster(None)
-        assert partition_summary(cluster.kernel) == {"enabled": False}
+        assert layer_report(cluster)["partition"] == {"enabled": False}
 
     def test_scheduled_split_reproducible(self):
         plan = PartitionPlan(splits=((100.0, 250.0, (0, 1)),))
@@ -261,7 +262,7 @@ class TestNetworkIntegration:
             )
             spaced_inserts(cluster, count=30)
             cluster.run()
-            summary = partition_summary(cluster.kernel)
+            summary = layer_report(cluster)["partition"]
             runs.append((cluster.kernel.now, summary["messages_blocked"]))
         assert runs[0] == runs[1]
         assert runs[0][1] > 0  # the split actually swallowed traffic

@@ -130,13 +130,15 @@ class TestCrashStop:
     """A double transition raises: a crash schedule cannot ask for one."""
 
     def test_crash_when_already_down(self):
-        proc = Processor(0, EventQueue(), crashable=True)
+        proc = Processor(0, EventQueue())
+        proc.make_crashable()
         proc.crash()
         with pytest.raises(RuntimeError, match="already down"):
             proc.crash()
 
     def test_restart_when_already_up(self):
-        proc = Processor(0, EventQueue(), crashable=True)
+        proc = Processor(0, EventQueue())
+        proc.make_crashable()
         with pytest.raises(RuntimeError, match="already up"):
             proc.restart()
 

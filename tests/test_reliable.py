@@ -27,12 +27,11 @@ from repro.sim.events import EventQueue
 from repro.sim.network import Network, UniformLatency
 from repro.sim.reliable import AckFrame, DataFrame, _Link
 from repro.sim.simulator import Kernel
-from repro.stats import reliability_summary
+from repro.stats import layer_report
 
 
 def make_net(
     fault_plan=None,
-    reliability="enforced",
     config=None,
     jitter=0.0,
     seed=0,
@@ -43,11 +42,11 @@ def make_net(
         events,
         latency_model=UniformLatency(base=10.0, jitter=jitter),
         rng=random.Random(seed),
-        fault_plan=fault_plan,
         accounting=accounting,
-        reliability=reliability,
-        reliability_config=config,
     )
+    if fault_plan is not None:
+        net.install_faults(fault_plan)
+    net.install_transport(config or ReliabilityConfig())
     delivered = []
     net.install_delivery(
         landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
@@ -72,7 +71,15 @@ class TestConfig:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="reliability"):
-            Network(EventQueue(), reliability="hopeful")
+            DBTreeCluster(reliability="hopeful")
+
+    def test_config_without_enforcement_rejected(self):
+        # A config the assumed network has no transport to give: the
+        # facade used to run without one and say nothing.
+        with pytest.raises(ValueError) as refused:
+            DBTreeCluster(reliability_config=ReliabilityConfig(max_retries=2))
+        assert "reliability_config" in str(refused.value)
+        assert "reliability='enforced'" in str(refused.value)
 
 
 class TestExactlyOnceFifo:
@@ -262,13 +269,9 @@ class ScriptedWire:
 def make_scripted(config=None, **script):
     events = EventQueue()
     wire = ScriptedWire(events, **script)
-    net = Network(
-        events,
-        latency_model=wire,
-        fault_plan=wire,
-        reliability="enforced",
-        reliability_config=config,
-    )
+    net = Network(events, latency_model=wire)
+    net.install_faults(wire)
+    net.install_transport(config or ReliabilityConfig())
     delivered = []
     net.install_delivery(
         landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
@@ -784,8 +787,7 @@ class TestCrashedSender:
         # it while it is down, and no retry is charged.
         kernel = Kernel(
             2,
-            reliability="enforced",
-            crash_plan=CrashPlan(schedule=((0, 5.0, 600.0),)),
+            layers=(ReliabilityConfig(), CrashPlan(schedule=((0, 5.0, 600.0),))),
         )
         wire = ScriptedWire(kernel.events, drops={0: 99})
         kernel.network._fault_plan = wire
@@ -833,9 +835,7 @@ class TestBundles:
     def test_one_frame_and_its_resend_carries_every_item(self):
         # Built with a (faultless) plan, so every frame is judged, and
         # then judged by the scripted wire.
-        kernel, received = bundling_kernel(
-            reliability="enforced", fault_plan=FaultPlan()
-        )
+        kernel, received = bundling_kernel(layers=(ReliabilityConfig(), FaultPlan()))
         wire = ScriptedWire(kernel.events, drops={0: 1})
         kernel.network._fault_plan = wire
         kernel.route(0, 0, "go")
@@ -853,7 +853,7 @@ class TestBundles:
 
     def test_a_bundle_to_a_crashed_processor_is_one_dead_letter(self):
         kernel, received = bundling_kernel(
-            crash_plan=CrashPlan(schedule=((1, 5.0, 600.0),))
+            layers=(CrashPlan(schedule=((1, 5.0, 600.0),)),)
         )
         kernel.events.schedule(10.0, lambda: kernel.route(0, 0, "go"))
         kernel.run_to_quiescence()
@@ -915,8 +915,8 @@ class TestAccountingInteraction:
             reliability="enforced",
         )
         run_insert_workload(cluster, count=150)
-        summary = reliability_summary(cluster.kernel)
-        assert summary["mode"] == "enforced"
+        summary = layer_report(cluster)["reliability"]
+        assert summary["enabled"]
         assert summary["amplification"] > 1.0
         assert summary["retransmits"] > summary["retransmits_on_ack"] > 0
         assert summary["in_flight"] == 0  # quiescent: everything acked
@@ -1019,7 +1019,7 @@ class TestAssumedModeUnchanged:
     def test_assumed_mode_has_no_transport(self):
         cluster = DBTreeCluster(num_processors=2, seed=0)
         assert cluster.kernel.network.transport is None
-        assert cluster.kernel.network.reliability == "assumed"
+        assert ReliabilityConfig not in cluster.kernel.layers
 
     def test_enforced_same_final_state_as_assumed_when_clean(self):
         # On a clean substrate enforcement changes timing (acks) but

@@ -20,6 +20,7 @@ from repro import (
     ShardedCluster,
 )
 from repro.shard.verify import check_shard_coverage
+from repro.stats import layer_report
 
 
 def spread_workload(forest, count, spacing=0.0, key_fn=lambda i: (i * 7) % 2003):
@@ -143,10 +144,7 @@ class TestShardingWithPartitions:
         assert results.ok, (results.failed, results.timed_out)
         assert len(results.completed) == 80
         assert forest.counters["shard_splits"] >= 1
-        blocked = sum(
-            cluster.partition_summary()["messages_blocked"]
-            for cluster in forest.clusters.values()
-        )
+        blocked = layer_report(forest)["partition"]["messages_blocked"]
         assert blocked > 0  # the cut really swallowed traffic
         assert check_shard_coverage(forest) == []
         assert_clean(forest, expected)

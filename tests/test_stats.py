@@ -11,15 +11,13 @@ from repro import (
     PartitionPlan,
     ShardedCluster,
 )
+from repro.sim.permute import PermutePlan
+from repro.sim.simulator import LAYERS
 from repro.stats import (
-    availability_summary,
-    detector_summary,
     format_table,
     latency_summary,
     layer_report,
     load_balance,
-    partition_summary,
-    reliability_summary,
     repair_summary,
     replication_profile,
     search_locality,
@@ -97,6 +95,11 @@ class TestClusterMetrics:
         assert locality["locality"] == 1.0  # full replication: all local
 
 
+#: The keys of every layer report: the registered kernel layers, in
+#: registry order, then the engine's and the forest's.
+REPORT_KEYS = [kind.layer for kind in LAYERS] + ["repair", "sharding"]
+
+
 class TestLayerReport:
     LAYERS = dict(
         protocol="variable",
@@ -119,24 +122,62 @@ class TestLayerReport:
                              client=index % 4)
         assert cluster.run().ok
 
-    def test_plain_cluster_report_is_the_summaries_key_for_key(self):
+    def test_plain_cluster_report_is_each_plans_summary(self):
         cluster = DBTreeCluster(num_processors=4, seed=3, **self.LAYERS)
         self.drive(cluster)
-        assert layer_report(cluster) == {
-            "reliability": reliability_summary(cluster.kernel),
-            "crash": availability_summary(cluster.kernel, cluster.trace),
-            "partition": partition_summary(cluster.kernel),
-            "detector": detector_summary(cluster.kernel),
-            "repair": repair_summary(cluster.engine),
+        report = layer_report(cluster)
+        assert list(report) == REPORT_KEYS
+        kernel = cluster.kernel
+        for plan in kernel.layers.values():
+            assert report[plan.layer] == plan.summary(kernel, cluster.trace)
+        assert report["crash"] == cluster.availability_summary()
+        assert report["repair"] == repair_summary(cluster.engine)
+        assert report["sharding"] == {"enabled": False}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_layer_is_on_exactly_when_its_plan_is_passed(self, shards):
+        # One plan at a time, plus none: only its own key reads on --
+        # and a detector's, whose inert crash plan comes with it (the
+        # oracle a crash plan brings is no detector, and reads off).
+        examples = {
+            "fault_plan": (FaultPlan(drop_p=0.05), {"faults"}),
+            "reliability": ("enforced", {"reliability"}),
+            "permute_plan": (PermutePlan(), {"permute"}),
+            "crash_plan": (CrashPlan(schedule=((2, 150.0, 600.0),)), {"crash"}),
+            "partition_plan": (
+                PartitionPlan(splits=((400.0, 900.0, (0, 1)),)),
+                {"partition"},
+            ),
+            "detector_plan": (
+                DetectorPlan(mode="timeout", horizon=3000.0),
+                {"detector", "crash"},
+            ),
+            "repair_period": (100.0, {"repair"}),
         }
+        assert {on for _, names in examples.values() for on in names} == set(
+            REPORT_KEYS
+        ) - {"sharding"}
+        forest = dict(shards=2, initial_boundaries=(1000,)) if shards == 2 else {}
+        for keyword, (value, names) in [(None, (None, set())), *examples.items()]:
+            kwargs = {keyword: value} if keyword else {}
+            if shards == 2:
+                cluster = ShardedCluster(num_processors=4, **forest, **kwargs)
+                names = names | {"sharding"}
+            else:
+                cluster = DBTreeCluster(num_processors=4, **kwargs)
+            report = layer_report(cluster)
+            assert list(report) == REPORT_KEYS
+            on = {name for name, entry in report.items() if entry["enabled"]}
+            assert on == names, keyword
 
     def test_every_layer_answers_enabled_on_or_off(self):
         bare = layer_report(DBTreeCluster(num_processors=2))
         assert {name: entry["enabled"] for name, entry in bare.items()} == dict.fromkeys(
-            ("reliability", "crash", "partition", "detector", "repair"), False
+            REPORT_KEYS, False
         )
-        full = DBTreeCluster(num_processors=4, seed=3, **self.LAYERS)
-        assert all(entry["enabled"] for entry in layer_report(full).values())
+        full = layer_report(DBTreeCluster(num_processors=4, seed=3, **self.LAYERS))
+        on = {name for name, entry in full.items() if entry["enabled"]}
+        assert on == set(REPORT_KEYS) - {"permute", "sharding"}
 
     def test_forest_report_sums_counters_and_nothing_else(self):
         forest = ShardedCluster(
@@ -165,8 +206,13 @@ class TestLayerReport:
         assert report["repair"]["fanout"] == 2
         assert report["repair"]["buckets"] == per_shard[0]["repair"]["buckets"]
         assert report["detector"]["mode"] == "timeout"
-        assert report["reliability"]["mode"] == "enforced"
-        assert all(entry["enabled"] is True for entry in report.values())
+        assert report["faults"]["drop_p"] == 0.05
+        assert report["permute"] == {"enabled": False}
+        assert all(
+            entry["enabled"] is True
+            for name, entry in report.items()
+            if name != "permute"
+        )
         # means and ratios: one per shard, never added
         assert report["reliability"]["amplification"] == tuple(
             r["reliability"]["amplification"] for r in per_shard
