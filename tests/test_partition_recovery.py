@@ -20,9 +20,11 @@ from repro import (
     DetectorPlan,
     LogNormalLatency,
     PartitionPlan,
+    ShardedCluster,
     TopologyLatency,
     UniformLatency,
 )
+from repro.sim.simulator import Kernel
 
 # Every pair view the repair layer keeps is held to the from-scratch
 # derivation on every call (tests/conftest.py).
@@ -227,6 +229,30 @@ class TestDetectionDelayValidation:
                 replication_factor=2,
             )
         assert cluster.kernel.crash_controller is not None
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **plans: DBTreeCluster(**plans, num_processors=4),
+            lambda **plans: ShardedCluster(
+                **plans, num_processors=4, shards=2, initial_boundaries=(1000,)
+            ),
+            lambda latency_model, **plans: Kernel(
+                4, latency_model, layers=tuple(plans.values())
+            ),
+        ],
+        ids=["tree", "forest", "kernel"],
+    )
+    def test_warning_points_at_the_caller(self, build):
+        # However many facade frames sit above the kernel, the warning
+        # names the line that asked for the cluster.
+        with pytest.warns(RuntimeWarning, match="oracle timeout") as caught:
+            build(
+                crash_plan=self.CRASH,
+                detector_plan=self.ORACLE,
+                latency_model=UniformLatency(base=10.0, jitter=45.0),
+            )
+        assert {w.filename for w in caught} == {__file__}
 
     @pytest.mark.parametrize(
         "model, warning",
