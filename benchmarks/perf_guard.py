@@ -17,7 +17,9 @@ burst with op timers, two copies of every leaf and one 800-vt crash of
 a client's home mid-run: the path operations take when their home
 dies) and the ``read`` block (a ``variable`` tree preloaded with
 inserts, then a closed loop of 95 % searches: the read path, counted
-after the preload, though its final virtual time includes it).  Each block's
+after the preload, though its final virtual time includes it) and the
+``sync``, ``variable`` and ``mobile`` blocks (the fault-free burst,
+a tenth as long, under each other protocol).  Each block's
 ``final_virtual_time`` is compared as well: per-op counts do not show
 a channel that repairs its losses too slowly and falls behind (the
 ``enforced`` burst once needed 133,231 vt for work that takes 43,680),
@@ -31,7 +33,7 @@ commit.
 Wall-clock throughput is intentionally NOT compared: CI machines are
 noisy and the virtual-event counts already pin the work done.  The
 host work is pinned another way: the ``opcodes`` block holds the Python
-opcodes a 2,000-op slice of each of the five rows executes, in total
+opcodes a 2,000-op slice of each of the eight rows executes, in total
 and per ``repro`` subpackage (``repro.perf.count_opcodes``).
 Bytecode differs between interpreters, so those counts are compared,
 exactly, only under the interpreter that pinned them; under any other
@@ -67,6 +69,9 @@ BLOCKS = {
     "repair": METRICS + ("rounds_started", "rounds_diverged", "digest_bytes"),
     "crash": METRICS,
     "read": METRICS,
+    "sync": METRICS,
+    "variable": METRICS,
+    "mobile": METRICS,
 }
 
 
