@@ -49,7 +49,6 @@ from repro.core.dbtree.mirrors import LeafMirrors
 from repro.repair.digest import MASK, DigestIndex, bucket_sums, row_hash
 from repro.repair.gossip import (
     DigestDetail,
-    DigestMatch,
     DigestNodes,
     DigestOffer,
     GossipScheduler,
@@ -177,7 +176,6 @@ class RepairService:
         for action_type, handler in (
             (GossipTick, scheduler.on_tick),
             (DigestOffer, scheduler.on_offer),
-            (DigestMatch, scheduler.on_match),
             (DigestDetail, scheduler.on_detail),
             (DigestNodes, self.execute_repairs),
             (MirrorPull, self._on_mirror_pull),

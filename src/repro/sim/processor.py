@@ -18,7 +18,9 @@ The messages an action sends are held by the processor until the
 action ends, and then leave one per destination: everything bound for
 one processor rides one message (paper, Section 1.1: the lazy update
 "can be piggybacked onto messages used for other purposes").  Nothing
-waits longer than the action that sent it.
+waits longer than the action that sent it, with one bounded exception:
+a gossip round's offer (:mod:`repro.repair.gossip`) waits for the next
+message to its peer to ride on, at most one gossip period.
 
 A message that lands reaches :meth:`Processor.submit` straight from
 the network's table of processors (:meth:`~repro.sim.network.Network
@@ -144,6 +146,12 @@ class Processor:
     def busy(self) -> bool:
         """Whether an action is currently in service."""
         return self._busy
+
+    @property
+    def holding(self) -> bool:
+        """Whether this processor holds its actions' remote sends
+        (:meth:`hold_sends`)."""
+        return self._kernel is not None
 
     @property
     def alive(self) -> bool:

@@ -63,7 +63,6 @@ from repro.hash.table import LazyHashTable
 from repro.protocols import PROTOCOLS
 from repro.repair.gossip import (
     DigestDetail,
-    DigestMatch,
     DigestNodes,
     DigestOffer,
     GossipTick,
@@ -114,7 +113,6 @@ MIRROR_ROWS = {MirrorUpdate}
 REPAIR_ROWS = {
     GossipTick,
     DigestOffer,
-    DigestMatch,
     DigestDetail,
     DigestNodes,
     MirrorPull,
