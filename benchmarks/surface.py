@@ -67,9 +67,11 @@ PLANS = {
     "PermutePlan": "src/repro/sim/permute.py",
 }
 
-#: Public names, keywords (``Facade.keyword``) and plan fields
-#: (``Plan.field``) that only ``tests/`` reference, each with the reason
-#: it stays, stated once.
+#: Public names and facade keywords (``Facade.keyword``) that only
+#: ``tests/`` reference, each with the reason it stays, stated once.  A
+#: plan field or a keyword that only tests set to a value is a module
+#: constant instead, which they patch: ``tests/test_surface.py`` lets
+#: only ``LazyHashTable.fault_plan``, which selects a layer, stay here.
 TEST_ONLY: tuple[tuple[str, str], ...] = (
     (
         "LogNormalLatency",
@@ -93,70 +95,10 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
         "write (ROADMAP: a read oracle)",
     ),
     (
-        "DBTreeCluster.reliability_config",
-        "tests shorten the retransmit timer and retry budgets through it "
-        "to reach PeerDown and ReliabilityError in few events; every "
-        "other caller runs the defaults",
-    ),
-    (
-        "ReliabilityConfig.retransmit_timeout",
-        "tests shorten it so a retransmit, a PeerDown or the retry cap "
-        "comes within a few events; every other caller runs 80",
-    ),
-    (
-        "ReliabilityConfig.backoff",
-        "tests set it to 1 or 2 to put retransmissions at predictable "
-        "times; every other caller runs 1.5",
-    ),
-    (
-        "ReliabilityConfig.max_retries",
-        "tests lower it to reach ReliabilityError; every other caller "
-        "runs 20, which no configured loss rate exhausts",
-    ),
-    (
-        "ReliabilityConfig.ack_delay",
-        "a test raises it to show acks riding reverse data frames; "
-        "every other caller runs 5",
-    ),
-    (
-        "ReliabilityConfig.suspect_retries",
-        "tests lower it to reach PeerDown in few events; every other "
-        "caller runs 3",
-    ),
-    (
         "LazyHashTable.fault_plan",
         "tests run the hash table over a duplicating or lossy substrate "
-        "through it; hash-demo and the experiments run it fault-free",
-    ),
-    (
-        "DetectorPlan.window",
-        "the phi model's sample window; a test shrinks it to see the "
-        "window kept and one checks its floor, every other caller runs 64",
-    ),
-    (
-        "DetectorPlan.min_std",
-        "the phi model's sigma floor; a test sets it to check the floor, "
-        "every other caller runs the default (the heartbeat period)",
-    ),
-    (
-        "DetectorPlan.min_samples",
-        "gaps the phi model needs before it is trusted; a test raises it "
-        "to reach the timeout fallback, every other caller runs 3",
-    ),
-    (
-        "RepairPlan.buckets",
-        "bucket hashes per drill-down; the validation test sets it, every "
-        "other caller runs 8",
-    ),
-    (
-        "RepairPlan.stop_after_clean",
-        "clean sweeps before a gossip timer goes dormant; the validation "
-        "test sets it, every other caller runs 2",
-    ),
-    (
-        "PermutePlan.max_holds",
-        "caps the permuter's holds; the one-hold test sets it, the CLI "
-        "and X8 run uncapped",
+        "through it; hash-demo and the experiments run it fault-free. It "
+        "selects a layer, not a value",
     ),
 )
 

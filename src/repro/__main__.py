@@ -181,7 +181,6 @@ def _build_any_cluster(args: argparse.Namespace, plans):
         replication_factor=args.replication_factor,
         mirror_placement=args.mirror_placement,
         repair_period=args.repair_period,
-        repair_fanout=args.repair_fanout,
     )
     if not _wants_sharding(args):
         from repro import DBTreeCluster
@@ -259,7 +258,7 @@ _LAYER_DETAIL = {
         "mean detection latency {mean_detection_latency}"
     ),
     "repair": (
-        "{placement} placement, period {period}, fanout {fanout}: "
+        "{placement} placement, period {period}: "
         "{rounds_started} rounds ({rounds_clean} clean, {rounds_diverged} "
         "diverged, {rounds_aborted} aborted; {offers_piggybacked} offers "
         "piggybacked), {digests_exchanged} digests "
@@ -631,10 +630,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         "--repair-period", type=float, default=None,
         help="enable background anti-entropy repair with this gossip "
         "period (virtual time units)",
-    )
-    parser.add_argument(
-        "--repair-fanout", type=int, default=1,
-        help="peers contacted per gossip tick when repair is enabled",
     )
     parser.add_argument(
         "--op-spacing", type=float, default=8.0,

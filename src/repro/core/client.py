@@ -286,12 +286,8 @@ class DBTreeCluster(KernelClient):
         ``"assumed"`` (default) trusts the network, as the paper
         does; ``"enforced"`` turns on the reliable-delivery layer so
         the protocols stay correct even when ``fault_plan`` drops or
-        reorders messages (see :mod:`repro.sim.reliable`).
-    reliability_config:
-        Optional :class:`~repro.sim.reliable.ReliabilityConfig`
-        tuning retransmission and ack timing for ``"enforced"``;
-        under ``"assumed"`` there is nothing to tune, and passing one
-        raises ``ValueError``.
+        reorders messages (see :mod:`repro.sim.reliable`, whose
+        module constants are its timers and retry budgets).
     crash_plan:
         Optional :class:`~repro.sim.crash.CrashPlan` of crash-stop
         failures, each scheduled.  Activates the whole failure-aware
@@ -325,8 +321,6 @@ class DBTreeCluster(KernelClient):
         anti-entropy repair subsystem (:mod:`repro.repair`).  ``None``
         (default) leaves the subsystem uninstalled and the fast path
         byte-identical.
-    repair_fanout:
-        Peers contacted per gossip round when repair is enabled.
     permute_plan:
         Optional :class:`~repro.sim.permute.PermutePlan` turning on
         the schedule permuter: seeded swaps of deliveries the
@@ -372,7 +366,6 @@ class DBTreeCluster(KernelClient):
         accounting: str = "full",
         leaf_cache: bool = False,
         reliability: str = "assumed",
-        reliability_config: ReliabilityConfig | None = None,
         crash_plan: CrashPlan | None = None,
         op_timeout: float | None = None,
         op_retries: int = 3,
@@ -380,7 +373,6 @@ class DBTreeCluster(KernelClient):
         recovery_mode: str = "lazy",
         mirror_placement: str = "ring",
         repair_period: float | None = None,
-        repair_fanout: int = 1,
         permute_plan: PermutePlan | None = None,
         partition_plan: PartitionPlan | None = None,
         detector_plan: DetectorPlan | None = None,
@@ -393,25 +385,18 @@ class DBTreeCluster(KernelClient):
             self.protocol = protocol
         if replication is None:
             replication = self.protocol.default_policy(num_processors)
-        if reliability == "enforced":
-            reliability_config = reliability_config or ReliabilityConfig()
-        elif reliability != "assumed":
+        if reliability not in ("assumed", "enforced"):
             raise ValueError(
                 f"reliability must be 'assumed' or 'enforced', got {reliability!r}"
-            )
-        elif reliability_config is not None:
-            raise ValueError(
-                "reliability_config tunes the reliable transport, which only "
-                "reliability='enforced' installs; got reliability='assumed'"
             )
         repair_plan = None
         if repair_period is not None:
             from repro.repair import RepairPlan
 
-            repair_plan = RepairPlan(period=repair_period, fanout=repair_fanout)
+            repair_plan = RepairPlan(period=repair_period)
         plans = (
             fault_plan,
-            reliability_config,
+            ReliabilityConfig() if reliability == "enforced" else None,
             crash_plan,
             permute_plan,
             partition_plan,

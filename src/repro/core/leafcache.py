@@ -19,7 +19,7 @@ missing-node recovery.  Two structural facts make stale hints cheap:
 * rightward forwarding strictly increases the current node's low,
   so recovery terminates.
 
-The cache never stores more than ``max_entries`` hints; on overflow
+The cache never stores more than ``MAX_ENTRIES`` hints; on overflow
 it evicts every other entry (hints are rebuilt by use, and
 correctness never depends on them).  Halving instead of clearing
 avoids a thrash cliff once the tree has more leaves than the cap:
@@ -30,20 +30,21 @@ while the working set re-learns.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import Any
 
 from repro.core.keys import Key
+
+#: Hints one processor's cache holds before it halves.
+MAX_ENTRIES = 65536
 
 
 class LeafHintCache:
     """Sorted map of cached leaf ranges, keyed by immutable low bound."""
 
-    __slots__ = ("_lows", "_by_low", "max_entries")
+    __slots__ = ("_lows", "_by_low")
 
-    def __init__(self, max_entries: int = 65536) -> None:
+    def __init__(self) -> None:
         self._lows: list[Key] = []
         self._by_low: dict[Key, tuple[Key, int]] = {}
-        self.max_entries = max_entries
 
     def __len__(self) -> int:
         return len(self._lows)
@@ -57,7 +58,7 @@ class LeafHintCache:
         by_low = self._by_low
         if low not in by_low:
             lows = self._lows
-            if len(lows) >= self.max_entries:
+            if len(lows) >= MAX_ENTRIES:
                 # Evict every other hint, keeping the sorted order.
                 survivors = lows[::2]
                 self._lows = survivors
@@ -82,10 +83,3 @@ class LeafHintCache:
         if key < high:
             return (leaf_id, low, high)
         return None
-
-    def clear(self) -> None:
-        self._lows.clear()
-        self._by_low.clear()
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"entries": len(self._lows), "max_entries": self.max_entries}

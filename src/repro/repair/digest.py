@@ -47,6 +47,12 @@ DIGEST_BYTES = 8
 #: The digest width: every bucket sum is kept masked with this.
 MASK = (1 << 64) - 1
 
+#: Buckets of a pair view's drill-down: a row sits in bucket
+#: ``node_id % BUCKETS``, and a view's sums are one per bucket.  Fewer
+#: buckets ship more rows per mismatch; the bucket level also filters
+#: mismatches that a round's own traffic resolves before the rows go.
+BUCKETS = 8
+
 #: Comparison kind by role: a home's leaf entry ("L") and the holder's
 #: mirror entry ("M") describe the same replicated state, so they
 #: must hash into the same comparison class.
@@ -93,11 +99,11 @@ def row_hash(node_id: int, role: str, digest: int) -> int:
     return hash_parts((node_id, _CMP[role], digest))
 
 
-def bucket_sums(view: dict[int, tuple], buckets: int) -> list[int]:
-    """A view's per-bucket sums (``node_id % buckets``), from scratch."""
-    sums = [0] * buckets
+def bucket_sums(view: dict[int, tuple]) -> list[int]:
+    """A view's per-bucket sums (``node_id % BUCKETS``), from scratch."""
+    sums = [0] * BUCKETS
     for node_id, row in view.items():
-        index = node_id % buckets
+        index = node_id % BUCKETS
         sums[index] = (sums[index] + row_hash(node_id, row[0], row[1])) & MASK
     return sums
 

@@ -1,11 +1,10 @@
 """Gossip scheduler: periodic peer-to-peer digest exchange.
 
 Each processor runs a repair timer inside the simulator clock.  On
-each tick it picks the next ``fanout`` live peers in a seed-offset
-round-robin rotation -- so every pair provably exchanges digests
-within ``ceil((n - 1) / fanout)`` periods, unlike uniform random
-choice which can starve a pair indefinitely -- and opens a round per
-peer:
+each tick it picks the next live peer in a seed-offset round-robin
+rotation -- so every pair provably exchanges digests within ``n - 1``
+periods, unlike uniform random choice which can starve a pair
+indefinitely -- and opens a round with it:
 
 1. initiator -> peer: :class:`DigestOffer` (the roll-up of the
    commonly-replicated ranges -- the sum of the pair view's bucket
@@ -40,7 +39,7 @@ armed before a crash dies with it instead of double-firing after
 restart.
 
 The scheduler self-quiesces: once every round has been clean for
-``stop_after_clean`` consecutive periods, a processor's timer goes
+``STOP_AFTER_CLEAN`` consecutive sweeps, a processor's timer goes
 dormant (so ``run_to_quiescence`` terminates), and any divergence
 signal -- a crash detection, a restart, a mismatching digest, an
 explicit :meth:`~repro.repair.repair.RepairService.kick` -- re-arms
@@ -61,41 +60,29 @@ if TYPE_CHECKING:
     from repro.repair.repair import RepairService
     from repro.sim.processor import Processor
 
+#: Consecutive quiet *sweeps* (a sweep is the ``n - 1`` periods the
+#: rotation needs to visit every peer) before a processor's timer goes
+#: dormant; re-armed by any divergence signal.
+STOP_AFTER_CLEAN = 2
+
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """Tuning of the anti-entropy subsystem.
+    """The anti-entropy subsystem.
 
     period:
         Virtual time between a processor's gossip ticks.
-    fanout:
-        Peers contacted per tick.
-    buckets:
-        Fixed bucket count for the drill-down sums (node ids are
-        bucketed by ``node_id % buckets``).
-    stop_after_clean:
-        Consecutive quiet *sweeps* (a sweep is the
-        ``ceil((n - 1) / fanout)`` periods the rotation needs to
-        visit every peer) before a processor's timer goes dormant;
-        re-armed by any divergence signal.
+
+    A tick contacts one peer; the drill-down's bucket count is
+    :data:`repro.repair.digest.BUCKETS` and dormancy waits
+    ``STOP_AFTER_CLEAN`` quiet sweeps.
     """
 
     period: float = 50.0
-    fanout: int = 1
-    buckets: int = 8
-    stop_after_clean: int = 2
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError(f"repair period must be > 0, got {self.period}")
-        if self.fanout < 1:
-            raise ValueError(f"repair fanout must be >= 1, got {self.fanout}")
-        if self.buckets < 1:
-            raise ValueError(f"need at least one bucket, got {self.buckets}")
-        if self.stop_after_clean < 1:
-            raise ValueError(
-                f"stop_after_clean must be >= 1, got {self.stop_after_clean}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +213,11 @@ class GossipScheduler:
         self._arm(pid)
 
     def _quiet_window(self) -> float:
-        """Quiet time before dormancy: ``stop_after_clean`` full
+        """Quiet time before dormancy: ``STOP_AFTER_CLEAN`` full
         rotation sweeps, so every pair gossips (cleanly) before any
         timer concludes there is nothing left to repair."""
-        plan = self.plan
         peers = max(len(self.service.engine.kernel.pids) - 1, 1)
-        sweep = -(-peers // plan.fanout)  # ceil
-        return plan.stop_after_clean * sweep * plan.period
+        return STOP_AFTER_CLEAN * peers * self.plan.period
 
     def wake(self, pid: int) -> None:
         """(Re-)arm a processor's timer after a divergence signal."""
@@ -297,12 +282,10 @@ class GossipScheduler:
         if not peers:
             return
         start = self._rotation.setdefault(proc.pid, proc.pid + self._seed)
-        take = min(self.plan.fanout, len(peers))
-        chosen = [peers[(start + k) % len(peers)] for k in range(take)]
-        self._rotation[proc.pid] = start + take
-        for peer in chosen:
-            if peer not in sent:
-                self.begin_round(proc, peer)
+        peer = peers[start % len(peers)]
+        self._rotation[proc.pid] = start + 1
+        if peer not in sent:
+            self.begin_round(proc, peer)
 
     def begin_round(self, proc: "Processor", peer: int) -> None:
         """Open a round with ``peer``: leave its offer as a rider, or
@@ -392,8 +375,8 @@ class GossipScheduler:
                 buckets=tuple(sums),
             ),
         )
-        service.count("digests_sent", self.plan.buckets)
-        service.count_bytes(DIGEST_BYTES * self.plan.buckets)
+        service.count("digests_sent", len(sums))
+        service.count_bytes(DIGEST_BYTES * len(sums))
 
     def on_detail(self, proc: "Processor", action: DigestDetail) -> None:
         service = self.service
@@ -405,15 +388,16 @@ class GossipScheduler:
         # (the same at this end: the drill-down is the pair's round)
         self._riders.pop((proc.pid, action.src_pid), None)
         entries, sums = service.shared_entries(proc, action.src_pid)
+        buckets = len(sums)  # one sum per bucket, node_id % buckets
         mismatched = tuple(
             index
-            for index in range(self.plan.buckets)
+            for index in range(buckets)
             if index >= len(action.buckets) or sums[index] != action.buckets[index]
         )
         payload = tuple(
             (nid, row[0], row[1], row[2], row[3])
             for nid, row in sorted(entries.items())
-            if nid % self.plan.buckets in mismatched
+            if nid % buckets in mismatched
         )
         service.engine.kernel.route(
             proc.pid,

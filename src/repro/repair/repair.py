@@ -288,7 +288,7 @@ class RepairService:
         an own single-copy leaf whose mirror targets include the peer,
         ``"M"`` a held mirror whose home is the peer.  ``sums[b]`` is
         the sum mod 2**64 of :func:`~repro.repair.digest.row_hash` over
-        the rows with ``node_id % buckets == b``.
+        the rows with ``node_id % len(sums) == b``.
 
         Both are kept between rounds: a call costs the nodes touched
         since the pair last asked, not the store, and only a row that
@@ -300,12 +300,12 @@ class RepairService:
         state = views.get(peer)
         if state is None:
             view = self.derive_entries(proc, peer)
-            sums = bucket_sums(view, self.plan.buckets)
+            sums = bucket_sums(view)
             views[peer] = (set(), view, sums)
             return view, sums
         touched, view, sums = state
         if touched:
-            buckets = self.plan.buckets
+            buckets = len(sums)
             for node_id in touched:
                 row = self._row(proc, peer, node_id)
                 old = view.get(node_id)
@@ -408,7 +408,7 @@ class RepairService:
     # ------------------------------------------------------------------
     def execute_repairs(self, proc: "Processor", action: DigestNodes) -> None:
         peer = action.src_pid
-        mine, _sums = self.shared_entries(proc, peer)
+        mine, sums = self.shared_entries(proc, peer)
         remote = {row[0]: row[1:] for row in action.entries}
         repaired = False
         for node_id, (role, digest, level, low) in remote.items():
@@ -418,12 +418,13 @@ class RepairService:
             repaired |= self._repair_remote(
                 proc, peer, node_id, role, level, low
             )
-        buckets = set(action.buckets)
+        mismatched = set(action.buckets)
+        buckets = len(sums)
         # Ascending node id, not the view's own order: this sweep sends
         # messages, so its order is part of the schedule, and the order
         # a store happened to be filled in must not be.
         for node_id in sorted(mine):
-            if node_id % self.plan.buckets not in buckets or node_id in remote:
+            if node_id % buckets not in mismatched or node_id in remote:
                 continue
             repaired |= self._repair_local_only(proc, peer, node_id, mine[node_id][0])
         if repaired:

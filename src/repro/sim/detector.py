@@ -80,6 +80,13 @@ DETECTOR_MODES = ("phi", "timeout")
 #: Floor on the tail probability so ``phi`` stays finite.
 _MIN_P = 1e-300
 
+#: Sliding-window size of the phi model's inter-arrival samples per
+#: observed link.
+WINDOW = 64
+#: Observations the phi model needs before it is trusted; until then
+#: the ``timeout`` criterion judges.
+MIN_SAMPLES = 3
+
 
 class Heartbeat:
     """The liveness datagram: "processor ``src`` was alive when sent"."""
@@ -108,35 +115,27 @@ class DetectorPlan(Layer):
     ``timeout``
         Silence tolerated in ``"timeout"`` mode before suspecting --
         and the bootstrap criterion in ``"phi"`` mode while a window
-        has fewer than ``min_samples`` observations.  In ``"oracle"``
+        has fewer than ``MIN_SAMPLES`` observations.  In ``"oracle"``
         mode, how long after a crash survivors learn of it.
     ``phi_threshold``
         Suspicion threshold on phi.  8 (Cassandra's default) means
         "the chance a live peer is this silent is < 1e-8".
-    ``window``
-        Sliding-window size of inter-arrival samples per observed
-        link.
-    ``min_std``
-        Floor on the modelled standard deviation; prevents a
-        perfectly regular DES arrival stream from collapsing sigma to
-        0 and suspecting on the first late beat.  Defaults to
-        ``period``.
-    ``min_samples``
-        Observations required before the phi model is trusted.
     ``horizon``
         Virtual time after which heartbeat and monitor chains stop
         re-arming.  Must be > 0: without it the periodic timers would
         keep the event queue populated forever and quiescence would
         be unreachable.
+
+    The phi model keeps ``WINDOW`` samples per link, is trusted from
+    ``MIN_SAMPLES`` on, and floors its standard deviation at
+    ``period``, so a perfectly regular DES arrival stream cannot
+    collapse sigma to 0 and suspect on the first late beat.
     """
 
     mode: str = "phi"
     period: float = 20.0
     timeout: float = 50.0
     phi_threshold: float = 8.0
-    window: int = 64
-    min_std: float | None = None
-    min_samples: int = 3
     horizon: float = 0.0
 
     def __post_init__(self) -> None:
@@ -159,25 +158,12 @@ class DetectorPlan(Layer):
             raise ValueError(
                 f"phi_threshold must be > 0, got {self.phi_threshold}"
             )
-        if self.window < 4:
-            raise ValueError(f"window must be >= 4, got {self.window}")
-        if self.min_std is not None and self.min_std <= 0:
-            raise ValueError(f"min_std must be > 0, got {self.min_std}")
-        if self.min_samples < 2:
-            raise ValueError(
-                f"min_samples must be >= 2, got {self.min_samples}"
-            )
         if self.horizon <= 0:
             raise ValueError(
                 "the detector needs a finite horizon > 0 (heartbeat "
                 "timers re-arm forever otherwise and the run never "
                 "reaches quiescence)"
             )
-
-    @property
-    def sigma_floor(self) -> float:
-        """The effective standard-deviation floor."""
-        return self.min_std if self.min_std is not None else self.period
 
     layer = "detector"
 
@@ -371,7 +357,7 @@ class FailureDetectorService:
             if gap <= self._sample_cap:
                 window = self._windows.get(key)
                 if window is None:
-                    window = deque(maxlen=self.plan.window)
+                    window = deque(maxlen=WINDOW)
                     self._windows[key] = window
                 window.append(gap)
         if peer in self._suspected[observer]:
@@ -415,7 +401,7 @@ class FailureDetectorService:
         if plan.mode == "timeout":
             return gap > plan.timeout
         window = self._windows.get(key)
-        if window is None or len(window) < plan.min_samples:
+        if window is None or len(window) < MIN_SAMPLES:
             # Phi needs a model; until the window warms up, fall back
             # to the timeout criterion so an early crash is still
             # caught.
@@ -424,12 +410,12 @@ class FailureDetectorService:
 
     def _phi_of_gap(self, key: tuple[int, int], gap: float) -> float:
         window = self._windows.get(key)
-        if not window or len(window) < self.plan.min_samples:
+        if not window or len(window) < MIN_SAMPLES:
             return 0.0
         n = len(window)
         mean = sum(window) / n
         var = sum((x - mean) ** 2 for x in window) / n
-        sigma = max(math.sqrt(var), self.plan.sigma_floor)
+        sigma = max(math.sqrt(var), self.plan.period)
         z = (gap - mean) / sigma
         # P(silence >= gap | alive) under the normal model.
         p_later = 0.5 * math.erfc(z / math.sqrt(2.0))

@@ -47,7 +47,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from repro.sim.events import EventQueue
 from repro.sim.failure import ON_TIME, FaultPlan, message_kind
-from repro.sim.reliable import ReliabilityConfig, ReliableTransport
+from repro.sim.reliable import ReliableTransport
 
 #: Message-accounting modes: ``"full"`` keeps the per-kind Counter,
 #: ``"aggregate"`` only the scalar totals
@@ -353,10 +353,10 @@ class Network:
         self._fault_plan = fault_plan
         self._plain = False
 
-    def install_transport(self, config: ReliabilityConfig) -> None:
+    def install_transport(self) -> None:
         """Enforce the assumption: every logical send travels through a
-        :class:`~repro.sim.reliable.ReliableTransport` tuned by ``config``."""
-        self.transport = ReliableTransport(self, config)
+        :class:`~repro.sim.reliable.ReliableTransport`."""
+        self.transport = ReliableTransport(self)
 
     def install_liveness(self, liveness: Callable[[int], bool]) -> None:
         """Teach the network which destinations are alive.

@@ -49,14 +49,12 @@ class PermutePlan(Layer):
 
     ``seed`` drives the hash-gated hold decisions; ``rate`` is the
     fraction of swappable arrivals held; ``window`` bounds how long a
-    held delivery may wait for an overtaker; ``max_holds`` caps the
-    number of holds (None = unbounded).
+    held delivery may wait for an overtaker.
     """
 
     seed: int = 0
     rate: float = 0.25
     window: float = 30.0
-    max_holds: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -173,8 +171,6 @@ class SchedulePermuter:
             return index in self.hold_filter
         plan = self.plan
         if plan.rate <= 0.0:
-            return False
-        if plan.max_holds is not None and self.stats.held >= plan.max_holds:
             return False
         digest = hashlib.blake2b(
             f"{plan.seed}:{index}".encode(), digest_size=8

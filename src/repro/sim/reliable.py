@@ -23,7 +23,7 @@ half of the paper's assumption:
   :class:`ReliabilityError` -- in a simulation that always means the
   timeout/backoff configuration cannot overcome the configured loss
   rate, not bad luck).  With a crash plan active, a *dead* peer is
-  instead suspected after ``suspect_retries`` retransmissions: the
+  instead suspected after ``SUSPECT_RETRIES`` retransmissions: the
   channel is reset and a PeerDown signal fires, because no amount of
   retransmission revives a crash-stopped processor;
 * **in order** -- frames arriving ahead of the cumulative sequence
@@ -31,7 +31,7 @@ half of the paper's assumption:
   per-channel FIFO holds even under ``FaultPlan.reorder_p > 0``;
 * **acks are cheap** -- a data frame travelling ``dst -> src``
   piggybacks the ack for the reverse channel; only when no reverse
-  traffic appears within ``ack_delay`` does a standalone
+  traffic appears within ``ACK_DELAY`` does a standalone
   :class:`AckFrame` go out (the same piggybacking economics the paper
   applies to lazy relays);
 * **acks are selective** -- every ack that goes out anyway, piggybacked
@@ -96,7 +96,7 @@ class ReliabilityError(RuntimeError):
     """A frame exhausted its retransmission budget.
 
     Under any sane configuration the retry cap is unreachable (the
-    chance of ``max_retries`` consecutive drops at ``drop_p=0.2`` and
+    chance of ``MAX_RETRIES`` consecutive drops at ``drop_p=0.2`` and
     the default cap is ~1e-9 per frame); hitting it means the
     timeout, backoff, or cap is misconfigured for the fault plan.
     (A *dead* peer never raises: with a crash plan active the sender
@@ -123,65 +123,46 @@ class ReliabilityError(RuntimeError):
         self.payload = payload
 
 
+#: Time the sender waits for an ack before the first retransmission.
+#: It must comfortably exceed one round trip (default transit is 10
+#: units each way plus ``ACK_DELAY``).  A frame overtaken by a later
+#: one does not wait for it: the ack that reports the later frame held
+#: resends it, so a frame reordered past a later one is sent twice,
+#: whatever the timeout.
+RETRANSMIT_TIMEOUT = 80.0
+#: Multiplier applied to the timeout after each retransmission of the
+#: same frame.
+BACKOFF = 1.5
+#: Retransmissions allowed per frame before giving up with
+#: :class:`ReliabilityError`.
+MAX_RETRIES = 20
+#: How long the receiver waits for reverse traffic to piggyback a
+#: cumulative ack on before sending a standalone ack frame.
+ACK_DELAY = 5.0
+#: With a crash plan active: retransmissions tolerated before a *dead*
+#: destination is suspected and the channel is reset with a peer-down
+#: signal.  Irrelevant without crashes (an alive peer is never
+#: suspected; the sender retransmits up to ``MAX_RETRIES``).  Kept
+#: small so a crashed peer is given up on within a few timeouts rather
+#: than after the full backoff ladder.
+SUSPECT_RETRIES = 3
+
+
 @dataclass(frozen=True)
 class ReliabilityConfig(Layer):
-    """The reliable-delivery layer and its tuning knobs.
+    """The reliable-delivery layer.
 
     Its presence among a kernel's layers *is* enforced mode: the paper's
-    assumption is manufactured end-to-end rather than trusted.
-
-    ``retransmit_timeout``
-        Time the sender waits for an ack before the first
-        retransmission.  Must comfortably exceed one round trip
-        (default transit is 10 units each way plus ``ack_delay``).
-        A frame overtaken by a later one does not wait for it: the
-        ack that reports the later frame held resends it, so a frame
-        reordered past a later one is sent twice, whatever the timeout.
-    ``backoff``
-        Multiplier applied to the timeout after each retransmission
-        of the same frame.
-    ``max_retries``
-        Retransmissions allowed per frame before giving up with
-        :class:`ReliabilityError`.
-    ``ack_delay``
-        How long the receiver waits for reverse traffic to piggyback
-        a cumulative ack on before sending a standalone ack frame.
-    ``suspect_retries``
-        With a crash plan active: retransmissions tolerated before a
-        *dead* destination is suspected and the channel is reset with
-        a peer-down signal.  Irrelevant without crashes (an alive
-        peer is never suspected; the sender retransmits up to
-        ``max_retries`` as before).  Kept small so a crashed peer is
-        given up on within a few timeouts rather than after the full
-        backoff ladder.
+    assumption is manufactured end-to-end rather than trusted.  It has
+    nothing to tune: the timers and budgets are the module constants
+    ``RETRANSMIT_TIMEOUT``, ``BACKOFF``, ``MAX_RETRIES``, ``ACK_DELAY``
+    and ``SUSPECT_RETRIES``.
     """
-
-    retransmit_timeout: float = 80.0
-    backoff: float = 1.5
-    max_retries: int = 20
-    ack_delay: float = 5.0
-    suspect_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.retransmit_timeout <= 0:
-            raise ValueError(
-                f"retransmit_timeout must be positive, got {self.retransmit_timeout}"
-            )
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.ack_delay < 0:
-            raise ValueError(f"ack_delay must be non-negative, got {self.ack_delay}")
-        if self.suspect_retries < 1:
-            raise ValueError(
-                f"suspect_retries must be >= 1, got {self.suspect_retries}"
-            )
 
     layer = "reliability"
 
     def install(self, kernel: "Kernel") -> None:
-        kernel.network.install_transport(self)
+        kernel.network.install_transport()
 
     def summary(self, kernel: "Kernel", trace: "Trace | None") -> dict[str, Any]:
         """Cost and work of the transport (X5 quantities).
@@ -358,8 +339,7 @@ class _Link:
         timer resends a head that is due, an ack the holes it reports."""
         self.network.stats.retransmits += 1
         entry[3] = True
-        config = self.transport.config
-        entry[2] = self.events.now + config.retransmit_timeout * config.backoff ** entry[1]
+        entry[2] = self.events.now + RETRANSMIT_TIMEOUT * BACKOFF ** entry[1]
         self.put(seq, entry[0])
 
     def aim(self, deadline: float) -> None:
@@ -393,8 +373,7 @@ class _Link:
             # its links are forgotten when it restarts (forget_peer).
             return
         entry[1] += 1
-        config = self.transport.config
-        if liveness is not None and not liveness(dst) and entry[1] > config.suspect_retries:
+        if liveness is not None and not liveness(dst) and entry[1] > SUSPECT_RETRIES:
             # The peer is crash-stopped: give up on the whole channel
             # (a fresh send half starts at seq 0) and surface a
             # PeerDown signal instead of spinning up the backoff ladder
@@ -406,10 +385,10 @@ class _Link:
                 peer_down(src, dst, lost)
             return
         seq = self.head
-        if entry[1] > config.max_retries:
+        if entry[1] > MAX_RETRIES:
             raise ReliabilityError(
                 f"channel {src}->{dst} seq {seq} exceeded "
-                f"max_retries={config.max_retries}; the "
+                f"MAX_RETRIES={MAX_RETRIES}; the "
                 "retransmit timeout/backoff cannot overcome the fault plan",
                 src=src,
                 dst=dst,
@@ -497,10 +476,9 @@ class ReliableTransport:
     ``Network._transmit`` and lands on :meth:`on_frame`.
     """
 
-    def __init__(self, network: "Network", config: ReliabilityConfig) -> None:
+    def __init__(self, network: "Network") -> None:
         self._network = network
         self._events = network._events
-        self.config = config
         self._links: dict[tuple[int, int], _Link] = {}
         # Crash-restart incarnation per processor; a link's epoch is
         # the incarnation pair of its endpoints when it opened.
@@ -532,7 +510,7 @@ class ReliableTransport:
         link = self._links.get((src, dst)) or self._open(src, dst)
         seq = link.next_seq
         link.next_seq = seq + 1
-        deadline = self._events.now + self.config.retransmit_timeout
+        deadline = self._events.now + RETRANSMIT_TIMEOUT
         link.unacked.append([payload, 0, deadline, False])
         link.put(seq, payload)
         if seq == link.head:  # frames behind the head arm nothing
@@ -584,7 +562,7 @@ class ReliableTransport:
             # Arm the standalone-ack fallback.
             link.ack_pending = True
             events = self._events
-            events.push(events.now + self.config.ack_delay, link.ack_timer)
+            events.push(events.now + ACK_DELAY, link.ack_timer)
 
     def forget_peer(self, pid: int) -> None:
         """Forget every link touching ``pid``: crash-stop amnesia.

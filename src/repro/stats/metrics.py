@@ -65,8 +65,6 @@ def repair_summary(engine: "DBTreeEngine") -> dict[str, Any]:
         "enabled": True,
         "placement": mirrors.placement.name if mirrors is not None else "none",
         "period": service.plan.period,
-        "fanout": service.plan.fanout,
-        "buckets": service.plan.buckets,
         "rounds_started": counters.get("rounds_started", 0),
         "rounds_clean": counters.get("rounds_clean", 0),
         "rounds_diverged": counters.get("rounds_diverged", 0),
@@ -136,8 +134,6 @@ _PLAN_KEYS = frozenset(
         "enabled",
         "mode",
         "period",
-        "fanout",
-        "buckets",
         "placement",
         "plan",
         "drop_p",

@@ -42,7 +42,7 @@ def checked_views(monkeypatch):
             f"pair view ({proc.pid}, {peer}) drifted from the derivation: "
             f"{sorted(set(view.items()) ^ set(derived.items()))}"
         )
-        expected = bucket_sums(derived, self.plan.buckets)
+        expected = bucket_sums(derived)
         assert sums == expected, (
             f"bucket sums of pair view ({proc.pid}, {peer}) drifted from "
             f"the derivation: buckets "

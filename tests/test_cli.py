@@ -70,7 +70,7 @@ class TestCLI:
         assert "audit: CheckReport(OK" in out
         assert "partition: 1 cuts (1 healed" in out
         assert "detector: timeout, period 20:" in out
-        assert "repair: ring placement, period 100, fanout 1:" in out
+        assert "repair: ring placement, period 100:" in out
 
     def test_faults_inventory(self, capsys):
         rc = main(
@@ -104,7 +104,7 @@ class TestCLI:
             "--detector", "timeout", "--detector-horizon", "3000",
             "--reliability", "enforced", "--drop-p", "0.05",
             "--op-timeout", "300", "--replication-factor", "2",
-            "--repair-period", "100", "--repair-fanout", "2",
+            "--repair-period", "100",
         ]
         assert main(["demo", *flags]) == 0
         demo = dict(
@@ -125,7 +125,7 @@ class TestCLI:
             assert faults["sharding"] == ("off", "")
         for name in layers:
             assert faults[name] == ("on", demo[name]), name
-        assert "period 100, fanout 2" in demo["repair"]  # plan values are not summed
+        assert "placement, period 100: " in demo["repair"]  # plan values are not summed
         # timer or signal?  each layer says which one re-sent / re-issued
         assert "retransmits, " in demo["reliability"]
         assert " of them on an ack; " in demo["reliability"]
@@ -191,7 +191,7 @@ _FLAG_RUNS = {
          "--crash", "1:100:400", "--op-timeout", "300",
          "--replication-factor", "2", "--repair-period", "100",
          "--mirror-placement", "rendezvous"],
-        0, "repair: rendezvous placement, period 100, fanout 1:", None,
+        0, "repair: rendezvous placement, period 100:", None,
     ),
     "--partition-oneway": (
         ["faults", "--inserts", "20", "--partition-oneway", "1>*@100:300",

@@ -15,7 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import CrashPlan, DBTreeCluster, DetectorPlan, FaultPlan, ReliabilityConfig
+from repro import CrashPlan, DBTreeCluster, DetectorPlan, FaultPlan
+from repro.sim import reliable
 from repro.sim.crash import RECOVERY_GRACE, CrashController
 from repro.sim.network import Bundle
 from repro.sim.processor import ProcessorDownError
@@ -613,18 +614,18 @@ class TestAcceptance:
 # reliable transport vs dead peers
 # ----------------------------------------------------------------------
 class TestTransportSuspicion:
-    def test_retry_cap_suspects_dead_peer_instead_of_raising(self):
+    def test_retry_cap_suspects_dead_peer_instead_of_raising(self, monkeypatch):
         # Enforced reliability + a permanently dead peer: senders must
         # give up via PeerDown suspicion, not die on ReliabilityError.
+        monkeypatch.setattr(reliable, "RETRANSMIT_TIMEOUT", 40.0)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 30)
+        monkeypatch.setattr(reliable, "SUSPECT_RETRIES", 2)
         cluster = DBTreeCluster(
             num_processors=3,
             protocol="semisync",  # full replication: relays target everyone
             capacity=4,
             seed=2,
             reliability="enforced",
-            reliability_config=ReliabilityConfig(
-                retransmit_timeout=40.0, max_retries=30, suspect_retries=2
-            ),
             crash_plan=CrashPlan(schedule=((2, 60.0, None),)),
         )
         for index in range(60):
@@ -635,10 +636,13 @@ class TestTransportSuspicion:
         [record] = cluster.kernel.crash_controller.records
         assert record.suspected_by, "transport never suspected the dead peer"
 
-    def test_reliability_error_surfaces_in_results(self):
+    def test_reliability_error_surfaces_in_results(self, monkeypatch):
         # No crash plan: a hopeless channel (100% drop, tiny retry
         # cap) exhausts its budget; run() reports it instead of
         # letting the traceback escape the event loop.
+        monkeypatch.setattr(reliable, "RETRANSMIT_TIMEOUT", 20.0)
+        monkeypatch.setattr(reliable, "BACKOFF", 1.0)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 3)
         cluster = DBTreeCluster(
             num_processors=2,
             protocol="semisync",
@@ -646,9 +650,6 @@ class TestTransportSuspicion:
             seed=2,
             fault_plan=FaultPlan(drop_p=1.0),
             reliability="enforced",
-            reliability_config=ReliabilityConfig(
-                retransmit_timeout=20.0, backoff=1.0, max_retries=3
-            ),
         )
         cluster.insert(1, "a", client=0)
         cluster.insert(1000, "b", client=1)
@@ -656,7 +657,7 @@ class TestTransportSuspicion:
         error = results.reliability_error
         assert error is not None
         assert error["src"] is not None and error["dst"] is not None
-        assert "max_retries" in error["message"]
+        assert "MAX_RETRIES" in error["message"]
         assert (error["payload_kind"], error["op_id"]) == ("insert_relayed", None)
         assert not results.ok
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.client import DBTreeCluster
 from repro.core.keys import NEG_INF, POS_INF
+from repro.core import leafcache
 from repro.core.leafcache import LeafHintCache
 
 
@@ -34,8 +35,9 @@ class TestLeafHintCache:
         assert cache.lookup(100)[0] == 2
         assert cache.lookup(10**9)[0] == 2
 
-    def test_overflow_halves_instead_of_clearing(self):
-        cache = LeafHintCache(max_entries=8)
+    def test_overflow_halves_instead_of_clearing(self, monkeypatch):
+        monkeypatch.setattr(leafcache, "MAX_ENTRIES", 8)
+        cache = LeafHintCache()
         for low in range(0, 80, 10):
             cache.learn(low, low + 10, leaf_id=low)
         assert len(cache) == 8
@@ -48,10 +50,11 @@ class TestLeafHintCache:
         )
         assert survivors == 4
 
-    def test_learn_known_low_at_exactly_max_entries(self):
+    def test_learn_known_low_at_exactly_max_entries(self, monkeypatch):
         # Replace-by-low at capacity must not trip the eviction: the
         # low is already resident, so nothing is added.
-        cache = LeafHintCache(max_entries=8)
+        monkeypatch.setattr(leafcache, "MAX_ENTRIES", 8)
+        cache = LeafHintCache()
         for low in range(0, 80, 10):
             cache.learn(low, low + 10, leaf_id=low)
         assert len(cache) == 8
@@ -63,11 +66,12 @@ class TestLeafHintCache:
             if low != 30:
                 assert cache.lookup(low) == (low, low, low + 10)
 
-    def test_eviction_at_capacity_stays_consistent(self):
+    def test_eviction_at_capacity_stays_consistent(self, monkeypatch):
         # The 9th distinct low halves the cache; survivors are the
         # even-ranked lows, lookups stay consistent, and an evicted
         # low can be re-learned.
-        cache = LeafHintCache(max_entries=8)
+        monkeypatch.setattr(leafcache, "MAX_ENTRIES", 8)
+        cache = LeafHintCache()
         for low in range(0, 80, 10):
             cache.learn(low, low + 10, leaf_id=low)
         cache.learn(45, 47, leaf_id=99)
@@ -80,13 +84,6 @@ class TestLeafHintCache:
         cache.learn(10, 20, leaf_id=10)
         assert cache.lookup(15) == (10, 10, 20)
         assert len(cache) == 6
-
-    def test_clear(self):
-        cache = LeafHintCache()
-        cache.learn(1, 2, leaf_id=3)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.lookup(1) is None
 
 
 def run_mixed_workload(cluster, count=300):
@@ -194,6 +191,22 @@ class TestEngineIntegration:
             results = cluster.run()
             outcomes.append((cluster.now, dict(results.completed)))
         assert outcomes[0] == outcomes[1]
+
+    def test_a_reset_processor_starts_from_an_empty_cache(self):
+        # A crash's reset replaces the processor's cache wholesale.
+        cluster = DBTreeCluster(
+            num_processors=4, capacity=4, seed=0, leaf_cache=True
+        )
+        for key in range(100):
+            cluster.insert(key, key, client=key % 4)
+        cluster.run()
+        engine = cluster.engine
+        learned = engine._leaf_caches[1]
+        assert len(learned) > 0
+        engine.reset_processor(cluster.kernel.processor(1))
+        assert engine._leaf_caches[1] is not learned
+        assert len(engine._leaf_caches[1]) == 0
+        assert engine._leaf_caches[1].lookup(50) is None
 
     def test_cache_disabled_stats_shape(self):
         cluster = DBTreeCluster(num_processors=2, capacity=4, seed=0)

@@ -8,7 +8,6 @@ import pytest
 from tests.helpers import landing
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
-from repro.sim.reliable import ReliabilityConfig
 from repro.sim.network import (
     ACCOUNTING_MODES,
     Bundle,
@@ -353,7 +352,7 @@ def run_wire_case(reliability, plan, partition, liveness, kind):
             FaultPlan(drop_p=0.25, duplicate_p=0.25, reorder_p=0.25, reorder_delay=40.0)
         )
     if reliability == "enforced":
-        net.install_transport(ReliabilityConfig())
+        net.install_transport()
     trace = []
 
     def deliver(dst, payload):
@@ -712,7 +711,7 @@ class TestWireLattice:
     def test_frames_are_never_clamped(self):
         events = EventQueue()
         net = Network(events, latency_model=ScriptedLatency(40.0, 10.0))
-        net.install_transport(ReliabilityConfig())
+        net.install_transport()
         delivered = []
         net.install_delivery(
             landing(lambda dst, p: delivered.append((events.now, dst, p)))

@@ -123,7 +123,7 @@ class TestPermuterMechanics:
 
     def test_one_hold_displaces_past_many_commuting_deliveries(self):
         events, net, permuter, delivered = make_permuted_net(
-            PermutePlan(seed=1, rate=1.0, window=30.0, max_holds=1)
+            PermutePlan(seed=1, rate=1.0, window=30.0), hold_filter=frozenset({0})
         )
         net.send(0, 1, rins(5))
         for key in (7, 9, 11):
@@ -187,6 +187,18 @@ class TestPermuterMechanics:
         events.run()
         assert permuter.executed_holds == [1]
 
+    def test_full_rate_holds_every_arrival_that_finds_none_held(self):
+        # Holds are not capped: each destination holds its arrival.
+        events, net, permuter, delivered = make_permuted_net(
+            PermutePlan(seed=1, rate=1.0, window=30.0)
+        )
+        for dst in range(1, 8):
+            net.send(0, dst, rins(dst))
+        events.run()
+        assert permuter.stats.held == permuter.stats.considered == 7
+        assert permuter.executed_holds == list(range(7))
+        assert len(delivered) == 7
+
     def test_zero_rate_never_holds(self):
         events, net, permuter, delivered = make_permuted_net(
             PermutePlan(seed=1, rate=0.0)
@@ -207,10 +219,11 @@ LAYER_ON = {
     PartitionPlan: PartitionPlan(splits=((1.0, 2.0, (0,)),)),
     DetectorPlan: DetectorPlan(horizon=500.0),
 }
-#: The facade keyword that passes each plan type.
+#: The facade keyword that passes each plan type (the reliable
+#: transport's is ``reliability="enforced"``, not a plan).
 KEYWORD = {
     FaultPlan: "fault_plan",
-    ReliabilityConfig: "reliability_config",
+    ReliabilityConfig: "reliability",
     PermutePlan: "permute_plan",
     CrashPlan: "crash_plan",
     PartitionPlan: "partition_plan",
@@ -220,10 +233,10 @@ KEYWORD = {
 
 def facade_layers(*kinds):
     """The ``DBTreeCluster`` keywords that switch on ``kinds``."""
-    kwargs = {KEYWORD[kind]: LAYER_ON[kind] for kind in kinds}
-    if ReliabilityConfig in kinds:
-        kwargs["reliability"] = "enforced"
-    return kwargs
+    return {
+        KEYWORD[kind]: "enforced" if kind is ReliabilityConfig else LAYER_ON[kind]
+        for kind in kinds
+    }
 
 
 class TestInstallGuards:

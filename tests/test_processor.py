@@ -6,12 +6,13 @@ from types import SimpleNamespace
 
 from repro.sim.events import EventQueue, QuiescenceError
 from repro.sim.network import Bundle
+from repro.sim import processor
 from repro.sim.processor import Processor
 
 
-def make_processor(service_time=1.0):
+def make_processor():
     events = EventQueue()
-    proc = Processor(0, events, service_time=service_time)
+    proc = Processor(0, events)
     executed = []
     proc.install_handler(lambda p, action: executed.append((events.now, action)))
     return events, proc, executed
@@ -25,8 +26,9 @@ class TestExecution:
         events.run()
         assert [a for _t, a in executed] == [0, 1, 2, 3, 4]
 
-    def test_one_at_a_time_with_service_time(self):
-        events, proc, executed = make_processor(service_time=2.0)
+    def test_one_at_a_time_with_service_time(self, monkeypatch):
+        monkeypatch.setattr(processor, "SERVICE_TIME", 2.0)
+        events, proc, executed = make_processor()
         proc.submit("a")
         proc.submit("b")
         events.run()
@@ -39,7 +41,7 @@ class TestExecution:
 
     def test_handler_can_submit_followup(self):
         events = EventQueue()
-        proc = Processor(0, events, service_time=1.0)
+        proc = Processor(0, events)
         executed = []
 
         def handler(p, action):
@@ -149,8 +151,9 @@ class TestCrashStop:
 
 
 class TestStats:
-    def test_busy_time_and_counts(self):
-        events, proc, _executed = make_processor(service_time=2.5)
+    def test_busy_time_and_counts(self, monkeypatch):
+        monkeypatch.setattr(processor, "SERVICE_TIME", 2.5)
+        events, proc, _executed = make_processor()
         proc.submit("a")
         proc.submit("b")
         events.run()

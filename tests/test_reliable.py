@@ -8,6 +8,7 @@ that demonstrably break them in ``"assumed"`` mode; regression tests
 pin the default mode to the old behaviour byte-for-byte.
 """
 
+import dataclasses
 import random
 from functools import partial
 
@@ -23,6 +24,7 @@ from repro import (
     ReliabilityConfig,
     ReliabilityError,
 )
+from repro.sim import reliable
 from repro.sim.events import EventQueue
 from repro.sim.network import Network, UniformLatency
 from repro.sim.reliable import AckFrame, DataFrame, _Link
@@ -32,7 +34,6 @@ from repro.stats import layer_report
 
 def make_net(
     fault_plan=None,
-    config=None,
     jitter=0.0,
     seed=0,
     accounting="full",
@@ -46,7 +47,7 @@ def make_net(
     )
     if fault_plan is not None:
         net.install_faults(fault_plan)
-    net.install_transport(config or ReliabilityConfig())
+    net.install_transport()
     delivered = []
     net.install_delivery(
         landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
@@ -59,27 +60,9 @@ def payloads(delivered, dst):
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(retransmit_timeout=0.0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(backoff=0.5)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(max_retries=0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(ack_delay=-1.0)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="reliability"):
             DBTreeCluster(reliability="hopeful")
-
-    def test_config_without_enforcement_rejected(self):
-        # A config the assumed network has no transport to give: the
-        # facade used to run without one and say nothing.
-        with pytest.raises(ValueError) as refused:
-            DBTreeCluster(reliability_config=ReliabilityConfig(max_retries=2))
-        assert "reliability_config" in str(refused.value)
-        assert "reliability='enforced'" in str(refused.value)
 
 
 class TestExactlyOnceFifo:
@@ -158,11 +141,11 @@ class TestRetransmission:
         assert net.stats.retransmits == 0
         assert net.stats.acks > 0
 
-    def test_piggybacked_acks_replace_standalone(self):
+    def test_piggybacked_acks_replace_standalone(self, monkeypatch):
+        monkeypatch.setattr(reliable, "ACK_DELAY", 30.0)
+
         def standalone_acks(reverse_traffic):
-            events, net, delivered = make_net(
-                config=ReliabilityConfig(ack_delay=30.0)
-            )
+            events, net, delivered = make_net()
             for i in range(50):
                 events.schedule(float(i) * 2, lambda i=i: net.send(0, 1, i))
                 if reverse_traffic:
@@ -176,28 +159,24 @@ class TestRetransmission:
         # frames; without it every ack is a standalone frame.
         assert standalone_acks(True) < standalone_acks(False)
 
-    def test_retry_cap_raises(self):
-        events, net, _delivered = make_net(
-            FaultPlan(drop_p=1.0),
-            config=ReliabilityConfig(
-                retransmit_timeout=5.0, backoff=1.0, max_retries=3
-            ),
-        )
+    def test_retry_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(reliable, "RETRANSMIT_TIMEOUT", 5.0)
+        monkeypatch.setattr(reliable, "BACKOFF", 1.0)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 3)
+        events, net, _delivered = make_net(FaultPlan(drop_p=1.0))
         net.send(0, 1, "doomed")
-        with pytest.raises(ReliabilityError, match="max_retries"):
+        with pytest.raises(ReliabilityError, match="MAX_RETRIES"):
             events.run()
 
-    def test_backoff_spreads_retransmissions(self):
+    def test_backoff_spreads_retransmissions(self, monkeypatch):
         # Everything drops, so the cap must trip -- at the virtual
         # time the exponential schedule predicts: retransmissions at
         # 10, 30, 70, 150, and the 5th deadline (10+20+40+80+160=310)
         # finds the attempt budget spent.
-        events, net, _delivered = make_net(
-            FaultPlan(drop_p=1.0),
-            config=ReliabilityConfig(
-                retransmit_timeout=10.0, backoff=2.0, max_retries=4
-            ),
-        )
+        monkeypatch.setattr(reliable, "RETRANSMIT_TIMEOUT", 10.0)
+        monkeypatch.setattr(reliable, "BACKOFF", 2.0)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 4)
+        events, net, _delivered = make_net(FaultPlan(drop_p=1.0))
         net.send(0, 1, "x")
         with pytest.raises(ReliabilityError):
             events.run()
@@ -266,12 +245,12 @@ class ScriptedWire:
         ]
 
 
-def make_scripted(config=None, **script):
+def make_scripted(**script):
     events = EventQueue()
     wire = ScriptedWire(events, **script)
     net = Network(events, latency_model=wire)
     net.install_faults(wire)
-    net.install_transport(config or ReliabilityConfig())
+    net.install_transport()
     delivered = []
     net.install_delivery(
         landing(lambda dst, payload: delivered.append((events.now, dst, payload)))
@@ -343,16 +322,16 @@ class TestChannelTimer:
         assert wire.sent(1) == [70.0, 150.0]
         assert delivered == [(90.0, 1, "head"), (160.0, 1, "lost")]
 
-    def test_retry_cap_names_the_head_with_frames_parked_behind_it(self):
+    def test_retry_cap_names_the_head_with_frames_parked_behind_it(
+        self, monkeypatch
+    ):
         # The schedule test_backoff_spreads_retransmissions pins, with
         # five frames behind the doomed head: same instant, same
         # count, and the error carries the head.
-        events, net, _delivered = make_net(
-            FaultPlan(drop_p=1.0),
-            config=ReliabilityConfig(
-                retransmit_timeout=10.0, backoff=2.0, max_retries=4
-            ),
-        )
+        monkeypatch.setattr(reliable, "RETRANSMIT_TIMEOUT", 10.0)
+        monkeypatch.setattr(reliable, "BACKOFF", 2.0)
+        monkeypatch.setattr(reliable, "MAX_RETRIES", 4)
+        events, net, _delivered = make_net(FaultPlan(drop_p=1.0))
         for i in range(6):
             net.send(0, 1, ("p", i))
         with pytest.raises(ReliabilityError) as caught:
@@ -363,12 +342,11 @@ class TestChannelTimer:
         assert events.now == pytest.approx(310.0)
         assert net.stats.retransmits == 4
 
-    def test_dead_peer_is_suspected_with_its_lost_payloads(self):
-        events, net, wire, delivered = make_scripted(
-            config=ReliabilityConfig(
-                retransmit_timeout=10.0, backoff=1.0, suspect_retries=2
-            )
-        )
+    def test_dead_peer_is_suspected_with_its_lost_payloads(self, monkeypatch):
+        monkeypatch.setattr(reliable, "RETRANSMIT_TIMEOUT", 10.0)
+        monkeypatch.setattr(reliable, "BACKOFF", 1.0)
+        monkeypatch.setattr(reliable, "SUSPECT_RETRIES", 2)
+        events, net, wire, delivered = make_scripted()
         net.install_liveness(lambda pid: pid != 1)
         downs = []
         net.transport.install_peer_down(
@@ -560,13 +538,12 @@ class TestSelectiveAck:
         assert stats.physical_sent <= 470
         assert events.now <= 1000.0
 
-    def test_ack_from_a_peer_since_crashed_resends_nothing(self):
+    def test_ack_from_a_peer_since_crashed_resends_nothing(self, monkeypatch):
         # Processor 1 acks at 95 and crashes at 100.  The ack lands at
         # 105 and reports seq 2 missing and due, but a dead peer is the
         # timer's business: it alone charges retries, and so suspects.
-        events, net, wire, delivered = make_scripted(
-            drops={0: 1, 2: 99}, config=ReliabilityConfig(suspect_retries=2)
-        )
+        monkeypatch.setattr(reliable, "SUSPECT_RETRIES", 2)
+        events, net, wire, delivered = make_scripted(drops={0: 1, 2: 99})
         net.install_liveness(lambda pid: pid != 1 or events.now < 100.0)
         downs = []
         net.transport.install_peer_down(
@@ -1020,6 +997,13 @@ class TestAssumedModeUnchanged:
         cluster = DBTreeCluster(num_processors=2, seed=0)
         assert cluster.kernel.network.transport is None
         assert ReliabilityConfig not in cluster.kernel.layers
+
+    def test_enforced_mode_is_the_plan_alone(self):
+        # Nothing to tune: the plan has no field, its presence is the mode.
+        cluster = DBTreeCluster(num_processors=2, seed=0, reliability="enforced")
+        assert cluster.kernel.network.transport is not None
+        assert cluster.kernel.layers[ReliabilityConfig] == ReliabilityConfig()
+        assert dataclasses.fields(ReliabilityConfig) == ()
 
     def test_enforced_same_final_state_as_assumed_when_clean(self):
         # On a clean substrate enforcement changes timing (acks) but

@@ -17,6 +17,7 @@ from repro import CrashPlan, DBTreeCluster, FaultPlan, RepairPlan
 from repro.core.dbtree import LeafMirrors
 from repro.repair import copy_digest, make_placement, snapshot_digest
 from repro.repair import digest as digest_module
+from repro.repair import gossip as gossip_module
 from repro.repair import repair as repair_module
 from repro.repair.digest import MASK, bucket_sums, row_hash
 from repro.repair.placement import (
@@ -26,7 +27,7 @@ from repro.repair.placement import (
     rendezvous_weight,
 )
 from repro.protocols.variable import VariableCopiesProtocol
-from repro.repair.gossip import DigestDetail, DigestNodes, DigestOffer
+from repro.repair.gossip import DigestDetail, DigestNodes, DigestOffer, GossipTick
 from repro.repair.repair import MirrorPull, RepairService
 from repro.sim.network import Bundle
 from repro.verify.checker import check_digest_convergence, leaf_contents
@@ -147,17 +148,11 @@ class TestRepairPlan:
     def test_validation(self):
         with pytest.raises(ValueError, match="period"):
             RepairPlan(period=0.0)
-        with pytest.raises(ValueError, match="fanout"):
-            RepairPlan(fanout=0)
-        with pytest.raises(ValueError, match="bucket"):
-            RepairPlan(buckets=0)
-        with pytest.raises(ValueError, match="stop_after_clean"):
-            RepairPlan(stop_after_clean=0)
 
     def test_cluster_knob_shorthand(self):
         cluster = DBTreeCluster(
             num_processors=2, protocol="variable",
-            repair_period=75.0, repair_fanout=1,
+            repair_period=75.0,
         )
         assert cluster.engine.repair is not None
         assert cluster.engine.repair.plan.period == 75.0
@@ -200,19 +195,19 @@ class TestDigests:
 
     def test_bucket_sums_commute(self):
         rows = [(1, ("C", 111, 0, 5)), (9, ("M", 222, 0, 7)), (3, ("C", 333, 1, 2))]
-        sums = bucket_sums(dict(rows), 8)
+        sums = bucket_sums(dict(rows))
         # Insertion order does not matter.
-        assert bucket_sums(dict(reversed(rows)), 8) == sums
+        assert bucket_sums(dict(reversed(rows))) == sums
         assert sums[1] != 0 and sums[3] != 0 and sums[2] == 0
         # Adding a row and taking it away again restores the sums.
-        added = bucket_sums(dict(rows + [(17, ("L", 444, 0, 9))]), 8)
+        added = bucket_sums(dict(rows + [(17, ("L", 444, 0, 9))]))
         assert added[1] != sums[1] and added[3] == sums[3]
         assert (added[1] - row_hash(17, "L", 444)) & MASK == sums[1]
         # A home's leaf row and the holder's mirror row of it are one
         # comparison class; a replicated copy's row is another.
-        leaf = bucket_sums({4: ("L", 555, 0, 1)}, 8)
-        assert leaf == bucket_sums({4: ("M", 555, 0, 1)}, 8)
-        assert leaf != bucket_sums({4: ("C", 555, 0, 1)}, 8)
+        leaf = bucket_sums({4: ("L", 555, 0, 1)})
+        assert leaf == bucket_sums({4: ("M", 555, 0, 1)})
+        assert leaf != bucket_sums({4: ("C", 555, 0, 1)})
 
     def test_digest_index_caches_until_mutation(self):
         cluster = repair_cluster()
@@ -256,6 +251,29 @@ class TestGossipRounds:
         cluster.run()  # would raise QuiescenceError if gossip ping-ponged
         counters = cluster.engine.repair.counters
         assert counters.get("gossip_dormant", 0) > 0
+
+    def test_every_peer_is_visited_within_n_minus_1_ticks(self, monkeypatch):
+        # A tick contacts one peer, the next in the rotation, so n - 1
+        # ticks of one processor open a round with every other one.
+        cluster = repair_cluster(num_processors=5)
+        cluster.insert(1, "a")
+        cluster.run()
+        scheduler = cluster.engine.repair.scheduler
+        peers = []
+        monkeypatch.setattr(
+            scheduler, "begin_round", lambda _proc, peer: peers.append(peer)
+        )
+        proc = cluster.kernel.processors[2]
+        for _tick in range(4):
+            scheduler.on_tick(proc, GossipTick(2))
+        assert sorted(peers) == [0, 1, 3, 4]
+
+    def test_dormancy_waits_stop_after_clean_sweeps(self, monkeypatch):
+        # A sweep is the n - 1 periods the rotation needs.
+        scheduler = repair_cluster(repair_period=40.0).engine.repair.scheduler
+        assert scheduler._quiet_window() == 2 * 3 * 40.0
+        monkeypatch.setattr(gossip_module, "STOP_AFTER_CLEAN", 5)
+        assert scheduler._quiet_window() == 5 * 3 * 40.0
 
     def test_round_with_crashed_peer_aborts_cleanly(self):
         cluster = repair_cluster(schedule=((2, 800.0, None),))
@@ -314,7 +332,7 @@ class TestGossipRounds:
 
         def deliver_stale_drilldown():
             bogus = 10_000  # never allocated
-            buckets = tuple(range(service.plan.buckets))
+            buckets = tuple(range(digest_module.BUCKETS))
             proc = cluster.kernel.processors[0]
             service.execute_repairs(
                 proc,
@@ -376,7 +394,7 @@ class TestGossipRounds:
             DigestNodes(
                 src_pid=1,
                 round_id=999_999,
-                buckets=tuple(range(service.plan.buckets)),
+                buckets=tuple(range(digest_module.BUCKETS)),
                 entries=(),
             ),
         )
@@ -578,6 +596,27 @@ class TestRidingOffers:
             if any(isinstance(item, DigestDetail) for item in items(payload))
         )
         assert not any(isinstance(item, DigestOffer) for item in items(detail))
+        assert cluster.check().ok
+        assert not check_digest_convergence(cluster.engine)
+
+    def test_the_bucket_count_reaches_sums_detail_and_drill_down(self, monkeypatch):
+        # One bucket: the detail carries one sum, and the drill-down
+        # ships every row the pair shares.
+        monkeypatch.setattr(digest_module, "BUCKETS", 1)
+        cluster = quiet_mirrored()
+        service = cluster.engine.repair
+        holder, node_id, home = a_full_mirror(cluster)
+        stale_mirror(cluster, holder, node_id)
+        sent = wire(cluster, monkeypatch)
+        shared = len(service.shared_entries(holder, home)[0])
+        service.scheduler.begin_round(holder, home)
+        service.scheduler._send_riders(holder.pid)
+        cluster.run()
+        sent_items = [item for *_route, payload in sent for item in items(payload)]
+        [detail] = [item for item in sent_items if isinstance(item, DigestDetail)]
+        [nodes] = [item for item in sent_items if isinstance(item, DigestNodes)]
+        assert len(detail.buckets) == 1
+        assert nodes.buckets == (0,) and len(nodes.entries) == shared
         assert cluster.check().ok
         assert not check_digest_convergence(cluster.engine)
 

@@ -112,7 +112,6 @@ class TestLayerReport:
         op_timeout=300.0,
         replication_factor=2,
         repair_period=100.0,
-        repair_fanout=2,
     )
 
     @staticmethod
@@ -203,8 +202,6 @@ class TestLayerReport:
         }
         # plan values: taken once, equal to what was configured
         assert report["repair"]["period"] == 100.0
-        assert report["repair"]["fanout"] == 2
-        assert report["repair"]["buckets"] == per_shard[0]["repair"]["buckets"]
         assert report["detector"]["mode"] == "timeout"
         assert report["faults"]["drop_p"] == 0.05
         assert report["permute"] == {"enabled": False}

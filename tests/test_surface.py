@@ -35,11 +35,22 @@ def test_plan_fields_are_held_to_the_rule():
     surface = load_ledger()
     rows = surface.ledger()
     rows["fields"]["CrashPlan.schedule"] = [0, 0, 0, 0, 3]
-    rows["fields"]["DetectorPlan.min_std"] = [1, 0, 0, 0, 1]
+    rows["keywords"]["LazyHashTable.fault_plan"] = [1, 0, 0, 0, 2]
     assert surface.problems(rows) == [
+        "LazyHashTable.fault_plan: in TEST_ONLY but has callers outside tests/",
         "CrashPlan.schedule: no caller outside tests/, no reason in TEST_ONLY",
-        "DetectorPlan.min_std: in TEST_ONLY but has callers outside tests/",
     ]
+
+
+def test_no_tuning_value_is_kept_for_tests_alone():
+    """A value that only tests set is a module constant they patch, not
+    a plan field or a facade keyword.  ``LazyHashTable.fault_plan``
+    stays: it selects a layer rather than a value."""
+    surface = load_ledger()
+    rows = surface.ledger()
+    kept = {name for name, _reason in surface.TEST_ONLY}
+    assert not kept & rows["fields"].keys()
+    assert kept & rows["keywords"].keys() <= {"LazyHashTable.fault_plan"}
 
 
 def test_a_keyword_counts_only_at_its_facades_call_sites():
