@@ -13,6 +13,9 @@
 * :mod:`repro.core.aas` -- atomic action sequences, the distributed
   analogue of a shared-memory lock (used by the synchronous split
   protocol only).
+* :mod:`repro.core.engine` -- the engine skeleton the dB-tree, hash
+  table and trie engines share: the action table and the operation
+  ledger.
 * :mod:`repro.core.dbtree` -- the protocol-parameterised engine that
   runs a distributed B-link tree on the simulation substrate.
 * :mod:`repro.core.client` -- the public facade

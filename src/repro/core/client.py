@@ -225,9 +225,7 @@ class KernelClient(ClientSurface):
                 "payload_kind": "+".join(message_kind(item) for item in items),
                 "op_id": ops[0].op_id if ops else None,
             }
-        # Only the dB-tree engine disposes of operations it cannot
-        # finish (crashed home, exhausted retry budget).
-        verdicts = getattr(self.engine, "op_verdicts", {})
+        verdicts = self.engine.op_verdicts
         trace = self.trace
         return RunResults(
             events_executed=executed,

@@ -108,15 +108,19 @@ class CrashRecovery:
         order -- the home itself, if it can serve again -- keeping its
         op id; that processor becomes its home, where the return lands
         and the completion fires (a late return to the old home is the
-        duplicate the return dedup swallows).  None when no processor
-        is live and rooted.
+        duplicate the return dedup swallows).  The moved op replaces
+        the engine's ledger entry.  None when no processor is live and
+        rooted.
         """
-        kernel = self.engine.kernel
+        engine = self.engine
+        kernel = engine.kernel
         pids = kernel.pids
         at = pids.index(op.home_pid)
         for pid in pids[at:] + pids[:at]:
             if self.can_serve(kernel.processor(pid)):
-                return op if pid == op.home_pid else op._replace(home_pid=pid)
+                if pid != op.home_pid:
+                    op = engine.in_flight[op.op_id] = op._replace(home_pid=pid)
+                return op
         return None
 
     # ------------------------------------------------------------------

@@ -36,7 +36,8 @@ class OpTimers:
         self.engine = engine
         self.timeout = timeout
         self.retries = retries
-        # op_id -> [retries_left, timer EventHandle, last timer delay, op]
+        # op_id -> [retries_left, timer EventHandle, last timer delay];
+        # the op itself is the engine's ledger entry.
         self._pending: dict[int, list] = {}
         # Derived lazily so runs that never retry register no stream.
         self._backoff_rng: random.Random | None = None
@@ -65,7 +66,7 @@ class OpTimers:
             # First attempt: plain timeout, no jitter (the fast path's
             # pinned traces depend on it).
             delay = self.timeout
-            entry = self._pending[op.op_id] = [self.retries, None, delay, op]
+            entry = self._pending[op.op_id] = [self.retries, None, delay]
         else:
             # Re-arm after a retry: back off with decorrelated jitter
             # so a struggling home does not re-issue in lockstep.
@@ -86,7 +87,7 @@ class OpTimers:
         entry = self._pending.get(op_id)
         if entry is None:
             return  # completed (or verdicted) before the timer fired
-        op = entry[3]
+        op = engine.in_flight[op_id]
         if entry[0] <= 0:
             del self._pending[op_id]
             engine.fail_op(op, "timed_out")
@@ -107,12 +108,12 @@ class OpTimers:
         stays armed as it was, as the fallback.
         """
         crash = self.engine.crash
-        for entry in self._pending.values():
-            op = entry[3]
+        ledger = self.engine.in_flight
+        for op_id in self._pending:
+            op = ledger[op_id]
             if home_pid is None or op.home_pid == home_pid:
                 moved = crash.fail_over(op)
                 if moved is not None:
-                    entry[3] = moved
                     self._issue_from_root(moved, "op_failed_over")
 
     def _issue_from_root(self, op: OpContext, counter: str) -> None:

@@ -28,10 +28,11 @@ sweeps):
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Hashable
 
 from repro.core.client import KernelClient
+from repro.core.engine import Engine
 from repro.hash.bucket import Bucket, hash_key
 from repro.hash.directory import DirectoryReplica
 from repro.sim.simulator import Kernel
@@ -47,7 +48,10 @@ class HashOpContext:
     key: Hashable
     value: Any
     home_pid: int
-    hashed: int
+    hashed: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hashed", hash_key(self.key))
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,10 @@ class DirectoryAck:
     from_pid: int
 
 
-class LazyHashEngine:
+class LazyHashEngine(Engine):
     """Message-level implementation of the lazy hash table."""
+
+    op_type = HashOpContext
 
     def __init__(
         self,
@@ -125,16 +131,21 @@ class LazyHashEngine:
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.kernel = kernel
+        super().__init__(
+            kernel,
+            Trace(),  # operations + counters only
+            {
+                HashLookup: self._on_lookup,
+                HashStep: self._on_step,
+                HashReturn: self._on_return,
+                CreateBucket: self._on_create_bucket,
+                DirectoryUpdate: self._on_directory_update,
+                DirectoryAck: self._on_directory_ack,
+            },
+        )
         self.capacity = capacity
         self.mode = mode
-        self.trace = Trace()  # operations + counters only
-        self._next_op_id = 0
-        # Ops still owed a return: a duplicating substrate can land a
-        # return twice, and the first one stands.
-        self._in_flight: set[int] = set()
         self._next_bucket_id = 0
-        self._next_home = 0  # round-robin buddy placement
         for proc in kernel.processors.values():
             proc.state.update(
                 buckets={},  # bucket_id -> Bucket
@@ -144,15 +155,6 @@ class LazyHashEngine:
                 frozen_buckets=set(),  # bucket ids blocked by a sync round
                 frozen_ops=defaultdict(list),
             )
-        #: The action table: one row per action type.
-        self._handlers = {
-            HashLookup: self._on_lookup,
-            HashStep: self._on_step,
-            HashReturn: self._on_return,
-            CreateBucket: self._on_create_bucket,
-            DirectoryUpdate: self._on_directory_update,
-            DirectoryAck: self._on_directory_ack,
-        }
         kernel.install_handler(self.handle)
         self._bootstrap()
 
@@ -175,11 +177,6 @@ class LazyHashEngine:
         self._next_bucket_id += 1
         return self._next_bucket_id
 
-    def _alloc_home(self) -> int:
-        pid = self.kernel.pids[self._next_home % len(self.kernel.pids)]
-        self._next_home += 1
-        return pid
-
     # ------------------------------------------------------------------
     # client API
     # ------------------------------------------------------------------
@@ -188,41 +185,9 @@ class LazyHashEngine:
     ) -> int:
         if kind not in ("insert", "search", "delete"):
             raise ValueError(f"unknown operation kind {kind!r}")
-        self._next_op_id += 1
-        op = HashOpContext(
-            op_id=self._next_op_id,
-            kind=kind,
-            key=key,
-            value=value,
-            home_pid=home_pid,
-            hashed=hash_key(key),
-        )
-        self.trace.record_op_submitted(
-            op.op_id, kind, key, home_pid, self.kernel.now
-        )
-        self._in_flight.add(op.op_id)
+        op = self.open_op(kind, key, value, home_pid)
         self.kernel.processor(home_pid).submit(HashLookup(op=op))
         return op.op_id
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def handle(self, proc, action: Any) -> None:
-        try:
-            handler = self._handlers[action.__class__]
-        except KeyError:
-            raise RuntimeError(
-                f"processor {proc.pid} received unhandled action {action!r}"
-            ) from None
-        handler(proc, action)
-
-    def _on_return(self, proc, action: HashReturn) -> None:
-        op_id = action.op.op_id
-        if op_id not in self._in_flight:
-            self.trace.bump("duplicate_return_ignored")
-            return
-        self._in_flight.remove(op_id)
-        self.trace.record_op_completed(op_id, action.result, self.kernel.now)
 
     # ------------------------------------------------------------------
     def _on_lookup(self, proc, action: HashLookup) -> None:

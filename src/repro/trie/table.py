@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.client import KernelClient
+from repro.core.engine import Engine
 from repro.sim.simulator import Kernel
 from repro.sim.tracing import Trace
 from repro.trie.node import Container, Interior
@@ -114,7 +115,7 @@ class EdgeTeach:
     child_pid: int
 
 
-class LazyTrieEngine:
+class LazyTrieEngine(Engine):
     """Message-level implementation of the lazy burst trie.
 
     ``serialize_edges=False`` builds the *strawman* variant for the
@@ -126,6 +127,7 @@ class LazyTrieEngine:
     """
 
     ROOT_ID = 1
+    op_type = TrieOpContext
 
     def __init__(
         self,
@@ -133,28 +135,27 @@ class LazyTrieEngine:
         capacity: int = 8,
         serialize_edges: bool = True,
     ) -> None:
-        self.kernel = kernel
+        super().__init__(
+            kernel,
+            Trace(),  # operations + counters only
+            {
+                CollectStep: self._on_collect,
+                TrieStep: self._on_step,
+                TrieReturn: self._on_return,
+                CreateTrieNode: self._on_create_node,
+                EdgeAdd: self._on_edge_add,
+                EdgeTeach: self._on_edge_add,
+            },
+        )
         self.capacity = capacity
         self.serialize_edges = serialize_edges
-        self.trace = Trace()  # operations + counters only
-        self._next_op_id = 0
         self._next_node_id = 1  # root takes 1
-        self._next_home = 0
         for proc in kernel.processors.values():
             proc.state.update(
                 nodes={},  # node_id -> Container | Interior
                 locator={},  # node_id -> pid
                 pending_node_ops=defaultdict(list),
             )
-        #: The action table: one row per action type.
-        self._handlers = {
-            CollectStep: self._on_collect,
-            TrieStep: self._on_step,
-            TrieReturn: self._on_return,
-            CreateTrieNode: self._on_create_node,
-            EdgeAdd: self._on_edge_add,
-            EdgeTeach: self._on_edge_add,
-        }
         kernel.install_handler(self.handle)
         self._bootstrap()
 
@@ -174,11 +175,6 @@ class LazyTrieEngine:
         self._next_node_id += 1
         return self._next_node_id
 
-    def _alloc_home(self) -> int:
-        pid = self.kernel.pids[self._next_home % len(self.kernel.pids)]
-        self._next_home += 1
-        return pid
-
     # ------------------------------------------------------------------
     # client API
     # ------------------------------------------------------------------
@@ -189,34 +185,9 @@ class LazyTrieEngine:
             raise ValueError(f"unknown operation kind {kind!r}")
         if not isinstance(key, str):
             raise TypeError(f"trie keys are strings, got {type(key).__name__}")
-        self._next_op_id += 1
-        op = TrieOpContext(
-            op_id=self._next_op_id,
-            kind=kind,
-            key=key,
-            value=value,
-            home_pid=home_pid,
-        )
-        self.trace.record_op_submitted(op.op_id, kind, key, home_pid, self.kernel.now)
+        op = self.open_op(kind, key, value, home_pid)
         self.kernel.processor(home_pid).submit(TrieStep(node_id=self.ROOT_ID, op=op))
         return op.op_id
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def handle(self, proc, action: Any) -> None:
-        try:
-            handler = self._handlers[action.__class__]
-        except KeyError:
-            raise RuntimeError(
-                f"processor {proc.pid} received unhandled action {action!r}"
-            ) from None
-        handler(proc, action)
-
-    def _on_return(self, proc, action: TrieReturn) -> None:
-        self.trace.record_op_completed(
-            action.op.op_id, action.result, self.kernel.now
-        )
 
     def _on_create_node(self, proc, action: CreateTrieNode) -> None:
         self._install(proc, action.node)

@@ -626,7 +626,7 @@ def check_all(
     tree is structurally sound."""
     _require_full(engine.trace, "check_all")
     trace = engine.trace
-    verdicts = getattr(engine, "op_verdicts", {})
+    verdicts = engine.op_verdicts
     report = CheckReport()
     report.extend("complete-ops", check_complete_operations(trace, verdicts))
     report.extend("structure", check_structure(engine))

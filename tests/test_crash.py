@@ -17,7 +17,6 @@ import pytest
 
 from repro import CrashPlan, DBTreeCluster, DetectorPlan, FaultPlan
 from repro.sim import reliable
-from repro.sim.crash import RECOVERY_GRACE, CrashController
 from repro.sim.network import Bundle
 from repro.sim.processor import ProcessorDownError
 from repro.sim.reliable import ReliabilityError
@@ -300,12 +299,14 @@ class TestSubmitRacesCrash:
         cluster.kernel.run_until(139.0)
         proc = cluster.kernel.processor(1)
         assert proc.state["root_id"] is None
-        pending = cluster.engine.timers._pending
-        assert {entry[3].home_pid for entry in pending.values()} == {0}
+        # Every op still owed a result waits on a timer.
+        pending = cluster.engine.in_flight
+        assert set(pending) == set(cluster.engine.timers._pending)
+        assert {op.home_pid for op in pending.values()} == {0}
         before = cluster.trace.counters["op_failed_over"]
         cluster.kernel.run_until(140.0)
         assert proc.state["root_id"] in cluster.engine.store(proc)
-        assert {entry[3].home_pid for entry in pending.values()} == {1}
+        assert {op.home_pid for op in pending.values()} == {1}
         assert cluster.trace.counters["op_failed_over"] == before + len(pending) > before
         assert cluster.trace.counters.get("op_retries", 0) == 0
 

@@ -4,7 +4,7 @@ import pytest
 
 from tests.helpers import assert_clean, run_insert_workload
 from repro import DBTreeCluster, FixedFactor, SingleCopy
-from repro.core.actions import InsertAction, Mode, OpContext, ScanStep, SearchStep
+from repro.core.actions import InsertAction, Mode, ScanStep, SearchStep
 from repro.sim.network import TopologyLatency
 
 
@@ -62,15 +62,7 @@ class TestLocatorRecovery:
 def begin_op(cluster, kind, key, value=None, home=0):
     """An op the engine tracks, as ``submit_operation`` makes one, whose
     first action the test hand-delivers."""
-    op = OpContext(
-        op_id=cluster.engine._alloc_op_id(),
-        kind=kind,
-        key=key,
-        value=value,
-        home_pid=home,
-    )
-    cluster.trace.record_op_submitted(op.op_id, kind, key, home, cluster.now)
-    return op
+    return cluster.engine.open_op(kind, key, value, home)
 
 
 class TestStepRuleBranches:
@@ -330,19 +322,10 @@ class TestOpAccounting:
             num_processors=4, capacity=4, replication=SingleCopy(pin_to=0), seed=3
         )
         expected = run_insert_workload(cluster, count=50)
-        from repro.core.actions import OpContext
-
         # Hand-deliver a descent step for a node pid 2 does not hold.
         leaf = next(c for c in cluster.engine.all_copies() if c.is_leaf)
         key = leaf.keys()[0]
-        op = OpContext(
-            op_id=cluster.engine._alloc_op_id(),
-            kind="search",
-            key=key,
-            value=None,
-            home_pid=2,
-        )
-        cluster.trace.record_op_submitted(op.op_id, "search", key, 2, cluster.now)
+        op = cluster.engine.open_op("search", key, None, 2)
         cluster.kernel.processor(2).submit(
             SearchStep(node_id=leaf.node_id, op=op)
         )
