@@ -31,8 +31,8 @@ completion takes the next queued action into service itself.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.sim.events import EventQueue
@@ -86,7 +86,6 @@ class ProcessorStats:
 
     actions_executed: int = 0
     busy_time: float = 0.0
-    by_kind: Counter = field(default_factory=Counter)
 
 
 class Processor:
@@ -102,12 +101,7 @@ class Processor:
     named.
     """
 
-    def __init__(
-        self,
-        pid: int,
-        events: EventQueue,
-        accounting: str = "full",
-    ) -> None:
+    def __init__(self, pid: int, events: EventQueue) -> None:
         self.pid = pid
         self._events = events
         # Crash-stop support is opt-in (make_crashable): only a kernel
@@ -119,9 +113,6 @@ class Processor:
         # incarnation (e.g. repair gossip ticks) check it and die
         # instead of double-firing alongside the restart's fresh chain.
         self.incarnation = 0
-        # "full" keeps the per-kind Counter; "aggregate" keeps only
-        # the scalars utilization() needs.
-        self._track_detail = accounting == "full"
         self._queue: deque[Any] = deque()
         self._busy = False
         self._in_service: Any = None
@@ -216,8 +207,6 @@ class Processor:
         action = self._in_service
         stats = self.stats
         stats.actions_executed += 1
-        if self._track_detail:
-            stats.by_kind[message_kind(action)] += 1
         # submit() refused every action while no handler was installed.
         kernel = self._kernel
         if kernel is not None:

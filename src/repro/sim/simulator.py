@@ -14,7 +14,8 @@ from typing import Any, Callable, Iterable
 
 from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.detector import DetectorPlan, FailureDetectorService
-from repro.sim.events import EventQueue, QuiescenceError
+from repro.sim.events import EventQueue
+from repro.sim.events import QuiescenceError  # noqa: F401 (re-exported)
 from repro.sim.failure import FaultPlan
 from repro.sim.layer import Layer
 from repro.sim.network import LatencyModel, Network, UniformLatency
@@ -95,9 +96,9 @@ class Kernel:
     seed:
         Seed for all randomness (latency jitter, fault injection).
     accounting:
-        Statistics verbosity for the network and processors: ``"full"``
-        (default) keeps per-kind Counters, ``"aggregate"`` keeps only
-        scalar totals.  Perf runs use aggregate.
+        Statistics verbosity for the network: ``"full"`` (default)
+        keeps the per-kind Counter, ``"aggregate"`` keeps only scalar
+        totals.  Perf runs use aggregate.
     layers:
         Plans of the opt-in layers (:data:`LAYERS`), at most one of
         each type; none gives the paper's machine, whose fast path no
@@ -160,7 +161,7 @@ class Kernel:
             accounting=accounting,
         )
         self.processors: dict[int, Processor] = {
-            pid: Processor(pid, self.events, accounting=accounting)
+            pid: Processor(pid, self.events)
             for pid in range(num_processors)
         }
         #: The processor whose action is running, while it holds its

@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
-from repro import DBTreeCluster
+from repro.sim.network import message_kind
+
+
+def count_executed(processors) -> dict:
+    """Count the actions each processor executes from now on, by kind
+    (:func:`~repro.sim.network.message_kind`): wraps each one's
+    installed handler.  Returns ``pid -> Counter``, kept current."""
+    counts = {}
+    for proc in processors:
+        counts[proc.pid] = Counter()
+        proc.install_handler(partial(_counted, proc._handler, counts[proc.pid]))
+    return counts
+
+
+def _counted(handler, counter, proc, action):
+    counter[message_kind(action)] += 1
+    handler(proc, action)
 
 
 def landing(deliver, pids=range(8)) -> dict:

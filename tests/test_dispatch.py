@@ -76,6 +76,7 @@ from repro.repair.repair import (
 )
 from repro.trie.table import LazyTrie
 from repro.workloads.balancer import BalanceProbe, BalancePull, DiffusiveBalancer
+from tests.helpers import count_executed
 
 ENGINE_ROWS = {
     SearchStep,
@@ -182,14 +183,13 @@ class TestTableRows:
         # the items that rode along each run as themselves.
         cluster = DBTreeCluster(num_processors=4, protocol="semisync", capacity=4)
         assert rows(cluster) == ENGINE_ROWS | PROTOCOL_ROWS["semisync"]
+        counts = count_executed(cluster.kernel.processors.values())
         for key in range(40):
             cluster.insert(key, key, client=key % 4)
         cluster.run()
         stats = cluster.kernel.network.stats
         assert stats.piggybacked > 0
-        executed = Counter()
-        for proc in cluster.kernel.processors.values():
-            executed.update(proc.stats.by_kind)
+        executed = sum(counts.values(), Counter())
         assert "bundle" not in executed
         # Semisync relays go only to other processors: each was sent.
         for kind in ("insert_relayed", "relayed_split"):

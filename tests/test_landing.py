@@ -19,6 +19,7 @@ import pytest
 from repro import DBTreeCluster
 from repro.sim.failure import FaultPlan
 from repro.sim.permute import PermutePlan
+from tests.helpers import count_executed
 
 
 def read_mostly(cluster: DBTreeCluster) -> None:
@@ -52,6 +53,7 @@ def observe(protocol: str, drive, fault_plan: FaultPlan | None) -> dict:
         leaf_cache=True,
         fault_plan=fault_plan,
     )
+    executed = count_executed(cluster.kernel.processors.values())
     completions = []
     cluster.engine.op_completion_listeners.append(
         lambda op, result: completions.append((op.op_id, cluster.now, result))
@@ -68,10 +70,7 @@ def observe(protocol: str, drive, fault_plan: FaultPlan | None) -> dict:
         "delivered": stats.delivered,
         "piggybacked": stats.piggybacked,
         "by_kind": dict(stats.by_kind),
-        "executed": {
-            pid: dict(proc.stats.by_kind)
-            for pid, proc in cluster.kernel.processors.items()
-        },
+        "executed": {pid: dict(counts) for pid, counts in executed.items()},
         "now": cluster.now,
     }
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import assert_clean, run_insert_workload
+from tests.helpers import assert_clean, count_executed, run_insert_workload
 from repro import DBTreeCluster
 from repro.sim.network import message_kind
 from repro.verify.checker import leaf_contents
@@ -80,6 +80,7 @@ class TestActionBundles:
             if not hold:
                 for proc in cluster.kernel.processors.values():
                     proc.hold_sends(None)
+            executed = count_executed(cluster.kernel.processors.values())
             for key in range(0, 200, 2):
                 cluster.insert(key, key, client=key % 4)
             cluster.run()
@@ -88,10 +89,6 @@ class TestActionBundles:
                 cluster.search(key - 1, client=(key + 1) % 4)
             cluster.run()
             stats = cluster.kernel.network.stats
-            executed = {
-                pid: proc.stats.by_kind
-                for pid, proc in cluster.kernel.processors.items()
-            }
             done = [(r.op_id, r.completed_at) for r in cluster.operation_records()]
             return cluster.now, executed, done, stats
 
@@ -141,11 +138,8 @@ class TestHoldingOnAndOff:
     def test_holding_keeps_the_schedule(self, protocol):
         def schedule(hold):
             cluster = cluster_holding(hold, protocol)
+            executed = count_executed(cluster.kernel.processors.values())
             run_insert_workload(cluster, count=150)
-            executed = {
-                pid: proc.stats.by_kind
-                for pid, proc in cluster.kernel.processors.items()
-            }
             done = [(r.op_id, r.completed_at) for r in cluster.operation_records()]
             return cluster.now, executed, done
 

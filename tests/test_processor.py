@@ -8,6 +8,7 @@ from repro.sim.events import EventQueue, QuiescenceError
 from repro.sim.network import Bundle
 from repro.sim import processor
 from repro.sim.processor import Processor
+from tests.helpers import count_executed
 
 
 def make_processor():
@@ -160,12 +161,13 @@ class TestStats:
         assert proc.stats.actions_executed == 2
         assert proc.stats.busy_time == 5.0
 
-    def test_by_kind_counter(self):
+    def test_executed_kinds_counted_at_the_handler(self):
         events, proc, _executed = make_processor()
+        counts = count_executed([proc])
         proc.submit("x")
         proc.submit("y")
         events.run()
-        assert proc.stats.by_kind["str"] == 2
+        assert counts[proc.pid]["str"] == 2
 
 
 def holding_processor(handler):
