@@ -207,7 +207,6 @@ class RepairService:
     # ------------------------------------------------------------------
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-        self.engine.trace.bump(f"repair_{name}", amount)
 
     def count_bytes(self, amount: int) -> None:
         self.digest_bytes += amount
