@@ -62,7 +62,7 @@ def check_placement(sharded: "ShardedCluster") -> list[str]:
     problems, _contents = placement_problems(
         [
             (s.shard_id, None, "retired" if s.retired else f"range {s.range}",
-             lambda key, s=s: s.covers(sharded._point(key)),
+             s.covers,
              sharded.shard_contents(s.shard_id), None)
             for s in sharded.directory.shards.values()
         ],
@@ -76,8 +76,7 @@ def _probe_points(sharded: "ShardedCluster") -> list:
     for shard in sharded.directory.live_shards():
         if shard.range.low is not NEG_INF:
             points.add(shard.range.low)
-        for key in sharded.shard_contents(shard.shard_id):
-            points.add(sharded._point(key))
+        points.update(sharded.shard_contents(shard.shard_id))
     return sorted(points)
 
 
@@ -167,7 +166,7 @@ def check_sharded(
             shard_expected = {
                 key: value
                 for key, value in expected.items()
-                if shard.range.contains(sharded._point(key))
+                if shard.range.contains(key)
             }
         sub = check_all(
             sharded.clusters[shard.shard_id].engine, expected=shard_expected

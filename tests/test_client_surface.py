@@ -21,8 +21,8 @@ BACKENDS = {
     "range-forest": lambda: ShardedCluster(
         num_processors=4, capacity=4, seed=5, shards=2, initial_boundaries=("k",)
     ),
-    "hash-forest": lambda: ShardedCluster(
-        num_processors=4, capacity=4, seed=5, shards=3, partitioning="hash"
+    "three-shard-forest": lambda: ShardedCluster(
+        num_processors=4, capacity=4, seed=5, shards=3, initial_boundaries=("f", "m")
     ),
     "hash-table": lambda: LazyHashTable(num_processors=4, capacity=4, seed=5),
     "trie": lambda: LazyTrie(num_processors=4, capacity=4, seed=5),

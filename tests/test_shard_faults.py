@@ -116,7 +116,7 @@ class TestShardingWithCrashes:
             forest.search(key, client=forest.pids[index % 4])
         assert forest.run().ok
         for key in expected:
-            covering = forest.directory.covering(forest._point(key))
+            covering = forest.directory.covering(key)
             for pid in forest.pids:
                 assert forest._locate(pid, key) == covering
         assert_clean(forest, expected)
@@ -217,7 +217,7 @@ class TestFaultLayerPassThrough:
             ShardedCluster(shards=3)  # range mode needs boundaries
         with pytest.raises(ValueError):
             ShardedCluster(shards=2, partitioning="hash",
-                           initial_boundaries=(5,))
+                           initial_boundaries=(5,))  # range is the only scheme
 
 
 class TestMigrationFailures:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import assert_clean, run_insert_workload
 from repro import NEG_INF, POS_INF, ShardedCluster
-from repro.shard import DirectoryView, ShardDirectory
+from repro.shard import ShardDirectory
 from repro.verify.checker import leaf_contents
 from repro.shard.verify import (
     check_partition_soundness,
@@ -150,7 +150,7 @@ class TestShardedClusterProperties:
         assert check_routability(forest) == []
         assert check_version_convergence(forest) == []
         for key in expected:
-            covering = forest.directory.covering(forest._point(key))
+            covering = forest.directory.covering(key)
             for pid in forest.pids:
                 assert forest._locate(pid, key) == covering
         assert_clean(forest, expected)
@@ -164,22 +164,21 @@ class TestShardedClusterProperties:
         seed=st.integers(0, 10**6),
         keys=st.sets(st.integers(0, 5000), min_size=20, max_size=80),
         bounds=st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
-        partitioning=st.sampled_from(["range", "hash"]),
+        boundaries=st.sampled_from([(), (1700, 3400)]),
     )
     def test_cross_shard_scan_matches_model(
-        self, seed, keys, bounds, partitioning
+        self, seed, keys, bounds, boundaries
     ):
         """``scan_sync`` over the forest equals a sorted dict model,
-        for both range partitioning (stitched walks) and hash
-        partitioning (all-shard fan-out merge)."""
+        from one shard that splits under load or from three."""
         low, high = min(bounds), max(bounds)
         forest = ShardedCluster(
             num_processors=4,
             protocol="semisync",
             capacity=4,
             seed=seed,
-            shards=1 if partitioning == "range" else 3,
-            partitioning=partitioning,
+            shards=len(boundaries) + 1,
+            initial_boundaries=boundaries,
             shard_split_threshold=20,
         )
         model = {key: f"v{key}" for key in keys}
@@ -242,7 +241,7 @@ class TestPlantedViolations:
             capacity=4,
             seed=5,
             shards=3,
-            partitioning="hash",
+            initial_boundaries=(300, 600),
         )
         run_insert_workload(forest, count=90, key_fn=lambda i: i * 10)
         assert check_shard_coverage(forest) == []
@@ -275,7 +274,7 @@ class TestPlantedViolations:
         forest = self.healthy()
         key = next(
             k for k in range(10**4, 10**5)
-            if forest.directory.covering(forest._point(k)) != 0
+            if forest.directory.covering(k) != 0
         )
         self.plant(forest, 0, key)
         problems = check_shard_coverage(forest)
@@ -305,7 +304,7 @@ class TestPlantedViolations:
         forest.directory.info(2).forward_to = None
         key = next(
             k for k in range(10**4, 10**5)
-            if forest.views[0].route(forest._point(k)) == 2
+            if forest.views[0].route(k) == 2
         )
         self.plant(forest, 1, key)
         with pytest.raises(RuntimeError) as dead_end:
