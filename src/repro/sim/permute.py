@@ -31,7 +31,7 @@ it to the offending action pair.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.commutativity import ProtocolClaims, claims_for

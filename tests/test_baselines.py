@@ -98,7 +98,6 @@ class TestSingleRoot:
         assert server > 4 * max(others)
 
     def test_replicated_index_beats_single_root_search_throughput(self):
-        from repro.stats import throughput
         from repro.workloads import ClosedLoopDriver, Workload
 
         keys = [(i * 7) % 2003 for i in range(200)]

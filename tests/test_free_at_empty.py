@@ -1,7 +1,5 @@
 """Free-at-empty leaf reclamation (the dE-tree direction)."""
 
-import pytest
-
 from tests.helpers import assert_clean, run_insert_workload
 from repro import DBTreeCluster
 from repro.protocols.variable import VariableCopiesProtocol

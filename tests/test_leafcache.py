@@ -1,7 +1,5 @@
 """The leaf-location hint cache: unit behavior and engine integration."""
 
-import pytest
-
 from repro.core.client import DBTreeCluster
 from repro.core.keys import NEG_INF, POS_INF
 from repro.core import leafcache
