@@ -182,7 +182,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
-            engine.handle_missing(proc, action)
+            engine.on_missing_node(proc, action)
             return
         if copy.retired:
             # Cascaded retirement: pass the request further left.
@@ -280,7 +280,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                     JoinRetry(action.node_id, action.level, action.key, proc.pid),
                 )
                 return
-            engine.handle_missing(proc, action)
+            engine.on_missing_node(proc, action)
             return
         if not action.exact and (
             copy.level != action.level or not copy.in_range(action.key)
