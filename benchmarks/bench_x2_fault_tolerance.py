@@ -83,7 +83,7 @@ def measure(crashes: int, seed: int = 3, procs: int = 4) -> dict:
     return {
         "crashes": len(victims),
         "healed": healed,
-        "ops_lost": len(cluster.trace.incomplete_operations()),
+        "ops_lost": len(cluster.engine.in_flight),
         "rejoins": cluster.trace.counters.get("heal_rejoins_requested", 0),
         "phase_messages": heal_messages,
         "audit_ok": report.ok,

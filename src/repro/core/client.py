@@ -49,13 +49,13 @@ class RunResults:
 
     At trace level ``"ops"`` or ``"full"`` every submitted operation
     lands in exactly one partition: ``completed`` (produced a return
-    value), ``failed`` (refused because its home processor was down or
-    uninitialised and no timeout was configured to retry it),
-    ``timed_out`` (exhausted its per-operation retry budget), or
-    ``incomplete`` (no verdict -- normally empty at quiescence unless
-    the run died early).  At ``"off"`` no per-op records are kept, so
-    ``completed`` and ``incomplete`` are empty; ``failed`` and
-    ``timed_out`` still list the verdicts.
+    value), ``failed`` (no live, rooted processor could serve it and
+    no timeout was configured to retry it), ``timed_out`` (exhausted
+    its per-operation retry budget), or ``incomplete`` (still owed a
+    result -- normally empty at quiescence unless the run died
+    early).  At ``"off"`` no results are kept, so ``completed`` is
+    empty; the other three are read from the engine's ledger and
+    verdicts, the same at every level.
 
     ``completed`` covers every run so far; it is a copy, so a later
     run leaves an earlier result's partitions as they were.
@@ -226,14 +226,11 @@ class KernelClient(ClientSurface):
                 "op_id": ops[0].op_id if ops else None,
             }
         verdicts = self.engine.op_verdicts
-        trace = self.trace
         return RunResults(
             events_executed=executed,
             elapsed=self.kernel.now,
-            completed=dict(trace.results),
-            incomplete=tuple(
-                op_id for op_id in trace.pending if op_id not in verdicts
-            ),
+            completed=dict(self.trace.results),
+            incomplete=tuple(self.engine.in_flight),
             failed=tuple(o for o, v in verdicts.items() if v == "failed"),
             timed_out=tuple(o for o, v in verdicts.items() if v == "timed_out"),
             reliability_error=reliability_error,

@@ -10,6 +10,10 @@ per-processor state those need: ``dead_peers`` (who this processor
 believes is down), ``recovery_stash`` and ``recovering_until`` (the
 grace window after a restart, during which actions for copies still in
 flight are parked instead of healed).
+
+It also owns client fail-over: the rule that picks who begins an op
+its home cannot serve, and the walk of the engine's ledger that fails
+over a crashed home's ops, with or without op timers.
 """
 
 from __future__ import annotations
@@ -123,6 +127,29 @@ class CrashRecovery:
                 return op
         return None
 
+    def fail_over_ops(self, home_pid: int | None = None) -> None:
+        """Fail over the ops in the engine's ledger homed at
+        ``home_pid`` (every op when None).
+
+        Called for a crashed home, whose ops lost their returns with
+        it, and when the first processor is rooted again after none
+        was, when every op is stranded.  Each op is re-issued from
+        where :meth:`fail_over` puts it, by the same idempotent
+        re-issue a timer makes; no retry is spent and a timer stays
+        armed as it was, as the fallback.  An op no processor can
+        serve is :meth:`stranded <repro.core.dbtree.engine.DBTreeEngine
+        .strand>`.  The walk reads a snapshot: a fail-over writes the
+        moved op back, and a verdict takes one out.
+        """
+        engine = self.engine
+        for op in list(engine.in_flight.values()):
+            if home_pid is None or op.home_pid == home_pid:
+                moved = self.fail_over(op)
+                if moved is None:
+                    engine.strand(op)
+                else:
+                    engine.issue_from_root(moved, "op_failed_over")
+
     # ------------------------------------------------------------------
     # controller and detector hooks
     # ------------------------------------------------------------------
@@ -142,8 +169,7 @@ class CrashRecovery:
             engine.trace.record_copy_deleted(node_id, pid, engine.now, reason="crash")
         engine.reset_processor(proc)
         engine.trace.bump("processor_crashes")
-        if engine.timers is not None:
-            engine.timers.fail_over(pid)
+        self.fail_over_ops(pid)
 
     def _on_detector_suspect(self, observer: int, peer: int) -> None:
         """Observer's failure detector gave up on ``peer``.

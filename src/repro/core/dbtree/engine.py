@@ -269,25 +269,20 @@ class DBTreeEngine(Engine):
         via a message to a root holder.  A home that cannot begin it
         (down, or restarted and not rooted yet) hands it to another
         processor by the fail-over rule (:meth:`CrashRecovery.fail_over
-        <repro.core.dbtree.crash.CrashRecovery.fail_over>`).
+        <repro.core.dbtree.crash.CrashRecovery.fail_over>`), and an op
+        no processor can begin is :meth:`stranded <strand>`.
         """
         if kind not in ("search", "insert", "delete", "scan"):
             raise ValueError(f"unknown operation kind {kind!r}")
         proc = self.kernel.processors[home_pid]
         op = self.open_op(kind, key, value, home_pid)
-        timers = self.timers
+        if self.timers is not None:
+            self.timers.arm(op)
         crash = self.crash
         if crash is not None and not crash.can_serve(proc):
             moved = crash.fail_over(op)
             if moved is None:
-                # No processor is live and rooted.  With timeouts on,
-                # the op waits for the first one to relearn the root
-                # (or for its timer); without them, fail it now rather
-                # than hang or raise mid-simulation.
-                if timers is None:
-                    self.fail_op(op, "failed")
-                else:
-                    timers.arm(op)
+                self.strand(op)
                 return op.op_id
             self.trace.bump("op_failed_over")
             op = moved
@@ -304,9 +299,25 @@ class DBTreeEngine(Engine):
         cached = leaf_id is not None
         node_id = leaf_id if cached else self.root_id_of(proc)
         self.route_to_node(proc, node_id, SearchStep(node_id, op, cached))
-        if timers is not None:
-            timers.arm(op)
         return op.op_id
+
+    def issue_from_root(self, op: OpContext, counter: str) -> None:
+        """Idempotent re-issue from the op's home: same op identity,
+        fresh root descent (a timer's retry, a fail-over).  Counted
+        under ``counter``; nothing happens while the home cannot
+        serve."""
+        proc = self.kernel.processor(op.home_pid)
+        root_id = proc.state["root_id"]
+        if proc.alive and root_id is not None:
+            self.trace.bump(counter)
+            self.route_to_node(proc, root_id, SearchStep(root_id, op))
+
+    def strand(self, op: OpContext) -> None:
+        """Dispose of an op no live, rooted processor can serve (or
+        whose action reached a dead end): its timer will retry it, or,
+        with no timer to, it fails now rather than hang."""
+        if self.timers is None and op.op_id in self.in_flight:
+            self.fail_op(op, "failed")
 
     def schedule_operation(
         self,
@@ -503,18 +514,12 @@ class DBTreeEngine(Engine):
         return True
 
     def _dead_end(self, action: Any) -> None:
-        """Drop an action the step rule has nowhere to send.
-
-        Its operation is left to its timer, or failed when timers are
-        off -- the same disposal :meth:`submit_operation` gives an op
-        no processor can begin.
-        """
+        """Drop an action the step rule has nowhere to send; its
+        operation, if it has one, is :meth:`stranded <strand>`."""
         self.trace.bump("dead_ends")
         op = getattr(action, "op", None)
-        if op is None or self.timers is not None:
-            return
-        if op.op_id in self.in_flight:
-            self.fail_op(op, "failed")
+        if op is not None:
+            self.strand(op)
 
     def resolve(self, pid: int, key: Key) -> tuple[list[NodeCopy], int]:
         """Every leaf a search for ``key`` begun at ``pid`` can reach,
@@ -1065,20 +1070,16 @@ class DBTreeEngine(Engine):
         relearned = state["root_id"] is None  # only a crash forgets it
         state["root_id"] = root_id
         state["root_level"] = level
-        if (
-            relearned
-            and self.timers is not None
-            and not any(
-                self.crash.can_serve(other)
-                for other in self.kernel.processors.values()
-                if other is not proc
-            )
+        if relearned and not any(
+            self.crash.can_serve(other)
+            for other in self.kernel.processors.values()
+            if other is not proc
         ):
-            # The first processor rooted since none was: every pending
-            # op is stranded (submitted, or left by a crashed home,
-            # while no processor could begin it) and need not wait for
-            # its timer.
-            self.timers.fail_over()
+            # The first processor rooted since none was: every op in
+            # the ledger is stranded (submitted, or left by a crashed
+            # home, while no processor could begin it) and need not
+            # wait for its timer.
+            self.crash.fail_over_ops()
 
     # ------------------------------------------------------------------
     # missing-node handling

@@ -9,9 +9,13 @@ to ``retries`` times, with decorrelated-jitter back-off, and then
 recorded as ``timed_out``.
 
 The timer is the fallback, not the only signal: an operation whose
-home crashes, or that is pending when the first processor is rooted
-again after none was, fails over (:meth:`OpTimers.fail_over`) instead
-of sitting out the rest of its timeout.
+home crashes, or that is owed a result when the first processor is
+rooted again after none was, fails over at once
+(:meth:`CrashRecovery.fail_over_ops
+<repro.core.dbtree.crash.CrashRecovery.fail_over_ops>`, which reads
+the engine's ledger, timers or not) instead of sitting out the rest of
+its timeout.  Every op in the ledger is armed as it is opened, so the
+ledger and the timers hold the same ops in the same order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.actions import OpContext, SearchStep
+from repro.core.actions import OpContext
 
 if TYPE_CHECKING:
     from repro.core.dbtree.engine import DBTreeEngine
@@ -93,34 +97,5 @@ class OpTimers:
             engine.fail_op(op, "timed_out")
             return
         entry[0] -= 1
-        self._issue_from_root(op, "op_retries")
+        engine.issue_from_root(op, "op_retries")
         self.arm(op)
-
-    def fail_over(self, home_pid: int | None = None) -> None:
-        """Issue the pending ops homed at ``home_pid`` (every pending op
-        when None) from wherever the fail-over rule puts them.
-
-        Called for a crashed home, whose pending ops lost their returns
-        with it, and when the first processor is rooted again after
-        none was, when every pending op is stranded.  An op no
-        processor can serve stays where it is.  The same idempotent
-        re-issue the timer makes; no retry is spent and each timer
-        stays armed as it was, as the fallback.
-        """
-        crash = self.engine.crash
-        ledger = self.engine.in_flight
-        for op_id in self._pending:
-            op = ledger[op_id]
-            if home_pid is None or op.home_pid == home_pid:
-                moved = crash.fail_over(op)
-                if moved is not None:
-                    self._issue_from_root(moved, "op_failed_over")
-
-    def _issue_from_root(self, op: OpContext, counter: str) -> None:
-        """Idempotent re-issue: same op identity, fresh root descent."""
-        engine = self.engine
-        proc = engine.kernel.processor(op.home_pid)
-        root_id = proc.state["root_id"]
-        if proc.alive and root_id is not None:
-            engine.trace.bump(counter)
-            engine.route_to_node(proc, root_id, SearchStep(root_id, op))

@@ -55,7 +55,7 @@ def check_hash_table(
     engine: "LazyHashEngine", expected: Mapping[Any, Any] | None = None
 ) -> checker.CheckReport:
     report = checker.CheckReport()
-    report.extend("complete-ops", checker.check_complete_operations(engine.trace))
+    report.extend("complete-ops", checker.check_complete_operations(engine))
     placement, contents = checker.placement_problems(
         [
             (b.bucket_id, b.home_pid, f"prefix {b.prefix:b}/{b.local_depth}",

@@ -53,6 +53,7 @@ from repro.shard.directory import (
     ShardDirectory,
 )
 from repro.sim.rngs import derive_seed
+from repro.sim.tracing import TraceLevel
 from repro.verify.checker import leaf_contents
 from repro.verify.invariants import representative_nodes
 
@@ -93,7 +94,9 @@ class ShardedCluster(ClientSurface):
     **tree_kwargs:
         Forwarded verbatim to every per-shard
         :class:`~repro.core.client.DBTreeCluster` (protocol, capacity,
-        fault plans, reliability, replication factor, repair, ...).
+        fault plans, reliability, replication factor, repair, ...),
+        except ``trace_level="off"``: a shard at ``"off"`` keeps no
+        results, and a facade op's outcome is read from them.
     """
 
     def __init__(
@@ -111,6 +114,11 @@ class ShardedCluster(ClientSurface):
             raise ValueError("shards must be >= 1")
         if partitioning != "range":
             raise ValueError(f"unknown partitioning {partitioning!r}")
+        if TraceLevel.coerce(tree_kwargs.get("trace_level", "full")) is TraceLevel.OFF:
+            raise ValueError(
+                'a forest cannot run at trace_level="off": its shards would '
+                "keep no results, so no facade op would ever settle"
+            )
         if (
             shard_split_threshold is not None
             and shard_merge_threshold is not None

@@ -165,11 +165,9 @@ class Trace:
         # later reused (migration back, re-join after unjoin).
         self.archived_copies: list[CopyHistory] = []
         self.operations: dict[int, OperationRecord] = {}
-        #: The records still owed a return value, in submission order,
-        #: and the results of the rest: what a run's outcome is read
-        #: from, at a cost of what is in flight rather than of the
-        #: whole history.
-        self.pending: dict[int, OperationRecord] = {}
+        #: op_id -> result of every completed operation: what a run's
+        #: ``completed`` is read from.  The ops still owed a result are
+        #: the engine's ledger, not the trace's.
         self.results: dict[int, Any] = {}
         self.blocked_time: float = 0.0
         self.blocked_events: int = 0
@@ -307,7 +305,7 @@ class Trace:
     ) -> None:
         if op_id in self.operations:
             raise ValueError(f"operation {op_id} submitted twice")
-        self.operations[op_id] = self.pending[op_id] = OperationRecord(
+        self.operations[op_id] = OperationRecord(
             op_id=op_id, kind=kind, key=key, home_pid=home_pid, submitted_at=time
         )
 
@@ -317,17 +315,13 @@ class Trace:
             record.hops += 1
 
     def record_op_completed(self, op_id: int, result: Any, time: float) -> None:
-        record = self.pending.pop(op_id, None)
+        record = self.operations.get(op_id)
         if record is None:
-            if op_id in self.operations:
-                raise ValueError(f"operation {op_id} completed twice")
             raise ValueError(f"operation {op_id} completed but never submitted")
+        if op_id in self.results:
+            raise ValueError(f"operation {op_id} completed twice")
         record.completed_at = time
         record.result = self.results[op_id] = result
-
-    def incomplete_operations(self) -> list[OperationRecord]:
-        """Operations that never produced a return value."""
-        return list(self.pending.values())
 
     def latencies(self, kind: str | None = None) -> list[float]:
         """Latencies of completed operations, optionally by kind."""

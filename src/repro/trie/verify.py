@@ -51,7 +51,7 @@ def check_trie(
 ) -> checker.CheckReport:
     nodes = engine.all_nodes()
     report = checker.CheckReport()
-    report.extend("complete-ops", checker.check_complete_operations(engine.trace))
+    report.extend("complete-ops", checker.check_complete_operations(engine))
     placement, contents = checker.placement_problems(
         [
             (n.node_id, n.home_pid, f"prefix {n.prefix!r}", n.covers,

@@ -36,6 +36,7 @@ from repro.verify.invariants import check_structure, group_copies, representativ
 
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine
+    from repro.core.engine import Engine
     from repro.sim.tracing import Trace
 
 
@@ -74,25 +75,20 @@ class CheckReport:
 # ----------------------------------------------------------------------
 # complete histories
 # ----------------------------------------------------------------------
-def check_complete_operations(
-    trace: "Trace", verdicts: Mapping[int, str] | None = None
-) -> list[str]:
+def check_complete_operations(engine: "Engine") -> list[str]:
     """Every submitted operation must have completed.
 
-    Operations the failure layer explicitly disposed of (``failed`` /
-    ``timed_out`` verdicts under a crash plan or per-op timeout) are
-    excused: they are accounted for in the run results rather than
-    silently lost, which is what this check exists to catch.
+    Reads the engine's ledger, the ops still owed a result.  An op the
+    failure layer disposed of (a ``failed`` / ``timed_out`` verdict
+    under a crash plan or per-op timeout) has left it: it is accounted
+    for in the run results rather than silently lost, which is what
+    this check exists to catch.
     """
-    problems = []
-    for op in trace.incomplete_operations():
-        if verdicts and op.op_id in verdicts:
-            continue
-        problems.append(
-            f"operation {op.op_id} ({op.kind} {op.key!r} from pid "
-            f"{op.home_pid}) never completed"
-        )
-    return problems
+    return [
+        f"operation {op.op_id} ({op.kind} {op.key!r} from pid "
+        f"{op.home_pid}) never completed"
+        for op in engine.in_flight.values()
+    ]
 
 
 def leaf_contents(engine: "DBTreeEngine") -> dict[Key, Any]:
@@ -628,7 +624,7 @@ def check_all(
     trace = engine.trace
     verdicts = engine.op_verdicts
     report = CheckReport()
-    report.extend("complete-ops", check_complete_operations(trace, verdicts))
+    report.extend("complete-ops", check_complete_operations(engine))
     report.extend("structure", check_structure(engine))
     report.extend("trace-store", check_trace_store_agreement(engine))
     report.extend("compatible", check_compatible_histories(engine))

@@ -75,7 +75,7 @@ def assert_clean(cluster, expected=None):
 def derive_run_results(cluster):
     """What ``run()`` reports for a one-engine cluster, derived from
     scratch by a pass over every operation record the trace kept: the
-    reference ``Trace.pending`` and ``Trace.results`` are held to.
+    reference the engine's ledger and ``Trace.results`` are held to.
     Returns ``(completed, incomplete, failed, timed_out)``."""
     verdicts = cluster.engine.op_verdicts
     records = cluster.trace.operations.values()

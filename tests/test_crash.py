@@ -251,6 +251,39 @@ class TestFailOver:
         assert 2 in homes.values()
         assert cluster.check().ok
 
+    def test_crash_without_timers_fails_over_its_homes_ops(self):
+        # Pid 1 goes down for good at 30 with its share of 300 inserts
+        # still owed a result, and no op has a timer: the crash reads
+        # the ledger, so each of them is re-issued from pid 2.
+        cluster = crash_cluster(((1, 30.0, None),), seed=1, op_timeout=None)
+        for index in range(300):
+            cluster.insert(index, index, client=index % 4)
+        results = cluster.run()
+        assert results.ok
+        assert len(results.completed) == 300
+        assert cluster.trace.counters["op_failed_over"] == 75
+        assert cluster.check().ok
+
+    def test_crash_with_no_live_rooted_processor_fails_its_homes_ops(self):
+        # Both processors go down for good and no timer will retry:
+        # pid 0's ops fail over to pid 1 at 20, and every op pid 1
+        # then holds fails at 30 -- none is left owed a result.
+        cluster = crash_cluster(
+            ((0, 20.0, None), (1, 30.0, None)), num_processors=2, op_timeout=None
+        )
+        for index in range(40):
+            cluster.insert(index, index, client=index % 2)
+        cluster.kernel.run_until(29.0)
+        owed = {
+            op_id for op_id, op in cluster.engine.in_flight.items() if op.home_pid == 1
+        }
+        results = cluster.run()
+        assert owed and owed <= set(results.failed)
+        assert results.incomplete == ()
+        assert len(results.completed) + len(results.failed) == 40
+        # Every copy is gone, so only the ops' half of the audit holds.
+        assert not [p for p in cluster.check().problems if "complete-ops" in p]
+
 
 class TestSubmitRacesCrash:
     """No processor live and rooted: park, fail and time out, or fail
@@ -299,9 +332,10 @@ class TestSubmitRacesCrash:
         cluster.kernel.run_until(139.0)
         proc = cluster.kernel.processor(1)
         assert proc.state["root_id"] is None
-        # Every op still owed a result waits on a timer.
+        # Every op still owed a result waits on a timer, armed in the
+        # order the ops were opened.
         pending = cluster.engine.in_flight
-        assert set(pending) == set(cluster.engine.timers._pending)
+        assert list(pending) == list(cluster.engine.timers._pending)
         assert {op.home_pid for op in pending.values()} == {0}
         before = cluster.trace.counters["op_failed_over"]
         cluster.kernel.run_until(140.0)

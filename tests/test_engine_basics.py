@@ -98,9 +98,8 @@ class TestLeafWork:
             for action in copy.proto["aas"].pending
         ]
         assert (blocked.key, blocked.payload) == (55, "b")
-        assert len(cluster.trace.incomplete_operations()) == 1
-        cluster.run()
-        assert not cluster.trace.incomplete_operations()
+        assert len(cluster.engine.in_flight) == 1
+        assert cluster.run().incomplete == ()
         assert cluster.trace.blocked_time > 0
         assert cluster.search_sync(55) == "b"
         assert_clean(cluster, expected={0: 0, 10: 1, 20: 2, 30: 3, 45: "a", 55: "b"})

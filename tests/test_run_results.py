@@ -1,11 +1,13 @@
 """``run()`` partitions every operation as a pass over the whole
 history would.
 
-The trace keeps the ops still owed a return value and the results of
-the rest, so a run's outcome costs what is in flight.  Every
-``KernelClient.run`` a test makes -- its own, and each one a forest
-makes per shard and per migration -- is held to
-:func:`tests.helpers.derive_run_results`.
+The engine's ledger keeps the ops still owed a result and the trace
+the results of the rest, so a run's outcome costs what is in flight.
+Every ``KernelClient.run`` a test makes -- its own, and each one a
+forest makes per shard and per migration -- is held to
+:func:`tests.helpers.derive_run_results`.  The ledger is kept at every
+trace level, so ``incomplete``, ``failed`` and ``timed_out`` do not
+depend on it.
 """
 
 import functools
@@ -80,6 +82,49 @@ def test_lost_returns_stay_incomplete(checked_runs, trace_level):
     assert len(results.completed) + len(results.incomplete) == 60
 
 
+def lost_returns(trace_level):
+    return DBTreeCluster(
+        num_processors=4, protocol="variable", capacity=4, seed=2,
+        trace_level=trace_level,
+        fault_plan=FaultPlan(drop_p=0.3, only_kinds=frozenset({"return"})),
+    )
+
+
+def crash_and_timers(trace_level):
+    return DBTreeCluster(
+        num_processors=4, protocol="variable", capacity=4, seed=5,
+        trace_level=trace_level,
+        crash_plan=CrashPlan(schedule=((1, 40.0, 300.0),)),
+        op_timeout=30.0, op_retries=1, replication_factor=2,
+    )
+
+
+def crash_to_the_last_processor(trace_level):
+    return DBTreeCluster(
+        num_processors=2, protocol="variable", capacity=4, seed=3,
+        trace_level=trace_level,
+        crash_plan=CrashPlan(schedule=((0, 20.0, None), (1, 30.0, None))),
+        replication_factor=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [lost_returns, crash_and_timers, crash_to_the_last_processor]
+)
+def test_outcome_is_the_same_at_every_trace_level(build):
+    outcomes = {}
+    for trace_level in ("off", "ops", "full"):
+        cluster = build(trace_level)
+        for index in range(60):
+            cluster.insert((index * 7) % 2003, index, client=index % 2)
+        results = cluster.run()
+        outcomes[trace_level] = (
+            results.incomplete, results.failed, results.timed_out
+        )
+    assert outcomes["off"] == outcomes["ops"] == outcomes["full"]
+    assert any(outcomes["off"])
+
+
 @LEVELS
 def test_crash_and_timers_with_verdicts_and_a_late_return(checked_runs, trace_level):
     cluster = DBTreeCluster(
@@ -129,5 +174,5 @@ def test_off_keeps_no_per_op_records():
     results = cluster.run()
     assert results.ok
     assert results.completed == {} and results.incomplete == ()
-    assert cluster.trace.operations == {} and cluster.trace.pending == {}
+    assert cluster.trace.operations == {}
     assert cluster.trace.results == {}

@@ -20,6 +20,7 @@ from repro import (
     ShardedCluster,
 )
 from repro.shard.verify import check_shard_coverage
+from repro.sim.tracing import TraceLevel
 from repro.stats import layer_report
 
 
@@ -219,6 +220,24 @@ class TestFaultLayerPassThrough:
             ShardedCluster(shards=2, partitioning="hash",
                            initial_boundaries=(5,))  # range is the only scheme
 
+    @pytest.mark.parametrize("trace_level", ["off", TraceLevel.OFF], ids=["name", "enum"])
+    def test_trace_level_off_rejected(self, trace_level):
+        # A shard at "off" keeps no results, so no facade op would
+        # ever settle: it would stay pending, and the run not ok.
+        with pytest.raises(ValueError, match="keep no results"):
+            ShardedCluster(shards=2, initial_boundaries=(20,), trace_level=trace_level)
+
+    @pytest.mark.parametrize("trace_level", ["ops", "full"])
+    def test_every_other_trace_level_settles_every_op(self, trace_level):
+        forest = ShardedCluster(
+            shards=2, initial_boundaries=(20,), trace_level=trace_level
+        )
+        for key in range(40):
+            forest.insert(key, key, client=key % 4)
+        results = forest.run()
+        assert results.ok and len(results.completed) == 40
+        assert forest._pending == {}
+
 
 class TestMigrationFailures:
     def test_counter_starts_at_zero(self):
@@ -250,5 +269,5 @@ class TestMigrationFailures:
         target = forest.clusters[target_id]
         # The target's migration inserts ran inside the same _migrate.
         assert target.trace.operations
-        assert list(target.trace.incomplete_operations()) == []
+        assert target.engine.in_flight == {}
         assert forest.counters["migration_failures"] == 1

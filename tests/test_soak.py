@@ -89,7 +89,7 @@ def test_variable_protocol_full_stack_soak(seed):
     assert counters["half_splits"] > 80
     assert counters.get("migrations", 0) > 0
     assert counters.get("crashed_copies", 0) == len(victims)
-    assert not cluster.trace.incomplete_operations()
+    assert not cluster.engine.in_flight
 
 
 @pytest.mark.soak

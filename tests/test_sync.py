@@ -41,7 +41,7 @@ class TestBlocking:
         cluster = sync_cluster()
         expected = run_insert_workload(cluster, count=300)
         # No operation left behind despite the blocking.
-        assert not cluster.trace.incomplete_operations()
+        assert not cluster.engine.in_flight
         assert_clean(cluster, expected=expected)
 
     def test_searches_never_blocked(self):

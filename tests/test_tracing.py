@@ -99,13 +99,6 @@ class TestOperations:
         with pytest.raises(ValueError):
             trace.record_op_completed(1, None, 2.0)
 
-    def test_incomplete_operations(self):
-        trace = Trace()
-        trace.record_op_submitted(1, "insert", 5, 0, 0.0)
-        trace.record_op_submitted(2, "insert", 6, 0, 0.0)
-        trace.record_op_completed(1, True, 3.0)
-        assert [op.op_id for op in trace.incomplete_operations()] == [2]
-
 
 class TestBlocking:
     def test_blocked_time_accumulates(self):

@@ -115,9 +115,11 @@ class TestPlantedViolations:
 
     def test_incomplete_operation_detected(self):
         cluster, _expected = healthy_cluster()
-        cluster.trace.record_op_submitted(999999, "search", 1, 0, cluster.now)
-        problems = check_complete_operations(cluster.trace)
-        assert any("999999" in p for p in problems)
+        op = cluster.engine.open_op("search", 1, None, 0)
+        problems = check_complete_operations(cluster.engine)
+        assert problems == [
+            f"operation {op.op_id} (search 1 from pid 0) never completed"
+        ]
 
     def test_missing_update_detected(self):
         cluster, _expected = healthy_cluster()

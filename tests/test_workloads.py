@@ -128,8 +128,7 @@ class TestDrivers:
         in_flight = []
 
         def watch(op, _result):
-            pending = len(cluster.trace.incomplete_operations())
-            in_flight.append(pending)
+            in_flight.append(len(cluster.engine.in_flight))
 
         cluster.engine.op_completion_listeners.append(watch)
         driver = ClosedLoopDriver(cluster, self._workload(cluster, count=60), depth=2)
