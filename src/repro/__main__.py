@@ -318,6 +318,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print()
     print(
         f"ops: {len(results.completed)} completed, "
+        f"{len(results.incomplete)} incomplete, "
         f"{len(results.failed)} failed, {len(results.timed_out)} timed out"
     )
     for name, on, detail in _layer_lines(cluster):
