@@ -405,9 +405,7 @@ class DBTreeCluster(KernelClient):
             layers=tuple(plan for plan in plans if plan is not None),
         )
         if self.kernel.permuter is not None:
-            from repro.core.commutativity import claims_for
-
-            self.kernel.permuter.bind_claims(claims_for(self.protocol.name))
+            self.kernel.permuter.bind_claims(self.protocol.commutativity())
         if op_timeout is not None and op_timeout <= 0:
             raise ValueError(f"op_timeout must be > 0, got {op_timeout}")
         if op_retries < 0:

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import (
     CreateCopy,
-    JoinRequest,
     MirrorUpdate,
     Mode,
     OpContext,
@@ -32,7 +31,6 @@ from repro.core.actions import (
     RecoveryAnnounce,
     SetRoot,
 )
-from repro.core.keys import NEG_INF
 from repro.sim.crash import RECOVERY_GRACE
 
 if TYPE_CHECKING:
@@ -211,7 +209,9 @@ class CrashRecovery:
         engine.trace.bump("processor_restarts")
 
     def _end_recovery(self, pid: int, deadline: float) -> None:
-        """Close the grace window: flush the stash, re-join the root."""
+        """Close the grace window: flush the stash, then let the
+        protocol re-enter what the restart lost (the root's
+        replication, under variable copies)."""
         engine = self.engine
         proc = engine.kernel.processor(pid)
         state = proc.state
@@ -227,22 +227,7 @@ class CrashRecovery:
                     # The copy never arrived; hand the stranded relay
                     # to the heal path so it re-joins explicitly.
                     engine.protocol.on_relay_to_missing(proc, act)
-        root_id = state["root_id"]
-        if (
-            root_id is not None
-            and root_id not in state["store"]
-            and engine.protocol.supports_join
-        ):
-            # The dB-tree policy wants the root everywhere: re-join
-            # its replication via the variable protocol's join path.
-            request = JoinRequest(
-                node_id=root_id,
-                level=state["root_level"],
-                key=NEG_INF,
-                requester_pid=pid,
-            )
-            engine.route_to_node(proc, root_id, request)
-            engine.trace.bump("recovery_root_joins")
+        engine.protocol.on_recovered(proc)
         engine.kernel.crash_controller.note_recovered(pid, engine.now)
 
     # ------------------------------------------------------------------
@@ -262,12 +247,7 @@ class CrashRecovery:
             # partition-tolerance contract the checker audits.
             engine.trace.bump("peer_failure_stale")
             return
-        joining = proc.state.get("joining")
-        if joining:
-            # Pending join requests may have been dead-lettered at the
-            # dead PC; clear the suppression so healing can re-issue.
-            joining.clear()
-            proc.state.pop("join_bounces", None)
+        engine.protocol.forget_joins(proc)
         self.mark_dead(proc, (dead,))
         engine.protocol.on_peer_failure(proc, dead)
         if engine.mirrors is not None:
@@ -278,10 +258,13 @@ class CrashRecovery:
 
         Restores the peer to this processor's world view (future copy
         sets, gossip partners, and mirror successors may include it
-        again) and nudges repair: if the false suspicion already
-        forced an unjoin or double-homed a leaf, the next gossip
-        exchange with the rescinded peer is what heals it, so waiting
-        out the dormancy window would just prolong the divergence.
+        again) and nudges repair.  Deliberately *not* a membership
+        operation: if the false suspicion already forced an unjoin or
+        double-homed a leaf, a silent local re-add would fork the
+        copy-set history.  Re-admitting ``pid`` goes through the
+        versioned join machinery, which the next gossip exchange with
+        the rescinded peer triggers, so waiting out the dormancy window
+        would just prolong the divergence.
         """
         engine = self.engine
         pid = action.pid
@@ -291,7 +274,6 @@ class CrashRecovery:
             return
         dead_peers.discard(pid)
         engine.trace.bump("peer_rescinds")
-        engine.protocol.on_peer_rescind(proc, pid)
         if engine.repair is not None:
             engine.repair.scheduler.wake(proc.pid)
 
@@ -307,10 +289,7 @@ class CrashRecovery:
         dead_peers = state.get("dead_peers")
         if dead_peers is not None:
             dead_peers.discard(back)
-        joining = state.get("joining")
-        if joining:
-            joining.clear()  # join requests to the dead peer never bounced
-            state.pop("join_bounces", None)
+        engine.protocol.forget_joins(proc)
         # 1. The root pointer (its SetRoot may have been dead-lettered).
         root_id = state["root_id"]
         if root_id is not None:

@@ -40,6 +40,8 @@ from repro.core.node import NodeCopy
 from repro.core.replication import Placement
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from repro.core.dbtree import DBTreeEngine
     from repro.sim.processor import ActionHandler, Processor
 
@@ -59,10 +61,11 @@ class Protocol:
     #: Whether half-splits maintain left-sibling links (mobile and
     #: variable-copies protocols need them for link-changes).
     maintain_left_links = False
-    #: Whether the protocol supports the variable-copies join path
-    #: (restarting processors re-enter interior replication by
-    #: joining; fixed-copies protocols cannot).
-    supports_join = False
+    #: The exact heal request that re-joins a node's replication
+    #: (:meth:`~repro.protocols.variable.VariableCopiesProtocol.rejoin`);
+    #: ``None`` for a protocol with fixed copy sets, which has no join
+    #: path to heal through.
+    rejoin: "Callable[..., bool] | None" = None
 
     #: Set by :meth:`bind`; an unbound protocol fails with
     #: ``AttributeError`` at first use.
@@ -376,15 +379,15 @@ class Protocol:
         whose primary copy lived on ``pid`` (the crash wiped them).
         """
 
-    def on_peer_rescind(self, proc: "Processor", pid: int) -> None:
-        """Hook: this processor's failure detector withdrew its
-        suspicion of ``pid`` (earned detection only -- the oracle is
-        never wrong, so it never rescinds).
+    def forget_joins(self, proc: "Processor") -> None:
+        """Hook: a peer crashed or restarted, so join requests this
+        processor has out may never be answered; forget them so a
+        later heal can ask again.  Default: nothing (no joins)."""
 
-        Called after the engine removed ``pid`` from ``dead_peers``.
-        Default: nothing.  Deliberately *not* a membership operation:
-        if the false suspicion already forced an unjoin, re-admitting
-        ``pid`` must go through the versioned join machinery (which
-        the anti-entropy layer triggers on the next exchange), not a
-        silent local re-add that would fork the copy-set history.
+    def on_recovered(self, proc: "Processor") -> None:
+        """Hook: ``proc``'s recovery grace window closed.
+
+        The variable-copies protocol re-joins the root's replication
+        if the restart left ``proc`` without it.  Default: nothing (a
+        fixed copy set cannot be re-entered).
         """

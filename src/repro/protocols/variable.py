@@ -24,7 +24,7 @@ assumption for this algorithm).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import (
     AbsorbRequest,
@@ -65,9 +65,6 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
 
     name = "variable"
     maintain_left_links = True
-    #: Restarting processors can re-enter interior replication via
-    #: the join path; the engine's recovery layer relies on this.
-    supports_join = True
 
     def __init__(self, free_at_empty: bool = False) -> None:
         super().__init__()
@@ -476,7 +473,6 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         """
         engine = self.engine
         eager = engine.crash.eager
-        controller = engine.kernel.crash_controller
         for copy in list(engine.store(proc).values()):
             if not copy.is_pc or copy.retired:
                 continue
@@ -485,22 +481,41 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             self._register_unjoin(proc, copy, dead_pid)
             engine.trace.bump("crash_forced_unjoins")
             if eager and not copy.is_leaf:
-                replacement = self._pick_replacement(proc, copy, controller)
+                replacement = self._pick_replacement(proc, copy)
                 if replacement is not None:
                     self._register_join(proc, copy, replacement)
                     engine.trace.bump("eager_rereplications")
 
-    def _pick_replacement(
-        self, proc: "Processor", copy: NodeCopy, controller
-    ) -> int | None:
-        """The lowest live pid not already in the copy set."""
-        for pid in self.engine.kernel.pids:
+    def _pick_replacement(self, proc: "Processor", copy: NodeCopy) -> int | None:
+        """The lowest pid not in the copy set that ``proc`` believes is up."""
+        engine = self.engine
+        for pid in engine.kernel.pids:
             if pid == proc.pid or pid in copy.copy_versions:
                 continue
-            if controller is not None and not controller.is_alive(pid):
-                continue
-            return pid
+            if engine.peer_up(proc.pid, pid):
+                return pid
         return None
+
+    def forget_joins(self, proc: "Processor") -> None:
+        """Drop every outstanding join request: each may have been
+        dead-lettered at a crashed peer, and a request still marked out
+        would suppress the heal that re-issues it."""
+        joining = proc.state.get("joining")
+        if joining:
+            joining.clear()
+            proc.state.pop("join_bounces", None)
+
+    def on_recovered(self, proc: "Processor") -> None:
+        """Re-join the root's replication at the end of the grace
+        window, if no announce response brought the root back: the
+        dB-tree policy wants the root everywhere."""
+        state = proc.state
+        root_id = state["root_id"]
+        if root_id is None or root_id in state["store"]:
+            return
+        request = JoinRequest(root_id, state["root_level"], NEG_INF, proc.pid)
+        self.engine.route_to_node(proc, root_id, request)
+        self.engine.trace.bump("recovery_root_joins")
 
     def on_peer_recovered(self, proc: "Processor", pid: int) -> None:
         """Re-send unjoin requests the crashed PC lost from its queue.
@@ -587,22 +602,43 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         route the request; a lost relayed split is healed by the next
         keyed relay.)
         """
-        from repro.core.actions import DeleteAction, InsertAction
-
         if not isinstance(action, (InsertAction, DeleteAction)):
             return
-        if action.node_id in proc.state.get("unjoined", set()):
-            return  # we left on purpose; the relay is just a straggler
+        if self.rejoin(proc, action.node_id, action.level, action.key):
+            self.engine.trace.bump("heal_rejoins_requested")
+
+    def rejoin(
+        self,
+        proc: "Processor",
+        node_id: int,
+        level: int,
+        key: Any,
+        to: int | None = None,
+    ) -> bool:
+        """Ask to re-join ``node_id``'s replication: the exact
+        (id-addressed) heal request, sent to ``to`` or, without one,
+        where the step rule says.
+
+        Refused (False, nothing sent) for a node this processor
+        unjoined on purpose (a relay or advice is just a straggler),
+        while a request for it is still out, and for a node with no
+        known holder (``heal_unroutable``; the next relay retries).
+        """
+        state = proc.state
+        if node_id in state.get("unjoined", ()):
+            return False
+        pending = state.setdefault("joining", set())
+        if node_id in pending:
+            return False
         engine = self.engine
-        pending = proc.state.setdefault("joining", set())
-        if action.node_id in pending:
-            return
-        request = JoinRequest(action.node_id, action.level, action.key, proc.pid, exact=True)
-        if not engine.route_to_node(proc, action.node_id, request):
+        request = JoinRequest(node_id, level, key, proc.pid, exact=True)
+        if to is not None:
+            engine.kernel.route(proc.pid, to, request)
+        elif not engine.route_to_node(proc, node_id, request):
             engine.trace.bump("heal_unroutable")
-            return  # retried on the next relay
-        pending.add(action.node_id)
-        engine.trace.bump("heal_rejoins_requested")
+            return False
+        pending.add(node_id)
+        return True
 
     def _clear_pending_join(self, proc: "Processor", node_id: int) -> None:
         pending = proc.state.get("joining")

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import (
     CreateCopy,
-    JoinRequest,
     MirrorUpdate,
     Mode,
     UnjoinRequest,
@@ -749,31 +748,16 @@ class RepairService:
     def _request_rejoin(
         self, proc: "Processor", node_id: int, level: int, key: Any, target: int
     ) -> bool:
-        """Heal through the exact (id-addressed) join."""
-        engine = self.engine
-        if not engine.protocol.supports_join:
+        """Heal through the protocol's exact (id-addressed) join."""
+        rejoin = self.engine.protocol.rejoin
+        if rejoin is None:
             # A fixed-membership protocol has no join path to heal
             # through; dropping the copy would just lose it.  Keep it
             # and report the divergence honestly.
             self.count("unrepairable")
             return False
-        if node_id in proc.state.get("unjoined", set()):
+        if not rejoin(proc, node_id, level, key, to=target):
             return False
-        pending = proc.state.setdefault("joining", set())
-        if node_id in pending:
-            return False
-        pending.add(node_id)
-        engine.kernel.route(
-            proc.pid,
-            target,
-            JoinRequest(
-                node_id=node_id,
-                level=level,
-                key=key,
-                requester_pid=proc.pid,
-                exact=True,
-            ),
-        )
         self.count("rejoins")
         return True
 

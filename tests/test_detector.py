@@ -432,3 +432,27 @@ class TestFalseSuspicionHeals:
         problems = check_false_kill(cluster.engine)
         assert len(problems) == 1
         assert "false kill" in problems[0]
+
+    def test_eager_replacement_skips_a_falsely_suspected_live_peer(self):
+        # A gray failure makes every observer falsely suspect live pid
+        # 1.  Its primary copies force-unjoin it, and eager recovery
+        # looks for a replacement member: the only pid outside the
+        # thinned copy sets is pid 1 itself, which the PC believes is
+        # down, so none may be chosen.  (The ground truth says pid 1
+        # is alive; asking it would re-replicate onto the peer just
+        # written off.)
+        cluster = detector_cluster(
+            DetectorPlan(mode="timeout", horizon=4000.0),
+            seed=2,
+            partition_plan=PartitionPlan(gray=((500.0, 2500.0, 1, None, 10.0),)),
+            op_timeout=500.0,
+            recovery_mode="eager",
+            replication_factor=2,
+            repair_period=100.0,
+        )
+        expected = spaced_inserts(cluster)
+        assert cluster.run().ok
+        assert cluster.check(expected=expected).ok
+        counters = cluster.trace.counters
+        assert counters["crash_forced_unjoins"] > 0
+        assert counters.get("eager_rereplications", 0) == 0

@@ -112,7 +112,6 @@ class TestCopyLossHealing:
         # Two members lose the node; the first one's heal request lands
         # at the other victim and bounces.  No relay follows, so the
         # heal must go on by asking a holder that still has the copy.
-        from repro.core.actions import JoinRequest
         from repro.core.keys import NEG_INF
 
         cluster = DBTreeCluster(num_processors=4, protocol="variable", capacity=4, seed=11)
@@ -127,12 +126,7 @@ class TestCopyLossHealing:
         for victim in (first, second):
             engine.crash_copy(victim, node.node_id)
         proc = cluster.kernel.processor(first)
-        proc.state.setdefault("joining", set()).add(node.node_id)
-        cluster.kernel.route(
-            first,
-            second,
-            JoinRequest(node.node_id, node.level, NEG_INF, first, exact=True),
-        )
+        assert cluster.protocol.rejoin(proc, node.node_id, node.level, NEG_INF, to=second)
         cluster.run()
         holders = {
             c.home_pid for c in engine.all_copies() if c.node_id == node.node_id
@@ -205,3 +199,74 @@ class TestUnjoinTombstones:
             c.home_pid for c in engine.all_copies() if c.node_id == node.node_id
         }
         assert leaver in holders
+
+
+class TestRejoin:
+    """``VariableCopiesProtocol.rejoin``: the one exact heal request,
+    shared by relay healing and anti-entropy repair."""
+
+    def lost_copy(self, monkeypatch):
+        cluster, _expected, node, victim = crashed_cluster()
+        sent = []
+        monkeypatch.setattr(
+            cluster.kernel, "route", lambda src, dst, act: sent.append((src, dst, act))
+        )
+        return cluster, node, cluster.kernel.processor(victim), sent
+
+    def test_tombstoned_node_is_not_rejoined(self, monkeypatch):
+        cluster, node, proc, sent = self.lost_copy(monkeypatch)
+        proc.state.setdefault("unjoined", set()).add(node.node_id)
+        assert not cluster.protocol.rejoin(proc, node.node_id, node.level, node.range.low)
+        assert sent == []
+        assert node.node_id not in proc.state.get("joining", ())
+
+    def test_request_already_out_is_not_repeated(self, monkeypatch):
+        cluster, node, proc, sent = self.lost_copy(monkeypatch)
+        proc.state["joining"] = {node.node_id}
+        assert not cluster.protocol.rejoin(
+            proc, node.node_id, node.level, node.range.low, to=node.pc_pid
+        )
+        assert sent == []
+
+    def test_node_with_no_known_holder_counts_unroutable(self, monkeypatch):
+        cluster, node, proc, sent = self.lost_copy(monkeypatch)
+        unknown = 1 + max(c.node_id for c in cluster.engine.all_copies())
+        before = cluster.trace.counters.get("heal_unroutable", 0)
+        assert not cluster.protocol.rejoin(proc, unknown, node.level, node.range.low)
+        assert sent == []
+        assert cluster.trace.counters["heal_unroutable"] == before + 1
+        assert unknown not in proc.state.get("joining", ())
+
+    def test_sends_one_exact_join_to_the_given_peer(self, monkeypatch):
+        from repro.core.actions import JoinRequest
+
+        cluster, node, proc, sent = self.lost_copy(monkeypatch)
+        assert cluster.protocol.rejoin(
+            proc, node.node_id, node.level, node.range.low, to=node.pc_pid
+        )
+        assert sent == [
+            (
+                proc.pid,
+                node.pc_pid,
+                JoinRequest(node.node_id, node.level, node.range.low, proc.pid, exact=True),
+            )
+        ]
+        assert node.node_id in proc.state["joining"]
+        # A second ask while the first is out sends nothing.
+        assert not cluster.protocol.rejoin(
+            proc, node.node_id, node.level, node.range.low, to=node.pc_pid
+        )
+        assert len(sent) == 1
+
+    def test_without_a_peer_the_step_rule_picks_a_holder(self, monkeypatch):
+        cluster, node, proc, sent = self.lost_copy(monkeypatch)
+        assert cluster.protocol.rejoin(proc, node.node_id, node.level, node.range.low)
+        [(src, dst, request)] = sent
+        assert src == proc.pid
+        assert dst in node.copy_pids and dst != proc.pid
+        assert (request.node_id, request.requester_pid, request.exact) == (
+            node.node_id,
+            proc.pid,
+            True,
+        )
+        assert node.node_id in proc.state["joining"]
