@@ -29,6 +29,7 @@ from repro.repair.placement import (
 from repro.protocols.variable import VariableCopiesProtocol
 from repro.repair.gossip import DigestDetail, DigestNodes, DigestOffer, GossipTick
 from repro.repair.repair import MirrorPull, RepairService
+from repro.sim.events import QuiescenceError
 from repro.sim.network import Bundle
 from repro.verify.checker import check_digest_convergence, leaf_contents
 
@@ -1260,3 +1261,63 @@ class TestAdjacentCrashRegression:
         assert cluster.trace.counters.get("leaves_rehomed", 0) > 0
         service = cluster.engine.repair
         assert service.counters.get("membership_sweeps", 0) > 0
+
+
+# ----------------------------------------------------------------------
+# fixed copy sets: a lost copy has no join path to heal through
+# ----------------------------------------------------------------------
+class TestFixedMembershipLivelock:
+    # Under semisync and sync a copy set never changes, so a copy lost
+    # to a crash (or to amnesia) is `unrepairable`.  Yet every round
+    # the holder still advises the loser to re-join, the advice counts
+    # as a repair, and the round marks gossip dirty: it never goes
+    # dormant and the run never quiesces (a 300,000-event budget runs
+    # out at vt 605,676 under semisync).  The budget is twenty times
+    # the 1,005 events ``variable`` runs the crashed setup in, loss
+    # healed.  Strict: a fix makes these pass and must remove the marks.
+    BUDGET = 20_000
+
+    def crashed(self, protocol):
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol=protocol,
+            capacity=4,
+            seed=1,
+            repair_period=100,
+            crash_plan=CrashPlan(schedule=((1, 50.0, 400.0),)),
+            op_timeout=300,
+        )
+        for index in range(60):
+            cluster.schedule(5.0 * index, "insert", index, index, client=index % 4)
+        return cluster
+
+    def amnesiac(self, protocol):
+        cluster = DBTreeCluster(
+            num_processors=4, protocol=protocol, capacity=4, seed=1, repair_period=100
+        )
+        for index in range(60):
+            cluster.insert(index, index, client=index % 4)
+        assert cluster.run().ok
+        engine = cluster.engine
+        node = next(c for c in engine.all_copies() if c.level == 1 and c.is_pc)
+        victim = next(p for p in node.copy_pids if p != node.pc_pid)
+        engine.crash_copy(victim, node.node_id)
+        engine.repair.kick()
+        return cluster
+
+    @pytest.mark.parametrize("setup", ["crashed", "amnesiac"])
+    def test_variable_heals_the_loss_and_quiesces(self, setup):
+        cluster = getattr(self, setup)("variable")
+        assert cluster.run(max_events=self.BUDGET).ok
+        assert cluster.check().ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=QuiescenceError,
+        reason="advice to re-join a fixed copy set keeps gossip awake",
+    )
+    @pytest.mark.parametrize("protocol", ["semisync", "sync"])
+    @pytest.mark.parametrize("setup", ["crashed", "amnesiac"])
+    def test_fixed_copy_sets_quiesce(self, setup, protocol):
+        cluster = getattr(self, setup)(protocol)
+        cluster.run(max_events=self.BUDGET)
