@@ -37,7 +37,9 @@ opcodes a 2,000-op slice of each of the eight rows executes, in total
 and per ``repro`` subpackage (``repro.perf.count_opcodes``).
 Bytecode differs between interpreters, so those counts are compared,
 exactly, only under the interpreter that pinned them; under any other
-the guard says it skipped them.
+the guard says it skipped them.  On a failure its closing line names
+the rows whose simulated quantities moved apart from the rows whose
+opcode counts moved, so a host-cost-only drift reads as one.
 
 Usage: PYTHONPATH=src python benchmarks/perf_guard.py [--ops N]
 
@@ -96,7 +98,9 @@ def main() -> int:
 
     with open(args.baseline, encoding="utf-8") as fh:
         baseline = json.load(fh)
-    failed = False
+    #: rows whose simulated quantities / opcode counts differ
+    sim_moved: dict[str, None] = {}
+    opcodes_moved: dict[str, None] = {}
     for block, metrics in BLOCKS.items():
         pinned = baseline[block]
         num_ops = args.ops if args.ops is not None else pinned["ops_completed"]
@@ -114,7 +118,7 @@ def main() -> int:
             verdict = "ok"
             if measured != reference:
                 verdict = "CHANGED"
-                failed = True
+                sim_moved[block] = None
             print(
                 f"{block} {metric}: measured {measured!r} "
                 f"vs pinned {reference!r} {verdict}"
@@ -125,6 +129,7 @@ def main() -> int:
         )
     opcodes = baseline["opcodes"]
     if opcodes["python"] != python_version():
+        opcodes_note = "opcodes skipped"
         print(
             f"opcodes: skipped (pinned under {opcodes['python']}, "
             f"running {python_version()})"
@@ -140,15 +145,25 @@ def main() -> int:
                 verdict = "ok"
                 if got != want:
                     verdict = "CHANGED"
-                    failed = True
+                    opcodes_moved[row] = None
                 print(
                     f"{row} opcodes {label}: measured {got!r} "
                     f"vs pinned {want!r} {verdict}"
                 )
-    if failed:
+        opcodes_note = (
+            f"opcodes moved in: {', '.join(opcodes_moved)}"
+            if opcodes_moved
+            else "opcodes exact"
+        )
+    if sim_moved or opcodes_moved:
+        simulated = (
+            f"simulated quantities moved in: {', '.join(sim_moved)}"
+            if sim_moved
+            else "simulated quantities exact"
+        )
         print(
-            "a pinned burst is not byte-identical to the baseline; if the "
-            "change is intentional, re-pin BENCH_core.json via `repro bench`",
+            f"{simulated}; {opcodes_note}; if the change is intentional, "
+            "re-pin BENCH_core.json via `repro bench`",
             file=sys.stderr,
         )
         return 1
