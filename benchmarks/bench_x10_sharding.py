@@ -21,8 +21,9 @@ Two questions:
 
 Reported per starting size (a pre-carved 8-shard forest and a single
 shard left to grow organically): audit/ops verdicts, splits, merges,
-keys migrated, stale-route recoveries and hint hops, and the final
-live shard count (totals over three seeds).
+keys migrated and the messages that moved them, stale-route
+recoveries and hint hops, and the final live shard count (totals over
+three seeds).
 """
 
 from common import emit
@@ -104,6 +105,7 @@ def measure(shards, seed):
         "splits": splits,
         "merges": merges,
         "migrated": summary["keys_migrated"],
+        "migration_msgs": summary["migration_msgs"],
         "stale_routes": summary["stale_routes"],
         "hint_hops": summary["hint_hops"] + summary["forwards"],
         "live_shards": summary["live_shards"],
@@ -126,6 +128,7 @@ def sweep():
                 "splits": sum(r["splits"] for r in runs),
                 "merges": sum(r["merges"] for r in runs),
                 "migrated": sum(r["migrated"] for r in runs),
+                "migration_msgs": sum(r["migration_msgs"] for r in runs),
                 "stale_routes": sum(r["stale_routes"] for r in runs),
                 "hint_hops": sum(r["hint_hops"] for r in runs),
                 "live_shards": [r["live_shards"] for r in runs],
@@ -145,6 +148,7 @@ def run_experiment() -> str:
             cell["splits"],
             cell["merges"],
             cell["migrated"],
+            cell["migration_msgs"],
             f"{cell['stale_routes']} ({cell['hint_hops']} hops)",
             "/".join(str(n) for n in cell["live_shards"]),
         ]
@@ -159,6 +163,7 @@ def run_experiment() -> str:
             "splits",
             "merges",
             "keys migrated",
+            "migration msgs",
             "stale routes",
             "final shards",
         ],

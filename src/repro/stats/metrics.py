@@ -98,9 +98,10 @@ def shard_summary(sharded: "ShardedCluster") -> dict[str, Any]:
 
     Directory shape (live/retired shards, version), per-shard entry
     counts in range order, reconfiguration work (splits, merges, keys
-    migrated), and router behaviour: direct routes vs stale routes
-    recovered through shed hints and forward pointers, and how many
-    view refreshes the recoveries triggered.
+    migrated and the messages their moves put on the wire), and router
+    behaviour: direct routes vs stale routes recovered through shed
+    hints and forward pointers, and how many view refreshes the
+    recoveries triggered.
     """
     live = sharded.directory.live_shards()
     counters = sharded.counters
@@ -117,6 +118,7 @@ def shard_summary(sharded: "ShardedCluster") -> dict[str, Any]:
         "splits": counters["shard_splits"],
         "merges": counters["shard_merges"],
         "keys_migrated": counters["keys_migrated"],
+        "migration_msgs": counters["migration_msgs"],
         "direct_routes": counters["shard_direct_routes"],
         "stale_routes": counters["shard_stale_routes"],
         "hint_hops": counters["shard_hint_hops"],
