@@ -166,17 +166,14 @@ class ClientSurface:
         return self._await(self.scan(low, high, limit, client))
 
     def load(
-        self,
-        items: Mapping[Key, Any] | Iterable[tuple[Key, Any]],
-        spread_clients: bool = True,
+        self, items: Mapping[Key, Any] | Iterable[tuple[Key, Any]]
     ) -> RunResults:
         """Bulk-insert items (spread across client processors) and run."""
         if isinstance(items, Mapping):
             items = items.items()
         pids = self.pids
         for index, (key, value) in enumerate(items):
-            client = pids[index % len(pids)] if spread_clients else pids[0]
-            self.insert(key, value, client=client)
+            self.insert(key, value, client=pids[index % len(pids)])
         return self.run()
 
 

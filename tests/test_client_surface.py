@@ -69,14 +69,14 @@ def test_one_script_every_backend(structure):
     assert structure.delete_sync("pear") is False
     assert structure.search_sync("pear", client=2) is None
 
-    # load: a mapping or pairs, spread over the clients or from the first
+    # load: a mapping or pairs, spread over the clients
     before = len(structure.trace.operations) if hasattr(structure, "trace") else None
     assert structure.load({"a1": 1, "a2": 2, "a3": 3, "a4": 4, "a5": 5}).ok
-    assert structure.load([("z1", 1), ("z2", 2)], spread_clients=False).ok
+    assert structure.load([("z1", 1), ("z2", 2)]).ok
     assert structure.search_sync("a5") == 5 and structure.search_sync("z2") == 2
     if before is not None:
         loaded = list(structure.trace.operations.values())[before:before + 7]
-        assert [op.home_pid for op in loaded] == [0, 1, 2, 3, 0, 0, 0]
+        assert [op.home_pid for op in loaded] == [0, 1, 2, 3, 0, 0, 1]
 
     expected = {w: w.upper() for w in WORDS if w != "pear"}
     expected.update(a1=1, a2=2, a3=3, a4=4, a5=5, z1=1, z2=2)
