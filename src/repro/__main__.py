@@ -277,10 +277,8 @@ _LAYER_DETAIL = {
 
 
 def _show(value) -> str:
-    """A report value as text: a mean arrives one per shard from a
-    forest, a by-kind breakdown shows its non-zero kinds."""
-    if isinstance(value, tuple):
-        return "/".join(_show(item) for item in value)
+    """A report value as text: a by-kind breakdown shows its non-zero
+    kinds."""
     if isinstance(value, dict):
         shown = (f"{count} {kind}" for kind, count in value.items() if count)
         return ", ".join(shown) or "none"
@@ -289,14 +287,31 @@ def _show(value) -> str:
     return "n/a" if value is None else str(value)
 
 
-def _layer_lines(cluster):
-    """``(name, on, detail)`` for every layer, on or off."""
+def _report_lines(cluster):
+    """``(label, on, detail)`` for every layer, on or off.
+
+    A forest is reported shard by shard (label ``shard N name``,
+    retired shards included: their work was done), then its own
+    ``sharding`` line from
+    :meth:`~repro.shard.cluster.ShardedCluster.shard_summary`.
+    """
     from repro.stats import layer_report
 
-    for name, summary in layer_report(cluster).items():
+    forest = getattr(cluster, "clusters", None)
+    trees = (
+        [("", cluster)] if forest is None
+        else [(f"shard {sid} ", forest[sid]) for sid in sorted(forest)]
+    )
+    reports = [
+        (prefix + name, name, summary)
+        for prefix, tree in trees
+        for name, summary in layer_report(tree).items()
+    ]
+    sharding = {"enabled": False} if forest is None else cluster.shard_summary()
+    for label, name, summary in [*reports, ("sharding", "sharding", sharding)]:
         shown = {key: _show(value) for key, value in summary.items()}
         on = summary["enabled"]
-        yield name, on, _LAYER_DETAIL[name].format_map(shown) if on else ""
+        yield label, on, _LAYER_DETAIL[name].format_map(shown) if on else ""
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -322,9 +337,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"{len(results.incomplete)} incomplete, "
         f"{len(results.failed)} failed, {len(results.timed_out)} timed out"
     )
-    for name, on, detail in _layer_lines(cluster):
+    for label, on, detail in _report_lines(cluster):
         if on:
-            print(f"{name}: {detail}")
+            print(f"{label}: {detail}")
     print("audit:", report.summary())
     if not report.ok:
         for problem in report.problems[:10]:
@@ -338,8 +353,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         f"fault layers @ t={results.elapsed:.0f} "
         f"({len(results.completed)}/{args.inserts} ops completed):"
     )
-    for name, on, detail in _layer_lines(cluster):
-        print(f"  {name:<12}{'on   ' + detail if on else 'off'}")
+    lines = list(_report_lines(cluster))
+    width = 1 + max(len(label) for label, _, _ in lines)
+    for label, on, detail in lines:
+        print(f"  {label:<{width}}{'on   ' + detail if on else 'off'}")
     print("seeds:")
     ledgers = cluster.seed_summary()
     if not _wants_sharding(args):

@@ -113,9 +113,8 @@ class DigestIndex:
 
     def __init__(self) -> None:
         # pid -> node_id -> (mut, version, range, right_id, members,
-        # digest, is_leaf, num_entries): the fields that feed the hash
-        # as they stood when it was taken, then the hash and the load
-        # measurement that rides with it.
+        # digest): the fields that feed the hash as they stood when it
+        # was taken, then the hash.
         self._nodes: dict[int, dict[int, tuple]] = {}
         # pid -> node_id -> (snapshot, digest); snapshots are immutable
         # so identity is a sound cache key.
@@ -150,8 +149,6 @@ class DigestIndex:
             copy.right_id,
             dict(copy.copy_versions),
             digest,
-            copy.is_leaf,
-            copy.num_entries,
         )
         return digest
 
@@ -161,28 +158,6 @@ class DigestIndex:
         cache = (self._mirrors if mirror else self._nodes).get(pid)
         if cache is not None:
             cache.pop(node_id, None)
-
-    def leaf_entry_estimate(self) -> int:
-        """Total leaf entries per the digest caches.
-
-        The anti-entropy rounds already hash every node they compare,
-        so the caches double as a free load measurement (digest-driven
-        rebalancing): sum the per-leaf entry counts, deduplicating
-        node ids across processors.  A row lives exactly as long as
-        its copy does -- :meth:`forget` drops it when the copy leaves
-        the store, :meth:`reset` when the processor crashes -- so the
-        sum ranges over current copies only.  Counts refresh when a
-        touched node's view row is re-derived (or on explicit
-        :meth:`node_digest` revalidation), so the estimate can lag
-        live mutations by up to one repair period, but it is exact at
-        quiescence, which is when the shard balancer reads it.
-        """
-        counts: dict[int, int] = {}
-        for cache in self._nodes.values():
-            for node_id, entry in cache.items():
-                if entry[6]:
-                    counts[node_id] = max(counts.get(node_id, 0), entry[7])
-        return sum(counts.values())
 
     def mirror_digest(self, pid: int, node_id: int, snap: "NodeSnapshot") -> int:
         cache = self._mirrors.setdefault(pid, {})

@@ -6,8 +6,8 @@ dB-trees -- one per shard of the key space -- behind a versioned
 :class:`~repro.shard.directory.ShardDirectory`, with per-client
 cached views that recover from staleness B-link-style (shed hints on
 split, forward pointers on merge), load-driven shard split/merge fed
-by the anti-entropy layer's digest caches, and cross-shard range
-scans stitched from per-shard B-link walks.
+by each shard's leaf entry counts, and cross-shard range scans
+stitched from per-shard B-link walks.
 
 >>> from repro.shard import ShardedCluster
 >>> forest = ShardedCluster(num_processors=4, shards=2,

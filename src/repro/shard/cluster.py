@@ -27,12 +27,9 @@ every hop (``shard_stale_routes``, ``shard_hint_hops``,
 Shard split/merge is *load-driven*: after each ``run()`` the facade
 compares per-shard entry counts against the configured thresholds,
 splits the heaviest half at its median key, and drains underloaded
-shards into their left neighbours.  Entry counts come from the
-anti-entropy layer's digest caches when repair is enabled
-(digest-driven rebalancing: the gossip rounds double as load
-measurement) and from the leaves' entry counts otherwise, each shard
-counted once per quiescent point and again only after a migration
-moves its keys.  Migration runs
+shards into their left neighbours.  A shard's load is the sum of its
+leaves' entry counts, counted once per quiescent point and again only
+after a migration moves its keys.  Migration runs
 at quiescence through the ordinary insert/delete paths, issued where
 each key's leaf lives, so every audited invariant keeps holding
 through a reconfiguration.
@@ -386,28 +383,15 @@ class ShardedCluster(ClientSurface):
     # load measurement and shard reconfiguration
     # ------------------------------------------------------------------
     def entry_count(self, shard_id: int) -> int:
-        """Entries held by a shard's tree.
-
-        When anti-entropy repair is running, the count comes from the
-        repair layer's :class:`~repro.repair.digest.DigestIndex`
-        (digest-driven rebalancing): the balancer revalidates each
-        live leaf through the cache -- O(changed) tuple comparisons,
-        re-hashing only mutated leaves, exactly the gossip rounds'
-        own discipline -- and sums the cached per-leaf entry counts.
-        Without repair it sums the live leaves' entry counts.  Both
-        agree with ``len(shard_contents(shard_id))`` at quiescence.
-        """
+        """Entries held by a shard's tree: the sum of its live leaves'
+        entry counts, equal to ``len(shard_contents(shard_id))`` at
+        quiescence."""
         engine = self.clusters[shard_id].engine
-        leaves = [
-            copy for copy in representative_nodes(engine).values() if copy.is_leaf
-        ]
-        repair = engine.repair
-        if repair is None:
-            return sum(copy.num_entries for copy in leaves)
-        index = repair.index
-        for copy in leaves:
-            index.node_digest(copy.home_pid, copy)
-        return index.leaf_entry_estimate()
+        return sum(
+            copy.num_entries
+            for copy in representative_nodes(engine).values()
+            if copy.is_leaf
+        )
 
     def _load(self, shard_id: int) -> int:
         """``entry_count(shard_id)``, counted once per ``_maintain``."""

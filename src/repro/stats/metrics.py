@@ -129,93 +129,22 @@ def shard_summary(sharded: "ShardedCluster") -> dict[str, Any]:
     }
 
 
-#: Configuration a summary echoes: taken once, and it must agree
-#: across a forest's trees (every shard is built from the same plans).
-_PLAN_KEYS = frozenset(
-    {
-        "enabled",
-        "mode",
-        "period",
-        "placement",
-        "plan",
-        "drop_p",
-        "duplicate_p",
-        "reorder_p",
-    }
-)
-#: Means, ratios and per-run records.  Adding them is meaningless (and
-#: a mean's denominator is not in the summary), so a forest reports one
-#: value per tree, in shard order.
-_PER_TREE_KEYS = frozenset(
-    {
-        "mean_downtime",
-        "mean_detection",
-        "mean_recovery",
-        "mean_detection_latency",
-        "amplification",
-        "time_to_convergence",
-        "executed_holds",
-        "swap_records",
-        "seeds",
-    }
-)
-
-
-def _merge_summaries(summaries: list[dict[str, Any]]) -> dict[str, Any]:
-    """One summary for a forest: counters summed, nothing else."""
-    first = summaries[0]
-    if len(summaries) == 1:
-        return first
-    merged: dict[str, Any] = {}
-    for key, value in first.items():
-        column = [summary[key] for summary in summaries]
-        if key in _PLAN_KEYS:
-            if any(other != value for other in column):
-                raise ValueError(f"trees disagree on {key!r}: {column}")
-            merged[key] = value
-        elif key in _PER_TREE_KEYS:
-            merged[key] = tuple(column)
-        elif isinstance(value, dict):
-            merged[key] = _merge_summaries(column)
-        else:
-            merged[key] = sum(column)
-    return merged
-
-
-def _tree_report(tree: Any) -> dict[str, dict[str, Any]]:
-    """Every layer of one tree: the kernel's, in registry order, then
-    the engine's repair."""
-    report = {
-        kind.layer: tree.kernel.layer_summary(kind, tree.trace) for kind in LAYERS
-    }
-    report["repair"] = repair_summary(tree.engine)
-    return report
-
-
-def layer_report(cluster: Any) -> dict[str, dict[str, Any]]:
-    """Every layer's summary, for one tree or a whole forest.
+def layer_report(tree: Any) -> dict[str, dict[str, Any]]:
+    """Every layer's summary for one tree.
 
     One entry per registered kernel layer
     (:data:`repro.sim.simulator.LAYERS`: its plan's
     :meth:`~repro.sim.layer.Layer.summary`, or ``{"enabled": False}``
     when the kernel has no such plan), then ``"repair"``
-    (:func:`repair_summary`) and ``"sharding"`` (:func:`shard_summary`
-    for a :class:`~repro.shard.cluster.ShardedCluster`, off for one
-    tree).  For a forest each layer's entry is merged over the shard
-    trees (retired shards' trees included: their work was done) --
-    counters summed, plan values taken once, means and records kept
-    one per tree.  Every entry answers ``["enabled"]``.
+    (:func:`repair_summary`).  Every entry answers ``["enabled"]``.
+    A forest is reported shard by shard: each shard is an independent
+    tree with its own report, and the forest's own layer is
+    :func:`shard_summary`.
     """
-    forest = getattr(cluster, "clusters", None)
-    trees = [cluster] if forest is None else [forest[s] for s in sorted(forest)]
-    reports = [_tree_report(tree) for tree in trees]
     report = {
-        name: _merge_summaries([tree[name] for tree in reports])
-        for name in reports[0]
+        kind.layer: tree.kernel.layer_summary(kind, tree.trace) for kind in LAYERS
     }
-    report["sharding"] = (
-        {"enabled": False} if forest is None else shard_summary(cluster)
-    )
+    report["repair"] = repair_summary(tree.engine)
     return report
 
 

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -96,8 +98,8 @@ class TestCLI:
     def test_demo_and_faults_report_every_layer_alike(self, capsys, shards):
         """One layer report, one formatter: for the same flags ``demo``
         prints ``name: detail`` and ``faults`` ``name  on  detail`` with
-        the same detail, whether one tree or a forest summed over its
-        shards."""
+        the same detail, for one tree or a forest shard by shard
+        (``shard N name``) and then its ``sharding`` line."""
         flags = [
             "--protocol", "variable", "--inserts", "40", "--shards", shards,
             "--crash", "2:150:600", "--partition", "0,1@400:900",
@@ -110,28 +112,53 @@ class TestCLI:
         demo = dict(
             line.split(": ", 1)
             for line in capsys.readouterr().out.splitlines()
-            if ": " in line and not line.startswith((" ", "shard ", "dB-tree"))
+            if ": " in line and not line.startswith((" ", "dB-tree"))
         )
         assert main(["faults", *flags]) == 0
         inventory, _, _ = capsys.readouterr().out.partition("seeds:")
         faults = {}
         for line in inventory.splitlines()[1:]:
-            name, state, *detail = line.split(None, 2)
-            faults[name] = (state, detail[0] if detail else "")
+            label, state, detail = re.fullmatch(
+                r"  (\S.*?) +(on|off)(?:   (.*))?", line
+            ).groups()
+            faults[label] = (state, detail or "")
+        prefixes = ["shard 0 ", "shard 1 "] if shards == "2" else [""]
         layers = ["faults", "reliability", "crash", "partition", "detector", "repair"]
+        labels = [prefix + name for prefix in prefixes for name in layers]
         if shards == "2":
-            layers.append("sharding")
+            labels.append("sharding")
+            assert demo["sharding"].startswith("2 live shards (0 retired)")
         else:
             assert faults["sharding"] == ("off", "")
-        for name in layers:
-            assert faults[name] == ("on", demo[name]), name
-        assert "placement, period 100: " in demo["repair"]  # plan values are not summed
-        # timer or signal?  each layer says which one re-sent / re-issued
-        assert "retransmits, " in demo["reliability"]
-        assert " of them on an ack; " in demo["reliability"]
-        assert " by their timer, " in demo["crash"]
-        assert demo["crash"].endswith(" failed over")
+        for label in labels:
+            assert faults[label] == ("on", demo[label]), label
+        for prefix in prefixes:
+            assert faults[prefix + "permute"] == ("off", "")
+            assert "placement, period 100: " in demo[prefix + "repair"]
+            # timer or signal?  each layer says which one re-sent / re-issued
+            assert "retransmits, " in demo[prefix + "reliability"]
+            assert " of them on an ack; " in demo[prefix + "reliability"]
+            assert demo[prefix + "crash"].startswith("1 crashes (1 restarted)")
+            assert " by their timer, " in demo[prefix + "crash"]
+            assert demo[prefix + "crash"].endswith(" failed over")
         assert demo["ops"] == "40 completed, 0 incomplete, 0 failed, 0 timed out"
+
+    def test_sharded_demo_reports_each_shard_once(self, capsys):
+        """A crash scheduled once hits the processor in every shard's
+        tree: each shard reports its own crash, nothing adds them up."""
+        assert main([
+            "demo", "--inserts", "60", "--protocol", "variable", "--shards", "2",
+            "--crash", "1:100:400", "--op-timeout", "300",
+            "--replication-factor", "2", "--repair-period", "100",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        crashes = [line for line in lines if "crash: " in line]
+        assert [line.split(",")[0] for line in crashes] == [
+            "shard 0 crash: 1 crashes (1 restarted)",
+            "shard 1 crash: 1 crashes (1 restarted)",
+        ]
+        assert len([line for line in lines if line.startswith("sharding: ")]) == 1
+        assert any(line.startswith("audit: CheckReport(OK") for line in lines)
 
     def test_faults_all_layers_off(self, capsys):
         assert main(["faults", "--inserts", "10"]) == 0

@@ -31,7 +31,7 @@ from repro.repair.gossip import DigestDetail, DigestNodes, DigestOffer, GossipTi
 from repro.repair.repair import MirrorPull, RepairService
 from repro.sim.events import QuiescenceError
 from repro.sim.network import Bundle
-from repro.verify.checker import check_digest_convergence, leaf_contents
+from repro.verify.checker import check_digest_convergence
 
 # Every pair view the repair layer keeps is held to the from-scratch
 # derivation on every call (tests/conftest.py).
@@ -1135,8 +1135,6 @@ class TestDigestIndexForgets:
         cluster.run()
         assert cluster.trace.counters["migrations"] == len(movers)
         self.assert_rows_are_copies(cluster)
-        index = self.hash_everything(cluster)
-        assert index.leaf_entry_estimate() == len(leaf_contents(cluster.engine)) == 120
 
     def test_collected_zombies_leave_no_row(self):
         cluster = DBTreeCluster(
@@ -1156,9 +1154,6 @@ class TestDigestIndexForgets:
         self.hash_everything(cluster)
         assert cluster.engine.gc_retired(older_than=float("inf")) > 0
         self.assert_rows_are_copies(cluster)
-        assert cluster.engine.repair.index.leaf_entry_estimate() == len(
-            leaf_contents(cluster.engine)
-        )
 
     def test_adopted_mirrors_leave_no_row(self):
         # The home of the mirrored leaves crashes; their adopter turns

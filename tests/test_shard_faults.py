@@ -145,8 +145,9 @@ class TestShardingWithPartitions:
         assert results.ok, (results.failed, results.timed_out)
         assert len(results.completed) == 80
         assert forest.counters["shard_splits"] >= 1
-        blocked = layer_report(forest)["partition"]["messages_blocked"]
-        assert blocked > 0  # the cut really swallowed traffic
+        for tree in forest.clusters.values():
+            # the cut really swallowed traffic, in every shard's tree
+            assert layer_report(tree)["partition"]["messages_blocked"] > 0
         assert check_shard_coverage(forest) == []
         assert_clean(forest, expected)
 

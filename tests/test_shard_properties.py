@@ -320,7 +320,7 @@ class TestPlantedViolations:
 
 class TestShardLoad:
     """The balancer's load is the shard's stored entries, counted
-    from the leaves' entry counts (or the digest caches) once per
+    from the leaves' entry counts (repair on or off) once per
     ``_maintain`` and again only where a migration moved keys."""
 
     @pytest.fixture

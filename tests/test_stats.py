@@ -96,8 +96,8 @@ class TestClusterMetrics:
 
 
 #: The keys of every layer report: the registered kernel layers, in
-#: registry order, then the engine's and the forest's.
-REPORT_KEYS = [kind.layer for kind in LAYERS] + ["repair", "sharding"]
+#: registry order, then the engine's.
+REPORT_KEYS = [kind.layer for kind in LAYERS] + ["repair"]
 
 
 class TestLayerReport:
@@ -131,7 +131,6 @@ class TestLayerReport:
             assert report[plan.layer] == plan.summary(kernel, cluster.trace)
         assert report["crash"] == cluster.availability_summary()
         assert report["repair"] == repair_summary(cluster.engine)
-        assert report["sharding"] == {"enabled": False}
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_layer_is_on_exactly_when_its_plan_is_passed(self, shards):
@@ -155,19 +154,22 @@ class TestLayerReport:
         }
         assert {on for _, names in examples.values() for on in names} == set(
             REPORT_KEYS
-        ) - {"sharding"}
-        forest = dict(shards=2, initial_boundaries=(1000,)) if shards == 2 else {}
+        )
         for keyword, (value, names) in [(None, (None, set())), *examples.items()]:
             kwargs = {keyword: value} if keyword else {}
             if shards == 2:
-                cluster = ShardedCluster(num_processors=4, **forest, **kwargs)
-                names = names | {"sharding"}
+                forest = ShardedCluster(
+                    num_processors=4, shards=2, initial_boundaries=(1000,), **kwargs
+                )
+                assert forest.shard_summary()["enabled"]
+                trees = list(forest.clusters.values())
             else:
-                cluster = DBTreeCluster(num_processors=4, **kwargs)
-            report = layer_report(cluster)
-            assert list(report) == REPORT_KEYS
-            on = {name for name, entry in report.items() if entry["enabled"]}
-            assert on == names, keyword
+                trees = [DBTreeCluster(num_processors=4, **kwargs)]
+            for tree in trees:  # a forest: every shard's tree alike
+                report = layer_report(tree)
+                assert list(report) == REPORT_KEYS
+                on = {name for name, entry in report.items() if entry["enabled"]}
+                assert on == names, keyword
 
     def test_every_layer_answers_enabled_on_or_off(self):
         bare = layer_report(DBTreeCluster(num_processors=2))
@@ -176,49 +178,7 @@ class TestLayerReport:
         )
         full = layer_report(DBTreeCluster(num_processors=4, seed=3, **self.LAYERS))
         on = {name for name, entry in full.items() if entry["enabled"]}
-        assert on == set(REPORT_KEYS) - {"permute", "sharding"}
-
-    def test_forest_report_sums_counters_and_nothing_else(self):
-        forest = ShardedCluster(
-            num_processors=4, seed=3, shards=2, initial_boundaries=(1000,),
-            **self.LAYERS,
-        )
-        self.drive(forest)
-        report = layer_report(forest)
-        trees = [forest.clusters[sid] for sid in sorted(forest.clusters)]
-        per_shard = [layer_report(tree) for tree in trees]
-        # counters: the field-wise sum
-        for layer, field in [
-            ("reliability", "retransmits"), ("reliability", "physical_sent"),
-            ("crash", "crashes"), ("crash", "dead_letters"),
-            ("partition", "messages_blocked"), ("detector", "heartbeats_sent"),
-            ("repair", "rounds_started"), ("repair", "digest_bytes"),
-        ]:
-            assert report[layer][field] == sum(r[layer][field] for r in per_shard)
-            assert report[layer][field] > 0
-        assert report["repair"]["repairs_by_kind"] == {
-            kind: sum(r["repair"]["repairs_by_kind"][kind] for r in per_shard)
-            for kind in per_shard[0]["repair"]["repairs_by_kind"]
-        }
-        # plan values: taken once, equal to what was configured
-        assert report["repair"]["period"] == 100.0
-        assert report["detector"]["mode"] == "timeout"
-        assert report["faults"]["drop_p"] == 0.05
-        assert report["permute"] == {"enabled": False}
-        assert all(
-            entry["enabled"] is True
-            for name, entry in report.items()
-            if name != "permute"
-        )
-        # means and ratios: one per shard, never added
-        assert report["reliability"]["amplification"] == tuple(
-            r["reliability"]["amplification"] for r in per_shard
-        )
-        assert report["crash"]["mean_recovery"] == tuple(
-            r["crash"]["mean_recovery"] for r in per_shard
-        )
-        assert len(report["repair"]["time_to_convergence"]) == 2
-        assert report["sharding"] == forest.shard_summary()
+        assert on == set(REPORT_KEYS) - {"permute"}
 
 
 class TestFormatTable:
