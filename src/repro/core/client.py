@@ -477,17 +477,9 @@ class DBTreeCluster(KernelClient):
 
     def availability_summary(self) -> dict[str, Any]:
         """Crash/restart/recovery accounting: the crash layer's entry of
-        :func:`repro.stats.layer_report`, which without a crash plan
-        still counts zero crashes and the network's dead letters."""
-        summary = self.kernel.layer_summary(CrashPlan, self.trace)
-        if not summary["enabled"]:
-            summary.update(
-                crashes=0,
-                restarts=0,
-                lost_actions=0,
-                dead_letters=self.kernel.network.stats.dead_letters,
-            )
-        return summary
+        :func:`repro.stats.layer_report` (``{"enabled": False}`` without
+        a crash plan)."""
+        return self.kernel.layer_summary(CrashPlan, self.trace)
 
     def repair_summary(self) -> dict[str, Any]:
         """Anti-entropy repair accounting; see repro.stats."""
