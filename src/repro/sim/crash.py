@@ -191,17 +191,22 @@ class CrashRecord:
 class CrashController:
     """Executes a :class:`CrashPlan` against a kernel.
 
-    The controller owns processor aliveness (the network, the
-    reliable transport and the oracle detector query :meth:`is_alive`)
-    and the per-crash availability records; the engine registers hooks
-    to layer the recovery protocol on top.
+    The controller crashes and restarts processors and keeps the
+    per-crash availability records; the engine registers hooks to
+    layer the recovery protocol on top.  Liveness is each processor's
+    own ``alive`` flag: the network, the reliable transport and the
+    audits query it through :attr:`is_alive`.
     """
 
     def __init__(self, kernel: "Kernel", plan: CrashPlan) -> None:
         self.kernel = kernel
         self.plan = plan
         self.records: list[CrashRecord] = []
-        self._alive: dict[int, bool] = {pid: True for pid in kernel.pids}
+        processors = kernel.processors
+        # Whether ``pid`` is up.  A closure, not a method: the network
+        # asks on every arrival, and a closure reads the flag with one
+        # attribute lookup fewer.
+        self.is_alive: Callable[[int], bool] = lambda pid: processors[pid].alive
         self._open: dict[int, CrashRecord] = {}
         self._crash_hooks: list[Callable[[int], None]] = []
         self._restart_hooks: list[Callable[[int], None]] = []
@@ -210,7 +215,7 @@ class CrashController:
     # wiring
     # ------------------------------------------------------------------
     def install(self) -> None:
-        """Own liveness and schedule every planned crash/restart.
+        """Wire liveness in and schedule every planned crash/restart.
 
         Every processor becomes crashable, the network learns who is
         down (dead destinations become dead letters), the reliable
@@ -245,11 +250,8 @@ class CrashController:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def is_alive(self, pid: int) -> bool:
-        return self._alive[pid]
-
     def alive_pids(self) -> list[int]:
-        return [pid for pid, up in self._alive.items() if up]
+        return [pid for pid, proc in self.kernel.processors.items() if proc.alive]
 
     def crash_count(self) -> int:
         return len(self.records)
@@ -261,7 +263,6 @@ class CrashController:
         kernel = self.kernel
         proc = kernel.processor(pid)
         lost = proc.crash()
-        self._alive[pid] = False
         record = CrashRecord(
             pid=pid,
             crashed_at=kernel.events.now,
@@ -276,7 +277,6 @@ class CrashController:
     def _restart(self, pid: int) -> None:
         kernel = self.kernel
         kernel.processor(pid).restart()
-        self._alive[pid] = True
         # Reset transport channels at restart, not at crash: frames
         # already in flight *from* the dead processor may still drain
         # into the peers' old receiver state during the dead window,

@@ -480,11 +480,12 @@ class OracleDetector(FailureDetectorService):
         self.kernel.crash_controller.on_crash(self._on_crash)
 
     def is_suspected(self, observer: int, peer: int) -> bool:
-        return not self.kernel.crash_controller.is_alive(peer)
+        return not self.kernel.processors[peer].alive
 
     def suspected_by(self, observer: int) -> set[int]:
-        controller = self.kernel.crash_controller
-        return {pid for pid in self.kernel.pids if not controller.is_alive(pid)}
+        return {
+            pid for pid, proc in self.kernel.processors.items() if not proc.alive
+        }
 
     def _on_crash(self, pid: int) -> None:
         events = self.kernel.events

@@ -107,7 +107,9 @@ class Processor:
         # Crash-stop support is opt-in (make_crashable): only a kernel
         # with a crash plan pays for the token-checked completion events.
         self._crashable = False
-        self._alive = True
+        # Whether the processor is up (always True unless crashable);
+        # the crash controller reads it, and only crash/restart set it.
+        self.alive = True
         self._service_token = 0
         # Bumped on every restart; timer chains armed for a previous
         # incarnation (e.g. repair gossip ticks) check it and die
@@ -144,11 +146,6 @@ class Processor:
         (:meth:`hold_sends`)."""
         return self._kernel is not None
 
-    @property
-    def alive(self) -> bool:
-        """Whether the processor is up (always True unless crashable)."""
-        return self._alive
-
     def install_handler(self, handler: ActionHandler) -> None:
         """Install the engine callback that executes actions."""
         self._handler = handler
@@ -179,7 +176,7 @@ class Processor:
         """
         if self._handler is None:
             raise RuntimeError(f"processor {self.pid} has no handler installed")
-        if not self._alive:
+        if not self.alive:
             raise ProcessorDownError(self.pid, action)
         if self._busy:
             self._queue.append(action)
@@ -262,14 +259,14 @@ class Processor:
             raise RuntimeError(
                 f"processor {self.pid} was not built crashable"
             )
-        if not self._alive:
+        if not self.alive:
             raise RuntimeError(f"processor {self.pid} is already down")
         lost = len(self._queue) + (1 if self._busy else 0)
         self._queue.clear()
         self._busy = False
         self._in_service = None
         self._service_token += 1
-        self._alive = False
+        self.alive = False
         return lost
 
     def restart(self) -> None:
@@ -278,7 +275,7 @@ class Processor:
         The engine's recovery hooks rebuild durable-side state; the
         processor itself restarts amnesiac, per crash-stop semantics.
         """
-        if self._alive:
+        if self.alive:
             raise RuntimeError(f"processor {self.pid} is already up")
-        self._alive = True
+        self.alive = True
         self.incarnation += 1
