@@ -1,7 +1,8 @@
 """Experiment X9 (extension) -- earned detection under partitions.
 
-Swaps the oracle detector (ground truth, ``timeout`` after a crash)
-for an earned one: processors *earn* their suspicions from heartbeat
+Swaps the crash plan's oracle detector (ground truth,
+``detection_delay`` after a crash) for an earned one, with no crash
+scheduled: processors *earn* their suspicions from heartbeat
 arrivals, so a network partition makes correct processors suspect
 each other, act on the false verdict (forced unjoins, mirror
 re-homes), and must reconcile when the partition heals.  Two questions:
@@ -24,7 +25,7 @@ detector mode for the gray-failure scenario.
 """
 
 from common import emit
-from repro import DBTreeCluster, DetectorPlan, PartitionPlan
+from repro import CrashPlan, DBTreeCluster, PartitionPlan
 from repro.stats import format_table, layer_report
 
 SEEDS = (3, 5, 7)
@@ -49,7 +50,7 @@ def measure_partition(protocol, seed):
         capacity=16,
         seed=seed,
         partition_plan=SPLIT,
-        detector_plan=DetectorPlan(mode="timeout", horizon=6000.0),
+        crash_plan=CrashPlan(detector="timeout", detector_horizon=6000.0),
         op_timeout=300.0,
         op_retries=10,
         replication_factor=2,
@@ -67,13 +68,13 @@ def measure_partition(protocol, seed):
     results = cluster.run()
     report = cluster.check(expected=expected)
     layers = layer_report(cluster)
-    detector, partition = layers["detector"], layers["partition"]
-    avail, repair = layers["crash"], layers["repair"]
+    avail, partition = layers["crash"], layers["partition"]
+    repair = layers["repair"]
     return {
         "audit_ok": report.ok,
         "ops_ok": results.ok,
-        "false_suspicions": detector["false_suspicions"],
-        "rescinds": detector["rescinds"],
+        "false_suspicions": avail["false_suspicions"],
+        "rescinds": avail["rescinds"],
         "blocked": partition["messages_blocked"],
         "forced_unjoins": avail.get("forced_unjoins", 0),
         "rejoins": repair["repairs_by_kind"].get("rejoins", 0),
@@ -88,7 +89,7 @@ def measure_gray(mode, seed):
         capacity=8,
         seed=seed,
         partition_plan=GRAY,
-        detector_plan=DetectorPlan(mode=mode, horizon=4000.0),
+        crash_plan=CrashPlan(detector=mode, detector_horizon=4000.0),
         op_timeout=500.0,
         op_retries=10,
     )
@@ -103,7 +104,7 @@ def measure_gray(mode, seed):
         )
     results = cluster.run()
     report = cluster.check(expected=expected)
-    detector = layer_report(cluster)["detector"]
+    detector = layer_report(cluster)["crash"]
     return {
         "audit_ok": report.ok,
         "completed": len(results.completed),

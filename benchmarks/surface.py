@@ -62,7 +62,6 @@ PLANS = {
     "ReliabilityConfig": "src/repro/sim/reliable.py",
     "CrashPlan": "src/repro/sim/crash.py",
     "PartitionPlan": "src/repro/sim/partition.py",
-    "DetectorPlan": "src/repro/sim/detector.py",
     "RepairPlan": "src/repro/repair/gossip.py",
     "PermutePlan": "src/repro/sim/permute.py",
 }

@@ -50,7 +50,6 @@ from repro.core.replication import (
 from repro.protocols import PROTOCOLS, make_protocol
 from repro.repair import RepairPlan
 from repro.sim.crash import CrashPlan
-from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
 from repro.sim.network import LogNormalLatency, TopologyLatency, UniformLatency
 from repro.sim.partition import PartitionPlan
@@ -80,7 +79,6 @@ __all__ = [
     "PROTOCOLS",
     "make_protocol",
     "CrashPlan",
-    "DetectorPlan",
     "PartitionPlan",
     "RepairPlan",
     "FaultPlan",

@@ -123,8 +123,11 @@ def _parse_partition_plans(args: argparse.Namespace):
 
 
 def _build_fault_plans(args: argparse.Namespace):
-    """The (fault, crash, partition, detector) plans the flags ask for."""
-    from repro import CrashPlan, DetectorPlan, FaultPlan
+    """The (fault, crash, partition) plans the flags ask for.
+
+    ``--detector`` without ``--crash`` is a crash plan that crashes
+    nothing: its earned detector still suspects, rightly or not."""
+    from repro import CrashPlan, FaultPlan
 
     fault_plan = None
     if args.drop_p or args.duplicate_p or args.reorder_p:
@@ -134,23 +137,23 @@ def _build_fault_plans(args: argparse.Namespace):
             reorder_p=args.reorder_p,
         )
     crash_plan = None
-    if args.crash:
-        crash_plan = CrashPlan(schedule=_parse_crash_schedule(args.crash))
-    partition_plan = _parse_partition_plans(args)
-    detector_plan = None
-    if args.detector is not None or args.crash:
-        detector_plan = DetectorPlan(
-            mode=args.detector or "oracle",
-            period=args.heartbeat_period,
-            timeout=args.detection_delay,
+    if args.crash or args.detector is not None:
+        crash_plan = CrashPlan(
+            schedule=_parse_crash_schedule(args.crash),
+            detector=args.detector or "oracle",
+            heartbeat_period=args.heartbeat_period,
+            detection_delay=args.detection_delay,
             phi_threshold=args.phi_threshold,
-            horizon=args.detector_horizon,
+            detector_horizon=args.detector_horizon,
         )
-    return fault_plan, crash_plan, partition_plan, detector_plan
+    return fault_plan, crash_plan, _parse_partition_plans(args)
 
 
 #: The demo workload's key modulus (prime: keys stay distinct).
 _DEMO_KEY_SPACE = 999_983
+#: The demo's stride through it: about the golden-ratio fraction of
+#: the space, so even a short run's keys spread over every shard.
+_DEMO_KEY_STRIDE = 618_031
 
 
 def _wants_sharding(args: argparse.Namespace) -> bool:
@@ -166,7 +169,7 @@ def _build_any_cluster(args: argparse.Namespace, plans):
     the demo key space ``[0, 999_983)`` evenly and passes every fault
     plan through to each shard tree.
     """
-    fault_plan, crash_plan, partition_plan, detector_plan = plans
+    fault_plan, crash_plan, partition_plan = plans
     kwargs = dict(
         num_processors=args.processors,
         protocol=args.protocol,
@@ -176,7 +179,6 @@ def _build_any_cluster(args: argparse.Namespace, plans):
         reliability=args.reliability,
         crash_plan=crash_plan,
         partition_plan=partition_plan,
-        detector_plan=detector_plan,
         op_timeout=args.op_timeout,
         replication_factor=args.replication_factor,
         mirror_placement=args.mirror_placement,
@@ -216,7 +218,7 @@ def _build_and_drive(args: argparse.Namespace, spacing: float):
         raise SystemExit(f"repro {args.command}: {err}")
     expected = {}
     for index in range(args.inserts):
-        key = index * 37 % _DEMO_KEY_SPACE
+        key = index * _DEMO_KEY_STRIDE % _DEMO_KEY_SPACE
         expected[key] = index
         client = index % args.processors
         if spacing:
@@ -245,17 +247,15 @@ _LAYER_DETAIL = {
     "crash": (
         "{crashes} crashes ({restarts} restarted), {lost_actions} actions "
         "lost, {dead_letters} dead letters; ops re-issued: {op_retries} by "
-        "their timer, {op_failed_over} failed over"
+        "their timer, {op_failed_over} failed over; detector {detector}: "
+        "{heartbeats_sent} heartbeats, {suspicions} suspicions earned "
+        "({false_suspicions} false, {rescinds} rescinded), "
+        "mean detection {mean_detection}"
     ),
     "partition": (
         "{cuts_applied} cuts ({heals} healed), "
         "{gray_applied} gray windows, {messages_blocked} messages swallowed; "
         "open at quiescence: {open_cut_links} cut, {open_gray_links} gray"
-    ),
-    "detector": (
-        "{mode}, period {period}: {heartbeats_sent} heartbeats, "
-        "{suspicions} suspicions ({false_suspicions} false, {rescinds} rescinded), "
-        "mean detection latency {mean_detection_latency}"
     ),
     "repair": (
         "{placement} placement, period {period}: "

@@ -527,10 +527,10 @@ class PeerFailure(NamedTuple):
 
     Enqueued at an observer when its failure detector
     (:mod:`repro.sim.detector`) suspects ``pid``: under the oracle at
-    every live processor at once, ``timeout`` after the crash; under an
-    earned detector when that observer's own monitor gives up on
-    ``pid`` -- and then it may be *wrong*
-    (a partitioned or gray-slow peer is alive).  The receiver
+    every live processor at once, ``detection_delay`` after the crash;
+    under an earned detector when that observer's own monitor gives up
+    on ``pid`` -- and then it may be *wrong* (a partitioned or
+    gray-slow peer is alive).  The receiver
     force-unjoins the suspect from replicated copy sets it is primary
     for and re-homes mirrored single-copy leaves the suspect owned;
     every one of those steps must therefore be survivable when the

@@ -33,7 +33,6 @@ from repro.core.keys import Key
 from repro.core.replication import ReplicationPolicy
 from repro.repair.placement import make_placement
 from repro.sim.crash import CrashPlan
-from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
 from repro.sim.network import Bundle, LatencyModel, UniformLatency, message_kind
 from repro.sim.partition import PartitionPlan
@@ -282,7 +281,12 @@ class DBTreeCluster(KernelClient):
         module constants are its timers and retry budgets).
     crash_plan:
         Optional :class:`~repro.sim.crash.CrashPlan` of crash-stop
-        failures, each scheduled.  Activates the whole failure-aware
+        failures, each scheduled, and the failure detector that tells
+        survivors of them: the oracle, announcing the ground truth
+        ``detection_delay`` after each crash (default), or an earned
+        ``"timeout"`` / ``"phi"`` detector whose per-processor
+        heartbeats raise (possibly wrong) suspicions -- with an empty
+        schedule, only those.  Activates the whole failure-aware
         layer; ``None`` (default) leaves the fast path untouched.
     op_timeout:
         Per-operation timeout (virtual time units).  A timed-out
@@ -326,16 +330,6 @@ class DBTreeCluster(KernelClient):
         asymmetric one-way losses) and gray failures
         (per-link latency inflation).  ``None`` (default) keeps the
         delivery fast path byte-identical.
-    detector_plan:
-        Optional :class:`~repro.sim.detector.DetectorPlan`: how
-        survivors learn of a crash.  An earned mode (``"timeout"`` or
-        ``"phi"``) runs per-processor heartbeats whose (possibly
-        wrong) suspicions drive the engine; ``"oracle"`` announces the
-        ground truth ``timeout`` after each crash.  Implies a
-        crash-capable cluster even without a ``crash_plan``.  ``None``
-        (default) is the oracle with its default timeout when there is
-        a crash plan, and leaves the fast path byte-identical
-        otherwise.
 
     The plans (``reliability="enforced"`` as a
     :class:`~repro.sim.reliable.ReliabilityConfig`) go to the
@@ -367,7 +361,6 @@ class DBTreeCluster(KernelClient):
         repair_period: float | None = None,
         permute_plan: PermutePlan | None = None,
         partition_plan: PartitionPlan | None = None,
-        detector_plan: DetectorPlan | None = None,
     ) -> None:
         from repro.protocols import make_protocol
 
@@ -392,7 +385,6 @@ class DBTreeCluster(KernelClient):
             crash_plan,
             permute_plan,
             partition_plan,
-            detector_plan,
         )
         self.kernel = Kernel(
             num_processors=num_processors,

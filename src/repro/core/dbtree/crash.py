@@ -1,8 +1,9 @@
 """Crash-stop awareness for the dB-tree engine (repro.sim.crash).
 
-Exists only on a cluster built with a crash plan (or a detector plan,
-which implies a crash-capable cluster).  The collaborator hooks the
-crash controller (crash, restart) and the failure detector (suspicion,
+Exists only on a cluster built with a crash plan, which brings the
+crash controller and the failure detector together (with an empty
+schedule, only the detector acts).  The collaborator hooks the crash
+controller (crash, restart) and the failure detector (suspicion,
 rescission -- its only source of either), registers the three
 actions they give rise to -- :class:`PeerFailure`,
 :class:`PeerRescind`, :class:`RecoveryAnnounce` -- and owns the

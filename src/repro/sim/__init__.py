@@ -23,8 +23,9 @@ that model:
   over a faulty substrate (a :class:`ReliabilityConfig` layer).
 * :mod:`repro.sim.crash` -- optional crash-stop failures
   (:class:`~repro.sim.crash.CrashPlan`): scheduled crash + restart
-  per processor, a timeout-style failure detector, and availability
-  accounting, driving the engine's recovery layer.
+  per processor, the failure detector that announces each crash
+  (:mod:`repro.sim.detector`: the oracle, or earned heartbeats), and
+  availability accounting, driving the engine's recovery layer.
 
 Everything is deterministic: ties in the event queue break on a
 monotone sequence number and all randomness flows through seeds.

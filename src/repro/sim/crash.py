@@ -6,9 +6,12 @@ the network assumption: a declarative plan of faults, injected by the
 simulator, with the recovery machinery layered on top and audited at
 quiescence.
 
-A :class:`CrashPlan` names *when* processors crash and restart: an
-explicit schedule of ``(pid, crash_at, restart_at)`` entries.  The
-:class:`CrashController` executes the plan against a kernel:
+A :class:`CrashPlan` names *when* processors crash and restart (an
+explicit schedule of ``(pid, crash_at, restart_at)`` entries) and
+which failure detector tells the survivors: losing a processor and
+learning of the loss are one layer.  Its install starts the
+:class:`CrashController`, which executes the schedule against a
+kernel, then the detector service, which reads the same plan:
 
 * at ``crash_at`` the processor's queue and in-service action are
   lost (crash-stop: volatile state vanishes, nothing partial
@@ -16,7 +19,7 @@ explicit schedule of ``(pid, crash_at, restart_at)`` entries.  The
   and the network starts discarding whatever is addressed to it
   (counted as ``dead_letters``);
 * the failure detector (:mod:`repro.sim.detector`, the ``"oracle"``
-  mode unless the run names another) decides when each survivor
+  unless the plan names an earned one) decides when each survivor
   suspects it; the engine turns suspicion into forced unjoins from
   replicated copy sets and re-homes of mirrored single-copy leaves;
 * at ``restart_at`` the processor comes back empty and the restart
@@ -29,8 +32,8 @@ tree-recovery semantics live in :mod:`repro.core.dbtree` and
 :mod:`repro.protocols.variable`.
 
 Availability accounting (downtime per crash, lost actions, detection
-and recovery latencies) is collected here and surfaced through
-:meth:`CrashPlan.summary`.
+and recovery latencies) is collected here and surfaced, with the
+detector's counters, through :meth:`CrashPlan.summary`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.detector import DetectorPlan
+from repro.sim.detector import (
+    DETECTOR_MODES,
+    FailureDetectorService,
+    OracleDetector,
+)
 from repro.sim.layer import Layer
+from repro.sim.network import UniformLatency
 
 if TYPE_CHECKING:
     from repro.sim.simulator import Kernel
@@ -66,6 +74,16 @@ _TRACE_COUNTERS = (
 )
 
 
+#: The failure detector's counters a crash summary reports.
+_DETECTOR_COUNTERS = (
+    "heartbeats_sent",
+    "heartbeats_received",
+    "suspicions",
+    "rescinds",
+    "false_suspicions",
+)
+
+
 def _mean(values: list[float | None]) -> float:
     """The mean of the values that are not None; 0.0 when none is."""
     known = [value for value in values if value is not None]
@@ -74,19 +92,46 @@ def _mean(values: list[float | None]) -> float:
 
 @dataclass(frozen=True)
 class CrashPlan(Layer):
-    """When processors crash-stop and restart.
+    """When processors crash-stop and restart, and how survivors learn of it.
 
     ``schedule``
         Explicit ``(pid, crash_at, restart_at)`` triples;
         ``restart_at`` may be ``None`` for a permanent failure (the
         audit then *reports* any single-copy leaves that died with it
-        rather than silently passing).
+        rather than silently passing).  Empty, the plan crashes
+        nothing, but its detector still runs: partitions and gray
+        links still provoke (false) suspicions.
+    ``detector``
+        The failure detector (:mod:`repro.sim.detector`): ``"oracle"``
+        (default; ground truth, ``detection_delay`` late), or the
+        earned ``"phi"`` (adaptive) and ``"timeout"`` (fixed), which
+        infer failure from heartbeat silence.
+    ``heartbeat_period``
+        Heartbeat emission interval of an earned detector; also its
+        monitor evaluation interval.
+    ``detection_delay``
+        Silence an earned ``"timeout"`` detector tolerates before
+        suspecting -- and ``"phi"``'s criterion while a window has
+        fewer than ``MIN_SAMPLES`` observations.  For the oracle, how
+        long after a crash survivors learn of it.
+    ``phi_threshold``
+        Suspicion threshold on phi.  8 (Cassandra's default) means
+        "the chance a live peer is this silent is < 1e-8".
+    ``detector_horizon``
+        Virtual time after which an earned detector's heartbeat and
+        monitor chains stop re-arming.  Must be > 0 for one: without
+        it the periodic timers would keep the event queue populated
+        forever and quiescence would be unreachable.
 
-    When survivors learn of a crash is the failure detector's to say
-    (:class:`repro.sim.detector.DetectorPlan`), not the plan's.
+    The oracle sends nothing, so only ``detection_delay`` applies to it.
     """
 
     schedule: tuple[tuple[int, float, float | None], ...] = ()
+    detector: str = "oracle"
+    heartbeat_period: float = 20.0
+    detection_delay: float = 50.0
+    phi_threshold: float = 8.0
+    detector_horizon: float = 0.0
 
     def __post_init__(self) -> None:
         intervals: dict[int, list[tuple[float, float]]] = {}
@@ -107,20 +152,88 @@ class CrashPlan(Layer):
                     raise ValueError(
                         f"overlapping crash intervals for pid {pid}"
                     )
+        detectors = ("oracle", *DETECTOR_MODES)
+        if self.detector not in detectors:
+            raise ValueError(
+                f"detector must be one of {detectors}, got {self.detector!r}"
+            )
+        if self.heartbeat_period <= 0:
+            raise ValueError(
+                f"heartbeat_period must be > 0, got {self.heartbeat_period}"
+            )
+        if self.detection_delay <= 0:
+            raise ValueError(
+                f"detection_delay must be > 0, got {self.detection_delay}"
+            )
+        if self.detector == "oracle":
+            return  # sends no heartbeats: nothing below applies
+        if self.detection_delay <= self.heartbeat_period:
+            raise ValueError(
+                f"detection_delay ({self.detection_delay}) must exceed the "
+                f"heartbeat period ({self.heartbeat_period}): a "
+                "quieter-than-one-beat threshold suspects every peer on "
+                "every evaluation"
+            )
+        if self.phi_threshold <= 0:
+            raise ValueError(
+                f"phi_threshold must be > 0, got {self.phi_threshold}"
+            )
+        if self.detector_horizon <= 0:
+            raise ValueError(
+                "an earned detector needs a finite detector_horizon > 0 "
+                "(heartbeat timers re-arm forever otherwise and the run "
+                "never reaches quiescence)"
+            )
 
     layer = "crash"
 
-    def implies(self) -> tuple[Layer, ...]:
-        """Survivors learn of a crash from the oracle unless the caller
-        passed a detector."""
-        return (DetectorPlan(mode="oracle"),)
-
     def validate(self, kernel: "Kernel") -> None:
+        """Every scheduled pid exists, and the oracle's drained-dead-window
+        assumption holds: a crash is announced after every message the
+        dead window could still deliver, so ``detection_delay`` must
+        exceed the longest transit.  An earned detector retires the
+        oracle and the assumption."""
         self.check_pids(kernel, (pid for pid, _, _ in self.schedule))
+        if self.detector != "oracle":
+            return
+        model = kernel.latency_model
+        delay = self.detection_delay
+        if not isinstance(model, UniformLatency):
+            problem = (
+                f"cannot validate the oracle detection_delay ({delay}) against "
+                f"{type(model).__name__}, whose transit time has no stated "
+                "bound; a transit longer than the oracle's delay violates "
+                "the drained-dead-window assumption. Pass an earned "
+                "detector to retire the oracle"
+            )
+        elif delay <= model.base:
+            raise ValueError(
+                f"the oracle detection_delay ({delay}) must exceed the message "
+                f"latency ({model.base}): the recovery protocol relies on "
+                "donors having drained the dead window's traffic before a "
+                "restart is announced"
+            )
+        elif delay <= model.base + model.jitter:
+            problem = (
+                f"the oracle detection_delay ({delay}) may be exceeded by a "
+                f"jittered transit (up to {model.base + model.jitter}); "
+                "oracle detection assumes the dead window's traffic drains "
+                "first. Raise the delay, or pass an earned detector "
+                "to retire the oracle"
+            )
+        else:
+            return
+        self.warn(problem)
 
     def install(self, kernel: "Kernel") -> None:
+        """The controller, then the detector that reads it."""
         kernel.crash_controller = CrashController(kernel, self)
         kernel.crash_controller.install()
+        service = (
+            OracleDetector if self.detector == "oracle" else FailureDetectorService
+        )
+        kernel.detector = service(kernel, self)
+        kernel.detector.start()
 
     def summary(self, kernel: "Kernel", trace: "Trace | None") -> dict[str, Any]:
         """Crash/restart/recovery accounting (X6 quantities).
@@ -135,7 +248,11 @@ class CrashPlan(Layer):
         issued by the fail-over rule, without a timer: from a home
         that was down or rootless at submission, from a home that
         crashed, or when the first processor was rooted again after
-        none was.
+        none was.  Then the detector's counters (X9 quantities):
+        heartbeats sent and received, suspicions raised and rescinded,
+        and how many were *false* (the suspect was alive); all 0 for
+        the oracle, which earns nothing (``mean_detection`` says when
+        it announced).
         """
         records = kernel.crash_controller.records
         summary: dict[str, Any] = {
@@ -151,7 +268,10 @@ class CrashPlan(Layer):
                 for r in records
             ]),
             "mean_recovery": _mean([r.recovery_latency for r in records]),
+            "detector": self.detector,
         }
+        detector = kernel.detector
+        summary.update((name, getattr(detector, name)) for name in _DETECTOR_COUNTERS)
         if trace is not None:
             counters = trace.counters
             summary["forced_unjoins"] = counters.get("crash_forced_unjoins", 0)
@@ -300,25 +420,18 @@ class CrashController:
         if record is not None and by_pid not in record.suspected_by:
             record.suspected_by.append(by_pid)
 
-    def note_detected(self, dead_pid: int, by_pid: int) -> "CrashRecord | None":
+    def note_detected(self, dead_pid: int, by_pid: int) -> None:
         """A failure detector locally suspected the (truly dead)
-        ``dead_pid``.
-
-        Stamps ``detected_at`` with the *first* observer's suspicion
-        time and records every distinct suspecting observer.  Returns
-        the record when this call was the first detection (so the
-        caller can account crash-to-detection latency), ``None``
-        otherwise.
-        """
+        ``dead_pid``: stamps ``detected_at`` with the *first*
+        observer's suspicion time and records every distinct
+        suspecting observer."""
         record = self._open.get(dead_pid)
         if record is None:
-            return None
+            return
         if by_pid not in record.suspected_by:
             record.suspected_by.append(by_pid)
         if record.detected_at is None:
             record.detected_at = self.kernel.events.now
-            return record
-        return None
 
     def note_recovered(self, pid: int, time: float) -> None:
         """The engine finished re-joining ``pid`` (grace window ended)."""

@@ -3,22 +3,24 @@
 Every crash-capable kernel has exactly one detector (``kernel.detector``),
 and every consumer -- the engine's recovery, repair's gossip wake-ups,
 the "no false kill" audit -- hears suspicion and rescission from it
-alone.  Three modes (:class:`DetectorPlan.mode`):
+alone.  The detector is part of the crash layer: it is the
+:class:`~repro.sim.crash.CrashPlan`'s ``detector``, one of three,
+installed right after the crash controller and reading the same plan:
 
 ``"oracle"``
-    The kernel's choice when a crash plan comes without a detector
-    plan.  ``timeout`` after a crash, if the processor is still down,
-    every live processor suspects it at once; a processor back before
-    then is never suspected.  Its opinion at every instant is the crash
-    controller's ground truth, it never rescinds (a restarted processor
-    announces itself), and it sends nothing, so it needs no horizon.
+    The plan's default.  ``detection_delay`` after a crash, if the
+    processor is still down, every live processor suspects it at once;
+    a processor back before then is never suspected.  Its opinion at
+    every instant is the crash controller's ground truth, it never
+    rescinds (a restarted processor announces itself), and it sends
+    nothing, so it needs no horizon.
 
 Real systems have no such channel -- failure is *inferred* from the
 absence of messages, and the inference is sometimes wrong.  The two
-earned modes do the real thing:
+earned detectors do the real thing:
 
 * every processor emits a small :class:`Heartbeat` datagram to every
-  peer each ``period`` (unordered, unacknowledged, outside the
+  peer each ``heartbeat_period`` (unordered, unacknowledged, outside the
   reliable transport -- heartbeats that queue behind retransmissions
   would defeat their purpose);
 * every processor runs a local monitor over the heartbeats it
@@ -26,10 +28,10 @@ earned modes do the real thing:
   peer.
 
 ``"timeout"``
-    Suspect a peer when no heartbeat arrived for ``timeout`` time
-    units.  This reproduces the oracle's semantics one observer at a
-    time -- and inherits its failure mode: any latency excursion
-    longer than the timeout (a gray link, a long GC pause) produces a
+    Suspect a peer when no heartbeat arrived for ``detection_delay``
+    time units.  This reproduces the oracle's semantics one observer
+    at a time -- and inherits its failure mode: any latency excursion
+    longer than the delay (a gray link, a long GC pause) produces a
     false suspicion.
 
 ``"phi"``
@@ -59,22 +61,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
-
-from repro.sim.layer import Layer
-from repro.sim.network import UniformLatency
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from repro.sim.crash import CrashRecord
+    from repro.sim.crash import CrashPlan, CrashRecord
     from repro.sim.simulator import Kernel
-    from repro.sim.tracing import Trace
 
-__all__ = ["DetectorPlan", "Heartbeat", "FailureDetectorService"]
+__all__ = ["Heartbeat", "FailureDetectorService"]
 
-#: The earned detector modes (the CLI's ``--detector`` choices); the
-#: oracle is spelled by a crash plan without a detector plan.
+#: The earned detectors (the CLI's ``--detector`` choices); the oracle
+#: is a crash plan's default.
 DETECTOR_MODES = ("phi", "timeout")
 
 #: Floor on the tail probability so ``phi`` stays finite.
@@ -84,7 +81,7 @@ _MIN_P = 1e-300
 #: observed link.
 WINDOW = 64
 #: Observations the phi model needs before it is trusted; until then
-#: the ``timeout`` criterion judges.
+#: the ``detection_delay`` criterion judges.
 MIN_SAMPLES = 3
 
 
@@ -101,157 +98,22 @@ class Heartbeat:
         return f"Heartbeat(src={self.src})"
 
 
-@dataclass(frozen=True)
-class DetectorPlan(Layer):
-    """Configuration of the heartbeat failure detector.
-
-    ``mode``
-        ``"phi"`` (adaptive, default), ``"timeout"`` (fixed) or
-        ``"oracle"`` (ground truth, ``timeout`` late; only ``timeout``
-        applies to it).
-    ``period``
-        Heartbeat emission interval; also the monitor evaluation
-        interval.
-    ``timeout``
-        Silence tolerated in ``"timeout"`` mode before suspecting --
-        and the bootstrap criterion in ``"phi"`` mode while a window
-        has fewer than ``MIN_SAMPLES`` observations.  In ``"oracle"``
-        mode, how long after a crash survivors learn of it.
-    ``phi_threshold``
-        Suspicion threshold on phi.  8 (Cassandra's default) means
-        "the chance a live peer is this silent is < 1e-8".
-    ``horizon``
-        Virtual time after which heartbeat and monitor chains stop
-        re-arming.  Must be > 0: without it the periodic timers would
-        keep the event queue populated forever and quiescence would
-        be unreachable.
-
-    The phi model keeps ``WINDOW`` samples per link, is trusted from
-    ``MIN_SAMPLES`` on, and floors its standard deviation at
-    ``period``, so a perfectly regular DES arrival stream cannot
-    collapse sigma to 0 and suspect on the first late beat.
-    """
-
-    mode: str = "phi"
-    period: float = 20.0
-    timeout: float = 50.0
-    phi_threshold: float = 8.0
-    horizon: float = 0.0
-
-    def __post_init__(self) -> None:
-        modes = ("oracle", *DETECTOR_MODES)
-        if self.mode not in modes:
-            raise ValueError(f"mode must be one of {modes}, got {self.mode!r}")
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.mode == "oracle":
-            return  # sends no heartbeats: nothing below applies
-        if self.timeout <= self.period:
-            raise ValueError(
-                f"timeout ({self.timeout}) must exceed the heartbeat "
-                f"period ({self.period}): a quieter-than-one-beat "
-                "threshold suspects every peer on every evaluation"
-            )
-        if self.phi_threshold <= 0:
-            raise ValueError(
-                f"phi_threshold must be > 0, got {self.phi_threshold}"
-            )
-        if self.horizon <= 0:
-            raise ValueError(
-                "the detector needs a finite horizon > 0 (heartbeat "
-                "timers re-arm forever otherwise and the run never "
-                "reaches quiescence)"
-            )
-
-    layer = "detector"
-
-    def implies(self) -> tuple[Layer, ...]:
-        """Suspicion runs through the crash controller's machinery
-        (ground truth, availability records, recovery hooks), so a
-        detector brings an inert crash plan when none was passed: no
-        crash fires, but partitions and gray links still provoke
-        (false) suspicions."""
-        from repro.sim.crash import CrashPlan
-
-        return (CrashPlan(),)
-
-    def validate(self, kernel: "Kernel") -> None:
-        """The oracle's drained-dead-window assumption: a crash is
-        announced after every message the dead window could still
-        deliver, so ``timeout`` must exceed the longest transit.  An
-        earned detector retires the oracle and the assumption."""
-        if self.mode != "oracle":
-            return
-        model = kernel.latency_model
-        if not isinstance(model, UniformLatency):
-            problem = (
-                f"cannot validate the oracle timeout ({self.timeout}) against "
-                f"{type(model).__name__}, whose transit time has no stated "
-                "bound; a transit longer than the oracle timeout violates "
-                "the drained-dead-window assumption. Pass an earned "
-                "detector_plan to retire the oracle"
-            )
-        elif self.timeout <= model.base:
-            raise ValueError(
-                f"the oracle timeout ({self.timeout}) must exceed the message "
-                f"latency ({model.base}): the recovery protocol relies on "
-                "donors having drained the dead window's traffic before a "
-                "restart is announced"
-            )
-        elif self.timeout <= model.base + model.jitter:
-            problem = (
-                f"the oracle timeout ({self.timeout}) may be exceeded by a "
-                f"jittered transit (up to {model.base + model.jitter}); "
-                "oracle detection assumes the dead window's traffic drains "
-                "first. Raise the timeout, or pass an earned detector_plan "
-                "to retire the oracle"
-            )
-        else:
-            return
-        self.warn(problem)
-
-    def install(self, kernel: "Kernel") -> None:
-        service = OracleDetector if self.mode == "oracle" else FailureDetectorService
-        kernel.detector = service(kernel, self)
-        kernel.detector.start()
-
-    def summary(self, kernel: "Kernel", trace: "Trace | None") -> dict[str, Any]:
-        """Heartbeats sent/received, suspicions raised and rescinded, how
-        many were *false* (the suspect was alive), and the mean
-        detection latency of real crashes (X9 quantities);
-        ``{"enabled": False}`` for the oracle, which earns nothing."""
-        if self.mode == "oracle":
-            return {"enabled": False}
-        detector = kernel.detector
-        latencies = detector.detection_latencies
-        return {
-            "enabled": True,
-            "mode": self.mode,
-            "period": self.period,
-            "heartbeats_sent": detector.heartbeats_sent,
-            "heartbeats_received": detector.heartbeats_received,
-            "suspicions": detector.suspicions,
-            "rescinds": detector.rescinds,
-            "false_suspicions": detector.false_suspicions,
-            "mean_detection_latency": (
-                sum(latencies) / len(latencies) if latencies else None
-            ),
-        }
-
-
 class FailureDetectorService:
     """Heartbeat emission plus per-observer suspicion tracking.
 
     One service instance covers the whole cluster, but all state is
-    keyed by ``(observer, peer)`` -- there is no shared opinion.  The
-    kernel constructs it for an earned mode, so the only path from a
-    crash to a forced unjoin runs through heartbeat silence observed
-    here.
+    keyed by ``(observer, peer)`` -- there is no shared opinion.  A
+    crash plan with an earned detector installs it, so the only path
+    from a crash to a forced unjoin runs through heartbeat silence
+    observed here.
+
+    The phi model keeps ``WINDOW`` samples per link, is trusted from
+    ``MIN_SAMPLES`` on, and floors its standard deviation at the
+    heartbeat period, so a perfectly regular DES arrival stream cannot
+    collapse sigma to 0 and suspect on the first late beat.
     """
 
-    def __init__(self, kernel: "Kernel", plan: DetectorPlan) -> None:
+    def __init__(self, kernel: "Kernel", plan: "CrashPlan") -> None:
         self.kernel = kernel
         self.plan = plan
         # Last heartbeat arrival per (observer, peer).
@@ -270,12 +132,10 @@ class FailureDetectorService:
         self.false_suspicions = 0
         self.heartbeats_sent = 0
         self.heartbeats_received = 0
-        #: Crash-to-first-suspicion latency for *real* crashes.
-        self.detection_latencies: list[float] = []
         # Samples larger than this are treated as stream resumption
         # (peer restart, healed partition) and kept out of the model:
         # one crash-sized gap would blow sigma up for a full window.
-        self._sample_cap = plan.period * 20.0
+        self._sample_cap = plan.heartbeat_period * 20.0
 
     # ------------------------------------------------------------------
     # wiring
@@ -285,7 +145,7 @@ class FailureDetectorService:
         kernel = self.kernel
         pids = kernel.pids
         n = len(pids)
-        stagger = self.plan.period / max(n, 1)
+        stagger = self.plan.heartbeat_period / max(n, 1)
         for index, pid in enumerate(pids):
             proc = kernel.processors[pid]
             # Stagger first beats so n processors do not all emit on
@@ -295,12 +155,10 @@ class FailureDetectorService:
                 first, partial(self._heartbeat_tick, pid, proc.incarnation)
             )
             kernel.events.schedule(
-                first + self.plan.period,
+                first + self.plan.heartbeat_period,
                 partial(self._monitor_tick, pid, proc.incarnation),
             )
-        controller = kernel.crash_controller
-        if controller is not None:
-            controller.on_restart(self._on_restart)
+        kernel.crash_controller.on_restart(self._on_restart)
 
     def on_suspect(self, hook: Callable[[int, int], None]) -> None:
         """Run ``hook(observer, peer)`` when observer starts suspecting."""
@@ -330,7 +188,7 @@ class FailureDetectorService:
         if not proc.alive or proc.incarnation != incarnation:
             return  # chain died with its incarnation; restart re-arms
         now = kernel.events.now
-        if now > self.plan.horizon:
+        if now > self.plan.detector_horizon:
             return
         network = kernel.network
         for peer in kernel.pids:
@@ -341,7 +199,7 @@ class FailureDetectorService:
             )
             self.heartbeats_sent += 1
         kernel.events.schedule(
-            now + self.plan.period,
+            now + self.plan.heartbeat_period,
             partial(self._heartbeat_tick, pid, incarnation),
         )
 
@@ -376,11 +234,11 @@ class FailureDetectorService:
         if not proc.alive or proc.incarnation != incarnation:
             return
         now = kernel.events.now
-        if now > self.plan.horizon:
+        if now > self.plan.detector_horizon:
             return
         self._evaluate(pid, now)
         kernel.events.schedule(
-            now + self.plan.period,
+            now + self.plan.heartbeat_period,
             partial(self._monitor_tick, pid, incarnation),
         )
 
@@ -394,18 +252,18 @@ class FailureDetectorService:
                 continue  # never heard from it; no baseline to judge by
             gap = now - last
             if self._should_suspect((observer, peer), gap):
-                self._suspect(observer, peer, now)
+                self._suspect(observer, peer)
 
     def _should_suspect(self, key: tuple[int, int], gap: float) -> bool:
         plan = self.plan
-        if plan.mode == "timeout":
-            return gap > plan.timeout
+        if plan.detector == "timeout":
+            return gap > plan.detection_delay
         window = self._windows.get(key)
         if window is None or len(window) < MIN_SAMPLES:
             # Phi needs a model; until the window warms up, fall back
             # to the timeout criterion so an early crash is still
             # caught.
-            return gap > plan.timeout
+            return gap > plan.detection_delay
         return self._phi_of_gap(key, gap) >= plan.phi_threshold
 
     def _phi_of_gap(self, key: tuple[int, int], gap: float) -> float:
@@ -415,27 +273,24 @@ class FailureDetectorService:
         n = len(window)
         mean = sum(window) / n
         var = sum((x - mean) ** 2 for x in window) / n
-        sigma = max(math.sqrt(var), self.plan.period)
+        sigma = max(math.sqrt(var), self.plan.heartbeat_period)
         z = (gap - mean) / sigma
         # P(silence >= gap | alive) under the normal model.
         p_later = 0.5 * math.erfc(z / math.sqrt(2.0))
         return -math.log10(max(p_later, _MIN_P))
 
-    def _suspect(self, observer: int, peer: int, now: float) -> None:
+    def _suspect(self, observer: int, peer: int) -> None:
         self._suspected[observer].add(peer)
         self.suspicions += 1
         controller = self.kernel.crash_controller
-        if controller is not None:
-            if controller.is_alive(peer):
-                # The oracle knows better: this opinion is wrong.
-                # Count it -- false-suspicion rate is the X9 metric --
-                # but deliver it anyway; surviving wrong opinions is
-                # the recovery machinery's job.
-                self.false_suspicions += 1
-            else:
-                record = controller.note_detected(peer, observer)
-                if record is not None:
-                    self.detection_latencies.append(now - record.crashed_at)
+        if controller.is_alive(peer):
+            # The ground truth knows better: this opinion is wrong.
+            # Count it -- false-suspicion rate is the X9 metric -- but
+            # deliver it anyway; surviving wrong opinions is the
+            # recovery machinery's job.
+            self.false_suspicions += 1
+        else:
+            controller.note_detected(peer, observer)
         for hook in self._suspect_hooks:
             hook(observer, peer)
 
@@ -453,27 +308,28 @@ class FailureDetectorService:
             del self._last[key]
         for key in [k for k in self._windows if k[0] == pid]:
             del self._windows[key]
-        if now > self.plan.horizon:
+        if now > self.plan.detector_horizon:
             return
         proc = kernel.processors[pid]
         kernel.events.schedule(
             now, partial(self._heartbeat_tick, pid, proc.incarnation)
         )
         kernel.events.schedule(
-            now + self.plan.period,
+            now + self.plan.heartbeat_period,
             partial(self._monitor_tick, pid, proc.incarnation),
         )
 
 
 class OracleDetector(FailureDetectorService):
-    """Mode ``"oracle"``: the crash controller's ground truth, announced late.
+    """The ``"oracle"``: the crash controller's ground truth, announced late.
 
-    ``timeout`` after a crash, if that incarnation is still down, the
-    crash record's ``detected_at`` is stamped and every suspect hook
-    runs for every live observer (hook by hook, observers in pid
-    order).  It keeps the service's hooks and overrides all that would
-    send or judge a heartbeat: it sends none and never rescinds, and
-    its plan reports it as no detector, having earned nothing to count.
+    ``detection_delay`` after a crash, if that incarnation is still
+    down, the crash record's ``detected_at`` is stamped and every
+    suspect hook runs for every live observer (hook by hook, observers
+    in pid order).  It keeps the service's hooks and overrides all that
+    would send or judge a heartbeat: it sends none, is never wrong and
+    never rescinds, so its counters stay 0 -- it earns nothing; the
+    crash records say when it announced.
     """
 
     def start(self) -> None:
@@ -491,7 +347,7 @@ class OracleDetector(FailureDetectorService):
         events = self.kernel.events
         record = self.kernel.crash_controller.records[-1]  # opened just now
         events.schedule(
-            events.now + self.plan.timeout, partial(self._announce, record)
+            events.now + self.plan.detection_delay, partial(self._announce, record)
         )
 
     def _announce(self, record: "CrashRecord") -> None:

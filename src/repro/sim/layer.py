@@ -3,12 +3,12 @@
 The paper's machine is one reliable, exactly-once FIFO network between
 processors that never fail (Section 1.1).  Each opt-in layer either
 breaks that sentence (faults, crashes, partitions, the permuter) or
-rebuilds it (the reliable transport, the failure detector), and each is
-one frozen plan a :class:`~repro.sim.simulator.Kernel` takes in its
-``layers`` tuple.  The plan owns its layer:
+rebuilds it (the reliable transport), and each is one frozen plan a
+:class:`~repro.sim.simulator.Kernel` takes in its ``layers`` tuple.  A
+layer needs no other plan: what one cannot run without is part of it
+(the crash plan carries the failure detector that announces its
+crashes).  The plan owns its layer:
 
-* :meth:`Layer.implies` -- partner plans it cannot run without, added
-  with their defaults when the caller passed none of their type;
 * :meth:`Layer.validate` -- the checks against the kernel it joins
   (pids, latency), each a ``ValueError``, or a doubt
   :meth:`Layer.warn` points at the caller;
@@ -41,17 +41,12 @@ _PACKAGE = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
 class Layer:
-    """Base of the layer plans: the four steps, two of them optional."""
+    """Base of the layer plans: the three steps, one of them optional."""
 
     __slots__ = ()
 
     #: The layer's key in :func:`repro.stats.layer_report`.
     layer = ""
-
-    def implies(self) -> tuple["Layer", ...]:
-        """Plans installed with this one when the caller passed none
-        of their type."""
-        return ()
 
     def validate(self, kernel: "Kernel") -> None:
         """Raise ``ValueError`` if this plan cannot run on ``kernel``

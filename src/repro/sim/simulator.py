@@ -13,7 +13,7 @@ import random
 from typing import Any, Callable, Iterable
 
 from repro.sim.crash import CrashController, CrashPlan
-from repro.sim.detector import DetectorPlan, FailureDetectorService
+from repro.sim.detector import FailureDetectorService
 from repro.sim.events import EventQueue
 from repro.sim.events import QuiescenceError  # noqa: F401 (re-exported)
 from repro.sim.failure import FaultPlan
@@ -35,7 +35,6 @@ LAYERS: tuple[type[Layer], ...] = (
     PermutePlan,
     CrashPlan,
     PartitionPlan,
-    DetectorPlan,
 )
 
 #: The incompatible layer pairs, each with its reason stated once.
@@ -61,12 +60,6 @@ INCOMPATIBLE_LAYERS: tuple[tuple[type[Layer], type[Layer], str], ...] = (
         PermutePlan,
         PartitionPlan,
         "a blocked link would confound which swaps caused a divergence",
-    ),
-    (
-        PermutePlan,
-        DetectorPlan,
-        "a detector implies a crash-capable cluster, and permuted "
-        "schedules are incomparable under crashes",
     ),
 )
 
@@ -102,11 +95,9 @@ class Kernel:
     layers:
         Plans of the opt-in layers (:data:`LAYERS`), at most one of
         each type; none gives the paper's machine, whose fast path no
-        layer touches.  A plan brings the partners it implies (a
-        crash plan the oracle :class:`~repro.sim.detector.DetectorPlan`,
-        a detector an inert :class:`~repro.sim.crash.CrashPlan`), each
-        plan validates itself against the kernel, and then each is
-        installed, in registry order.  :attr:`layers` holds them all.
+        layer touches.  Each plan validates itself against the
+        kernel, and then each is installed, in registry order.
+        :attr:`layers` holds them.
 
     Every layer composes with every other except the pairs
     :func:`check_layers` refuses, which raise ``ValueError`` here.
@@ -135,9 +126,6 @@ class Kernel:
                 raise ValueError(f"two {kind.__name__} layers")
             plans[kind] = plan
         check_layers(plans)
-        for plan in list(plans.values()):
-            for partner in plan.implies():
-                plans.setdefault(type(partner), partner)
         #: Every installed layer's plan by type, in registry order.
         self.layers: dict[type, Layer] = {
             kind: plans[kind] for kind in LAYERS if kind in plans
@@ -181,8 +169,9 @@ class Kernel:
         self.permuter: SchedulePermuter | None = None
         self.crash_controller: CrashController | None = None
         self.partition_controller: PartitionController | None = None
-        #: The failure detector, the one source of suspicion; None
-        #: exactly when there is no crash controller.
+        #: The failure detector, the one source of suspicion; the crash
+        #: plan installs it with the controller, so it is None exactly
+        #: when there is no crash controller.
         self.detector: FailureDetectorService | None = None
         for plan in self.layers.values():
             plan.validate(self)

@@ -71,7 +71,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "audit: CheckReport(OK" in out
         assert "partition: 1 cuts (1 healed" in out
-        assert "detector: timeout, period 20:" in out
+        assert "; detector timeout: " in out  # on the crash line
         assert "repair: ring placement, period 100:" in out
 
     def test_faults_inventory(self, capsys):
@@ -89,7 +89,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "fault layers @" in out
         assert "partition   on" in out
-        assert "detector    on" in out
+        assert re.search(r"crash +on .*; detector phi: [1-9][0-9]* heartbeats", out)
+        assert not re.search(r"^  detector ", out, re.M)  # no row of its own
         # A partition plan is its schedule: it adds no seed stream.
         assert "seeds:" in out
         assert "partition" not in out.split("seeds:")[1]
@@ -123,7 +124,7 @@ class TestCLI:
             ).groups()
             faults[label] = (state, detail or "")
         prefixes = ["shard 0 ", "shard 1 "] if shards == "2" else [""]
-        layers = ["faults", "reliability", "crash", "partition", "detector", "repair"]
+        layers = ["faults", "reliability", "crash", "partition", "repair"]
         labels = [prefix + name for prefix in prefixes for name in layers]
         if shards == "2":
             labels.append("sharding")
@@ -140,7 +141,7 @@ class TestCLI:
             assert " of them on an ack; " in demo[prefix + "reliability"]
             assert demo[prefix + "crash"].startswith("1 crashes (1 restarted)")
             assert " by their timer, " in demo[prefix + "crash"]
-            assert demo[prefix + "crash"].endswith(" failed over")
+            assert " failed over; detector timeout: " in demo[prefix + "crash"]
         assert demo["ops"] == "40 completed, 0 incomplete, 0 failed, 0 timed out"
 
     def test_sharded_demo_reports_each_shard_once(self, capsys):
@@ -160,11 +161,31 @@ class TestCLI:
         assert len([line for line in lines if line.startswith("sharding: ")]) == 1
         assert any(line.startswith("audit: CheckReport(OK") for line in lines)
 
+    def test_sharded_crash_demo_loads_and_fails_over_in_every_shard(self, capsys):
+        """The demo's keys spread over the whole key space, so each shard
+        of a 2-shard forest holds entries, and a crash without op timers
+        fails ops over in each shard's tree."""
+        assert main([
+            "demo", "--inserts", "60", "--protocol", "variable",
+            "--crash", "1:30", "--replication-factor", "2", "--shards", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        entries = re.findall(r"^shard (\d) .* (\d+) entries$", out, re.M)
+        assert [shard for shard, _ in entries] == ["0", "1"]
+        assert all(int(count) >= 1 for _, count in entries)
+        failed_over = re.findall(
+            r"^shard (\d) crash: .*, (\d+) failed over;", out, re.M
+        )
+        assert [shard for shard, _ in failed_over] == ["0", "1"]
+        assert all(int(count) >= 1 for _, count in failed_over)
+        assert "audit: CheckReport(OK" in out
+
     def test_faults_all_layers_off(self, capsys):
         assert main(["faults", "--inserts", "10"]) == 0
         out = capsys.readouterr().out
         assert "partition   off" in out
-        assert "detector    off" in out
+        assert "crash       off" in out
+        assert "detector" not in out  # the crash layer's, off with it
 
     @pytest.mark.parametrize(
         "flags", [["--crash", "9:100:200"], ["--partition", "0,9@100:300"]]
@@ -201,17 +222,18 @@ _FLAG_RUNS = {
         ["demo", "--inserts", "40", "--protocol", "variable",
          "--crash", "1:100:400", "--detection-delay", "30",
          "--op-timeout", "300", "--replication-factor", "2"],
-        0, "crash: 1 crashes (1 restarted)", None,
+        0, "detector oracle: 0 heartbeats, 0 suspicions earned (0 false, "
+        "0 rescinded), mean detection 30", None,
     ),
     "--heartbeat-period": (
         ["faults", "--inserts", "20", "--detector", "timeout",
          "--heartbeat-period", "40", "--detector-horizon", "1500"],
-        0, "detector    on   timeout, period 40:", None,
+        0, "detector timeout: 453 heartbeats", None,  # 903 every 20
     ),
     "--phi-threshold": (
         ["faults", "--inserts", "20", "--detector", "phi",
          "--phi-threshold", "4", "--detector-horizon", "1500"],
-        0, "detector    on   phi, period 20:", None,
+        0, "detector phi: 903 heartbeats", None,
     ),
     "--mirror-placement": (
         ["demo", "--inserts", "40", "--protocol", "variable",
@@ -231,7 +253,7 @@ _FLAG_RUNS = {
     ),
     "--shard-merge-threshold": (
         ["demo", "--inserts", "20", "--shards", "4",
-         "--shard-split-threshold", "100", "--shard-merge-threshold", "8"],
+         "--shard-split-threshold", "100", "--shard-merge-threshold", "12"],
         0, "2 live shards (2 retired), directory v2, 0 splits, 2 merges", None,
     ),
     "--rate": (

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import CrashPlan, DBTreeCluster, DetectorPlan, FaultPlan
+from repro import CrashPlan, DBTreeCluster, FaultPlan
 from repro.sim import reliable
 from repro.sim.network import Bundle
 from repro.sim.processor import ProcessorDownError
@@ -736,10 +736,11 @@ class TestAvailabilitySummary:
         assert "ops_timed_out" in summary
 
     def test_detection_delay_must_exceed_latency(self):
-        with pytest.raises(ValueError, match="oracle timeout"):
+        with pytest.raises(ValueError, match="oracle detection_delay"):
             DBTreeCluster(
                 num_processors=2,
                 protocol="variable",
-                crash_plan=CrashPlan(schedule=((1, 100.0, 200.0),)),
-                detector_plan=DetectorPlan(mode="oracle", timeout=5.0),
+                crash_plan=CrashPlan(
+                    schedule=((1, 100.0, 200.0),), detection_delay=5.0
+                ),
             )

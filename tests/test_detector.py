@@ -1,7 +1,8 @@
 """Failure detection: the oracle, heartbeats, timeout and phi-accrual.
 
-Covers :mod:`repro.sim.detector`: plan validation, the oracle mode
-(ground truth, announced ``timeout`` after a crash), heartbeat
+Covers :mod:`repro.sim.detector`, the crash plan's detector: plan
+validation, the oracle (ground truth, announced ``detection_delay``
+after a crash), heartbeat
 emission/arrival over the datagram path, suspicion earned from
 silence (not from the ground truth), rescission when a
 suspected peer speaks again, the phi-accrual detector's adaptation to
@@ -20,18 +21,17 @@ import pytest
 from repro import (
     CrashPlan,
     DBTreeCluster,
-    DetectorPlan,
     PartitionPlan,
 )
 from repro.sim import detector as detector_module
+from repro.sim.detector import OracleDetector
 from repro.stats import layer_report
 
 
 def detector_cluster(
-    detector_plan,
+    crash_plan,
     protocol="variable",
     seed=3,
-    crash_plan=None,
     partition_plan=None,
     **kwargs,
 ):
@@ -44,7 +44,6 @@ def detector_cluster(
         seed=seed,
         crash_plan=crash_plan,
         partition_plan=partition_plan,
-        detector_plan=detector_plan,
         **kwargs,
     )
 
@@ -63,46 +62,50 @@ def spaced_inserts(cluster, count=40, spacing=10.0):
 
 
 # ----------------------------------------------------------------------
-# DetectorPlan validation
+# the crash plan's detector fields
 # ----------------------------------------------------------------------
 class TestPlanValidation:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            DetectorPlan(mode="gossip", horizon=100.0)
+    def test_unknown_detector_rejected(self):
+        with pytest.raises(ValueError, match="detector"):
+            CrashPlan(detector="gossip", detector_horizon=100.0)
 
     def test_oracle_needs_no_horizon(self):
-        assert DetectorPlan(mode="oracle").horizon == 0.0
-        # ...nor a timeout above the (unused) heartbeat period
-        assert DetectorPlan(mode="oracle", timeout=5.0).timeout == 5.0
-        with pytest.raises(ValueError, match="timeout"):
-            DetectorPlan(mode="oracle", timeout=0.0)
+        assert CrashPlan().detector == "oracle"
+        assert CrashPlan().detector_horizon == 0.0
+        # ...nor a delay above the (unused) heartbeat period
+        assert CrashPlan(detection_delay=5.0).detection_delay == 5.0
+        with pytest.raises(ValueError, match="detection_delay"):
+            CrashPlan(detection_delay=0.0)
 
     def test_horizon_required(self):
         with pytest.raises(ValueError, match="horizon"):
-            DetectorPlan()
+            CrashPlan(detector="phi")
 
-    def test_timeout_must_exceed_period(self):
-        with pytest.raises(ValueError, match="timeout"):
-            DetectorPlan(period=50.0, timeout=50.0, horizon=100.0)
+    def test_delay_must_exceed_period(self):
+        with pytest.raises(ValueError, match="detection_delay"):
+            CrashPlan(
+                detector="phi",
+                heartbeat_period=50.0,
+                detection_delay=50.0,
+                detector_horizon=100.0,
+            )
 
 
 
 # ----------------------------------------------------------------------
-# the oracle: ground truth, announced timeout after a crash
+# the oracle: ground truth, announced detection_delay after a crash
 # ----------------------------------------------------------------------
-def oracle_cluster(schedule, replication_factor=2, **kwargs):
-    """A crash plan without a detector plan: the kernel builds the
-    oracle (``detector_plan`` may name one with another timeout)."""
+def oracle_cluster(schedule, replication_factor=2, detection_delay=50.0):
+    """A crash plan that names no detector: the oracle."""
     return DBTreeCluster(
         num_processors=4,
         protocol="variable",
         capacity=4,
         seed=3,
-        crash_plan=CrashPlan(schedule=schedule),
+        crash_plan=CrashPlan(schedule=schedule, detection_delay=detection_delay),
         op_timeout=3000.0,
         op_retries=5,
         replication_factor=replication_factor,
-        **kwargs,
     )
 
 
@@ -124,28 +127,29 @@ def hook_log(detector):
 class TestOracle:
     def test_crash_plan_alone_builds_the_oracle(self):
         cluster = oracle_cluster(((3, 50.0, None),))
-        assert cluster.kernel.detector.plan == DetectorPlan(mode="oracle")
-        assert layer_report(cluster)["detector"] == {"enabled": False}
+        assert type(cluster.kernel.detector) is OracleDetector
+        assert cluster.kernel.detector.plan.detector == "oracle"
+        report = layer_report(cluster)
+        assert "detector" not in report  # the crash entry carries it
+        assert report["crash"]["detector"] == "oracle"
+        assert report["crash"]["heartbeats_sent"] == 0
 
-    @pytest.mark.parametrize("timeout", [50.0, 70.0])
-    def test_suspects_at_crash_plus_timeout_at_every_live_processor(
-        self, timeout
+    @pytest.mark.parametrize("delay", [50.0, 70.0])
+    def test_suspects_at_crash_plus_delay_at_every_live_processor(
+        self, delay
     ):
-        cluster = oracle_cluster(
-            ((3, 50.0, None),),
-            detector_plan=DetectorPlan(mode="oracle", timeout=timeout),
-        )
+        cluster = oracle_cluster(((3, 50.0, None),), detection_delay=delay)
         log = hook_log(cluster.kernel.detector)
         spaced_inserts(cluster)
         cluster.run()
-        at = 50.0 + timeout
+        at = 50.0 + delay
         assert log == [("suspect", at, observer, 3) for observer in (0, 1, 2)]
         [record] = cluster.kernel.crash_controller.records
         assert record.detected_at == at
         assert record.suspected_by == []  # the oracle earns nothing
 
-    def test_no_suspicion_when_back_before_timeout(self):
-        # Down for 20 < timeout 50: peers never learn.
+    def test_no_suspicion_when_back_before_delay(self):
+        # Down for 20 < delay 50: peers never learn.
         cluster = oracle_cluster(((1, 100.0, 120.0),), replication_factor=1)
         log = hook_log(cluster.kernel.detector)
         spaced_inserts(cluster)
@@ -193,11 +197,11 @@ class TestOracle:
 class TestHeartbeats:
     def test_heartbeats_flow_and_none_suspected_on_quiet_cluster(self):
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", horizon=1000.0)
+            CrashPlan(detector="timeout", detector_horizon=1000.0)
         )
         expected = spaced_inserts(cluster, count=20)
         cluster.run()
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         assert summary["enabled"]
         assert summary["heartbeats_sent"] > 0
         assert summary["heartbeats_received"] == summary["heartbeats_sent"]
@@ -209,7 +213,7 @@ class TestHeartbeats:
         # Datagrams must not count as logical messages or disturb the
         # reliable transport's sequence space.
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", horizon=500.0),
+            CrashPlan(detector="timeout", detector_horizon=500.0),
             reliability="enforced",
         )
         baseline = detector_cluster(None, reliability="enforced", seed=3)
@@ -225,8 +229,12 @@ class TestHeartbeats:
 
     def test_crash_is_suspected_without_oracle(self):
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", timeout=50.0, horizon=3000.0),
-            crash_plan=CrashPlan(schedule=((1, 400.0, 600.0),)),
+            CrashPlan(
+                schedule=((1, 400.0, 600.0),),
+                detector="timeout",
+                detection_delay=50.0,
+                detector_horizon=3000.0,
+            ),
             replication_factor=2,
             repair_period=100.0,
         )
@@ -234,40 +242,43 @@ class TestHeartbeats:
         results = cluster.run()
         assert results.ok
         assert cluster.check(expected=expected).ok
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         # all three survivors earn the suspicion themselves
         assert summary["suspicions"] == 3
         assert summary["false_suspicions"] == 0
-        assert summary["mean_detection_latency"] is not None
-        assert summary["mean_detection_latency"] >= 50.0
+        assert summary["mean_detection"] >= 50.0
         # the oracle never ran: detection shows up in the crash
         # record via the detector's note_detected path
-        assert cluster.kernel.detector.plan.mode == "timeout"
+        assert cluster.kernel.detector.plan.detector == "timeout"
         record = cluster.kernel.crash_controller.records[0]
         assert record.detected_at is not None
         assert sorted(record.suspected_by) == [0, 2, 3]  # deduplicated
 
     def test_restart_rescinds_suspicion(self):
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", timeout=50.0, horizon=3000.0),
-            crash_plan=CrashPlan(schedule=((1, 400.0, 600.0),)),
+            CrashPlan(
+                schedule=((1, 400.0, 600.0),),
+                detector="timeout",
+                detection_delay=50.0,
+                detector_horizon=3000.0,
+            ),
             replication_factor=2,
         )
         expected = spaced_inserts(cluster)
         cluster.run()
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         assert summary["rescinds"] == summary["suspicions"] > 0
         detector = cluster.kernel.detector
         for observer in (0, 2, 3):
             assert not detector.is_suspected(observer, 1)
         assert cluster.check(expected=expected).ok
 
-    def test_detector_without_crash_plan_synthesizes_crash_layer(self):
+    def test_detector_with_an_empty_schedule_runs_the_crash_layer(self):
         cluster = detector_cluster(
-            DetectorPlan(mode="phi", horizon=1000.0)
+            CrashPlan(detector="phi", detector_horizon=1000.0)
         )
         assert cluster.kernel.crash_controller is not None
-        assert cluster.kernel.detector.plan.mode == "phi"
+        assert cluster.kernel.detector.plan.detector == "phi"
         expected = spaced_inserts(cluster, count=20)
         cluster.run()
         assert cluster.check(expected=expected).ok
@@ -277,13 +288,17 @@ class TestHeartbeats:
         # immediate crash via the timeout criterion.
         monkeypatch.setattr(detector_module, "MIN_SAMPLES", 1000)
         cluster = detector_cluster(
-            DetectorPlan(mode="phi", timeout=60.0, horizon=2000.0),
-            crash_plan=CrashPlan(schedule=((2, 100.0, None),)),
+            CrashPlan(
+                schedule=((2, 100.0, None),),
+                detector="phi",
+                detection_delay=60.0,
+                detector_horizon=2000.0,
+            ),
             replication_factor=2,
         )
         spaced_inserts(cluster, count=20)
         cluster.run()
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         assert summary["suspicions"] == 3
         assert summary["false_suspicions"] == 0
 
@@ -296,7 +311,9 @@ class TestPhiModel:
         # 100 beats per link over the horizon; the model keeps 16.
         monkeypatch.setattr(detector_module, "WINDOW", 16)
         cluster = detector_cluster(
-            DetectorPlan(mode="phi", period=20.0, horizon=2000.0)
+            CrashPlan(
+                detector="phi", heartbeat_period=20.0, detector_horizon=2000.0
+            )
         )
         spaced_inserts(cluster, count=10)
         cluster.run()
@@ -309,7 +326,9 @@ class TestPhiModel:
         # at the period, so one period late is z = 1, not a division
         # by zero or an instant suspicion.
         cluster = detector_cluster(
-            DetectorPlan(mode="phi", period=25.0, horizon=100.0)
+            CrashPlan(
+                detector="phi", heartbeat_period=25.0, detector_horizon=100.0
+            )
         )
         detector = cluster.kernel.detector
         detector._windows[(0, 1)] = deque([25.0] * 10)
@@ -321,7 +340,9 @@ class TestPhiModel:
         # Gaps of 0 and 100 have sigma 50, above the period's floor of
         # 25: a gap of 100 is one sigma late, as with the floor's z = 1.
         cluster = detector_cluster(
-            DetectorPlan(mode="phi", period=25.0, horizon=100.0)
+            CrashPlan(
+                detector="phi", heartbeat_period=25.0, detector_horizon=100.0
+            )
         )
         detector = cluster.kernel.detector
         detector._windows[(0, 1)] = deque([0.0, 100.0] * 5)
@@ -333,8 +354,12 @@ class TestPhiModel:
         # Processor 1 is silent for 600 vt, beyond the 20-period cap
         # (400 vt): the resumed stream must not carry that gap.
         cluster = detector_cluster(
-            DetectorPlan(mode="phi", period=20.0, horizon=2000.0),
-            crash_plan=CrashPlan(schedule=((1, 400.0, 1000.0),)),
+            CrashPlan(
+                schedule=((1, 400.0, 1000.0),),
+                detector="phi",
+                heartbeat_period=20.0,
+                detector_horizon=2000.0,
+            ),
             replication_factor=2,
         )
         expected = spaced_inserts(cluster)
@@ -353,7 +378,7 @@ class TestGrayFailure:
 
     def run_mode(self, mode):
         cluster = detector_cluster(
-            DetectorPlan(mode=mode, horizon=4000.0),
+            CrashPlan(detector=mode, detector_horizon=4000.0),
             protocol="semisync",
             seed=2,
             partition_plan=self.GRAY,
@@ -365,7 +390,7 @@ class TestGrayFailure:
 
     def test_timeout_detector_false_suspects_then_rescinds(self):
         cluster, expected, results = self.run_mode("timeout")
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         assert summary["false_suspicions"] > 0
         assert summary["rescinds"] == summary["suspicions"]
         assert results.ok
@@ -373,7 +398,7 @@ class TestGrayFailure:
 
     def test_phi_detector_adapts_and_never_suspects(self):
         cluster, expected, results = self.run_mode("phi")
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         assert summary["suspicions"] == 0
         assert summary["false_suspicions"] == 0
         assert results.ok
@@ -390,7 +415,7 @@ class TestFalseSuspicionHeals:
         # anti-entropy layer re-admits them -- clean audit, no lost
         # keys, nobody still written off (check_false_kill).
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", horizon=6000.0),
+            CrashPlan(detector="timeout", detector_horizon=6000.0),
             partition_plan=PartitionPlan(
                 splits=((800.0, 1400.0, (0, 1)),)
             ),
@@ -405,7 +430,7 @@ class TestFalseSuspicionHeals:
         assert results.ok
         report = cluster.check(expected=expected)
         assert report.ok, report.problems
-        summary = layer_report(cluster)["detector"]
+        summary = layer_report(cluster)["crash"]
         assert summary["false_suspicions"] > 0
         assert summary["rescinds"] == summary["suspicions"]
         avail = cluster.availability_summary()
@@ -422,7 +447,7 @@ class TestFalseSuspicionHeals:
         from repro.verify.checker import check_false_kill
 
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", horizon=500.0)
+            CrashPlan(detector="timeout", detector_horizon=500.0)
         )
         spaced_inserts(cluster, count=10)
         cluster.run()
@@ -442,7 +467,7 @@ class TestFalseSuspicionHeals:
         # is alive; asking it would re-replicate onto the peer just
         # written off.)
         cluster = detector_cluster(
-            DetectorPlan(mode="timeout", horizon=4000.0),
+            CrashPlan(detector="timeout", detector_horizon=4000.0),
             seed=2,
             partition_plan=PartitionPlan(gray=((500.0, 2500.0, 1, None, 10.0),)),
             op_timeout=500.0,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.crash import CrashPlan
-from repro.sim.detector import DetectorPlan
+from repro.sim.detector import FailureDetectorService, OracleDetector
 from repro.sim.failure import FaultPlan
 from repro.sim.partition import PartitionPlan
 from repro.sim.simulator import Kernel, QuiescenceError
@@ -67,10 +67,34 @@ class TestRouting:
             Kernel(num_processors=2, layers=(FaultPlan(), FaultPlan(drop_p=0.1)))
 
     def test_layers_install_in_registry_order_whatever_the_callers(self):
-        plans = (DetectorPlan(horizon=100.0), FaultPlan(), CrashPlan())
+        plans = (
+            PartitionPlan(),
+            CrashPlan(detector="phi", detector_horizon=100.0),
+            FaultPlan(),
+        )
         kernel = Kernel(num_processors=2, layers=plans)
-        assert list(kernel.layers) == [FaultPlan, CrashPlan, DetectorPlan]
+        assert list(kernel.layers) == [FaultPlan, CrashPlan, PartitionPlan]
         assert Kernel(num_processors=2, layers=plans[::-1]).layers == kernel.layers
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (),
+            (FaultPlan(), PartitionPlan()),
+            (CrashPlan(),),
+            (CrashPlan(schedule=((1, 50.0, 100.0),)),),
+            (CrashPlan(detector="timeout", detector_horizon=100.0),),
+            (PartitionPlan(), CrashPlan(detector="phi", detector_horizon=100.0)),
+        ],
+    )
+    def test_a_detector_exactly_when_a_crash_controller(self, layers):
+        kernel = Kernel(num_processors=2, layers=layers)
+        assert (kernel.detector is None) == (kernel.crash_controller is None)
+        assert (kernel.detector is None) == (CrashPlan not in kernel.layers)
+        if kernel.detector is not None:
+            oracle = kernel.layers[CrashPlan].detector == "oracle"
+            assert isinstance(kernel.detector, FailureDetectorService)
+            assert isinstance(kernel.detector, OracleDetector) == oracle
 
 
 class TestRunControl:

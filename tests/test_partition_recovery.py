@@ -17,7 +17,6 @@ import pytest
 from repro import (
     CrashPlan,
     DBTreeCluster,
-    DetectorPlan,
     LogNormalLatency,
     PartitionPlan,
     ShardedCluster,
@@ -60,7 +59,7 @@ class TestHomeResolve:
             partition_plan=PartitionPlan(
                 one_way=((800.0, 1100.0, 0, None),)
             ),
-            detector_plan=DetectorPlan(mode="timeout", horizon=8000.0),
+            crash_plan=CrashPlan(detector="timeout", detector_horizon=8000.0),
             op_timeout=300.0,
             op_retries=10,
             replication_factor=2,
@@ -202,17 +201,15 @@ class TestBouncePolicy:
 
 
 # ----------------------------------------------------------------------
-# oracle timeout validation at cluster wiring
+# oracle detection_delay validation at cluster wiring
 # ----------------------------------------------------------------------
 class TestDetectionDelayValidation:
-    CRASH = CrashPlan(schedule=((1, 400.0, 600.0),))
-    ORACLE = DetectorPlan(mode="oracle", timeout=50.0)
+    CRASH = CrashPlan(schedule=((1, 400.0, 600.0),), detection_delay=50.0)
 
     def test_fixed_latency_violation_still_hard_errors(self):
-        with pytest.raises(ValueError, match="oracle timeout"):
+        with pytest.raises(ValueError, match="oracle detection_delay"):
             DBTreeCluster(
                 crash_plan=self.CRASH,
-                detector_plan=self.ORACLE,
                 latency_model=UniformLatency(base=50.0),
             )
 
@@ -220,10 +217,9 @@ class TestDetectionDelayValidation:
         # 50 > base 10 (no hard error) but 50 <= 10 + 45: a jittered
         # transit can outlive the oracle's drained-dead-window
         # assumption, so the wiring warns.
-        with pytest.warns(RuntimeWarning, match="oracle timeout"):
+        with pytest.warns(RuntimeWarning, match="oracle detection_delay"):
             cluster = DBTreeCluster(
                 crash_plan=self.CRASH,
-                detector_plan=self.ORACLE,
                 latency_model=UniformLatency(base=10.0, jitter=45.0),
                 op_timeout=300.0,
                 replication_factor=2,
@@ -246,10 +242,9 @@ class TestDetectionDelayValidation:
     def test_warning_points_at_the_caller(self, build):
         # However many facade frames sit above the kernel, the warning
         # names the line that asked for the cluster.
-        with pytest.warns(RuntimeWarning, match="oracle timeout") as caught:
+        with pytest.warns(RuntimeWarning, match="oracle detection_delay") as caught:
             build(
                 crash_plan=self.CRASH,
-                detector_plan=self.ORACLE,
                 latency_model=UniformLatency(base=10.0, jitter=45.0),
             )
         assert {w.filename for w in caught} == {__file__}
@@ -272,7 +267,6 @@ class TestDetectionDelayValidation:
             warnings.simplefilter("always")
             DBTreeCluster(
                 crash_plan=self.CRASH,
-                detector_plan=self.ORACLE,
                 latency_model=model,
                 op_timeout=300.0,
                 replication_factor=2,
@@ -298,10 +292,13 @@ class TestDetectionDelayValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cluster = DBTreeCluster(
-                crash_plan=self.CRASH,
+                crash_plan=CrashPlan(
+                    schedule=self.CRASH.schedule,
+                    detector="timeout",
+                    detector_horizon=2000.0,
+                ),
                 latency_model=model,
-                detector_plan=DetectorPlan(mode="timeout", horizon=2000.0),
                 op_timeout=300.0,
                 replication_factor=2,
             )
-        assert cluster.kernel.detector.plan.mode == "timeout"
+        assert cluster.kernel.detector.plan.detector == "timeout"

@@ -10,7 +10,6 @@ from tests.helpers import landing
 from repro import DBTreeCluster
 from repro.core.actions import HalfSplit, InsertAction, Mode, RelayedSplit
 from repro.sim.crash import CrashPlan
-from repro.sim.detector import DetectorPlan
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
 from repro.sim.network import Network, UniformLatency
@@ -215,9 +214,11 @@ LAYER_ON = {
     FaultPlan: FaultPlan(drop_p=0.1),
     ReliabilityConfig: ReliabilityConfig(),
     PermutePlan: PermutePlan(),
-    CrashPlan: CrashPlan(schedule=((1, 50.0, 100.0),)),
+    # with an earned detector, so every pair that composes runs heartbeats
+    CrashPlan: CrashPlan(
+        schedule=((1, 50.0, 100.0),), detector="phi", detector_horizon=500.0
+    ),
     PartitionPlan: PartitionPlan(splits=((1.0, 2.0, (0,)),)),
-    DetectorPlan: DetectorPlan(horizon=500.0),
 }
 #: The facade keyword that passes each plan type (the reliable
 #: transport's is ``reliability="enforced"``, not a plan).
@@ -227,7 +228,6 @@ KEYWORD = {
     PermutePlan: "permute_plan",
     CrashPlan: "crash_plan",
     PartitionPlan: "partition_plan",
-    DetectorPlan: "detector_plan",
 }
 
 

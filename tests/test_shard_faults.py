@@ -14,7 +14,6 @@ import pytest
 from tests.helpers import assert_clean
 from repro import (
     CrashPlan,
-    DetectorPlan,
     FaultPlan,
     PartitionPlan,
     ShardedCluster,
@@ -134,7 +133,7 @@ class TestShardingWithPartitions:
             initial_boundaries=(1000,),
             shard_split_threshold=30,
             partition_plan=PartitionPlan(splits=((800.0, 1400.0, (0, 1)),)),
-            detector_plan=DetectorPlan(mode="timeout", horizon=6000.0),
+            crash_plan=CrashPlan(detector="timeout", detector_horizon=6000.0),
             op_timeout=300.0,
             op_retries=10,
             replication_factor=2,

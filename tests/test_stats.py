@@ -6,7 +6,6 @@ from tests.helpers import run_insert_workload
 from repro import (
     CrashPlan,
     DBTreeCluster,
-    DetectorPlan,
     FaultPlan,
     PartitionPlan,
     ShardedCluster,
@@ -106,9 +105,12 @@ class TestLayerReport:
         capacity=4,
         fault_plan=FaultPlan(drop_p=0.05),
         reliability="enforced",
-        crash_plan=CrashPlan(schedule=((2, 150.0, 600.0),)),
+        crash_plan=CrashPlan(
+            schedule=((2, 150.0, 600.0),),
+            detector="timeout",
+            detector_horizon=3000.0,
+        ),
         partition_plan=PartitionPlan(splits=((400.0, 900.0, (0, 1)),)),
-        detector_plan=DetectorPlan(mode="timeout", horizon=3000.0),
         op_timeout=300.0,
         replication_factor=2,
         repair_period=100.0,
@@ -135,27 +137,29 @@ class TestLayerReport:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_layer_is_on_exactly_when_its_plan_is_passed(self, shards):
         # One plan at a time, plus none: only its own key reads on --
-        # and a detector's, whose inert crash plan comes with it (the
-        # oracle a crash plan brings is no detector, and reads off).
-        examples = {
-            "fault_plan": (FaultPlan(drop_p=0.05), {"faults"}),
-            "reliability": ("enforced", {"reliability"}),
-            "permute_plan": (PermutePlan(), {"permute"}),
-            "crash_plan": (CrashPlan(schedule=((2, 150.0, 600.0),)), {"crash"}),
-            "partition_plan": (
+        # a crash plan's whether it crashes anything or only runs an
+        # earned detector, which is part of it.
+        examples = [
+            ("fault_plan", FaultPlan(drop_p=0.05), {"faults"}),
+            ("reliability", "enforced", {"reliability"}),
+            ("permute_plan", PermutePlan(), {"permute"}),
+            ("crash_plan", CrashPlan(schedule=((2, 150.0, 600.0),)), {"crash"}),
+            (
+                "crash_plan",
+                CrashPlan(detector="timeout", detector_horizon=3000.0),
+                {"crash"},
+            ),
+            (
+                "partition_plan",
                 PartitionPlan(splits=((400.0, 900.0, (0, 1)),)),
                 {"partition"},
             ),
-            "detector_plan": (
-                DetectorPlan(mode="timeout", horizon=3000.0),
-                {"detector", "crash"},
-            ),
-            "repair_period": (100.0, {"repair"}),
-        }
-        assert {on for _, names in examples.values() for on in names} == set(
+            ("repair_period", 100.0, {"repair"}),
+        ]
+        assert {on for _, _, names in examples for on in names} == set(
             REPORT_KEYS
         )
-        for keyword, (value, names) in [(None, (None, set())), *examples.items()]:
+        for keyword, value, names in [(None, None, set()), *examples]:
             kwargs = {keyword: value} if keyword else {}
             if shards == 2:
                 forest = ShardedCluster(
