@@ -310,6 +310,10 @@ def _report_lines(cluster):
     sharding = {"enabled": False} if forest is None else cluster.shard_summary()
     for label, name, summary in [*reports, ("sharding", "sharding", sharding)]:
         shown = {key: _show(value) for key, value in summary.items()}
+        for key, value in summary.items():
+            if key.endswith("_samples") and value == 0:
+                # A mean over no sample reads 0.0: show that none was taken.
+                shown["mean_" + key.removesuffix("_samples")] = "-"
         on = summary["enabled"]
         yield label, on, _LAYER_DETAIL[name].format_map(shown) if on else ""
 

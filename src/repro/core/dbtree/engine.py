@@ -59,7 +59,7 @@ from repro.core.actions import (
     tuple_action,
 )
 from repro.core.engine import Engine
-from repro.core.keys import POS_INF, Key, KeyRange
+from repro.core.keys import NEG_INF, POS_INF, Key, KeyRange
 from repro.core.leafcache import LeafHintCache
 from repro.core.node import NodeCopy, NodeSnapshot
 from repro.core.replication import ReplicationPolicy
@@ -83,6 +83,43 @@ class InitiateSplit(NamedTuple):
     kind = "initiate_split"
 
     node_id: int
+
+
+#: The share of ``capacity`` a bulk install (:meth:`DBTreeEngine
+#: .install_leaves`) fills each node to: room for the next inserts
+#: before the node half-splits.
+BULK_FILL = 0.75
+
+
+@tuple_action
+class Graft(NamedTuple):
+    """Internal action of a bulk install, at every copy of a node the
+    tree already has: take ``entries`` (``children`` says where the
+    nodes they name live); with ``high`` set, new nodes follow, so end
+    there and link ``right_id``; with ``parent_id`` set, a new root now
+    holds this former root."""
+
+    kind = "graft"
+
+    node_id: int
+    action_id: int
+    entries: tuple = ()
+    children: tuple = ()
+    high: Any = None
+    right_id: int | None = None
+    parent_id: int | None = None
+
+
+@tuple_action
+class Drain(NamedTuple):
+    """Internal action at every copy of a leaf whose upper entries
+    moved to another tree: drop each entry at or above ``low``."""
+
+    kind = "drain"
+
+    node_id: int
+    action_id: int
+    low: Key
 
 
 class DBTreeEngine(Engine):
@@ -120,6 +157,8 @@ class DBTreeEngine(Engine):
                 CreateCopy: self._on_create_copy,
                 SetRoot: self._on_set_root,
                 InitiateSplit: self._on_initiate_split,
+                Graft: self._on_graft,
+                Drain: self._on_drain,
             },
         )
         self.protocol = protocol
@@ -1447,6 +1486,262 @@ class DBTreeEngine(Engine):
         self._adopt_root(proc, new_root_id, level)
         self.trace.bump("root_growths")
         return new_root_id
+
+    # ------------------------------------------------------------------
+    # bulk install: a shard split or merge moves leaves, not keys
+    # ------------------------------------------------------------------
+    def install_leaves(self, items: Sequence[tuple[Key, Any, int]]) -> None:
+        """Install sorted ``(key, value, holder)`` items, each key above
+        every key the tree holds, as whole leaves.
+
+        Runs at a quiescent point, as ordinary actions and messages.
+        The items fill the leaves covering them to ``BULK_FILL`` of
+        capacity: first the room an existing leaf has left (a
+        :class:`Graft` at each of its copies), then new leaves chained
+        after it, each shipped as one ``CreateCopy`` from the holder of
+        its first item to each copy the replication policy places.  The
+        new leaves get parents in one of two ways:
+
+        * when one leaf covers every item (a new shard's tree, or a
+          tree the items extend to the right), the interiors are built
+          bottom-up along the right spine the same way -- each spine
+          node takes what fits and new nodes follow it, shipped from
+          the processor of their first child -- and a new root, where
+          the old one overflowed, is published as root growth is;
+        * otherwise each new leaf's parent insert is sent, as a
+          half-split sends its sibling's.
+        """
+        if not items:
+            return
+        from repro.verify.invariants import representative_nodes
+
+        per_node = max(2, int(self.capacity * BULK_FILL))
+        kernel, policy = self.kernel, self.policy
+        live = [pid for pid in kernel.pids if kernel.processors[pid].alive]
+        rows: dict[int, list[NodeCopy]] = {}
+        for node in representative_nodes(self).values():
+            rows.setdefault(node.level, []).append(node)
+        for row in rows.values():
+            row.sort(key=lambda node: node.range.low)
+        # The planned value of every node the install changes (a working
+        # copy) or builds; ``existing`` keeps the changed nodes as they are.
+        plan: dict[int, NodeCopy] = {}
+        existing: dict[int, NodeCopy] = {}
+        built: list[NodeCopy] = []
+
+        def change(node: NodeCopy) -> NodeCopy:
+            existing[node.node_id] = node
+            plan[node.node_id] = NodeCopy.from_snapshot(node.snapshot())
+            return plan[node.node_id]
+
+        def build(level: int, creator: int, low: Key, version: int) -> NodeCopy:
+            place = policy.place(
+                level, creator if creator in live else live[0], live, False, kernel.rng
+            )
+            node = NodeCopy(
+                self._alloc_node_id(), level, KeyRange(low, POS_INF), place.pc_pid,
+                place.copy_versions(), self.capacity, version=version,
+            )
+            plan[node.node_id] = node
+            built.append(node)
+            return node
+
+        def pack(anchor: NodeCopy, entries: Sequence[tuple[Key, Any, int]]) -> list[NodeCopy]:
+            """Fill ``anchor`` to ``per_node`` ``(key, payload, creator)``
+            entries, then chain new nodes of ``per_node`` after it."""
+            room = max(0, per_node - anchor.num_entries)
+            for key, payload, _creator in entries[:room]:
+                anchor.insert_entry(key, payload)
+            last, high, right = anchor, anchor.range.high, anchor.right_id
+            chain = []
+            for start in range(room, len(entries), per_node):
+                chunk = entries[start : start + per_node]
+                node = build(anchor.level, chunk[0][2], chunk[0][0], anchor.version + 1)
+                for key, payload, _creator in chunk:
+                    node.insert_entry(key, payload)
+                node.parent_id = anchor.parent_id
+                last.range = KeyRange(last.range.low, node.range.low)
+                last.right_id = node.node_id
+                if self.protocol.maintain_left_links:
+                    node.left_id = last.node_id
+                chain.append(node)
+                last = node
+            last.range = KeyRange(last.range.low, high)
+            last.right_id = right
+            return chain
+
+        covering = [leaf for leaf in rows[0] if items[0][0] < leaf.range.high]
+        new_root = None
+        inserts: list[tuple[NodeCopy, list[NodeCopy]]] = []
+        if len(covering) == 1:
+            anchor = change(covering[0])
+            chain = pack(anchor, items)
+            while chain:
+                kids = [(node.range.low, node.node_id, node.pc_pid) for node in chain]
+                above = rows.get(anchor.level + 1)
+                if above:
+                    parent = change(above[-1])
+                else:
+                    # The anchor is the root: a new root grows over it.
+                    parent = new_root = build(anchor.level + 1, anchor.pc_pid, NEG_INF, 0)
+                    kids.insert(0, (anchor.range.low, anchor.node_id, anchor.pc_pid))
+                chain = pack(parent, kids)
+                anchor = parent
+        else:
+            start = 0
+            for leaf in covering:
+                stop = start
+                while stop < len(items) and items[stop][0] < leaf.range.high:
+                    stop += 1
+                if stop > start:
+                    inserts.append((leaf, pack(change(leaf), items[start:stop])))
+                start = stop
+        for node in plan.values():
+            if not node.is_leaf:
+                for _key, child_id in node.iter_entries():
+                    if child_id in plan:
+                        plan[child_id].parent_id = node.node_id
+        self._ship(plan, existing, built, new_root, live)
+        for leaf, chain in inserts:
+            self._announce_chain(leaf, chain)
+
+    def _ship(
+        self,
+        plan: dict[int, NodeCopy],
+        existing: dict[int, NodeCopy],
+        built: list[NodeCopy],
+        new_root: NodeCopy | None,
+        live: list[int],
+    ) -> None:
+        """Carry out an install's plan.  Each changed node gets a
+        :class:`Graft` at every copy, upper levels first, so every
+        processor applies the grafts of the nodes it shares in one
+        order.  Then each built node leaves its primary's processor as
+        one ``CreateCopy`` per copy, parents before children, so a copy
+        finds its parent installed."""
+        kernel = self.kernel
+
+        def where(node_id: int) -> tuple[int, ...]:
+            return plan[node_id].copy_pids
+
+        holders: dict[int, list[int]] = {}
+        for copy in self.all_copies():
+            if copy.node_id in existing:
+                holders.setdefault(copy.node_id, []).append(copy.home_pid)
+        for before in sorted(existing.values(), key=lambda node: -node.level):
+            after = plan[before.node_id]
+            entries = tuple(
+                (key, payload)
+                for key, payload in after.iter_entries()
+                if not before.has_key(key)
+            )
+            cut = after.range.high != before.range.high
+            graft = Graft(
+                before.node_id,
+                self.trace.new_action_id(),
+                entries,
+                () if after.is_leaf else tuple((child, where(child)) for _key, child in entries),
+                after.range.high if cut else None,
+                after.right_id if cut else None,
+                after.parent_id if after.parent_id != before.parent_id else None,
+            )
+            for pid in holders[before.node_id]:
+                kernel.processor(pid).submit(graft)
+        for node in sorted(built, key=lambda node: -node.level):
+            reason = "migrate"
+            if node is new_root:
+                place = self.policy.place(node.level, node.pc_pid, live, True, kernel.rng)
+                node.pc_pid, node.copy_versions = place.pc_pid, place.copy_versions()
+                reason = "root"
+            snapshot = node.snapshot(birth_set=frozenset())
+            if not node.is_leaf:
+                snapshot = snapshot._replace(
+                    child_locations=tuple(
+                        (child, where(child)) for _key, child in node.iter_entries()
+                    )
+                )
+            for pid in node.copy_pids:
+                kernel.route(node.pc_pid, pid, CreateCopy(snapshot, reason))
+            if node is new_root:
+                announce = SetRoot(node.node_id, node.level, node.copy_pids, node.level)
+                for pid in live:
+                    if pid not in node.copy_versions:
+                        kernel.route(node.pc_pid, pid, announce)
+
+    def _announce_chain(self, leaf: NodeCopy, chain: list[NodeCopy]) -> None:
+        """What a half-split of ``leaf`` would send for each new leaf
+        now chained after it: the parent insert, and, where left links
+        are kept, the old right neighbour's left link to the last."""
+        proc = self.kernel.processor(leaf.home_pid)
+        for node in chain:
+            insert = InsertAction(
+                node_id=leaf.parent_id,
+                level=1,
+                key=node.range.low,
+                payload=node.node_id,
+                mode=Mode.INITIAL,
+                action_id=self.trace.new_action_id(),
+                payload_pids=node.copy_pids,
+            )
+            self.route_to_node(proc, leaf.parent_id, insert)
+        if chain and self.protocol.maintain_left_links and leaf.right_id is not None:
+            last = chain[-1]
+            self.send_link_change(
+                proc, leaf.right_id, 0, leaf.range.high, "left",
+                last.node_id, last.copy_pids, last.version,
+            )
+
+    def drain_leaves(self, low: Key) -> None:
+        """Drop every leaf entry at or above ``low``, which another tree
+        now holds: one :class:`Drain` at each copy of each leaf holding
+        one, at a quiescent point, in node order on every processor."""
+        holders: dict[int, list[Processor]] = {}
+        for proc in self.kernel.processors.values():
+            for copy in proc.state["store"].values():
+                if copy.is_leaf and copy.entries_between(low, POS_INF):
+                    holders.setdefault(copy.node_id, []).append(proc)
+        for node_id in sorted(holders):
+            drain = Drain(node_id, self.trace.new_action_id(), low)
+            for proc in holders[node_id]:
+                proc.submit(drain)
+
+    def _on_graft(self, proc: Processor, action: Graft) -> None:
+        copy = self.copy_at(proc, action.node_id)
+        for key, payload in action.entries:
+            copy.insert_entry(key, payload)
+        for child_id, pids in action.children:
+            self.learn_location(proc, child_id, pids)
+        if action.high is not None:
+            copy.range = copy.range.shrink_high(action.high)
+            copy.right_id = action.right_id
+        if action.parent_id is not None:
+            copy.parent_id = action.parent_id
+        self._rewritten(
+            proc, copy, action.action_id,
+            ("graft", len(action.entries), action.high, action.right_id),
+        )
+
+    def _on_drain(self, proc: Processor, action: Drain) -> None:
+        copy = self.copy_at(proc, action.node_id)
+        copy.extract_upper(action.low)
+        self._rewritten(proc, copy, action.action_id, ("drain", action.low))
+
+    def _rewritten(
+        self, proc: Processor, copy: NodeCopy, action_id: int, params: tuple
+    ) -> None:
+        """Enter a bulk install's change to a copy in its history -- the
+        primary's application is the initial one -- and tell the leaf
+        cache and the mirrors."""
+        self.incorporate(
+            proc, copy, action_id, Mode.INITIAL if copy.is_pc else Mode.RELAYED, params
+        )
+        if copy.is_leaf:
+            if self._leaf_caches is not None:
+                self._leaf_caches[proc.pid].learn(
+                    copy.range.low, copy.range.high, copy.node_id
+                )
+            if self.mirrors is not None:
+                self.mirrors.push(proc, copy)
 
     # ------------------------------------------------------------------
     # leaf-cache statistics

@@ -29,10 +29,12 @@ compares per-shard entry counts against the configured thresholds,
 splits the heaviest half at its median key, and drains underloaded
 shards into their left neighbours.  A shard's load is the sum of its
 leaves' entry counts, counted once per quiescent point and again only
-after a migration moves its keys.  Migration runs
-at quiescence through the ordinary insert/delete paths, issued where
-each key's leaf lives, so every audited invariant keeps holding
-through a reconfiguration.
+after a migration moves its keys.  Migration runs at quiescence and
+moves leaves, not keys: the target tree installs the moved entries as
+whole leaves, each shipped from the processor that held its first
+key, and the source drops them a leaf copy at a time -- all of it
+kernel actions and messages, so every audited invariant keeps holding
+through a reconfiguration and its cost stays in every metric.
 
 Cross-shard scans fan a clamped sub-scan out to every overlapping
 shard and stitch the per-shard B-link leaf walks back into one
@@ -407,13 +409,12 @@ class ShardedCluster(ClientSurface):
     def _maintain(self) -> None:
         """Split overloaded shards, merge underloaded neighbours.
 
-        Runs at the quiescent point after a ``run()``: migrations use
-        the ordinary insert/delete operation paths inside the affected
-        shard trees (a collective operation in the Maia part-tree
-        sense), each key's pair issued by the processor holding its
-        source leaf, so an op on a local leaf costs no message; then
-        the directory version is bumped so in-flight client views go
-        stale and exercise the recovery path.
+        Runs at the quiescent point after a ``run()``: a migration
+        moves whole leaves between the affected shard trees (a
+        collective operation in the Maia part-tree sense, see
+        :meth:`_migrate`), and nothing concurrent has to commute with
+        it; then the directory version is bumped so in-flight client
+        views go stale and exercise the recovery path.
         """
         if self.split_threshold is None and self.merge_threshold is None:
             return
@@ -482,8 +483,12 @@ class ShardedCluster(ClientSurface):
     def _migrate(
         self, source_id: int, target_id: int, items: list[tuple[Key, Any, int]]
     ) -> None:
-        """Move ``(key, value, holder)`` items between shard trees
-        through the normal op paths, each op issued by its holder."""
+        """Move ``(key, value, holder)`` items, the upper end of the
+        source's keys, between shard trees a leaf at a time: the target
+        installs them as whole leaves shipped from their holders
+        (:meth:`~repro.core.dbtree.DBTreeEngine.install_leaves`), and
+        the source drops them a leaf copy at a time
+        (:meth:`~repro.core.dbtree.DBTreeEngine.drain_leaves`)."""
         if not items:
             return
         self._loads.pop(source_id, None)
@@ -492,11 +497,10 @@ class ShardedCluster(ClientSurface):
         target = self.clusters[target_id]
         wires = (source.kernel.network.stats, target.kernel.network.stats)
         sent = sum(wire.sent for wire in wires)
-        for key, value, holder in items:
-            target.insert(key, value, client=holder)
-            source.delete(key, client=holder)
+        target.engine.install_leaves(items)
+        source.engine.drain_leaves(items[0][0])
         # Run both trees, then judge: a failed source run must not
-        # leave the target's inserts pending.
+        # leave the target's install unfinished.
         source_ok = source.run().ok
         target_ok = target.run().ok
         if not (source_ok and target_ok):

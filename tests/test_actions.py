@@ -23,7 +23,7 @@ from repro.core.actions import (
     SplitEnd,
     UnjoinAck,
 )
-from repro.core.dbtree.engine import InitiateSplit
+from repro.core.dbtree.engine import Drain, Graft, InitiateSplit
 from repro.core.keys import KeyRange
 from repro.core.node import NodeCopy
 
@@ -37,7 +37,7 @@ ACTION_CLASSES = sorted(
         and obj.__module__ == actions.__name__
     ),
     key=lambda cls: cls.__name__,
-) + [InitiateSplit]
+) + [InitiateSplit, Graft, Drain]
 
 
 def sample(cls):
@@ -125,7 +125,8 @@ class TestValueContract:
     their own type: equal only to the same type with equal fields."""
 
     def test_the_vocabulary_is_every_action_class(self):
-        assert len(ACTION_CLASSES) == 27  # 24 actions, 2 carried values, InitiateSplit
+        # 24 actions, 2 carried values, the engine's InitiateSplit, Graft, Drain
+        assert len(ACTION_CLASSES) == 29
 
     @pytest.mark.parametrize("cls", ACTION_CLASSES, ids=lambda cls: cls.__name__)
     def test_rejects_attribute_assignment(self, cls):

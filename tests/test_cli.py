@@ -204,6 +204,29 @@ class TestCLI:
             main(["demo", "--partition-gray", "0>1@100:200"])  # no factor
 
 
+class TestMeanOverNoSample:
+    """A crash-layer mean taken over no sample prints ``-``: 0 would
+    read as an instant detection."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a detector, and no crash to detect
+            ["faults", "--inserts", "20", "--detector", "timeout",
+             "--detector-horizon", "1500"],
+            # a restart before the oracle's detection delay is up
+            ["demo", "--protocol", "variable", "--crash", "1:100:120",
+             "--replication-factor", "2"],
+        ],
+        ids=["no-crash", "restart-before-detection"],
+    )
+    def test_no_detection_prints_a_dash(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "mean detection -" in out
+        assert "mean detection 0" not in out
+
+
 #: One run per flag that no other test and no CI step drives:
 #: ``argv`` (``{tmp}`` is a scratch directory), the exit status, text
 #: the flag puts in the output, text it keeps out of it.

@@ -57,7 +57,7 @@ from repro.core.actions import (
     UnjoinRequest,
 )
 from repro.core.dbtree import DBTreeEngine
-from repro.core.dbtree.engine import InitiateSplit
+from repro.core.dbtree.engine import Drain, Graft, InitiateSplit
 from repro.core.keys import NEG_INF, KeyRange
 from repro.hash.table import LazyHashTable
 from repro.protocols import PROTOCOLS
@@ -88,6 +88,8 @@ ENGINE_ROWS = {
     CreateCopy,
     SetRoot,
     InitiateSplit,
+    Graft,
+    Drain,
 }
 VARIABLE_ROWS = {
     RelayedSplit,

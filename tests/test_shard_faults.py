@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.shard.verify import check_shard_coverage
 from repro.sim.tracing import TraceLevel
+from repro.verify.checker import leaf_contents
 from repro.stats import layer_report
 
 
@@ -267,7 +268,9 @@ class TestMigrationFailures:
         assert forest._split_shard(0)
         [target_id] = set(forest.clusters) - before
         target = forest.clusters[target_id]
-        # The target's migration inserts ran inside the same _migrate.
-        assert target.trace.operations
+        # The target's install ran inside the same _migrate: its tree
+        # holds the moved keys, and no op was opened for them.
+        assert leaf_contents(target.engine)
+        assert target.trace.operations == {}
         assert target.engine.in_flight == {}
         assert forest.counters["migration_failures"] == 1
