@@ -10,12 +10,17 @@ covered key can be routed straight to the leaf.
 Safety comes from the B-link structure, not from invalidation: a hint
 may be arbitrarily stale, because a misdirected action recovers by
 the paper's own out-of-range right-link forwarding (Section 4.2) and
-missing-node recovery.  Two structural facts make stale hints cheap:
+missing-node recovery.  Three structural facts make stale hints cheap:
 
 * a leaf's **low bound is immutable** -- half-splits only shrink the
   high bound, and free-at-empty absorption only extends a *left*
   neighbour's high -- so a cached low is the leaf's true low forever,
   and lookups can binary-search the sorted lows;
+* a leaf's high grows only where the leaves to its right go away:
+  an absorption, or a shard migration's cut, which removes every leaf
+  wholly above the cut key and ends the one it passes through at
+  ``+inf``.  A processor that runs the cut purges its hints at or
+  above the cut key, so no hint there names a leaf that is gone;
 * rightward forwarding strictly increases the current node's low,
   so recovery terminates.
 
@@ -29,7 +34,7 @@ while the working set re-learns.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 
 from repro.core.keys import Key
 
@@ -67,6 +72,15 @@ class LeafHintCache:
             else:
                 insort(lows, low)
         by_low[low] = (high, leaf_id)
+
+    def purge(self, low: Key) -> None:
+        """Forget every hint at or above ``low``: a cut removed those
+        leaves from the tree."""
+        lows = self._lows
+        index = bisect_left(lows, low)
+        for gone in lows[index:]:
+            del self._by_low[gone]
+        del lows[index:]
 
     def lookup(self, key: Key) -> tuple[int, Key, Key] | None:
         """Best hint for ``key``: ``(leaf_id, low, high)`` or None.

@@ -31,10 +31,13 @@ shards into their left neighbours.  A shard's load is the sum of its
 leaves' entry counts, counted once per quiescent point and again only
 after a migration moves its keys.  Migration runs at quiescence and
 moves leaves, not keys: the target tree installs the moved entries as
-whole leaves, each shipped from the processor that held its first
-key, and the source drops them a leaf copy at a time -- all of it
-kernel actions and messages, so every audited invariant keeps holding
-through a reconfiguration and its cost stays in every metric.
+whole leaves along its right spine, each shipped from the processor
+that held its first key, and the source tree is cut at the moved
+range's low key, at every level -- the nodes above it leave, the ones
+it passes through become the right spine -- all of it kernel actions
+and messages, so every audited invariant keeps holding through a
+reconfiguration and its cost stays in every metric.  A retired
+shard's tree is left one node per level.
 
 Cross-shard scans fan a clamped sub-scan out to every overlapping
 shard and stitch the per-shard B-link leaf walks back into one
@@ -487,18 +490,19 @@ class ShardedCluster(ClientSurface):
         source's keys, between shard trees a leaf at a time: the target
         installs them as whole leaves shipped from their holders
         (:meth:`~repro.core.dbtree.DBTreeEngine.install_leaves`), and
-        the source drops them a leaf copy at a time
-        (:meth:`~repro.core.dbtree.DBTreeEngine.drain_leaves`)."""
-        if not items:
-            return
+        the source is cut where the moved range starts
+        (:meth:`~repro.core.dbtree.DBTreeEngine.cut`): at the low of
+        a split's new shard, or of a merge's retired one."""
         self._loads.pop(source_id, None)
         self._loads.pop(target_id, None)
         source = self.clusters[source_id]
         target = self.clusters[target_id]
+        shards = self.directory.shards
+        moved = shards[source_id if shards[source_id].retired else target_id]
         wires = (source.kernel.network.stats, target.kernel.network.stats)
         sent = sum(wire.sent for wire in wires)
         target.engine.install_leaves(items)
-        source.engine.drain_leaves(items[0][0])
+        source.engine.cut(moved.range.low)
         # Run both trees, then judge: a failed source run must not
         # leave the target's install unfinished.
         source_ok = source.run().ok

@@ -15,10 +15,11 @@ fails precisely here).
 ``birth(c) + applied(c)`` accounts for every action in ``M_n``, where
 an absence is *excused* only when the paper's rewriting arguments
 apply: a keyed update whose key was re-homed rightward by a
-half-split (the key must then be found in the right-sibling chain),
-or a link-change superseded by a higher-versioned one.  Together with
-value convergence (structural check) this is single-copy equivalence
-at end of computation.
+half-split (the key must then be found in the right-sibling chain) or
+that a later cut at or below its key gave to another tree (a shard
+migration), or a link-change superseded by a higher-versioned one.
+Together with value convergence (structural check) this is
+single-copy equivalence at end of computation.
 
 **Ordered histories** -- the ordered action class (link-changes,
 joins/unjoins) was applied in version order at every copy.
@@ -37,7 +38,7 @@ from repro.verify.invariants import check_structure, group_copies, representativ
 if TYPE_CHECKING:
     from repro.core.dbtree import DBTreeEngine
     from repro.core.engine import Engine
-    from repro.sim.tracing import Trace
+    from repro.sim.tracing import CopyHistory, Trace
 
 
 def _require_full(trace: "Trace", checker: str) -> None:
@@ -279,6 +280,18 @@ def _key_rehomed(
     return False
 
 
+def _cut_after(copy_history: "CopyHistory", action_id: int, key: Key) -> bool:
+    """Whether the copy's own history holds a cut (a ``drain``) later
+    than ``action_id`` at or below ``key``.  A cut ends the node it
+    passes through at ``+inf``, so the node covers again a key it had
+    re-homed by a half-split; the key has since left for another tree."""
+    return any(
+        update.kind == "drain" and update.action_id > action_id
+        and update.params[1] <= key
+        for update in copy_history.applied
+    )
+
+
 def check_compatible_histories(engine: "DBTreeEngine") -> list[str]:
     """Birth set + applied updates must account for M_n at every copy."""
     trace = engine.trace
@@ -305,6 +318,8 @@ def check_compatible_histories(engine: "DBTreeEngine") -> list[str]:
                         engine, nodes, node_id, key, params, kind
                     ):
                         continue  # excused: re-homed by a half-split
+                    if _cut_after(copy_history, action_id, key):
+                        continue  # excused: a later cut gave the key away
                     problems.append(
                         f"node {node_id} copy@pid {copy_history.pid}: "
                         f"missing {kind} action {action_id} ({params!r}) "

@@ -17,11 +17,13 @@ from repro.verify.checker import (
     check_routability,
     check_trace_store_agreement,
 )
+from repro.sim.tracing import AppliedUpdate
 from repro.verify.invariants import (
     check_copy_convergence,
     check_level_chains,
     check_parent_child,
     check_reachability,
+    representative_nodes,
 )
 
 
@@ -185,6 +187,63 @@ class TestPlantedViolations:
         )
         problems = check_ordered_histories(trace)
         assert any("out of order" in p for p in problems)
+
+
+class TestCutExcuse:
+    """A cut (a shard migration's ``drain`` at every node reaching its
+    key) ends the node it passes through at ``+inf``, so that node
+    covers again keys it once re-homed by a half-split.  The audit
+    excuses an update a copy never saw only when the copy's own history
+    holds a later cut at or below the update's key; an update below the
+    cut, or issued after it, that one copy lost is still reported."""
+
+    CUT = 80
+
+    @pytest.fixture
+    def cut_tree(self):
+        """A cut tree, an action id issued before its cut, and the node
+        the cut passed through at the leaf level."""
+        cluster, _expected = healthy_cluster()
+        before = cluster.trace.new_action_id()
+        cluster.engine.cut(self.CUT)
+        assert cluster.run().ok
+        straddler = max(
+            (n for n in representative_nodes(cluster.engine).values() if n.is_leaf),
+            key=lambda node: node.range.low,
+        )
+        return cluster, before, straddler.node_id
+
+    @staticmethod
+    def lose_at_one_copy(cluster, node_id, action_id, key):
+        """Issue an insert of ``key`` at ``node_id`` that every live copy
+        but one applied."""
+        trace = cluster.trace
+        params = ("insert", key, "planted")
+        trace.issued[node_id][action_id] = ("insert", params)
+        for history in trace.live_copies(node_id)[1:]:
+            history.applied.append(
+                AppliedUpdate(action_id, "insert", "relayed", params, 0, 0.0)
+            )
+
+    def test_an_update_the_cut_gave_away_is_excused(self, cut_tree):
+        cluster, before, node_id = cut_tree
+        self.lose_at_one_copy(cluster, node_id, before, self.CUT + 1)
+        assert check_compatible_histories(cluster.engine) == []
+
+    def test_an_update_below_the_cut_is_reported(self, cut_tree):
+        cluster, before, node_id = cut_tree
+        self.lose_at_one_copy(cluster, node_id, before, self.CUT - 1)
+        report = cluster.check()
+        assert [p for p in report.problems if f"action {before}" in p]
+        assert all(p.startswith("[compatible]") for p in report.problems)
+
+    def test_an_update_issued_after_the_cut_is_reported(self, cut_tree):
+        cluster, _before, node_id = cut_tree
+        after = cluster.trace.new_action_id()
+        self.lose_at_one_copy(cluster, node_id, after, self.CUT + 1)
+        report = cluster.check()
+        assert [p for p in report.problems if f"action {after}" in p]
+        assert all(p.startswith("[compatible]") for p in report.problems)
 
 
 class TestOracle:
