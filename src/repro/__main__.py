@@ -143,7 +143,6 @@ def _build_fault_plans(args: argparse.Namespace):
             detector=args.detector or "oracle",
             heartbeat_period=args.heartbeat_period,
             detection_delay=args.detection_delay,
-            phi_threshold=args.phi_threshold,
             detector_horizon=args.detector_horizon,
         )
     return fault_plan, crash_plan, _parse_partition_plans(args)
@@ -623,10 +622,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--heartbeat-period", type=float, default=20.0,
         help="heartbeat emission period for --detector",
-    )
-    parser.add_argument(
-        "--phi-threshold", type=float, default=8.0,
-        help="suspicion threshold for --detector phi",
     )
     parser.add_argument(
         "--detector-horizon", type=float, default=5000.0,

@@ -22,9 +22,10 @@ that take it to the other copies (:class:`RelayedSplit`,
 :class:`SplitEnd`, the vigorous baseline's ``ApplyUnlock``) carry that
 value and add only their own addressing.
 
-The ``kind`` class attribute is the accounting label used by the
-network statistics; the message-complexity benchmarks (experiment C4)
-count these labels.
+An action's ``kind`` is the accounting label used by the network
+statistics: a class attribute, or a property where the label names a
+variant (``insert_relayed``, ``link_change_left``, ``relayed_join``).
+The message-complexity benchmarks (experiment C4) count these labels.
 
 Every action is an immutable named tuple (:func:`tuple_action`): a
 search builds about three of them per operation (its steps, its
@@ -432,15 +433,20 @@ class JoinRetry(NamedTuple):
 
 
 @tuple_action
-class RelayedJoin(NamedTuple):
-    """PC informs existing copies of a new replication member."""
-
-    kind = "relayed_join"
+class RelayedMembership(NamedTuple):
+    """The primary copy tells the other members that ``pid`` joined or
+    left the node's replication (``change`` is ``"join"`` or
+    ``"unjoin"``) at node version ``version``."""
 
     node_id: int
     action_id: int
-    new_pid: int
-    join_version: int
+    change: str  # "join" | "unjoin"
+    pid: int
+    version: int
+
+    @property
+    def kind(self) -> str:
+        return f"relayed_{self.change}"
 
 
 @tuple_action
@@ -467,18 +473,6 @@ class UnjoinAck(NamedTuple):
     kind = "unjoin_ack"
 
     node_id: int
-
-
-@tuple_action
-class RelayedUnjoin(NamedTuple):
-    """PC informs remaining copies of a departed member."""
-
-    kind = "relayed_unjoin"
-
-    node_id: int
-    action_id: int
-    leaver_pid: int
-    new_version: int
 
 
 # ----------------------------------------------------------------------

@@ -146,9 +146,7 @@ class LeafMirrors:
             if proc.pid != successor or node_id in engine.store(proc):
                 continue
             copy = NodeCopy.from_snapshot(snap)
-            copy.version += 1
-            copy.pc_pid = proc.pid
-            copy.copy_versions = {proc.pid: copy.version}
+            copy.reseat(proc.pid)
             engine.install_copy(proc, copy, snap.birth_set, "rehome")
             engine.announce_location(proc, copy)
             engine.trace.bump("leaves_rehomed")

@@ -244,6 +244,19 @@ class NodeCopy:
         del self._keys[index]
         return True
 
+    def reseat(self, pid: int, past: int = 0) -> int:
+        """Make ``pid`` this node's one holder and primary, at a version
+        above both its own and ``past``; returns that version.
+
+        The move of a single-copy node (migration, a mirror's re-home,
+        a settled double home): the new version dominates every stale
+        location hint, and ``past`` a rival claim's version.
+        """
+        self.version = max(self.version, past) + 1
+        self.pc_pid = pid
+        self.copy_versions = {pid: self.version}
+        return self.version
+
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------

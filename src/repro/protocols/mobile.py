@@ -63,10 +63,7 @@ class MigrationMixin:
                 f"node {copy.node_id} is replicated; only single-copy "
                 "nodes migrate"
             )
-        copy.version += 1
-        new_version = copy.version
-        copy.pc_pid = to_pid
-        copy.copy_versions = {to_pid: new_version}
+        new_version = copy.reseat(to_pid)
         snapshot = engine.make_snapshot(proc, copy)
         engine.kernel.route(proc.pid, to_pid, CreateCopy(snapshot, "migrate"))
 

@@ -10,11 +10,14 @@ mobility:
   receives a leaf joins every ancestor it does not yet hold, and a
   processor whose last leaf under an interior node departs unjoins
   it;
-* the primary copy registers every join/unjoin, incrementing the
-  node's **version number**; relayed inserts carry the sender's
-  version and the PC *re-relays* them to members that joined at a
-  later version -- closing the Figure 6 race where an insert
-  concurrent with a join would otherwise never reach the new copy;
+* the primary copy registers every join and unjoin as one change
+  (``_change_members``), incrementing the node's **version number**,
+  and relays it to the other members as one
+  :class:`~repro.core.actions.RelayedMembership`; relayed inserts
+  carry the sender's version and the PC *re-relays* them to members
+  that joined at a later version -- closing the Figure 6 race where an
+  insert concurrent with a join would otherwise never reach the new
+  copy;
 * splits use the semi-synchronous discipline (history rewriting at
   the PC), inherited unchanged.
 
@@ -34,8 +37,7 @@ from repro.core.actions import (
     JoinRequest,
     JoinRetry,
     Mode,
-    RelayedJoin,
-    RelayedUnjoin,
+    RelayedMembership,
     UnjoinAck,
     UnjoinRequest,
 )
@@ -51,6 +53,12 @@ if TYPE_CHECKING:
 
 class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
     """Join/unjoin + leaf migration over semi-synchronous splits.
+
+    A join and an unjoin are one versioned membership change: the
+    primary copy registers either in :meth:`_change_members` and the
+    other members apply it in :meth:`on_relayed_membership`.  A leaf's
+    move (migration, mirror re-home, home resolution) re-versions it
+    through :meth:`~repro.core.node.NodeCopy.reseat`.
 
     With ``free_at_empty=True`` the protocol additionally reclaims
     empty leaves (the dE-tree direction the paper's Section 5
@@ -225,9 +233,8 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             **super().handlers(),
             AbsorbRequest: self.on_absorb,
             JoinRequest: self.on_join_request,
-            RelayedJoin: self.on_relayed_join,
             UnjoinRequest: self.on_unjoin_request,
-            RelayedUnjoin: self.on_relayed_unjoin,
+            RelayedMembership: self.on_relayed_membership,
             UnjoinAck: self.on_unjoin_ack,
             JoinRetry: self.on_join_retry,
         }
@@ -291,68 +298,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 proc.pid, copy.pc_pid, engine.retarget(action, copy.node_id)
             )
             return
-        self._register_join(proc, copy, action.requester_pid)
-
-    def _register_join(
-        self, proc: "Processor", copy: NodeCopy, requester_pid: int
-    ) -> None:
-        engine = self.engine
-        if requester_pid == proc.pid:
-            engine.trace.bump("join_already_member")
-            return
-        if requester_pid in copy.copy_versions:
-            # Already a member: either a duplicate request or a member
-            # healing from copy loss.  Resend the current value (no
-            # version bump -- membership is unchanged); an intact
-            # requester ignores the duplicate.
-            engine.trace.bump("join_already_member")
-            snapshot = engine.make_snapshot(proc, copy)
-            engine.kernel.route(proc.pid, requester_pid, CreateCopy(snapshot, "join"))
-            return
-        copy.version += 1
-        join_version = copy.version
-        copy.copy_versions[requester_pid] = join_version
-        action_id = engine.trace.new_action_id()
-        engine.incorporate(
-            proc, copy, action_id, Mode.INITIAL, ("join", requester_pid, join_version)
-        )
-        # The joiner's original value is the PC's current value; its
-        # birth set (backwards extension) is everything the PC has
-        # incorporated, including this join.
-        snapshot = engine.make_snapshot(proc, copy)
-        engine.kernel.route(proc.pid, requester_pid, CreateCopy(snapshot, "join"))
-        engine.relay(
-            proc,
-            copy,
-            RelayedJoin(
-                node_id=copy.node_id,
-                action_id=action_id,
-                new_pid=requester_pid,
-                join_version=join_version,
-            ),
-            [pid for pid in copy.peers_of(proc.pid) if pid != requester_pid],
-        )
-        engine.announce_location(proc, copy)
-        engine.trace.bump("joins")
-
-    def on_relayed_join(self, proc: "Processor", action: RelayedJoin) -> None:
-        engine = self.engine
-        copy = engine.copy_at(proc, action.node_id)
-        if copy is None:
-            engine.trace.bump("relay_to_missing_copy")
-            return
-        if engine.duplicate_relay(copy, action.action_id):
-            return
-        copy.copy_versions[action.new_pid] = action.join_version
-        copy.version = max(copy.version, action.join_version)
-        engine.incorporate(
-            proc,
-            copy,
-            action.action_id,
-            Mode.RELAYED,
-            ("join", action.new_pid, action.join_version),
-            action.join_version,
-        )
+        self._change_members(proc, copy, action.requester_pid, "join")
 
     # ------------------------------------------------------------------
     # unjoin
@@ -400,7 +346,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 return
             engine.trace.bump("unjoin_misrouted")
             return
-        self._register_unjoin(proc, copy, action.leaver_pid)
+        self._change_members(proc, copy, action.leaver_pid, "unjoin")
         if engine.crash is not None and action.leaver_pid != proc.pid:
             # Retire the leaver's pending_unjoins entry -- both for a
             # fresh registration and for a re-send that just hit the
@@ -409,34 +355,61 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 proc.pid, action.leaver_pid, UnjoinAck(node_id=action.node_id)
             )
 
-    def _register_unjoin(
-        self, proc: "Processor", copy: NodeCopy, leaver_pid: int
+    # ------------------------------------------------------------------
+    # the one versioned membership change both register
+    # ------------------------------------------------------------------
+    def _change_members(
+        self, proc: "Processor", copy: NodeCopy, pid: int, change: str
     ) -> None:
-        """Register a member's departure at the primary copy."""
+        """Register ``pid``'s join or unjoin (``change``) at the primary
+        copy: one version bump orders it after every earlier change,
+        the other members learn it from one relayed record, and a
+        joiner gets the current value.
+
+        A join by the primary itself, or by a member (a duplicate
+        request, or a member healing from copy loss), changes nothing:
+        a member is resent the value, which an intact copy ignores.
+        An unjoin of a non-member is a re-send the primary registered
+        before a crash.
+        """
         engine = self.engine
-        if leaver_pid not in copy.copy_versions:
+        joining = change == "join"
+        if joining and (pid == proc.pid or pid in copy.copy_versions):
+            engine.trace.bump("join_already_member")
+            if pid != proc.pid:
+                snapshot = engine.make_snapshot(proc, copy)
+                engine.kernel.route(proc.pid, pid, CreateCopy(snapshot, "join"))
+            return
+        if not joining and pid not in copy.copy_versions:
             engine.trace.bump("unjoin_unknown_member")
             return
         copy.version += 1
-        del copy.copy_versions[leaver_pid]
+        if joining:
+            copy.copy_versions[pid] = copy.version
+        else:
+            del copy.copy_versions[pid]
         action_id = engine.trace.new_action_id()
         engine.incorporate(
-            proc, copy, action_id, Mode.INITIAL, ("unjoin", leaver_pid, copy.version)
+            proc, copy, action_id, Mode.INITIAL, (change, pid, copy.version)
         )
+        if joining:
+            # The joiner's original value is the PC's current value;
+            # its birth set (backwards extension) is everything the PC
+            # has incorporated, including this join.
+            snapshot = engine.make_snapshot(proc, copy)
+            engine.kernel.route(proc.pid, pid, CreateCopy(snapshot, "join"))
         engine.relay(
             proc,
             copy,
-            RelayedUnjoin(
-                node_id=copy.node_id,
-                action_id=action_id,
-                leaver_pid=leaver_pid,
-                new_version=copy.version,
-            ),
+            RelayedMembership(copy.node_id, action_id, change, pid, copy.version),
+            [member for member in copy.peers_of(proc.pid) if member != pid],
         )
         engine.announce_location(proc, copy)
-        engine.trace.bump("unjoins")
+        engine.trace.bump(change + "s")
 
-    def on_relayed_unjoin(self, proc: "Processor", action: RelayedUnjoin) -> None:
+    def on_relayed_membership(
+        self, proc: "Processor", action: RelayedMembership
+    ) -> None:
         engine = self.engine
         copy = engine.copy_at(proc, action.node_id)
         if copy is None:
@@ -444,15 +417,18 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         if engine.duplicate_relay(copy, action.action_id):
             return
-        copy.copy_versions.pop(action.leaver_pid, None)
-        copy.version = max(copy.version, action.new_version)
+        if action.change == "join":
+            copy.copy_versions[action.pid] = action.version
+        else:
+            copy.copy_versions.pop(action.pid, None)
+        copy.version = max(copy.version, action.version)
         engine.incorporate(
             proc,
             copy,
             action.action_id,
             Mode.RELAYED,
-            ("unjoin", action.leaver_pid, action.new_version),
-            action.new_version,
+            (action.change, action.pid, action.version),
+            action.version,
         )
 
     # ------------------------------------------------------------------
@@ -478,12 +454,12 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
                 continue
             if dead_pid == copy.pc_pid or dead_pid not in copy.copy_versions:
                 continue
-            self._register_unjoin(proc, copy, dead_pid)
+            self._change_members(proc, copy, dead_pid, "unjoin")
             engine.trace.bump("crash_forced_unjoins")
             if eager and not copy.is_leaf:
                 replacement = self._pick_replacement(proc, copy)
                 if replacement is not None:
-                    self._register_join(proc, copy, replacement)
+                    self._change_members(proc, copy, replacement, "join")
                     engine.trace.bump("eager_rereplications")
 
     def _pick_replacement(self, proc: "Processor", copy: NodeCopy) -> int | None:

@@ -685,8 +685,7 @@ class RepairService:
                 )
             # Dominate the loser's claim: every stale location hint,
             # mirror, and parent link now resolves to us on version.
-            copy.version = max(copy.version, action.version) + 1
-            copy.copy_versions = {proc.pid: copy.version}
+            copy.reseat(proc.pid, action.version)
             self.touch(proc.pid, node_id)
             engine.announce_location(proc, copy)
             engine.mirrors.push(proc, copy)

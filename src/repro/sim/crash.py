@@ -119,9 +119,6 @@ class CrashPlan(Layer):
         suspecting -- and ``"phi"``'s criterion while a window has
         fewer than ``MIN_SAMPLES`` observations.  For the oracle, how
         long after a crash survivors learn of it.
-    ``phi_threshold``
-        Suspicion threshold on phi.  8 (Cassandra's default) means
-        "the chance a live peer is this silent is < 1e-8".
     ``detector_horizon``
         Virtual time after which an earned detector's heartbeat and
         monitor chains stop re-arming.  Must be > 0 for one: without
@@ -135,7 +132,6 @@ class CrashPlan(Layer):
     detector: str = "oracle"
     heartbeat_period: float = 20.0
     detection_delay: float = 50.0
-    phi_threshold: float = 8.0
     detector_horizon: float = 0.0
 
     def __post_init__(self) -> None:
@@ -178,10 +174,6 @@ class CrashPlan(Layer):
                 f"heartbeat period ({self.heartbeat_period}): a "
                 "quieter-than-one-beat threshold suspects every peer on "
                 "every evaluation"
-            )
-        if self.phi_threshold <= 0:
-            raise ValueError(
-                f"phi_threshold must be > 0, got {self.phi_threshold}"
             )
         if self.detector_horizon <= 0:
             raise ValueError(

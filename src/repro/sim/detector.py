@@ -39,7 +39,7 @@ earned detectors do the real thing:
     Cassandra/Akka): keep a sliding window of observed heartbeat
     inter-arrival times, model them as a normal distribution, and
     compute ``phi = -log10(P(gap this large | peer alive))`` for the
-    current silence.  Suspect when ``phi >= phi_threshold``.  Because
+    current silence.  Suspect when ``phi >= PHI_THRESHOLD``.  Because
     the window adapts to what the link actually does, a uniformly
     slow (gray) link widens the model instead of tripping it -- the
     property the X9 benchmark measures against the timeout detector.
@@ -83,6 +83,9 @@ WINDOW = 64
 #: Observations the phi model needs before it is trusted; until then
 #: the ``detection_delay`` criterion judges.
 MIN_SAMPLES = 3
+#: Suspicion threshold on phi.  8 (Cassandra's default) means "the
+#: chance a live peer is this silent is < 1e-8".
+PHI_THRESHOLD = 8.0
 
 
 class Heartbeat:
@@ -264,7 +267,7 @@ class FailureDetectorService:
             # to the timeout criterion so an early crash is still
             # caught.
             return gap > plan.detection_delay
-        return self._phi_of_gap(key, gap) >= plan.phi_threshold
+        return self._phi_of_gap(key, gap) >= PHI_THRESHOLD
 
     def _phi_of_gap(self, key: tuple[int, int], gap: float) -> float:
         window = self._windows.get(key)

@@ -17,6 +17,7 @@ from repro.core.actions import (
     PeerFailure,
     PeerRescind,
     RecoveryAnnounce,
+    RelayedMembership,
     RelayedSplit,
     ScanStep,
     SearchStep,
@@ -75,6 +76,10 @@ class TestKinds:
         )
         assert action.kind == "link_change_location"
 
+    def test_relayed_membership_kind_names_the_change(self):
+        assert RelayedMembership(1, 9, "join", 2, 3).kind == "relayed_join"
+        assert RelayedMembership(1, 9, "unjoin", 2, 3).kind == "relayed_unjoin"
+
     def test_create_copy_kind_includes_reason(self):
         snap = NodeCopy(
             node_id=3,
@@ -125,8 +130,8 @@ class TestValueContract:
     their own type: equal only to the same type with equal fields."""
 
     def test_the_vocabulary_is_every_action_class(self):
-        # 24 actions, 2 carried values, the engine's InitiateSplit, Graft, Drain
-        assert len(ACTION_CLASSES) == 29
+        # 23 actions, 2 carried values, the engine's InitiateSplit, Graft, Drain
+        assert len(ACTION_CLASSES) == 28
 
     @pytest.mark.parametrize("cls", ACTION_CLASSES, ids=lambda cls: cls.__name__)
     def test_rejects_attribute_assignment(self, cls):

@@ -289,11 +289,6 @@ _FLAG_RUNS = {
          "--heartbeat-period", "40", "--detector-horizon", "1500"],
         0, "detector timeout: 453 heartbeats", None,  # 903 every 20
     ),
-    "--phi-threshold": (
-        ["faults", "--inserts", "20", "--detector", "phi",
-         "--phi-threshold", "4", "--detector-horizon", "1500"],
-        0, "detector phi: 903 heartbeats", None,
-    ),
     "--mirror-placement": (
         ["demo", "--inserts", "40", "--protocol", "variable",
          "--crash", "1:100:400", "--op-timeout", "300",

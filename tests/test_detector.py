@@ -404,6 +404,16 @@ class TestGrayFailure:
         assert results.ok
         assert cluster.check(expected=expected).ok
 
+    def test_phi_suspects_the_gray_link_below_its_threshold(self, monkeypatch):
+        # The same gray link trips phi once the threshold is low
+        # enough; every suspicion is false and rescinded.
+        monkeypatch.setattr(detector_module, "PHI_THRESHOLD", 4.0)
+        cluster, expected, results = self.run_mode("phi")
+        summary = layer_report(cluster)["crash"]
+        assert summary["false_suspicions"] == summary["suspicions"] == summary["rescinds"] > 0
+        assert results.ok
+        assert cluster.check(expected=expected).ok
+
 
 # ----------------------------------------------------------------------
 # engine consequences of false suspicion

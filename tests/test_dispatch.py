@@ -43,9 +43,8 @@ from repro.core.actions import (
     PeerFailure,
     PeerRescind,
     RecoveryAnnounce,
-    RelayedJoin,
+    RelayedMembership,
     RelayedSplit,
-    RelayedUnjoin,
     ReturnValue,
     ScanStep,
     SearchStep,
@@ -96,9 +95,8 @@ VARIABLE_ROWS = {
     MigrateNode,
     AbsorbRequest,
     JoinRequest,
-    RelayedJoin,
     UnjoinRequest,
-    RelayedUnjoin,
+    RelayedMembership,
     UnjoinAck,
     JoinRetry,
 }
@@ -205,7 +203,7 @@ class TestTableRows:
             and issubclass(obj, tuple)
             and obj.__module__ == actions.__name__
         } - {OpContext, HalfSplit}  # carried by actions, not actions
-        assert len(declared) == 24
+        assert len(declared) == 23
         covered = rows(layers_on_cluster()) | rows(
             DBTreeCluster(num_processors=2, protocol="sync")
         )

@@ -29,9 +29,8 @@ from repro.core.actions import (
     HalfSplit,
     InsertAction,
     Mode,
-    RelayedJoin,
+    RelayedMembership,
     RelayedSplit,
-    RelayedUnjoin,
     SplitEnd,
     SplitStart,
 )
@@ -238,13 +237,13 @@ DUPLICATED = {
             RelayedSplit(LEAF, HalfSplit(9200, 6, 99, (0, 1, 2), None)),
         ],
     ),
-    "unjoin": ("variable", ROOT, [RelayedUnjoin(ROOT, 9300, leaver_pid=2, new_version=1)]),
+    "unjoin": ("variable", ROOT, [RelayedMembership(ROOT, 9300, "unjoin", pid=2, version=1)]),
     "join": (
         "variable",
         ROOT,
         [
-            RelayedUnjoin(ROOT, 9300, leaver_pid=2, new_version=1),
-            RelayedJoin(ROOT, 9400, new_pid=2, join_version=2),
+            RelayedMembership(ROOT, 9300, "unjoin", pid=2, version=1),
+            RelayedMembership(ROOT, 9400, "join", pid=2, version=2),
         ],
     ),
 }

@@ -215,3 +215,17 @@ class TestSnapshot:
         assert node.is_pc
         node.home_pid = 0
         assert not node.is_pc
+
+
+class TestReseat:
+    @pytest.mark.parametrize("past", [0, 3, 9])
+    def test_one_holder_at_a_version_above_both(self, past):
+        node = make_leaf(pids=(0, 1), pc=0)
+        node.version = 5
+        node.home_pid = 2
+        version = node.reseat(2, past)
+        assert version == node.version == max(5, past) + 1
+        assert node.version > 5 and node.version > past
+        assert node.copy_versions == {2: version}
+        assert node.copy_pids == (2,)
+        assert node.pc_pid == 2 and node.is_pc
