@@ -31,7 +31,9 @@ Commands
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from collections import Counter
 
 
 def _parse_crash_schedule(specs: list[str]) -> tuple:
@@ -344,9 +346,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         if on:
             print(f"{label}: {detail}")
     print("audit:", report.summary())
-    if not report.ok:
-        for problem in report.problems[:10]:
-            print(" ", problem)
+    for problem in report.problems[:10]:
+        print(" ", problem)
+    if rest := report.problems[10:]:
+        # Each problem is tagged with its check, "[name] ..." (in a
+        # forest after "shard N: "): the rest are tallied by it.
+        tally = Counter(re.search(r"\[([\w-]+)\]", p)[1] for p in rest)
+        counts = ", ".join(f"{n} {name}" for name, n in tally.most_common())
+        print(f"  ... {len(rest)} more: {counts}")
     return 0 if report.ok else 1
 
 

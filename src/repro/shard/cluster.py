@@ -39,13 +39,17 @@ and messages, so every audited invariant keeps holding through a
 reconfiguration and its cost stays in every metric.  A retired
 shard's tree is left one node per level.
 
-Cross-shard scans fan a clamped sub-scan out to every overlapping
-shard and stitch the per-shard B-link leaf walks back into one
-ordered result.
+A cross-shard scan is one walk across the shards in key order, as a
+B-link scan is one walk along the leaf chain: a part per shard, each
+clamped to its shard's range and submitted only once the parts before
+it have completed short of the limit, for the rows still wanted.  The
+parts' B-link leaf walks concatenate into one ordered result, and no
+shard past the one where the limit was met is scanned.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Mapping
 
 from repro.core.client import ClientSurface, DBTreeCluster, RunResults
@@ -163,12 +167,16 @@ class ShardedCluster(ClientSurface):
             "shard_hint_hops": 0,
             "shard_forwards": 0,
             "directory_refreshes": 0,
+            # sub-scans issued: one per shard a scan's chain reached
             "scan_fanout": 0,
         }
         self._next_op = 0
-        #: facade op id -> (parts, scan): the (shard_id, shard_op_id)
-        #: pairs it waits on -- one for a keyed op, one per overlapping
-        #: shard for a scan -- and, for a scan, ``(limit,)``.
+        #: facade op id -> (parts, chain): the (shard_id, shard_op_id)
+        #: pairs it waits on -- one for a keyed op, one per part issued
+        #: so far for a scan, the last ``(shard_id, None)`` while it
+        #: waits for its submission time -- and, for a scan, ``[resume,
+        #: high, limit, client]``: the rest of its range is
+        #: ``[resume, high)``.
         self._pending: dict[int, tuple] = {}
         self._events_seen: dict[int, int] = {
             sid: 0 for sid in self.clusters
@@ -237,11 +245,11 @@ class ShardedCluster(ClientSurface):
     # ------------------------------------------------------------------
     # asynchronous operation submission
     # ------------------------------------------------------------------
-    def _record(self, parts: tuple, scan: tuple | None = None) -> int:
+    def _record(self, parts: tuple | list, chain: list | None = None) -> int:
         """Register a facade operation; ``run()`` settles it."""
         op_id = self._next_op
         self._next_op += 1
-        self._pending[op_id] = (parts, scan)
+        self._pending[op_id] = (parts, chain)
         return op_id
 
     def _submit(self, kind: str, key: Key, value: Any, client: int) -> int:
@@ -284,25 +292,30 @@ class ShardedCluster(ClientSurface):
     ) -> int:
         """Submit a cross-shard range scan over ``[low, high)``.
 
-        The sub-scans go to the overlapping shards with clamped bounds
-        and the per-shard B-link walks concatenate, in key order, into
-        one result.
+        Only the first part, clamped to the shard holding ``low``, is
+        submitted now.  ``run()`` submits each next part on the next
+        shard in key order once the parts before it have completed with
+        fewer than ``limit`` rows, asking for the rows still wanted, and
+        drops the rest of the range once the limit is met.  The parts'
+        rows concatenate, in key order, into one result.
         """
-        parts: list[tuple[int, int]] = []
-        for shard in self.directory.live_shards():
-            r = shard.range
-            if not low < high:
-                break
-            if r.high <= low or high <= r.low:
-                continue
-            sub_low = low if r.low <= low else r.low
-            sub_high = high if high <= r.high else r.high
-            shard_op = self.clusters[shard.shard_id].scan(
-                sub_low, sub_high, limit, client=client
-            )
-            parts.append((shard.shard_id, shard_op))
-        self.counters["scan_fanout"] += len(parts)
-        return self._record(tuple(parts), scan=(limit,))
+        parts: list[tuple[int, int | None]] = []
+        chain = [low, high, limit, client]
+        if low < high:
+            parts.append((self.directory.covering(low), None))
+            self._issue(parts, chain, limit)
+        return self._record(parts, chain)
+
+    def _issue(self, parts: list, chain: list, limit: int | None) -> None:
+        """Submit a scan's next part in place of its placeholder, the
+        last of ``parts``: the rest of the scan's range, clamped to the
+        placeholder's shard, for ``limit`` rows."""
+        shard_id = parts[-1][0]
+        low, high, _, client = chain
+        bound = self.directory.shards[shard_id].range.high
+        chain[0] = high = high if high <= bound else bound
+        parts[-1] = (shard_id, self.clusters[shard_id].scan(low, high, limit, client))
+        self.counters["scan_fanout"] += 1
 
     # ------------------------------------------------------------------
     # running
@@ -317,10 +330,48 @@ class ShardedCluster(ClientSurface):
         return merged
 
     def _run_shards(self, max_events: int | None = None) -> dict[int, RunResults]:
+        """Run the live shard trees in key order, then the retired ones;
+        just before a live shard runs, extend the scans whose rest of
+        range starts on it (:meth:`_extend_scans`)."""
+        starts = {shard_id: tree.now for shard_id, tree in self.clusters.items()}
+        order = [shard.shard_id for shard in self.directory.live_shards()]
+        order += sorted(self.clusters.keys() - set(order))
         results = {}
-        for shard_id, cluster in sorted(self.clusters.items()):
-            results[shard_id] = cluster.run(max_events=max_events)
+        for shard_id in order:
+            self._extend_scans(shard_id, starts)
+            results[shard_id] = self.clusters[shard_id].run(max_events=max_events)
         return results
+
+    def _extend_scans(self, shard_id: int, starts: dict[int, float]) -> None:
+        """Give each pending scan whose rest of range starts on live
+        shard ``shard_id``, and whose parts have all completed with
+        fewer rows than its limit, its next part there; a scan whose
+        limit is met issues no more parts.
+
+        ``starts`` holds each tree's clock when this run began.  A part
+        is submitted as long after its shard's start as the latest
+        earlier part completed after its own, so no part starts, in
+        virtual time, before the part it continues has finished.
+        """
+        shard = self.directory.shards[shard_id]
+        for parts, chain in self._pending.values():
+            if chain is None or not (chain[0] < chain[1] and shard.covers(chain[0])):
+                continue
+            rows, delay = 0, 0.0
+            for sid, op in parts:
+                record = self.clusters[sid].trace.operations.get(op)
+                if record is None or record.completed_at is None:
+                    break
+                rows += len(record.result)
+                delay = max(delay, record.completed_at - starts[sid])
+            else:
+                limit = chain[2]
+                if limit is None or rows < limit:
+                    parts.append((shard_id, None))
+                    rest = None if limit is None else limit - rows
+                    issue = partial(self._issue, parts, chain, rest)
+                    tree = self.clusters[shard_id]
+                    tree.kernel.events.schedule(starts[shard_id] + delay, issue)
 
     def _settle(self, results: dict[int, RunResults]) -> RunResults:
         """Translate per-shard outcomes into facade op outcomes.
@@ -342,7 +393,7 @@ class ShardedCluster(ClientSurface):
         }
         completed: dict[int, Any] = {}
         for op_id in sorted(self._pending):
-            parts, scan = self._pending[op_id]
+            parts, chain = self._pending[op_id]
             state = "completed"
             for sid, op in parts:
                 if op not in results[sid].completed:
@@ -353,14 +404,13 @@ class ShardedCluster(ClientSurface):
                 settled[state].append(op_id)
                 if state == "incomplete":
                     continue
-            elif scan is None:
+            elif chain is None:
                 ((sid, op),) = parts
                 completed[op_id] = results[sid].completed[op]
             else:
-                rows = [
+                completed[op_id] = tuple(
                     row for sid, op in parts for row in results[sid].completed[op]
-                ]
-                completed[op_id] = tuple(rows[: scan[0]])
+                )
             del self._pending[op_id]
         executed = 0
         for shard_id, cluster in self.clusters.items():

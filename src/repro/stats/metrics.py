@@ -101,7 +101,8 @@ def shard_summary(sharded: "ShardedCluster") -> dict[str, Any]:
     migrated and the messages their moves put on the wire), and router
     behaviour: direct routes vs stale routes recovered through shed
     hints and forward pointers, and how many view refreshes the
-    recoveries triggered.
+    recoveries triggered; ``scan_fanout`` is the sub-scans the
+    cross-shard scans issued, one per shard each chain reached.
     """
     live = sharded.directory.live_shards()
     counters = sharded.counters

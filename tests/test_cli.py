@@ -40,6 +40,30 @@ class TestCLI:
         )
         assert rc == 1
 
+    def test_demo_tallies_the_problems_past_the_first_ten(self, capsys):
+        # A two-shard forest under the strawman: problems from more than
+        # one check, each tagged behind its "shard N: " prefix.
+        rc = main([
+            "demo", "--inserts", "60", "--protocol", "naive",
+            "--capacity", "4", "--shards", "2",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        total, checks = re.search(
+            r"CheckReport\((\d+) problem\(s\); checks: (.*)\)", out
+        ).groups()
+        assert int(total) > 10
+        shown = out[out.index("audit:"):].splitlines()[1:]
+        assert len(shown) == 11
+        more, tally = re.fullmatch(r"  \.\.\. (\d+) more: (.*)", shown[-1]).groups()
+        assert int(more) == int(total) - 10
+        counts = [entry.split(" ") for entry in tally.split(", ")]
+        numbers = [int(n) for n, _ in counts]
+        assert len(counts) > 1
+        assert sum(numbers) == int(more)
+        assert numbers == sorted(numbers, reverse=True)
+        assert {name for _, name in counts} <= set(checks.split(", "))
+
     def test_hash_demo(self, capsys):
         assert main(["hash-demo", "--inserts", "80"]) == 0
         out = capsys.readouterr().out

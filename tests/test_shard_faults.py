@@ -274,3 +274,80 @@ class TestMigrationFailures:
         assert target.trace.operations == {}
         assert target.engine.in_flight == {}
         assert forest.counters["migration_failures"] == 1
+
+
+class TestScanChainEdges:
+    """A forest scan is a chain of per-shard parts in key order (see
+    ``tests/test_shard_properties.py::TestForestScanChain``); a run cut
+    short keeps the chain, and a part that fails ends it."""
+
+    @staticmethod
+    def three_shards():
+        """Three shards: ``[-inf, 1000)`` empty, ``[1000, 2000)`` with
+        200 keys, ``[2000, +inf)`` with 10."""
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="variable",
+            capacity=4,
+            seed=11,
+            shards=3,
+            initial_boundaries=(1000, 2000),
+        )
+        model = {key: key for key in [*range(1000, 1400, 2), *range(2000, 2010)]}
+        assert forest.load(model).ok
+        return forest, model
+
+    def test_part_in_flight_at_the_event_bound_finishes_next_run(self):
+        """A run cut by ``max_events`` while a part is in flight keeps
+        the facade scan pending with the rest of its range; the next
+        run returns the whole result, not a truncated one."""
+        twin, model = self.three_shards()
+        trees = twin.clusters.items()
+        before = {sid: tree.kernel.events.executed for sid, tree in trees}
+        assert twin.scan_sync(0, 5000) == tuple(sorted(model.items()))
+        used = {sid: tree.kernel.events.executed - before[sid] for sid, tree in trees}
+        # The bound lets the empty first shard drain and cuts the
+        # second part's walk along its shard's leaves short.
+        assert used[0] < used[1]
+        forest, _ = self.three_shards()
+        op = forest.scan(0, 5000)
+        with pytest.raises(RuntimeError, match="max_events"):
+            forest.run(max_events=used[0])
+        assert forest.counters["scan_fanout"] == 2
+        results = forest.run()
+        assert results.completed[op] == tuple(sorted(model.items()))
+        assert forest.counters["scan_fanout"] == 3
+
+    @pytest.mark.parametrize(
+        "plans, verdict",
+        [({}, "failed"), ({"op_timeout": 100.0, "op_retries": 1}, "timed_out")],
+        ids=["failed", "timed_out"],
+    )
+    def test_failed_part_ends_the_chain_with_its_verdict(self, plans, verdict):
+        """Every processor is down for good from 5,000, and only the
+        second shard's clock is past it: the first part completes, the
+        second fails (or times out), the third is never issued, and the
+        facade scan takes the worst verdict."""
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="variable",
+            shards=3,
+            initial_boundaries=(1000, 2000),
+            crash_plan=CrashPlan(
+                schedule=tuple((pid, 5000.0, None) for pid in range(4))
+            ),
+            **plans,
+        )
+        forest.clusters[1].kernel.run_until(6000.0)
+        op = forest.scan(0, 5000)
+        results = forest.run()
+        assert getattr(results, verdict) == (op,)
+        assert op not in results.completed
+        assert forest.counters["scan_fanout"] == 2
+        scans = {
+            sid: [r for r in tree.trace.operations.values() if r.kind == "scan"]
+            for sid, tree in forest.clusters.items()
+        }
+        assert [r.result for r in scans[0]] == [()]
+        assert [r.completed_at for r in scans[1]] == [None]
+        assert scans[2] == []

@@ -703,3 +703,143 @@ class TestForestCut:
             if info.range.high is not POS_INF:
                 assert_cut(tree, info.range.high)
         assert_clean(forest, expected)
+
+
+def chain_reference(forest, model, low, high, limit):
+    """What a forest scan should return, and how many parts it should
+    issue: one per live shard in key order, from the one holding
+    ``low`` until ``high`` is reached or the limit is met."""
+    rows, parts = [], 0
+    for shard in forest.directory.live_shards():
+        span = shard.range
+        if not (low < high and low < span.high and span.low < high):
+            continue
+        if limit is not None and len(rows) >= limit:
+            break
+        parts += 1
+        rows += [
+            (key, model[key])
+            for key in sorted(model)
+            if low <= key < high and span.contains(key)
+        ]
+    return tuple(rows[:limit]), parts
+
+
+def edge_limit(forest, model, low, high):
+    """A limit that runs out exactly at the high end of the first shard
+    span of ``[low, high)`` holding a key (None if none does)."""
+    for shard in forest.directory.live_shards():
+        span = shard.range
+        if low < high and low < span.high and span.low < high:
+            held = [key for key in model if low <= key < high and key < span.high]
+            if held:
+                return len(held)
+    return None
+
+
+def assert_chains(forest, model, scans):
+    """Submit ``scans`` -- ``(low, high, limit)``, a limit of "edge"
+    meaning :func:`edge_limit` -- in one run: each returns the sorted
+    model's rows, issues exactly the parts its chain needs (and
+    ``scan_fanout`` counts them), and each part after the first is
+    submitted, relative to its shard's clock at the start of the run,
+    no earlier than the part before it completed relative to its own."""
+    starts = {sid: tree.now for sid, tree in forest.clusters.items()}
+    fanout = forest.counters["scan_fanout"]
+    chains = []
+    for index, (low, high, limit) in enumerate(scans):
+        if limit == "edge":
+            limit = edge_limit(forest, model, low, high)
+        op = forest.scan(low, high, limit, client=forest.pids[index % 4])
+        parts = forest._pending[op][0]
+        chains.append((op, parts, chain_reference(forest, model, low, high, limit)))
+    results = forest.run()
+    assert results.ok
+    for op, parts, (rows, count) in chains:
+        assert results.completed[op] == rows
+        assert len(parts) == count
+        records = [
+            (sid, forest.clusters[sid].trace.operations[part]) for sid, part in parts
+        ]
+        for (i, left), (j, right) in zip(records, records[1:]):
+            assert right.submitted_at - starts[j] >= left.completed_at - starts[i]
+    assert forest.counters["scan_fanout"] - fanout == sum(
+        len(parts) for _, parts, _ in chains
+    )
+
+
+class TestForestScanChain:
+    """A forest scan is one chain of per-shard parts in key order that
+    stops at its limit (the forest's B-link walk along the leaf chain)."""
+
+    BOUNDARIES = (1000, 2000, 3000, 4000)
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 10**6),
+        keys=st.sets(st.integers(0, 4999), min_size=10, max_size=80),
+        empty=st.sets(st.integers(0, 4), max_size=3),
+        reshape=st.booleans(),
+        scans=st.lists(
+            st.tuples(
+                st.integers(0, 5000),
+                st.integers(0, 5000),
+                st.sampled_from([None, "edge", 1, 3, 10, 40]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(
+        seed=0, keys=set(range(0, 5000, 50)), empty={1, 2}, reshape=False,
+        scans=[(500, 4500, None), (500, 4500, "edge"), (1500, 3500, 5)],
+    )
+    def test_chain_matches_sorted_model(self, seed, keys, empty, reshape, scans):
+        """Scans with no limit, with limits met mid-shard or exactly at
+        a shard boundary, starting in or passing through empty shards,
+        over the initial shards or (``reshape``) over a forest that
+        split and merged under load."""
+        model = {key: f"v{key}" for key in keys if key // 1000 not in empty}
+        threshold = max(4, len(model) // 5) if reshape else None
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="semisync",
+            capacity=4,
+            seed=seed,
+            shards=len(self.BOUNDARIES) + 1,
+            initial_boundaries=self.BOUNDARIES,
+            shard_split_threshold=threshold,
+            shard_merge_threshold=threshold and threshold // 2,
+        )
+        assert forest.load(model).ok
+        assert_chains(forest, model, scans)
+        assert check_shard_coverage(forest) == []
+
+    def test_chain_after_splits_and_merges_follows_key_order(self):
+        """Shard ids out of key order: the chain follows the directory's
+        key order, not the ids."""
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol="semisync",
+            capacity=4,
+            seed=1,
+            shard_split_threshold=12,
+            shard_merge_threshold=4,
+        )
+        model = run_insert_workload(forest, count=60, key_fn=lambda i: i * 17)
+        for index, key in enumerate(sorted(model)[20:40]):
+            forest.delete(key, client=forest.pids[index % 4])
+            del model[key]
+        assert forest.run().ok
+        assert forest.counters["shard_merges"] >= 1
+        ids = [shard.shard_id for shard in forest.directory.live_shards()]
+        assert ids != sorted(ids)
+        assert_chains(
+            forest,
+            model,
+            [(0, 2000, None), (0, 2000, 25), (0, 2000, "edge"), (200, 900, 3)],
+        )

@@ -79,6 +79,10 @@ FOREIGN_FLAGS = {
     "--benchmark-only": "pytest-benchmark",
     "--timeout": "pytest-timeout",
     "--exit-code": "git diff",
+    "--workload": "bench/run.py",
+    "--scale": "bench/run.py",
+    "--seconds": "bench/run.py",
+    "--trace": "bench/run.py",
 }
 
 
