@@ -272,17 +272,20 @@ _LAYER_DETAIL = {
         "{keys_migrated} keys migrated in {migration_msgs} messages; "
         "routing: {direct_routes} direct, "
         "{stale_routes} stale ({hint_hops} hint hops, {forwards} forwards, "
-        "{refreshes} view refreshes), scan fan-out {scan_fanout}"
+        "{refreshes} view refreshes), scan fan-out {scan_fanout}; "
+        "leaves by processor {leaves_by_processor}"
     ),
 }
 
 
 def _show(value) -> str:
     """A report value as text: a by-kind breakdown shows its non-zero
-    kinds."""
+    kinds, a per-processor list its counts in pid order."""
     if isinstance(value, dict):
         shown = (f"{count} {kind}" for kind, count in value.items() if count)
         return ", ".join(shown) or "none"
+    if isinstance(value, list):
+        return "/".join(map(str, value))
     if isinstance(value, float):
         return f"{value:g}"
     return "n/a" if value is None else str(value)

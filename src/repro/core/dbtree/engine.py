@@ -1502,14 +1502,19 @@ class DBTreeEngine(Engine):
         a tree whose rightmost node at each level ends at ``+inf`` (any
         tree that never lost keys to another, or one :meth:`cut` left).
         The items fill its rightmost leaf to ``BULK_FILL`` of capacity
-        (a :class:`Graft` at each of its copies), then new leaves
-        chained after it, each shipped as one ``CreateCopy`` from the
-        holder of its first item to each copy the replication policy
-        places.  The interiors are built bottom-up along the right
-        spine the same way -- each spine node takes what fits and new
-        nodes follow it, shipped from the processor of their first
-        child -- and a new root, where the old one overflowed, is
-        published as root growth is.
+        (a :class:`Graft` at each of its copies, where it already
+        lives), then new leaves chained after it, placed by size: leaf
+        ``i`` of the ``n`` new ones is created on ``live[i * len(live)
+        // n]``, so the leaves go out in key-ordered runs, one per live
+        processor, and a scan stays on one processor except at the run
+        boundaries.  The replication policy places each leaf from
+        there (a single-copy leaf lives there; a replicated one has its
+        primary there).  The interiors are built bottom-up along the
+        right spine -- each spine node takes what fits and new nodes
+        follow it, each created where its first child is -- and a new
+        root, where the old one overflowed, is published as root
+        growth is.  Every new node is shipped by :meth:`_ship` from
+        where its data is.
         """
         if not items:
             return
@@ -1528,6 +1533,9 @@ class DBTreeEngine(Engine):
         plan: dict[int, NodeCopy] = {}
         existing: dict[int, NodeCopy] = {}
         built: list[NodeCopy] = []
+        # Built node -> the processor holding its first entry, which ships
+        # it (a source holder may be down on this tree's clock).
+        senders: dict[int, int] = {}
 
         def change(node: NodeCopy) -> NodeCopy:
             existing[node.node_id] = node
@@ -1554,9 +1562,13 @@ class DBTreeEngine(Engine):
                 anchor.insert_entry(key, payload)
             last = anchor
             chain = []
-            for start in range(room, len(entries), per_node):
+            starts = range(room, len(entries), per_node)
+            for index, start in enumerate(starts):
                 chunk = entries[start : start + per_node]
-                node = build(anchor.level, chunk[0][2], chunk[0][0], anchor.version + 1)
+                holder = chunk[0][2]
+                home = live[index * len(live) // len(starts)] if anchor.is_leaf else holder
+                node = build(anchor.level, home, chunk[0][0], anchor.version + 1)
+                senders[node.node_id] = holder if holder in live else node.pc_pid
                 for key, payload, _creator in chunk:
                     node.insert_entry(key, payload)
                 node.parent_id = anchor.parent_id
@@ -1587,7 +1599,7 @@ class DBTreeEngine(Engine):
                 for _key, child_id in node.iter_entries():
                     if child_id in plan:
                         plan[child_id].parent_id = node.node_id
-        self._ship(plan, existing, built, new_root, live)
+        self._ship(plan, existing, built, new_root, senders, live)
 
     def _ship(
         self,
@@ -1595,14 +1607,19 @@ class DBTreeEngine(Engine):
         existing: dict[int, NodeCopy],
         built: list[NodeCopy],
         new_root: NodeCopy | None,
+        senders: dict[int, int],
         live: list[int],
     ) -> None:
         """Carry out an install's plan.  Each changed node gets a
         :class:`Graft` at every copy, upper levels first, so every
         processor applies the grafts of the nodes it shares in one
-        order.  Then each built node leaves its primary's processor as
-        one ``CreateCopy`` per copy, parents before children, so a copy
-        finds its parent installed."""
+        order.  Then each built node is shipped as one ``CreateCopy``
+        per copy, parents before children, so a copy finds its parent
+        installed.  It leaves the processor in ``senders``, where its
+        data is -- a leaf the source holder of its first item, an
+        interior node the processor of its first child; a new root its
+        primary's -- so each copy placed away from its data costs one
+        message, and one placed on it none."""
         kernel = self.kernel
 
         def where(node_id: int) -> tuple[int, ...]:
@@ -1644,8 +1661,9 @@ class DBTreeEngine(Engine):
                         (child, where(child)) for _key, child in node.iter_entries()
                     )
                 )
+            sender = senders.get(node.node_id, node.pc_pid)
             for pid in node.copy_pids:
-                kernel.route(node.pc_pid, pid, CreateCopy(snapshot, reason))
+                kernel.route(sender, pid, CreateCopy(snapshot, reason))
             if node is new_root:
                 announce = SetRoot(node.node_id, node.level, node.copy_pids, node.level)
                 for pid in live:

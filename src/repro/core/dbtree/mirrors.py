@@ -102,15 +102,29 @@ class LeafMirrors:
         self.push(proc, copy)
 
     def on_mirror_update(self, proc: "Processor", action: MirrorUpdate) -> None:
+        """Store a pushed snapshot as a passive mirror, or forget the
+        mirror on a retraction.
+
+        A push that lands where a real copy of the leaf lives is not
+        stored: a mirror there would be stale.  If that copy is a live
+        single-copy home too, the leaf has two homes -- a re-home raced
+        against a live home -- and with repair on this processor
+        answers the pusher with its :class:`~repro.repair.repair
+        .HomeResolve` claim, the settlement gossip starts for a peer's
+        role-``"L"`` row; without repair the push is dropped.
+        """
         engine = self.engine
         if action.snapshot is None:
             self._discard(proc, action.node_id)
         elif action.node_id not in engine.store(proc):
-            # (where the real copy lives a mirror would be stale)
             mirrors = proc.state.setdefault("mirror_store", {})
             mirrors[action.node_id] = (action.home_pid, action.snapshot)
             if engine.repair is not None:
                 engine.repair.touch(proc.pid, action.node_id)
+        elif engine.repair is not None:
+            copy = engine.store(proc)[action.node_id]
+            if self.mirrored(copy):
+                engine.repair.claim_home(proc, action.home_pid, copy)
 
     def rehome(self, proc: "Processor", dead: int) -> None:
         """Adopt the dead processor's mirrored leaves.

@@ -15,6 +15,7 @@ import pytest
 
 from repro import CrashPlan, DBTreeCluster, FaultPlan, RepairPlan
 from repro.core.dbtree import LeafMirrors
+from repro.core.node import NodeCopy
 from repro.repair import copy_digest, make_placement, snapshot_digest
 from repro.repair import digest as digest_module
 from repro.repair import gossip as gossip_module
@@ -1261,6 +1262,89 @@ class TestAdjacentCrashRegression:
 # ----------------------------------------------------------------------
 # fixed copy sets: a lost copy has no join path to heal through
 # ----------------------------------------------------------------------
+class TestDoubleHomeOnPush:
+    """A mirror push that lands on a second live home of its leaf.
+
+    The mirror target of a leaf also holds it as its own single-copy
+    home (a re-home raced against a live home: a false suspicion, or a
+    partition).  The home's next push there is not stored as a mirror;
+    with repair on, the target answers with its ``HomeResolve`` claim
+    and the two settle on the larger ``(version, pid)``.  Gossip sees
+    the clash only as a missing mirror and has the home push again, so
+    were the push dropped the rounds would re-push for ever.
+    """
+
+    BUDGET = 2_000
+
+    @staticmethod
+    def double_homed(repair_period):
+        cluster = DBTreeCluster(
+            num_processors=4,
+            protocol="variable",
+            capacity=4,
+            seed=3,
+            crash_plan=CrashPlan(),
+            replication_factor=2,
+            repair_period=repair_period,
+        )
+        expected = {}
+        for index in range(40):
+            expected[index * 7] = index
+            cluster.insert(index * 7, index, client=index % 4)
+        assert cluster.run().ok
+        engine = cluster.engine
+        mirrors = engine.mirrors
+        home = cluster.kernel.processors[0]
+        leaf = next(c for c in engine.store(home).values() if mirrors.mirrored(c))
+        target = cluster.kernel.processors[mirrors.targets(0, leaf.node_id)[0]]
+        # Plant the second home as a re-home installs it, unannounced.
+        _home, snapshot = mirrors.held(target)[leaf.node_id]
+        planted = NodeCopy.from_snapshot(snapshot)
+        planted.reseat(target.pid)
+        engine.install_copy(target, planted, snapshot.birth_set, "rehome")
+        if engine.repair is not None:
+            engine.repair.kick()  # so gossip rounds run over the double home
+        first, claim = (leaf.version, home.pid), (planted.version, target.pid)
+        assert homes(cluster, leaf.node_id) == [first, claim]
+        # An insert into the leaf at its first home pushes to the target.
+        key = next(
+            k for k in range(1, 10**4) if leaf.range.contains(k) and k not in expected
+        )
+        cluster.insert(key, "pushed", client=0)
+        expected[key] = "pushed"
+        return cluster, leaf.node_id, first, claim, expected
+
+    def test_the_next_push_settles_one_home(self):
+        cluster, node_id, first, claim, expected = self.double_homed(150.0)
+        assert claim > first
+        assert cluster.run(max_events=self.BUDGET).ok
+        # The target's claim wins and is bumped past the loser's.
+        assert homes(cluster, node_id) == [(claim[0] + 1, claim[1])]
+        settled = cluster.repair_summary()["home_resolution"]
+        assert settled["home_resolves_won"] == settled["home_resolves_ceded"] == 1
+        assert cluster.kernel.network.stats.by_kind["home_resolve"] == 2
+        report = cluster.check(expected)
+        assert report.ok, report.problems
+
+    def test_without_repair_the_push_is_dropped(self):
+        cluster, node_id, first, claim, _expected = self.double_homed(None)
+        assert cluster.run(max_events=self.BUDGET).ok
+        assert homes(cluster, node_id) == [first, claim]
+        assert cluster.kernel.network.stats.by_kind["home_resolve"] == 0
+        target = cluster.kernel.processors[claim[1]]
+        assert node_id not in LeafMirrors.held(target)
+
+
+def homes(cluster, node_id):
+    """``(version, pid)`` of every live copy of ``node_id``."""
+    return sorted(
+        (copy.version, pid)
+        for pid, proc in cluster.kernel.processors.items()
+        for held_id, copy in proc.state["store"].items()
+        if held_id == node_id and not copy.retired
+    )
+
+
 class TestFixedMembershipLivelock:
     # Under semisync and sync a copy set never changes, so a copy lost
     # to a crash (or to amnesia) is `unrepairable`.  Yet every round

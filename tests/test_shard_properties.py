@@ -504,10 +504,53 @@ class TestMigrationHolder:
         assert shipped, "no leaf was shipped"
         strays = [pair for pair in shipped if pair[0] != pair[1]]
         assert strays == [], strays[:5]
+        # The split spreads its new leaves over the processors, so the
+        # merge ships them back from more than one holder either way.
         senders = {sender for sender, _holder in shipped}
-        assert len(senders) > 1 if spread else senders == {0}
+        assert len(senders) > 1, senders
         # No migrated key navigates, or answers, across the network.
         assert wire["search"] == 0 and wire["return"] == 0, wire
+        assert_clean(forest, expected)
+
+
+    @pytest.mark.parametrize("protocol", ["variable", "mobile", "semisync"])
+    def test_a_split_places_its_new_leaves_in_one_run_per_processor(
+        self, migrations, protocol
+    ):
+        """Leaf ``i`` of a split's ``n`` new leaves is created on
+        processor ``i * P // n``: in key order they form one run per
+        live processor, each leaf shipped from the source holder of its
+        first key.  A single-copy leaf moves whole; a replicated one
+        moves its primary and keeps a copy on every processor."""
+        shipped, ops, _wire = migrations
+        forest = ShardedCluster(
+            num_processors=4,
+            protocol=protocol,
+            capacity=4,
+            seed=3,
+            shard_split_threshold=60,
+        )
+        expected = run_insert_workload(forest, count=60, key_fn=lambda i: i * 11)
+        assert forest.counters["shard_splits"] == 1
+        tree = forest.clusters[forest.directory.live_shards()[-1].shard_id]
+        leaves = sorted(
+            (c for c in representative_nodes(tree.engine).values() if c.is_leaf),
+            key=lambda leaf: leaf.range.low,
+        )
+        # The first leaf is the new tree's own, filled where it lives.
+        placed = leaves[1:]
+        homes = [leaf.pc_pid for leaf in placed]
+        assert homes == [forest.pids[i * 4 // len(placed)] for i in range(len(placed))]
+        runs = [pid for i, pid in enumerate(homes) if i == 0 or pid != homes[i - 1]]
+        assert runs == forest.pids, homes
+        copies = [leaf.copy_pids for leaf in placed]
+        if protocol == "semisync":
+            assert copies == [tuple(forest.pids)] * len(placed)
+        else:
+            assert copies == [(pid,) for pid in homes]
+        assert len(shipped) == sum(len(pids) for pids in copies)
+        assert [pair for pair in shipped if pair[0] != pair[1]] == []
+        assert ops == [], ops[:5]
         assert_clean(forest, expected)
 
 
