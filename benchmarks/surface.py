@@ -6,9 +6,9 @@ One row per name in a ``repro.*`` ``__all__``, per keyword of the four
 facades and ``Kernel``, per field of a layer plan, and per CLI flag,
 with the number of files that reference it under ``src/``,
 ``benchmarks/``, ``bench/``, ``examples/`` and ``tests/``; a flag also
-shows which of :data:`DOCUMENTS` spell it.  Under ``src/`` the file
-that defines the thing is left out, and an ``__init__.py`` counts for
-its code, not for what it re-exports.
+shows which of :data:`DOCUMENTS` pass it to the CLI.  Under ``src/``
+the file that defines the thing is left out, and an ``__init__.py``
+counts for its code, not for what it re-exports.
 
 A name, keyword or plan field stays public only while something other
 than its own test uses it: a row whose first four counts are all zero
@@ -17,7 +17,10 @@ stays while a test or a CI step runs it.  ``tests/test_surface.py``
 holds the tree to both, and CI regenerates
 ``benchmarks/results/surface.txt`` from here.
 
-A name is counted by whole-word match and a flag by its exact spelling.
+A name is counted by whole-word match and a flag by its exact spelling;
+in a document, only where a ``python -m repro`` command passes it
+(continuation lines included), so a flag of another program with the
+same name, or one named in prose, does not count.
 A keyword ``k`` of facade ``F`` is counted where ``k`` is passed at a
 call of ``F`` or of a constructor that forwards to it, and a field
 ``f`` of plan ``P`` where ``f`` is passed at a call of ``P``: an AST
@@ -190,8 +193,20 @@ def _passed(text: str) -> dict[str, set[str]]:
     return passed
 
 
+#: A ``python -m repro`` command in a document: the rest of its line up
+#: to a backtick or a shell separator, with its continuation lines.
+_COMMAND = re.compile(r"python3? -m repro\b((?:\\\n|[^`|;&\n])*)")
+
+
 def _scan(text: str) -> dict[str, set[str]]:
     return {kind: set(re.findall(regex, text)) for kind, regex in _SCANS.items()}
+
+
+def _passed_flags(text: str) -> set[str]:
+    """The flags a document passes to the ``repro`` CLI: those on its
+    ``python -m repro`` commands, not another program's of the same
+    name."""
+    return set(re.findall(_SCANS["flags"], " ".join(_COMMAND.findall(text))))
 
 
 def _sources() -> dict[str, dict[Path, dict[str, set[str]]]]:
@@ -299,7 +314,7 @@ def ledger() -> dict[str, dict[str, list]]:
         for plan, home in PLANS.items()
         for field in plan_fields(plan)
     }
-    documents = [_scan((REPO / document).read_text())["flags"] for document in DOCUMENTS]
+    documents = [_passed_flags((REPO / document).read_text()) for document in DOCUMENTS]
     flags = {
         flag: _counts(sources, "flags", flag, {CLI})
         + ["yes" if flag in spelled else "no" for spelled in documents]
